@@ -3,18 +3,23 @@
 A machine packages one verifier kind as an explicit step unitary over
 named registers: a basis permutation doing the count/swap/respond
 bookkeeping, optionally followed by transcript-controlled adjusting
-rotations on the table register. Simulators are step lists that may
-call the machine forward or inverted, query named classical tables in
-superposition, and measure visible registers; an executor runs them
-branch by branch under strict invocation budgets and can hand single
-queries to an interceptor. Kinds whose control registers stay classical
-are simulated by enumerating every control assignment exactly and
-mixing the resulting branches with rational weights.
+rotations on the table register. The permutation is one vectorized
+numpy computation over per-register digit arrays. Simulators are step
+lists that may call the machine forward or inverted, query named
+classical tables in superposition, and measure visible registers; an
+executor runs them branch by branch under strict invocation budgets and
+can hand single queries to an interceptor. Kinds whose control
+registers stay classical are simulated by enumerating every control
+assignment exactly and mixing the resulting branches with rational
+weights. The assignments and their pinned machines are built once per
+unpinned machine, and each pinned permutation is a strided slice of the
+unpinned one.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -103,6 +108,11 @@ class VerifierMachine:
     register H or K), the count/transcript/decision block next, and the
     message register M last. ``fixed`` pins control roles to classical
     values; pinned registers are dropped from the layout.
+
+    The step never writes a control register, so the unpinned machine's
+    permutation holds every pinned one: for the control index c among
+    ctrl control values, the pinned permutation is
+    ``(full[c::ctrl] - c) // ctrl``.
     """
 
     kind: str
@@ -129,17 +139,9 @@ class VerifierMachine:
         return None
 
     @cached_property
-    def _alpha_index(self) -> dict:
-        return {a: i for i, a in enumerate(self.spec.alphabet)}
-
-    @cached_property
     def _prefix_points(self) -> tuple[tuple, ...]:
         depth = self.k - 1 if self.kind == "public_coin" else self.k
         return prefix_domain(self.spec.alphabet, depth)
-
-    @cached_property
-    def _prefix_index(self) -> dict:
-        return {p: i for i, p in enumerate(self._prefix_points)}
 
     @cached_property
     def _challenges(self):
@@ -156,152 +158,133 @@ class VerifierMachine:
 
     @cached_property
     def _step_perm(self) -> np.ndarray:
-        """Basis permutation of one call: count, swap, respond, decide."""
+        """Basis permutation of one call: count, swap, respond, decide.
+
+        One numpy computation over a digit array per register. Every
+        control table reads as ``table[value, point]``; a pinned control
+        is a one-row table read at digit 0.
+        """
         lay, spec, x, k = self.layout, self.spec, self.x, self.k
         n = len(spec.alphabet)
-        aidx = self._alpha_index
-        pos = {name: i for i, name in enumerate(lay.names)}
-        i_count, i_b, i_m = pos["Count"], pos["B"], pos["M"]
-        i_msg = [pos[f"M{i}"] for i in range(1, k + 1)]
-        pos_cont = pos.get("Cont")
-        kind = self.kind
+        aidx = {a: i for i, a in enumerate(spec.alphabet)}
+        flat = np.arange(lay.total_dim, dtype=np.int64)
+        dg = {nm: (flat // s) % d for nm, d, s in zip(lay.names, lay.dims, lay.strides)}
+        zero = np.zeros_like(flat)
+        hdig = dg.get("H", zero)
 
-        # digit tuple -> (table position, labels) for every live prefix
-        pref_info: dict[tuple, tuple[int, tuple]] = {}
-        pidx = self._prefix_index
-        for i in range(1, len(self._prefix_points[-1]) + 1):
-            for digs in itertools.product(range(n), repeat=i):
-                labels = tuple(spec.alphabet[d] for d in digs)
-                pref_info[digs] = (pidx[labels], labels)
+        def h_table(base: int, domain, digit) -> np.ndarray:
+            if "H" in dg:
+                powers = base ** np.arange(len(domain))
+                return (np.arange(lay.dim_of("H"))[:, None] // powers) % base
+            h = self.fixed_value("H")
+            return np.array([[digit(h(p)) for p in domain]])
 
-        if kind in ("random_aborting",) + _COHERENT:
-            pos_r, pos_h, pos_k = pos.get("R"), pos.get("H"), pos.get("K")
-            fixed_r, fixed_h = self.fixed_value("R"), self.fixed_value("H")
-            rs = spec.randomness
-            fixed_flags = None
-            if pos_h is None and pos_k is None:
-                fixed_flags = tuple(int(fixed_h(p)) for p in self._prefix_points)
-            kflags = self._key_flags if pos_k is not None else None
-            r_pool = [fixed_r] if pos_r is None else list(rs)
-            resp_tab = {
-                (r, digs): aidx[spec.next_message(x, r, labels)]
-                for r in r_pool
-                for digs, (_, labels) in pref_info.items()
-                if len(digs) < k
-            }
-            acc_tab = {
-                (r, digs): int(bool(spec.decide(x, r, pref_info[digs][1])))
-                for r in r_pool
-                for digs in itertools.product(range(n), repeat=k)
-            }
+        # count and swap: the counted slot takes M, and M takes the slot
+        j = dg["Count"]
+        msgs = np.stack([dg[f"M{i}"] for i in range(1, k + 1)])
+        m = msgs[j, flat]
+        msgs[j, flat] = dg["M"]
 
-            def flag(dg, pf):
-                if pos_h is not None:
-                    return (dg[pos_h] >> pf) & 1
-                if pos_k is not None:
-                    return int(kflags[dg[pos_k], pf])
-                return fixed_flags[pf]
+        # table position of each prefix (shortest first), and the full
+        # transcript's position among the length-k messages
+        points = self._prefix_points
+        code, offset, pf = zero, 0, []
+        for i in range(k):
+            code = code * n + msgs[i]
+            pf.append(offset + code)
+            offset += n ** (i + 1)
+        pf = np.stack(pf[: len(points[-1])])
 
-            def act(dg, j, final):
-                r = fixed_r if pos_r is None else rs[dg[pos_r]]
-                gated = pos_cont is None or dg[pos_cont] == 1
-                if final:
-                    mdigs = tuple(dg[s] for s in i_msg)
-                    ok = acc_tab[(r, mdigs)]
-                    if ok and gated:
-                        for i in range(1, k + 1):
-                            if not flag(dg, pref_info[mdigs[:i]][0]):
-                                ok = 0
-                                break
-                    dg[i_b] ^= ok
-                else:
-                    pdigs = tuple(dg[i_msg[t]] for t in range(j + 1))
-                    resp = resp_tab[(r, pdigs)]
-                    if gated and not flag(dg, pref_info[pdigs][0]):
-                        resp = 0
-                    dg[i_m] = (dg[i_m] + resp) % n
-
-        elif kind == "public_coin":
+        if self.kind in ("random_aborting",) + _COHERENT:
+            rs = spec.randomness if "R" in dg else (self.fixed_value("R"),)
+            if "K" in dg:
+                live = self._key_flags[dg["K"], pf] == 1
+            else:
+                live = h_table(2, points, int)[hdig, pf] == 1
+            if "Cont" in dg:  # only the Cont = 1 block aborts on a zero flag
+                live |= dg["Cont"] != 1
+            # the response digit below round k, the acceptance bit at round k
+            out = np.array([
+                [
+                    aidx[spec.next_message(x, r, p)] if len(p) < k
+                    else int(bool(spec.decide(x, r, p)))
+                    for p in points
+                ]
+                for r in rs
+            ])
+            val = out[dg.get("R", zero), pf[j, flat]]
+            resp = np.where(live[j, flat], val, 0)
+            acc = val & live.all(axis=0)
+        elif self.kind == "public_coin":  # two moves: one challenge per M1
             challenges, chart = self._challenges
-            nc = len(challenges)
-            cidx = {c: i for i, c in enumerate(challenges)}
-            pos_h = pos.get("H")
-            fixed_digits = None
-            if pos_h is None:
-                fixed_h = self.fixed_value("H")
-                fixed_digits = tuple(cidx[fixed_h(p)] for p in self._prefix_points)
-
-            def chal(dg, pf):
-                if pos_h is None:
-                    return fixed_digits[pf]
-                return (dg[pos_h] // nc**pf) % nc
-
-            acc_memo: dict = {}
-
-            def act(dg, j, final):
-                if final:
-                    mdigs = tuple(dg[s] for s in i_msg)
-                    cs = tuple(
-                        challenges[chal(dg, pref_info[mdigs[:i]][0])]
-                        for i in range(1, k)
-                    )
-                    key = (cs, mdigs)
-                    ok = acc_memo.get(key)
-                    if ok is None:
-                        labels = tuple(spec.alphabet[d] for d in mdigs)
-                        ok = int(bool(spec.decide(x, chart[cs], labels)))
-                        acc_memo[key] = ok
-                    dg[i_b] ^= ok
-                else:
-                    pdigs = tuple(dg[i_msg[t]] for t in range(j + 1))
-                    c = challenges[chal(dg, pref_info[pdigs][0])]
-                    dg[i_m] = (dg[i_m] + aidx[c]) % n
-
+            c = h_table(len(challenges), points, challenges.index)[hdig, pf[0]]
+            resp = np.array([aidx[ch] for ch in challenges])[c]
+            acc = np.array([
+                [
+                    int(bool(spec.decide(x, chart[(ch,)], t)))
+                    for t in itertools.product(spec.alphabet, repeat=2)
+                ]
+                for ch in challenges
+            ])[c, code]
         else:  # three_round: the table hashes the first message to randomness
             rs = spec.randomness
-            nr = len(rs)
-            pos_h = pos.get("H")
-            fixed_digits = None
-            if pos_h is None:
-                fixed_h = self.fixed_value("H")
-                rpos = {r: i for i, r in enumerate(rs)}
-                fixed_digits = tuple(rpos[fixed_h(a)] for a in spec.alphabet)
+            ri = h_table(len(rs), spec.alphabet, rs.index)[hdig, msgs[0]]
+            resp = np.array([
+                [aidx[spec.next_message(x, r, (a,))] for a in spec.alphabet] for r in rs
+            ])[ri, msgs[0]]
+            acc = np.array([
+                [
+                    int(bool(spec.decide(x, r, t)))
+                    for t in itertools.product(spec.alphabet, repeat=2)
+                ]
+                for r in rs
+            ])[ri, code]
 
-            def hdig(dg, m1d):
-                if pos_h is None:
-                    return fixed_digits[m1d]
-                return (dg[pos_h] // nr**m1d) % nr
+        final = j == k - 1
+        new = dict(dg, Count=(j + 1) % k, M=np.where(final, m, (m + resp) % n))
+        new["B"] = np.where(final, dg["B"] ^ acc, dg["B"])
+        new.update((f"M{i}", msgs[i - 1]) for i in range(1, k + 1))
+        return sum(new[nm] * s for nm, s in zip(lay.names, lay.strides))
 
-            resp_tab = {
-                (ri, m1d): aidx[spec.next_message(x, rs[ri], (spec.alphabet[m1d],))]
-                for ri in range(nr)
-                for m1d in range(n)
-            }
-            acc_tab = {
-                (ri, digs): int(
-                    bool(spec.decide(x, rs[ri], tuple(spec.alphabet[d] for d in digs)))
-                )
-                for ri in range(nr)
-                for digs in itertools.product(range(n), repeat=2)
-            }
+    @cached_property
+    def _pinned_machines(self) -> tuple[tuple[VerifierMachine, Fraction], ...]:
+        """Every classical control assignment as (pinned machine, weight).
 
-            def act(dg, j, final):
-                m1d = dg[i_msg[0]]
-                if final:
-                    dg[i_b] ^= acc_tab[(hdig(dg, m1d), (m1d, dg[i_msg[1]]))]
-                else:
-                    dg[i_m] = (dg[i_m] + resp_tab[(hdig(dg, m1d), m1d)]) % n
-
-        perm = np.empty(lay.total_dim, dtype=np.int64)
-        for flat in range(lay.total_dim):
-            dg = list(lay.decode(flat))
-            j = dg[i_count]
-            dg[i_count] = (j + 1) % k
-            slot = i_msg[j]
-            dg[i_m], dg[slot] = dg[slot], dg[i_m]
-            act(dg, j, j == k - 1)
-            perm[flat] = lay.encode(dg)
-        return perm
+        R and H lead the layout and the step never writes them, so the
+        pinned permutation of control index c is the strided slice
+        ``(full[c::ctrl] - c) // ctrl`` of this machine's permutation.
+        """
+        spec, pts = self.spec, self._prefix_points
+        assignments: list[tuple[dict, int, Fraction]] = []
+        if self.kind == "random_aborting":
+            dist = SparseOracleDist(pts, self.eps)
+            nr = len(spec.randomness)
+            for ri, r in enumerate(spec.randomness):
+                for h, w in dist.enumerate_weighted():
+                    c = ri + nr * _little_endian(h.values, 2)
+                    assignments.append(({"R": r, "H": h}, c, w / nr))
+        elif self.kind == "public_coin":
+            challenges, _ = self._challenges
+            nc = len(challenges)
+            w = Fraction(1, nc ** len(pts))
+            for digs in itertools.product(range(nc), repeat=len(pts)):
+                vals = tuple(challenges[d] for d in digs)
+                h = ClassicalOracle(pts, challenges, vals)
+                assignments.append(({"H": h}, _little_endian(digs, nc), w))
+        else:  # three_round
+            rs, alpha = spec.randomness, tuple(spec.alphabet)
+            w = Fraction(1, len(rs) ** len(alpha))
+            for digs in itertools.product(range(len(rs)), repeat=len(alpha)):
+                h = ClassicalOracle(alpha, rs, tuple(rs[d] for d in digs))
+                assignments.append(({"H": h}, _little_endian(digs, len(rs)), w))
+        full = self._step_perm
+        out = []
+        for fx, c, w in assignments:
+            pinned = build_verifier(self.kind, spec, self.x, eps=self.eps, fixed=fx)
+            ctrl = self.layout.total_dim // pinned.layout.total_dim
+            vars(pinned)["_step_perm"] = (full[c::ctrl] - c) // ctrl
+            out.append((pinned, w))
+        return tuple(out)
 
     @cached_property
     def _adjuster_blocks(self):
@@ -389,23 +372,22 @@ def build_verifier(
         eps = Fraction(eps)
         if not 0 <= eps <= 1:
             raise ValueError("predicate density outside [0, 1]")
-        pdom = prefix_domain(spec.alphabet, k)
         if "R" not in fx:
             regs.append(("R", len(spec.randomness)))
         elif fx["R"] not in spec.randomness:
             raise ValueError("pinned randomness outside the protocol's coin space")
         if "H" not in fx:
-            regs.append(("H", 2 ** len(pdom)))
+            regs.append(("H", _table_dim(2, _prefix_count(n, k))))
         else:
-            _check_table(fx["H"], pdom, (0, 1))
+            _check_table(fx["H"], prefix_domain(spec.alphabet, k), (0, 1))
     elif kind == "superposition":
         if eps is None:
             raise ValueError("the coherent aborting kind needs a predicate density")
         eps = Fraction(eps)
         if not 0 < eps <= 1:
             raise ValueError("the adjusting rotation needs a density in (0, 1]")
-        pdom = prefix_domain(spec.alphabet, k)
-        regs += [("Cont", 2), ("R", len(spec.randomness)), ("H", 2 ** len(pdom))]
+        h_dim = _table_dim(2, _prefix_count(n, k))
+        regs += [("Cont", 2), ("R", len(spec.randomness)), ("H", h_dim)]
     elif kind == "superposition_efficient":
         if family is None:
             raise ValueError("the efficient kind needs a predicate family")
@@ -417,16 +399,15 @@ def build_verifier(
         if not spec.public_coin:
             raise ValueError(f"spec {spec.name} is not public-coin")
         challenges, _ = challenge_structure(spec, x)
-        pdom = prefix_domain(spec.alphabet, k - 1)
         if "H" not in fx:
-            regs.append(("H", len(challenges) ** len(pdom)))
+            regs.append(("H", _table_dim(len(challenges), _prefix_count(n, k - 1))))
         else:
-            _check_table(fx["H"], pdom, challenges)
+            _check_table(fx["H"], prefix_domain(spec.alphabet, k - 1), challenges)
     else:  # three_round
         if k != 2:
             raise ValueError("the hashed-randomness kind needs exactly two moves")
         if "H" not in fx:
-            regs.append(("H", len(spec.randomness) ** n))
+            regs.append(("H", _table_dim(len(spec.randomness), n)))
         else:
             _check_table(fx["H"], spec.alphabet, spec.randomness)
 
@@ -449,6 +430,30 @@ def build_verifier(
         family=family,
         fixed=tuple(sorted(fx.items(), key=lambda kv: kv[0])),
     )
+
+
+def _prefix_count(n: int, depth: int) -> int:
+    """Number of message prefixes of length 1..depth over n letters."""
+    return sum(n**i for i in range(1, depth + 1))
+
+
+def _table_dim(base: int, points: int) -> int:
+    """Dimension base**points of a control table register.
+
+    The cap is checked in log space first, so a table too large to build
+    is refused without ever forming the integer.
+    """
+    if base > 1 and points * math.log2(base) > math.log2(MAX_STATE_DIM):
+        raise ValueError(
+            f"control table of {base}**{points} basis states exceeds the dense cap"
+            f" {MAX_STATE_DIM}"
+        )
+    return base**points
+
+
+def _little_endian(digits: Sequence[int], base: int) -> int:
+    """Register digit of a table whose point i holds digit i (point 0 fastest)."""
+    return sum(int(d) * base**i for i, d in enumerate(digits))
 
 
 def _check_table(table: ClassicalOracle, domain, range_values) -> None:
@@ -672,14 +677,6 @@ def accept_probability(state: StateVector) -> float:
     """Pr[B = 1] in a final joint state."""
     p, _ = project_register(state, "B", 1)
     return p
-
-
-def cont_given_accept(state: StateVector):
-    """(Pr[B=1], reduced Cont state conditioned on acceptance)."""
-    p, post = project_register(state, "B", 1)
-    if post is None:
-        return 0.0, None
-    return p, partial_trace(post, "Cont")
 
 
 def final_cont_state(spec: ProtocolSpec, x, witness, eps, u=None):
@@ -1108,8 +1105,11 @@ def run_simulator(
     Kinds whose control registers commute with every simulator-visible
     action are computed one classical control assignment at a time
     (each a pinned machine) and mixed with exact weights; the coherent
-    kinds run fully dense. Expected-mode simulators contribute each
-    strict branch with its stopping weight.
+    kinds, pinned machines and ``force_dense`` run fully dense.
+    Expected-mode simulators contribute each strict branch with its
+    stopping weight. The assignments and pinned machines are built once
+    per machine and reused by every strict branch; each pinned machine
+    takes its permutation as a slice of the machine's own.
     """
     if mode != "exhaustive":
         raise ValueError(f"unknown simulation mode {mode!r}")
@@ -1127,29 +1127,8 @@ def run_simulator(
     if force_dense or kind in _COHERENT or machine.fixed:
         branches = run_query_algorithm(sim, machine=machine, aux=aux)
         return SimulationResult(kind, tuple(branches))
-    spec, xx = machine.spec, machine.x
-    assignments: list[tuple[dict, Fraction]] = []
-    if kind == "random_aborting":
-        dist = SparseOracleDist(machine._prefix_points, machine.eps)
-        rw = Fraction(1, len(spec.randomness))
-        for r in spec.randomness:
-            for h, w in dist.enumerate_weighted():
-                assignments.append(({"R": r, "H": h}, rw * w))
-    elif kind == "public_coin":
-        challenges, _ = machine._challenges
-        pts = machine._prefix_points
-        w = Fraction(1, len(challenges) ** len(pts))
-        for vals in itertools.product(challenges, repeat=len(pts)):
-            assignments.append(({"H": ClassicalOracle(pts, challenges, vals)}, w))
-    else:  # three_round
-        rs = spec.randomness
-        alpha = tuple(spec.alphabet)
-        w = Fraction(1, len(rs) ** len(alpha))
-        for vals in itertools.product(rs, repeat=len(alpha)):
-            assignments.append(({"H": ClassicalOracle(alpha, rs, vals)}, w))
     allb = []
-    for fx, w in assignments:
-        pinned = build_verifier(kind, spec, xx, eps=machine.eps, fixed=fx)
+    for pinned, w in machine._pinned_machines:
         for b in run_query_algorithm(sim, machine=pinned):
             allb.append(replace(b, weight=w * b.weight))
     return SimulationResult(kind, tuple(allb))
@@ -1197,16 +1176,6 @@ def give_up(machine: VerifierMachine, transcript: tuple | None = None) -> QueryA
         ]
         work = (("W1", n),)
     return QueryAlgorithm("give-up", tuple(steps), budget=k, work_registers=work)
-
-
-def classical_rewinder(machine: VerifierMachine, witness, u=None) -> QueryAlgorithm:
-    """Honest flavor that measures the message register after every call."""
-    spec = machine.spec
-    u = spec.prover_randomness[0] if u is None else u
-    steps: list[Step] = []
-    for mat in _prover_move_matrices(spec, machine.x, witness, u):
-        steps += [Unitary(("M",), mat), CallVerifier(), Measure("M")]
-    return QueryAlgorithm("classical-rewinder", tuple(steps), budget=spec.rounds)
 
 
 def grover_flavored(machine: VerifierMachine) -> QueryAlgorithm:

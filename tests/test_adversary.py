@@ -107,6 +107,16 @@ class TestBuildVerifier:
         with pytest.raises(ValueError):
             build_verifier("random_aborting", toy_table(), 1, eps=EPS4, fixed={"R": 7})
 
+    @pytest.mark.parametrize(
+        "kind", ["random_aborting", "superposition", "public_coin", "three_round"]
+    )
+    def test_table_cap_checked_in_log_space(self, kind):
+        spec = toy_qr(3)
+        with pytest.raises(ValueError, match="exceeds the dense cap") as info:
+            build_verifier(kind, spec, 4, eps=EPS4)
+        assert "**" in str(info.value)
+        assert len(str(info.value)) < 120
+
     def test_layouts(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         assert m.layout.names == ("R", "H", "Count", "M1", "M2", "B", "M")
@@ -318,6 +328,31 @@ class TestExpectedWrappers:
         )
         with pytest.raises(ValueError):
             ExpectedAlgorithm("tight", ((Fraction(1), two),), 3)
+
+
+class TestDenseRouteAgreesWithEnumeration:
+    """run_simulator(force_dense=True) runs the unpinned machine on its aux
+    state; the default route enumerates pinned machines with exact weights."""
+
+    @pytest.mark.parametrize("which", ["honest", "expected-honest", "expected-lazy",
+                                       "expected-geometric"])
+    def test_aborting_kind(self, which):
+        spec = toy_table()
+        m = build_verifier("random_aborting", spec, 1, eps=EPS4)
+        w = spec.witness_map(1)[0]
+        sims = {"honest": honest_wrapper(m, w)}
+        sims.update((s.name, s) for s in expected_wrappers(m, w, 8))
+        sim = sims[which]
+        enum = run_simulator(sim, m)
+        dense = run_simulator(sim, m, force_dense=True)
+        assert len(dense.branches) < len(enum.branches)
+        for q in (2, 4, 8):
+            assert isinstance(pr_budget(enum, q), Fraction)
+            assert abs(float(pr_budget(dense, q)) - float(pr_budget(enum, q))) <= 1e-12
+        exact = pr_register(enum)
+        assert isinstance(exact, Fraction)
+        assert exact > 0
+        assert abs(float(pr_register(dense)) - float(exact)) <= 1e-12
 
 
 class TestQueryAlgorithmValidation:

@@ -1,0 +1,190 @@
+"""The vectorized verifier step permutation against the per-index reference,
+and the pinned machines the simulator slices out of it."""
+
+import itertools
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qromlab.adversary import build_verifier
+from qromlab.hashfam import TableFamily, TwoQWiseFamily
+from qromlab.oracle import ClassicalOracle, prefix_domain
+from qromlab.pipeline import build_protocol, default_config, eps_star
+from qromlab.protocol import ProtocolSpec, toy_guess, toy_table
+from step_reference import reference_step_perm
+
+EPS4 = Fraction(1, 4)
+PDOM = prefix_domain((0, 1), 2)
+
+
+def coin_table():
+    return toy_table(next_message=lambda x, r, ms: r, public_coin=True)
+
+
+def stock_machines():
+    fam = TwoQWiseFamily(TableFamily(PDOM, 2), 1, 2)
+    flags = ClassicalOracle(PDOM, (0, 1), (1, 0, 1, 1, 0, 1))
+    return [
+        build_verifier("random_aborting", toy_table(), 1, eps=EPS4),
+        build_verifier("random_aborting", toy_guess(), 1, eps=EPS4),
+        build_verifier("superposition", toy_table(), 3, eps=EPS4),
+        build_verifier("superposition", toy_guess(), 1, eps=EPS4),
+        build_verifier("superposition_efficient", toy_table(), 1, family=fam),
+        build_verifier("public_coin", coin_table(), 1),
+        build_verifier("three_round", toy_table(), 1),
+        build_verifier("random_aborting", toy_table(), 3, eps=EPS4, fixed={"R": 1}),
+        build_verifier("random_aborting", toy_table(), 3, eps=EPS4, fixed={"H": flags}),
+        build_verifier(
+            "random_aborting", toy_table(), 1, eps=EPS4, fixed={"R": 0, "H": flags}
+        ),
+        build_verifier(
+            "random_aborting",
+            toy_guess(),
+            1,
+            eps=EPS4,
+            fixed={"R": 1, "H": ClassicalOracle(((0,), (1,)), (0, 1), (0, 1))},
+        ),
+        build_verifier(
+            "public_coin",
+            coin_table(),
+            1,
+            fixed={"H": ClassicalOracle(((0,), (1,)), (0, 1), (1, 0))},
+        ),
+        build_verifier(
+            "three_round",
+            toy_table(),
+            2,
+            fixed={"H": ClassicalOracle((0, 1), (0, 1), (1, 1))},
+        ),
+    ]
+
+
+def _label(m):
+    return m.kind + ("-pinned-" + "".join(r for r, _ in m.fixed) if m.fixed else "")
+
+
+@pytest.mark.parametrize("machine", stock_machines(), ids=_label)
+def test_vectorized_matches_reference(machine):
+    assert np.array_equal(machine._step_perm, reference_step_perm(machine))
+
+
+@st.composite
+def small_specs(draw):
+    """A random table-driven spec small enough for the per-index loop.
+
+    With public_coin the round-1 response is an injective function of the
+    randomness only, as challenge_structure requires.
+    """
+    k = draw(st.integers(1, 2))
+    n = draw(st.integers(2, 3)) if k == 1 else 2
+    public = k == 2 and draw(st.booleans())
+    alphabet = tuple(range(n))
+    rs = tuple(range(draw(st.integers(1, n if public else 3))))
+    letters = st.sampled_from(alphabet)
+    if public:
+        chal = draw(st.permutations(alphabet))[: len(rs)]
+        nm_tab = {(r, p): chal[r] for r in rs for p in prefix_domain(alphabet, k - 1)}
+    else:
+        nm_tab = {
+            (r, p): draw(letters) for r in rs for p in prefix_domain(alphabet, k - 1)
+        }
+    dec_tab = {
+        (r, t): draw(st.booleans())
+        for r in rs
+        for t in itertools.product(alphabet, repeat=k)
+    }
+    return ProtocolSpec(
+        name="random-table",
+        alphabet=alphabet,
+        rounds=k,
+        randomness=rs,
+        prover_randomness=alphabet,
+        language=lambda x: True,
+        witness_map=lambda x: (x,),
+        next_message=lambda x, r, ms: nm_tab[(r, tuple(ms))],
+        decide=lambda x, r, ms: dec_tab[(r, tuple(ms))],
+        honest_prover=lambda x, w, u, received: u,
+        public_coin=public,
+    )
+
+
+def _random_pin(draw, kind, spec):
+    """Classical values for a random subset of the kind's control roles."""
+    k, rs = spec.rounds, spec.randomness
+    fixed = {}
+    if kind == "random_aborting":
+        if draw(st.booleans()):
+            fixed["R"] = draw(st.sampled_from(rs))
+        if draw(st.booleans()):
+            pts = prefix_domain(spec.alphabet, k)
+            vals = tuple(draw(st.sampled_from((0, 1))) for _ in pts)
+            fixed["H"] = ClassicalOracle(pts, (0, 1), vals)
+    elif draw(st.booleans()):
+        if kind == "public_coin":
+            pts = prefix_domain(spec.alphabet, k - 1)
+            rng = tuple(spec.next_message(0, r, (spec.alphabet[0],)) for r in rs)
+        else:
+            pts, rng = spec.alphabet, rs
+        fixed["H"] = ClassicalOracle(pts, rng, tuple(draw(st.sampled_from(rng)) for _ in pts))
+    return fixed
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=small_specs(), data=st.data())
+def test_random_specs_match_reference(spec, data):
+    kinds = ["random_aborting", "superposition"]
+    if spec.rounds == 2:
+        kinds.append("three_round")
+    if spec.public_coin:
+        kinds.append("public_coin")
+    kind = data.draw(st.sampled_from(kinds))
+    fixed = {} if kind == "superposition" else _random_pin(data.draw, kind, spec)
+    eps = EPS4 if kind in ("random_aborting", "superposition") else None
+    machine = build_verifier(kind, spec, 0, eps=eps, fixed=fixed)
+    assert np.array_equal(machine._step_perm, reference_step_perm(machine))
+
+
+def _assert_slices_match_direct_builds(machine):
+    pinned = machine._pinned_machines
+    assert sum(w for _, w in pinned) == 1
+    for sliced, _ in pinned:
+        direct = build_verifier(
+            machine.kind, machine.spec, machine.x, eps=machine.eps, fixed=dict(sliced.fixed)
+        )
+        assert sliced.layout == direct.layout
+        assert np.array_equal(sliced._step_perm, direct._step_perm)
+
+
+def test_expected_time_slices_match_direct_builds():
+    cfg = default_config("expected-time")
+    spec = build_protocol(cfg)
+    for x in cfg.yes_instances:
+        for eps in (cfg.eps, eps_star(spec.rounds, cfg.q)):
+            machine = build_verifier("random_aborting", spec, x, eps=eps)
+            assert len(machine._pinned_machines) == len(spec.randomness) * 2 ** len(PDOM)
+            _assert_slices_match_direct_builds(machine)
+
+
+@pytest.mark.parametrize(
+    "machine",
+    [
+        build_verifier("public_coin", coin_table(), 1),
+        build_verifier("three_round", toy_table(), 3),
+        build_verifier("random_aborting", toy_guess(), 1, eps=1),
+    ],
+    ids=lambda m: m.kind,
+)
+def test_other_kinds_slices_match_direct_builds(machine):
+    _assert_slices_match_direct_builds(machine)
+
+
+def test_assignment_order_is_randomness_outer_tables_inner():
+    machine = build_verifier("random_aborting", toy_guess(), 1, eps=EPS4)
+    fixed = [dict(m.fixed) for m, _ in machine._pinned_machines]
+    assert [f["R"] for f in fixed] == [0] * 4 + [1] * 4
+    assert [f["H"].values for f in fixed[:4]] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    weights = [w for _, w in machine._pinned_machines[:4]]
+    assert weights == [Fraction(9, 32), Fraction(3, 32), Fraction(3, 32), Fraction(1, 32)]
