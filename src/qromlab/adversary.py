@@ -1096,8 +1096,6 @@ def run_simulator(
     sim: Union[QueryAlgorithm, ExpectedAlgorithm],
     machine: VerifierMachine,
     aux: AuxState | None = None,
-    x=None,
-    mode: str = "exhaustive",
     force_dense: bool = False,
 ) -> SimulationResult:
     """Exhaustive simulation: the exact output mixture of sim vs machine.
@@ -1111,10 +1109,6 @@ def run_simulator(
     per machine and reused by every strict branch; each pinned machine
     takes its permutation as a slice of the machine's own.
     """
-    if mode != "exhaustive":
-        raise ValueError(f"unknown simulation mode {mode!r}")
-    if x is not None and x != machine.x:
-        raise ValueError("statement mismatch between call and machine")
     if aux is not None and aux.name != _CANONICAL_AUX[machine.kind]:
         raise ValueError(f"aux {aux.name} does not fit kind {machine.kind}")
     if isinstance(sim, ExpectedAlgorithm):

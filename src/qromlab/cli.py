@@ -4,6 +4,10 @@
 bound and prints a single pass/fail line; ``qromlab run <theorem>``
 executes a decision experiment and serializes its report. Experiment
 output is deterministic; only the demos consume ``--seed``.
+
+Exit codes: 0 when every check passes, 1 when a check fails, and 2 for
+a rejected config: argparse's usage errors, and a ``ValueError`` from
+the experiment, printed as one ``qromlab: error: <message>`` line.
 """
 
 from __future__ import annotations
@@ -352,7 +356,11 @@ def main(argv: list[str] | None = None) -> int:
         print(f"{args.name}: {'pass' if ok else 'FAIL'}  {detail}")
         return 0 if ok else 1
 
-    report = run_experiment(args.theorem, _experiment_config(args))
+    try:
+        report = run_experiment(args.theorem, _experiment_config(args))
+    except ValueError as exc:
+        print(f"qromlab: error: {exc}", file=sys.stderr)
+        return 2
     ok = _print_report(report)
     write_report(report, json_path=args.out, csv_path=args.csv)
     for path in (args.out, args.csv):

@@ -349,6 +349,14 @@ def build_efficient_adjuster(
     offset block to zero, the expander refills it over offsets whose
     shifted residues pass, and undoing the shifts lands exactly on the
     keys flagging every prefix of ``m``. Holds for any base family.
+
+    The offsets are the slow key digits, so expander after collapser is
+    (w_b (x) I)(w_a (x) I)^T = (w_b w_a^T) (x) I, where w_a and w_b are
+    A^k x A^k Householder maps and I spans the base keys. The inverse
+    shift is a row permutation: row ``key`` of the result is row
+    ``shift[key]`` of that Kronecker product, where ``shift[key]`` adds
+    the base values of ``m``'s prefixes to the key's offsets. Only the
+    A^k x A^k product is multiplied out; no d x d product is formed.
     """
     kdim = fam.key_count
     if kdim > MAX_KEY_DIM:
@@ -369,18 +377,15 @@ def build_efficient_adjuster(
 
     w_a = _householder_to(offset_block(a))
     w_b = _householder_to(offset_block(b))
-    ident = np.eye(nk)
-    u_le_a = np.kron(w_a, ident)  # offsets are the slow key digits
-    u_le_b = np.kron(w_b, ident)
 
-    shift = np.zeros((kdim, kdim))
+    shift = np.empty(kdim, dtype=np.intp)
     pres = prefixes(m)
     for key in range(kdim):
         kp, shifts = fam.split_key(key)
         new = list(shifts)
         for i, pre in enumerate(pres):
             new[i] = (new[i] + fam.base.eval(kp, pre)) % a
-        shift[fam.join_key(kp, new), key] = 1.0
+        shift[key] = fam.join_key(kp, new)
 
-    u = shift.T @ u_le_b @ u_le_a.T  # (shift)^-1 . expander . collapser
+    u = np.kron(w_b @ w_a.T, np.eye(nk))[shift]
     return AdjustingUnitary(tuple(m), "efficient", u)

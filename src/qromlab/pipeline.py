@@ -51,7 +51,6 @@ from qromlab.qsim import DensityOnRegister, swap_test, trace_distance
 from qromlab.transforms import MarSchedule, enumerate_schedules, truncate
 
 THEOREMS = ("constant-round", "expected-time", "public-coin", "three-round")
-SIMULATORS = ("honest-wrapper", "give-up")
 EXPECTED_SIMULATORS = ("expected-honest", "expected-lazy", "expected-geometric")
 
 

@@ -56,10 +56,13 @@ class TestRun:
         assert "[FAIL] * decision-gap" in out
         assert "decision: yes=[0.5] no=[0.5]" in out
 
-    def test_oversized_table_stops_with_the_cap_error(self):
-        with pytest.raises(ValueError, match="exceeds the dense cap") as exc:
-            main(["run", "expected-time", "--protocol", "toy-qr"])
-        assert "\n" not in str(exc.value)
+    def test_oversized_table_stops_with_the_cap_error(self, capsys):
+        assert main(["run", "expected-time", "--protocol", "toy-qr"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qromlab: error: ")
+        assert "exceeds the dense cap" in captured.err
+        assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     def test_eps_override_stays_green(self, capsys):
         assert main(["run", "public-coin", "--eps", "1/4"]) == 0

@@ -1,5 +1,6 @@
 """Keyed families: uniformity, exactness checks, adjusting unitaries."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from adjuster_reference import reference_efficient_adjuster
 from conftest import accept_all_zero
 from qromlab.adversary import oracle_zoo
 from qromlab.hashfam import (
@@ -25,6 +27,17 @@ from qromlab.hashfam import (
 from qromlab.oracle import SparseOracleDist, prefix_domain
 
 DOM6 = prefix_domain((0, 1), 2)
+
+# (m, family) pairs of the adjuster-eff demo, then acceptance criterion 5's
+# 784-key families at b = 1 and 2 over every two-letter transcript
+REFERENCE_ADJUSTERS = [
+    ((0, 1), TwoQWiseFamily(TableFamily(DOM6, 2), 1, 2)),
+    ((0,), TwoQWiseFamily(TableFamily(prefix_domain((0, 1), 1), 4), 1, 1)),
+] + [
+    (m, TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 4), b, 2))
+    for b in (1, 2)
+    for m in itertools.product((0, 1), repeat=2)
+]
 
 
 class TestTableFamily:
@@ -221,6 +234,11 @@ class TestEfficientAdjuster:
         want = np.zeros(kdim)
         want[keys] = 1.0 / np.sqrt(len(keys))
         assert np.abs(got - want).max() <= 1e-9
+
+    @pytest.mark.parametrize("m, fam", REFERENCE_ADJUSTERS)
+    def test_structured_build_equals_dense_reference(self, m, fam):
+        got = build_efficient_adjuster(m, fam).matrix
+        assert np.array_equal(got, reference_efficient_adjuster(m, fam))
 
     def test_key_cap(self):
         fam = TwoQWiseFamily(TableFamily(DOM6, 8), 1, 2)
