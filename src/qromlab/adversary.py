@@ -40,7 +40,7 @@ from qromlab.oracle import (
     prefixes,
     quantum_query,
 )
-from qromlab.protocol import ProtocolSpec
+from qromlab.protocol import ConfigError, ProtocolSpec
 from qromlab.qsim import (
     ATOL_UNITARY,
     PROB_FLOOR,
@@ -416,7 +416,7 @@ def build_verifier(
     regs += [("B", 2), ("M", n)]
     layout = RegisterLayout(tuple(regs))
     if layout.total_dim > MAX_STATE_DIM:
-        raise ValueError(
+        raise ConfigError(
             f"machine dimension {layout.total_dim} exceeds the dense cap"
         )
     out = ("Cont", "B") if kind in _COHERENT else ("B",)
@@ -444,7 +444,7 @@ def _table_dim(base: int, points: int) -> int:
     is refused without ever forming the integer.
     """
     if base > 1 and points * math.log2(base) > math.log2(MAX_STATE_DIM):
-        raise ValueError(
+        raise ConfigError(
             f"control table of {base}**{points} basis states exceeds the dense cap"
             f" {MAX_STATE_DIM}"
         )

@@ -6,8 +6,9 @@ executes a decision experiment and serializes its report. Experiment
 output is deterministic; only the demos consume ``--seed``.
 
 Exit codes: 0 when every check passes, 1 when a check fails, and 2 for
-a rejected config: argparse's usage errors, and a ``ValueError`` from
-the experiment, printed as one ``qromlab: error: <message>`` line.
+a rejected config: argparse's usage errors, and a ``ConfigError`` from
+the experiment, printed as one ``qromlab: error: <message>`` line. Any
+other exception is a defect and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from qromlab.pipeline import (
     run_experiment,
     write_report,
 )
-from qromlab.protocol import toy_qr, toy_table
+from qromlab.protocol import ConfigError, toy_qr, toy_table
 from qromlab.qsim import DensityOnRegister, swap_test, swap_test_circuit, trace_distance
 from qromlab.transforms import (
     mar_check_general,
@@ -358,7 +359,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         report = run_experiment(args.theorem, _experiment_config(args))
-    except ValueError as exc:
+    except ConfigError as exc:
         print(f"qromlab: error: {exc}", file=sys.stderr)
         return 2
     ok = _print_report(report)

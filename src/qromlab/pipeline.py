@@ -41,6 +41,7 @@ from qromlab.adversary import (
     run_simulator,
 )
 from qromlab.protocol import (
+    ConfigError,
     ProtocolSpec,
     soundness_exact,
     toy_guess,
@@ -90,13 +91,13 @@ class ExperimentConfig:
         object.__setattr__(self, "yes_instances", tuple(self.yes_instances))
         object.__setattr__(self, "no_instances", tuple(self.no_instances))
         if not 0 < self.eps <= 1:
-            raise ValueError("the flag density must lie in (0, 1]")
+            raise ConfigError("the flag density must lie in (0, 1]")
         if self.q < 1:
-            raise ValueError("the budget must be positive")
+            raise ConfigError("the budget must be positive")
         if not self.yes_instances:
-            raise ValueError("at least one yes statement is needed")
+            raise ConfigError("at least one yes statement is needed")
         if set(self.yes_instances) & set(self.no_instances):
-            raise ValueError("yes and no statements overlap")
+            raise ConfigError("yes and no statements overlap")
 
 
 def build_protocol(cfg: ExperimentConfig) -> ProtocolSpec:
@@ -107,7 +108,7 @@ def build_protocol(cfg: ExperimentConfig) -> ProtocolSpec:
         return toy_table()
     if cfg.protocol == "toy-guess":
         return toy_guess()
-    raise ValueError(f"unknown protocol {cfg.protocol!r}")
+    raise ConfigError(f"unknown protocol {cfg.protocol!r}")
 
 
 def default_config(theorem: str) -> ExperimentConfig:
@@ -127,7 +128,7 @@ def default_config(theorem: str) -> ExperimentConfig:
         return ExperimentConfig(eps=Fraction(1, 2), kind="hash-challenge")
     if theorem == "three-round":
         return ExperimentConfig(q=1, eps=Fraction(1, 2), kind="response-oracle")
-    raise ValueError(f"unknown experiment {theorem!r}")
+    raise ConfigError(f"unknown experiment {theorem!r}")
 
 
 @dataclass(frozen=True)
@@ -397,7 +398,7 @@ def _decision_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     if cfg.simulator == "give-up":
         fixed = (spec.alphabet[0],) * spec.rounds
         return simulator_trace(spec, x, None, u, transcript=fixed)
-    raise ValueError(f"unknown simulator {cfg.simulator!r}")
+    raise ConfigError(f"unknown simulator {cfg.simulator!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -417,7 +418,7 @@ def _schedule_value(spec: ProtocolSpec, x, trace, scheds, q_h) -> Fraction:
             slots, out, n = _replay(trace, ask_f, {}, sched, default=0)
             if not checked:
                 if n != q_h:
-                    raise ValueError(
+                    raise ConfigError(
                         f"trace makes {n} flag queries, scheduled for {q_h}"
                     )
                 checked = True
@@ -619,7 +620,7 @@ def _hash_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
             return (bottom, bottom)
 
         return trace
-    raise ValueError(f"unknown simulator {cfg.simulator!r}")
+    raise ConfigError(f"unknown simulator {cfg.simulator!r}")
 
 
 def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
@@ -754,7 +755,7 @@ def _response_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
             return (bottom, bottom)
 
         return trace
-    raise ValueError(f"unknown simulator {cfg.simulator!r}")
+    raise ConfigError(f"unknown simulator {cfg.simulator!r}")
 
 
 def _response_runs(spec: ProtocolSpec, x, trace, sched, r_true, values):
@@ -965,7 +966,7 @@ def _phi(eps, k: int) -> DensityOnRegister:
 def _expected_sim(name: str, machine, witness, q: int) -> ExpectedAlgorithm:
     sims = {s.name: s for s in expected_wrappers(machine, witness, q)}
     if name not in sims:
-        raise ValueError(f"unknown expected-mode simulator {name!r}")
+        raise ConfigError(f"unknown expected-mode simulator {name!r}")
     return sims[name]
 
 
@@ -1060,4 +1061,4 @@ def run_experiment(theorem: str,
         return decide_public_coin(cfg)
     if theorem == "three-round":
         return decide_three_round(cfg)
-    raise ValueError(f"unknown experiment {theorem!r}")
+    raise ConfigError(f"unknown experiment {theorem!r}")

@@ -29,6 +29,11 @@ UNITS_21 = (1, 2, 4, 5, 8, 10, 11, 13, 16, 17, 19, 20)
 RESIDUES_21 = (1, 4, 16)
 
 
+class ConfigError(ValueError):
+    """An experiment configuration the library does not run: an unknown
+    name, an out-of-range parameter, or a size over a dense cap."""
+
+
 @dataclass(frozen=True)
 class ProtocolSpec:
     """A finite interactive argument with explicit enumerable spaces."""
@@ -151,7 +156,7 @@ def toy_qr(reps: int = 3) -> ProtocolSpec:
     one challenge bit per repetition, giving soundness 2^-reps.
     """
     if reps < 1:
-        raise ValueError("need at least one repetition")
+        raise ConfigError("need at least one repetition")
     elems = _toy_qr_elements()
     alphabet = tuple(itertools.product(elems, repeat=reps))
     randomness = tuple(itertools.product((0, 1), repeat=reps))

@@ -166,16 +166,12 @@ class DensityOnRegister:
     """Density matrix attributed to a single named register.
 
     Validation: square, Hermitian within 1e-10, unit trace within 1e-9,
-    and no eigenvalue below -1e-10. A rank-1 matrix is certified in
-    O(d^2) instead of by a dense eigensolve: with j the largest diagonal
-    entry and v = m[:, j] / sqrt(m_jj), the input is accepted when
-    ||m - v v^H||_F <= RANK1_FTOL. That is sound by Weyl's inequality:
-    the Hermitian matrix the eigensolver reads (m's lower triangle,
-    mirrored) is within sqrt(2) * RANK1_FTOL of the PSD v v^H in
-    Frobenius norm, so its smallest eigenvalue is at least
-    -sqrt(2) * 1e-12, far above -1e-10. The certified v is kept as the
-    state's factor for ``trace_distance`` and ``swap_test``; every other
-    input runs the dense eigenvalue check and keeps no factor.
+    and no eigenvalue below -1e-10. A rank-1 matrix skips the dense
+    eigensolve: with j the largest diagonal entry and v = m[:, j] /
+    sqrt(m_jj), it is accepted when ||m - v v^H||_F <= RANK1_FTOL. By
+    Weyl's inequality its smallest eigenvalue is then at least
+    -sqrt(2) * RANK1_FTOL, far above -1e-10. The certified v is kept as
+    the factor ``trace_distance`` reads; any other input keeps none.
     """
 
     register: str
@@ -217,22 +213,9 @@ def _rank1_factor(m: np.ndarray) -> np.ndarray | None:
         return None
     v = m[:, j] / np.sqrt(diag[j])
     if not np.linalg.norm(m - np.outer(v, v.conj())) <= RANK1_FTOL:
-        return None  # also NaN, which the dense check then reports
+        return None  # NaN lands here too and takes the dense check
     v.setflags(write=False)
     return v
-
-
-def _joint_factors(a: DensityOnRegister, b: DensityOnRegister):
-    """Both rank-1 factors when their joint support is smaller than the space.
-
-    At d <= 2 two pure states can span the whole space and the dense
-    route is already a 2x2 eigenproblem, so it is kept there.
-    """
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
-    if a.dim > 2 and a._factor is not None and b._factor is not None:
-        return a._factor, b._factor
-    return None
 
 
 def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
@@ -343,32 +326,25 @@ def partial_trace(state: StateVector, keep: str) -> DensityOnRegister:
 def trace_distance(a: DensityOnRegister, b: DensityOnRegister) -> float:
     """(1/2) sum of absolute eigenvalues of (a - b).
 
-    When both sides carry a rank-1 factor and d > 2, a - b = v v^H -
-    w w^H lives on span{v, w}: with [v w] = QR, its nonzero eigenvalues
-    are those of the 2x2 matrix r1 r1^H - r2 r2^H (r1, r2 the columns
-    of R), found in O(d). Otherwise the d x d difference is diagonalized.
+    For two rank-1 factors v, w at d > 2, a - b lives on span{v, w}:
+    with [v w] = QR, its nonzero eigenvalues are those of the 2x2 matrix
+    r1 r1^H - r2 r2^H. At d <= 2 the dense route is already that small.
     """
-    factors = _joint_factors(a, b)
-    if factors is None:
-        diff = a.matrix - b.matrix
-    else:
-        r = np.linalg.qr(np.column_stack(factors), mode="r")
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch {a.dim} != {b.dim}")
+    if a.dim > 2 and a._factor is not None and b._factor is not None:
+        r = np.linalg.qr(np.column_stack((a._factor, b._factor)), mode="r")
         diff = np.outer(r[:, 0], r[:, 0].conj()) - np.outer(r[:, 1], r[:, 1].conj())
+    else:
+        diff = a.matrix - b.matrix
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
 
 
 def swap_test(rho: DensityOnRegister, sigma: DensityOnRegister) -> float:
-    """Acceptance probability (1 + Tr(rho sigma)) / 2, computed directly.
-
-    For two rank-1 factors v, w at d > 2, Tr(rho sigma) = |<v|w>|^2,
-    taken in O(d); otherwise the dense product's trace is used.
-    """
-    factors = _joint_factors(rho, sigma)
-    if factors is None:
-        overlap = np.trace(rho.matrix @ sigma.matrix).real
-    else:
-        overlap = abs(np.vdot(*factors)) ** 2
-    return float((1.0 + overlap) / 2.0)
+    """Acceptance probability (1 + Tr(rho sigma)) / 2, computed directly."""
+    if rho.dim != sigma.dim:
+        raise ValueError(f"dimension mismatch {rho.dim} != {sigma.dim}")
+    return float((1.0 + np.trace(rho.matrix @ sigma.matrix).real) / 2.0)
 
 
 def _cswap_matrix(dim: int) -> np.ndarray:

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from qromlab import cli
 from qromlab.cli import LEMMAS, main
 
 
@@ -63,6 +64,31 @@ class TestRun:
         assert captured.err.startswith("qromlab: error: ")
         assert "exceeds the dense cap" in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["constant-round", "--sim", "bogus"], "unknown simulator 'bogus'"),
+            (["expected-time", "--sim", "bogus"], "unknown expected-mode simulator"),
+            (["constant-round", "--q", "0"], "the budget must be positive"),
+            (["public-coin", "--eps", "0"], "the flag density must lie in"),
+            (["constant-round", "--reps", "0"], "need at least one repetition"),
+        ],
+    )
+    def test_config_errors_exit_2(self, argv, message, capsys):
+        assert main(["run", *argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("qromlab: error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
+
+    def test_internal_value_error_keeps_its_traceback(self, monkeypatch):
+        def broken(theorem, cfg):
+            raise ValueError("matrix is not unitary within 1e-9")
+
+        monkeypatch.setattr(cli, "run_experiment", broken)
+        with pytest.raises(ValueError, match="not unitary"):
+            main(["run", "constant-round"])
 
     def test_eps_override_stays_green(self, capsys):
         assert main(["run", "public-coin", "--eps", "1/4"]) == 0

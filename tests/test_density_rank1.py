@@ -1,20 +1,16 @@
-"""Rank-1 densities: the certified factor and the routes that use it,
-checked against the dense eigenvalue route they replace."""
+"""Rank-1 densities: the certified factor and the trace distance that
+uses it, checked against the dense eigenvalue route it replaces."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qromlab.qsim import DensityOnRegister, swap_test, trace_distance
+from qromlab.qsim import DensityOnRegister, trace_distance
 
 
 def dense_trace_distance(a: DensityOnRegister, b: DensityOnRegister) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
-
-
-def dense_swap_test(a: DensityOnRegister, b: DensityOnRegister) -> float:
-    return float((1.0 + np.trace(a.matrix @ b.matrix).real) / 2.0)
 
 
 def unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -28,7 +24,7 @@ def orthogonal_to(rng: np.random.Generator, v: np.ndarray) -> np.ndarray:
     return p / np.linalg.norm(p)
 
 
-class TestFactoredRoutesAgreeWithDense:
+class TestFactoredRouteAgreesWithDense:
     @settings(max_examples=24, deadline=None)
     @given(
         st.sampled_from((3, 8, 64, 784)),
@@ -46,13 +42,11 @@ class TestFactoredRoutesAgreeWithDense:
         a, b = DensityOnRegister.pure("r", v), DensityOnRegister.pure("r", w)
         assert a._factor is not None and b._factor is not None
         assert abs(trace_distance(a, b) - dense_trace_distance(a, b)) <= 1e-12
-        assert abs(swap_test(a, b) - dense_swap_test(a, b)) <= 1e-12
 
     def test_basis_states(self):
         a = DensityOnRegister.pure("r", np.eye(5)[1])
         b = DensityOnRegister.pure("r", np.eye(5)[3])
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-15)
-        assert swap_test(a, b) == pytest.approx(0.5, abs=1e-15)
         assert trace_distance(a, a) <= 1e-15
 
     @pytest.mark.parametrize("dim", [3, 784])
@@ -60,7 +54,6 @@ class TestFactoredRoutesAgreeWithDense:
         v = unit(np.random.default_rng(dim), dim)
         a, b = DensityOnRegister.pure("r", v), DensityOnRegister.pure("r", v.copy())
         assert trace_distance(a, b) <= 1e-14
-        assert abs(swap_test(a, b) - 1.0) <= 1e-14
 
     @pytest.mark.parametrize("dim", [3, 784])
     def test_nearly_equal_states(self, dim):
@@ -79,7 +72,6 @@ class TestFactoredRoutesAgreeWithDense:
         b = DensityOnRegister.pure("r", unit(rng, 2))
         assert a._factor is not None
         assert trace_distance(a, b) == dense_trace_distance(a, b)
-        assert swap_test(a, b) == dense_swap_test(a, b)
 
 
 class TestCertification:
@@ -107,7 +99,6 @@ class TestCertification:
         assert rho._factor is None
         other = DensityOnRegister.pure("r", self.p)
         assert trace_distance(rho, other) == dense_trace_distance(rho, other)
-        assert swap_test(rho, other) == dense_swap_test(rho, other)
 
     def test_mixed_state_keeps_no_factor(self):
         rng = np.random.default_rng(5)
@@ -116,7 +107,6 @@ class TestCertification:
         assert rho._factor is None
         pure = DensityOnRegister.pure("r", self.v)
         assert trace_distance(rho, pure) == dense_trace_distance(rho, pure)
-        assert swap_test(rho, pure) == dense_swap_test(rho, pure)
 
     def test_rank_two_mixture_keeps_no_factor(self):
         rho = DensityOnRegister("r", 0.5 * self.with_direction(1.0))
