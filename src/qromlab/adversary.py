@@ -806,7 +806,11 @@ class QueryAlgorithm:
 
 @dataclass(frozen=True)
 class ExpectedAlgorithm:
-    """A stopping-rule mixture of strict lists; the budget holds on average."""
+    """A stopping-rule mixture of strict lists; the budget holds on average.
+
+    Expected invocations over half the budget raise ``ConfigError``: the
+    budget is the experiment's configured q.
+    """
 
     name: str
     branches: tuple[tuple[Fraction, QueryAlgorithm], ...]
@@ -820,9 +824,9 @@ class ExpectedAlgorithm:
             raise ValueError("branch weights must sum to 1")
         object.__setattr__(self, "branches", br)
         if self.expected_invocations > Fraction(self.budget, 2):
-            raise ValueError(
-                f"expected invocations {self.expected_invocations} exceed"
-                f" half the budget {self.budget}"
+            raise ConfigError(
+                f"{self.name}: expected invocations {self.expected_invocations}"
+                f" exceed half the budget {self.budget}"
             )
 
     @property
@@ -1039,14 +1043,9 @@ def pr_register(result: SimulationResult, register: str = "B", value: int = 1):
 
     Exact (a Fraction) whenever every branch is classical in that
     register; a float as soon as genuine amplitude splitting occurred.
+    It is ``pr_joint_budget`` with no budget cut.
     """
-    total = 0
-    for br in result.branches:
-        p = _register_prob(br.state, register, value)
-        if p <= _EXACT_TOL:
-            continue
-        total = total + _scale(br.weight, p)
-    return total
+    return pr_joint_budget(result, math.inf, register, value)
 
 
 def pr_budget(result: SimulationResult, q: int):
@@ -1055,7 +1054,7 @@ def pr_budget(result: SimulationResult, q: int):
 
 
 def pr_joint_budget(
-    result: SimulationResult, q: int, register: str = "B", value: int = 1
+    result: SimulationResult, q: float, register: str = "B", value: int = 1
 ):
     """Mixture probability of {within q invocations and register = value}."""
     total = 0

@@ -11,7 +11,12 @@ so identical configurations produce identical bytes.
 The decision experiments share one simulator model: a classical query
 trace that asks a flag oracle on transcript prefixes and a response
 oracle for challenges, wrapped by the ordered measure-and-reprogram
-schedules from ``transforms``. The expected-time experiment instead
+schedules from ``transforms``. Two primitives carry all of them:
+``_replay`` runs a trace once against the scheduled, query-counting
+oracle, and ``_fork`` enumerates a replay over every lazily sampled
+assignment with rational weights. The extraction provers are
+predicates on the live scheduled replay. The expected-time experiment
+instead
 drives the dense verifier machines from ``adversary`` and checks
 budget, acceptance, and conditional-state facts on the exact output
 mixture.
@@ -251,24 +256,21 @@ class _NeedValue(Exception):
 
 def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
             y=1, default=None):
-    """One deterministic replay of a classical trace.
+    """One deterministic replay of a classical trace: the only scheduled,
+    query-counting oracle of the decision experiments.
 
-    The flag oracle serves reprogrammed values first, then the partial
+    The oracle serves reprogrammed values first, then the partial
     assignment, then the default; with no default a miss raises
-    _NeedValue so the caller can fork. Slots of the schedule record
+    _NeedValue so ``_fork`` can branch. Slots of the schedule record
     the queried point and reprogram it to y with the slot's timing.
 
     Returns:
         (slots, output, queries): measured point per slot index, the
-        trace output, and the number of flag queries made.
+        trace output, and the number of oracle queries made.
     """
     patch: dict = {}
     slots: dict[int, tuple] = {}
-    slot_of: dict[int, tuple[int, int]] = {}
-    if schedule is not None:
-        for i, pick in enumerate(schedule.picks):
-            if pick is not None:
-                slot_of[pick[0]] = (i, pick[1])
+    slot_of = {} if schedule is None else schedule.by_ordinal
     count = 0
 
     def read(point):
@@ -300,26 +302,39 @@ def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
     return slots, out, count
 
 
-def _fork_runs(trace, ask_f, values, schedule=None, y=1):
-    """All runs of a trace under lazily sampled oracle values.
+def _fork(run, values):
+    """Every completed run under lazily sampled oracle values.
 
-    values lists (value, weight) pairs with rational weights; every
-    fresh point forks the run and the replay is deterministic given
-    the assignment. Returns (weight, assignment, slots, output) per
-    completed branch.
+    run(assignment) is deterministic and returns a result or raises
+    _NeedValue; each miss forks the run over the (value, weight) pairs,
+    whose weights are rational. Returns (weight, assignment, result)
+    per completed branch.
     """
     done = []
     stack: list[tuple[Fraction, dict]] = [(Fraction(1), {})]
     while stack:
         weight, asg = stack.pop()
         try:
-            slots, out, _ = _replay(trace, ask_f, asg, schedule, y)
+            result = run(asg)
         except _NeedValue as miss:
             for value, w in values:
                 stack.append((weight * w, {**asg, miss.point: value}))
         else:
-            done.append((weight, asg, slots, out))
+            done.append((weight, asg, result))
     return done
+
+
+def _named_value(spec: ProtocolSpec, x, runs, labels, randomness_of) -> Fraction:
+    """Pr over forked runs that the output is accepted at the randomness
+    its own first-message entry names, randomness_of(label); an entry
+    the run never queried is averaged over the labels."""
+    total = Fraction(0)
+    for weight, asg, (_, out, _) in runs:
+        label = asg.get(out[:1])
+        named = labels if label is None else (label,)
+        hits = sum(1 for c in named if spec.decide(x, randomness_of(c), out))
+        total += weight * Fraction(hits, len(named))
+    return total
 
 
 def _ordered_outcome(slots, out, k):
@@ -349,6 +364,13 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     maximizes the reprogramming slots that can raise the flag in time.
     A fixed transcript replaces the witness strategy and ignores every
     response, which is the give-up behavior.
+
+    Every trace replayed here keeps one contract: it reads a response
+    ``ask_f(p)`` only for a proper prefix p whose flag it has just read
+    as set, and it returns a full k-message transcript. Flags start
+    clear in the live replay, so a set flag there marks a measured
+    point, which the extraction prover has already forwarded to the
+    verifier; ``extraction_prover_value`` is exact because of this.
     """
     k = spec.rounds
     bottom = spec.alphabet[0]
@@ -405,26 +427,27 @@ def _decision_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
 # Constant-round decision experiment.
 
 
-def _schedule_value(spec: ProtocolSpec, x, trace, scheds, q_h) -> Fraction:
-    """Exact schedule-averaged acceptance of the extracted transcript."""
-    k = spec.rounds
-    wins = 0
-    checked = False
+def _live_runs(spec: ProtocolSpec, x, trace, scheds):
+    """(r, slots, output, queries) of the live scheduled replay per
+    randomness and schedule: flags start clear, measured points are
+    reprogrammed to 1, and responses come from the verifier at r."""
     for r in spec.randomness:
         def ask_f(p):
             return spec.next_message(x, r, tuple(p))
 
         for sched in scheds:
-            slots, out, n = _replay(trace, ask_f, {}, sched, default=0)
-            if not checked:
-                if n != q_h:
-                    raise ConfigError(
-                        f"trace makes {n} flag queries, scheduled for {q_h}"
-                    )
-                checked = True
-            got = _ordered_outcome(slots, out, k)
-            if got is not None and spec.decide(x, r, got):
-                wins += 1
+            yield (r, *_replay(trace, ask_f, {}, sched, default=0))
+
+
+def _schedule_value(spec: ProtocolSpec, x, trace, scheds, q_h) -> Fraction:
+    """Exact schedule-averaged acceptance of the extracted transcript."""
+    wins = 0
+    for r, slots, out, n in _live_runs(spec, x, trace, scheds):
+        if n != q_h:
+            raise ConfigError(f"trace makes {n} flag queries, scheduled for {q_h}")
+        got = _ordered_outcome(slots, out, spec.rounds)
+        if got is not None and spec.decide(x, r, got):
+            wins += 1
     return Fraction(wins, len(spec.randomness) * len(scheds))
 
 
@@ -439,7 +462,9 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
         def ask_f(p):
             return spec.next_message(x, r, tuple(p))
 
-        for weight, asg, _, out in _fork_runs(trace, ask_f, values):
+        for weight, asg, (_, out, _) in _fork(
+            lambda a: _replay(trace, ask_f, a), values
+        ):
             if spec.decide(x, r, out) and all(
                 asg.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)
             ):
@@ -447,69 +472,22 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
     return total / len(spec.randomness)
 
 
-def _extraction_run(spec: ProtocolSpec, x, trace, schedule, r) -> bool:
-    """One deterministic run of the inline extraction prover.
-
-    Measured points forward their fresh messages to the live verifier;
-    responses received there answer the simulator's response queries;
-    the measured point is flagged with the slot's timing. A message
-    clash with the wire loses outright, as does an output transcript
-    that contradicts it.
-    """
-    k = spec.rounds
-    slot_of = {
-        pick[0]: pick[1] for pick in schedule.picks if pick is not None
-    }
-    flags: dict = {}
-    resp: dict = {}
-    sent: list = []
-    state = {"count": 0, "dead": False}
-
-    def advance(point):
-        for pos, m in enumerate(point):
-            if pos < len(sent):
-                if sent[pos] != m:
-                    state["dead"] = True
-                    return
-            else:
-                sent.append(m)
-                if len(sent) < k:
-                    resp[tuple(sent)] = spec.next_message(x, r, tuple(sent))
-
-    def ask_h(point):
-        state["count"] += 1
-        point = tuple(point)
-        b = slot_of.get(state["count"])
-        if b is None:
-            return flags.get(point, 0)
-        if not state["dead"]:
-            advance(point)
-        old = flags.get(point, 0)
-        flags[point] = 1
-        return 1 if b == 0 else old
-
-    def ask_f(point):
-        return resp.get(tuple(point), spec.alphabet[0])
-
-    out = trace(ask_h, ask_f)
-    if state["dead"]:
-        return False
-    for pos, m in enumerate(out):
-        if pos < len(sent):
-            if sent[pos] != m:
-                return False
-        else:
-            sent.append(m)
-    return len(sent) == k and spec.decide(x, r, tuple(sent))
-
-
 def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     """Exact win rate of the extraction prover over randomness and
-    schedules; dominates the schedule-averaged decision value."""
+    schedules; dominates the schedule-averaged decision value.
+
+    The prover forwards each measured point's fresh messages to the
+    live verifier and answers response queries with what it received.
+    Until two measured points clash, its run is the live scheduled
+    replay: under the trace contract a response is read only on a
+    flagged point, and only a measurement flags one. It therefore wins
+    iff every measured point is a prefix of the output and the output
+    is accepted; a clash breaks the first condition, and loses.
+    """
     wins = 0
-    for r in spec.randomness:
-        for sched in scheds:
-            wins += _extraction_run(spec, x, trace, sched, r)
+    for r, slots, out, _ in _live_runs(spec, x, trace, scheds):
+        if all(p == out[: len(p)] for p in slots.values()) and spec.decide(x, r, out):
+            wins += 1
     return Fraction(wins, len(spec.randomness) * len(scheds))
 
 
@@ -530,7 +508,7 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     spec = build_protocol(cfg)
     k = spec.rounds
     if k > 2:
-        raise ValueError("the trace layout covers one- and two-move specs")
+        raise ConfigError("the trace layout covers one- and two-move specs")
     q_h = 2 * k * cfg.q
     scheds = enumerate_schedules(k, q_h)
     factor = (2 * q_h + 1) ** (2 * k)
@@ -623,6 +601,16 @@ def _hash_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     raise ConfigError(f"unknown simulator {cfg.simulator!r}")
 
 
+def _hash_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
+    """(Pr over the lazy hash table that the output is accepted at the
+    randomness its own hashed challenge names, hash queries billed)."""
+    challenges, chart = challenge_structure(spec, x)
+    _, _, counted = _replay(trace, None, {}, default=challenges[0])
+    values = [(c, Fraction(1, len(challenges))) for c in challenges]
+    runs = _fork(lambda a: _replay(trace, None, a), values)
+    return _named_value(spec, x, runs, challenges, lambda c: chart[(c,)]), counted
+
+
 def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
     """Exact optimum of a q-query challenge-grinding forger.
 
@@ -677,27 +665,15 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     cfg = default_config("public-coin") if cfg is None else cfg
     spec = build_protocol(cfg)
     if not spec.public_coin:
-        raise ValueError("the hash-challenge experiment needs a public-coin spec")
+        raise ConfigError("the hash-challenge experiment needs a public-coin spec")
     k = spec.rounds
     budget = 2 * (k - 1) * cfg.q
     checks: list[Check] = []
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        challenges, chart = challenge_structure(spec, x)
-        values = [(c, Fraction(1, len(challenges))) for c in challenges]
         trace = _hash_trace(cfg, spec, x)
-        _, _, counted = _replay(trace, None, {}, default=challenges[0])
-        total = Fraction(0)
-        for weight, asg, _, out in _fork_runs(trace, None, values):
-            c1 = asg.get((out[0],))
-            if c1 is None:
-                hits = sum(
-                    1 for c in challenges if spec.decide(x, chart[(c,)], out)
-                )
-                total += weight * Fraction(hits, len(challenges))
-            elif spec.decide(x, chart[(c1,)], out):
-                total += weight
+        total, counted = _hash_value(spec, x, trace)
         checks.append(_check(
             x, "hash-budget", "per-call hash budget", counted, budget, "==",
         ))
@@ -758,124 +734,63 @@ def _response_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     raise ConfigError(f"unknown simulator {cfg.simulator!r}")
 
 
-def _response_runs(spec: ProtocolSpec, x, trace, sched, r_true, values):
+def _response_runs(spec: ProtocolSpec, x, trace, sched, r_true):
     """Branches of one scheduled run over the lazy challenge table.
 
-    The table assigns a randomness label to each queried point and the
-    answer is that label's response; the slot answers with the live
-    randomness when it reprograms first. Yields (weight, output,
-    measured point, assignment) per branch.
+    The table assigns a uniform randomness label to each queried point
+    and the answer is that label's response: the trace runs under
+    ``_replay`` with labels as oracle values, so a slot reprograms its
+    point to r_true. Returns (weight, assignment, (slots, output,
+    queries)) per branch.
     """
-    slot_of = {pick[0]: pick[1] for pick in sched.picks if pick is not None}
-    done = []
-    stack: list[tuple[Fraction, dict]] = [(Fraction(1), {})]
-    while stack:
-        weight, asg = stack.pop()
-        measured = [None]
-        count = [0]
+    rs = spec.randomness
+    values = [(r, Fraction(1, len(rs))) for r in rs]
 
-        def ask_c(point):
-            count[0] += 1
-            point = tuple(point)
-            b = slot_of.get(count[0])
-            if b is not None:
-                measured[0] = point
-                if b == 0:
-                    return spec.next_message(x, r_true, point)
-            if point not in asg:
-                raise _NeedValue(point)
-            return spec.next_message(x, asg[point], point)
+    def labeled(ask_h, ask_f):
+        return tuple(trace(lambda p: spec.next_message(x, ask_h(p), tuple(p))))
 
-        try:
-            out = trace(ask_c)
-        except _NeedValue as miss:
-            for value, w in values:
-                stack.append((weight * w, {**asg, miss.point: value}))
-        else:
-            done.append((weight, tuple(out), measured[0], asg))
-    return done
+    return _fork(lambda a: _replay(labeled, None, a, sched, r_true), values)
+
+
+def _slot_runs(spec: ProtocolSpec, x, trace, scheds):
+    """(r, weight, measured point or None, output) over the randomness,
+    the schedules and each run's lazy challenge branches."""
+    for r in spec.randomness:
+        for sched in scheds:
+            for weight, _, (slots, out, _) in _response_runs(spec, x, trace, sched, r):
+                yield r, weight, slots.get(0), out
 
 
 def _single_slot_value(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     """Exact acceptance of the single-reprogram extraction: the
     measured first message composed with the simulator's final move."""
-    rs = spec.randomness
-    values = [(r, Fraction(1, len(rs))) for r in rs]
     total = Fraction(0)
-    for r in rs:
-        for sched in scheds:
-            for weight, out, measured, _ in _response_runs(
-                spec, x, trace, sched, r, values
-            ):
-                claim = measured if measured is not None else (out[0],)
-                if len(claim) == 1 and spec.decide(x, r, (claim[0], out[1])):
-                    total += weight
-    return total / (len(rs) * len(scheds))
+    for r, weight, measured, out in _slot_runs(spec, x, trace, scheds):
+        claim = out[:1] if measured is None else measured
+        if len(claim) == 1 and spec.decide(x, r, (claim[0], out[1])):
+            total += weight
+    return total / (len(spec.randomness) * len(scheds))
 
 
 def _fs_game_value(spec: ProtocolSpec, x, trace) -> Fraction:
     """Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names."""
-    rs = spec.randomness
-    values = [(r, Fraction(1, len(rs))) for r in rs]
-    blank = enumerate_schedules(1, 0)[0]
-    total = Fraction(0)
-    for weight, out, _, asg in _response_runs(spec, x, trace, blank, rs[0], values):
-        label = asg.get((out[0],))
-        if label is None:
-            hits = sum(1 for r in rs if spec.decide(x, r, out))
-            total += weight * Fraction(hits, len(rs))
-        elif spec.decide(x, label, out):
-            total += weight
-    return total
+    runs = _response_runs(spec, x, trace, None, None)
+    return _named_value(spec, x, runs, spec.randomness, lambda r: r)
 
 
 def _single_slot_extraction(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     """Win rate of the prover that forwards the measured first message
-    to the live verifier and answers the query with its response."""
-    rs = spec.randomness
-    values = [(r, Fraction(1, len(rs))) for r in rs]
+    to the live verifier and answers the query with its response. Its
+    run is the scheduled replay unless the measured point is not a
+    first message, and then it loses; so it wins iff the measured
+    point, if any, is the output's first message and the output is
+    accepted."""
     total = Fraction(0)
-    for r in rs:
-        for sched in scheds:
-            slot_of = {
-                pick[0]: pick[1] for pick in sched.picks if pick is not None
-            }
-            stack: list[tuple[Fraction, dict]] = [(Fraction(1), {})]
-            while stack:
-                weight, asg = stack.pop()
-                sent: list = []
-                dead = [False]
-                count = [0]
-
-                def ask_c(point):
-                    count[0] += 1
-                    point = tuple(point)
-                    b = slot_of.get(count[0])
-                    if b is not None:
-                        if len(point) != 1:
-                            dead[0] = True
-                        elif not sent:
-                            sent.append(point[0])
-                        elif sent[0] != point[0]:
-                            dead[0] = True
-                        if b == 0 and not dead[0]:
-                            return spec.next_message(x, r, point)
-                    if point not in asg:
-                        raise _NeedValue(point)
-                    return spec.next_message(x, asg[point], point)
-
-                try:
-                    out = trace(ask_c)
-                except _NeedValue as miss:
-                    for value, w in values:
-                        stack.append((weight * w, {**asg, miss.point: value}))
-                    continue
-                if dead[0] or (sent and sent[0] != out[0]):
-                    continue
-                if spec.decide(x, r, tuple(out)):
-                    total += weight
-    return total / (len(rs) * len(scheds))
+    for r, weight, measured, out in _slot_runs(spec, x, trace, scheds):
+        if measured in (None, out[:1]) and spec.decide(x, r, out):
+            total += weight
+    return total / (len(spec.randomness) * len(scheds))
 
 
 def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
@@ -892,7 +807,7 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     cfg = default_config("three-round") if cfg is None else cfg
     spec = build_protocol(cfg)
     if spec.rounds != 2:
-        raise ValueError("the single-slot experiment covers two-move specs")
+        raise ConfigError("the single-slot experiment covers two-move specs")
     scheds = enumerate_schedules(1, cfg.q)
     q_dec = 1  # decision queries billed by the composed reduction
     puncture = 16 * (q_dec + 1)
@@ -986,6 +901,8 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,
     cfg = default_config("expected-time") if cfg is None else cfg
     spec = build_protocol(cfg)
     k = spec.rounds
+    if k != 2:
+        raise ConfigError("the expected-time experiment covers two-move specs")
     name = cfg.simulator if sim is None else sim
     checks: list[Check] = []
     yes_vals: list[float] = []

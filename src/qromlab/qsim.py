@@ -165,13 +165,14 @@ class StateVector:
 class DensityOnRegister:
     """Density matrix attributed to a single named register.
 
-    Validation: square, Hermitian within 1e-10, unit trace within 1e-9,
-    and no eigenvalue below -1e-10. A rank-1 matrix skips the dense
-    eigensolve: with j the largest diagonal entry and v = m[:, j] /
-    sqrt(m_jj), it is accepted when ||m - v v^H||_F <= RANK1_FTOL. By
-    Weyl's inequality its smallest eigenvalue is then at least
-    -sqrt(2) * RANK1_FTOL, far above -1e-10. The certified v is kept as
-    the factor ``trace_distance`` reads; any other input keeps none.
+    Validation: finite entries, square, Hermitian within 1e-10, unit
+    trace within 1e-9, and no eigenvalue below -1e-10. A rank-1 matrix
+    skips the dense eigensolve: with j the largest diagonal entry and
+    v = m[:, j] / sqrt(m_jj), it is accepted when ||m - v v^H||_F <=
+    RANK1_FTOL. By Weyl's inequality its smallest eigenvalue is then at
+    least -sqrt(2) * RANK1_FTOL, far above -1e-10. The certified v is
+    kept as the factor ``trace_distance`` reads; any other input keeps
+    none.
     """
 
     register: str
@@ -182,6 +183,8 @@ class DensityOnRegister:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
+        if not np.isfinite(m).all():
+            raise ValueError("density matrix has a non-finite entry")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
         if np.abs(m - m.conj().T).max() > 1e-10:
@@ -213,7 +216,7 @@ def _rank1_factor(m: np.ndarray) -> np.ndarray | None:
         return None
     v = m[:, j] / np.sqrt(diag[j])
     if not np.linalg.norm(m - np.outer(v, v.conj())) <= RANK1_FTOL:
-        return None  # NaN lands here too and takes the dense check
+        return None
     v.setflags(write=False)
     return v
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
@@ -55,6 +56,11 @@ class MarSchedule:
             if not 1 <= j <= self.q or b not in (0, 1):
                 raise ValueError(f"invalid pick {p!r} for {self.q} queries")
 
+    @cached_property
+    def by_ordinal(self) -> dict[int, tuple[int, int]]:
+        """Query ordinal -> (slot index, timing) for every measured slot."""
+        return {p[0]: (i, p[1]) for i, p in enumerate(self.picks) if p is not None}
+
 
 def enumerate_schedules(k: int, q: int) -> tuple[MarSchedule, ...]:
     """Every valid schedule: (2q+1)^k pick tuples minus ordinal collisions."""
@@ -82,9 +88,7 @@ def apply_schedule(
     """
     if len(y) != len(schedule.picks):
         raise ValueError("one reprogram value per slot")
-    slots = {
-        p[0]: (i, p[1]) for i, p in enumerate(schedule.picks) if p is not None
-    }
+    slots = schedule.by_ordinal
 
     def on_query(branch: RunBranch, call: CallOracle, ordinal: int):
         if call.name != name or ordinal not in slots:

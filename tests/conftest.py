@@ -1,22 +1,8 @@
 """Shared helpers: acceptance functionals over query algorithms."""
 
 from qromlab.adversary import QueryAlgorithm, output_distribution, run_query_algorithm
+from qromlab.cli import _accept_all_zero as accept_all_zero  # noqa: F401
 from qromlab.oracle import ClassicalOracle
-
-
-def accept_all_zero(alg: QueryAlgorithm, name: str = "h"):
-    """Probability that every output register reads 0 against a table."""
-    regs = alg.output_registers
-
-    def accept(table: ClassicalOracle):
-        total = 0
-        for br in run_query_algorithm(alg, oracles={name: table}):
-            for digits, w in output_distribution([br], regs).items():
-                if all(d == 0 for d in digits):
-                    total += w
-        return total
-
-    return accept
 
 
 def accept_register_one(alg: QueryAlgorithm, register: str, name: str = "h"):

@@ -6,6 +6,7 @@ import pytest
 
 from qromlab import cli
 from qromlab.cli import LEMMAS, main
+from qromlab.pipeline import THEOREMS
 
 
 class TestVerifyLemma:
@@ -73,6 +74,8 @@ class TestRun:
             (["constant-round", "--q", "0"], "the budget must be positive"),
             (["public-coin", "--eps", "0"], "the flag density must lie in"),
             (["constant-round", "--reps", "0"], "need at least one repetition"),
+            (["expected-time", "--sim", "expected-honest", "--q", "1"],
+             "expected invocations 2 exceed half the budget 1"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):
@@ -81,6 +84,20 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("qromlab: error: ")
         assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("protocol", sorted(cli.PROTOCOL_INSTANCES))
+    @pytest.mark.parametrize("theorem", THEOREMS)
+    def test_every_protocol_override_reports_or_stops(self, theorem, protocol, capsys):
+        # a traceback would escape main and fail the test
+        code = main(["run", theorem, "--protocol", protocol])
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == ""
+            assert captured.err.startswith("qromlab: error: ")
+            assert captured.err.count("\n") == 1
+        else:
+            assert code in (0, 1) and captured.err == ""
+            assert captured.out.startswith(f"{theorem}  protocol=")
 
     def test_internal_value_error_keeps_its_traceback(self, monkeypatch):
         def broken(theorem, cfg):

@@ -125,6 +125,18 @@ class TestCertification:
         with pytest.raises(ValueError, match="eigenvalue below"):
             DensityOnRegister("r", 1.5 * self.with_direction(-1 / 3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, np.inf)])
+    def test_non_finite_entries_rejected(self, bad):
+        # every comparison with NaN is False, so without an explicit
+        # check I/3 with a NaN pair passes the Hermitian, trace and
+        # eigenvalue checks
+        m = np.eye(3, dtype=complex) / 3
+        m[0, 1] = m[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOnRegister("r", m)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityOnRegister("r", np.full((3, 3), np.nan))
+
     def test_factor_is_internal(self):
         rho = DensityOnRegister.pure("r", self.v)
         assert "_factor" not in repr(rho)

@@ -25,7 +25,7 @@ from qromlab.pipeline import (
     simulator_trace,
     write_report,
 )
-from qromlab.protocol import toy_qr
+from qromlab.protocol import ConfigError, toy_qr
 
 
 def grind_forgery(spec, x, q: int) -> Fraction:
@@ -209,7 +209,7 @@ class TestPublicCoin:
             protocol="toy-table", kind="hash-challenge",
             yes_instances=(1, 3), no_instances=(0,),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             decide_public_coin(cfg)
 
 
@@ -247,7 +247,7 @@ class TestThreeRound:
             protocol="toy-guess", q=1, kind="response-oracle",
             yes_instances=(1,), no_instances=(0,),
         )
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             decide_three_round(cfg)
 
 
