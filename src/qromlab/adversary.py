@@ -1181,6 +1181,31 @@ def grover_flavored(machine: VerifierMachine) -> QueryAlgorithm:
     return QueryAlgorithm("grover-flavored", steps, budget=2)
 
 
+def _expected_branches(
+    machine: VerifierMachine, witness, q: int, u=None
+) -> dict[str, tuple[tuple[Fraction, QueryAlgorithm], ...]]:
+    """Strict branches of every expected-mode member, by member name."""
+    base = honest_wrapper(machine, witness, u)
+    k = machine.spec.rounds
+
+    def padded(i: int) -> QueryAlgorithm:
+        pads = (CallVerifier(), CallVerifier(inverse=True)) * i
+        return QueryAlgorithm(f"honest-padded-{i}", pads + base.steps, budget=k + 2 * i)
+
+    members = {"expected-honest": ((Fraction(1), base),)}
+    spare = (q - 2 * k) // 2
+    if spare >= 0:
+        members["expected-lazy"] = (
+            (Fraction(1, 2), base),
+            (Fraction(1, 2), padded(spare)),
+        )
+    weights = [Fraction(1, 2 ** (i + 1)) for i in range(4)] + [Fraction(1, 16)]
+    members["expected-geometric"] = tuple(
+        (w, padded(i)) for i, w in enumerate(weights)
+    )
+    return members
+
+
 def expected_wrappers(
     machine: VerifierMachine, witness, q: int, u=None
 ) -> tuple[ExpectedAlgorithm, ...]:
@@ -1190,32 +1215,10 @@ def expected_wrappers(
     the honest wrapper, so the interaction statistics are untouched
     while the invocation count distribution becomes nontrivial.
     """
-    base = honest_wrapper(machine, witness, u)
-    k = machine.spec.rounds
-
-    def padded(i: int) -> QueryAlgorithm:
-        pads = (CallVerifier(), CallVerifier(inverse=True)) * i
-        return QueryAlgorithm(f"honest-padded-{i}", pads + base.steps, budget=k + 2 * i)
-
-    members = [ExpectedAlgorithm("expected-honest", ((Fraction(1), base),), q)]
-    spare = (q - 2 * k) // 2
-    if spare >= 0:
-        members.append(
-            ExpectedAlgorithm(
-                "expected-lazy",
-                ((Fraction(1, 2), base), (Fraction(1, 2), padded(spare))),
-                q,
-            )
-        )
-    weights = [Fraction(1, 2 ** (i + 1)) for i in range(4)] + [Fraction(1, 16)]
-    members.append(
-        ExpectedAlgorithm(
-            "expected-geometric",
-            tuple((w, padded(i)) for i, w in enumerate(weights)),
-            q,
-        )
+    return tuple(
+        ExpectedAlgorithm(name, branches, q)
+        for name, branches in _expected_branches(machine, witness, q, u).items()
     )
-    return tuple(members)
 
 
 def optimize_small_circuits(

@@ -28,10 +28,8 @@ from qromlab.adversary import (
     final_cont_state,
     oracle_zoo,
     ordered_zoo,
-    output_distribution,
     pr_budget,
     pr_register,
-    run_query_algorithm,
     run_simulator,
 )
 from qromlab.hashfam import (
@@ -63,6 +61,7 @@ from qromlab.pipeline import (
 from qromlab.protocol import ConfigError, toy_qr, toy_table
 from qromlab.qsim import DensityOnRegister, swap_test, swap_test_circuit, trace_distance
 from qromlab.transforms import (
+    _output_mass,
     mar_check_general,
     mar_check_ordered,
     o2h_corollary_C,
@@ -81,15 +80,10 @@ PROTOCOL_INSTANCES = {
 
 def _accept_all_zero(alg: QueryAlgorithm) -> Callable[[ClassicalOracle], object]:
     """Probability that every output register reads 0 against a table."""
-    regs = alg.output_registers
-
     def accept(table: ClassicalOracle):
-        total = 0
-        for br in run_query_algorithm(alg, oracles={"h": table}):
-            for digits, w in output_distribution([br], regs).items():
-                if all(d == 0 for d in digits):
-                    total += w
-        return total
+        return _output_mass(
+            alg, table, alg.output_registers, lambda d: all(v == 0 for v in d), "h"
+        )
 
     return accept
 

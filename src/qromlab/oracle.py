@@ -111,17 +111,6 @@ class ClassicalOracle:
         }
 
 
-@dataclass(frozen=True)
-class ReprogramEvent:
-    point: Hashable
-    new_value: Hashable
-
-
-def reprogram(oracle: ClassicalOracle, event: ReprogramEvent) -> ClassicalOracle:
-    """Point update per the reprogramming rule; the input table is unchanged."""
-    return oracle.reprogram(event.point, event.new_value)
-
-
 def quantum_query(
     state: StateVector,
     oracle: ClassicalOracle,

@@ -35,10 +35,10 @@ import numpy as np
 
 from qromlab.adversary import (
     ExpectedAlgorithm,
+    _expected_branches,
     build_verifier,
     challenge_structure,
     cont_density,
-    expected_wrappers,
     final_cont_state,
     pr_budget,
     pr_joint_budget,
@@ -54,7 +54,12 @@ from qromlab.protocol import (
     toy_table,
 )
 from qromlab.qsim import DensityOnRegister, swap_test, trace_distance
-from qromlab.transforms import MarSchedule, enumerate_schedules, truncate
+from qromlab.transforms import (
+    MarSchedule,
+    _ordered_outcome,
+    enumerate_schedules,
+    truncate,
+)
 
 THEOREMS = ("constant-round", "expected-time", "public-coin", "three-round")
 EXPECTED_SIMULATORS = ("expected-honest", "expected-lazy", "expected-geometric")
@@ -337,20 +342,6 @@ def _named_value(spec: ProtocolSpec, x, runs, labels, randomness_of) -> Fraction
     return total
 
 
-def _ordered_outcome(slots, out, k):
-    """Extracted transcript of one scheduled run, or None on a clash.
-
-    Unmeasured slots backfill from the output's prefixes; every slot
-    must then be a prefix of the last one, and the last must have full
-    length to be decidable.
-    """
-    xs = [slots.get(i, tuple(out[: i + 1])) for i in range(k)]
-    last = xs[-1]
-    if len(last) == k and all(xs[i] == last[: len(xs[i])] for i in range(k)):
-        return last
-    return None
-
-
 def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Callable:
     """Flag-oracle query trace of the wrapped simulator on a statement.
 
@@ -445,8 +436,8 @@ def _schedule_value(spec: ProtocolSpec, x, trace, scheds, q_h) -> Fraction:
     for r, slots, out, n in _live_runs(spec, x, trace, scheds):
         if n != q_h:
             raise ConfigError(f"trace makes {n} flag queries, scheduled for {q_h}")
-        got = _ordered_outcome(slots, out, spec.rounds)
-        if got is not None and spec.decide(x, r, got):
+        _, got = _ordered_outcome(slots, out)
+        if got is not None and len(got) == spec.rounds and spec.decide(x, r, got):
             wins += 1
     return Fraction(wins, len(spec.randomness) * len(scheds))
 
@@ -879,10 +870,10 @@ def _phi(eps, k: int) -> DensityOnRegister:
 
 
 def _expected_sim(name: str, machine, witness, q: int) -> ExpectedAlgorithm:
-    sims = {s.name: s for s in expected_wrappers(machine, witness, q)}
-    if name not in sims:
+    members = _expected_branches(machine, witness, q)
+    if name not in members:
         raise ConfigError(f"unknown expected-mode simulator {name!r}")
-    return sims[name]
+    return ExpectedAlgorithm(name, members[name], q)
 
 
 def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,

@@ -7,10 +7,9 @@ fastest, so internally a state reshapes to ``dims[::-1]`` and register
 ``i`` lives on tensor axis ``n-1-i``. All public operations return new
 values; amplitude buffers are frozen on construction.
 
-Measurement is exhaustive by default (exact branch probabilities, no
-sampling noise); pass a numpy Generator for sampled demo mode or an int
-to force an outcome. Branches below ``PROB_FLOOR`` are treated as
-numerically zero.
+Measurement is exhaustive: it returns every branch with its exact
+probability, and nothing is sampled. Branches below ``PROB_FLOOR`` are
+treated as numerically zero.
 """
 
 from __future__ import annotations
@@ -265,25 +264,12 @@ def apply_unitary(
     return StateVector(layout, np.ascontiguousarray(t).reshape(-1))
 
 
-MeasureMode = Union[str, int, np.random.Generator]
-
-
-def measure_register(
-    state: StateVector, register: str, mode: MeasureMode = "exhaustive"
-):
+def measure_register(state: StateVector, register: str):
     """Projective measurement of one register in the computational basis.
 
-    Args:
-        state: input state.
-        register: register name to measure.
-        mode: "exhaustive" returns every branch as a list of
-            (outcome, post_state, probability) with probabilities summing
-            to 1; a numpy Generator samples one branch; an int forces
-            that outcome (error if its probability is numerically zero).
-
-    Returns:
-        A list of branch triples in exhaustive mode, otherwise a single
-        (outcome, post_state, probability) triple.
+    Returns every branch as a list of (outcome, post_state, probability)
+    with probabilities summing to 1; outcomes at or below
+    ``PROB_FLOOR`` are dropped.
     """
     layout = state.layout
     axis = layout.axis_of(register)
@@ -302,19 +288,7 @@ def measure_register(
         post[tuple(sl)] = t[tuple(sl)] / np.sqrt(p)
         return (o, StateVector(layout, post.reshape(-1)), p)
 
-    if isinstance(mode, str):
-        if mode != "exhaustive":
-            raise ValueError(f"unknown measurement mode {mode!r}")
-        return [branch(o) for o in range(dim) if probs[o] > PROB_FLOOR]
-    if isinstance(mode, np.random.Generator):
-        o = int(mode.choice(dim, p=probs / probs.sum()))
-        return branch(o)
-    o = int(mode)
-    if not 0 <= o < dim:
-        raise ValueError(f"outcome {o} out of range for dimension {dim}")
-    if probs[o] <= PROB_FLOOR:
-        raise ValueError(f"forced outcome {o} has zero probability")
-    return branch(o)
+    return [branch(o) for o in range(dim) if probs[o] > PROB_FLOOR]
 
 
 def partial_trace(state: StateVector, keep: str) -> DensityOnRegister:

@@ -1,10 +1,17 @@
 """Reprogramming schedules, the puncturing corollary, and truncation.
 
-The reprogramming transforms enumerate every valid schedule of
-(query ordinal, timing) picks, drive the target algorithm once per
-schedule with collapses and table updates injected at the picked
-queries, and average the exact branch weights. Everything here is an
-exhaustive computation over small domains; nothing is sampled.
+One measure-and-reprogram engine serves every transform here.
+``apply_schedule`` is the only query interceptor: it drives the target
+algorithm under one schedule of (query ordinal, timing) picks, with
+collapses and table updates injected at the picked queries.
+``_mar_dist`` is the only loop that averages it over every valid
+schedule; the general and ordered wrappers differ only in the outcome
+rule they pass it (the ordered one is ``_ordered_outcome``, the abort
+rule the constant-round experiment also uses). ``_mar_report`` scores
+either distribution against the plain run on the reprogrammed table,
+and the puncturing corollary measures its query through
+``apply_schedule`` too. Everything here is an exhaustive computation
+over small domains; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import itertools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
+from numbers import Rational
 from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
@@ -123,6 +131,19 @@ def _named_queries(alg: QueryAlgorithm, name: str) -> int:
     )
 
 
+def _alphabet(oracle: ClassicalOracle) -> tuple:
+    return tuple(p[0] for p in oracle.domain if len(p) == 1)
+
+
+def _ordered_outcome(measured: dict[int, tuple], claim: Sequence) -> tuple:
+    """The ordered abort rule: (points, output or None). Slot i is its
+    measured point or else the claim's (i+1)-prefix; the output is the
+    last point when every point is a prefix of it, None on a clash."""
+    points = tuple(measured.get(i, tuple(claim[: i + 1])) for i in range(len(claim)))
+    last = points[-1]
+    return points, (last if all(p == last[: len(p)] for p in points) else None)
+
+
 @dataclass(frozen=True)
 class MarOutcome:
     """One outcome of an ordered reprogramming run.
@@ -136,6 +157,27 @@ class MarOutcome:
     output: tuple | None
     consistent: bool
     z: tuple
+
+
+def _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome) -> dict:
+    """The one schedule-averaging loop: every valid schedule runs with
+    uniform weight, and each final (claim digits, z digits) outcome is
+    keyed by outcome(measured point per slot, claim digits, z digits)."""
+    k = len(y)
+    if len(claim_registers) != k:
+        raise ValueError("need one claim register per target slot")
+    dom = oracle.domain
+    scheds = enumerate_schedules(k, _named_queries(alg, name))
+    sw = Fraction(1, len(scheds))
+    regs = tuple(claim_registers) + tuple(z_registers)
+    dist: dict = {}
+    for sched in scheds:
+        for br in apply_schedule(alg, oracle, sched, y, name):
+            pts = _slot_points(br, dom)
+            for digits, w in output_distribution([br], regs).items():
+                key = outcome(pts, digits[:k], digits[k:])
+                dist[key] = dist.get(key, 0) + sw * w
+    return dist
 
 
 def mar_general(
@@ -154,25 +196,12 @@ def mar_general(
     registers, which hold domain positions. The average over valid
     schedules is uniform and exhaustive.
     """
-    k = len(y)
-    if len(claim_registers) != k:
-        raise ValueError("need one claim register per target slot")
     dom = oracle.domain
-    q = _named_queries(alg, name)
-    scheds = enumerate_schedules(k, q)
-    sw = Fraction(1, len(scheds))
-    regs = tuple(claim_registers) + tuple(z_registers)
-    dist: dict[tuple[tuple, tuple], Fraction | float] = {}
-    for sched in scheds:
-        for br in apply_schedule(alg, oracle, sched, y, name):
-            pts = _slot_points(br, dom)
-            for digits, w in output_distribution([br], regs).items():
-                xp = tuple(
-                    pts.get(i, dom[digits[i]]) for i in range(k)
-                )
-                key = (xp, digits[k:])
-                dist[key] = dist.get(key, 0) + sw * w
-    return dist
+
+    def outcome(pts, claim, z):
+        return tuple(pts.get(i, dom[c]) for i, c in enumerate(claim)), z
+
+    return _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome)
 
 
 def mar_ordered(
@@ -192,27 +221,13 @@ def mar_ordered(
     when every slot point is a prefix of the last one; otherwise its
     output is None.
     """
-    k = len(y)
-    if len(claim_registers) != k:
-        raise ValueError("need one claim register per target slot")
-    dom = oracle.domain
-    alphabet = tuple(p[0] for p in dom if len(p) == 1)
-    q = _named_queries(alg, name)
-    scheds = enumerate_schedules(k, q)
-    sw = Fraction(1, len(scheds))
-    regs = tuple(claim_registers) + tuple(z_registers)
-    dist: dict[MarOutcome, Fraction | float] = {}
-    for sched in scheds:
-        for br in apply_schedule(alg, oracle, sched, y, name):
-            pts = _slot_points(br, dom)
-            for digits, w in output_distribution([br], regs).items():
-                msgs = tuple(alphabet[d] for d in digits[:k])
-                xs = tuple(pts.get(i, msgs[: i + 1]) for i in range(k))
-                last = xs[-1]
-                ok = all(xs[i] == last[: len(xs[i])] for i in range(k))
-                out = MarOutcome(xs, last if ok else None, ok, digits[k:])
-                dist[out] = dist.get(out, 0) + sw * w
-    return dist
+    alphabet = _alphabet(oracle)
+
+    def outcome(pts, claim, z):
+        points, out = _ordered_outcome(pts, tuple(alphabet[d] for d in claim))
+        return MarOutcome(points, out, out is not None, z)
+
+    return _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome)
 
 
 @dataclass(frozen=True)
@@ -221,8 +236,9 @@ class MarReport:
 
     ``lhs`` is the wrapper's win mass at the target, ``rhs`` the plain
     run's win mass against the fully reprogrammed table; ``holds``
-    compares lhs >= factor * rhs up to float slack. ``pr_bot`` is the
-    ordered variant's abort mass (0 for the general one).
+    compares lhs >= factor * rhs, exactly when both sides are rational
+    and up to float slack otherwise. ``pr_bot`` is the ordered
+    variant's abort mass (0 for the general one).
     """
 
     lhs: float
@@ -233,25 +249,50 @@ class MarReport:
     schedules: int
 
 
-def _claim_mass(
-    alg: QueryAlgorithm,
-    table: ClassicalOracle,
-    x_star: tuple,
-    decode: Callable[[tuple], tuple],
-    regs: tuple[str, ...],
-    k: int,
-    relation: Callable[[tuple, tuple], bool] | None,
-    name: str,
-) -> Fraction | float:
+def _output_mass(alg, table, regs, hit, name) -> Fraction | float:
+    """Mass of the plain run against one table whose digits on regs
+    satisfy hit(digits)."""
     total: Fraction | float = 0
     for br in run_query_algorithm(alg, oracles={name: table}):
         for digits, w in output_distribution([br], regs).items():
-            if decode(digits[:k]) != x_star:
-                continue
-            if relation is not None and not relation(x_star, digits[k:]):
-                continue
-            total += w
+            if hit(digits):
+                total += w
     return total
+
+
+def _mar_report(
+    alg, oracle, scored, xs, targets, y, regs, letters, relation, name
+) -> MarReport:
+    """Both sides of one inequality from (output, z, weight) triples, an
+    output of None being abort mass. The rhs reruns the algorithm on the
+    table reprogrammed to y at every target, decoding claim digits as
+    positions in letters."""
+    k = len(xs)
+    lhs: Fraction | float = 0
+    bot: Fraction | float = 0
+    for out, z, w in scored:
+        if out is None:
+            bot += w
+        elif out == xs and (relation is None or relation(out, z)):
+            lhs += w
+    star = oracle
+    for t, yi in zip(targets, y):
+        star = star.reprogram(t, yi)
+
+    def hit(digits: tuple) -> bool:
+        if tuple(letters[i] for i in digits[:k]) != xs:
+            return False
+        return relation is None or relation(xs, digits[k:])
+
+    rhs = _output_mass(alg, star, regs, hit, name)
+    q = _named_queries(alg, name)
+    factor = Fraction(1, (2 * q + 1) ** (2 * k))
+    if isinstance(lhs, Rational) and isinstance(rhs, Rational):
+        holds = lhs >= factor * rhs
+    else:
+        holds = float(lhs) >= float(factor) * float(rhs) - 1e-10
+    schedules = len(enumerate_schedules(k, q))
+    return MarReport(float(lhs), float(rhs), factor, holds, float(bot), schedules)
 
 
 def mar_check_general(
@@ -273,33 +314,16 @@ def mar_check_general(
     the table at every target point.
     """
     xs = tuple(x_star)
-    k = len(xs)
-    if len(set(xs)) != k:
+    if len(set(xs)) != len(xs):
         raise ValueError("target points must be distinct")
     if dist is None:
         dist = mar_general(
             alg, oracle, y, claim_registers, z_registers=z_registers, name=name
         )
-    lhs: Fraction | float = 0
-    for (pts, z), w in dist.items():
-        if pts != xs:
-            continue
-        if relation is not None and not relation(pts, z):
-            continue
-        lhs += w
-    star = oracle
-    for xi, yi in zip(xs, y):
-        star = star.reprogram(xi, yi)
-    dom = oracle.domain
+    scored = ((pts, z, w) for (pts, z), w in dist.items())
     regs = tuple(claim_registers) + tuple(z_registers)
-    rhs = _claim_mass(
-        alg, star, xs, lambda d: tuple(dom[i] for i in d), regs, k, relation, name
-    )
-    q = _named_queries(alg, name)
-    factor = Fraction(1, (2 * q + 1) ** (2 * k))
-    holds = float(lhs) >= float(factor) * float(rhs) - 1e-10
-    return MarReport(
-        float(lhs), float(rhs), factor, holds, 0.0, len(enumerate_schedules(k, q))
+    return _mar_report(
+        alg, oracle, scored, xs, xs, y, regs, oracle.domain, relation, name
     )
 
 
@@ -319,7 +343,6 @@ def mar_check_ordered(
     of the target transcript, and inconsistent outcomes count as lost
     abort mass."""
     xs = tuple(x_star)
-    k = len(xs)
     targets = prefixes(xs)
     if set(targets) - set(oracle.domain):
         raise ValueError("target prefixes outside the table domain")
@@ -327,42 +350,10 @@ def mar_check_ordered(
         dist = mar_ordered(
             alg, oracle, y, claim_registers, z_registers=z_registers, name=name
         )
-    lhs: Fraction | float = 0
-    bot: Fraction | float = 0
-    for out, w in dist.items():
-        if not out.consistent:
-            bot += w
-            continue
-        if out.output != xs:
-            continue
-        if relation is not None and not relation(out.output, out.z):
-            continue
-        lhs += w
-    star = oracle
-    for pre, yi in zip(targets, y):
-        star = star.reprogram(pre, yi)
-    alphabet = tuple(p[0] for p in oracle.domain if len(p) == 1)
+    scored = ((out.output, out.z, w) for out, w in dist.items())
     regs = tuple(claim_registers) + tuple(z_registers)
-    rhs = _claim_mass(
-        alg,
-        star,
-        xs,
-        lambda d: tuple(alphabet[i] for i in d),
-        regs,
-        k,
-        relation,
-        name,
-    )
-    q = _named_queries(alg, name)
-    factor = Fraction(1, (2 * q + 1) ** (2 * k))
-    holds = float(lhs) >= float(factor) * float(rhs) - 1e-10
-    return MarReport(
-        float(lhs),
-        float(rhs),
-        factor,
-        holds,
-        float(bot),
-        len(enumerate_schedules(k, q)),
+    return _mar_report(
+        alg, oracle, scored, xs, targets, y, regs, _alphabet(oracle), relation, name
     )
 
 
@@ -398,44 +389,25 @@ def o2h_corollary_C(
     sset = set(marked)
     if sset - set(dom):
         raise ValueError("marked points outside the domain")
-    out_reg = output_register or alg.output_registers[0]
+    out_reg = (output_register or alg.output_registers[0],)
     zero = ClassicalOracle.constant(dom, (0, 1), 0)
     indicator = ClassicalOracle(dom, (0, 1), tuple(int(p in sset) for p in dom))
     q = _named_queries(alg, name)
 
-    def output_mass(table: ClassicalOracle) -> float:
-        total = 0.0
-        for br in run_query_algorithm(alg, oracles={name: table}):
-            for digits, w in output_distribution([br], (out_reg,)).items():
-                if digits[0] < len(dom) and dom[digits[0]] in sset:
-                    total += float(w)
-        return total
+    def in_set(digits: tuple) -> bool:
+        return digits[0] < len(dom) and dom[digits[0]] in sset
 
-    p_a_fs = output_mass(indicator)
-    p_plain = output_mass(zero)
-    if q == 0:
-        p_b = 0.0
-    else:
-        acc = 0.0
-        for j in range(1, q + 1):
-
-            def on_query(branch, call, ordinal, _j=j):
-                if call.name != name or ordinal != _j:
-                    return None
-                out = []
-                for point, cb in measure_query_register(branch, call):
-                    pos = cb.oracle(name).domain.index(point)
-                    cb = answer_query(cb, call)
-                    out.append(
-                        replace(cb, outcomes=cb.outcomes + (("o2h-catch", pos),))
-                    )
-                return out
-
-            for br in run_query_algorithm(alg, oracles={name: zero}, on_query=on_query):
-                caught = [o for reg, o in br.outcomes if reg == "o2h-catch"]
-                if caught and dom[caught[0]] in sset:
-                    acc += float(br.weight)
-        p_b = acc / q
+    p_a_fs = float(_output_mass(alg, indicator, out_reg, in_set, name))
+    p_plain = float(_output_mass(alg, zero, out_reg, in_set, name))
+    acc = 0.0
+    for j in range(1, q + 1):
+        # reprogramming the measured point of the all-zero table to 0
+        # leaves the table as it is
+        for br in apply_schedule(alg, zero, MarSchedule(((j, 1),), q), (0,), name):
+            caught = _slot_points(br, dom)
+            if 0 in caught and caught[0] in sset:
+                acc += float(br.weight)
+    p_b = acc / q if q else 0.0
     p_c = 0.5 * (p_plain + p_b)
     factor = float(1.0 / (4.0 * np.sqrt(q + 1.0)))
     holds = bool(np.sqrt(p_c) >= factor * p_a_fs - 1e-10)

@@ -76,6 +76,8 @@ class TestRun:
             (["constant-round", "--reps", "0"], "need at least one repetition"),
             (["expected-time", "--sim", "expected-honest", "--q", "1"],
              "expected invocations 2 exceed half the budget 1"),
+            (["expected-time", "--sim", "expected-geometric", "--q", "4"],
+             "expected-geometric: expected invocations 31/8 exceed half the budget 4"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):
@@ -84,6 +86,14 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("qromlab: error: ")
         assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("sim", ["expected-honest", "expected-lazy"])
+    def test_only_the_chosen_simulator_meets_the_budget(self, sim, capsys):
+        # the geometric member's 31/8 expected invocations exceed 4/2
+        assert main(["run", "expected-time", "--sim", sim, "--q", "4"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == "" and "[FAIL]" not in captured.out
+        assert f"simulator={sim}" in captured.out
 
     @pytest.mark.parametrize("protocol", sorted(cli.PROTOCOL_INSTANCES))
     @pytest.mark.parametrize("theorem", THEOREMS)

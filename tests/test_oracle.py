@@ -11,12 +11,10 @@ from conftest import accept_all_zero, accept_register_one
 from qromlab.adversary import oracle_zoo
 from qromlab.oracle import (
     ClassicalOracle,
-    ReprogramEvent,
     SparseOracleDist,
     prefix_domain,
     prefixes,
     quantum_query,
-    reprogram,
     sparse_advantage,
     sparse_vs_zero_bound,
 )
@@ -56,12 +54,6 @@ class TestClassicalOracle:
         p = data.draw(st.sampled_from(h.domain))
         v = data.draw(st.sampled_from(h.range_values))
         assert h.reprogram(p, v).reprogram(p, h(p)) == h
-
-    def test_reprogram_event_function(self):
-        h = ClassicalOracle.constant((0, 1), (0, 1), 0)
-        g = reprogram(h, ReprogramEvent(1, 1))
-        assert g.values == (0, 1)
-        assert h.values == (0, 0)
 
     def test_reprogram_outside_domain(self):
         h = ClassicalOracle.constant((0, 1), (0, 1), 0)

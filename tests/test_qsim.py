@@ -132,34 +132,15 @@ class TestMeasureRegister:
         branches = measure_register(s, "b")
         assert [o for o, _, _ in branches] == [0, 1]
         assert sum(p for _, _, p in branches) == pytest.approx(1.0)
-        for _, post, _ in branches:
+        for o, post, _ in branches:
             assert post.squared_norm() == pytest.approx(1.0)
+            # tensor axes run slowest-first, so register b is the first axis
+            assert np.allclose(np.delete(post.tensor(), o, axis=0), 0)
 
     def test_zero_probability_branch_excluded(self):
         s = StateVector.basis(AB, {"b": 1})
         branches = measure_register(s, "b")
         assert [o for o, _, _ in branches] == [1]
-
-    def test_forced_outcome(self):
-        amps = np.ones(6, dtype=complex) / np.sqrt(6)
-        o, post, p = measure_register(StateVector(AB, amps), "a", 1)
-        assert o == 1
-        assert p == pytest.approx(0.5)
-        # tensor axes run slowest-first, so register a is the last axis
-        assert np.allclose(post.tensor()[:, 0], 0)
-
-    def test_forced_zero_probability_rejected(self):
-        s = StateVector.basis(AB, {"b": 1})
-        with pytest.raises(ValueError):
-            measure_register(s, "b", 0)
-
-    def test_generator_mode_samples_branch(self):
-        amps = np.ones(6, dtype=complex) / np.sqrt(6)
-        o, post, p = measure_register(
-            StateVector(AB, amps), "b", np.random.default_rng(0)
-        )
-        assert 0 <= o < 3
-        assert p == pytest.approx(1 / 3)
 
 
 class TestPartialTrace:

@@ -105,6 +105,20 @@ class TestGeneralReprogramming:
         with pytest.raises(ValueError):
             mar_check_general(alg, zero, (0, 0), (1, 1), ("Q", "A"))
 
+    def test_exact_sides_compare_exactly(self):
+        # rhs = 1 exactly and factor = 1/9; a float slack of 1e-10 would
+        # pass an lhs 1e-12 short of the bound
+        alg = zoo_member("oq-classical")
+        zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
+        short = Fraction(1, 9) - Fraction(1, 10**12)
+        cases = ((short, False), (Fraction(1, 9), True), (float(short), True))
+        for lhs, holds in cases:
+            r = mar_check_general(
+                alg, zero, (0,), (1,), ("Q",), dist={((0,), ()): lhs}
+            )
+            assert (r.rhs, r.factor) == (1.0, Fraction(1, 9))
+            assert r.holds is holds
+
     def test_amortized_distribution_reused(self):
         alg = zoo_member("oq-uniform")
         zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
