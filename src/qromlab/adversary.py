@@ -40,7 +40,7 @@ from qromlab.oracle import (
     prefixes,
     quantum_query,
 )
-from qromlab.protocol import ConfigError, ProtocolSpec
+from qromlab.protocol import ConfigError, ProductSpace, ProtocolSpec
 from qromlab.qsim import (
     ATOL_UNITARY,
     PROB_FLOOR,
@@ -73,12 +73,26 @@ def challenge_structure(spec: ProtocolSpec, x: Hashable):
     and distinct randomness must yield distinct challenges. Only
     two-move specs are supported.
 
+    A spec built by ``protocol.fold`` is checked exhaustively on its base
+    and then lifted, without enumerating its own |A|·|R| pairs. Its
+    next-message function is the base's applied coordinate by coordinate
+    by construction, so the lift proves what the exhaustive check would:
+    a product of injective charts is injective, and a product of
+    message-blind responses is message-blind. Challenges come in the
+    folded randomness order, as the exhaustive walk lists them.
+
     Returns:
         (challenges, chart) with challenges in first-appearance order
         and chart mapping each challenge tuple to its randomness label.
     """
     if spec.rounds != 2:
         raise ValueError("challenge extraction needs exactly two prover moves")
+    if spec.fold_base is not None:
+        # the base lists its i-th challenge for its i-th randomness, so the
+        # i-th product challenge belongs to the i-th folded randomness
+        base_cs, _ = challenge_structure(spec.fold_base, x)
+        order = tuple(ProductSpace(base_cs, spec.fold_reps))
+        return order, {(c,): r for c, r in zip(order, spec.randomness)}
     a0 = spec.alphabet[0]
     alpha = set(spec.alphabet)
     by_r: dict[Hashable, Hashable] = {}

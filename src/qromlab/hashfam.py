@@ -31,6 +31,7 @@ from typing import Any, Callable, Hashable, Iterator, Sequence
 import numpy as np
 
 from qromlab.oracle import ClassicalOracle, SparseOracleDist, prefixes
+from qromlab.protocol import ConfigError
 from qromlab.qsim import ATOL_UNITARY
 
 MAX_EXACT_DOMAIN = 8
@@ -308,7 +309,7 @@ def build_exact_adjuster(
     column is (sqrt(1-eps), sqrt(eps)); all other qubits are untouched.
     """
     if len(dist.domain) > MAX_EXACT_DOMAIN:
-        raise ValueError("predicate domain exceeds the exact-adjuster cap")
+        raise ConfigError("predicate domain exceeds the exact-adjuster cap")
     eps = float(dist.epsilon)
     if dist.epsilon == 0:
         raise ValueError("epsilon 0 leaves the rotation undefined")
@@ -360,7 +361,7 @@ def build_efficient_adjuster(
     """
     kdim = fam.key_count
     if kdim > MAX_KEY_DIM:
-        raise ValueError("key register exceeds the efficient-adjuster cap")
+        raise ConfigError("key register exceeds the efficient-adjuster cap")
     a, b, k = fam.a, fam.b, fam.k
     nk, off_dim = fam.base.key_count, a**k
 

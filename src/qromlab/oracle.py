@@ -24,6 +24,7 @@ from typing import Any, Callable, Hashable, Iterator, Sequence
 
 import numpy as np
 
+from qromlab.protocol import ConfigError
 from qromlab.qsim import StateVector, apply_unitary
 
 MAX_SPARSE_DOMAIN = 24
@@ -149,13 +150,13 @@ class SparseOracleDist:
     epsilon: Fraction
 
     def __post_init__(self) -> None:
+        if len(self.domain) > MAX_SPARSE_DOMAIN:
+            raise ConfigError(f"domain of {len(self.domain)} points exceeds the cap")
         eps = Fraction(self.epsilon)
         object.__setattr__(self, "epsilon", eps)
         object.__setattr__(self, "domain", tuple(self.domain))
         if not 0 <= eps <= 1:
             raise ValueError(f"epsilon {eps} outside [0, 1]")
-        if len(self.domain) > MAX_SPARSE_DOMAIN:
-            raise ValueError(f"domain of {len(self.domain)} points exceeds the cap")
 
     def weight(self, oracle: ClassicalOracle) -> Fraction:
         """Exact probability of one table under the product measure."""

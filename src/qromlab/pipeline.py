@@ -25,8 +25,11 @@ mixture.
 from __future__ import annotations
 
 import csv
+import functools
+import heapq
 import io
 import json
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Hashable, Optional, Sequence, Union
@@ -329,6 +332,17 @@ def _fork(run, values):
     return done
 
 
+def _memoized(spec: ProtocolSpec) -> ProtocolSpec:
+    """The spec with ``next_message`` and ``decide`` memoized for one walk.
+
+    Both are pure, and a walk asks the same few (randomness, transcript)
+    pairs many times; on a folded spec each fresh call costs one base
+    call per repetition.
+    """
+    return replace(spec, next_message=functools.cache(spec.next_message),
+                   decide=functools.cache(spec.decide))
+
+
 def _named_value(spec: ProtocolSpec, x, runs, labels, randomness_of) -> Fraction:
     """Pr over forked runs that the output is accepted at the randomness
     its own first-message entry names, randomness_of(label); an entry
@@ -354,7 +368,10 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     makes 2k per call). Every pad sits ahead of the live read, which
     maximizes the reprogramming slots that can raise the flag in time.
     A fixed transcript replaces the witness strategy and ignores every
-    response, which is the give-up behavior.
+    response, which is the give-up behavior. The honest moves are
+    memoized per trace, keyed by the responses received so far: they
+    are pure, and a walk replays the trace under every randomness and
+    schedule while the responses take few values.
 
     Every trace replayed here keeps one contract: it reads a response
     ``ask_f(p)`` only for a proper prefix p whose flag it has just read
@@ -365,11 +382,14 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     """
     k = spec.rounds
     bottom = spec.alphabet[0]
+    moves: dict = {}
 
     def move(i, got):
         if transcript is not None:
             return transcript[i]
-        return spec.honest_prover(x, witness, u, got)
+        if got not in moves:
+            moves[got] = spec.honest_prover(x, witness, u, got)
+        return moves[got]
 
     def trace(ask_h, ask_f):
         ms: list = []
@@ -430,18 +450,6 @@ def _live_runs(spec: ProtocolSpec, x, trace, scheds):
             yield (r, *_replay(trace, ask_f, {}, sched, default=0))
 
 
-def _schedule_value(spec: ProtocolSpec, x, trace, scheds, q_h) -> Fraction:
-    """Exact schedule-averaged acceptance of the extracted transcript."""
-    wins = 0
-    for r, slots, out, n in _live_runs(spec, x, trace, scheds):
-        if n != q_h:
-            raise ConfigError(f"trace makes {n} flag queries, scheduled for {q_h}")
-        _, got = _ordered_outcome(slots, out)
-        if got is not None and len(got) == spec.rounds and spec.decide(x, r, got):
-            wins += 1
-    return Fraction(wins, len(spec.randomness) * len(scheds))
-
-
 def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
     """Pr over randomness and an eps-sparse flag table that the plain
     run outputs an accepted transcript with every prefix flagged."""
@@ -463,9 +471,11 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
     return total / len(spec.randomness)
 
 
-def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
+def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds,
+                            q_h: Optional[int] = None) -> tuple[Fraction, Fraction]:
     """Exact win rate of the extraction prover over randomness and
-    schedules; dominates the schedule-averaged decision value.
+    schedules, with the schedule-averaged decision value it dominates;
+    one walk of the live replays scores both.
 
     The prover forwards each measured point's fresh messages to the
     live verifier and answers response queries with what it received.
@@ -473,13 +483,27 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     replay: under the trace contract a response is read only on a
     flagged point, and only a measurement flags one. It therefore wins
     iff every measured point is a prefix of the output and the output
-    is accepted; a clash breaks the first condition, and loses.
+    is accepted; a clash breaks the first condition, and loses. The
+    decision value scores a run when its measured points, backfilled by
+    the output's prefixes, assemble into a full accepted transcript
+    under the ordered abort rule. With ``q_h`` given, every replay must
+    make exactly that many flag queries.
+
+    Returns:
+        (extraction value, decision value), exact.
     """
-    wins = 0
-    for r, slots, out, _ in _live_runs(spec, x, trace, scheds):
+    spec = _memoized(spec)
+    extracted = decided = 0
+    for r, slots, out, n in _live_runs(spec, x, trace, scheds):
+        if q_h is not None and n != q_h:
+            raise ConfigError(f"trace makes {n} flag queries, scheduled for {q_h}")
+        _, got = _ordered_outcome(slots, out)
+        if got is not None and len(got) == spec.rounds and spec.decide(x, r, got):
+            decided += 1
         if all(p == out[: len(p)] for p in slots.values()) and spec.decide(x, r, out):
-            wins += 1
-    return Fraction(wins, len(spec.randomness) * len(scheds))
+            extracted += 1
+    total = len(spec.randomness) * len(scheds)
+    return Fraction(extracted, total), Fraction(decided, total)
 
 
 def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
@@ -510,7 +534,7 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
         trace = _decision_trace(cfg, spec, x)
-        value = _schedule_value(spec, x, trace, scheds, q_h)
+        pstar, value = extraction_prover_value(spec, x, trace, scheds, q_h)
         if x in cfg.yes_instances:
             met = True
             for tag, eps in (("", cfg.eps), ("-calibrated", es)):
@@ -532,7 +556,6 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
             checks.append(c)
             yes_vals.append(value)
         else:
-            pstar = extraction_prover_value(spec, x, trace, scheds)
             sound = soundness_exact(spec, x)
             checks.append(_check(
                 x, "extraction-dominance", "inline extraction dominance",
@@ -602,6 +625,53 @@ def _hash_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     return _named_value(spec, x, runs, challenges, lambda c: chart[(c,)]), counted
 
 
+def _top_products(masses: Sequence[Fraction], reps: int, n: int) -> list[Fraction]:
+    """The n largest products of ``reps`` entries of ``masses``, largest
+    first, exact. ``masses`` is nonnegative and sorted descending, so a
+    product can only fall as any index of its index vector grows: a
+    best-first heap from (0, ..., 0) that pushes each popped vector's
+    one-step neighbours pops the products in descending order."""
+    if not masses:
+        return []
+    start = (0,) * reps
+    heap = [(-math.prod(masses[i] for i in start), start)]
+    seen = {start}
+    out: list[Fraction] = []
+    while heap and len(out) < n:
+        neg, idx = heapq.heappop(heap)
+        out.append(-neg)
+        for j in range(reps):
+            if idx[j] + 1 < len(masses):
+                nxt = idx[:j] + (idx[j] + 1,) + idx[j + 1:]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    heapq.heappush(heap, (-math.prod(masses[i] for i in nxt), nxt))
+    return out
+
+
+def _forgery_masses(spec: ProtocolSpec, x, n: int) -> list[Fraction]:
+    """The n largest answerable challenge masses over first messages,
+    largest first: the share of challenges some second message answers.
+
+    A spec built by ``protocol.fold`` answers a challenge iff every
+    coordinate does, and its challenge coordinates are independent, so
+    its masses are the products of base masses; the n largest come from
+    ``_top_products`` over the sorted base masses, and the folded
+    alphabet is never listed.
+    """
+    folded = spec.fold_base is not None
+    base, reps = (spec.fold_base, spec.fold_reps) if folded else (spec, 1)
+    challenges, chart = challenge_structure(base, x)
+    masses = []
+    for m1 in base.alphabet:
+        good = sum(
+            1 for c in challenges
+            if any(base.decide(x, chart[(c,)], (m1, m2)) for m2 in base.alphabet)
+        )
+        masses.append(Fraction(good, len(challenges)))
+    return _top_products(sorted(masses, reverse=True), reps, n)
+
+
 def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
     """Exact optimum of a q-query challenge-grinding forger.
 
@@ -609,34 +679,11 @@ def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
     points of largest answerable challenge mass and outputting on the
     first hit, or at one unqueried point when every probe misses, is
     optimal; the value is one minus the miss product over the q+1
-    largest masses. Folded specs score per repetition and multiply.
+    largest masses, which ``_forgery_masses`` takes from the base of a
+    folded spec without building the folded one.
     """
-    challenges, chart = challenge_structure(spec, x)
-
-    def mass_table(sp):
-        cs, ch = challenge_structure(sp, x)
-        table = {}
-        for m1 in sp.alphabet:
-            good = sum(
-                1 for c in cs
-                if any(sp.decide(x, ch[(c,)], (m1, m2)) for m2 in sp.alphabet)
-            )
-            table[m1] = Fraction(good, len(cs))
-        return table
-
-    if spec.fold_base is not None:
-        base_mass = mass_table(spec.fold_base)
-        masses = []
-        for m1 in spec.alphabet:
-            p = Fraction(1)
-            for a in m1:
-                p *= base_mass[(a,)]
-            masses.append(p)
-    else:
-        masses = list(mass_table(spec).values())
-    masses.sort(reverse=True)
     miss = Fraction(1)
-    for p in masses[: q + 1]:
+    for p in _forgery_masses(spec, x, q + 1):
         miss *= 1 - p
     return 1 - miss
 
@@ -657,6 +704,11 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     spec = build_protocol(cfg)
     if not spec.public_coin:
         raise ConfigError("the hash-challenge experiment needs a public-coin spec")
+    if cfg.q != 2:
+        raise ConfigError(
+            f"the hash-challenge trace makes 2 verifier calls, so the budget q"
+            f" must be 2, not {cfg.q}"
+        )
     k = spec.rounds
     budget = 2 * (k - 1) * cfg.q
     checks: list[Check] = []
@@ -704,16 +756,21 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
 
 def _response_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     """Response-oracle trace of the unwrapped simulator: one classical
-    challenge query at the first message, then the final move."""
+    challenge query at the first message, then the final move. The
+    moves are pure, so the first is made once and the final one once
+    per challenge."""
     u = spec.prover_randomness[0]
     bottom = spec.alphabet[0]
     if cfg.simulator == "honest-wrapper":
         witness = _statement_witness(spec, x, cfg)
+        m1 = spec.honest_prover(x, witness, u, ())
+        finals: dict = {}
 
         def trace(ask_c):
-            m1 = spec.honest_prover(x, witness, u, ())
-            m2 = spec.honest_prover(x, witness, u, (ask_c((m1,)),))
-            return (m1, m2)
+            c = ask_c((m1,))
+            if c not in finals:
+                finals[c] = spec.honest_prover(x, witness, u, (c,))
+            return (m1, finals[c])
 
         return trace
     if cfg.simulator == "give-up":
@@ -755,6 +812,7 @@ def _slot_runs(spec: ProtocolSpec, x, trace, scheds):
 def _single_slot_value(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     """Exact acceptance of the single-reprogram extraction: the
     measured first message composed with the simulator's final move."""
+    spec = _memoized(spec)
     total = Fraction(0)
     for r, weight, measured, out in _slot_runs(spec, x, trace, scheds):
         claim = out[:1] if measured is None else measured
@@ -777,6 +835,7 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     first message, and then it loses; so it wins iff the measured
     point, if any, is the output's first message and the output is
     accepted."""
+    spec = _memoized(spec)
     total = Fraction(0)
     for r, weight, measured, out in _slot_runs(spec, x, trace, scheds):
         if measured in (None, out[:1]) and spec.decide(x, r, out):

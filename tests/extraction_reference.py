@@ -9,14 +9,16 @@ that the pipeline's two primitives (``_fork`` over ``_replay``) are
 tested against. The first four functions are the bodies of the
 pipeline's former ``_fork_runs``, ``_extraction_run``, ``_response_runs``
 and ``_single_slot_extraction``; the value functions after them are the
-old experiment bodies on top of these forkers.
+old experiment bodies on top of these forkers. ``schedule_value`` is the
+constant-round decision value as its own walk of the live replays, before
+the extraction prover's walk scored it too.
 """
 
 from fractions import Fraction
 
 from qromlab.adversary import challenge_structure
-from qromlab.pipeline import _NeedValue, _replay
-from qromlab.transforms import enumerate_schedules
+from qromlab.pipeline import _NeedValue, _live_runs, _replay
+from qromlab.transforms import _ordered_outcome, enumerate_schedules
 
 
 def fork_runs(trace, ask_f, values, schedule=None, y=1):
@@ -188,6 +190,15 @@ def extraction_prover_value(spec, x, trace, scheds) -> Fraction:
     for r in spec.randomness:
         for sched in scheds:
             wins += extraction_run(spec, x, trace, sched, r)
+    return Fraction(wins, len(spec.randomness) * len(scheds))
+
+
+def schedule_value(spec, x, trace, scheds) -> Fraction:
+    wins = 0
+    for r, slots, out, _ in _live_runs(spec, x, trace, scheds):
+        _, got = _ordered_outcome(slots, out)
+        if got is not None and len(got) == spec.rounds and spec.decide(x, r, got):
+            wins += 1
     return Fraction(wins, len(spec.randomness) * len(scheds))
 
 

@@ -78,6 +78,9 @@ class TestRun:
              "expected invocations 2 exceed half the budget 1"),
             (["expected-time", "--sim", "expected-geometric", "--q", "4"],
              "expected-geometric: expected invocations 31/8 exceed half the budget 4"),
+            (["public-coin", "--q", "1"], "the budget q must be 2, not 1"),
+            (["public-coin", "--q", "3"], "the budget q must be 2, not 3"),
+            (["three-round", "--reps", "18"], "a product of 13**18 elements"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):
@@ -132,6 +135,82 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", "grand-unified"])
         assert exc.value.code == 2
+
+
+# Decision and (statement, check, lhs, rhs) of each report at --reps 5, as
+# computed by the materialised route before specs were folded.
+REPS_5 = {
+    "constant-round": (
+        {"yes": [0.17898832684824903, 0.17898832684824903],
+         "no": [0.00936284046692607, 0.00936284046692607],
+         "gap": 0.16962548638132297},
+        [
+            ("4", "flag-hypothesis", 0.0625, 0.015624999),
+            ("4", "flag-hypothesis-calibrated", 8.544540901761356e-18, -9.999999978638649e-10),
+            ("4", "yes-decision", 0.17898832684824903, 1.495629590162953e-06),
+            ("16", "flag-hypothesis", 0.0625, 0.015624999),
+            ("16", "flag-hypothesis-calibrated", 8.544540901761356e-18, -9.999999978638649e-10),
+            ("16", "yes-decision", 0.17898832684824903, 1.495629590162953e-06),
+            ("5", "extraction-dominance", 0.03125, 0.00936284046692607),
+            ("5", "extraction-soundness", 0.03125, 0.0312500001),
+            ("5", "no-decision", 0.00936284046692607, 0.0312500001),
+            ("20", "extraction-dominance", 0.03125, 0.00936284046692607),
+            ("20", "extraction-soundness", 0.03125, 0.0312500001),
+            ("20", "no-decision", 0.00936284046692607, 0.0312500001),
+            ("*", "decision-gap", 0.16962548638132297, 0.1),
+        ],
+    ),
+    "public-coin": (
+        {"yes": [1.0, 1.0], "no": [0.03125, 0.03125], "gap": 0.96875},
+        [
+            ("4", "hash-budget", 4.0, 4.0),
+            ("4", "yes-decision", 1.0, 0.499999999),
+            ("16", "hash-budget", 4.0, 4.0),
+            ("16", "yes-decision", 1.0, 0.499999999),
+            ("5", "hash-budget", 4.0, 4.0),
+            ("5", "forgery-cap", 0.03125, 0.14678481231199036),
+            ("5", "no-decision", 0.03125, 0.0312500001),
+            ("20", "hash-budget", 4.0, 4.0),
+            ("20", "forgery-cap", 0.03125, 0.14678481231199036),
+            ("20", "no-decision", 0.03125, 0.0312500001),
+            ("*", "decision-gap", 0.96875, 0.1),
+        ],
+    ),
+    "three-round": (
+        {"yes": [0.3541666666666667, 0.3541666666666667],
+         "no": [0.011067708333333334, 0.011067708333333334],
+         "gap": 0.34309895833333337},
+        [
+            ("4", "challenge-game", 1.0, 0.499999999),
+            ("4", "decision-queries", 0.0, 1.0),
+            ("4", "yes-decision", 0.3541666666666667, 0.003472221222222222),
+            ("16", "challenge-game", 1.0, 0.499999999),
+            ("16", "decision-queries", 0.0, 1.0),
+            ("16", "yes-decision", 0.3541666666666667, 0.003472221222222222),
+            ("5", "extraction-dominance", 0.011067708333333334, 0.011067708333333334),
+            ("5", "extraction-soundness", 0.011067708333333334, 0.0312500001),
+            ("5", "no-decision", 0.011067708333333334, 0.0312500001),
+            ("20", "extraction-dominance", 0.011067708333333334, 0.011067708333333334),
+            ("20", "extraction-soundness", 0.011067708333333334, 0.0312500001),
+            ("20", "no-decision", 0.011067708333333334, 0.0312500001),
+            ("*", "decision-gap", 0.34309895833333337, 0.1),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("theorem", sorted(REPS_5))
+def test_five_repetitions_keep_their_values(theorem, tmp_path, capsys):
+    path = tmp_path / "r.json"
+    assert main(["run", theorem, "--reps", "5", "--out", str(path)]) == 0
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    decision, checks = REPS_5[theorem]
+    assert report["config"]["protocol"] == "toy-qr-t5"
+    assert report["decision"] == decision
+    assert [(c["statement"], c["name"], c["lhs"], c["rhs"])
+            for c in report["checks"]] == checks
+    assert all(c["pass"] for c in report["checks"])
 
 
 class TestReportFiles:

@@ -19,6 +19,7 @@ from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.protocol import toy_table
 from qromlab.transforms import (
     MarSchedule,
+    _schedule_count,
     apply_schedule,
     enumerate_schedules,
     mar_check_general,
@@ -51,6 +52,11 @@ class TestSchedules:
     @pytest.mark.parametrize("q", [1, 2, 3, 8])
     def test_two_slot_collision_formula(self, q):
         assert len(enumerate_schedules(2, q)) == (2 * q + 1) ** 2 - 4 * q
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_closed_form_count(self, k):
+        for q in range(7):
+            assert _schedule_count(k, q) == len(enumerate_schedules(k, q)), q
 
     def test_validation(self):
         with pytest.raises(ValueError):
