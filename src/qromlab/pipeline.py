@@ -337,7 +337,8 @@ def _memoized(spec: ProtocolSpec) -> ProtocolSpec:
 
     Both are pure, and a walk asks the same few (randomness, transcript)
     pairs many times; on a folded spec each fresh call costs one base
-    call per repetition.
+    call per repetition. The copy drops the fold record, so callers
+    bind it to its own name and use it only for the walk.
     """
     return replace(spec, next_message=functools.cache(spec.next_message),
                    decide=functools.cache(spec.decide))
@@ -439,15 +440,19 @@ def _decision_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
 
 
 def _live_runs(spec: ProtocolSpec, x, trace, scheds):
-    """(r, slots, output, queries) of the live scheduled replay per
-    randomness and schedule: flags start clear, measured points are
-    reprogrammed to 1, and responses come from the verifier at r."""
+    """(r, slots, output) of the live scheduled replay per randomness
+    and schedule: flags start clear, measured points are reprogrammed
+    to 1, and responses come from the verifier at r. Every replay must
+    make exactly the schedule's q flag queries."""
     for r in spec.randomness:
         def ask_f(p):
             return spec.next_message(x, r, tuple(p))
 
         for sched in scheds:
-            yield (r, *_replay(trace, ask_f, {}, sched, default=0))
+            slots, out, n = _replay(trace, ask_f, {}, sched, default=0)
+            if n != sched.q:
+                raise ConfigError(f"trace makes {n} flag queries, scheduled for {sched.q}")
+            yield r, slots, out
 
 
 def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
@@ -471,8 +476,7 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
     return total / len(spec.randomness)
 
 
-def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds,
-                            q_h: Optional[int] = None) -> tuple[Fraction, Fraction]:
+def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds) -> tuple[Fraction, Fraction]:
     """Exact win rate of the extraction prover over randomness and
     schedules, with the schedule-averaged decision value it dominates;
     one walk of the live replays scores both.
@@ -486,21 +490,18 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds,
     is accepted; a clash breaks the first condition, and loses. The
     decision value scores a run when its measured points, backfilled by
     the output's prefixes, assemble into a full accepted transcript
-    under the ordered abort rule. With ``q_h`` given, every replay must
-    make exactly that many flag queries.
+    under the ordered abort rule.
 
     Returns:
         (extraction value, decision value), exact.
     """
-    spec = _memoized(spec)
+    walk = _memoized(spec)
     extracted = decided = 0
-    for r, slots, out, n in _live_runs(spec, x, trace, scheds):
-        if q_h is not None and n != q_h:
-            raise ConfigError(f"trace makes {n} flag queries, scheduled for {q_h}")
+    for r, slots, out in _live_runs(walk, x, trace, scheds):
         _, got = _ordered_outcome(slots, out)
-        if got is not None and len(got) == spec.rounds and spec.decide(x, r, got):
+        if got is not None and len(got) == spec.rounds and walk.decide(x, r, got):
             decided += 1
-        if all(p == out[: len(p)] for p in slots.values()) and spec.decide(x, r, out):
+        if all(p == out[: len(p)] for p in slots.values()) and walk.decide(x, r, out):
             extracted += 1
     total = len(spec.randomness) * len(scheds)
     return Fraction(extracted, total), Fraction(decided, total)
@@ -534,7 +535,7 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
         trace = _decision_trace(cfg, spec, x)
-        pstar, value = extraction_prover_value(spec, x, trace, scheds, q_h)
+        pstar, value = extraction_prover_value(spec, x, trace, scheds)
         if x in cfg.yes_instances:
             met = True
             for tag, eps in (("", cfg.eps), ("-calibrated", es)):
@@ -812,11 +813,11 @@ def _slot_runs(spec: ProtocolSpec, x, trace, scheds):
 def _single_slot_value(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     """Exact acceptance of the single-reprogram extraction: the
     measured first message composed with the simulator's final move."""
-    spec = _memoized(spec)
+    walk = _memoized(spec)
     total = Fraction(0)
-    for r, weight, measured, out in _slot_runs(spec, x, trace, scheds):
+    for r, weight, measured, out in _slot_runs(walk, x, trace, scheds):
         claim = out[:1] if measured is None else measured
-        if len(claim) == 1 and spec.decide(x, r, (claim[0], out[1])):
+        if len(claim) == 1 and walk.decide(x, r, (claim[0], out[1])):
             total += weight
     return total / (len(spec.randomness) * len(scheds))
 
@@ -835,10 +836,10 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
     first message, and then it loses; so it wins iff the measured
     point, if any, is the output's first message and the output is
     accepted."""
-    spec = _memoized(spec)
+    walk = _memoized(spec)
     total = Fraction(0)
-    for r, weight, measured, out in _slot_runs(spec, x, trace, scheds):
-        if measured in (None, out[:1]) and spec.decide(x, r, out):
+    for r, weight, measured, out in _slot_runs(walk, x, trace, scheds):
+        if measured in (None, out[:1]) and walk.decide(x, r, out):
             total += weight
     return total / (len(spec.randomness) * len(scheds))
 

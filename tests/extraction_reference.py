@@ -195,7 +195,7 @@ def extraction_prover_value(spec, x, trace, scheds) -> Fraction:
 
 def schedule_value(spec, x, trace, scheds) -> Fraction:
     wins = 0
-    for r, slots, out, _ in _live_runs(spec, x, trace, scheds):
+    for r, slots, out in _live_runs(spec, x, trace, scheds):
         _, got = _ordered_outcome(slots, out)
         if got is not None and len(got) == spec.rounds and spec.decide(x, r, got):
             wins += 1

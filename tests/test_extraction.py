@@ -35,7 +35,7 @@ from qromlab.pipeline import (
     extraction_prover_value,
 )
 from qromlab.protocol import toy_qr, toy_table
-from qromlab.transforms import enumerate_schedules
+from qromlab.transforms import MarSchedule, enumerate_schedules
 
 CONFIGS = {
     "toy-qr-t1": ExperimentConfig(reps=1),
@@ -233,6 +233,6 @@ def test_the_response_contract_is_load_bearing():
         ask_h((0,))
         return (0, ask_f((0,)))
 
-    blank = enumerate_schedules(2, 0)
+    blank = (MarSchedule((None, None), 1),)
     assert ref.extraction_prover_value(spec, 1, trace, blank) == Fraction(1, 2)
     assert extraction_prover_value(spec, 1, trace, blank)[0] == 1
