@@ -11,9 +11,11 @@ executor runs them branch by branch under strict invocation budgets and
 can hand single queries to an interceptor. Kinds whose control
 registers stay classical are simulated by enumerating every control
 assignment exactly and mixing the resulting branches with rational
-weights. The assignments and their pinned machines are built once per
-unpinned machine, and each pinned permutation is a strided slice of the
-unpinned one.
+weights. The assignments are the rows of one amplitude array, so a
+strict branch runs once for all of them: each row's permutation is a
+strided slice of the unpinned machine's, a unitary is one tensordot over
+every row and a measurement splits every row by outcome. The rows stand
+for the canonical aux state; another aux runs only on the dense route.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Hashable, Mapping, Optional, Sequence, Union
+from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +49,8 @@ from qromlab.qsim import (
     DensityOnRegister,
     RegisterLayout,
     StateVector,
+    _register_probs,
+    _unitary_on_axes,
     apply_unitary,
     measure_register,
     partial_trace,
@@ -112,6 +116,15 @@ def challenge_structure(spec: ProtocolSpec, x: Hashable):
             if spec.next_message(x, r, (m1,)) != by_r[r]:
                 raise ValueError("round-1 response depends on the prover message")
     return tuple(order), chart
+
+
+class _ControlRows(NamedTuple):
+    """The classical control assignments of one machine, row by row."""
+
+    fixed: tuple[dict, ...]  # the pinned control values of each row
+    weights: tuple[Fraction, ...]
+    perms: np.ndarray  # (rows, dim): each row's step permutation
+    layout: RegisterLayout  # the machine layout without control registers
 
 
 @dataclass(frozen=True)
@@ -261,12 +274,13 @@ class VerifierMachine:
         return sum(new[nm] * s for nm, s in zip(lay.names, lay.strides))
 
     @cached_property
-    def _pinned_machines(self) -> tuple[tuple[VerifierMachine, Fraction], ...]:
-        """Every classical control assignment as (pinned machine, weight).
+    def _control_rows(self) -> _ControlRows:
+        """Every classical control assignment as one row of a batch.
 
         R and H lead the layout and the step never writes them, so the
-        pinned permutation of control index c is the strided slice
-        ``(full[c::ctrl] - c) // ctrl`` of this machine's permutation.
+        permutation of control index c is the strided slice
+        ``(full[c::ctrl] - c) // ctrl`` of this machine's permutation. The
+        rows share this layout with its control registers dropped.
         """
         spec, pts = self.spec, self._prefix_points
         assignments: list[tuple[dict, int, Fraction]] = []
@@ -291,14 +305,14 @@ class VerifierMachine:
             for digs in itertools.product(range(len(rs)), repeat=len(alpha)):
                 h = ClassicalOracle(alpha, rs, tuple(rs[d] for d in digs))
                 assignments.append(({"H": h}, _little_endian(digs, len(rs)), w))
-        full = self._step_perm
-        out = []
-        for fx, c, w in assignments:
-            pinned = build_verifier(self.kind, spec, self.x, eps=self.eps, fixed=fx)
-            ctrl = self.layout.total_dim // pinned.layout.total_dim
-            vars(pinned)["_step_perm"] = (full[c::ctrl] - c) // ctrl
-            out.append((pinned, w))
-        return tuple(out)
+        fixed, cs, weights = zip(*assignments)
+        layout = RegisterLayout(self.layout.registers[self.layout.index("Count"):])
+        ctrl = self.layout.total_dim // layout.total_dim
+        cs = np.array(cs)
+        full = self._step_perm.reshape(layout.total_dim, ctrl)
+        perms = (full[:, cs].T - cs[:, None]) // ctrl
+        perms.setflags(write=False)
+        return _ControlRows(fixed, weights, perms, layout)
 
     @cached_property
     def _adjuster_blocks(self):
@@ -365,8 +379,9 @@ def build_verifier(
         eps: predicate density for the aborting kinds (rational).
         family: shifted predicate family for superposition_efficient.
         fixed: classical values for control roles ("R", "H"); pinned
-            registers are dropped from the layout, which is how the
-            exhaustive simulator branches over control assignments.
+            registers are dropped from the layout. The exhaustive
+            simulator's per-assignment rows (``_control_rows``) equal
+            these builds without making them.
     """
     if kind not in VERIFIER_KINDS:
         raise ValueError(f"unknown verifier kind {kind!r}")
@@ -487,17 +502,28 @@ def apply_step(
     mreg = machine.layout.registers
     if lay.registers[: len(mreg)] != mreg:
         raise ValueError("machine registers must lead the combined layout")
-    mdim = machine.layout.total_dim
-    rows = state.amplitudes.reshape(-1, mdim)
-    perm = machine._step_perm
+    rows = state.amplitudes.reshape(1, -1, machine.layout.total_dim)
     if inverse:
-        rows = machine._apply_adjusters(rows.copy(), forward=False)
-        rows = rows[:, perm]
-    else:
-        out = np.empty_like(rows)
-        out[:, perm] = rows
-        rows = machine._apply_adjusters(out, forward=True)
+        rows = machine._apply_adjusters(rows[0].copy(), forward=False)[None]
+    rows = _permute_rows(rows, machine._step_perm[None], inverse)[0]
+    if not inverse:
+        rows = machine._apply_adjusters(rows, forward=True)
     return StateVector(lay, rows.reshape(-1))
+
+
+def _permute_rows(rows: np.ndarray, perms: np.ndarray, inverse: bool) -> np.ndarray:
+    """The verifier permutation of each row on the last axis of its block.
+
+    ``rows`` is (rows, work, mdim) and ``perms`` (rows, mdim): a forward
+    call scatters amplitude i of a row to ``perm[i]``, an inverse call
+    gathers it back.
+    """
+    idx = perms[:, None, :]
+    if inverse:
+        return np.take_along_axis(rows, idx, axis=2)
+    out = np.empty_like(rows)
+    np.put_along_axis(out, idx, rows, axis=2)
+    return out
 
 
 def step_matrix(machine: VerifierMachine) -> np.ndarray:
@@ -929,6 +955,39 @@ def measure_query_register(branch: RunBranch, call: CallOracle):
     return out
 
 
+def _visible_registers(
+    alg: QueryAlgorithm, machine_layout: RegisterLayout | None
+) -> set[str]:
+    """The registers an algorithm's steps may touch: its work registers,
+    plus M when it runs against a machine of the given layout."""
+    work = {nm for nm, _ in alg.work_registers}
+    if machine_layout is None:
+        if not work:
+            raise ValueError("an algorithm without a machine needs work registers")
+        visible = work
+    else:
+        clash = work & set(machine_layout.names)
+        if clash:
+            raise ValueError(f"work registers {sorted(clash)} shadow the machine")
+        visible = work | {"M"}
+    bad_out = set(alg.output_registers) - visible
+    if bad_out:
+        raise ValueError(f"output registers {sorted(bad_out)} are not visible")
+    return visible
+
+
+def _check_visible(step: Step, visible: set[str]) -> None:
+    """Reject a unitary or a measurement on a register the steps cannot see."""
+    if isinstance(step, Unitary):
+        hidden = set(step.registers) - visible
+        if hidden:
+            raise ValueError(f"step touches verifier-internal registers {sorted(hidden)}")
+    elif isinstance(step, Measure) and step.register not in visible:
+        raise ValueError(
+            f"measurement touches verifier-internal register {step.register!r}"
+        )
+
+
 def run_query_algorithm(
     alg: QueryAlgorithm,
     *,
@@ -954,39 +1013,22 @@ def run_query_algorithm(
         measurement splits amplitude, and are floats after.
     """
     work = tuple(alg.work_registers)
+    visible = _visible_registers(alg, None if machine is None else machine.layout)
     if machine is not None:
-        clash = {nm for nm, _ in work} & set(machine.layout.names)
-        if clash:
-            raise ValueError(f"work registers {sorted(clash)} shadow the machine")
-        visible = {nm for nm, _ in work} | {"M"}
         state = initial_state(machine, aux, work=work)
     else:
-        if not work:
-            raise ValueError("an algorithm without a machine needs work registers")
-        visible = {nm for nm, _ in work}
         state = StateVector.basis(RegisterLayout(work))
-    bad_out = set(alg.output_registers) - visible
-    if bad_out:
-        raise ValueError(f"output registers {sorted(bad_out)} are not visible")
     tables = tuple(sorted((oracles or {}).items()))
     branches = [RunBranch(Fraction(1), state, tables)]
     for step in alg.steps:
+        _check_visible(step, visible)
         nxt: list[RunBranch] = []
         for br in branches:
             if isinstance(step, Unitary):
-                hidden = set(step.registers) - visible
-                if hidden:
-                    raise ValueError(
-                        f"step touches verifier-internal registers {sorted(hidden)}"
-                    )
                 nxt.append(
                     replace(br, state=apply_unitary(br.state, step.registers, step.matrix))
                 )
             elif isinstance(step, Measure):
-                if step.register not in visible:
-                    raise ValueError(
-                        f"measurement touches verifier-internal register {step.register!r}"
-                    )
                 for o, post, p in measure_register(br.state, step.register):
                     nxt.append(
                         replace(
@@ -1045,11 +1087,7 @@ class SimulationResult:
 
 
 def _register_prob(state: StateVector, register: str, value: int) -> float:
-    t = state.tensor()
-    axis = state.layout.axis_of(register)
-    probs = np.abs(t) ** 2
-    marg = probs.sum(axis=tuple(a for a in range(t.ndim) if a != axis))
-    return float(marg[value].real)
+    return float(_register_probs(state.tensor(), state.layout.axis_of(register))[value])
 
 
 def pr_register(result: SimulationResult, register: str = "B", value: int = 1):
@@ -1114,13 +1152,13 @@ def run_simulator(
     """Exhaustive simulation: the exact output mixture of sim vs machine.
 
     Kinds whose control registers commute with every simulator-visible
-    action are computed one classical control assignment at a time
-    (each a pinned machine) and mixed with exact weights; the coherent
-    kinds, pinned machines and ``force_dense`` run fully dense.
-    Expected-mode simulators contribute each strict branch with its
-    stopping weight. The assignments and pinned machines are built once
-    per machine and reused by every strict branch; each pinned machine
-    takes its permutation as a slice of the machine's own.
+    action are enumerated: every classical control assignment is one
+    row of an amplitude array that each strict branch runs once, and the
+    rows are mixed with exact weights. That route is the canonical aux
+    state taken apart, so another aux raises ``ValueError`` there. The
+    coherent kinds, pinned machines and ``force_dense`` run fully dense
+    on the given aux. Expected-mode simulators contribute each strict
+    branch with its stopping weight.
     """
     if aux is not None and aux.name != _CANONICAL_AUX[machine.kind]:
         raise ValueError(f"aux {aux.name} does not fit kind {machine.kind}")
@@ -1134,11 +1172,75 @@ def run_simulator(
     if force_dense or kind in _COHERENT or machine.fixed:
         branches = run_query_algorithm(sim, machine=machine, aux=aux)
         return SimulationResult(kind, tuple(branches))
-    allb = []
-    for pinned, w in machine._pinned_machines:
-        for b in run_query_algorithm(sim, machine=pinned):
-            allb.append(replace(b, weight=w * b.weight))
-    return SimulationResult(kind, tuple(allb))
+    if aux is not None and aux.factors != build_aux(machine).factors:
+        raise ValueError(
+            f"the enumerated {kind} route runs the canonical {aux.name} only;"
+            " run another aux with force_dense=True"
+        )
+    return SimulationResult(kind, tuple(_run_rows(sim, machine._control_rows)))
+
+
+def _run_rows(alg: QueryAlgorithm, table: _ControlRows) -> list[RunBranch]:
+    """One strict run of every control assignment, as rows of one array.
+
+    The rows start in the all-zero state, as a machine pinned to their
+    assignment starts. A measurement splits each row into its outcomes
+    above ``PROB_FLOOR``, in place and in outcome order, so the rows stay
+    assignment-major and each assignment's branches come in the order
+    ``run_query_algorithm`` lists them; each keeps its own weight, times
+    the assignment's weight at the end.
+    """
+    visible = _visible_registers(alg, table.layout)
+    layout = RegisterLayout(table.layout.registers + tuple(alg.work_registers))
+    shape = layout.dims[::-1]
+    row = np.arange(len(table.weights))
+    amps = np.zeros((row.size, layout.total_dim), dtype=complex)
+    amps[:, 0] = 1.0
+    weights: list = [Fraction(1)] * row.size
+    outcomes: list[tuple] = [()] * row.size
+    calls = 0
+    for step in alg.steps:
+        _check_visible(step, visible)
+        t = amps.reshape((row.size,) + shape)
+        if isinstance(step, Unitary):
+            t = _unitary_on_axes(t, layout, step.registers, step.matrix, lead=1)
+        elif isinstance(step, Measure):
+            axis = layout.axis_of(step.register)
+            probs = np.stack([_register_probs(r, axis) for r in t])
+            b, o = np.nonzero(probs > PROB_FLOOR)
+            p = probs[b, o]
+            tm = np.moveaxis(t, axis + 1, -1)
+            post = np.zeros((b.size,) + tm.shape[1:], dtype=complex)
+            post[np.arange(b.size), ..., o] = tm[b, ..., o] / np.sqrt(p).reshape(
+                (-1,) + (1,) * (tm.ndim - 2)
+            )
+            t = np.moveaxis(post, -1, axis + 1)
+            weights = [_scale(weights[i], float(pi)) for i, pi in zip(b, p)]
+            outcomes = [outcomes[i] + ((step.register, int(oi)),) for i, oi in zip(b, o)]
+            row = row[b]
+        elif isinstance(step, (CallVerifier, CallOracle)):
+            if calls + 1 > alg.budget:
+                raise RuntimeError("budget violation in strict mode")
+            if isinstance(step, CallOracle):
+                raise KeyError(f"no oracle named {step.name!r}")
+            calls += 1
+            rows = t.reshape(row.size, -1, table.layout.total_dim)
+            t = _permute_rows(rows, table.perms[row], step.inverse)
+        else:
+            raise TypeError(f"unknown step {step!r}")
+        amps = np.ascontiguousarray(t).reshape(row.size, -1)
+    counts = (("verifier", calls),) if calls else ()
+    return [
+        RunBranch(
+            table.weights[row[i]] * weights[i],
+            StateVector(layout, amps[i]),
+            (),
+            outcomes[i],
+            calls,
+            counts,
+        )
+        for i in range(row.size)
+    ]
 
 
 def _swap0(n: int, i: int) -> np.ndarray:

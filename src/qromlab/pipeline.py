@@ -783,17 +783,21 @@ def _response_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     raise ConfigError(f"unknown simulator {cfg.simulator!r}")
 
 
-def _response_runs(spec: ProtocolSpec, x, trace, sched, r_true):
+def _uniform_labels(spec: ProtocolSpec) -> list[tuple[Hashable, Fraction]]:
+    """(label, weight) of a lazy challenge table's uniform randomness labels."""
+    rs = spec.randomness
+    return [(r, Fraction(1, len(rs))) for r in rs]
+
+
+def _response_runs(spec: ProtocolSpec, x, trace, sched, r_true, values):
     """Branches of one scheduled run over the lazy challenge table.
 
-    The table assigns a uniform randomness label to each queried point
-    and the answer is that label's response: the trace runs under
-    ``_replay`` with labels as oracle values, so a slot reprograms its
-    point to r_true. Returns (weight, assignment, (slots, output,
-    queries)) per branch.
+    The table assigns a label from ``values`` (``_uniform_labels``) to
+    each queried point and the answer is that label's response: the
+    trace runs under ``_replay`` with labels as oracle values, so a slot
+    reprograms its point to r_true. Returns (weight, assignment, (slots,
+    output, queries)) per branch.
     """
-    rs = spec.randomness
-    values = [(r, Fraction(1, len(rs))) for r in rs]
 
     def labeled(ask_h, ask_f):
         return tuple(trace(lambda p: spec.next_message(x, ask_h(p), tuple(p))))
@@ -804,44 +808,48 @@ def _response_runs(spec: ProtocolSpec, x, trace, sched, r_true):
 def _slot_runs(spec: ProtocolSpec, x, trace, scheds):
     """(r, weight, measured point or None, output) over the randomness,
     the schedules and each run's lazy challenge branches."""
+    values = _uniform_labels(spec)
     for r in spec.randomness:
         for sched in scheds:
-            for weight, _, (slots, out, _) in _response_runs(spec, x, trace, sched, r):
+            for weight, _, (slots, out, _) in _response_runs(
+                spec, x, trace, sched, r, values
+            ):
                 yield r, weight, slots.get(0), out
-
-
-def _single_slot_value(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
-    """Exact acceptance of the single-reprogram extraction: the
-    measured first message composed with the simulator's final move."""
-    walk = _memoized(spec)
-    total = Fraction(0)
-    for r, weight, measured, out in _slot_runs(walk, x, trace, scheds):
-        claim = out[:1] if measured is None else measured
-        if len(claim) == 1 and walk.decide(x, r, (claim[0], out[1])):
-            total += weight
-    return total / (len(spec.randomness) * len(scheds))
 
 
 def _fs_game_value(spec: ProtocolSpec, x, trace) -> Fraction:
     """Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names."""
-    runs = _response_runs(spec, x, trace, None, None)
+    runs = _response_runs(spec, x, trace, None, None, _uniform_labels(spec))
     return _named_value(spec, x, runs, spec.randomness, lambda r: r)
 
 
-def _single_slot_extraction(spec: ProtocolSpec, x, trace, scheds) -> Fraction:
+def _single_slot_extraction(spec: ProtocolSpec, x, trace, scheds) -> tuple[Fraction, Fraction]:
     """Win rate of the prover that forwards the measured first message
-    to the live verifier and answers the query with its response. Its
-    run is the scheduled replay unless the measured point is not a
-    first message, and then it loses; so it wins iff the measured
-    point, if any, is the output's first message and the output is
-    accepted."""
+    to the live verifier and answers the query with its response, with
+    the single-reprogram extraction value it dominates; one walk of the
+    scheduled replays scores both.
+
+    The forwarding prover's run is the scheduled replay unless the
+    measured point is not a first message, and then it loses; so it
+    wins iff the measured point, if any, is the output's first message
+    and the output is accepted. The extraction value composes the
+    measured first message (the output's own if none was measured)
+    with the simulator's final move.
+
+    Returns:
+        (forwarding prover's value, extraction value), exact.
+    """
     walk = _memoized(spec)
-    total = Fraction(0)
+    forwarded = extracted = Fraction(0)
     for r, weight, measured, out in _slot_runs(walk, x, trace, scheds):
+        claim = out[:1] if measured is None else measured
+        if len(claim) == 1 and walk.decide(x, r, (claim[0], out[1])):
+            extracted += weight
         if measured in (None, out[:1]) and walk.decide(x, r, out):
-            total += weight
-    return total / (len(spec.randomness) * len(scheds))
+            forwarded += weight
+    total = len(spec.randomness) * len(scheds)
+    return forwarded / total, extracted / total
 
 
 def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
@@ -868,7 +876,7 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
         trace = _response_trace(cfg, spec, x)
-        value = _single_slot_value(spec, x, trace, scheds)
+        pstar, value = _single_slot_extraction(spec, x, trace, scheds)
         if x in cfg.yes_instances:
             game = _fs_game_value(spec, x, trace)
             hyp = _check(
@@ -892,7 +900,6 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
             checks.append(c)
             yes_vals.append(value)
         else:
-            pstar = _single_slot_extraction(spec, x, trace, scheds)
             sound = soundness_exact(spec, x)
             checks.append(_check(
                 x, "extraction-dominance", "inline extraction dominance",

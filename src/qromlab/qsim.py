@@ -245,7 +245,19 @@ def apply_unitary(
     Returns:
         The transformed state on the same layout.
     """
-    layout = state.layout
+    t = _unitary_on_axes(state.tensor(), state.layout, target_registers, u)
+    return StateVector(state.layout, np.ascontiguousarray(t).reshape(-1))
+
+
+def _unitary_on_axes(
+    t: np.ndarray,
+    layout: RegisterLayout,
+    target_registers: Sequence[str],
+    u: np.ndarray,
+    lead: int = 0,
+) -> np.ndarray:
+    """``u`` on the named registers of a tensor shaped ``dims[::-1]`` after
+    ``lead`` leading batch axes; ``u`` is checked once for all of them."""
     targets = list(target_registers)
     if len(set(targets)) != len(targets):
         raise ValueError("repeated target register")
@@ -258,10 +270,17 @@ def apply_unitary(
     m = len(targets)
     # u as a tensor: (out axes reversed-target-order, in axes same)
     u_t = u.reshape(tuple(dims_t[::-1]) * 2)
-    axes = [layout.axis_of(n) for n in reversed(targets)]
-    t = np.tensordot(u_t, state.tensor(), axes=(list(range(m, 2 * m)), axes))
-    t = np.moveaxis(t, list(range(m)), axes)
-    return StateVector(layout, np.ascontiguousarray(t).reshape(-1))
+    axes = [lead + layout.axis_of(n) for n in reversed(targets)]
+    t = np.tensordot(u_t, t, axes=(list(range(m, 2 * m)), axes))
+    return np.moveaxis(t, list(range(m)), axes)
+
+
+def _register_probs(t: np.ndarray, axis: int) -> np.ndarray:
+    """Outcome probabilities of the register on one axis of a state tensor."""
+    sum_axes = tuple(a for a in range(t.ndim) if a != axis)
+    probs = np.abs(t) ** 2
+    probs = probs.sum(axis=sum_axes) if sum_axes else probs
+    return np.real(probs)
 
 
 def measure_register(state: StateVector, register: str):
@@ -275,10 +294,7 @@ def measure_register(state: StateVector, register: str):
     axis = layout.axis_of(register)
     dim = layout.dim_of(register)
     t = state.tensor()
-    sum_axes = tuple(a for a in range(t.ndim) if a != axis)
-    probs = np.abs(t) ** 2
-    probs = probs.sum(axis=sum_axes) if sum_axes else probs
-    probs = np.real(probs)
+    probs = _register_probs(t, axis)
 
     def branch(o: int):
         p = float(probs[o])

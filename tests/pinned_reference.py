@@ -1,0 +1,81 @@
+"""The enumerated simulator route as it was before control assignments
+became rows of one amplitude array.
+
+Each classical control assignment is its own machine, built by
+``build_verifier(..., fixed=...)`` and seeded with its strided slice of
+the unpinned permutation, and each strict branch runs once per pinned
+machine through ``run_query_algorithm``. It is the reference the batched
+route in ``adversary.run_simulator`` is tested against, branch by branch.
+"""
+
+import itertools
+from dataclasses import replace
+from fractions import Fraction
+
+from qromlab.adversary import (
+    _CANONICAL_AUX,
+    _COHERENT,
+    ExpectedAlgorithm,
+    SimulationResult,
+    _little_endian,
+    build_verifier,
+    run_query_algorithm,
+)
+from qromlab.oracle import ClassicalOracle, SparseOracleDist
+
+
+def pinned_machines(machine):
+    """Every classical control assignment as (pinned machine, weight)."""
+    spec, pts = machine.spec, machine._prefix_points
+    assignments = []
+    if machine.kind == "random_aborting":
+        dist = SparseOracleDist(pts, machine.eps)
+        nr = len(spec.randomness)
+        for ri, r in enumerate(spec.randomness):
+            for h, w in dist.enumerate_weighted():
+                c = ri + nr * _little_endian(h.values, 2)
+                assignments.append(({"R": r, "H": h}, c, w / nr))
+    elif machine.kind == "public_coin":
+        challenges, _ = machine._challenges
+        nc = len(challenges)
+        w = Fraction(1, nc ** len(pts))
+        for digs in itertools.product(range(nc), repeat=len(pts)):
+            vals = tuple(challenges[d] for d in digs)
+            h = ClassicalOracle(pts, challenges, vals)
+            assignments.append(({"H": h}, _little_endian(digs, nc), w))
+    else:  # three_round
+        rs, alpha = spec.randomness, tuple(spec.alphabet)
+        w = Fraction(1, len(rs) ** len(alpha))
+        for digs in itertools.product(range(len(rs)), repeat=len(alpha)):
+            h = ClassicalOracle(alpha, rs, tuple(rs[d] for d in digs))
+            assignments.append(({"H": h}, _little_endian(digs, len(rs)), w))
+    full = machine._step_perm
+    out = []
+    for fx, c, w in assignments:
+        pinned = build_verifier(machine.kind, spec, machine.x, eps=machine.eps, fixed=fx)
+        ctrl = machine.layout.total_dim // pinned.layout.total_dim
+        vars(pinned)["_step_perm"] = (full[c::ctrl] - c) // ctrl
+        out.append((pinned, w))
+    return tuple(out)
+
+
+def run_simulator(sim, machine, aux=None, force_dense=False):
+    """Exhaustive simulation with one ``run_query_algorithm`` call per
+    pinned machine; the dense route and the aux-name check as before."""
+    if aux is not None and aux.name != _CANONICAL_AUX[machine.kind]:
+        raise ValueError(f"aux {aux.name} does not fit kind {machine.kind}")
+    if isinstance(sim, ExpectedAlgorithm):
+        allb = []
+        for w, alg in sim.branches:
+            sub = run_simulator(alg, machine, aux=aux, force_dense=force_dense)
+            allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
+        return SimulationResult(machine.kind, tuple(allb))
+    kind = machine.kind
+    if force_dense or kind in _COHERENT or machine.fixed:
+        branches = run_query_algorithm(sim, machine=machine, aux=aux)
+        return SimulationResult(kind, tuple(branches))
+    allb = []
+    for pinned, w in pinned_machines(machine):
+        for b in run_query_algorithm(sim, machine=pinned):
+            allb.append(replace(b, weight=w * b.weight))
+    return SimulationResult(kind, tuple(allb))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qromlab.adversary import (
+    AuxState,
     CallOracle,
     CallVerifier,
     ExpectedAlgorithm,
@@ -198,6 +199,20 @@ class TestAuxAndInitialState:
         amps = np.array(fax["H"])
         assert np.isclose(np.linalg.norm(amps), 1.0)
         assert np.isclose(amps[0], (3 / 4) ** 3)  # six points, all unflagged
+
+    def test_enumeration_takes_only_the_canonical_aux(self):
+        m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
+        canonical = build_aux(m)
+        res = run_simulator(give_up(m), m, aux=canonical)
+        assert pr_register(res) == Fraction(1, 32)
+        skewed = AuxState(
+            "psi_eps",
+            tuple((reg, (1, 0) if reg == "R" else f) for reg, f in canonical.factors),
+        )
+        with pytest.raises(ValueError, match="canonical psi_eps only"):
+            run_simulator(give_up(m), m, aux=skewed)
+        dense = run_simulator(give_up(m), m, aux=skewed, force_dense=True)
+        assert pr_register(dense) == 0
 
     def test_work_registers_cannot_shadow(self):
         m = build_verifier("three_round", toy_table(), 1)

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from qromlab import cli
+import pinned_reference
+from qromlab import cli, pipeline
 from qromlab.cli import LEMMAS, main
 from qromlab.pipeline import THEOREMS
 
@@ -211,6 +212,26 @@ def test_five_repetitions_keep_their_values(theorem, tmp_path, capsys):
     assert [(c["statement"], c["name"], c["lhs"], c["rhs"])
             for c in report["checks"]] == checks
     assert all(c["pass"] for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "sim", ["expected-geometric", "expected-honest", "expected-lazy"]
+)
+def test_expected_time_bytes_match_the_pinned_route(sim, tmp_path, monkeypatch, capsys):
+    """The batched control-assignment route writes the report bytes that one
+    pinned machine per assignment writes."""
+
+    def report(tag):
+        js, csv = tmp_path / f"{tag}.json", tmp_path / f"{tag}.csv"
+        argv = ["run", "expected-time", "--sim", sim, "--out", str(js), "--csv", str(csv)]
+        assert main(argv) == 0
+        return js.read_bytes(), csv.read_bytes()
+
+    batched = report("batched")
+    monkeypatch.setattr(pipeline, "run_simulator", pinned_reference.run_simulator)
+    pinned = report("pinned")
+    capsys.readouterr()
+    assert batched == pinned
 
 
 class TestReportFiles:

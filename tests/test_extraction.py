@@ -28,7 +28,6 @@ from qromlab.pipeline import (
     _response_runs,
     _response_trace,
     _single_slot_extraction,
-    _single_slot_value,
     _sparse_hypothesis,
     build_protocol,
     eps_star,
@@ -94,15 +93,15 @@ def check_three_round(spec, x, trace, scheds):
         masked = only(spec, r)
         for sched in scheds:
             old = ref.response_runs(spec, x, trace, sched, r, values)
-            assert new_branches(_response_runs(spec, x, trace, sched, r)) == branches(old)
-            assert _single_slot_extraction(
-                masked, x, trace, (sched,)
-            ) == ref.single_slot_extraction(masked, x, trace, (sched,)), (r, sched)
+            new = _response_runs(spec, x, trace, sched, r, values)
+            assert new_branches(new) == branches(old)
+            assert _single_slot_extraction(masked, x, trace, (sched,)) == (
+                ref.single_slot_extraction(masked, x, trace, (sched,)),
+                ref.single_slot_value(masked, x, trace, (sched,)),
+            ), (r, sched)
     assert _single_slot_extraction(spec, x, trace, scheds) == (
-        ref.single_slot_extraction(spec, x, trace, scheds)
-    )
-    assert _single_slot_value(spec, x, trace, scheds) == (
-        ref.single_slot_value(spec, x, trace, scheds)
+        ref.single_slot_extraction(spec, x, trace, scheds),
+        ref.single_slot_value(spec, x, trace, scheds),
     )
     assert _fs_game_value(spec, x, trace) == ref.fs_game_value(spec, x, trace)
 

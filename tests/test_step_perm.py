@@ -1,5 +1,5 @@
 """The vectorized verifier step permutation against the per-index reference,
-and the pinned machines the simulator slices out of it."""
+and the per-assignment rows the simulator slices out of it."""
 
 import itertools
 from fractions import Fraction
@@ -148,14 +148,15 @@ def test_random_specs_match_reference(spec, data):
 
 
 def _assert_slices_match_direct_builds(machine):
-    pinned = machine._pinned_machines
-    assert sum(w for _, w in pinned) == 1
-    for sliced, _ in pinned:
+    rows = machine._control_rows
+    assert sum(rows.weights) == 1
+    assert len(rows.fixed) == len(rows.weights) == len(rows.perms)
+    for fixed, perm in zip(rows.fixed, rows.perms):
         direct = build_verifier(
-            machine.kind, machine.spec, machine.x, eps=machine.eps, fixed=dict(sliced.fixed)
+            machine.kind, machine.spec, machine.x, eps=machine.eps, fixed=fixed
         )
-        assert sliced.layout == direct.layout
-        assert np.array_equal(sliced._step_perm, direct._step_perm)
+        assert rows.layout == direct.layout
+        assert np.array_equal(perm, direct._step_perm)
 
 
 def test_expected_time_slices_match_direct_builds():
@@ -164,7 +165,8 @@ def test_expected_time_slices_match_direct_builds():
     for x in cfg.yes_instances:
         for eps in (cfg.eps, eps_star(spec.rounds, cfg.q)):
             machine = build_verifier("random_aborting", spec, x, eps=eps)
-            assert len(machine._pinned_machines) == len(spec.randomness) * 2 ** len(PDOM)
+            rows = machine._control_rows
+            assert len(rows.weights) == len(spec.randomness) * 2 ** len(PDOM)
             _assert_slices_match_direct_builds(machine)
 
 
@@ -183,8 +185,8 @@ def test_other_kinds_slices_match_direct_builds(machine):
 
 def test_assignment_order_is_randomness_outer_tables_inner():
     machine = build_verifier("random_aborting", toy_guess(), 1, eps=EPS4)
-    fixed = [dict(m.fixed) for m, _ in machine._pinned_machines]
-    assert [f["R"] for f in fixed] == [0] * 4 + [1] * 4
-    assert [f["H"].values for f in fixed[:4]] == [(0, 0), (1, 0), (0, 1), (1, 1)]
-    weights = [w for _, w in machine._pinned_machines[:4]]
+    rows = machine._control_rows
+    assert [f["R"] for f in rows.fixed] == [0] * 4 + [1] * 4
+    assert [f["H"].values for f in rows.fixed[:4]] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    weights = list(rows.weights[:4])
     assert weights == [Fraction(9, 32), Fraction(3, 32), Fraction(3, 32), Fraction(1, 32)]
