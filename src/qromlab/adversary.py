@@ -14,8 +14,7 @@ assignment exactly and mixing the resulting branches with rational
 weights. The assignments are the rows of one amplitude array, so a
 strict branch runs once for all of them: each row's permutation is a
 strided slice of the unpinned machine's, a unitary is one tensordot over
-every row and a measurement splits every row by outcome. The rows stand
-for the canonical aux state; another aux runs only on the dense route.
+every row and a measurement splits every row by outcome.
 """
 
 from __future__ import annotations
@@ -39,12 +38,10 @@ from qromlab.oracle import (
     ClassicalOracle,
     SparseOracleDist,
     prefix_domain,
-    prefixes,
     quantum_query,
 )
 from qromlab.protocol import ConfigError, ProductSpace, ProtocolSpec
 from qromlab.qsim import (
-    ATOL_UNITARY,
     PROB_FLOOR,
     DensityOnRegister,
     RegisterLayout,
@@ -65,7 +62,6 @@ VERIFIER_KINDS = (
 )
 _COHERENT = ("superposition", "superposition_efficient")
 MAX_STATE_DIM = 2**17
-MAX_MATRIX_DIM = 2**11
 _EXACT_TOL = 1e-12
 
 
@@ -154,10 +150,6 @@ class VerifierMachine:
     @property
     def k(self) -> int:
         return self.spec.rounds
-
-    @property
-    def message_registers(self) -> tuple[str, ...]:
-        return tuple(f"M{i}" for i in range(1, self.k + 1))
 
     def fixed_value(self, role: str):
         for name, value in self.fixed:
@@ -526,84 +518,6 @@ def _permute_rows(rows: np.ndarray, perms: np.ndarray, inverse: bool) -> np.ndar
     return out
 
 
-def step_matrix(machine: VerifierMachine) -> np.ndarray:
-    """Dense matrix of one verifier call (small machines only)."""
-    mdim = machine.layout.total_dim
-    if mdim > MAX_MATRIX_DIM:
-        raise ValueError(f"dense step matrix capped at {MAX_MATRIX_DIM}")
-    cols = np.zeros((mdim, mdim), dtype=complex)
-    cols[machine._step_perm, np.arange(mdim)] = 1.0
-    return machine._apply_adjusters(cols.T.copy(), forward=True).T.copy()
-
-
-def is_step_unitary(machine: VerifierMachine, atol: float = ATOL_UNITARY) -> bool:
-    """Unitarity certificate: permutation bijective, every adjuster unitary.
-
-    Small machines additionally get the dense U*U check.
-    """
-    perm = machine._step_perm
-    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
-        return False
-    info = machine._adjuster_blocks
-    if info is not None:
-        for _, mat in info[4]:
-            d = mat.shape[0]
-            if np.abs(mat.conj().T @ mat - np.eye(d)).max() > atol:
-                return False
-    if machine.layout.total_dim <= MAX_MATRIX_DIM:
-        u = step_matrix(machine)
-        return bool(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= atol)
-    return True
-
-
-def fstar_oracle(
-    machine: VerifierMachine, i_round: int, *, r=None, h=None
-) -> ClassicalOracle:
-    """The verifier's classical next-step function at one round.
-
-    Rounds below k map message prefixes to the response added into M
-    (the first alphabet letter doubles as the additive abort marker);
-    round k maps full transcripts to the acceptance bit. Domains are
-    ordered little-endian in the message digits, first message fastest,
-    so tables line up with merged message registers under quantum_query.
-    """
-    spec, x, k = machine.spec, machine.x, machine.k
-    n = len(spec.alphabet)
-    if not 1 <= i_round <= k:
-        raise ValueError(f"round {i_round} outside 1..{k}")
-    r = machine.fixed_value("R") if r is None else r
-    h = machine.fixed_value("H") if h is None else h
-    if h is None:
-        raise ValueError("need a pinned or supplied control table")
-    dom = []
-    for flat in range(n**i_round):
-        digs = [(flat // n**j) % n for j in range(i_round)]
-        dom.append(tuple(spec.alphabet[d] for d in digs))
-    dom = tuple(dom)
-    final = i_round == k
-    kind = machine.kind
-
-    def value(t: tuple):
-        if kind in ("random_aborting",) + _COHERENT:
-            if final:
-                ok = all(h(p) for p in prefixes(t))
-                return int(ok and bool(spec.decide(x, r, t)))
-            return spec.next_message(x, r, t) if h(t) else spec.alphabet[0]
-        if kind == "public_coin":
-            if final:
-                cs = tuple(h(t[:i]) for i in range(1, k))
-                return int(bool(spec.decide(x, machine._challenges[1][cs], t)))
-            return h(t)
-        if final:
-            return int(bool(spec.decide(x, h(t[0]), t)))
-        return spec.next_message(x, h(t[0]), t)
-
-    if kind in ("random_aborting",) + _COHERENT and r is None:
-        raise ValueError("need pinned or supplied randomness")
-    rng = (0, 1) if final else tuple(spec.alphabet)
-    return ClassicalOracle(dom, rng, tuple(value(t) for t in dom))
-
-
 @dataclass(frozen=True)
 class AuxState:
     """A named auxiliary input: one amplitude factor per control register."""
@@ -621,11 +535,8 @@ _CANONICAL_AUX = {
 }
 
 
-def build_aux(machine: VerifierMachine, name: str | None = None) -> AuxState:
+def build_aux(machine: VerifierMachine) -> AuxState:
     """The kind's canonical auxiliary state over its control registers."""
-    canonical = _CANONICAL_AUX[machine.kind]
-    if name is not None and name != canonical:
-        raise ValueError(f"kind {machine.kind} takes aux {canonical}, not {name}")
     factors = []
     for reg, dim in machine.layout.registers:
         if reg == "Cont":
@@ -640,22 +551,16 @@ def build_aux(machine: VerifierMachine, name: str | None = None) -> AuxState:
                 factors.append((reg, tuple(complex(v) for v in vec)))
             else:
                 factors.append((reg, (1 / np.sqrt(dim),) * dim))
-    return AuxState(canonical, tuple(factors))
+    return AuxState(_CANONICAL_AUX[machine.kind], tuple(factors))
 
 
 def initial_state(
-    machine: VerifierMachine,
-    aux: AuxState | None = None,
-    work: Sequence[tuple[str, int]] = (),
+    machine: VerifierMachine, work: Sequence[tuple[str, int]] = ()
 ) -> StateVector:
-    """Auxiliary input on the control registers, zeros everywhere else."""
-    if aux is None:
-        aux = build_aux(machine)
+    """The kind's canonical aux state on the control registers, zeros on the
+    rest of the machine and on the work registers."""
     layout = RegisterLayout(machine.layout.registers + tuple(work))
-    fax = dict(aux.factors)
-    stray = set(fax) - set(layout.names)
-    if stray:
-        raise ValueError(f"aux names {sorted(stray)} missing from the layout")
+    fax = dict(build_aux(machine).factors)
     factors = {}
     for reg, dim in layout.registers:
         if reg in fax:
@@ -686,37 +591,6 @@ def _prover_move_matrices(spec: ProtocolSpec, x, witness, u) -> list[np.ndarray]
         second[targets, range(n)] = 1.0
         mats.append(second)
     return mats
-
-
-def run_interaction(
-    machine: VerifierMachine, witness, u=None, aux: AuxState | None = None
-) -> StateVector:
-    """Honest prover versus the machine, returning the joint final state.
-
-    Prover moves act in place on M as permutations, so the interaction
-    stays unitary under any control superposition.
-    """
-    spec = machine.spec
-    u = spec.prover_randomness[0] if u is None else u
-    st = initial_state(machine, aux)
-    for mat in _prover_move_matrices(spec, machine.x, witness, u):
-        st = apply_unitary(st, ["M"], mat)
-        st = apply_step(machine, st)
-    return st
-
-
-def project_register(state: StateVector, register: str, value: int):
-    """(probability, renormalized post-state) of one digit outcome."""
-    for o, post, p in measure_register(state, register):
-        if o == value:
-            return p, post
-    return 0.0, None
-
-
-def accept_probability(state: StateVector) -> float:
-    """Pr[B = 1] in a final joint state."""
-    p, _ = project_register(state, "B", 1)
-    return p
 
 
 def final_cont_state(spec: ProtocolSpec, x, witness, eps, u=None):
@@ -992,7 +866,6 @@ def run_query_algorithm(
     alg: QueryAlgorithm,
     *,
     machine: VerifierMachine | None = None,
-    aux: AuxState | None = None,
     oracles: Mapping[str, ClassicalOracle] | None = None,
     on_query: Callable[[RunBranch, CallOracle, int], Optional[list]] | None = None,
 ) -> list[RunBranch]:
@@ -1000,9 +873,10 @@ def run_query_algorithm(
 
     Args:
         alg: the algorithm (strict budget).
-        machine: optional verifier; its registers lead the joint layout
-            and only M among them is visible to the algorithm's steps.
-        aux: auxiliary input for the machine's control registers.
+        machine: optional verifier; its registers lead the joint layout,
+            its control registers start in the kind's canonical aux state
+            (``initial_state``), and only M among them is visible to the
+            algorithm's steps.
         oracles: named classical tables serving CallOracle steps.
         on_query: interceptor f(branch, call, ordinal) returning
             replacement branches (already answered) or None for the
@@ -1015,7 +889,7 @@ def run_query_algorithm(
     work = tuple(alg.work_registers)
     visible = _visible_registers(alg, None if machine is None else machine.layout)
     if machine is not None:
-        state = initial_state(machine, aux, work=work)
+        state = initial_state(machine, work)
     else:
         state = StateVector.basis(RegisterLayout(work))
     tables = tuple(sorted((oracles or {}).items()))
@@ -1066,12 +940,7 @@ def output_distribution(branches: Sequence[RunBranch], registers: Sequence[str])
     out: dict[tuple[int, ...], object] = {}
     for br in branches:
         lay = br.state.layout
-        t = br.state.tensor()
-        axes = [lay.axis_of(r) for r in registers]
-        probs = np.abs(t) ** 2
-        marg = probs.sum(axis=tuple(a for a in range(t.ndim) if a not in axes))
-        order = [sorted(axes).index(a) for a in axes]
-        marg = np.transpose(marg, order)
+        marg = _register_probs(br.state.tensor(), [lay.axis_of(r) for r in registers])
         for idx in np.argwhere(marg > PROB_FLOOR):
             key = tuple(int(v) for v in idx)
             out[key] = out.get(key, 0) + _scale(br.weight, float(marg[tuple(idx)]))
@@ -1084,10 +953,6 @@ class SimulationResult:
 
     kind: str
     branches: tuple[RunBranch, ...]
-
-
-def _register_prob(state: StateVector, register: str, value: int) -> float:
-    return float(_register_probs(state.tensor(), state.layout.axis_of(register))[value])
 
 
 def pr_register(result: SimulationResult, register: str = "B", value: int = 1):
@@ -1113,7 +978,8 @@ def pr_joint_budget(
     for br in result.branches:
         if br.invocations > q:
             continue
-        p = _register_prob(br.state, register, value)
+        axis = br.state.layout.axis_of(register)
+        p = float(_register_probs(br.state.tensor(), [axis])[value])
         if p <= _EXACT_TOL:
             continue
         total = total + _scale(br.weight, p)
@@ -1125,58 +991,41 @@ def cont_density(result: SimulationResult, register: str = "B", value: int = 1):
     num = np.zeros((2, 2), dtype=complex)
     den = 0.0
     for br in result.branches:
-        p, post = project_register(br.state, register, value)
-        if post is None:
-            continue
-        w = float(br.weight) * p
-        num += w * partial_trace(post, "Cont").matrix
-        den += w
+        for o, post, p in measure_register(br.state, register):
+            if o != value:
+                continue
+            w = float(br.weight) * p
+            num += w * partial_trace(post, "Cont").matrix
+            den += w
     if den <= PROB_FLOOR:
         return 0.0, None
     return den, DensityOnRegister("Cont", num / den)
 
 
-def transcript_distribution(result: SimulationResult, machine: VerifierMachine):
-    """Joint distribution of the message slots, keyed by alphabet labels."""
-    dist = output_distribution(result.branches, machine.message_registers)
-    alpha = machine.spec.alphabet
-    return {tuple(alpha[d] for d in key): w for key, w in dist.items()}
-
-
 def run_simulator(
     sim: Union[QueryAlgorithm, ExpectedAlgorithm],
     machine: VerifierMachine,
-    aux: AuxState | None = None,
-    force_dense: bool = False,
 ) -> SimulationResult:
-    """Exhaustive simulation: the exact output mixture of sim vs machine.
+    """Exhaustive simulation: the exact output mixture of sim vs machine,
+    started on the kind's canonical aux state.
 
     Kinds whose control registers commute with every simulator-visible
-    action are enumerated: every classical control assignment is one
-    row of an amplitude array that each strict branch runs once, and the
-    rows are mixed with exact weights. That route is the canonical aux
-    state taken apart, so another aux raises ``ValueError`` there. The
-    coherent kinds, pinned machines and ``force_dense`` run fully dense
-    on the given aux. Expected-mode simulators contribute each strict
-    branch with its stopping weight.
+    action are enumerated: every classical control assignment of that
+    aux state is one row of an amplitude array that each strict branch
+    runs once, and the rows are mixed with exact weights. The coherent
+    kinds and pinned machines run fully dense. Expected-mode simulators
+    contribute each strict branch with its stopping weight.
     """
-    if aux is not None and aux.name != _CANONICAL_AUX[machine.kind]:
-        raise ValueError(f"aux {aux.name} does not fit kind {machine.kind}")
     if isinstance(sim, ExpectedAlgorithm):
         allb: list[RunBranch] = []
         for w, alg in sim.branches:
-            sub = run_simulator(alg, machine, aux=aux, force_dense=force_dense)
+            sub = run_simulator(alg, machine)
             allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
         return SimulationResult(machine.kind, tuple(allb))
     kind = machine.kind
-    if force_dense or kind in _COHERENT or machine.fixed:
-        branches = run_query_algorithm(sim, machine=machine, aux=aux)
+    if kind in _COHERENT or machine.fixed:
+        branches = run_query_algorithm(sim, machine=machine)
         return SimulationResult(kind, tuple(branches))
-    if aux is not None and aux.factors != build_aux(machine).factors:
-        raise ValueError(
-            f"the enumerated {kind} route runs the canonical {aux.name} only;"
-            " run another aux with force_dense=True"
-        )
     return SimulationResult(kind, tuple(_run_rows(sim, machine._control_rows)))
 
 
@@ -1206,7 +1055,7 @@ def _run_rows(alg: QueryAlgorithm, table: _ControlRows) -> list[RunBranch]:
             t = _unitary_on_axes(t, layout, step.registers, step.matrix, lead=1)
         elif isinstance(step, Measure):
             axis = layout.axis_of(step.register)
-            probs = np.stack([_register_probs(r, axis) for r in t])
+            probs = np.stack([_register_probs(r, [axis]) for r in t])
             b, o = np.nonzero(probs > PROB_FLOOR)
             p = probs[b, o]
             tm = np.moveaxis(t, axis + 1, -1)
@@ -1287,16 +1136,6 @@ def give_up(machine: VerifierMachine, transcript: tuple | None = None) -> QueryA
     return QueryAlgorithm("give-up", tuple(steps), budget=k, work_registers=work)
 
 
-def grover_flavored(machine: VerifierMachine) -> QueryAlgorithm:
-    """Two plain calls with message-register mixing between them."""
-    spec = machine.spec
-    if spec.rounds != 1 or len(spec.alphabet) != 2:
-        raise ValueError("the mixing probe needs one round and a binary alphabet")
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-    steps = (Unitary(("M",), h), CallVerifier(), Unitary(("M",), h), CallVerifier())
-    return QueryAlgorithm("grover-flavored", steps, budget=2)
-
-
 def _expected_branches(
     machine: VerifierMachine, witness, q: int, u=None
 ) -> dict[str, tuple[tuple[Fraction, QueryAlgorithm], ...]]:
@@ -1335,43 +1174,6 @@ def expected_wrappers(
         ExpectedAlgorithm(name, branches, q)
         for name, branches in _expected_branches(machine, witness, q, u).items()
     )
-
-
-def optimize_small_circuits(
-    machine: VerifierMachine,
-    gates: Mapping[str, np.ndarray] | None = None,
-    max_queries: int = 2,
-):
-    """Exhaustive argmax of Pr[B=1] over tiny interleaved-gate circuits.
-
-    Enumerates every g_0, call, g_1, ..., with at most ``max_queries``
-    plain calls and gates drawn from ``gates`` acting on M; ties break
-    on enumeration order, so the result is deterministic.
-    """
-    spec = machine.spec
-    if spec.rounds != 1 or len(spec.alphabet) != 2:
-        raise ValueError("circuit search is limited to one round, binary alphabet")
-    if gates is None:
-        s = 1 / np.sqrt(2)
-        gates = {
-            "i": np.eye(2),
-            "x": np.array([[0.0, 1.0], [1.0, 0.0]]),
-            "h": np.array([[s, s], [s, -s]]),
-            "zh": np.array([[s, s], [-s, s]]),
-        }
-    names = sorted(gates)
-    best_val = None
-    best_alg = None
-    for nq in range(max_queries + 1):
-        for combo in itertools.product(names, repeat=nq + 1):
-            steps: list[Step] = [Unitary(("M",), gates[combo[0]])]
-            for g in combo[1:]:
-                steps += [CallVerifier(), Unitary(("M",), gates[g])]
-            alg = QueryAlgorithm("circuit-" + "".join(combo), tuple(steps), budget=nq)
-            val = float(pr_register(run_simulator(alg, machine)))
-            if best_val is None or val > best_val + 1e-12:
-                best_val, best_alg = val, alg
-    return best_alg, best_val
 
 
 def _prep_column(dim: int, vec) -> np.ndarray:

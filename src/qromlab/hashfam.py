@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
@@ -167,11 +167,6 @@ class TwoQWiseFamily:
     def tilted_oracle(self, key: int) -> ClassicalOracle:
         vals = tuple(self.predicate(key, p) for p in self.domain)
         return ClassicalOracle(self.domain, (0, 1), vals)
-
-    def marginal(self, point: Sequence[Hashable]) -> Fraction:
-        """Exact Pr over keys that the predicate flags ``point``."""
-        hits = sum(self.predicate(key, point) for key in range(self.key_count))
-        return Fraction(hits, self.key_count)
 
     def flagged_keys(self, m: Sequence[Hashable]) -> list[int]:
         """Keys whose predicate flags every prefix of transcript ``m``."""

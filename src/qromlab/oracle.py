@@ -17,7 +17,7 @@ epsilon) from underflowing inside an average.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Any, Callable, Hashable, Iterator, Sequence
@@ -103,14 +103,6 @@ class ClassicalOracle:
         vals[self._pos[point]] = new_value
         return ClassicalOracle(self.domain, self.range_values, tuple(vals))
 
-    def to_json(self) -> dict[str, list[Any]]:
-        """Canonical serialization {domain_order, values}."""
-        enc = lambda x: list(x) if isinstance(x, tuple) else x
-        return {
-            "domain_order": [enc(p) for p in self.domain],
-            "values": [enc(v) for v in self.values],
-        }
-
 
 def quantum_query(
     state: StateVector,
@@ -157,13 +149,6 @@ class SparseOracleDist:
         object.__setattr__(self, "domain", tuple(self.domain))
         if not 0 <= eps <= 1:
             raise ValueError(f"epsilon {eps} outside [0, 1]")
-
-    def weight(self, oracle: ClassicalOracle) -> Fraction:
-        """Exact probability of one table under the product measure."""
-        w = Fraction(1)
-        for v in oracle.values:
-            w *= self.epsilon if v == 1 else 1 - self.epsilon
-        return w
 
     def zero_oracle(self) -> ClassicalOracle:
         return ClassicalOracle.constant(self.domain, (0, 1), 0)

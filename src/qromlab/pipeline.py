@@ -32,7 +32,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, Sequence, Union
+from typing import Callable, Hashable, Optional, Sequence
 
 import numpy as np
 
@@ -66,6 +66,15 @@ from qromlab.transforms import (
 
 THEOREMS = ("constant-round", "expected-time", "public-coin", "three-round")
 EXPECTED_SIMULATORS = ("expected-honest", "expected-lazy", "expected-geometric")
+# the verifier flavor each experiment drives, echoed into its report
+_KINDS = {
+    "constant-round": "random_aborting",
+    "expected-time": "superposition",
+    "public-coin": "hash-challenge",
+    "three-round": "response-oracle",
+}
+SLACK = 1e-9  # subtracted from every lower bound before comparing
+TOLERANCE = 1e-10  # added to exact upper bounds
 
 
 def eps_star(k: int, q: int) -> Fraction:
@@ -82,22 +91,18 @@ class ExperimentConfig:
 
     q is the simulator's invocation budget for the experiment at hand:
     verifier calls for the decision experiments, total calls for the
-    expected-time one. eps is the flag density as a rational. kind
-    names the verifier flavor the experiment drives and is echoed into
-    the report. slack is subtracted from every lower bound before
-    comparing; tolerance is added to exact upper bounds.
+    expected-time one. eps is the flag density as a rational. The
+    verifier flavor (``_KINDS``), ``SLACK`` and ``TOLERANCE`` are fixed
+    per experiment and only echoed into the report.
     """
 
     protocol: str = "toy-qr"
     reps: int = 3
     q: int = 2
     eps: Fraction = Fraction(1, 4)
-    kind: str = "random_aborting"
     simulator: str = "honest-wrapper"
     yes_instances: tuple = (4, 16)
     no_instances: tuple = (5, 20)
-    slack: float = 1e-9
-    tolerance: float = 1e-10
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -132,15 +137,14 @@ def default_config(theorem: str) -> ExperimentConfig:
         return ExperimentConfig(
             protocol="toy-table",
             q=8,
-            kind="superposition",
             simulator="expected-geometric",
             yes_instances=(1, 3),
             no_instances=(),
         )
     if theorem == "public-coin":
-        return ExperimentConfig(eps=Fraction(1, 2), kind="hash-challenge")
+        return ExperimentConfig(eps=Fraction(1, 2))
     if theorem == "three-round":
-        return ExperimentConfig(q=1, eps=Fraction(1, 2), kind="response-oracle")
+        return ExperimentConfig(q=1, eps=Fraction(1, 2))
     raise ConfigError(f"unknown experiment {theorem!r}")
 
 
@@ -175,28 +179,45 @@ def _check(statement, name, anchor, lhs, rhs, relation, note="") -> Check:
     return Check(str(statement), name, anchor, lhs, rhs, relation, ok, note)
 
 
-def _config_echo(cfg: ExperimentConfig, spec: ProtocolSpec) -> dict:
-    return {
+def _report(theorem: str, cfg: ExperimentConfig, spec: ProtocolSpec,
+            checks: list[Check], yes_vals: Sequence,
+            no_vals: Sequence) -> ExperimentReport:
+    """The report of one run: its checks, then the decision gap's check
+    when both sides have values, the config echo and the decision."""
+    yes = [float(v) for v in yes_vals]
+    no = [float(v) for v in no_vals]
+    gap = min(yes) - max(no) if yes and no else None
+    if gap is not None:
+        checks.append(_check("*", "decision-gap", "decision separation", gap, 0.1, ">="))
+    echo = {
         "protocol": spec.name,
         "k": spec.rounds,
         "reps": cfg.reps,
         "q": cfg.q,
         "eps": str(cfg.eps),
         "eps_star": str(eps_star(spec.rounds, cfg.q)),
-        "kind": cfg.kind,
+        "kind": _KINDS[theorem],
         "simulator": cfg.simulator,
         "yes": [str(x) for x in cfg.yes_instances],
         "no": [str(x) for x in cfg.no_instances],
-        "slack": cfg.slack,
-        "tolerance": cfg.tolerance,
+        "slack": SLACK,
+        "tolerance": TOLERANCE,
     }
+    decision = {"yes": yes, "no": no, "gap": gap}
+    return ExperimentReport(theorem, echo, tuple(checks), decision)
 
 
-def _decision(yes_vals: Sequence, no_vals: Sequence) -> dict:
-    yes = [float(v) for v in yes_vals]
-    no = [float(v) for v in no_vals]
-    gap = min(yes) - max(no) if yes and no else None
-    return {"yes": yes, "no": no, "gap": gap}
+def _extraction_checks(spec: ProtocolSpec, x, pstar, value) -> list[Check]:
+    """A no-statement's extraction prover against its decision value and
+    exact soundness, and the decision value against soundness."""
+    cap = float(soundness_exact(spec, x)) + TOLERANCE
+    return [
+        _check(x, "extraction-dominance", "inline extraction dominance",
+               pstar, value, ">="),
+        _check(x, "extraction-soundness", "strategy-tree soundness cap",
+               pstar, cap, "<="),
+        _check(x, "no-decision", "strategy-tree soundness cap", value, cap, "<="),
+    ]
 
 
 def report_as_dict(report: ExperimentReport) -> dict:
@@ -525,6 +546,11 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     k = spec.rounds
     if k > 2:
         raise ConfigError("the trace layout covers one- and two-move specs")
+    if cfg.q != k:
+        raise ConfigError(
+            f"the flag trace makes {k} verifier calls, so the budget q must be"
+            f" {k}, not {cfg.q}"
+        )
     q_h = 2 * k * cfg.q
     scheds = enumerate_schedules(k, q_h)
     factor = (2 * q_h + 1) ** (2 * k)
@@ -543,13 +569,13 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
                 floor = eps ** k / 4
                 c = _check(
                     x, "flag-hypothesis" + tag, "sparse-flag acceptance floor",
-                    hyp, float(floor) - cfg.slack, ">=",
+                    hyp, float(floor) - SLACK, ">=",
                 )
                 met = met and c.passed
                 checks.append(c)
             c = _check(
                 x, "yes-decision", "schedule-average decision floor",
-                value, float(bound) - cfg.slack, ">=",
+                value, float(bound) - SLACK, ">=",
                 note=f"floor 1/4 of 1/{factor} less slack 1/8 of 1/{factor}",
             )
             if not met:
@@ -557,29 +583,9 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
             checks.append(c)
             yes_vals.append(value)
         else:
-            sound = soundness_exact(spec, x)
-            checks.append(_check(
-                x, "extraction-dominance", "inline extraction dominance",
-                pstar, value, ">=",
-            ))
-            checks.append(_check(
-                x, "extraction-soundness", "strategy-tree soundness cap",
-                pstar, float(sound) + cfg.tolerance, "<=",
-            ))
-            checks.append(_check(
-                x, "no-decision", "strategy-tree soundness cap",
-                value, float(sound) + cfg.tolerance, "<=",
-            ))
+            checks += _extraction_checks(spec, x, pstar, value)
             no_vals.append(value)
-    decision = _decision(yes_vals, no_vals)
-    if decision["gap"] is not None:
-        checks.append(_check(
-            "*", "decision-gap", "decision separation",
-            decision["gap"], 0.1, ">=",
-        ))
-    return ExperimentReport(
-        "constant-round", _config_echo(cfg, spec), tuple(checks), decision
-    )
+    return _report("constant-round", cfg, spec, checks, yes_vals, no_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -724,7 +730,7 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
         if x in cfg.yes_instances:
             checks.append(_check(
                 x, "yes-decision", "hashed-challenge completeness floor",
-                total, 1.0 - float(cfg.eps) - cfg.slack, ">=",
+                total, 1.0 - float(cfg.eps) - SLACK, ">=",
             ))
             yes_vals.append(total)
         else:
@@ -732,23 +738,15 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
             sound = soundness_exact(spec, x)
             checks.append(_check(
                 x, "forgery-cap", "hash-grinding forgery cap",
-                total, float(forgery) + cfg.tolerance, "<=",
+                total, float(forgery) + TOLERANCE, "<=",
                 note=f"best {budget + 1} grind points",
             ))
             checks.append(_check(
                 x, "no-decision", "strategy-tree soundness cap",
-                total, float(sound) + cfg.tolerance, "<=",
+                total, float(sound) + TOLERANCE, "<=",
             ))
             no_vals.append(total)
-    decision = _decision(yes_vals, no_vals)
-    if decision["gap"] is not None:
-        checks.append(_check(
-            "*", "decision-gap", "decision separation",
-            decision["gap"], 0.1, ">=",
-        ))
-    return ExperimentReport(
-        "public-coin", _config_echo(cfg, spec), tuple(checks), decision
-    )
+    return _report("public-coin", cfg, spec, checks, yes_vals, no_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -881,7 +879,7 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
             game = _fs_game_value(spec, x, trace)
             hyp = _check(
                 x, "challenge-game", "challenge-game floor",
-                game, 1.0 - float(cfg.eps) - cfg.slack, ">=",
+                game, 1.0 - float(cfg.eps) - SLACK, ">=",
             )
             checks.append(hyp)
             checks.append(_check(
@@ -892,7 +890,7 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
             bound = game * game / (puncture * slot_factor)
             c = _check(
                 x, "yes-decision", "single-slot composed floor",
-                value, float(bound) - cfg.slack, ">=",
+                value, float(bound) - SLACK, ">=",
                 note=f"puncture 1/{puncture}, reprogram 1/{slot_factor}",
             )
             if not hyp.passed:
@@ -900,29 +898,9 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
             checks.append(c)
             yes_vals.append(value)
         else:
-            sound = soundness_exact(spec, x)
-            checks.append(_check(
-                x, "extraction-dominance", "inline extraction dominance",
-                pstar, value, ">=",
-            ))
-            checks.append(_check(
-                x, "extraction-soundness", "strategy-tree soundness cap",
-                pstar, float(sound) + cfg.tolerance, "<=",
-            ))
-            checks.append(_check(
-                x, "no-decision", "strategy-tree soundness cap",
-                value, float(sound) + cfg.tolerance, "<=",
-            ))
+            checks += _extraction_checks(spec, x, pstar, value)
             no_vals.append(value)
-    decision = _decision(yes_vals, no_vals)
-    if decision["gap"] is not None:
-        checks.append(_check(
-            "*", "decision-gap", "decision separation",
-            decision["gap"], 0.1, ">=",
-        ))
-    return ExperimentReport(
-        "three-round", _config_echo(cfg, spec), tuple(checks), decision
-    )
+    return _report("three-round", cfg, spec, checks, yes_vals, no_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -943,8 +921,7 @@ def _expected_sim(name: str, machine, witness, q: int) -> ExpectedAlgorithm:
     return ExpectedAlgorithm(name, members[name], q)
 
 
-def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,
-                           sim: Optional[str] = None) -> ExperimentReport:
+def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Budget, acceptance, and conditional-state checks for
     expected-budget simulators against the dense verifier kinds.
 
@@ -961,7 +938,6 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,
     k = spec.rounds
     if k != 2:
         raise ConfigError("the expected-time experiment covers two-move specs")
-    name = cfg.simulator if sim is None else sim
     checks: list[Check] = []
     yes_vals: list[float] = []
     for x in cfg.yes_instances:
@@ -970,7 +946,7 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,
         for tag, eps in (("", cfg.eps), ("-calibrated", eps_star(k, cfg.q))):
             phi = _phi(eps, k)
             coherent = build_verifier("superposition", spec, x, eps=eps)
-            sim_obj = _expected_sim(name, coherent, witness, cfg.q)
+            sim_obj = _expected_sim(cfg.simulator, coherent, witness, cfg.q)
             res = run_simulator(sim_obj, coherent)
             accept, rho = cont_density(res)
             halted = pr_budget(res, cfg.q)
@@ -978,7 +954,7 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,
             hyp_lhs = 2 * accept * rho.matrix[0, 0].real if rho is not None else 0.0
             hyp = _check(
                 x, "accept-hypothesis" + tag, "honest-branch acceptance floor",
-                hyp_lhs, 1.0 - float(eps) - cfg.slack, ">=",
+                hyp_lhs, 1.0 - float(eps) - SLACK, ">=",
             )
             checks.append(hyp)
             checks.append(_check(
@@ -987,7 +963,7 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,
             ))
             joint_check = _check(
                 x, "joint-budget" + tag, "budget-acceptance joint floor",
-                joint, 0.25 - cfg.slack, ">=",
+                joint, 0.25 - SLACK, ">=",
             )
             if not hyp.passed:
                 joint_check = replace(joint_check, passed=True, note="hypothesis unmet")
@@ -995,34 +971,31 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None,
             if rho is None:
                 checks.append(_check(
                     x, "accept-state-distance" + tag, "accepting-state distance cap",
-                    1.0, cfg.slack, "<=", note="no accepting mass",
+                    1.0, SLACK, "<=", note="no accepting mass",
                 ))
             else:
                 checks.append(_check(
                     x, "accept-state-distance" + tag, "accepting-state distance cap",
-                    trace_distance(rho, phi), cfg.slack, "<=",
+                    trace_distance(rho, phi), SLACK, "<=",
                 ))
                 real = final_cont_state(spec, x, witness, eps, u=u)[1]
                 checks.append(_check(
                     x, "swap-null-real" + tag, "swap distinguisher null rate",
-                    1.0 - swap_test(real, phi), cfg.slack, "<=",
+                    1.0 - swap_test(real, phi), SLACK, "<=",
                 ))
                 checks.append(_check(
                     x, "swap-null-simulated" + tag, "swap distinguisher null rate",
-                    1.0 - swap_test(rho, phi), cfg.slack, "<=",
+                    1.0 - swap_test(rho, phi), SLACK, "<=",
                 ))
             aborting = build_verifier("random_aborting", spec, x, eps=eps)
             cut = run_simulator(truncate(sim_obj, cfg.q), aborting)
             checks.append(_check(
                 x, "truncated-accept" + tag, "truncated acceptance floor",
-                pr_register(cut), float(Fraction(eps) ** k / 4) - cfg.slack, ">=",
+                pr_register(cut), float(Fraction(eps) ** k / 4) - SLACK, ">=",
             ))
             if not tag:
                 yes_vals.append(joint)
-    decision = _decision(yes_vals, [])
-    return ExperimentReport(
-        "expected-time", _config_echo(cfg, spec), tuple(checks), decision
-    )
+    return _report("expected-time", cfg, spec, checks, yes_vals, [])
 
 
 def run_experiment(theorem: str,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Mapping, Sequence, Union
 
 import numpy as np
 
@@ -156,9 +156,6 @@ class StateVector:
         """Read-only view shaped dims[::-1] (register i on axis n-1-i)."""
         return self.amplitudes.reshape(self.layout.dims[::-1])
 
-    def squared_norm(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
 
 @dataclass(frozen=True)
 class DensityOnRegister:
@@ -275,12 +272,13 @@ def _unitary_on_axes(
     return np.moveaxis(t, list(range(m)), axes)
 
 
-def _register_probs(t: np.ndarray, axis: int) -> np.ndarray:
-    """Outcome probabilities of the register on one axis of a state tensor."""
-    sum_axes = tuple(a for a in range(t.ndim) if a != axis)
+def _register_probs(t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
+    """Joint outcome probabilities of the registers on some axes of a state
+    tensor, one result axis per entry of ``axes`` in the order given."""
+    sum_axes = tuple(a for a in range(t.ndim) if a not in axes)
     probs = np.abs(t) ** 2
     probs = probs.sum(axis=sum_axes) if sum_axes else probs
-    return np.real(probs)
+    return np.transpose(probs, [sorted(axes).index(a) for a in axes])
 
 
 def measure_register(state: StateVector, register: str):
@@ -294,7 +292,7 @@ def measure_register(state: StateVector, register: str):
     axis = layout.axis_of(register)
     dim = layout.dim_of(register)
     t = state.tensor()
-    probs = _register_probs(t, axis)
+    probs = _register_probs(t, [axis])
 
     def branch(o: int):
         p = float(probs[o])

@@ -13,7 +13,6 @@ from dataclasses import replace
 from fractions import Fraction
 
 from qromlab.adversary import (
-    _CANONICAL_AUX,
     _COHERENT,
     ExpectedAlgorithm,
     SimulationResult,
@@ -59,20 +58,19 @@ def pinned_machines(machine):
     return tuple(out)
 
 
-def run_simulator(sim, machine, aux=None, force_dense=False):
+def run_simulator(sim, machine, force_dense=False):
     """Exhaustive simulation with one ``run_query_algorithm`` call per
-    pinned machine; the dense route and the aux-name check as before."""
-    if aux is not None and aux.name != _CANONICAL_AUX[machine.kind]:
-        raise ValueError(f"aux {aux.name} does not fit kind {machine.kind}")
+    pinned machine. ``force_dense`` runs an unpinned machine as one dense
+    run on its canonical aux state, as the coherent kinds always run."""
     if isinstance(sim, ExpectedAlgorithm):
         allb = []
         for w, alg in sim.branches:
-            sub = run_simulator(alg, machine, aux=aux, force_dense=force_dense)
+            sub = run_simulator(alg, machine, force_dense=force_dense)
             allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
         return SimulationResult(machine.kind, tuple(allb))
     kind = machine.kind
     if force_dense or kind in _COHERENT or machine.fixed:
-        branches = run_query_algorithm(sim, machine=machine, aux=aux)
+        branches = run_query_algorithm(sim, machine=machine)
         return SimulationResult(kind, tuple(branches))
     allb = []
     for pinned, w in pinned_machines(machine):

@@ -1,17 +1,27 @@
-"""The verifier step permutation built one basis index at a time.
+"""Reference routes for one verifier call.
 
-This is the plain decode -> act -> encode loop: each flat index is
+``reference_step_perm`` builds the step permutation one basis index at a
+time: the plain decode -> act -> encode loop, in which each flat index is
 decoded into register digits, the call's count/swap/respond/decide
 bookkeeping runs on those digits in Python, and the result is encoded
 back. It is slow and obviously correct, and serves as the reference
 route that the vectorized ``VerifierMachine._step_perm`` is tested against.
+
+``fstar_oracle`` is the verifier's classical next-step function read off
+the protocol spec for given control values, an independent route to what
+the permutation writes into M and B. ``step_matrix`` and
+``is_step_unitary`` are the dense test oracles of one call.
 """
 
 import itertools
 
 import numpy as np
 
-from qromlab.adversary import _COHERENT
+from qromlab.adversary import _COHERENT, VerifierMachine
+from qromlab.oracle import ClassicalOracle, prefixes
+from qromlab.qsim import ATOL_UNITARY
+
+MAX_MATRIX_DIM = 2**11
 
 
 def reference_step_perm(machine) -> np.ndarray:
@@ -161,3 +171,81 @@ def reference_step_perm(machine) -> np.ndarray:
         act(dg, j, j == k - 1)
         perm[flat] = lay.encode(dg)
     return perm
+
+
+def step_matrix(machine: VerifierMachine) -> np.ndarray:
+    """Dense matrix of one verifier call (small machines only)."""
+    mdim = machine.layout.total_dim
+    if mdim > MAX_MATRIX_DIM:
+        raise ValueError(f"dense step matrix capped at {MAX_MATRIX_DIM}")
+    cols = np.zeros((mdim, mdim), dtype=complex)
+    cols[machine._step_perm, np.arange(mdim)] = 1.0
+    return machine._apply_adjusters(cols.T.copy(), forward=True).T.copy()
+
+
+def is_step_unitary(machine: VerifierMachine, atol: float = ATOL_UNITARY) -> bool:
+    """Unitarity certificate: permutation bijective, every adjuster unitary.
+
+    Small machines additionally get the dense U*U check.
+    """
+    perm = machine._step_perm
+    if not np.array_equal(np.sort(perm), np.arange(perm.size)):
+        return False
+    info = machine._adjuster_blocks
+    if info is not None:
+        for _, mat in info[4]:
+            d = mat.shape[0]
+            if np.abs(mat.conj().T @ mat - np.eye(d)).max() > atol:
+                return False
+    if machine.layout.total_dim <= MAX_MATRIX_DIM:
+        u = step_matrix(machine)
+        return bool(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max() <= atol)
+    return True
+
+
+def fstar_oracle(
+    machine: VerifierMachine, i_round: int, *, r=None, h=None
+) -> ClassicalOracle:
+    """The verifier's classical next-step function at one round.
+
+    Rounds below k map message prefixes to the response added into M
+    (the first alphabet letter doubles as the additive abort marker);
+    round k maps full transcripts to the acceptance bit. Domains are
+    ordered little-endian in the message digits, first message fastest,
+    so tables line up with merged message registers under quantum_query.
+    """
+    spec, x, k = machine.spec, machine.x, machine.k
+    n = len(spec.alphabet)
+    if not 1 <= i_round <= k:
+        raise ValueError(f"round {i_round} outside 1..{k}")
+    r = machine.fixed_value("R") if r is None else r
+    h = machine.fixed_value("H") if h is None else h
+    if h is None:
+        raise ValueError("need a pinned or supplied control table")
+    dom = []
+    for flat in range(n**i_round):
+        digs = [(flat // n**j) % n for j in range(i_round)]
+        dom.append(tuple(spec.alphabet[d] for d in digs))
+    dom = tuple(dom)
+    final = i_round == k
+    kind = machine.kind
+
+    def value(t: tuple):
+        if kind in ("random_aborting",) + _COHERENT:
+            if final:
+                ok = all(h(p) for p in prefixes(t))
+                return int(ok and bool(spec.decide(x, r, t)))
+            return spec.next_message(x, r, t) if h(t) else spec.alphabet[0]
+        if kind == "public_coin":
+            if final:
+                cs = tuple(h(t[:i]) for i in range(1, k))
+                return int(bool(spec.decide(x, machine._challenges[1][cs], t)))
+            return h(t)
+        if final:
+            return int(bool(spec.decide(x, h(t[0]), t)))
+        return spec.next_message(x, h(t[0]), t)
+
+    if kind in ("random_aborting",) + _COHERENT and r is None:
+        raise ValueError("need pinned or supplied randomness")
+    rng = (0, 1) if final else tuple(spec.alphabet)
+    return ClassicalOracle(dom, rng, tuple(value(t) for t in dom))

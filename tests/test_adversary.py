@@ -1,12 +1,12 @@
 """Verifier machines, query algorithms, and the exhaustive simulator."""
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from qromlab.adversary import (
-    AuxState,
     CallOracle,
     CallVerifier,
     ExpectedAlgorithm,
@@ -14,37 +14,32 @@ from qromlab.adversary import (
     QueryAlgorithm,
     RunBranch,
     Unitary,
-    accept_probability,
     build_aux,
     build_verifier,
     challenge_structure,
     cont_density,
     expected_wrappers,
     final_cont_state,
-    fstar_oracle,
     give_up,
-    grover_flavored,
     honest_wrapper,
     initial_state,
-    is_step_unitary,
     measure_query_register,
     oracle_zoo,
-    optimize_small_circuits,
     ordered_zoo,
     output_distribution,
     pr_budget,
     pr_joint_budget,
     pr_register,
-    run_interaction,
     run_query_algorithm,
     run_simulator,
     set_branch_oracle,
-    transcript_distribution,
 )
 from qromlab.hashfam import TableFamily, TwoQWiseFamily
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.protocol import toy_guess, toy_qr, toy_table
 from qromlab.qsim import RegisterLayout, StateVector, trace_distance
+import pinned_reference
+from step_reference import fstar_oracle, is_step_unitary
 
 EPS4 = Fraction(1, 4)
 PDOM = prefix_domain((0, 1), 2)
@@ -188,10 +183,7 @@ class TestFstarOracle:
 class TestAuxAndInitialState:
     def test_canonical_names(self):
         m = build_verifier("superposition", toy_table(), 1, eps=EPS4)
-        aux = build_aux(m)
-        assert aux.name == "psi_tilde_eps"
-        with pytest.raises(ValueError):
-            build_aux(m, "psi_eps")
+        assert build_aux(m).name == "psi_tilde_eps"
 
     def test_sparse_table_amplitudes(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
@@ -199,20 +191,6 @@ class TestAuxAndInitialState:
         amps = np.array(fax["H"])
         assert np.isclose(np.linalg.norm(amps), 1.0)
         assert np.isclose(amps[0], (3 / 4) ** 3)  # six points, all unflagged
-
-    def test_enumeration_takes_only_the_canonical_aux(self):
-        m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
-        canonical = build_aux(m)
-        res = run_simulator(give_up(m), m, aux=canonical)
-        assert pr_register(res) == Fraction(1, 32)
-        skewed = AuxState(
-            "psi_eps",
-            tuple((reg, (1, 0) if reg == "R" else f) for reg, f in canonical.factors),
-        )
-        with pytest.raises(ValueError, match="canonical psi_eps only"):
-            run_simulator(give_up(m), m, aux=skewed)
-        dense = run_simulator(give_up(m), m, aux=skewed, force_dense=True)
-        assert pr_register(dense) == 0
 
     def test_work_registers_cannot_shadow(self):
         m = build_verifier("three_round", toy_table(), 1)
@@ -225,9 +203,11 @@ class TestAuxAndInitialState:
 
 class TestHonestInteraction:
     def test_aborting_accepts_eps_squared(self):
+        # the dense route: one run on the whole aux state, no enumeration
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
-        st = run_interaction(m, (1,))
-        assert abs(accept_probability(st) - 1 / 16) <= 1e-12
+        branches = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
+        accept = output_distribution(branches, ("B",))[(1,)]
+        assert abs(accept - 1 / 16) <= 1e-12
 
     def test_wrapper_matches_interaction(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
@@ -250,9 +230,9 @@ class TestHonestInteraction:
             "random_aborting", toy_table(), 1, eps=EPS4, fixed={"R": 0, "H": live}
         )
         res = run_simulator(honest_wrapper(m, (1,)), m)
-        dist = transcript_distribution(res, m)
+        dist = output_distribution(res.branches, ("M1", "M2"))
         spec = toy_table()
-        want = (0, spec.next_message(1, 0, (0,)))
+        want = (0, spec.alphabet.index(spec.next_message(1, 0, (0,))))
         assert set(dist) == {want}
         assert dist[want] == Fraction(1)
 
@@ -346,8 +326,8 @@ class TestExpectedWrappers:
 
 
 class TestDenseRouteAgreesWithEnumeration:
-    """run_simulator(force_dense=True) runs the unpinned machine on its aux
-    state; the default route enumerates pinned machines with exact weights."""
+    """The dense route runs the unpinned machine on its aux state; the
+    default route enumerates the control assignments with exact weights."""
 
     @pytest.mark.parametrize("which", ["honest", "expected-honest", "expected-lazy",
                                        "expected-geometric"])
@@ -359,7 +339,7 @@ class TestDenseRouteAgreesWithEnumeration:
         sims.update((s.name, s) for s in expected_wrappers(m, w, 8))
         sim = sims[which]
         enum = run_simulator(sim, m)
-        dense = run_simulator(sim, m, force_dense=True)
+        dense = pinned_reference.run_simulator(sim, m, force_dense=True)
         assert len(dense.branches) < len(enum.branches)
         for q in (2, 4, 8):
             assert isinstance(pr_budget(enum, q), Fraction)
@@ -452,6 +432,16 @@ class TestZoos:
 
 
 class TestSmallCircuitSearch:
+    """Tiny circuits on M against a pinned toy-guess verifier: the coin
+    is hidden, so no circuit learns which cell it accepts."""
+
+    GATES = (
+        np.eye(2),
+        np.array([[0.0, 1.0], [1.0, 0.0]]),
+        np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2),
+        np.array([[1.0, 1.0], [-1.0, 1.0]]) / np.sqrt(2),
+    )
+
     def guess_machine(self):
         return build_verifier(
             "random_aborting",
@@ -463,17 +453,20 @@ class TestSmallCircuitSearch:
 
     def test_grover_flavor_shape(self):
         m = self.guess_machine()
-        probe = grover_flavored(m)
-        assert probe.budget == 2
-        p = float(pr_register(run_simulator(probe, m)))
-        assert 0.0 <= p <= 1.0
-        with pytest.raises(ValueError):
-            grover_flavored(build_verifier("three_round", toy_table(), 1))
+        h = self.GATES[2]
+        steps = (Unitary(("M",), h), CallVerifier(), Unitary(("M",), h), CallVerifier())
+        probe = QueryAlgorithm("grover-flavored", steps, budget=2)
+        assert abs(float(pr_register(run_simulator(probe, m))) - 0.5) <= 1e-9
 
     def test_search_cannot_beat_the_hidden_coin(self):
-        # every circuit accepts with exactly 1/2: each coin accepts one cell
+        # every one-query circuit accepts with exactly 1/2, as each coin
+        # accepts one cell; a circuit that never calls never accepts
         m = self.guess_machine()
-        alg, val = optimize_small_circuits(m, max_queries=1)
-        assert abs(val - 0.5) <= 1e-9
-        res = run_simulator(alg, m)
-        assert abs(float(pr_register(res)) - val) <= 1e-12
+        for nq in (0, 1):
+            for gates in itertools.product(self.GATES, repeat=nq + 1):
+                steps = [Unitary(("M",), gates[0])]
+                for g in gates[1:]:
+                    steps += [CallVerifier(), Unitary(("M",), g)]
+                alg = QueryAlgorithm("circuit", tuple(steps), budget=nq)
+                p = float(pr_register(run_simulator(alg, m)))
+                assert abs(p - 0.5 * nq) <= 1e-9

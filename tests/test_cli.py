@@ -91,6 +91,22 @@ class TestRun:
         assert captured.err.startswith("qromlab: error: ")
         assert message in captured.err and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("q", ["3", "400"])
+    def test_constant_round_budget_checked_before_any_schedule(self, q, monkeypatch,
+                                                               capsys):
+        # the flag trace makes k = 2 calls; --q 400 would need 10,240,001 schedules
+        def unreachable(*args):
+            raise AssertionError("schedules built before the budget check")
+
+        monkeypatch.setattr(pipeline, "enumerate_schedules", unreachable)
+        assert main(["run", "constant-round", "--q", q]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "qromlab: error: the flag trace makes 2 verifier calls, so the budget"
+            f" q must be 2, not {q}\n"
+        )
+
     @pytest.mark.parametrize("sim", ["expected-honest", "expected-lazy"])
     def test_only_the_chosen_simulator_meets_the_budget(self, sim, capsys):
         # the geometric member's 31/8 expected invocations exceed 4/2

@@ -62,10 +62,6 @@ class TestClassicalOracle:
         with pytest.raises(ValueError):
             h.reprogram(0, 7)
 
-    def test_to_json_roundtrippable_shape(self):
-        h = ClassicalOracle(((0,), (0, 1)), (0, 1), (1, 0))
-        assert h.to_json() == {"domain_order": [[0], [0, 1]], "values": [1, 0]}
-
 
 class TestPrefixes:
     def test_prefix_domain_layout(self):
@@ -119,8 +115,9 @@ class TestSparseOracleDist:
 
     def test_weight_of_specific_table(self):
         dist = SparseOracleDist((0, 1, 2), Fraction(1, 4))
+        weights = dict(dist.enumerate_weighted())
         h = ClassicalOracle((0, 1, 2), (0, 1), (1, 0, 1))
-        assert dist.weight(h) == Fraction(1, 4) ** 2 * Fraction(3, 4)
+        assert weights[h] == Fraction(1, 4) ** 2 * Fraction(3, 4)
 
     def test_degenerate_densities_enumerate_once(self):
         for eps, vals in ((Fraction(0), (0, 0)), (Fraction(1), (1, 1))):

@@ -2,6 +2,7 @@
 
 import itertools
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,9 @@ class TestConfig:
         for theorem in THEOREMS:
             cfg = default_config(theorem)
             build_protocol(cfg)
-        assert default_config("constant-round").kind == "random_aborting"
+        echo = run_experiment("three-round").config  # kind and slacks are fixed
+        assert echo["kind"] == "response-oracle"
+        assert (echo["slack"], echo["tolerance"]) == (1e-9, 1e-10)
         assert default_config("expected-time").simulator == "expected-geometric"
         with pytest.raises(ValueError):
             default_config("simulated-annealing")
@@ -200,13 +203,13 @@ class TestPublicCoin:
 
     def test_tighter_density_still_passes(self):
         rep = decide_public_coin(
-            ExperimentConfig(eps=Fraction(1, 4), kind="hash-challenge")
+            ExperimentConfig(eps=Fraction(1, 4))
         )
         assert all(c.passed for c in rep.checks)
 
     def test_needs_public_coins(self):
         cfg = ExperimentConfig(
-            protocol="toy-table", kind="hash-challenge",
+            protocol="toy-table",
             yes_instances=(1, 3), no_instances=(0,),
         )
         with pytest.raises(ConfigError):
@@ -244,7 +247,7 @@ class TestThreeRound:
 
     def test_two_prover_moves_required(self):
         cfg = ExperimentConfig(
-            protocol="toy-guess", q=1, kind="response-oracle",
+            protocol="toy-guess", q=1,
             yes_instances=(1,), no_instances=(0,),
         )
         with pytest.raises(ConfigError):
@@ -254,7 +257,8 @@ class TestThreeRound:
 class TestExpectedTime:
     @pytest.mark.parametrize("sim", EXPECTED_SIMULATORS)
     def test_all_members_pass(self, sim):
-        rep = expected_time_pipeline(sim=sim)
+        cfg = replace(default_config("expected-time"), simulator=sim)
+        rep = expected_time_pipeline(cfg)
         assert all(c.passed for c in rep.checks)
         joint = Fraction(255, 512) if sim == "expected-geometric" else Fraction(17, 32)
         for got in rep.decision["yes"]:
@@ -270,7 +274,9 @@ class TestExpectedTime:
 
     def test_unknown_member_rejected(self):
         with pytest.raises(ValueError):
-            expected_time_pipeline(sim="expected-grover")
+            expected_time_pipeline(
+                replace(default_config("expected-time"), simulator="expected-grover")
+            )
 
 
 class TestReports:

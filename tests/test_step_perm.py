@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qromlab.adversary import build_verifier
+from qromlab.adversary import build_verifier, challenge_structure
 from qromlab.hashfam import TableFamily, TwoQWiseFamily
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import ProtocolSpec, toy_guess, toy_table
-from step_reference import reference_step_perm
+from step_reference import fstar_oracle, reference_step_perm
 
 EPS4 = Fraction(1, 4)
 PDOM = prefix_domain((0, 1), 2)
@@ -69,6 +69,62 @@ def _label(m):
 @pytest.mark.parametrize("machine", stock_machines(), ids=_label)
 def test_vectorized_matches_reference(machine):
     assert np.array_equal(machine._step_perm, reference_step_perm(machine))
+
+
+def _controls(machine, digits):
+    """(r, h) held by the control registers of one basis index, None for a
+    pinned role. The Cont = 0 block of a coherent kind never aborts, so
+    it reads as the all-ones flag table."""
+    spec = machine.spec
+    dg = dict(zip(machine.layout.names, digits))
+    r = spec.randomness[dg["R"]] if "R" in dg else None
+    h = None
+    if "K" in dg:
+        h = machine.family.tilted_oracle(dg["K"])
+    elif "H" in dg:
+        if machine.kind == "public_coin":
+            dom = prefix_domain(spec.alphabet, machine.k - 1)
+            rng = challenge_structure(spec, machine.x)[0]
+        elif machine.kind == "three_round":
+            dom, rng = spec.alphabet, spec.randomness
+        else:
+            dom, rng = prefix_domain(spec.alphabet, machine.k), (0, 1)
+        vals = tuple(rng[(dg["H"] // len(rng) ** i) % len(rng)] for i in range(len(dom)))
+        h = ClassicalOracle(tuple(dom), tuple(rng), vals)
+    if dg.get("Cont") == 0:
+        h = ClassicalOracle.constant(prefix_domain(spec.alphabet, machine.k), (0, 1), 1)
+    return r, h
+
+
+@pytest.mark.parametrize("machine", stock_machines(), ids=_label)
+def test_step_perm_matches_fstar_oracle(machine):
+    """At every basis index the call swaps M into the counted slot, then
+    adds round j's response into M or, at round k, XORs the acceptance
+    bit into B, as the spec-level next-step function says."""
+    lay, spec, k = machine.layout, machine.spec, machine.k
+    n = len(spec.alphabet)
+    aidx = {a: i for i, a in enumerate(spec.alphabet)}
+    pos = {nm: i for i, nm in enumerate(lay.names)}
+    slots = [pos[f"M{i}"] for i in range(1, k + 1)]
+    ctrl = pos["Count"]  # control registers lead the layout
+    tables: dict = {}
+    for flat in range(lay.total_dim):
+        dg = list(lay.decode(flat))
+        j = dg[pos["Count"]]
+        key = (tuple(dg[:ctrl]), j)
+        if key not in tables:
+            r, h = _controls(machine, dg)
+            tables[key] = fstar_oracle(machine, j + 1, r=r, h=h)
+        want = list(dg)
+        want[pos["Count"]] = (j + 1) % k
+        old, want[slots[j]] = dg[slots[j]], dg[pos["M"]]
+        f = tables[key](tuple(spec.alphabet[want[i]] for i in slots[: j + 1]))
+        if j == k - 1:
+            want[pos["M"]] = old
+            want[pos["B"]] ^= f
+        else:
+            want[pos["M"]] = (old + aidx[f]) % n
+        assert machine._step_perm[flat] == lay.encode(want)
 
 
 @st.composite
