@@ -1,20 +1,24 @@
 """Adversarial verifier machines and black-box query algorithms.
 
-A machine packages one verifier kind as an explicit step unitary over
-named registers: a basis permutation doing the count/swap/respond
-bookkeeping, optionally followed by transcript-controlled adjusting
-rotations on the table register. The permutation is one vectorized
-numpy computation over per-register digit arrays. Simulators are step
-lists that may call the machine forward or inverted, query named
-classical tables in superposition, and measure visible registers; an
-executor runs them branch by branch under strict invocation budgets and
-can hand single queries to an interceptor. Kinds whose control
-registers stay classical are simulated by enumerating every control
-assignment exactly and mixing the resulting branches with rational
-weights. The assignments are the rows of one amplitude array, so a
-strict branch runs once for all of them: each row's permutation is a
-strided slice of the unpinned machine's, a unitary is one tensordot over
-every row and a measurement splits every row by outcome.
+A machine packages one of two verifier kinds as an explicit step unitary
+over named registers: ``random_aborting``, which aborts on a zero bit of
+a classical flag table, and ``superposition``, which holds that table
+coherently. Each call is a basis permutation doing the
+count/swap/respond bookkeeping, followed for the coherent kind by
+transcript-controlled adjusting rotations on the table register. The
+permutation is one vectorized numpy computation over per-register digit
+arrays. (The paper's hash-challenge and response-oracle verifiers run as
+classical query traces in ``pipeline``.) Simulators are step lists that
+may call the machine forward or inverted, query named classical tables
+in superposition, and measure visible registers; an executor runs them
+branch by branch under strict invocation budgets and can hand single
+queries to an interceptor. The aborting kind's control registers stay
+classical, so it is simulated by enumerating every control assignment
+exactly and mixing the resulting branches with rational weights. The
+assignments are the rows of one amplitude array, so a strict branch
+runs once for all of them: each row's permutation is a strided slice of
+the unpinned machine's, a unitary is one tensordot over every row and a
+measurement splits every row by outcome.
 """
 
 from __future__ import annotations
@@ -28,12 +32,7 @@ from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence, 
 
 import numpy as np
 
-from qromlab.hashfam import (
-    TwoQWiseFamily,
-    build_efficient_adjuster,
-    build_exact_adjuster,
-    table_superposition,
-)
+from qromlab.hashfam import build_exact_adjuster, table_superposition
 from qromlab.oracle import (
     ClassicalOracle,
     SparseOracleDist,
@@ -53,14 +52,7 @@ from qromlab.qsim import (
     partial_trace,
 )
 
-VERIFIER_KINDS = (
-    "random_aborting",
-    "superposition",
-    "superposition_efficient",
-    "public_coin",
-    "three_round",
-)
-_COHERENT = ("superposition", "superposition_efficient")
+VERIFIER_KINDS = ("random_aborting", "superposition")
 MAX_STATE_DIM = 2**17
 _EXACT_TOL = 1e-12
 
@@ -127,10 +119,10 @@ class _ControlRows(NamedTuple):
 class VerifierMachine:
     """One verifier kind bound to a statement, as an explicit step unitary.
 
-    The layout orders control registers first (Cont, R, then the table
-    register H or K), the count/transcript/decision block next, and the
-    message register M last. ``fixed`` pins control roles to classical
-    values; pinned registers are dropped from the layout.
+    The layout orders control registers first (Cont, R, then the flag
+    table H), the count/transcript/decision block next, and the message
+    register M last. ``fixed`` pins control roles to classical values;
+    pinned registers are dropped from the layout.
 
     The step never writes a control register, so the unpinned machine's
     permutation holds every pinned one: for the control index c among
@@ -143,8 +135,7 @@ class VerifierMachine:
     x: Hashable
     layout: RegisterLayout
     output_register: tuple[str, ...]
-    eps: Optional[Fraction] = None
-    family: Optional[TwoQWiseFamily] = None
+    eps: Fraction
     fixed: tuple[tuple[str, object], ...] = ()
 
     @property
@@ -159,29 +150,15 @@ class VerifierMachine:
 
     @cached_property
     def _prefix_points(self) -> tuple[tuple, ...]:
-        depth = self.k - 1 if self.kind == "public_coin" else self.k
-        return prefix_domain(self.spec.alphabet, depth)
-
-    @cached_property
-    def _challenges(self):
-        return challenge_structure(self.spec, self.x)
-
-    @cached_property
-    def _key_flags(self) -> np.ndarray:
-        fam = self.family
-        flags = np.zeros((fam.key_count, len(fam.domain)), dtype=np.uint8)
-        for key in range(fam.key_count):
-            for j, point in enumerate(fam.domain):
-                flags[key, j] = fam.predicate(key, point)
-        return flags
+        return prefix_domain(self.spec.alphabet, self.k)
 
     @cached_property
     def _step_perm(self) -> np.ndarray:
         """Basis permutation of one call: count, swap, respond, decide.
 
-        One numpy computation over a digit array per register. Every
-        control table reads as ``table[value, point]``; a pinned control
-        is a one-row table read at digit 0.
+        One numpy computation over a digit array per register. The flag
+        of table position p is bit p of the H digit; a pinned table is
+        read point by point.
         """
         lay, spec, x, k = self.layout, self.spec, self.x, self.k
         n = len(spec.alphabet)
@@ -189,14 +166,6 @@ class VerifierMachine:
         flat = np.arange(lay.total_dim, dtype=np.int64)
         dg = {nm: (flat // s) % d for nm, d, s in zip(lay.names, lay.dims, lay.strides)}
         zero = np.zeros_like(flat)
-        hdig = dg.get("H", zero)
-
-        def h_table(base: int, domain, digit) -> np.ndarray:
-            if "H" in dg:
-                powers = base ** np.arange(len(domain))
-                return (np.arange(lay.dim_of("H"))[:, None] // powers) % base
-            h = self.fixed_value("H")
-            return np.array([[digit(h(p)) for p in domain]])
 
         # count and swap: the counted slot takes M, and M takes the slot
         j = dg["Count"]
@@ -204,60 +173,35 @@ class VerifierMachine:
         m = msgs[j, flat]
         msgs[j, flat] = dg["M"]
 
-        # table position of each prefix (shortest first), and the full
-        # transcript's position among the length-k messages
+        # table position of each prefix (shortest first)
         points = self._prefix_points
         code, offset, pf = zero, 0, []
         for i in range(k):
             code = code * n + msgs[i]
             pf.append(offset + code)
             offset += n ** (i + 1)
-        pf = np.stack(pf[: len(points[-1])])
+        pf = np.stack(pf)
 
-        if self.kind in ("random_aborting",) + _COHERENT:
-            rs = spec.randomness if "R" in dg else (self.fixed_value("R"),)
-            if "K" in dg:
-                live = self._key_flags[dg["K"], pf] == 1
-            else:
-                live = h_table(2, points, int)[hdig, pf] == 1
-            if "Cont" in dg:  # only the Cont = 1 block aborts on a zero flag
-                live |= dg["Cont"] != 1
-            # the response digit below round k, the acceptance bit at round k
-            out = np.array([
-                [
-                    aidx[spec.next_message(x, r, p)] if len(p) < k
-                    else int(bool(spec.decide(x, r, p)))
-                    for p in points
-                ]
-                for r in rs
-            ])
-            val = out[dg.get("R", zero), pf[j, flat]]
-            resp = np.where(live[j, flat], val, 0)
-            acc = val & live.all(axis=0)
-        elif self.kind == "public_coin":  # two moves: one challenge per M1
-            challenges, chart = self._challenges
-            c = h_table(len(challenges), points, challenges.index)[hdig, pf[0]]
-            resp = np.array([aidx[ch] for ch in challenges])[c]
-            acc = np.array([
-                [
-                    int(bool(spec.decide(x, chart[(ch,)], t)))
-                    for t in itertools.product(spec.alphabet, repeat=2)
-                ]
-                for ch in challenges
-            ])[c, code]
-        else:  # three_round: the table hashes the first message to randomness
-            rs = spec.randomness
-            ri = h_table(len(rs), spec.alphabet, rs.index)[hdig, msgs[0]]
-            resp = np.array([
-                [aidx[spec.next_message(x, r, (a,))] for a in spec.alphabet] for r in rs
-            ])[ri, msgs[0]]
-            acc = np.array([
-                [
-                    int(bool(spec.decide(x, r, t)))
-                    for t in itertools.product(spec.alphabet, repeat=2)
-                ]
-                for r in rs
-            ])[ri, code]
+        rs = spec.randomness if "R" in dg else (self.fixed_value("R"),)
+        if "H" in dg:
+            live = (dg["H"] >> pf) & 1 == 1
+        else:
+            h = self.fixed_value("H")
+            live = np.array([int(h(p)) for p in points])[pf] == 1
+        if "Cont" in dg:  # only the Cont = 1 block aborts on a zero flag
+            live |= dg["Cont"] != 1
+        # the response digit below round k, the acceptance bit at round k
+        out = np.array([
+            [
+                aidx[spec.next_message(x, r, p)] if len(p) < k
+                else int(bool(spec.decide(x, r, p)))
+                for p in points
+            ]
+            for r in rs
+        ])
+        val = out[dg.get("R", zero), pf[j, flat]]
+        resp = np.where(live[j, flat], val, 0)
+        acc = val & live.all(axis=0)
 
         final = j == k - 1
         new = dict(dg, Count=(j + 1) % k, M=np.where(final, m, (m + resp) % n))
@@ -267,37 +211,20 @@ class VerifierMachine:
 
     @cached_property
     def _control_rows(self) -> _ControlRows:
-        """Every classical control assignment as one row of a batch.
+        """Every (R, H) assignment of the aborting kind as one row of a batch.
 
         R and H lead the layout and the step never writes them, so the
         permutation of control index c is the strided slice
         ``(full[c::ctrl] - c) // ctrl`` of this machine's permutation. The
         rows share this layout with its control registers dropped.
         """
-        spec, pts = self.spec, self._prefix_points
-        assignments: list[tuple[dict, int, Fraction]] = []
-        if self.kind == "random_aborting":
-            dist = SparseOracleDist(pts, self.eps)
-            nr = len(spec.randomness)
-            for ri, r in enumerate(spec.randomness):
-                for h, w in dist.enumerate_weighted():
-                    c = ri + nr * _little_endian(h.values, 2)
-                    assignments.append(({"R": r, "H": h}, c, w / nr))
-        elif self.kind == "public_coin":
-            challenges, _ = self._challenges
-            nc = len(challenges)
-            w = Fraction(1, nc ** len(pts))
-            for digs in itertools.product(range(nc), repeat=len(pts)):
-                vals = tuple(challenges[d] for d in digs)
-                h = ClassicalOracle(pts, challenges, vals)
-                assignments.append(({"H": h}, _little_endian(digs, nc), w))
-        else:  # three_round
-            rs, alpha = spec.randomness, tuple(spec.alphabet)
-            w = Fraction(1, len(rs) ** len(alpha))
-            for digs in itertools.product(range(len(rs)), repeat=len(alpha)):
-                h = ClassicalOracle(alpha, rs, tuple(rs[d] for d in digs))
-                assignments.append(({"H": h}, _little_endian(digs, len(rs)), w))
-        fixed, cs, weights = zip(*assignments)
+        rs = self.spec.randomness
+        dist = SparseOracleDist(self._prefix_points, self.eps)
+        fixed, cs, weights = zip(*(
+            ({"R": r, "H": h}, ri + len(rs) * _little_endian(h.values, 2), w / len(rs))
+            for ri, r in enumerate(rs)
+            for h, w in dist.enumerate_weighted()
+        ))
         layout = RegisterLayout(self.layout.registers[self.layout.index("Count"):])
         ctrl = self.layout.total_dim // layout.total_dim
         cs = np.array(cs)
@@ -307,52 +234,36 @@ class VerifierMachine:
         return _ControlRows(fixed, weights, perms, layout)
 
     @cached_property
-    def _adjuster_blocks(self):
-        """Per-transcript table rotations and the index sets they act on."""
-        if self.kind not in _COHERENT:
+    def _adjusters(self) -> Optional[np.ndarray]:
+        """The coherent kind's table rotation of each transcript, stacked
+        as (n**k, |H|, |H|) with transcript digit M1 fastest."""
+        if self.kind != "superposition":
             return None
-        lay = self.layout
-        if lay.names[:2] != ("Cont", "R") or lay.names[2] not in ("H", "K"):
-            raise AssertionError("unexpected coherent-kind register order")
-        n, k = len(self.spec.alphabet), self.k
-        inner_dim = lay.dims[0] * lay.dims[1]
-        table_dim = lay.dims[2]
-        outer = RegisterLayout(lay.registers[3:])
-        if self.kind == "superposition":
-            dist = SparseOracleDist(self._prefix_points, self.eps)
-        blocks = []
-        for mdigs in itertools.product(range(n), repeat=k):
-            labels = tuple(self.spec.alphabet[d] for d in mdigs)
-            if self.kind == "superposition":
-                mat = build_exact_adjuster(labels, dist).matrix
-            else:
-                mat = build_efficient_adjuster(labels, self.family).matrix
-            sel = [
-                f
-                for f in range(outer.total_dim)
-                if outer.digit(f, "Count") == 0
-                and all(outer.digit(f, f"M{i + 1}") == mdigs[i] for i in range(k))
-            ]
-            blocks.append((np.array(sel, dtype=np.intp), mat))
-        # Cont is the fastest digit, so Cont = 0 lives on the even inner slots
-        inner_sel = np.arange(0, inner_dim, 2, dtype=np.intp)
-        return inner_dim, table_dim, outer.total_dim, inner_sel, tuple(blocks)
+        dist = SparseOracleDist(self._prefix_points, self.eps)
+        stack = np.stack([
+            build_exact_adjuster(t[::-1], dist).matrix
+            for t in itertools.product(self.spec.alphabet, repeat=self.k)
+        ])
+        stack.setflags(write=False)
+        return stack
 
     def _apply_adjusters(self, rows: np.ndarray, forward: bool) -> np.ndarray:
-        """Rotate the table axis of each just-finished Cont=0 block, in place."""
-        info = self._adjuster_blocks
-        if info is None:
+        """Rotate the table axis of each just-finished Cont=0 block, in place.
+
+        Each row is one machine state, registers first fastest, so it
+        reshapes to (M·B, transcript, Count, H, R·Cont) and the blocks the
+        rotations act on are the Count = 0, Cont = 0 slice.
+        """
+        u = self._adjusters
+        if u is None:
             return rows
-        inner_dim, table_dim, outer_dim, inner_sel, blocks = info
-        w = rows.shape[0]
-        arr = rows.reshape(w, outer_dim, table_dim, inner_dim)
-        wi = np.arange(w)
-        ti = np.arange(table_dim)
-        for sel, mat in blocks:
-            u = mat if forward else mat.conj().T
-            idx = np.ix_(wi, sel, ti, inner_sel)
-            arr[idx] = np.einsum("ab,wsbi->wsai", u, arr[idx])
-        return arr.reshape(w, -1)
+        if not forward:
+            u = u.conj().transpose(0, 2, 1)
+        n, k = len(self.spec.alphabet), self.k
+        t = rows.reshape(rows.shape[0], 2 * n, n**k, k, self.layout.dim_of("H"), -1)
+        block = t[:, :, :, 0, :, ::2]
+        block[...] = np.einsum("fab,wsfbi->wsfai", u, block)
+        return t.reshape(rows.shape[0], -1)
 
 
 def build_verifier(
@@ -361,76 +272,47 @@ def build_verifier(
     x: Hashable,
     *,
     eps=None,
-    family: TwoQWiseFamily | None = None,
     fixed: Mapping[str, object] | None = None,
 ) -> VerifierMachine:
     """Construct one verifier kind for a statement.
 
     Args:
-        kind: one of VERIFIER_KINDS.
-        eps: predicate density for the aborting kinds (rational).
-        family: shifted predicate family for superposition_efficient.
-        fixed: classical values for control roles ("R", "H"); pinned
-            registers are dropped from the layout. The exhaustive
-            simulator's per-assignment rows (``_control_rows``) equal
-            these builds without making them.
+        kind: one of VERIFIER_KINDS. ``random_aborting`` holds its
+            randomness R and flag table H as classical controls;
+            ``superposition`` holds them coherently, next to the control
+            qubit Cont whose 0 block never aborts.
+        eps: predicate density of the flag table (rational).
+        fixed: classical values for the aborting kind's control roles
+            ("R", "H"); pinned registers are dropped from the layout. The
+            exhaustive simulator's per-assignment rows (``_control_rows``)
+            equal these builds without making them.
     """
     if kind not in VERIFIER_KINDS:
         raise ValueError(f"unknown verifier kind {kind!r}")
     n, k = len(spec.alphabet), spec.rounds
     fx = dict(fixed or {})
-    allowed = {"random_aborting": {"R", "H"}, "public_coin": {"H"}, "three_round": {"H"}}
-    if kind in _COHERENT:
-        if fx:
-            raise ValueError("coherent kinds cannot pin control registers")
-    elif set(fx) - allowed[kind]:
-        raise ValueError(f"kind {kind} cannot pin {sorted(set(fx) - allowed[kind])}")
+    pins = {"R", "H"} if kind == "random_aborting" else set()
+    if set(fx) - pins:
+        raise ValueError(f"kind {kind} cannot pin {sorted(set(fx) - pins)}")
+    if eps is None:
+        raise ValueError(f"the {kind} kind needs a predicate density")
+    eps = Fraction(eps)
 
     regs: list[tuple[str, int]] = []
-    if kind == "random_aborting":
-        if eps is None:
-            raise ValueError("the aborting kind needs a predicate density")
-        eps = Fraction(eps)
-        if not 0 <= eps <= 1:
-            raise ValueError("predicate density outside [0, 1]")
-        if "R" not in fx:
-            regs.append(("R", len(spec.randomness)))
-        elif fx["R"] not in spec.randomness:
-            raise ValueError("pinned randomness outside the protocol's coin space")
-        if "H" not in fx:
-            regs.append(("H", _table_dim(2, _prefix_count(n, k))))
-        else:
-            _check_table(fx["H"], prefix_domain(spec.alphabet, k), (0, 1))
-    elif kind == "superposition":
-        if eps is None:
-            raise ValueError("the coherent aborting kind needs a predicate density")
-        eps = Fraction(eps)
+    if kind == "superposition":
         if not 0 < eps <= 1:
             raise ValueError("the adjusting rotation needs a density in (0, 1]")
-        h_dim = _table_dim(2, _prefix_count(n, k))
-        regs += [("Cont", 2), ("R", len(spec.randomness)), ("H", h_dim)]
-    elif kind == "superposition_efficient":
-        if family is None:
-            raise ValueError("the efficient kind needs a predicate family")
-        if family.k != k or family.domain != prefix_domain(spec.alphabet, k):
-            raise ValueError("family domain does not match the message prefixes")
-        eps = family.epsilon
-        regs += [("Cont", 2), ("R", len(spec.randomness)), ("K", family.key_count)]
-    elif kind == "public_coin":
-        if not spec.public_coin:
-            raise ValueError(f"spec {spec.name} is not public-coin")
-        challenges, _ = challenge_structure(spec, x)
-        if "H" not in fx:
-            regs.append(("H", _table_dim(len(challenges), _prefix_count(n, k - 1))))
-        else:
-            _check_table(fx["H"], prefix_domain(spec.alphabet, k - 1), challenges)
-    else:  # three_round
-        if k != 2:
-            raise ValueError("the hashed-randomness kind needs exactly two moves")
-        if "H" not in fx:
-            regs.append(("H", _table_dim(len(spec.randomness), n)))
-        else:
-            _check_table(fx["H"], spec.alphabet, spec.randomness)
+        regs.append(("Cont", 2))
+    elif not 0 <= eps <= 1:
+        raise ValueError("predicate density outside [0, 1]")
+    if "R" not in fx:
+        regs.append(("R", len(spec.randomness)))
+    elif fx["R"] not in spec.randomness:
+        raise ValueError("pinned randomness outside the protocol's coin space")
+    if "H" not in fx:
+        regs.append(("H", _table_dim(2, _prefix_count(n, k))))
+    else:
+        _check_table(fx["H"], prefix_domain(spec.alphabet, k), (0, 1))
 
     regs.append(("Count", k))
     regs += [(f"M{i}", n) for i in range(1, k + 1)]
@@ -440,17 +322,9 @@ def build_verifier(
         raise ConfigError(
             f"machine dimension {layout.total_dim} exceeds the dense cap"
         )
-    out = ("Cont", "B") if kind in _COHERENT else ("B",)
-    return VerifierMachine(
-        kind,
-        spec,
-        x,
-        layout,
-        out,
-        eps=None if eps is None else Fraction(eps),
-        family=family,
-        fixed=tuple(sorted(fx.items(), key=lambda kv: kv[0])),
-    )
+    out = ("Cont", "B") if kind == "superposition" else ("B",)
+    fixed_items = tuple(sorted(fx.items(), key=lambda kv: kv[0]))
+    return VerifierMachine(kind, spec, x, layout, out, eps, fixed_items)
 
 
 def _prefix_count(n: int, depth: int) -> int:
@@ -526,13 +400,7 @@ class AuxState:
     factors: tuple[tuple[str, tuple[complex, ...]], ...]
 
 
-_CANONICAL_AUX = {
-    "random_aborting": "psi_eps",
-    "superposition": "psi_tilde_eps",
-    "superposition_efficient": "psi_q_key",
-    "public_coin": "psi_q_key",
-    "three_round": "psi_q_key",
-}
+_CANONICAL_AUX = {"random_aborting": "psi_eps", "superposition": "psi_tilde_eps"}
 
 
 def build_aux(machine: VerifierMachine) -> AuxState:
@@ -541,16 +409,13 @@ def build_aux(machine: VerifierMachine) -> AuxState:
     for reg, dim in machine.layout.registers:
         if reg == "Cont":
             factors.append((reg, (1 / np.sqrt(2), 1 / np.sqrt(2))))
-        elif reg in ("R", "K"):
+        elif reg == "R":
             factors.append((reg, (1 / np.sqrt(dim),) * dim))
         elif reg == "H":
-            if machine.kind in ("random_aborting", "superposition"):
-                vec = table_superposition(
-                    SparseOracleDist(machine._prefix_points, machine.eps)
-                )
-                factors.append((reg, tuple(complex(v) for v in vec)))
-            else:
-                factors.append((reg, (1 / np.sqrt(dim),) * dim))
+            vec = table_superposition(
+                SparseOracleDist(machine._prefix_points, machine.eps)
+            )
+            factors.append((reg, tuple(complex(v) for v in vec)))
     return AuxState(_CANONICAL_AUX[machine.kind], tuple(factors))
 
 
@@ -797,9 +662,9 @@ def set_branch_oracle(branch: RunBranch, name: str, table: ClassicalOracle) -> R
     )
 
 
-def answer_query(branch: RunBranch, call: CallOracle, table=None) -> RunBranch:
-    """Answer one query from the branch's (or a supplied) table, bumping counts."""
-    tab = branch.oracle(call.name) if table is None else table
+def answer_query(branch: RunBranch, call: CallOracle) -> RunBranch:
+    """Answer one query from the branch's table, bumping counts."""
+    tab = branch.oracle(call.name)
     st = quantum_query(branch.state, tab, call.in_register, call.out_register)
     return replace(_bump(branch, call.name), state=st)
 
@@ -955,14 +820,14 @@ class SimulationResult:
     branches: tuple[RunBranch, ...]
 
 
-def pr_register(result: SimulationResult, register: str = "B", value: int = 1):
-    """Mixture probability that a register reads ``value`` at the end.
+def pr_register(result: SimulationResult):
+    """Mixture probability that the decision register B reads 1 at the end.
 
-    Exact (a Fraction) whenever every branch is classical in that
-    register; a float as soon as genuine amplitude splitting occurred.
-    It is ``pr_joint_budget`` with no budget cut.
+    Exact (a Fraction) whenever every branch is classical in B; a float
+    as soon as genuine amplitude splitting occurred. It is
+    ``pr_joint_budget`` with no budget cut.
     """
-    return pr_joint_budget(result, math.inf, register, value)
+    return pr_joint_budget(result, math.inf)
 
 
 def pr_budget(result: SimulationResult, q: int):
@@ -970,29 +835,27 @@ def pr_budget(result: SimulationResult, q: int):
     return sum((br.weight for br in result.branches if br.invocations <= q), start=0)
 
 
-def pr_joint_budget(
-    result: SimulationResult, q: float, register: str = "B", value: int = 1
-):
-    """Mixture probability of {within q invocations and register = value}."""
+def pr_joint_budget(result: SimulationResult, q: float):
+    """Mixture probability of {within q invocations and B = 1}."""
     total = 0
     for br in result.branches:
         if br.invocations > q:
             continue
-        axis = br.state.layout.axis_of(register)
-        p = float(_register_probs(br.state.tensor(), [axis])[value])
+        axis = br.state.layout.axis_of("B")
+        p = float(_register_probs(br.state.tensor(), [axis])[1])
         if p <= _EXACT_TOL:
             continue
         total = total + _scale(br.weight, p)
     return total
 
 
-def cont_density(result: SimulationResult, register: str = "B", value: int = 1):
-    """(probability, conditional reduced Cont state) across all branches."""
+def cont_density(result: SimulationResult):
+    """(Pr[B = 1], reduced Cont state given B = 1) across all branches."""
     num = np.zeros((2, 2), dtype=complex)
     den = 0.0
     for br in result.branches:
-        for o, post, p in measure_register(br.state, register):
-            if o != value:
+        for o, post, p in measure_register(br.state, "B"):
+            if o != 1:
                 continue
             w = float(br.weight) * p
             num += w * partial_trace(post, "Cont").matrix
@@ -1009,12 +872,13 @@ def run_simulator(
     """Exhaustive simulation: the exact output mixture of sim vs machine,
     started on the kind's canonical aux state.
 
-    Kinds whose control registers commute with every simulator-visible
-    action are enumerated: every classical control assignment of that
-    aux state is one row of an amplitude array that each strict branch
-    runs once, and the rows are mixed with exact weights. The coherent
-    kinds and pinned machines run fully dense. Expected-mode simulators
-    contribute each strict branch with its stopping weight.
+    The aborting kind's control registers commute with every
+    simulator-visible action, so it is enumerated: every (R, H)
+    assignment of its aux state is one row of an amplitude array that
+    each strict branch runs once, and the rows are mixed with exact
+    weights. The coherent kind and pinned machines run fully dense.
+    Expected-mode simulators contribute each strict branch with its
+    stopping weight.
     """
     if isinstance(sim, ExpectedAlgorithm):
         allb: list[RunBranch] = []
@@ -1023,7 +887,7 @@ def run_simulator(
             allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
         return SimulationResult(machine.kind, tuple(allb))
     kind = machine.kind
-    if kind in _COHERENT or machine.fixed:
+    if kind == "superposition" or machine.fixed:
         branches = run_query_algorithm(sim, machine=machine)
         return SimulationResult(kind, tuple(branches))
     return SimulationResult(kind, tuple(_run_rows(sim, machine._control_rows)))
@@ -1099,10 +963,10 @@ def _swap0(n: int, i: int) -> np.ndarray:
     return m
 
 
-def honest_wrapper(machine: VerifierMachine, witness, u=None) -> QueryAlgorithm:
-    """The honest prover phrased as a strict k-call simulator."""
+def honest_wrapper(machine: VerifierMachine, witness) -> QueryAlgorithm:
+    """The honest prover, on its first coins, as a strict k-call simulator."""
     spec = machine.spec
-    u = spec.prover_randomness[0] if u is None else u
+    u = spec.prover_randomness[0]
     steps: list[Step] = []
     for mat in _prover_move_matrices(spec, machine.x, witness, u):
         steps.append(Unitary(("M",), mat))
@@ -1137,10 +1001,10 @@ def give_up(machine: VerifierMachine, transcript: tuple | None = None) -> QueryA
 
 
 def _expected_branches(
-    machine: VerifierMachine, witness, q: int, u=None
+    machine: VerifierMachine, witness, q: int
 ) -> dict[str, tuple[tuple[Fraction, QueryAlgorithm], ...]]:
     """Strict branches of every expected-mode member, by member name."""
-    base = honest_wrapper(machine, witness, u)
+    base = honest_wrapper(machine, witness)
     k = machine.spec.rounds
 
     def padded(i: int) -> QueryAlgorithm:
@@ -1162,7 +1026,7 @@ def _expected_branches(
 
 
 def expected_wrappers(
-    machine: VerifierMachine, witness, q: int, u=None
+    machine: VerifierMachine, witness, q: int
 ) -> tuple[ExpectedAlgorithm, ...]:
     """Expected-budget honest variants; padded call pairs cancel exactly.
 
@@ -1172,7 +1036,7 @@ def expected_wrappers(
     """
     return tuple(
         ExpectedAlgorithm(name, branches, q)
-        for name, branches in _expected_branches(machine, witness, q, u).items()
+        for name, branches in _expected_branches(machine, witness, q).items()
     )
 
 

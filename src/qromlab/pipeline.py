@@ -122,11 +122,12 @@ def build_protocol(cfg: ExperimentConfig) -> ProtocolSpec:
     """The protocol battery a configuration names."""
     if cfg.protocol == "toy-qr":
         return toy_qr(cfg.reps)
-    if cfg.protocol == "toy-table":
-        return toy_table()
-    if cfg.protocol == "toy-guess":
-        return toy_guess()
-    raise ConfigError(f"unknown protocol {cfg.protocol!r}")
+    build = {"toy-table": toy_table, "toy-guess": toy_guess}.get(cfg.protocol)
+    if build is None:
+        raise ConfigError(f"unknown protocol {cfg.protocol!r}")
+    if cfg.reps != ExperimentConfig.reps:
+        raise ConfigError(f"protocol {cfg.protocol!r} has no repetitions to set")
+    return build()
 
 
 def default_config(theorem: str) -> ExperimentConfig:

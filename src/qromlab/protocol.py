@@ -341,32 +341,27 @@ def toy_qr(reps: int = 3) -> ProtocolSpec:
     )
 
 
-def toy_guess(
-    alphabet: tuple = (0, 1),
-    randomness: tuple = (0, 1),
-    members: tuple = (1,),
-) -> ProtocolSpec:
+def toy_guess() -> ProtocolSpec:
     """One-round guess-the-cell argument used for k=1 query mechanics.
 
     The verifier accepts iff the single prover message hits the cell
-    selected by statement and randomness. The honest prover never sees
-    r, so completeness is only 1/|R|; the point is the shape of the
-    message space, not the language.
+    selected by statement and randomness; statement 1 is the only member.
+    The honest prover never sees r, so completeness is only 1/|R|; the
+    point is the shape of the message space, not the language.
     """
-    n = len(alphabet)
-    rpos = {r: i for i, r in enumerate(randomness)}
+    alphabet = (0, 1)
 
     def decide(x, r, ms):
-        return ms[0] == alphabet[(rpos[r] + int(x)) % n]
+        return ms[0] == alphabet[(r + int(x)) % 2]
 
     return ProtocolSpec(
         name="toy-guess",
-        alphabet=tuple(alphabet),
+        alphabet=alphabet,
         rounds=1,
-        randomness=tuple(randomness),
-        prover_randomness=tuple(alphabet),
-        language=lambda x: x in set(members),
-        witness_map=lambda x: (x,) if x in set(members) else (),
+        randomness=(0, 1),
+        prover_randomness=alphabet,
+        language=lambda x: x == 1,
+        witness_map=lambda x: (x,) if x == 1 else (),
         next_message=lambda x, r, ms: alphabet[0],
         decide=decide,
         honest_prover=lambda x, w, u, received: u,
@@ -374,50 +369,38 @@ def toy_guess(
     )
 
 
-def toy_table(
-    alphabet: tuple = (0, 1),
-    randomness: tuple = (0, 1),
-    members: tuple = (1, 3),
-    next_message: Callable[[Hashable, Hashable, tuple], Hashable] | None = None,
-    decide: Callable[[Hashable, Hashable, tuple], bool] | None = None,
-    public_coin: bool = False,
-) -> ProtocolSpec:
-    """Small 3-round echo argument over 2-bit statements, fully pluggable.
+def toy_table() -> ProtocolSpec:
+    """Small 3-round echo argument over 2-bit statements.
 
-    Default behavior: the verifier's message is a table lookup mixing
-    statement, randomness, and the first prover message; the decision
-    accepts iff the second prover message echoes it. Perfectly complete
-    (trivially sound), intended for state-vector mechanics where the
-    register dimensions, not the language, are the point. Callers that
-    override next_message with a randomness-only lookup should flag
-    public_coin; the default lookup is not.
+    The verifier's message is a table lookup mixing statement,
+    randomness, and the first prover message; the decision accepts iff
+    the second prover message echoes it. Statements 1 and 3 are members.
+    Perfectly complete (trivially sound), intended for state-vector
+    mechanics where the register dimensions, not the language, are the
+    point. The lookup depends on the first message, so the spec is not
+    public-coin.
     """
-    n = len(alphabet)
-    pos = {a: i for i, a in enumerate(alphabet)}
-    rpos = {r: i for i, r in enumerate(randomness)}
+    alphabet = (0, 1)
 
-    def default_next(x, r, ms):
-        return alphabet[(pos[ms[0]] + rpos[r] + int(x)) % n]
+    def next_message(x, r, ms):
+        return alphabet[(ms[0] + r + int(x)) % 2]
 
-    def default_decide(x, r, ms):
-        return ms[1] == nm(x, r, ms[:1])
-
-    nm = next_message or default_next
-    dec = decide or default_decide
+    def decide(x, r, ms):
+        return ms[1] == next_message(x, r, ms[:1])
 
     def honest_prover(x, w, u, received):
         return u if not received else received[-1]
 
     return ProtocolSpec(
         name="toy-table",
-        alphabet=tuple(alphabet),
+        alphabet=alphabet,
         rounds=2,
-        randomness=tuple(randomness),
-        prover_randomness=tuple(alphabet),
-        language=lambda x: x in set(members),
-        witness_map=lambda x: (x,) if x in set(members) else (),
-        next_message=nm,
-        decide=dec,
+        randomness=(0, 1),
+        prover_randomness=alphabet,
+        language=lambda x: x in (1, 3),
+        witness_map=lambda x: (x,) if x in (1, 3) else (),
+        next_message=next_message,
+        decide=decide,
         honest_prover=honest_prover,
-        public_coin=public_coin,
+        public_coin=False,
     )

@@ -8,46 +8,28 @@ machine through ``run_query_algorithm``. It is the reference the batched
 route in ``adversary.run_simulator`` is tested against, branch by branch.
 """
 
-import itertools
 from dataclasses import replace
-from fractions import Fraction
 
 from qromlab.adversary import (
-    _COHERENT,
     ExpectedAlgorithm,
     SimulationResult,
     _little_endian,
     build_verifier,
     run_query_algorithm,
 )
-from qromlab.oracle import ClassicalOracle, SparseOracleDist
+from qromlab.oracle import SparseOracleDist
 
 
 def pinned_machines(machine):
-    """Every classical control assignment as (pinned machine, weight)."""
+    """Every (R, H) assignment of the aborting kind as (pinned machine, weight)."""
     spec, pts = machine.spec, machine._prefix_points
     assignments = []
-    if machine.kind == "random_aborting":
-        dist = SparseOracleDist(pts, machine.eps)
-        nr = len(spec.randomness)
-        for ri, r in enumerate(spec.randomness):
-            for h, w in dist.enumerate_weighted():
-                c = ri + nr * _little_endian(h.values, 2)
-                assignments.append(({"R": r, "H": h}, c, w / nr))
-    elif machine.kind == "public_coin":
-        challenges, _ = machine._challenges
-        nc = len(challenges)
-        w = Fraction(1, nc ** len(pts))
-        for digs in itertools.product(range(nc), repeat=len(pts)):
-            vals = tuple(challenges[d] for d in digs)
-            h = ClassicalOracle(pts, challenges, vals)
-            assignments.append(({"H": h}, _little_endian(digs, nc), w))
-    else:  # three_round
-        rs, alpha = spec.randomness, tuple(spec.alphabet)
-        w = Fraction(1, len(rs) ** len(alpha))
-        for digs in itertools.product(range(len(rs)), repeat=len(alpha)):
-            h = ClassicalOracle(alpha, rs, tuple(rs[d] for d in digs))
-            assignments.append(({"H": h}, _little_endian(digs, len(rs)), w))
+    dist = SparseOracleDist(pts, machine.eps)
+    nr = len(spec.randomness)
+    for ri, r in enumerate(spec.randomness):
+        for h, w in dist.enumerate_weighted():
+            c = ri + nr * _little_endian(h.values, 2)
+            assignments.append(({"R": r, "H": h}, c, w / nr))
     full = machine._step_perm
     out = []
     for fx, c, w in assignments:
@@ -61,7 +43,7 @@ def pinned_machines(machine):
 def run_simulator(sim, machine, force_dense=False):
     """Exhaustive simulation with one ``run_query_algorithm`` call per
     pinned machine. ``force_dense`` runs an unpinned machine as one dense
-    run on its canonical aux state, as the coherent kinds always run."""
+    run on its canonical aux state, as the coherent kind always runs."""
     if isinstance(sim, ExpectedAlgorithm):
         allb = []
         for w, alg in sim.branches:
@@ -69,7 +51,7 @@ def run_simulator(sim, machine, force_dense=False):
             allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
         return SimulationResult(machine.kind, tuple(allb))
     kind = machine.kind
-    if force_dense or kind in _COHERENT or machine.fixed:
+    if force_dense or kind == "superposition" or machine.fixed:
         branches = run_query_algorithm(sim, machine=machine)
         return SimulationResult(kind, tuple(branches))
     allb = []

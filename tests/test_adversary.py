@@ -34,7 +34,6 @@ from qromlab.adversary import (
     run_simulator,
     set_branch_oracle,
 )
-from qromlab.hashfam import TableFamily, TwoQWiseFamily
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.protocol import toy_guess, toy_qr, toy_table
 from qromlab.qsim import RegisterLayout, StateVector, trace_distance
@@ -43,11 +42,6 @@ from step_reference import fstar_oracle, is_step_unitary
 
 EPS4 = Fraction(1, 4)
 PDOM = prefix_domain((0, 1), 2)
-
-
-def coin_table(public: bool = True):
-    """Echo spec whose round-1 response depends on the randomness only."""
-    return toy_table(next_message=lambda x, r, ms: r, public_coin=public)
 
 
 class TestChallengeStructure:
@@ -70,6 +64,13 @@ class TestBuildVerifier:
         with pytest.raises(ValueError):
             build_verifier("honest", toy_table(), 1)
 
+    @pytest.mark.parametrize(
+        "kind", ["public_coin", "three_round", "superposition_efficient"]
+    )
+    def test_only_the_two_experiment_kinds(self, kind):
+        with pytest.raises(ValueError, match="unknown verifier kind"):
+            build_verifier(kind, toy_table(), 1, eps=EPS4)
+
     def test_aborting_needs_density(self):
         with pytest.raises(ValueError):
             build_verifier("random_aborting", toy_table(), 1)
@@ -80,32 +81,15 @@ class TestBuildVerifier:
         with pytest.raises(ValueError):
             build_verifier("superposition", toy_table(), 1, eps=0)
 
-    def test_efficient_checks_family_domain(self):
-        fam = TwoQWiseFamily(TableFamily(((0,), (1,)), 2), 1, 1)
-        with pytest.raises(ValueError):
-            build_verifier("superposition_efficient", toy_table(), 1, family=fam)
-
-    def test_public_coin_needs_flag(self):
-        with pytest.raises(ValueError):
-            build_verifier("public_coin", toy_table(), 1)
-
-    def test_three_round_needs_two_moves(self):
-        with pytest.raises(ValueError):
-            build_verifier("three_round", toy_guess(), 1)
-
     def test_pinning_rules(self):
         with pytest.raises(ValueError):
             build_verifier(
                 "superposition", toy_table(), 1, eps=EPS4, fixed={"R": 0}
             )
         with pytest.raises(ValueError):
-            build_verifier("three_round", toy_table(), 1, fixed={"R": 0})
-        with pytest.raises(ValueError):
             build_verifier("random_aborting", toy_table(), 1, eps=EPS4, fixed={"R": 7})
 
-    @pytest.mark.parametrize(
-        "kind", ["random_aborting", "superposition", "public_coin", "three_round"]
-    )
+    @pytest.mark.parametrize("kind", ["random_aborting", "superposition"])
     def test_table_cap_checked_in_log_space(self, kind):
         spec = toy_qr(3)
         with pytest.raises(ValueError, match="exceeds the dense cap") as info:
@@ -132,13 +116,9 @@ class TestBuildVerifier:
 
 
 def all_kind_machines():
-    fam = TwoQWiseFamily(TableFamily(PDOM, 2), 1, 2)
     return [
         build_verifier("random_aborting", toy_table(), 1, eps=EPS4),
         build_verifier("superposition", toy_table(), 1, eps=EPS4),
-        build_verifier("superposition_efficient", toy_table(), 1, family=fam),
-        build_verifier("public_coin", coin_table(), 1),
-        build_verifier("three_round", toy_table(), 1),
     ]
 
 
@@ -193,7 +173,7 @@ class TestAuxAndInitialState:
         assert np.isclose(amps[0], (3 / 4) ** 3)  # six points, all unflagged
 
     def test_work_registers_cannot_shadow(self):
-        m = build_verifier("three_round", toy_table(), 1)
+        m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         st = initial_state(m, work=(("W1", 2),))
         assert st.layout.names[-1] == "W1"
         alg = QueryAlgorithm("x", (), 0, (("M", 2),))
@@ -362,13 +342,13 @@ class TestQueryAlgorithmValidation:
             run_query_algorithm(QueryAlgorithm("x", (), 0))
 
     def test_output_registers_must_be_visible(self):
-        m = build_verifier("three_round", toy_table(), 1)
+        m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         alg = QueryAlgorithm("x", (), 0, output_registers=("B",))
         with pytest.raises(ValueError):
             run_query_algorithm(alg, machine=m)
 
     def test_hidden_registers_rejected(self):
-        m = build_verifier("three_round", toy_table(), 1)
+        m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         touch = QueryAlgorithm("x", (Unitary(("B",), np.eye(2)),), 0)
         with pytest.raises(ValueError):
             run_query_algorithm(touch, machine=m)

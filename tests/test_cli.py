@@ -82,6 +82,12 @@ class TestRun:
             (["public-coin", "--q", "1"], "the budget q must be 2, not 1"),
             (["public-coin", "--q", "3"], "the budget q must be 2, not 3"),
             (["three-round", "--reps", "18"], "a product of 13**18 elements"),
+            (["expected-time", "--reps", "7"],
+             "protocol 'toy-table' has no repetitions to set"),
+            (["three-round", "--protocol", "toy-table", "--reps", "2"],
+             "protocol 'toy-table' has no repetitions to set"),
+            (["constant-round", "--protocol", "toy-guess", "--reps", "2"],
+             "protocol 'toy-guess' has no repetitions to set"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):

@@ -76,10 +76,6 @@ def test_expected_time_machines(x, eps):
         check(sim, machine)
 
 
-def coin_table():
-    return toy_table(next_message=lambda x, r, ms: r, public_coin=True)
-
-
 def _roundtrip(n):
     """A random unitary on a work register and back, then its measurement:
     the off-outcomes carry rounding far below ``PROB_FLOOR``."""
@@ -95,9 +91,6 @@ def _roundtrip(n):
 @pytest.mark.parametrize(
     "machine",
     [
-        build_verifier("public_coin", coin_table(), 1),
-        build_verifier("three_round", toy_table(), 1),
-        build_verifier("three_round", toy_table(), 3),
         build_verifier("random_aborting", toy_guess(), 1, eps=1),
         build_verifier("random_aborting", toy_table(), 1, eps=EPS4),
     ],
@@ -142,8 +135,6 @@ def _unitary(n, seed):
 MACHINES = {
     "aborting": lambda: build_verifier("random_aborting", toy_table(), 1, eps=EPS4),
     "aborting-eps1": lambda: build_verifier("random_aborting", toy_guess(), 1, eps=1),
-    "public-coin": lambda: build_verifier("public_coin", coin_table(), 1),
-    "three-round": lambda: build_verifier("three_round", toy_table(), 1),
 }
 _BUILT = {}
 

@@ -177,15 +177,6 @@ class TestTranscript:
 
 
 class TestToyTablePlugs:
-    def test_custom_tables_are_wired(self):
-        nm = lambda x, r, ms: r
-        dec = lambda x, r, ms: ms[1] == r
-        spec = toy_table(next_message=nm, decide=dec, public_coin=True)
-        assert spec.public_coin
-        for r in spec.randomness:
-            _, ok = honest_execution(spec, 1, (1,), r, 0)
-            assert ok
-
     def test_units_are_units(self):
         assert all((u * pow(u, -1, 21)) % 21 == 1 for u in UNITS_21)
         assert set(RESIDUES_21) == {(u * u) % 21 for u in UNITS_21}

@@ -9,8 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qromlab.adversary import build_verifier, challenge_structure
-from qromlab.hashfam import TableFamily, TwoQWiseFamily
+from qromlab.adversary import build_verifier
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import ProtocolSpec, toy_guess, toy_table
@@ -20,21 +19,13 @@ EPS4 = Fraction(1, 4)
 PDOM = prefix_domain((0, 1), 2)
 
 
-def coin_table():
-    return toy_table(next_message=lambda x, r, ms: r, public_coin=True)
-
-
 def stock_machines():
-    fam = TwoQWiseFamily(TableFamily(PDOM, 2), 1, 2)
     flags = ClassicalOracle(PDOM, (0, 1), (1, 0, 1, 1, 0, 1))
     return [
         build_verifier("random_aborting", toy_table(), 1, eps=EPS4),
         build_verifier("random_aborting", toy_guess(), 1, eps=EPS4),
         build_verifier("superposition", toy_table(), 3, eps=EPS4),
         build_verifier("superposition", toy_guess(), 1, eps=EPS4),
-        build_verifier("superposition_efficient", toy_table(), 1, family=fam),
-        build_verifier("public_coin", coin_table(), 1),
-        build_verifier("three_round", toy_table(), 1),
         build_verifier("random_aborting", toy_table(), 3, eps=EPS4, fixed={"R": 1}),
         build_verifier("random_aborting", toy_table(), 3, eps=EPS4, fixed={"H": flags}),
         build_verifier(
@@ -46,18 +37,6 @@ def stock_machines():
             1,
             eps=EPS4,
             fixed={"R": 1, "H": ClassicalOracle(((0,), (1,)), (0, 1), (0, 1))},
-        ),
-        build_verifier(
-            "public_coin",
-            coin_table(),
-            1,
-            fixed={"H": ClassicalOracle(((0,), (1,)), (0, 1), (1, 0))},
-        ),
-        build_verifier(
-            "three_round",
-            toy_table(),
-            2,
-            fixed={"H": ClassicalOracle((0, 1), (0, 1), (1, 1))},
         ),
     ]
 
@@ -76,23 +55,14 @@ def _controls(machine, digits):
     pinned role. The Cont = 0 block of a coherent kind never aborts, so
     it reads as the all-ones flag table."""
     spec = machine.spec
+    dom = prefix_domain(spec.alphabet, machine.k)
     dg = dict(zip(machine.layout.names, digits))
     r = spec.randomness[dg["R"]] if "R" in dg else None
     h = None
-    if "K" in dg:
-        h = machine.family.tilted_oracle(dg["K"])
-    elif "H" in dg:
-        if machine.kind == "public_coin":
-            dom = prefix_domain(spec.alphabet, machine.k - 1)
-            rng = challenge_structure(spec, machine.x)[0]
-        elif machine.kind == "three_round":
-            dom, rng = spec.alphabet, spec.randomness
-        else:
-            dom, rng = prefix_domain(spec.alphabet, machine.k), (0, 1)
-        vals = tuple(rng[(dg["H"] // len(rng) ** i) % len(rng)] for i in range(len(dom)))
-        h = ClassicalOracle(tuple(dom), tuple(rng), vals)
+    if "H" in dg:
+        h = ClassicalOracle(dom, (0, 1), tuple((dg["H"] // 2**i) % 2 for i in range(len(dom))))
     if dg.get("Cont") == 0:
-        h = ClassicalOracle.constant(prefix_domain(spec.alphabet, machine.k), (0, 1), 1)
+        h = ClassicalOracle.constant(dom, (0, 1), 1)
     return r, h
 
 
@@ -167,39 +137,25 @@ def small_specs(draw):
     )
 
 
-def _random_pin(draw, kind, spec):
-    """Classical values for a random subset of the kind's control roles."""
-    k, rs = spec.rounds, spec.randomness
+def _random_pin(draw, spec):
+    """Classical values for a random subset of the aborting kind's control
+    roles."""
     fixed = {}
-    if kind == "random_aborting":
-        if draw(st.booleans()):
-            fixed["R"] = draw(st.sampled_from(rs))
-        if draw(st.booleans()):
-            pts = prefix_domain(spec.alphabet, k)
-            vals = tuple(draw(st.sampled_from((0, 1))) for _ in pts)
-            fixed["H"] = ClassicalOracle(pts, (0, 1), vals)
-    elif draw(st.booleans()):
-        if kind == "public_coin":
-            pts = prefix_domain(spec.alphabet, k - 1)
-            rng = tuple(spec.next_message(0, r, (spec.alphabet[0],)) for r in rs)
-        else:
-            pts, rng = spec.alphabet, rs
-        fixed["H"] = ClassicalOracle(pts, rng, tuple(draw(st.sampled_from(rng)) for _ in pts))
+    if draw(st.booleans()):
+        fixed["R"] = draw(st.sampled_from(spec.randomness))
+    if draw(st.booleans()):
+        pts = prefix_domain(spec.alphabet, spec.rounds)
+        vals = tuple(draw(st.sampled_from((0, 1))) for _ in pts)
+        fixed["H"] = ClassicalOracle(pts, (0, 1), vals)
     return fixed
 
 
 @settings(max_examples=40, deadline=None)
 @given(spec=small_specs(), data=st.data())
 def test_random_specs_match_reference(spec, data):
-    kinds = ["random_aborting", "superposition"]
-    if spec.rounds == 2:
-        kinds.append("three_round")
-    if spec.public_coin:
-        kinds.append("public_coin")
-    kind = data.draw(st.sampled_from(kinds))
-    fixed = {} if kind == "superposition" else _random_pin(data.draw, kind, spec)
-    eps = EPS4 if kind in ("random_aborting", "superposition") else None
-    machine = build_verifier(kind, spec, 0, eps=eps, fixed=fixed)
+    kind = data.draw(st.sampled_from(["random_aborting", "superposition"]))
+    fixed = {} if kind == "superposition" else _random_pin(data.draw, spec)
+    machine = build_verifier(kind, spec, 0, eps=EPS4, fixed=fixed)
     assert np.array_equal(machine._step_perm, reference_step_perm(machine))
 
 
@@ -228,11 +184,7 @@ def test_expected_time_slices_match_direct_builds():
 
 @pytest.mark.parametrize(
     "machine",
-    [
-        build_verifier("public_coin", coin_table(), 1),
-        build_verifier("three_round", toy_table(), 3),
-        build_verifier("random_aborting", toy_guess(), 1, eps=1),
-    ],
+    [build_verifier("random_aborting", toy_guess(), 1, eps=1)],
     ids=lambda m: m.kind,
 )
 def test_other_kinds_slices_match_direct_builds(machine):
