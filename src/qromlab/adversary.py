@@ -12,9 +12,11 @@ classical query traces in ``pipeline``.) Simulators are step lists that
 may call the machine forward or inverted, query named classical tables
 in superposition, and measure visible registers; an executor runs them
 branch by branch under strict invocation budgets and can hand single
-queries to an interceptor. The aborting kind's control registers stay
-classical, so it is simulated by enumerating every control assignment
-exactly and mixing the resulting branches with rational weights. The
+queries to an interceptor. It applies ``Unitary`` steps, checked when
+built, and ``qsim``'s one permutation kernel and one measurement split.
+The aborting kind's control registers stay classical, so it is
+simulated by enumerating every control assignment exactly and mixing
+the resulting branches with rational weights. The
 assignments are the rows of one amplitude array, so a strict branch
 runs once for all of them: each row's permutation is a strided slice of
 the unpinned machine's, a unitary is one tensordot over every row and a
@@ -40,12 +42,16 @@ from qromlab.oracle import (
     quantum_query,
 )
 from qromlab.protocol import ConfigError, ProductSpace, ProtocolSpec
-from qromlab.qsim import (
+# apply_unitary stays bound here: perfbench's span test checks every binding
+from qromlab.qsim import (  # noqa: F401
     PROB_FLOOR,
     DensityOnRegister,
     RegisterLayout,
     StateVector,
+    _check_unitary,
+    _permute_rows,
     _register_probs,
+    _split_rows,
     _unitary_on_axes,
     apply_unitary,
     measure_register,
@@ -377,21 +383,6 @@ def apply_step(
     return StateVector(lay, rows.reshape(-1))
 
 
-def _permute_rows(rows: np.ndarray, perms: np.ndarray, inverse: bool) -> np.ndarray:
-    """The verifier permutation of each row on the last axis of its block.
-
-    ``rows`` is (rows, work, mdim) and ``perms`` (rows, mdim): a forward
-    call scatters amplitude i of a row to ``perm[i]``, an inverse call
-    gathers it back.
-    """
-    idx = perms[:, None, :]
-    if inverse:
-        return np.take_along_axis(rows, idx, axis=2)
-    out = np.empty_like(rows)
-    np.put_along_axis(out, idx, rows, axis=2)
-    return out
-
-
 @dataclass(frozen=True)
 class AuxState:
     """A named auxiliary input: one amplitude factor per control register."""
@@ -518,14 +509,14 @@ def final_cont_state(spec: ProtocolSpec, x, witness, eps, u=None):
 
 @dataclass(frozen=True)
 class Unitary:
-    """Free unitary on visible registers (first listed register fastest)."""
+    """Free unitary on visible registers (first listed fastest), checked when built."""
 
     registers: tuple[str, ...]
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "registers", tuple(self.registers))
-        m = np.array(self.matrix, dtype=complex)
+        m = _check_unitary(np.array(self.matrix, dtype=complex))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -764,9 +755,9 @@ def run_query_algorithm(
         nxt: list[RunBranch] = []
         for br in branches:
             if isinstance(step, Unitary):
-                nxt.append(
-                    replace(br, state=apply_unitary(br.state, step.registers, step.matrix))
-                )
+                lay = br.state.layout
+                t = _unitary_on_axes(br.state.tensor(), lay, step.registers, step.matrix)
+                nxt.append(replace(br, state=StateVector(lay, t.reshape(-1))))
             elif isinstance(step, Measure):
                 for o, post, p in measure_register(br.state, step.register):
                     nxt.append(
@@ -918,16 +909,7 @@ def _run_rows(alg: QueryAlgorithm, table: _ControlRows) -> list[RunBranch]:
         if isinstance(step, Unitary):
             t = _unitary_on_axes(t, layout, step.registers, step.matrix, lead=1)
         elif isinstance(step, Measure):
-            axis = layout.axis_of(step.register)
-            probs = np.stack([_register_probs(r, [axis]) for r in t])
-            b, o = np.nonzero(probs > PROB_FLOOR)
-            p = probs[b, o]
-            tm = np.moveaxis(t, axis + 1, -1)
-            post = np.zeros((b.size,) + tm.shape[1:], dtype=complex)
-            post[np.arange(b.size), ..., o] = tm[b, ..., o] / np.sqrt(p).reshape(
-                (-1,) + (1,) * (tm.ndim - 2)
-            )
-            t = np.moveaxis(post, -1, axis + 1)
+            b, o, p, t = _split_rows(t, layout.axis_of(step.register))
             weights = [_scale(weights[i], float(pi)) for i, pi in zip(b, p)]
             outcomes = [outcomes[i] + ((step.register, int(oi)),) for i, oi in zip(b, o)]
             row = row[b]
@@ -972,32 +954,6 @@ def honest_wrapper(machine: VerifierMachine, witness) -> QueryAlgorithm:
         steps.append(Unitary(("M",), mat))
         steps.append(CallVerifier())
     return QueryAlgorithm("honest-wrapper", tuple(steps), budget=spec.rounds)
-
-
-def give_up(machine: VerifierMachine, transcript: tuple | None = None) -> QueryAlgorithm:
-    """Sends a fixed transcript and never adapts to any response."""
-    spec = machine.spec
-    n, k = len(spec.alphabet), spec.rounds
-    if k > 2:
-        raise ValueError("the fixed-transcript sender supports at most two moves")
-    ms = tuple(transcript) if transcript is not None else (spec.alphabet[0],) * k
-    if len(ms) != k:
-        raise ValueError(f"transcript length {len(ms)} != {k}")
-    aidx = {a: i for i, a in enumerate(spec.alphabet)}
-    steps: list[Step] = [Unitary(("M",), _swap0(n, aidx[ms[0]])), CallVerifier()]
-    work: tuple[tuple[str, int], ...] = ()
-    if k == 2:
-        shelve = np.zeros((n * n, n * n))
-        for m in range(n):
-            for w in range(n):
-                shelve[w + n * m, m + n * w] = 1.0
-        steps += [
-            Unitary(("M", "W1"), shelve),
-            Unitary(("M",), _swap0(n, aidx[ms[1]])),
-            CallVerifier(),
-        ]
-        work = (("W1", n),)
-    return QueryAlgorithm("give-up", tuple(steps), budget=k, work_registers=work)
 
 
 def _expected_branches(

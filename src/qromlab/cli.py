@@ -60,6 +60,7 @@ from qromlab.pipeline import (
 )
 from qromlab.protocol import ConfigError, toy_qr, toy_table
 from qromlab.qsim import DensityOnRegister, swap_test, swap_test_circuit, trace_distance
+from qromlab.qsim import _unitary_defect
 from qromlab.transforms import (
     _output_mass,
     mar_check_general,
@@ -179,9 +180,7 @@ def _demo_adjuster(rng: np.random.Generator) -> tuple[bool, str]:
         dist = SparseOracleDist(prefix_domain((0, 1), 2), eps)
         adj = build_exact_adjuster(m, dist)
         u = adj.matrix
-        worst_unit = max(
-            worst_unit, float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
-        )
+        worst_unit = max(worst_unit, _unitary_defect(u))
         got = u @ table_superposition(dist)
         worst_map = max(
             worst_map,
@@ -202,9 +201,7 @@ def _demo_adjuster_eff(rng: np.random.Generator) -> tuple[bool, str]:
     for m, fam in cases:
         adj = build_efficient_adjuster(m, fam)
         u = adj.matrix
-        worst_unit = max(
-            worst_unit, float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
-        )
+        worst_unit = max(worst_unit, _unitary_defect(u))
         uniform = np.full(fam.key_count, 1.0 / np.sqrt(fam.key_count))
         flagged = fam.flagged_keys(m)
         target = np.zeros(fam.key_count)

@@ -18,7 +18,8 @@ predicate-table register (one qubit per domain point, bit i = value at
 domain[i], point 0 least significant) and rotates the sparse product
 superposition onto the tables flagging every prefix of a transcript.
 The efficient one acts on the key register and maps the uniform key
-superposition onto the keys whose predicate flags every prefix.
+superposition onto the keys whose predicate flags every prefix. Each is
+checked unitary once, when built.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from qromlab.oracle import ClassicalOracle, SparseOracleDist, prefixes
 from qromlab.protocol import ConfigError
-from qromlab.qsim import ATOL_UNITARY
+from qromlab.qsim import _check_unitary
 
 MAX_EXACT_DOMAIN = 8
 MAX_KEY_DIM = 2**14
@@ -178,18 +179,6 @@ class TwoQWiseFamily:
         ]
 
 
-def joint_is_uniform(fam: BaseFamily, points: Sequence[Hashable]) -> bool:
-    """Exact counting check that base values on ``points`` are jointly uniform."""
-    counts: dict[tuple[int, ...], int] = {}
-    for key in range(fam.key_count):
-        vals = tuple(fam.eval(key, p) for p in points)
-        counts[vals] = counts.get(vals, 0) + 1
-    want, rem = divmod(fam.key_count, fam.a ** len(points))
-    if rem:
-        return False
-    return len(counts) == fam.a ** len(points) and set(counts.values()) == {want}
-
-
 def family_exactness_check(
     fam: TwoQWiseFamily, accept: Callable[[ClassicalOracle], Any]
 ) -> tuple[Any, Any]:
@@ -253,10 +242,7 @@ class AdjustingUnitary:
     matrix: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=complex)
-        d = m.shape[0]
-        if np.abs(m.conj().T @ m - np.eye(d)).max() > ATOL_UNITARY:
-            raise ValueError("adjusting matrix is not unitary within 1e-9")
+        m = _check_unitary(np.array(self.matrix, dtype=complex))
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

@@ -293,6 +293,8 @@ def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
     assignment, then the default; with no default a miss raises
     _NeedValue so ``_fork`` can branch. Slots of the schedule record
     the queried point and reprogram it to y with the slot's timing.
+    ``ask_f(p)`` raises ValueError unless p's flag, as the oracle would
+    answer it now, is set: the trace contract ``simulator_trace`` states.
 
     Returns:
         (slots, output, queries): measured point per slot index, the
@@ -328,7 +330,13 @@ def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
         patch[point] = y
         return value
 
-    out = trace(ask_h, ask_f)
+    def checked_f(point):
+        flag = tuple(point)
+        if not patch.get(flag, assignment.get(flag, default)):
+            raise ValueError(f"trace reads the response at {flag!r}, whose flag is clear")
+        return ask_f(point)
+
+    out = trace(ask_h, None if ask_f is None else checked_f)
     return slots, out, count
 
 

@@ -144,54 +144,6 @@ class ProtocolSpec:
         return self.rounds
 
 
-@dataclass(frozen=True)
-class Transcript:
-    prover_messages: tuple
-    verifier_messages: tuple
-
-    def __post_init__(self) -> None:
-        if len(self.verifier_messages) not in (
-            len(self.prover_messages),
-            len(self.prover_messages) - 1,
-        ):
-            raise ValueError("verifier messages must trail prover messages by <= 1")
-
-
-def honest_execution(
-    spec: ProtocolSpec,
-    x: Hashable,
-    w: Hashable,
-    r: Hashable,
-    u: Hashable | None = None,
-) -> tuple[Transcript, bool]:
-    """Run the honest prover against the honest verifier.
-
-    ``u`` is the prover randomness (default: first element of its
-    space); the transcript is deterministic given (x, w, r, u).
-    """
-    if u is None:
-        u = spec.prover_randomness[0]
-    ms: list = []
-    vs: list = []
-    for i in range(spec.rounds):
-        ms.append(spec.honest_prover(x, w, u, tuple(vs)))
-        if i < spec.rounds - 1:
-            vs.append(spec.next_message(x, r, tuple(ms)))
-    transcript = Transcript(tuple(ms), tuple(vs))
-    return transcript, bool(spec.decide(x, r, tuple(ms)))
-
-
-def acceptance_set(spec: ProtocolSpec, x: Hashable, r: Hashable) -> frozenset:
-    """All accepting prover-message tuples; materialized, so small specs only."""
-    if len(spec.alphabet) ** spec.rounds > MAX_STRATEGY_WORK:
-        raise ConfigError("message space too large to materialize")
-    return frozenset(
-        m
-        for m in itertools.product(spec.alphabet, repeat=spec.rounds)
-        if spec.decide(x, r, m)
-    )
-
-
 def soundness_exact(spec: ProtocolSpec, x: Hashable) -> Fraction:
     """Max over deterministic adaptive prover strategies of Pr_r[accept].
 

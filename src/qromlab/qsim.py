@@ -9,7 +9,10 @@ values; amplitude buffers are frozen on construction.
 
 Measurement is exhaustive: it returns every branch with its exact
 probability, and nothing is sampled. Branches below ``PROB_FLOOR`` are
-treated as numerically zero.
+treated as numerically zero. One kernel moves amplitudes by a basis
+permutation given as an index vector (``_permute_rows``), one split
+measures (``_split_rows``), and ``_check_unitary`` checks each general
+unitary once: when it is built, or when ``apply_unitary`` is called.
 """
 
 from __future__ import annotations
@@ -122,7 +125,7 @@ class StateVector:
                 f"amplitude length {amps.size} != layout dimension {self.layout.total_dim}"
             )
         n2 = float(np.vdot(amps, amps).real)
-        if abs(n2 - 1.0) > ATOL_STATE:
+        if not abs(n2 - 1.0) <= ATOL_STATE:  # NaN fails too
             raise ValueError(f"state not normalized: squared norm {n2}")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -217,11 +220,17 @@ def _rank1_factor(m: np.ndarray) -> np.ndarray | None:
     return v
 
 
-def _check_unitary(u: np.ndarray, dim: int) -> np.ndarray:
+def _unitary_defect(u: np.ndarray) -> float:
+    """max |U†U - I|, entrywise."""
+    return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
+
+
+def _check_unitary(u) -> np.ndarray:
+    """``u`` as a complex matrix, checked square and unitary within 1e-9."""
     u = np.asarray(u, dtype=complex)
-    if u.shape != (dim, dim):
-        raise ValueError(f"unitary shape {u.shape} != ({dim}, {dim})")
-    if np.abs(u.conj().T @ u - np.eye(dim)).max() > ATOL_UNITARY:
+    if u.ndim != 2 or u.shape[0] != u.shape[1]:
+        raise ValueError(f"unitary shape {u.shape} is not square")
+    if _unitary_defect(u) > ATOL_UNITARY:
         raise ValueError("matrix is not unitary within 1e-9")
     return u
 
@@ -242,6 +251,7 @@ def apply_unitary(
     Returns:
         The transformed state on the same layout.
     """
+    u = _check_unitary(u)
     t = _unitary_on_axes(state.tensor(), state.layout, target_registers, u)
     return StateVector(state.layout, np.ascontiguousarray(t).reshape(-1))
 
@@ -253,8 +263,8 @@ def _unitary_on_axes(
     u: np.ndarray,
     lead: int = 0,
 ) -> np.ndarray:
-    """``u`` on the named registers of a tensor shaped ``dims[::-1]`` after
-    ``lead`` leading batch axes; ``u`` is checked once for all of them."""
+    """``u``, a complex matrix already checked unitary, on the named registers
+    of a tensor shaped ``dims[::-1]`` after ``lead`` leading batch axes."""
     targets = list(target_registers)
     if len(set(targets)) != len(targets):
         raise ValueError("repeated target register")
@@ -262,7 +272,8 @@ def _unitary_on_axes(
     block = 1
     for d in dims_t:
         block *= d
-    u = _check_unitary(u, block)
+    if u.shape != (block, block):
+        raise ValueError(f"unitary shape {u.shape} != ({block}, {block})")
 
     m = len(targets)
     # u as a tensor: (out axes reversed-target-order, in axes same)
@@ -281,6 +292,20 @@ def _register_probs(t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
     return np.transpose(probs, [sorted(axes).index(a) for a in axes])
 
 
+def _split_rows(t: np.ndarray, axis: int):
+    """Each row's outcomes above ``PROB_FLOOR`` on tensor axis ``axis`` of a
+    row, row-major and in outcome order, as (rows, outcomes, probabilities,
+    normalised post-states); ``t`` is (rows, *dims[::-1])."""
+    probs = np.stack([_register_probs(r, [axis]) for r in t])
+    b, o = np.nonzero(probs > PROB_FLOOR)
+    p = probs[b, o]
+    lead = (slice(None),) * axis
+    post = np.zeros((b.size,) + t.shape[1:], dtype=complex)
+    scale = np.sqrt(p).reshape((-1,) + (1,) * (t.ndim - 2))
+    post[(np.arange(b.size),) + lead + (o,)] = t[(b,) + lead + (o,)] / scale
+    return b, o, p, post
+
+
 def measure_register(state: StateVector, register: str):
     """Projective measurement of one register in the computational basis.
 
@@ -289,20 +314,23 @@ def measure_register(state: StateVector, register: str):
     ``PROB_FLOOR`` are dropped.
     """
     layout = state.layout
-    axis = layout.axis_of(register)
-    dim = layout.dim_of(register)
-    t = state.tensor()
-    probs = _register_probs(t, [axis])
+    _, outs, probs, posts = _split_rows(state.tensor()[None], layout.axis_of(register))
+    return [
+        (int(o), StateVector(layout, post.reshape(-1)), float(p))
+        for o, p, post in zip(outs, probs, posts)
+    ]
 
-    def branch(o: int):
-        p = float(probs[o])
-        sl = [slice(None)] * t.ndim
-        sl[axis] = o
-        post = np.zeros_like(t)
-        post[tuple(sl)] = t[tuple(sl)] / np.sqrt(p)
-        return (o, StateVector(layout, post.reshape(-1)), p)
 
-    return [branch(o) for o in range(dim) if probs[o] > PROB_FLOOR]
+def _permute_rows(rows: np.ndarray, perms: np.ndarray, inverse: bool) -> np.ndarray:
+    """Move amplitudes by a basis permutation: ``rows`` is (rows, work, dim)
+    and ``perms`` (rows, dim). A forward call scatters amplitude i of a row
+    to ``perm[i]``, an inverse call gathers it back."""
+    idx = perms[:, None, :]
+    if inverse:
+        return np.take_along_axis(rows, idx, axis=2)
+    out = np.empty_like(rows)
+    np.put_along_axis(out, idx, rows, axis=2)
+    return out
 
 
 def partial_trace(state: StateVector, keep: str) -> DensityOnRegister:
@@ -338,20 +366,6 @@ def swap_test(rho: DensityOnRegister, sigma: DensityOnRegister) -> float:
     return float((1.0 + np.trace(rho.matrix @ sigma.matrix).real) / 2.0)
 
 
-def _cswap_matrix(dim: int) -> np.ndarray:
-    # basis (anc, a, b) little-endian: anc fastest
-    size = 2 * dim * dim
-    u = np.zeros((size, size))
-    for anc in range(2):
-        for ia in range(dim):
-            for ib in range(dim):
-                src = anc + 2 * ia + 2 * dim * ib
-                ja, jb = (ib, ia) if anc == 1 else (ia, ib)
-                dst = anc + 2 * ja + 2 * dim * jb
-                u[dst, src] = 1.0
-    return u
-
-
 def swap_test_circuit(rho: DensityOnRegister, sigma: DensityOnRegister) -> float:
     """SWAP-test acceptance via the explicit ancilla circuit.
 
@@ -363,12 +377,15 @@ def swap_test_circuit(rho: DensityOnRegister, sigma: DensityOnRegister) -> float
         raise ValueError(f"dimension mismatch {rho.dim} != {sigma.dim}")
     dim = rho.dim
     layout = RegisterLayout((("anc", 2), ("a", dim), ("b", dim)))
-    cswap = _cswap_matrix(dim)
+    flat = np.arange(layout.total_dim)
+    anc, ia, ib = flat % 2, flat // 2 % dim, flat // (2 * dim)
+    cswap = np.where(anc == 1, 1 + 2 * ib + 2 * dim * ia, flat)[None]
 
     def pure_accept(u: np.ndarray, v: np.ndarray) -> float:
         st = StateVector.from_product(layout, {"anc": [1, 0], "a": u, "b": v})
         st = apply_unitary(st, ["anc"], _HADAMARD)
-        st = apply_unitary(st, ["anc", "a", "b"], cswap)
+        amps = _permute_rows(st.amplitudes.reshape(1, 1, -1), cswap, False)
+        st = StateVector(layout, amps.reshape(-1))
         st = apply_unitary(st, ["anc"], _HADAMARD)
         branches = measure_register(st, "anc")
         return sum(p for o, _, p in branches if o == 0)

@@ -20,7 +20,6 @@ from qromlab.adversary import (
     cont_density,
     expected_wrappers,
     final_cont_state,
-    give_up,
     honest_wrapper,
     initial_state,
     measure_query_register,
@@ -38,6 +37,7 @@ from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.protocol import toy_guess, toy_qr, toy_table
 from qromlab.qsim import RegisterLayout, StateVector, trace_distance
 import pinned_reference
+from prover_reference import give_up
 from step_reference import fstar_oracle, is_step_unitary
 
 EPS4 = Fraction(1, 4)

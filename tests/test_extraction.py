@@ -225,7 +225,8 @@ class TestRandomTraces:
 def test_the_response_contract_is_load_bearing():
     # reading the response of a clear flag breaks the contract: the
     # forwarding prover has sent nothing and sees the bottom message,
-    # while the live replay answers with the verifier's real response
+    # while the live replay would answer with the verifier's real
+    # response, so the replay refuses the read
     spec = toy_table()
 
     def trace(ask_h, ask_f):
@@ -234,4 +235,19 @@ def test_the_response_contract_is_load_bearing():
 
     blank = (MarSchedule((None, None), 1),)
     assert ref.extraction_prover_value(spec, 1, trace, blank) == Fraction(1, 2)
-    assert extraction_prover_value(spec, 1, trace, blank)[0] == 1
+    with pytest.raises(ValueError, match="flag is clear"):
+        extraction_prover_value(spec, 1, trace, blank)
+
+
+def test_a_contract_keeping_trace_replays():
+    # the same trace reading the response only on a set flag
+    spec = toy_table()
+
+    def trace(ask_h, ask_f):
+        live = ask_h((0,))
+        return (0, ask_f((0,)) if live else 0)
+
+    scheds = enumerate_schedules(spec.rounds, 1)
+    want = ref.extraction_prover_value(spec, 1, trace, scheds)
+    assert extraction_prover_value(spec, 1, trace, scheds)[0] == want
+    assert 0 < want < 1

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fold_reference as ref
+from prover_reference import acceptance_set
 from qromlab import pipeline
 from qromlab.adversary import challenge_structure
 from qromlab.pipeline import (
@@ -31,7 +32,6 @@ from qromlab.pipeline import (
 from qromlab.protocol import (
     ConfigError,
     ProductSpace,
-    acceptance_set,
     fold,
     soundness_exact,
     toy_qr,

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adjuster_reference import reference_efficient_adjuster
+from family_reference import joint_is_uniform
 from conftest import accept_all_zero
 from qromlab.adversary import oracle_zoo
 from qromlab.hashfam import (
@@ -20,7 +21,6 @@ from qromlab.hashfam import (
     build_exact_adjuster,
     family_exactness_check,
     flagged_table_superposition,
-    joint_is_uniform,
     random_function_vs_family,
     table_superposition,
 )

@@ -9,14 +9,12 @@ from qromlab.protocol import (
     RESIDUES_21,
     UNITS_21,
     ProtocolSpec,
-    Transcript,
-    acceptance_set,
-    honest_execution,
     soundness_exact,
     toy_guess,
     toy_qr,
     toy_table,
 )
+from prover_reference import Transcript, acceptance_set, honest_execution
 
 
 def brute_two_move(spec: ProtocolSpec, x) -> Fraction:

@@ -90,6 +90,10 @@ class TestStateVector:
         with pytest.raises(ValueError):
             StateVector(AB, np.zeros(5))
 
+    def test_nan_amplitudes_rejected(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            StateVector(AB, np.full(6, np.nan))
+
 
 class TestApplyUnitary:
     def test_single_register_matches_kron(self):

@@ -1,12 +1,12 @@
 """Guard on the library surface: nothing module-level in ``src/qromlab``
 exists only for the tests.
 
-A public module-level function or class passes when its own module uses
-it outside its own definition, when another module of the package (the
-package ``__init__`` aside) refers to it, or when ``qromlab.__all__``
-exports it. A private (``_``-prefixed) module-level function, class or
-constant passes only on the first two: no export makes it library API.
-Anything else is test-only and belongs in a tests reference module.
+A module-level function or class, and a private (``_``-prefixed)
+module-level constant, passes only when its own module uses it outside
+its own definition or another module of the package (the package
+``__init__`` aside) refers to it. An ``__all__`` entry does not count:
+an export that nothing in the library calls is test-only API too.
+Anything else belongs in a tests reference module.
 """
 
 import ast
@@ -49,7 +49,6 @@ def _unused_definitions() -> tuple[list[str], list[str]]:
         for path in sorted(PACKAGE.glob("*.py"))
         if path.stem != "__init__"
     }
-    exported = set(qromlab.__all__)
     public, private = [], []
     for module, tree in trees.items():
         elsewhere = set().union(
@@ -58,14 +57,12 @@ def _unused_definitions() -> tuple[list[str], list[str]]:
         for node in tree.body:
             own = _names_used(n for n in tree.body if n is not node)
             for name in _defined_names(node):
-                if name.startswith("__"):
+                if name.startswith("__") or name in own | elsewhere:
                     continue
                 if name.startswith("_"):
-                    if name not in own | elsewhere:
-                        private.append(f"{module}.{name}")
+                    private.append(f"{module}.{name}")
                 elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                    if name not in own | elsewhere | exported:
-                        public.append(f"{module}.{name}")
+                    public.append(f"{module}.{name}")
     return public, private
 
 
