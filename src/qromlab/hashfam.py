@@ -24,6 +24,7 @@ checked unitary once, when built.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
@@ -31,7 +32,7 @@ from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
-from qromlab.oracle import ClassicalOracle, SparseOracleDist, prefixes
+from qromlab.oracle import ClassicalOracle, SparseOracleDist, _per_table, prefixes
 from qromlab.protocol import ConfigError
 from qromlab.qsim import _check_unitary
 
@@ -165,9 +166,21 @@ class TwoQWiseFamily:
         val = (self.base.eval(kp, tuple(point)) + shifts[len(point) - 1]) % self.a
         return 1 if val < self.b else 0
 
-    def tilted_oracle(self, key: int) -> ClassicalOracle:
-        vals = tuple(self.predicate(key, p) for p in self.domain)
-        return ClassicalOracle(self.domain, (0, 1), vals)
+    def flag_table(self) -> np.ndarray:
+        """Every key's predicate table: row ``key``, column = domain position.
+
+        Keys split base key least significant, as in ``split_key``, so
+        row off * |base keys| + kp flags p iff (H'_kp(p) + a_|p|) mod A < B,
+        with a_i the i-th base-A digit of off.
+        """
+        a, dom = self.a, self.domain
+        base = np.array(
+            [[self.base.eval(kp, p) for p in dom] for kp in range(self.base.key_count)]
+        )
+        rounds = np.array([len(p) - 1 for p in dom])
+        shifts = np.arange(a**self.k)[:, None] // a**rounds % a
+        flags = (base[None] + shifts[:, None]) % a < self.b
+        return flags.reshape(-1, len(dom)).astype(int)
 
     def flagged_keys(self, m: Sequence[Hashable]) -> list[int]:
         """Keys whose predicate flags every prefix of transcript ``m``."""
@@ -186,16 +199,16 @@ def family_exactness_check(
 
     Both sides are exact enumerations; with an exactly independent base
     family of high enough order they agree to rounding. ``accept`` maps a
-    binary predicate table to the algorithm's acceptance probability.
+    binary predicate table to the algorithm's acceptance probability. It
+    must be a function of the table alone: both sides share one memo, so
+    it is called once per distinct table, at most 2^|domain| times.
     """
     if not fam.base.exactly_uniform:
         raise ValueError("exactness check needs an exactly uniform base family")
     dist = SparseOracleDist(fam.domain, fam.epsilon)
-    p_random = sum(w * accept(h) for h, w in dist.enumerate_weighted())
-    p_family = (
-        sum(accept(fam.tilted_oracle(key)) for key in range(fam.key_count))
-        / fam.key_count
-    )
+    value = _per_table(accept, fam.domain, (0, 1))
+    p_random = sum(w * value(h.values) for h, w in dist.enumerate_weighted())
+    p_family = sum(map(value, map(tuple, fam.flag_table().tolist()))) / fam.key_count
     return p_random, p_family
 
 
@@ -206,30 +219,17 @@ def random_function_vs_family(
 
     Enumerates all a^|domain| tables on the left and all keys on the
     right; used to confirm that bounded-query behavior on the family
-    matches the truly random function.
+    matches the truly random function. ``accept`` must be a function of
+    the table alone: it is called once per distinct table.
     """
     n, a = len(fam.domain), fam.a
-    rng = tuple(range(a))
-    total = a**n
+    value = _per_table(accept, fam.domain, tuple(range(a)))
     acc = 0
-    for idx in range(total):
-        vals, rest = [], idx
-        for _ in range(n):
-            vals.append(rest % a)
-            rest //= a
-        acc += accept(ClassicalOracle(fam.domain, rng, tuple(vals)))
-    p_random = acc / total
-    p_family = (
-        sum(
-            accept(
-                ClassicalOracle(
-                    fam.domain, rng, tuple(fam.eval(key, p) for p in fam.domain)
-                )
-            )
-            for key in range(fam.key_count)
-        )
-        / fam.key_count
-    )
+    for vals in itertools.product(range(a), repeat=n):
+        acc += value(vals[::-1])  # point 0 the fastest digit
+    p_random = acc / a**n
+    rows = (tuple(fam.eval(key, p) for p in fam.domain) for key in range(fam.key_count))
+    p_family = sum(map(value, rows)) / fam.key_count
     return p_random, p_family
 
 

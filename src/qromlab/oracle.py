@@ -190,13 +190,30 @@ def sparse_advantage(
 
     Args:
         accept: maps a table to the algorithm's acceptance probability
-            (float or Fraction; evaluated once per table).
+            (float or Fraction). It must be a function of the table
+            alone: it is called once per distinct table.
         dist: the sparse distribution to average over.
 
     Returns:
         (p_eps, p_zero, advantage) with p_eps the weighted average over
         enumerate_weighted and advantage = |p_eps - p_zero|.
     """
-    p_eps = sum(w * accept(h) for h, w in dist.enumerate_weighted())
-    p_zero = accept(dist.zero_oracle())
+    value = _per_table(accept, dist.domain, (0, 1))
+    p_eps = sum(w * value(h.values) for h, w in dist.enumerate_weighted())
+    p_zero = value(dist.zero_oracle().values)
     return p_eps, p_zero, abs(p_eps - p_zero)
+
+
+def _per_table(
+    accept: Callable[[ClassicalOracle], Any], domain: tuple, range_values: tuple
+) -> Callable[[tuple], Any]:
+    """``accept`` of the table with the given values, run once per distinct
+    table: the memo lives as long as the returned function, one check."""
+    memo: dict[tuple, Any] = {}
+
+    def value(values: tuple):
+        if values not in memo:
+            memo[values] = accept(ClassicalOracle(domain, range_values, values))
+        return memo[values]
+
+    return value

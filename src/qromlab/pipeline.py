@@ -294,19 +294,24 @@ def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
     _NeedValue so ``_fork`` can branch. Slots of the schedule record
     the queried point and reprogram it to y with the slot's timing.
     ``ask_f(p)`` raises ValueError unless p's flag, as the oracle would
-    answer it now, is set: the trace contract ``simulator_trace`` states.
+    answer it now, is set and the trace's last read of p did not see it
+    clear at a read-then-reprogram slot: the trace contract
+    ``simulator_trace`` states.
 
     Returns:
         (slots, output, queries): measured point per slot index, the
         trace output, and the number of oracle queries made.
     """
     patch: dict = {}
+    seen_clear: set = set()  # answered clear at a read-then-reprogram slot
     slots: dict[int, tuple] = {}
     slot_of = {} if schedule is None else schedule.by_ordinal
     count = 0
 
     def read(point):
         if point in patch:
+            if seen_clear:  # a later read of the point sees y
+                seen_clear.discard(point)
             return patch[point]
         if point in assignment:
             return assignment[point]
@@ -324,15 +329,18 @@ def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
         i, b = hit
         slots[i] = point
         if b == 0:
+            seen_clear.discard(point)
             patch[point] = y
             return y
         value = read(point)
+        if not value:
+            seen_clear.add(point)
         patch[point] = y
         return value
 
     def checked_f(point):
         flag = tuple(point)
-        if not patch.get(flag, assignment.get(flag, default)):
+        if flag in seen_clear or not patch.get(flag, assignment.get(flag, default)):
             raise ValueError(f"trace reads the response at {flag!r}, whose flag is clear")
         return ask_f(point)
 

@@ -1,13 +1,20 @@
-"""Exact counting check of a base hash family's joint uniformity.
+"""Reference enumerations for the keyed hash families.
 
 ``joint_is_uniform`` enumerates every key and counts the tuples of base
 values it gives on a set of points; the tests use it to pin down the
 independence order of the table and polynomial families.
+
+``family_exactness_check``, ``random_function_vs_family`` and
+``sparse_advantage`` are the plain per-key and per-weight loops: they
+build one table and call ``accept`` once for every key or weight, in
+enumeration order. The library versions call ``accept`` once per
+distinct table; the tests compare the two with ``==``.
 """
 
-from typing import Hashable, Sequence
+from typing import Any, Callable, Hashable, Sequence
 
-from qromlab.hashfam import BaseFamily
+from qromlab.hashfam import BaseFamily, TwoQWiseFamily
+from qromlab.oracle import ClassicalOracle, SparseOracleDist
 
 
 def joint_is_uniform(fam: BaseFamily, points: Sequence[Hashable]) -> bool:
@@ -20,3 +27,63 @@ def joint_is_uniform(fam: BaseFamily, points: Sequence[Hashable]) -> bool:
     if rem:
         return False
     return len(counts) == fam.a ** len(points) and set(counts.values()) == {want}
+
+
+def tilted_oracle(fam: TwoQWiseFamily, key: int) -> ClassicalOracle:
+    """One key's predicate table, point by point."""
+    vals = tuple(fam.predicate(key, p) for p in fam.domain)
+    return ClassicalOracle(fam.domain, (0, 1), vals)
+
+
+def family_exactness_check(
+    fam: TwoQWiseFamily, accept: Callable[[ClassicalOracle], Any]
+) -> tuple[Any, Any]:
+    """Sparse-table average vs. uniform-key average, one run per key."""
+    if not fam.base.exactly_uniform:
+        raise ValueError("exactness check needs an exactly uniform base family")
+    dist = SparseOracleDist(fam.domain, fam.epsilon)
+    p_random = sum(w * accept(h) for h, w in dist.enumerate_weighted())
+    p_family = (
+        sum(accept(tilted_oracle(fam, key)) for key in range(fam.key_count))
+        / fam.key_count
+    )
+    return p_random, p_family
+
+
+def random_function_vs_family(
+    fam: BaseFamily, accept: Callable[[ClassicalOracle], Any]
+) -> tuple[Any, Any]:
+    """Uniform-function average vs. keyed-family average, one run per
+    table and per key."""
+    n, a = len(fam.domain), fam.a
+    rng = tuple(range(a))
+    total = a**n
+    acc = 0
+    for idx in range(total):
+        vals, rest = [], idx
+        for _ in range(n):
+            vals.append(rest % a)
+            rest //= a
+        acc += accept(ClassicalOracle(fam.domain, rng, tuple(vals)))
+    p_random = acc / total
+    p_family = (
+        sum(
+            accept(
+                ClassicalOracle(
+                    fam.domain, rng, tuple(fam.eval(key, p) for p in fam.domain)
+                )
+            )
+            for key in range(fam.key_count)
+        )
+        / fam.key_count
+    )
+    return p_random, p_family
+
+
+def sparse_advantage(
+    accept: Callable[[ClassicalOracle], Any], dist: SparseOracleDist
+):
+    """(p_eps, p_zero, |p_eps - p_zero|), one run per weighted table."""
+    p_eps = sum(w * accept(h) for h, w in dist.enumerate_weighted())
+    p_zero = accept(dist.zero_oracle())
+    return p_eps, p_zero, abs(p_eps - p_zero)

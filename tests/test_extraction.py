@@ -25,6 +25,7 @@ from qromlab.pipeline import (
     _fs_game_value,
     _hash_trace,
     _hash_value,
+    _replay,
     _response_runs,
     _response_trace,
     _single_slot_extraction,
@@ -251,3 +252,31 @@ def test_a_contract_keeping_trace_replays():
     want = ref.extraction_prover_value(spec, 1, trace, scheds)
     assert extraction_prover_value(spec, 1, trace, scheds)[0] == want
     assert 0 < want < 1
+
+
+def test_a_read_then_reprogram_slot_keeps_the_clear_read():
+    # the trace reads the response right after seeing the flag clear; a
+    # slot that answers first and reprograms after leaves y in the patch,
+    # but the trace's read was clear, so the replay refuses
+    def trace(ask_h, ask_f):
+        seen = ask_h((0,))
+        return seen, ask_f((0,))
+
+    def reread(ask_h, ask_f):
+        # a later read of the point sees y, which keeps the contract
+        ask_h((0,))
+        return ask_h((0,)), ask_f((0,))
+
+    scheds = enumerate_schedules(2, 1)
+    assert len(scheds) == 5
+    for sched in scheds:
+        timings = [p[1] for p in sched.picks if p is not None]
+        if timings == [0]:
+            _, out, _ = _replay(trace, lambda p: "response", {}, sched, default=0)
+            assert out == (1, "response")
+            continue
+        with pytest.raises(ValueError, match="flag is clear"):
+            _replay(trace, lambda p: "response", {}, sched, default=0)
+        if timings == [1]:
+            _, out, _ = _replay(reread, lambda p: "response", {}, sched, default=0)
+            assert out == (1, "response")

@@ -1,6 +1,7 @@
 """Keyed families: uniformity, exactness checks, adjusting unitaries."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -131,10 +132,20 @@ class TestTwoQWiseFamily:
             hit = fam.predicate(key, (0,)) and fam.predicate(key, (0, 1))
             assert (key in flagged) == bool(hit)
 
-    def test_tilted_oracle_tabulates_predicate(self):
-        fam = TwoQWiseFamily(TableFamily(DOM6, 2), 1, 2)
-        h = fam.tilted_oracle(17)
-        assert h.values == tuple(fam.predicate(17, p) for p in DOM6)
+    @pytest.mark.parametrize(
+        "fam",
+        [
+            TwoQWiseFamily(TableFamily(prefix_domain((0, 1), 1), 4), 1, 1),
+            TwoQWiseFamily(TableFamily(DOM6, 2), 1, 2),
+            TwoQWiseFamily(PolynomialFamily(prefix_domain((0, 1, 2), 1), 7, 1, 7), 3, 1),
+            TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 4), 2, 2),
+            TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 7), 2, 2),
+        ],
+        ids=["table-k1", "table-k2", "poly-k1", "poly-k2-a4", "poly-k2-a7"],
+    )
+    def test_flag_table_tabulates_predicate(self, fam):
+        want = [[fam.predicate(key, p) for p in fam.domain] for key in range(fam.key_count)]
+        assert fam.flag_table().tolist() == want
 
 
 class TestExactnessChecks:
@@ -146,6 +157,18 @@ class TestExactnessChecks:
                 fam, accept_all_zero(zoo[name])
             )
             assert abs(p_random - p_family) <= 1e-10
+
+    def test_four_wise_family_fools_two_queries(self):
+        # a 4-wise family of 117,649 keys giving all 64 tables fools every
+        # zoo algorithm, the two-query ones included, inside the acceptance
+        # tests' time cap
+        start = time.perf_counter()
+        fam = TwoQWiseFamily(PolynomialFamily(DOM6, 7, 3, 7), 2, 2)
+        assert fam.key_count == 117_649
+        for alg in oracle_zoo(DOM6):
+            p_random, p_family = family_exactness_check(fam, accept_all_zero(alg))
+            assert abs(float(p_random) - float(p_family)) <= 1e-10, alg.name
+        assert time.perf_counter() - start <= 10
 
     def test_nonuniform_base_rejected(self):
         fam = TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 4), 2, 2)
