@@ -10,17 +10,18 @@ permutation is one vectorized numpy computation over per-register digit
 arrays. (The paper's hash-challenge and response-oracle verifiers run as
 classical query traces in ``pipeline``.) Simulators are step lists that
 may call the machine forward or inverted, query named classical tables
-in superposition, and measure visible registers; an executor runs them
-branch by branch under strict invocation budgets and can hand single
-queries to an interceptor. It applies ``Unitary`` steps, checked when
-built, and ``qsim``'s one permutation kernel and one measurement split.
-The aborting kind's control registers stay classical, so it is
+in superposition, and measure visible registers. One executor,
+``_run_rows``, runs them under strict invocation budgets over the rows
+of one amplitude array, each row with its own weight, outcomes and
+tables: a ``Unitary`` step, checked when built, is one stacked matmul
+over every row, and a measurement is ``qsim``'s one split. A
+measure-and-reprogram slot splits the rows on the query register and
+reprograms each row's table at the measured point. A plain run is one
+row. The aborting kind's control registers stay classical, so it is
 simulated by enumerating every control assignment exactly and mixing
-the resulting branches with rational weights. The
-assignments are the rows of one amplitude array, so a strict branch
-runs once for all of them: each row's permutation is a strided slice of
-the unpinned machine's, a unitary is one tensordot over every row and a
-measurement splits every row by outcome.
+the resulting branches with rational weights: each assignment is a row,
+and its verifier call is the strided slice of the machine's permutation,
+moved for every row by ``qsim``'s one permutation kernel.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Hashable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Hashable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -115,7 +116,6 @@ def challenge_structure(spec: ProtocolSpec, x: Hashable):
 class _ControlRows(NamedTuple):
     """The classical control assignments of one machine, row by row."""
 
-    fixed: tuple[dict, ...]  # the pinned control values of each row
     weights: tuple[Fraction, ...]
     perms: np.ndarray  # (rows, dim): each row's step permutation
     layout: RegisterLayout  # the machine layout without control registers
@@ -127,13 +127,7 @@ class VerifierMachine:
 
     The layout orders control registers first (Cont, R, then the flag
     table H), the count/transcript/decision block next, and the message
-    register M last. ``fixed`` pins control roles to classical values;
-    pinned registers are dropped from the layout.
-
-    The step never writes a control register, so the unpinned machine's
-    permutation holds every pinned one: for the control index c among
-    ctrl control values, the pinned permutation is
-    ``(full[c::ctrl] - c) // ctrl``.
+    register M last.
     """
 
     kind: str
@@ -142,17 +136,10 @@ class VerifierMachine:
     layout: RegisterLayout
     output_register: tuple[str, ...]
     eps: Fraction
-    fixed: tuple[tuple[str, object], ...] = ()
 
     @property
     def k(self) -> int:
         return self.spec.rounds
-
-    def fixed_value(self, role: str):
-        for name, value in self.fixed:
-            if name == role:
-                return value
-        return None
 
     @cached_property
     def _prefix_points(self) -> tuple[tuple, ...]:
@@ -163,8 +150,7 @@ class VerifierMachine:
         """Basis permutation of one call: count, swap, respond, decide.
 
         One numpy computation over a digit array per register. The flag
-        of table position p is bit p of the H digit; a pinned table is
-        read point by point.
+        of table position p is bit p of the H digit.
         """
         lay, spec, x, k = self.layout, self.spec, self.x, self.k
         n = len(spec.alphabet)
@@ -188,12 +174,7 @@ class VerifierMachine:
             offset += n ** (i + 1)
         pf = np.stack(pf)
 
-        rs = spec.randomness if "R" in dg else (self.fixed_value("R"),)
-        if "H" in dg:
-            live = (dg["H"] >> pf) & 1 == 1
-        else:
-            h = self.fixed_value("H")
-            live = np.array([int(h(p)) for p in points])[pf] == 1
+        live = (dg["H"] >> pf) & 1 == 1
         if "Cont" in dg:  # only the Cont = 1 block aborts on a zero flag
             live |= dg["Cont"] != 1
         # the response digit below round k, the acceptance bit at round k
@@ -203,9 +184,9 @@ class VerifierMachine:
                 else int(bool(spec.decide(x, r, p)))
                 for p in points
             ]
-            for r in rs
+            for r in spec.randomness
         ])
-        val = out[dg.get("R", zero), pf[j, flat]]
+        val = out[dg["R"], pf[j, flat]]
         resp = np.where(live[j, flat], val, 0)
         acc = val & live.all(axis=0)
 
@@ -226,9 +207,9 @@ class VerifierMachine:
         """
         rs = self.spec.randomness
         dist = SparseOracleDist(self._prefix_points, self.eps)
-        fixed, cs, weights = zip(*(
-            ({"R": r, "H": h}, ri + len(rs) * _little_endian(h.values, 2), w / len(rs))
-            for ri, r in enumerate(rs)
+        cs, weights = zip(*(
+            (ri + len(rs) * _little_endian(h.values, 2), w / len(rs))
+            for ri in range(len(rs))
             for h, w in dist.enumerate_weighted()
         ))
         layout = RegisterLayout(self.layout.registers[self.layout.index("Count"):])
@@ -237,7 +218,7 @@ class VerifierMachine:
         full = self._step_perm.reshape(layout.total_dim, ctrl)
         perms = (full[:, cs].T - cs[:, None]) // ctrl
         perms.setflags(write=False)
-        return _ControlRows(fixed, weights, perms, layout)
+        return _ControlRows(weights, perms, layout)
 
     @cached_property
     def _adjusters(self) -> Optional[np.ndarray]:
@@ -278,7 +259,6 @@ def build_verifier(
     x: Hashable,
     *,
     eps=None,
-    fixed: Mapping[str, object] | None = None,
 ) -> VerifierMachine:
     """Construct one verifier kind for a statement.
 
@@ -288,18 +268,10 @@ def build_verifier(
             ``superposition`` holds them coherently, next to the control
             qubit Cont whose 0 block never aborts.
         eps: predicate density of the flag table (rational).
-        fixed: classical values for the aborting kind's control roles
-            ("R", "H"); pinned registers are dropped from the layout. The
-            exhaustive simulator's per-assignment rows (``_control_rows``)
-            equal these builds without making them.
     """
     if kind not in VERIFIER_KINDS:
         raise ValueError(f"unknown verifier kind {kind!r}")
     n, k = len(spec.alphabet), spec.rounds
-    fx = dict(fixed or {})
-    pins = {"R", "H"} if kind == "random_aborting" else set()
-    if set(fx) - pins:
-        raise ValueError(f"kind {kind} cannot pin {sorted(set(fx) - pins)}")
     if eps is None:
         raise ValueError(f"the {kind} kind needs a predicate density")
     eps = Fraction(eps)
@@ -311,15 +283,8 @@ def build_verifier(
         regs.append(("Cont", 2))
     elif not 0 <= eps <= 1:
         raise ValueError("predicate density outside [0, 1]")
-    if "R" not in fx:
-        regs.append(("R", len(spec.randomness)))
-    elif fx["R"] not in spec.randomness:
-        raise ValueError("pinned randomness outside the protocol's coin space")
-    if "H" not in fx:
-        regs.append(("H", _table_dim(2, _prefix_count(n, k))))
-    else:
-        _check_table(fx["H"], prefix_domain(spec.alphabet, k), (0, 1))
-
+    regs.append(("R", len(spec.randomness)))
+    regs.append(("H", _table_dim(2, _prefix_count(n, k))))
     regs.append(("Count", k))
     regs += [(f"M{i}", n) for i in range(1, k + 1)]
     regs += [("B", 2), ("M", n)]
@@ -329,8 +294,7 @@ def build_verifier(
             f"machine dimension {layout.total_dim} exceeds the dense cap"
         )
     out = ("Cont", "B") if kind == "superposition" else ("B",)
-    fixed_items = tuple(sorted(fx.items(), key=lambda kv: kv[0]))
-    return VerifierMachine(kind, spec, x, layout, out, eps, fixed_items)
+    return VerifierMachine(kind, spec, x, layout, out, eps)
 
 
 def _prefix_count(n: int, depth: int) -> int:
@@ -355,15 +319,6 @@ def _table_dim(base: int, points: int) -> int:
 def _little_endian(digits: Sequence[int], base: int) -> int:
     """Register digit of a table whose point i holds digit i (point 0 fastest)."""
     return sum(int(d) * base**i for i, d in enumerate(digits))
-
-
-def _check_table(table: ClassicalOracle, domain, range_values) -> None:
-    if not isinstance(table, ClassicalOracle):
-        raise TypeError("pinned tables must be classical oracles")
-    if table.domain != tuple(domain):
-        raise ValueError("pinned table domain mismatch")
-    if set(table.values) - set(range_values):
-        raise ValueError("pinned table values outside the expected range")
 
 
 def apply_step(
@@ -615,74 +570,12 @@ class RunBranch:
     invocations: int = 0
     counts: tuple[tuple[str, int], ...] = ()
 
-    def oracle(self, name: str) -> ClassicalOracle:
-        for nm, tab in self.oracles:
-            if nm == name:
-                return tab
-        raise KeyError(f"no oracle named {name!r}")
-
-    def count(self, name: str) -> int:
-        for nm, c in self.counts:
-            if nm == name:
-                return c
-        return 0
-
 
 def _scale(weight, p: float):
     """Multiply a branch weight by a probability, keeping exact 0/1 exact."""
     if abs(p - 1.0) <= _EXACT_TOL:
         return weight
     return float(weight) * p
-
-
-def _bump(branch: RunBranch, name: str) -> RunBranch:
-    d = dict(branch.counts)
-    d[name] = d.get(name, 0) + 1
-    return replace(
-        branch, invocations=branch.invocations + 1, counts=tuple(sorted(d.items()))
-    )
-
-
-def set_branch_oracle(branch: RunBranch, name: str, table: ClassicalOracle) -> RunBranch:
-    """Branch copy whose named table is replaced (reprogramming)."""
-    if name not in dict(branch.oracles):
-        raise KeyError(f"no oracle named {name!r}")
-    return replace(
-        branch,
-        oracles=tuple((nm, table if nm == name else t) for nm, t in branch.oracles),
-    )
-
-
-def answer_query(branch: RunBranch, call: CallOracle) -> RunBranch:
-    """Answer one query from the branch's table, bumping counts."""
-    tab = branch.oracle(call.name)
-    st = quantum_query(branch.state, tab, call.in_register, call.out_register)
-    return replace(_bump(branch, call.name), state=st)
-
-
-def measure_query_register(branch: RunBranch, call: CallOracle):
-    """Collapse the query register, as (domain point, collapsed branch) pairs.
-
-    The invocation count is not bumped; callers answer the query
-    afterwards. Outcomes outside the table's domain encoding error out.
-    """
-    tab = branch.oracle(call.name)
-    out = []
-    for o, post, p in measure_register(branch.state, call.in_register):
-        if o >= len(tab.domain):
-            raise ValueError("measured a query outside the table domain")
-        out.append(
-            (
-                tab.domain[o],
-                replace(
-                    branch,
-                    state=post,
-                    weight=_scale(branch.weight, p),
-                    outcomes=branch.outcomes + ((call.in_register, o),),
-                ),
-            )
-        )
-    return out
 
 
 def _visible_registers(
@@ -707,15 +600,18 @@ def _visible_registers(
 
 
 def _check_visible(step: Step, visible: set[str]) -> None:
-    """Reject a unitary or a measurement on a register the steps cannot see."""
+    """Reject a unitary, a measurement or a query on a register the steps
+    cannot see."""
     if isinstance(step, Unitary):
         hidden = set(step.registers) - visible
-        if hidden:
-            raise ValueError(f"step touches verifier-internal registers {sorted(hidden)}")
-    elif isinstance(step, Measure) and step.register not in visible:
-        raise ValueError(
-            f"measurement touches verifier-internal register {step.register!r}"
-        )
+    elif isinstance(step, Measure):
+        hidden = {step.register} - visible
+    elif isinstance(step, CallOracle):
+        hidden = {step.in_register, step.out_register} - visible
+    else:
+        return
+    if hidden:
+        raise ValueError(f"step touches verifier-internal registers {sorted(hidden)}")
 
 
 def run_query_algorithm(
@@ -723,9 +619,11 @@ def run_query_algorithm(
     *,
     machine: VerifierMachine | None = None,
     oracles: Mapping[str, ClassicalOracle] | None = None,
-    on_query: Callable[[RunBranch, CallOracle, int], Optional[list]] | None = None,
+    reprogram: tuple[str, Mapping[int, tuple[str, int, Hashable]]] | None = None,
 ) -> list[RunBranch]:
     """Execute a step list exhaustively, returning every final branch.
+
+    It is the one-row run of ``_run_rows``.
 
     Args:
         alg: the algorithm (strict budget).
@@ -734,61 +632,24 @@ def run_query_algorithm(
             (``initial_state``), and only M among them is visible to the
             algorithm's steps.
         oracles: named classical tables serving CallOracle steps.
-        on_query: interceptor f(branch, call, ordinal) returning
-            replacement branches (already answered) or None for the
-            default answer; ordinals count per oracle name from 1.
+        reprogram: (name, {ordinal: (label, timing, value)}) measures and
+            reprograms queries to the named table; ordinals count that
+            table's queries from 1. The picked query's in-register is
+            measured, and the table is reprogrammed to ``value`` at the
+            measured point before the answer (timing 0) or after it
+            (timing 1). The point's domain position is recorded in the
+            outcomes under ``label``.
 
     Returns:
         Final branches; weights stay exact fractions until some
         measurement splits amplitude, and are floats after.
     """
-    work = tuple(alg.work_registers)
     visible = _visible_registers(alg, None if machine is None else machine.layout)
-    if machine is not None:
-        state = initial_state(machine, work)
+    if machine is None:
+        start = StateVector.basis(RegisterLayout(alg.work_registers))
     else:
-        state = StateVector.basis(RegisterLayout(work))
-    tables = tuple(sorted((oracles or {}).items()))
-    branches = [RunBranch(Fraction(1), state, tables)]
-    for step in alg.steps:
-        _check_visible(step, visible)
-        nxt: list[RunBranch] = []
-        for br in branches:
-            if isinstance(step, Unitary):
-                lay = br.state.layout
-                t = _unitary_on_axes(br.state.tensor(), lay, step.registers, step.matrix)
-                nxt.append(replace(br, state=StateVector(lay, t.reshape(-1))))
-            elif isinstance(step, Measure):
-                for o, post, p in measure_register(br.state, step.register):
-                    nxt.append(
-                        replace(
-                            br,
-                            state=post,
-                            weight=_scale(br.weight, p),
-                            outcomes=br.outcomes + ((step.register, o),),
-                        )
-                    )
-            elif isinstance(step, CallVerifier):
-                if machine is None:
-                    raise ValueError("no verifier attached to this run")
-                if br.invocations + 1 > alg.budget:
-                    raise RuntimeError("budget violation in strict mode")
-                st = apply_step(machine, br.state, inverse=step.inverse)
-                nxt.append(replace(_bump(br, "verifier"), state=st))
-            elif isinstance(step, CallOracle):
-                if br.invocations + 1 > alg.budget:
-                    raise RuntimeError("budget violation in strict mode")
-                res = None
-                if on_query is not None:
-                    res = on_query(br, step, br.count(step.name) + 1)
-                if res is None:
-                    nxt.append(answer_query(br, step))
-                else:
-                    nxt.extend(res)
-            else:
-                raise TypeError(f"unknown step {step!r}")
-        branches = nxt
-    return branches
+        start = initial_state(machine, alg.work_registers)
+    return _run_rows(alg, visible, start, machine, oracles, reprogram)
 
 
 def output_distribution(branches: Sequence[RunBranch], registers: Sequence[str]):
@@ -867,9 +728,8 @@ def run_simulator(
     simulator-visible action, so it is enumerated: every (R, H)
     assignment of its aux state is one row of an amplitude array that
     each strict branch runs once, and the rows are mixed with exact
-    weights. The coherent kind and pinned machines run fully dense.
-    Expected-mode simulators contribute each strict branch with its
-    stopping weight.
+    weights. The coherent kind runs as one dense row. Expected-mode
+    simulators contribute each strict branch with its stopping weight.
     """
     if isinstance(sim, ExpectedAlgorithm):
         allb: list[RunBranch] = []
@@ -878,61 +738,125 @@ def run_simulator(
             allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
         return SimulationResult(machine.kind, tuple(allb))
     kind = machine.kind
-    if kind == "superposition" or machine.fixed:
-        branches = run_query_algorithm(sim, machine=machine)
-        return SimulationResult(kind, tuple(branches))
-    return SimulationResult(kind, tuple(_run_rows(sim, machine._control_rows)))
+    if kind == "superposition":
+        return SimulationResult(kind, tuple(run_query_algorithm(sim, machine=machine)))
+    rows = machine._control_rows
+    visible = _visible_registers(sim, rows.layout)
+    start = StateVector.basis(RegisterLayout(rows.layout.registers + sim.work_registers))
+    return SimulationResult(kind, tuple(_run_rows(sim, visible, start, rows)))
 
 
-def _run_rows(alg: QueryAlgorithm, table: _ControlRows) -> list[RunBranch]:
-    """One strict run of every control assignment, as rows of one array.
+def _table(tables: dict, name: str) -> ClassicalOracle:
+    if name not in tables:
+        raise KeyError(f"no oracle named {name!r}")
+    return tables[name]
 
-    The rows start in the all-zero state, as a machine pinned to their
-    assignment starts. A measurement splits each row into its outcomes
-    above ``PROB_FLOOR``, in place and in outcome order, so the rows stay
-    assignment-major and each assignment's branches come in the order
-    ``run_query_algorithm`` lists them; each keeps its own weight, times
-    the assignment's weight at the end.
+
+def _run_rows(
+    alg: QueryAlgorithm,
+    visible: set[str],
+    start: StateVector,
+    verifier: VerifierMachine | _ControlRows | None = None,
+    oracles: Mapping[str, ClassicalOracle] | None = None,
+    reprogram: tuple[str, Mapping[int, tuple[str, int, Hashable]]] | None = None,
+) -> list[RunBranch]:
+    """One strict run of a step list over the rows of one amplitude array.
+
+    Every row starts in ``start``: one row against a machine, whose calls
+    go through ``apply_step``, or against no verifier, and one row per
+    control assignment of the aborting kind's ``_ControlRows``, whose
+    calls move every row by its own permutation at once. A measurement
+    splits each row into its outcomes above ``PROB_FLOOR``, in place and
+    in outcome order, so the rows stay assignment-major. Each row keeps
+    its own weight, times the assignment's weight at the end, and its own
+    outcomes and tables; queries are answered row by row through
+    ``quantum_query``. ``reprogram`` is ``run_query_algorithm``'s.
     """
-    visible = _visible_registers(alg, table.layout)
-    layout = RegisterLayout(table.layout.registers + tuple(alg.work_registers))
+    layout = start.layout
     shape = layout.dims[::-1]
-    row = np.arange(len(table.weights))
-    amps = np.zeros((row.size, layout.total_dim), dtype=complex)
-    amps[:, 0] = 1.0
+    base = verifier.weights if isinstance(verifier, _ControlRows) else (Fraction(1),)
+    row = np.arange(len(base))
+    amps = np.repeat(start.amplitudes[None], row.size, axis=0)
     weights: list = [Fraction(1)] * row.size
     outcomes: list[tuple] = [()] * row.size
-    calls = 0
+    tables: list[dict] = [dict(sorted((oracles or {}).items()))] * row.size
+    counts: dict[str, int] = {}
+    name, slots = reprogram or (None, {})
+
+    def collapse(t: np.ndarray, register: str):
+        nonlocal row, weights, outcomes, tables
+        b, o, p, t = _split_rows(t, layout.axis_of(register))
+        weights = [_scale(weights[i], float(pi)) for i, pi in zip(b, p)]
+        outcomes = [outcomes[i] + ((register, int(oi)),) for i, oi in zip(b, o)]
+        tables = [tables[i] for i in b]
+        row = row[b]
+        return o, t
+
+    def answer(t: np.ndarray, call: CallOracle) -> np.ndarray:
+        return np.stack([
+            quantum_query(
+                StateVector(layout, a), _table(tabs, call.name),
+                call.in_register, call.out_register,
+            ).amplitudes
+            for a, tabs in zip(t.reshape(row.size, -1), tables)
+        ])
+
+    def reprogram_rows(points, value) -> None:
+        for i, o in enumerate(points):
+            tabs = dict(tables[i])
+            tab = _table(tabs, name)
+            if o >= len(tab.domain):
+                raise ValueError("measured a query outside the table domain")
+            tabs[name] = tab.reprogram(tab.domain[o], value)
+            tables[i] = tabs
+
     for step in alg.steps:
         _check_visible(step, visible)
         t = amps.reshape((row.size,) + shape)
         if isinstance(step, Unitary):
-            t = _unitary_on_axes(t, layout, step.registers, step.matrix, lead=1)
+            t = _unitary_on_axes(t, layout, step.registers, step.matrix)
         elif isinstance(step, Measure):
-            b, o, p, t = _split_rows(t, layout.axis_of(step.register))
-            weights = [_scale(weights[i], float(pi)) for i, pi in zip(b, p)]
-            outcomes = [outcomes[i] + ((step.register, int(oi)),) for i, oi in zip(b, o)]
-            row = row[b]
+            _, t = collapse(t, step.register)
         elif isinstance(step, (CallVerifier, CallOracle)):
-            if calls + 1 > alg.budget:
+            if isinstance(step, CallVerifier) and verifier is None:
+                raise ValueError("no verifier attached to this run")
+            if sum(counts.values()) + 1 > alg.budget:
                 raise RuntimeError("budget violation in strict mode")
-            if isinstance(step, CallOracle):
-                raise KeyError(f"no oracle named {step.name!r}")
-            calls += 1
-            rows = t.reshape(row.size, -1, table.layout.total_dim)
-            t = _permute_rows(rows, table.perms[row], step.inverse)
+            key = step.name if isinstance(step, CallOracle) else "verifier"
+            counts[key] = counts.get(key, 0) + 1
+            if isinstance(step, CallVerifier):
+                if isinstance(verifier, _ControlRows):
+                    rows = t.reshape(row.size, -1, verifier.layout.total_dim)
+                    t = _permute_rows(rows, verifier.perms[row], step.inverse)
+                else:
+                    t = np.stack([
+                        apply_step(verifier, StateVector(layout, a), step.inverse)
+                        .amplitudes
+                        for a in t.reshape(row.size, -1)
+                    ])
+            elif key != name or counts[key] not in slots:
+                t = answer(t, step)
+            else:
+                label, timing, value = slots[counts[key]]
+                points, t = collapse(t, step.in_register)
+                if timing == 0:
+                    reprogram_rows(points, value)
+                t = answer(t, step)
+                if timing == 1:
+                    reprogram_rows(points, value)
+                outcomes = [out + ((label, int(o)),) for out, o in zip(outcomes, points)]
         else:
             raise TypeError(f"unknown step {step!r}")
         amps = np.ascontiguousarray(t).reshape(row.size, -1)
-    counts = (("verifier", calls),) if calls else ()
+    calls, counted = sum(counts.values()), tuple(sorted(counts.items()))
     return [
         RunBranch(
-            table.weights[row[i]] * weights[i],
+            base[row[i]] * weights[i],
             StateVector(layout, amps[i]),
-            (),
+            tuple(tables[i].items()),
             outcomes[i],
             calls,
-            counts,
+            counted,
         )
         for i in range(row.size)
     ]

@@ -161,11 +161,6 @@ class TwoQWiseFamily:
             key = key * self.a + s
         return key * self.base.key_count + kp
 
-    def predicate(self, key: int, point: Sequence[Hashable]) -> int:
-        kp, shifts = self.split_key(key)
-        val = (self.base.eval(kp, tuple(point)) + shifts[len(point) - 1]) % self.a
-        return 1 if val < self.b else 0
-
     def flag_table(self) -> np.ndarray:
         """Every key's predicate table: row ``key``, column = domain position.
 
@@ -184,12 +179,8 @@ class TwoQWiseFamily:
 
     def flagged_keys(self, m: Sequence[Hashable]) -> list[int]:
         """Keys whose predicate flags every prefix of transcript ``m``."""
-        pres = prefixes(m)
-        return [
-            key
-            for key in range(self.key_count)
-            if all(self.predicate(key, p) for p in pres)
-        ]
+        cols = [self.domain.index(p) for p in prefixes(m)]
+        return np.flatnonzero(self.flag_table()[:, cols].all(axis=1)).tolist()
 
 
 def family_exactness_check(

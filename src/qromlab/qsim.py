@@ -252,7 +252,7 @@ def apply_unitary(
         The transformed state on the same layout.
     """
     u = _check_unitary(u)
-    t = _unitary_on_axes(state.tensor(), state.layout, target_registers, u)
+    t = _unitary_on_axes(state.tensor()[None], state.layout, target_registers, u)[0]
     return StateVector(state.layout, np.ascontiguousarray(t).reshape(-1))
 
 
@@ -261,10 +261,14 @@ def _unitary_on_axes(
     layout: RegisterLayout,
     target_registers: Sequence[str],
     u: np.ndarray,
-    lead: int = 0,
 ) -> np.ndarray:
     """``u``, a complex matrix already checked unitary, on the named registers
-    of a tensor shaped ``dims[::-1]`` after ``lead`` leading batch axes."""
+    of every row of ``t``, shaped (rows, *dims[::-1]).
+
+    One stacked ``np.matmul``: each row's target axes move to the front
+    and the row becomes the (block, rest) matrix a one-row
+    ``np.tensordot`` hands to BLAS, so no row depends on the others.
+    """
     targets = list(target_registers)
     if len(set(targets)) != len(targets):
         raise ValueError("repeated target register")
@@ -275,12 +279,12 @@ def _unitary_on_axes(
     if u.shape != (block, block):
         raise ValueError(f"unitary shape {u.shape} != ({block}, {block})")
 
-    m = len(targets)
-    # u as a tensor: (out axes reversed-target-order, in axes same)
-    u_t = u.reshape(tuple(dims_t[::-1]) * 2)
-    axes = [lead + layout.axis_of(n) for n in reversed(targets)]
-    t = np.tensordot(u_t, t, axes=(list(range(m, 2 * m)), axes))
-    return np.moveaxis(t, list(range(m)), axes)
+    # u's basis runs over the targets last-listed slowest, as the axes do
+    axes = [1 + layout.axis_of(n) for n in reversed(targets)]
+    rest = [a for a in range(1, t.ndim) if a not in axes]
+    moved = t.transpose([0, *axes, *rest])
+    out = np.matmul(u, moved.reshape(t.shape[0], block, -1)).reshape(moved.shape)
+    return np.moveaxis(out, range(1, len(axes) + 1), axes)
 
 
 def _register_probs(t: np.ndarray, axes: Sequence[int]) -> np.ndarray:

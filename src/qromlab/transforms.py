@@ -1,9 +1,10 @@
 """Reprogramming schedules, the puncturing corollary, and truncation.
 
 One measure-and-reprogram engine serves every transform here.
-``apply_schedule`` is the only query interceptor: it drives the target
-algorithm under one schedule of (query ordinal, timing) picks, with
-collapses and table updates injected at the picked queries.
+``apply_schedule`` drives the target algorithm under one schedule of
+(query ordinal, timing) picks: the executor measures each picked query
+and reprograms the table at the measured point (``run_query_algorithm``'s
+``reprogram``).
 ``_mar_dist`` is the only loop that averages it over every valid
 schedule; the general and ordered wrappers differ only in the outcome
 rule they pass it (the ordered one is ``_ordered_outcome``, the abort
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from numbers import Rational
@@ -32,11 +33,8 @@ from qromlab.adversary import (
     ExpectedAlgorithm,
     QueryAlgorithm,
     RunBranch,
-    answer_query,
-    measure_query_register,
     output_distribution,
     run_query_algorithm,
-    set_branch_oracle,
 )
 from qromlab.oracle import ClassicalOracle, prefixes
 
@@ -104,25 +102,11 @@ def apply_schedule(
     """
     if len(y) != len(schedule.picks):
         raise ValueError("one reprogram value per slot")
-    slots = schedule.by_ordinal
-
-    def on_query(branch: RunBranch, call: CallOracle, ordinal: int):
-        if call.name != name or ordinal not in slots:
-            return None
-        i, timing = slots[ordinal]
-        out = []
-        for point, cb in measure_query_register(branch, call):
-            pos = cb.oracle(name).domain.index(point)
-            if timing == 0:
-                cb = set_branch_oracle(cb, name, cb.oracle(name).reprogram(point, y[i]))
-                cb = answer_query(cb, call)
-            else:
-                cb = answer_query(cb, call)
-                cb = set_branch_oracle(cb, name, cb.oracle(name).reprogram(point, y[i]))
-            out.append(replace(cb, outcomes=cb.outcomes + ((f"mar-slot-{i}", pos),)))
-        return out
-
-    return run_query_algorithm(alg, oracles={name: oracle}, on_query=on_query)
+    slots = {
+        j: (f"mar-slot-{i}", timing, y[i])
+        for j, (i, timing) in schedule.by_ordinal.items()
+    }
+    return run_query_algorithm(alg, oracles={name: oracle}, reprogram=(name, slots))
 
 
 def _slot_points(branch: RunBranch, domain: tuple) -> dict[int, Hashable]:

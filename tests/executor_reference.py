@@ -1,0 +1,207 @@
+"""The per-branch executor as it was before ``adversary._run_rows`` became
+the only one.
+
+``run_query_algorithm`` runs a step list branch by branch: a ``Unitary``
+is one ``np.tensordot`` on one branch's state, a measurement returns one
+branch per outcome, and a query goes through ``answer_query`` unless the
+``on_query`` interceptor answers it. ``measure_query_register`` and
+``set_branch_oracle`` are the interceptor's tools. The registers a step
+may touch are checked by the library's own ``_visible_registers`` and
+``_check_visible``. It is the reference the one-row and the batched runs
+of the row executor are tested against, branch by branch, with
+``assert_same_branches``.
+"""
+
+from dataclasses import replace
+from fractions import Fraction
+
+import numpy as np
+
+from qromlab.adversary import (
+    CallOracle,
+    CallVerifier,
+    Measure,
+    RunBranch,
+    Unitary,
+    _check_visible,
+    _scale,
+    _visible_registers,
+    apply_step,
+    initial_state,
+)
+from qromlab.oracle import quantum_query
+from qromlab.qsim import RegisterLayout, StateVector, measure_register
+
+
+def unitary_on_axes(t, layout, target_registers, u):
+    """``u`` on the named registers of one state tensor shaped ``dims[::-1]``,
+    as one ``np.tensordot``."""
+    targets = list(target_registers)
+    if len(set(targets)) != len(targets):
+        raise ValueError("repeated target register")
+    dims_t = [layout.dim_of(n) for n in targets]
+    block = int(np.prod(dims_t))
+    if u.shape != (block, block):
+        raise ValueError(f"unitary shape {u.shape} != ({block}, {block})")
+    m = len(targets)
+    u_t = u.reshape(tuple(dims_t[::-1]) * 2)
+    axes = [layout.axis_of(n) for n in reversed(targets)]
+    t = np.tensordot(u_t, t, axes=(list(range(m, 2 * m)), axes))
+    return np.moveaxis(t, list(range(m)), axes)
+
+
+def branch_oracle(branch, name):
+    for nm, tab in branch.oracles:
+        if nm == name:
+            return tab
+    raise KeyError(f"no oracle named {name!r}")
+
+
+def branch_count(branch, name):
+    return dict(branch.counts).get(name, 0)
+
+
+def _bump(branch, name):
+    d = dict(branch.counts)
+    d[name] = d.get(name, 0) + 1
+    return replace(
+        branch, invocations=branch.invocations + 1, counts=tuple(sorted(d.items()))
+    )
+
+
+def set_branch_oracle(branch, name, table):
+    """Branch copy whose named table is replaced (reprogramming)."""
+    if name not in dict(branch.oracles):
+        raise KeyError(f"no oracle named {name!r}")
+    return replace(
+        branch,
+        oracles=tuple((nm, table if nm == name else t) for nm, t in branch.oracles),
+    )
+
+
+def answer_query(branch, call):
+    """Answer one query from the branch's table, bumping counts."""
+    tab = branch_oracle(branch, call.name)
+    st = quantum_query(branch.state, tab, call.in_register, call.out_register)
+    return replace(_bump(branch, call.name), state=st)
+
+
+def measure_query_register(branch, call):
+    """Collapse the query register, as (domain point, collapsed branch) pairs;
+    the invocation count is not bumped."""
+    tab = branch_oracle(branch, call.name)
+    out = []
+    for o, post, p in measure_register(branch.state, call.in_register):
+        if o >= len(tab.domain):
+            raise ValueError("measured a query outside the table domain")
+        out.append(
+            (
+                tab.domain[o],
+                replace(
+                    branch,
+                    state=post,
+                    weight=_scale(branch.weight, p),
+                    outcomes=branch.outcomes + ((call.in_register, o),),
+                ),
+            )
+        )
+    return out
+
+
+def run_query_algorithm(alg, *, machine=None, oracles=None, on_query=None):
+    """Execute a step list exhaustively, branch by branch.
+
+    ``on_query(branch, call, ordinal)`` returns replacement branches
+    (already answered) or None for the default answer; ordinals count
+    per oracle name from 1.
+    """
+    work = tuple(alg.work_registers)
+    visible = _visible_registers(alg, None if machine is None else machine.layout)
+    if machine is not None:
+        state = initial_state(machine, work)
+    else:
+        state = StateVector.basis(RegisterLayout(work))
+    tables = tuple(sorted((oracles or {}).items()))
+    branches = [RunBranch(Fraction(1), state, tables)]
+    for step in alg.steps:
+        _check_visible(step, visible)
+        nxt = []
+        for br in branches:
+            if isinstance(step, Unitary):
+                lay = br.state.layout
+                t = unitary_on_axes(br.state.tensor(), lay, step.registers, step.matrix)
+                nxt.append(replace(br, state=StateVector(lay, t.reshape(-1))))
+            elif isinstance(step, Measure):
+                for o, post, p in measure_register(br.state, step.register):
+                    nxt.append(
+                        replace(
+                            br,
+                            state=post,
+                            weight=_scale(br.weight, p),
+                            outcomes=br.outcomes + ((step.register, o),),
+                        )
+                    )
+            elif isinstance(step, CallVerifier):
+                if machine is None:
+                    raise ValueError("no verifier attached to this run")
+                if br.invocations + 1 > alg.budget:
+                    raise RuntimeError("budget violation in strict mode")
+                st = apply_step(machine, br.state, inverse=step.inverse)
+                nxt.append(replace(_bump(br, "verifier"), state=st))
+            elif isinstance(step, CallOracle):
+                if br.invocations + 1 > alg.budget:
+                    raise RuntimeError("budget violation in strict mode")
+                res = None
+                if on_query is not None:
+                    res = on_query(br, step, branch_count(br, step.name) + 1)
+                if res is None:
+                    nxt.append(answer_query(br, step))
+                else:
+                    nxt.extend(res)
+            else:
+                raise TypeError(f"unknown step {step!r}")
+        branches = nxt
+    return branches
+
+
+def assert_same_branches(got, want):
+    """Equal branch lists: weights of the same type, and everything exact."""
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert type(a.weight) is type(b.weight)
+        assert a.weight == b.weight
+        assert a.outcomes == b.outcomes
+        assert a.invocations == b.invocations
+        assert a.counts == b.counts
+        assert a.oracles == b.oracles
+        assert a.state.layout == b.state.layout
+        assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+
+
+def apply_schedule(alg, oracle, schedule, y, name="h"):
+    """One schedule through the ``on_query`` interceptor, as the library's
+    ``transforms.apply_schedule`` ran it."""
+    if len(y) != len(schedule.picks):
+        raise ValueError("one reprogram value per slot")
+    slots = schedule.by_ordinal
+
+    def on_query(branch, call, ordinal):
+        if call.name != name or ordinal not in slots:
+            return None
+        i, timing = slots[ordinal]
+        out = []
+        for point, cb in measure_query_register(branch, call):
+            tab = branch_oracle(cb, name)
+            pos = tab.domain.index(point)
+            if timing == 0:
+                cb = set_branch_oracle(cb, name, tab.reprogram(point, y[i]))
+                cb = answer_query(cb, call)
+            else:
+                cb = answer_query(cb, call)
+                cb = set_branch_oracle(
+                    cb, name, branch_oracle(cb, name).reprogram(point, y[i])
+                )
+            out.append(replace(cb, outcomes=cb.outcomes + ((f"mar-slot-{i}", pos),)))
+        return out
+
+    return run_query_algorithm(alg, oracles={name: oracle}, on_query=on_query)

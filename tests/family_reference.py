@@ -4,6 +4,10 @@
 values it gives on a set of points; the tests use it to pin down the
 independence order of the table and polynomial families.
 
+``predicate`` is one key's flag at one point, from ``split_key`` and one
+``base.eval``: the reference that ``TwoQWiseFamily.flag_table`` and
+``flagged_keys`` are checked against.
+
 ``family_exactness_check``, ``random_function_vs_family`` and
 ``sparse_advantage`` are the plain per-key and per-weight loops: they
 build one table and call ``accept`` once for every key or weight, in
@@ -29,9 +33,16 @@ def joint_is_uniform(fam: BaseFamily, points: Sequence[Hashable]) -> bool:
     return len(counts) == fam.a ** len(points) and set(counts.values()) == {want}
 
 
+def predicate(fam: TwoQWiseFamily, key: int, point: Sequence[Hashable]) -> int:
+    """Whether the key flags the point: (H'(point) + a_|point|) mod A < B."""
+    kp, shifts = fam.split_key(key)
+    val = (fam.base.eval(kp, tuple(point)) + shifts[len(point) - 1]) % fam.a
+    return 1 if val < fam.b else 0
+
+
 def tilted_oracle(fam: TwoQWiseFamily, key: int) -> ClassicalOracle:
     """One key's predicate table, point by point."""
-    vals = tuple(fam.predicate(key, p) for p in fam.domain)
+    vals = tuple(predicate(fam, key, p) for p in fam.domain)
     return ClassicalOracle(fam.domain, (0, 1), vals)
 
 

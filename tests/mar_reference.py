@@ -9,7 +9,8 @@ the ordered abort rule. They are the bodies of the former
 ``mar_check_general``, ``mar_check_ordered``, ``o2h_corollary_C`` and
 ``pipeline._ordered_outcome``, and serve as the reference that the one
 engine in ``transforms`` is tested against. ``ordered_rule`` is the
-abort rule as it stood inline in ``mar_ordered``.
+abort rule as it stood inline in ``mar_ordered``. Every run goes through
+the per-branch executor of ``executor_reference``.
 """
 
 from dataclasses import replace
@@ -17,12 +18,14 @@ from fractions import Fraction
 
 import numpy as np
 
-from qromlab.adversary import (
+from executor_reference import (
     answer_query,
+    apply_schedule,
+    branch_oracle,
     measure_query_register,
-    output_distribution,
     run_query_algorithm,
 )
+from qromlab.adversary import output_distribution
 from qromlab.oracle import ClassicalOracle, prefixes
 from qromlab.transforms import (
     MarOutcome,
@@ -30,7 +33,6 @@ from qromlab.transforms import (
     O2HReport,
     _named_queries,
     _slot_points,
-    apply_schedule,
     enumerate_schedules,
 )
 
@@ -208,7 +210,7 @@ def o2h_corollary_C(alg, domain, marked, *, name="h", output_register=None):
                     return None
                 out = []
                 for point, cb in measure_query_register(branch, call):
-                    pos = cb.oracle(name).domain.index(point)
+                    pos = branch_oracle(cb, name).domain.index(point)
                     cb = answer_query(cb, call)
                     out.append(
                         replace(cb, outcomes=cb.outcomes + (("o2h-catch", pos),))

@@ -1,14 +1,15 @@
 """Reference routes for one verifier call.
 
 ``reference_step_perm`` builds the step permutation one basis index at a
-time: the plain decode -> act -> encode loop, in which each flat index is
+time, with a pinned machine's classical control values given as ``r``
+and ``h``: the plain decode -> act -> encode loop, in which each flat index is
 decoded into register digits, the call's count/swap/respond/decide
 bookkeeping runs on those digits in Python, and the result is encoded
 back. It is slow and obviously correct, and serves as the reference
 route that the vectorized ``VerifierMachine._step_perm`` is tested against.
 
 ``fstar_oracle`` is the verifier's classical next-step function read off
-the protocol spec for given control values, an independent route to what
+the protocol spec for given control values ``r`` and ``h``, an independent route to what
 the permutation writes into M and B. ``step_matrix`` and
 ``is_step_unitary`` are the dense test oracles of one call.
 """
@@ -24,8 +25,9 @@ from qromlab.qsim import ATOL_UNITARY
 MAX_MATRIX_DIM = 2**11
 
 
-def reference_step_perm(machine) -> np.ndarray:
-    """Basis permutation of one call: count, swap, respond, decide."""
+def reference_step_perm(machine, r=None, h=None) -> np.ndarray:
+    """Basis permutation of one call: count, swap, respond, decide. A
+    machine without an R or an H register reads ``r`` or ``h`` instead."""
     lay, spec, x, k = machine.layout, machine.spec, machine.x, machine.k
     n = len(spec.alphabet)
     aidx = {a: i for i, a in enumerate(spec.alphabet)}
@@ -43,7 +45,7 @@ def reference_step_perm(machine) -> np.ndarray:
             pref_info[digs] = (pidx[labels], labels)
 
     pos_r, pos_h = pos.get("R"), pos.get("H")
-    fixed_r, fixed_h = machine.fixed_value("R"), machine.fixed_value("H")
+    fixed_r, fixed_h = r, h
     rs = spec.randomness
     fixed_flags = None
     if pos_h is None:
@@ -141,10 +143,8 @@ def fstar_oracle(
     n = len(spec.alphabet)
     if not 1 <= i_round <= k:
         raise ValueError(f"round {i_round} outside 1..{k}")
-    r = machine.fixed_value("R") if r is None else r
-    h = machine.fixed_value("H") if h is None else h
     if h is None:
-        raise ValueError("need a pinned or supplied control table")
+        raise ValueError("need a supplied control table")
     dom = []
     for flat in range(n**i_round):
         digs = [(flat // n**j) % n for j in range(i_round)]
@@ -159,6 +159,6 @@ def fstar_oracle(
         return spec.next_message(x, r, t) if h(t) else spec.alphabet[0]
 
     if r is None:
-        raise ValueError("need pinned or supplied randomness")
+        raise ValueError("need supplied randomness")
     rng = (0, 1) if final else tuple(spec.alphabet)
     return ClassicalOracle(dom, rng, tuple(value(t) for t in dom))

@@ -12,7 +12,7 @@ from qromlab.adversary import (
     ExpectedAlgorithm,
     Measure,
     QueryAlgorithm,
-    RunBranch,
+    SimulationResult,
     Unitary,
     build_aux,
     build_verifier,
@@ -22,7 +22,6 @@ from qromlab.adversary import (
     final_cont_state,
     honest_wrapper,
     initial_state,
-    measure_query_register,
     oracle_zoo,
     ordered_zoo,
     output_distribution,
@@ -31,11 +30,10 @@ from qromlab.adversary import (
     pr_register,
     run_query_algorithm,
     run_simulator,
-    set_branch_oracle,
 )
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.protocol import toy_guess, toy_qr, toy_table
-from qromlab.qsim import RegisterLayout, StateVector, trace_distance
+from qromlab.qsim import trace_distance
 import pinned_reference
 from prover_reference import give_up
 from step_reference import fstar_oracle, is_step_unitary
@@ -81,14 +79,6 @@ class TestBuildVerifier:
         with pytest.raises(ValueError):
             build_verifier("superposition", toy_table(), 1, eps=0)
 
-    def test_pinning_rules(self):
-        with pytest.raises(ValueError):
-            build_verifier(
-                "superposition", toy_table(), 1, eps=EPS4, fixed={"R": 0}
-            )
-        with pytest.raises(ValueError):
-            build_verifier("random_aborting", toy_table(), 1, eps=EPS4, fixed={"R": 7})
-
     @pytest.mark.parametrize("kind", ["random_aborting", "superposition"])
     def test_table_cap_checked_in_log_space(self, kind):
         spec = toy_qr(3)
@@ -105,14 +95,11 @@ class TestBuildVerifier:
         c = build_verifier("superposition", toy_table(), 1, eps=EPS4)
         assert c.layout.names[:3] == ("Cont", "R", "H")
         assert c.output_register == ("Cont", "B")
-        pinned = build_verifier(
-            "random_aborting",
-            toy_table(),
-            1,
-            eps=EPS4,
-            fixed={"R": 0, "H": ClassicalOracle.constant(PDOM, (0, 1), 1)},
+        pinned = pinned_reference.pinned_machine(
+            m, {"R": 0, "H": ClassicalOracle.constant(PDOM, (0, 1), 1)}
         )
         assert pinned.layout.names == ("Count", "M1", "M2", "B", "M")
+        assert m._control_rows.layout == pinned.layout
 
 
 def all_kind_machines():
@@ -132,24 +119,20 @@ class TestFstarOracle:
     def test_pinned_tables(self):
         spec = toy_table()
         live = ClassicalOracle.constant(PDOM, (0, 1), 1)
-        m = build_verifier(
-            "random_aborting", spec, 1, eps=EPS4, fixed={"R": 0, "H": live}
-        )
-        f1 = fstar_oracle(m, 1)
+        m = build_verifier("random_aborting", spec, 1, eps=EPS4)
+        f1 = fstar_oracle(m, 1, r=0, h=live)
         assert f1.domain == ((0,), (1,))
         assert f1((0,)) == spec.next_message(1, 0, (0,))
-        f2 = fstar_oracle(m, 2)
+        f2 = fstar_oracle(m, 2, r=0, h=live)
         assert f2.range_values == (0, 1)
         assert f2((0, 1)) == int(spec.decide(1, 0, (0, 1)))
 
     def test_aborted_rounds_emit_marker(self):
         spec = toy_table()
         dead = ClassicalOracle.constant(PDOM, (0, 1), 0)
-        m = build_verifier(
-            "random_aborting", spec, 1, eps=EPS4, fixed={"R": 0, "H": dead}
-        )
-        assert set(fstar_oracle(m, 1).values) == {spec.alphabet[0]}
-        assert set(fstar_oracle(m, 2).values) == {0}
+        m = build_verifier("random_aborting", spec, 1, eps=EPS4)
+        assert set(fstar_oracle(m, 1, r=0, h=dead).values) == {spec.alphabet[0]}
+        assert set(fstar_oracle(m, 2, r=0, h=dead).values) == {0}
 
     def test_needs_controls(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
@@ -206,11 +189,10 @@ class TestHonestInteraction:
 
     def test_transcripts_echo(self):
         live = ClassicalOracle.constant(PDOM, (0, 1), 1)
-        m = build_verifier(
-            "random_aborting", toy_table(), 1, eps=EPS4, fixed={"R": 0, "H": live}
-        )
-        res = run_simulator(honest_wrapper(m, (1,)), m)
-        dist = output_distribution(res.branches, ("M1", "M2"))
+        m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
+        m = pinned_reference.pinned_machine(m, {"R": 0, "H": live})
+        branches = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
+        dist = output_distribution(branches, ("M1", "M2"))
         spec = toy_table()
         want = (0, spec.alphabet.index(spec.next_message(1, 0, (0,))))
         assert set(dist) == {want}
@@ -355,24 +337,65 @@ class TestQueryAlgorithmValidation:
 
 
 class TestBranchPlumbing:
-    def test_set_branch_oracle(self):
-        layout = RegisterLayout((("Q", 2), ("A", 2)))
-        tab = ClassicalOracle((0, 1), (0, 1), (0, 0))
-        br = RunBranch(Fraction(1), StateVector.basis(layout), (("h", tab),))
-        new = tab.reprogram(1, 1)
-        assert set_branch_oracle(br, "h", new).oracle("h") == new
-        with pytest.raises(KeyError):
-            set_branch_oracle(br, "g", new)
-        assert br.count("h") == 0
-
     def test_measured_queries_stay_in_domain(self):
-        layout = RegisterLayout((("Q", 3), ("A", 2)))
         tab = ClassicalOracle((0, 1), (0, 1), (0, 0))
-        br = RunBranch(
-            Fraction(1), StateVector.basis(layout, {"Q": 2}), (("h", tab),)
+        shift = np.eye(3)[:, [2, 0, 1]]  # |0> -> |2>, outside the table domain
+        alg = QueryAlgorithm(
+            "far", (Unitary(("Q",), shift), CallOracle("h", "Q", "A")), 1,
+            (("Q", 3), ("A", 2)),
         )
-        with pytest.raises(ValueError):
-            measure_query_register(br, CallOracle("h", "Q", "A"))
+        with pytest.raises(ValueError, match="outside the table domain"):
+            run_query_algorithm(
+                alg, oracles={"h": tab}, reprogram=("h", {1: ("slot", 0, 1)})
+            )
+
+    @pytest.mark.parametrize("timing", [0, 1])
+    def test_reprogram_records_the_point_and_the_table(self, timing):
+        """A measured query splits the run by point; each branch carries the
+        table reprogrammed at its point, answered before or after."""
+        tab = ClassicalOracle((0, 1), (0, 1), (0, 0))
+        uni = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
+        alg = QueryAlgorithm(
+            "uni", (Unitary(("Q",), uni), CallOracle("h", "Q", "A")), 1,
+            (("Q", 2), ("A", 2)),
+        )
+        branches = run_query_algorithm(
+            alg, oracles={"h": tab}, reprogram=("h", {1: ("slot", timing, 1)})
+        )
+        assert [br.outcomes for br in branches] == [
+            (("Q", 0), ("slot", 0)), (("Q", 1), ("slot", 1))
+        ]
+        for point, br in enumerate(branches):
+            assert br.weight == pytest.approx(0.5)
+            assert br.oracles == (("h", tab.reprogram(point, 1)),)
+            assert br.counts == (("h", 1),) and br.invocations == 1
+            answer = output_distribution([br], ("A",))
+            assert answer == {(1 - timing,): pytest.approx(0.5)}
+
+
+class TestOracleCallsStayVisible:
+    """An oracle call may read and write visible registers only, like every
+    other step: the decision register B stays out of reach."""
+
+    def setup_method(self):
+        self.machine = build_verifier("superposition", toy_table(), 1, eps=EPS4)
+        self.oracles = {"h": ClassicalOracle.constant((0, 1), (0, 1), 1)}
+
+    def test_empty_algorithm_never_accepts(self):
+        branches = run_query_algorithm(
+            QueryAlgorithm("empty", (), 0), machine=self.machine, oracles=self.oracles
+        )
+        assert pr_register(SimulationResult("superposition", tuple(branches))) == 0
+
+    @pytest.mark.parametrize(
+        "call",
+        [CallOracle("h", "M", "B"), CallOracle("h", "Count", "M"), CallOracle("h", "B", "M")],
+        ids=["writes-B", "reads-Count", "reads-B"],
+    )
+    def test_a_hidden_register_is_refused(self, call):
+        peek = QueryAlgorithm("peek", (call,), 1)
+        with pytest.raises(ValueError, match="verifier-internal"):
+            run_query_algorithm(peek, machine=self.machine, oracles=self.oracles)
 
 
 class TestZoos:
@@ -412,8 +435,9 @@ class TestZoos:
 
 
 class TestSmallCircuitSearch:
-    """Tiny circuits on M against a pinned toy-guess verifier: the coin
-    is hidden, so no circuit learns which cell it accepts."""
+    """Tiny circuits on M against the toy-guess verifier at density 1, whose
+    every table point is flagged: the coin is hidden, so no circuit learns
+    which cell it accepts."""
 
     GATES = (
         np.eye(2),
@@ -423,13 +447,7 @@ class TestSmallCircuitSearch:
     )
 
     def guess_machine(self):
-        return build_verifier(
-            "random_aborting",
-            toy_guess(),
-            0,
-            eps=Fraction(1),
-            fixed={"H": ClassicalOracle.constant(prefix_domain((0, 1), 1), (0, 1), 1)},
-        )
+        return build_verifier("random_aborting", toy_guess(), 0, eps=Fraction(1))
 
     def test_grover_flavor_shape(self):
         m = self.guess_machine()

@@ -1,5 +1,6 @@
 """Command-line behavior: exit codes, printed verdicts, report files."""
 
+import itertools
 import json
 
 import pytest
@@ -254,6 +255,56 @@ def test_expected_time_bytes_match_the_pinned_route(sim, tmp_path, monkeypatch, 
     pinned = report("pinned")
     capsys.readouterr()
     assert batched == pinned
+
+
+# Every value of every run flag at small sizes; "-" leaves the flag unset.
+GRID_FLAGS = {
+    "--reps": ("-", "1", "2"),
+    "--q": ("-", "0", "1", "2", "3"),
+    "--eps": ("-", "1/2", "1"),
+    "--sim": ("-", "give-up", "expected-lazy"),
+}
+
+
+def _flag_rows():
+    """All pairs of values of any two flags, in 15 rows: --q index i and
+    --reps index j take --eps (i + j) mod 3 and --sim (i + 2j) mod 3. Row
+    (0, 0) is the stock run."""
+    reps, qs, eps, sims = GRID_FLAGS.values()
+    return [
+        (reps[j], q, eps[(i + j) % 3], sims[(i + 2 * j) % 3])
+        for i, q in enumerate(qs)
+        for j in range(len(reps))
+    ]
+
+
+@pytest.mark.parametrize("protocol", ["stock", *sorted(cli.PROTOCOL_INSTANCES)])
+@pytest.mark.parametrize("theorem", THEOREMS)
+def test_flag_grid_reports_or_stops_with_one_line(theorem, protocol, capsys):
+    """Every theorem and protocol under a pairwise cover of the other flags:
+    a run exits 0 or 1 with a report, or 2 with one stderr line, and
+    nothing else (a traceback would escape main and fail the test)."""
+    rows = _flag_rows()
+    pairs = {
+        (a, va, b, vb)
+        for row in rows
+        for (a, va), (b, vb) in itertools.combinations(zip(GRID_FLAGS, row), 2)
+    }
+    assert len(pairs) == sum(
+        len(va) * len(vb) for va, vb in itertools.combinations(GRID_FLAGS.values(), 2)
+    )
+    base = ["run", theorem] + ([] if protocol == "stock" else ["--protocol", protocol])
+    for row in rows:
+        argv = base + [x for flag, v in zip(GRID_FLAGS, row) if v != "-" for x in (flag, v)]
+        code = main(argv)
+        captured = capsys.readouterr()
+        if code == 2:
+            assert captured.out == "", argv
+            assert captured.err.startswith("qromlab: error: "), argv
+            assert captured.err.count("\n") == 1, argv
+        else:
+            assert code in (0, 1) and captured.err == "", argv
+            assert captured.out.startswith(f"{theorem}  protocol="), argv
 
 
 class TestReportFiles:

@@ -1,5 +1,9 @@
 """The batched control-assignment route of ``run_simulator`` against one
-pinned machine per assignment (``pinned_reference``), branch by branch."""
+pinned machine per assignment (``pinned_reference``), branch by branch.
+
+The reference runs each pinned machine through the per-branch executor
+(``executor_reference``). Every comparison is exact: the stacked matmul
+gives each row the product a one-row ``tensordot`` gives it."""
 
 from fractions import Fraction
 
@@ -23,35 +27,17 @@ from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import toy_guess, toy_table
 from qromlab.transforms import truncate
 import pinned_reference
+from executor_reference import assert_same_branches
 from prover_reference import give_up
 
 EPS4 = Fraction(1, 4)
 
 
-def assert_same_branches(got, want, atol=None):
-    """Equal branch lists: exact, or amplitudes and float weights to atol."""
-    assert got.kind == want.kind
-    assert len(got.branches) == len(want.branches)
-    for a, b in zip(got.branches, want.branches):
-        assert type(a.weight) is type(b.weight)
-        if atol is None or isinstance(b.weight, Fraction):
-            assert a.weight == b.weight
-        else:
-            assert abs(a.weight - b.weight) <= atol
-        assert a.outcomes == b.outcomes
-        assert a.invocations == b.invocations
-        assert a.counts == b.counts
-        assert a.oracles == b.oracles
-        assert a.state.layout == b.state.layout
-        if atol is None:
-            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
-        else:
-            assert np.abs(a.state.amplitudes - b.state.amplitudes).max() <= atol
-
-
-def check(sim, machine, atol=None):
+def check(sim, machine):
     got = run_simulator(sim, machine)
-    assert_same_branches(got, pinned_reference.run_simulator(sim, machine), atol)
+    want = pinned_reference.run_simulator(sim, machine)
+    assert got.kind == want.kind
+    assert_same_branches(got.branches, want.branches)
     return got
 
 
@@ -116,12 +102,12 @@ def test_other_machines(machine):
         )
     )
     for sim in sims:
-        check(sim, machine, atol=1e-12)
+        check(sim, machine)
 
 
 def test_roundtrip_drops_the_rounding_outcomes():
     machine = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
-    got = check(_roundtrip(3), machine, atol=1e-12)
+    got = check(_roundtrip(3), machine)
     assert len(got.branches) == len(machine._control_rows.weights)
 
 
@@ -182,8 +168,8 @@ def test_drawn_permutation_steps_match_exactly(name, alg):
 
 @settings(max_examples=60, deadline=None)
 @given(name=st.sampled_from(sorted(MACHINES)), alg=step_lists(general=True))
-def test_drawn_general_steps_match_to_1e12(name, alg):
-    check(alg, machine_named(name), atol=1e-12)
+def test_drawn_general_steps_match_exactly(name, alg):
+    check(alg, machine_named(name))
 
 
 def _budget_zero():
@@ -194,6 +180,9 @@ def _budget_zero():
 
 BAD = {
     "oracle-call": lambda: QueryAlgorithm("q", (CallOracle("h", "M", "B"),), 1),
+    "missing-oracle": lambda: QueryAlgorithm(
+        "q", (CallOracle("h", "M", "W"),), 1, (("W", 2),)
+    ),
     "hidden-unitary": lambda: QueryAlgorithm("u", (Unitary(("Count",), np.eye(2)),), 0),
     "hidden-measure": lambda: QueryAlgorithm("m", (Measure("B"),), 0),
     "unknown-register": lambda: QueryAlgorithm("u", (Unitary(("Z",), np.eye(2)),), 0),

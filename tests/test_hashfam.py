@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from adjuster_reference import reference_efficient_adjuster
-from family_reference import joint_is_uniform
+from family_reference import joint_is_uniform, predicate
 from conftest import accept_all_zero
 from qromlab.adversary import oracle_zoo
 from qromlab.hashfam import (
@@ -93,6 +93,16 @@ class TestPolynomialFamily:
         assert not joint_is_uniform(PolynomialFamily((0,), 5, 1, 2), (0,))
 
 
+FLAG_FAMILIES = [
+    TwoQWiseFamily(TableFamily(prefix_domain((0, 1), 1), 4), 1, 1),
+    TwoQWiseFamily(TableFamily(DOM6, 2), 1, 2),
+    TwoQWiseFamily(PolynomialFamily(prefix_domain((0, 1, 2), 1), 7, 1, 7), 3, 1),
+    TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 4), 2, 2),
+    TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 7), 2, 2),
+]
+FLAG_IDS = ["table-k1", "table-k2", "poly-k1", "poly-k2-a4", "poly-k2-a7"]
+
+
 class TestTwoQWiseFamily:
     def test_validation(self):
         base = TableFamily(DOM6, 2)
@@ -121,7 +131,7 @@ class TestTwoQWiseFamily:
         # base values mod 3 over GF(7) are skewed, the shifted flag is not
         fam = TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 3), 1, 2)
         for p in DOM6:
-            hits = sum(fam.predicate(key, p) for key in range(fam.key_count))
+            hits = sum(predicate(fam, key, p) for key in range(fam.key_count))
             assert Fraction(hits, fam.key_count) == Fraction(1, 3)
 
     def test_flagged_keys_match_predicate(self):
@@ -129,23 +139,28 @@ class TestTwoQWiseFamily:
         flagged = set(fam.flagged_keys((0, 1)))
         assert len(flagged) == fam.key_count // 4
         for key in range(fam.key_count):
-            hit = fam.predicate(key, (0,)) and fam.predicate(key, (0, 1))
+            hit = predicate(fam, key, (0,)) and predicate(fam, key, (0, 1))
             assert (key in flagged) == bool(hit)
 
-    @pytest.mark.parametrize(
-        "fam",
-        [
-            TwoQWiseFamily(TableFamily(prefix_domain((0, 1), 1), 4), 1, 1),
-            TwoQWiseFamily(TableFamily(DOM6, 2), 1, 2),
-            TwoQWiseFamily(PolynomialFamily(prefix_domain((0, 1, 2), 1), 7, 1, 7), 3, 1),
-            TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 4), 2, 2),
-            TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 7), 2, 2),
-        ],
-        ids=["table-k1", "table-k2", "poly-k1", "poly-k2-a4", "poly-k2-a7"],
-    )
+    @pytest.mark.parametrize("fam", FLAG_FAMILIES, ids=FLAG_IDS)
     def test_flag_table_tabulates_predicate(self, fam):
-        want = [[fam.predicate(key, p) for p in fam.domain] for key in range(fam.key_count)]
+        want = [[predicate(fam, key, p) for p in fam.domain] for key in range(fam.key_count)]
         assert fam.flag_table().tolist() == want
+
+    @pytest.mark.parametrize("fam", FLAG_FAMILIES, ids=FLAG_IDS)
+    def test_flagged_keys_match_predicate_on_every_transcript(self, fam):
+        alphabet = sorted({p[0] for p in fam.domain})
+        for m in itertools.product(alphabet, repeat=fam.k):
+            want = [
+                key for key in range(fam.key_count)
+                if all(predicate(fam, key, m[:i]) for i in range(1, fam.k + 1))
+            ]
+            assert fam.flagged_keys(m) == want
+
+    def test_flagged_keys_refuse_a_prefix_outside_the_domain(self):
+        fam = TwoQWiseFamily(TableFamily(DOM6, 2), 1, 2)
+        with pytest.raises(ValueError):
+            fam.flagged_keys((0, 5))
 
 
 class TestExactnessChecks:

@@ -4,11 +4,14 @@ check-once rule for unitaries.
 The oracle query and the SWAP test's controlled swap move amplitudes by
 one index-vector kernel, ``qsim._permute_rows``; ``measure_register`` is
 the one-row case of the batched split ``qsim._split_rows``. Each must be
-bit-identical to its dense route in ``permutation_reference``. A
-``Unitary`` step is checked when it is built, so the executors never check
-it again.
+bit-identical to its dense route in ``permutation_reference``. The
+unitary kernel ``qsim._unitary_on_axes`` is one stacked matmul over rows,
+and must give every row exactly what a one-row ``np.tensordot`` gives it.
+A ``Unitary`` step is checked when it is built, so the executors never
+check it again.
 """
 
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -17,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import permutation_reference as ref
+from executor_reference import unitary_on_axes
 from qromlab import adversary, hashfam, qsim
 from qromlab.adversary import (
     Unitary,
@@ -134,6 +138,33 @@ def test_measurement_matches_the_slicing_route(state):
         for (_, a, _), (_, b, _) in zip(got, want):
             assert np.array_equal(a.amplitudes, b.amplitudes)
         assert all(p > PROB_FLOOR for _, _, p in got)
+
+
+def _haar(n, rng):
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+KERNEL_LAYOUT = RegisterLayout((("Q", 6), ("A", 2), ("W", 8)))
+
+
+@pytest.mark.parametrize("rows", [1, 4, 64])
+@pytest.mark.parametrize("width", [1, 2, 3])
+def test_unitary_kernel_rows_are_independent(width, rows):
+    """Haar unitaries on every ordered choice of ``width`` registers: each
+    row of the stacked product equals the per-row ``np.tensordot``, bit
+    for bit. The identity depends on the BLAS build, so a BLAS that breaks
+    it fails here instead of moving a report."""
+    lay = KERNEL_LAYOUT
+    rng = np.random.default_rng(100 * width + rows)
+    shape = (rows,) + lay.dims[::-1]
+    for regs in itertools.permutations(lay.names, width):
+        u = _haar(int(np.prod([lay.dim_of(r) for r in regs])), rng)
+        t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        got = qsim._unitary_on_axes(t, lay, regs, u)
+        for i in range(rows):
+            assert np.array_equal(got[i], unitary_on_axes(t[i], lay, regs, u))
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,8 @@
 """The vectorized verifier step permutation against the per-index reference,
-and the per-assignment rows the simulator slices out of it."""
+and the per-assignment rows the simulator slices out of it.
+
+A pinned machine (``pinned_reference.pinned_machine``) is checked with
+its classical control values passed to the reference explicitly."""
 
 import itertools
 from fractions import Fraction
@@ -13,52 +16,55 @@ from qromlab.adversary import build_verifier
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import ProtocolSpec, toy_guess, toy_table
+from pinned_reference import assignments, pinned_machine
 from step_reference import fstar_oracle, reference_step_perm
 
 EPS4 = Fraction(1, 4)
 PDOM = prefix_domain((0, 1), 2)
 
 
+def _pinned(spec, x, fixed):
+    return pinned_machine(build_verifier("random_aborting", spec, x, eps=EPS4), fixed)
+
+
 def stock_machines():
+    """(machine, pinned control values) pairs."""
     flags = ClassicalOracle(PDOM, (0, 1), (1, 0, 1, 1, 0, 1))
-    return [
-        build_verifier("random_aborting", toy_table(), 1, eps=EPS4),
-        build_verifier("random_aborting", toy_guess(), 1, eps=EPS4),
-        build_verifier("superposition", toy_table(), 3, eps=EPS4),
-        build_verifier("superposition", toy_guess(), 1, eps=EPS4),
-        build_verifier("random_aborting", toy_table(), 3, eps=EPS4, fixed={"R": 1}),
-        build_verifier("random_aborting", toy_table(), 3, eps=EPS4, fixed={"H": flags}),
-        build_verifier(
-            "random_aborting", toy_table(), 1, eps=EPS4, fixed={"R": 0, "H": flags}
-        ),
-        build_verifier(
-            "random_aborting",
-            toy_guess(),
-            1,
-            eps=EPS4,
-            fixed={"R": 1, "H": ClassicalOracle(((0,), (1,)), (0, 1), (0, 1))},
-        ),
+    pins = [
+        (toy_table(), 3, {"R": 1}),
+        (toy_table(), 3, {"H": flags}),
+        (toy_table(), 1, {"R": 0, "H": flags}),
+        (toy_guess(), 1, {"R": 1, "H": ClassicalOracle(((0,), (1,)), (0, 1), (0, 1))}),
     ]
+    return [
+        (build_verifier("random_aborting", toy_table(), 1, eps=EPS4), {}),
+        (build_verifier("random_aborting", toy_guess(), 1, eps=EPS4), {}),
+        (build_verifier("superposition", toy_table(), 3, eps=EPS4), {}),
+        (build_verifier("superposition", toy_guess(), 1, eps=EPS4), {}),
+    ] + [(_pinned(spec, x, fixed), fixed) for spec, x, fixed in pins]
 
 
-def _label(m):
-    return m.kind + ("-pinned-" + "".join(r for r, _ in m.fixed) if m.fixed else "")
+def _label(case):
+    m, fixed = case
+    return m.kind + ("-pinned-" + "".join(sorted(fixed)) if fixed else "")
 
 
-@pytest.mark.parametrize("machine", stock_machines(), ids=_label)
-def test_vectorized_matches_reference(machine):
-    assert np.array_equal(machine._step_perm, reference_step_perm(machine))
+@pytest.mark.parametrize("case", stock_machines(), ids=_label)
+def test_vectorized_matches_reference(case):
+    machine, fixed = case
+    want = reference_step_perm(machine, fixed.get("R"), fixed.get("H"))
+    assert np.array_equal(machine._step_perm, want)
 
 
-def _controls(machine, digits):
-    """(r, h) held by the control registers of one basis index, None for a
-    pinned role. The Cont = 0 block of a coherent kind never aborts, so
-    it reads as the all-ones flag table."""
+def _controls(machine, fixed, digits):
+    """(r, h) held by the control registers of one basis index, or pinned.
+    The Cont = 0 block of a coherent kind never aborts, so it reads as
+    the all-ones flag table."""
     spec = machine.spec
     dom = prefix_domain(spec.alphabet, machine.k)
     dg = dict(zip(machine.layout.names, digits))
-    r = spec.randomness[dg["R"]] if "R" in dg else None
-    h = None
+    r = spec.randomness[dg["R"]] if "R" in dg else fixed.get("R")
+    h = fixed.get("H")
     if "H" in dg:
         h = ClassicalOracle(dom, (0, 1), tuple((dg["H"] // 2**i) % 2 for i in range(len(dom))))
     if dg.get("Cont") == 0:
@@ -66,11 +72,12 @@ def _controls(machine, digits):
     return r, h
 
 
-@pytest.mark.parametrize("machine", stock_machines(), ids=_label)
-def test_step_perm_matches_fstar_oracle(machine):
+@pytest.mark.parametrize("case", stock_machines(), ids=_label)
+def test_step_perm_matches_fstar_oracle(case):
     """At every basis index the call swaps M into the counted slot, then
     adds round j's response into M or, at round k, XORs the acceptance
     bit into B, as the spec-level next-step function says."""
+    machine, fixed = case
     lay, spec, k = machine.layout, machine.spec, machine.k
     n = len(spec.alphabet)
     aidx = {a: i for i, a in enumerate(spec.alphabet)}
@@ -83,7 +90,7 @@ def test_step_perm_matches_fstar_oracle(machine):
         j = dg[pos["Count"]]
         key = (tuple(dg[:ctrl]), j)
         if key not in tables:
-            r, h = _controls(machine, dg)
+            r, h = _controls(machine, fixed, dg)
             tables[key] = fstar_oracle(machine, j + 1, r=r, h=h)
         want = list(dg)
         want[pos["Count"]] = (j + 1) % k
@@ -155,20 +162,25 @@ def _random_pin(draw, spec):
 def test_random_specs_match_reference(spec, data):
     kind = data.draw(st.sampled_from(["random_aborting", "superposition"]))
     fixed = {} if kind == "superposition" else _random_pin(data.draw, spec)
-    machine = build_verifier(kind, spec, 0, eps=EPS4, fixed=fixed)
-    assert np.array_equal(machine._step_perm, reference_step_perm(machine))
+    machine = build_verifier(kind, spec, 0, eps=EPS4)
+    if fixed:
+        machine = pinned_machine(machine, fixed)
+    want = reference_step_perm(machine, fixed.get("R"), fixed.get("H"))
+    assert np.array_equal(machine._step_perm, want)
 
 
 def _assert_slices_match_direct_builds(machine):
+    """Each row is its assignment's weight and the per-index permutation of
+    the machine pinned to it, on the control-free layout."""
     rows = machine._control_rows
     assert sum(rows.weights) == 1
-    assert len(rows.fixed) == len(rows.weights) == len(rows.perms)
-    for fixed, perm in zip(rows.fixed, rows.perms):
-        direct = build_verifier(
-            machine.kind, machine.spec, machine.x, eps=machine.eps, fixed=fixed
-        )
-        assert rows.layout == direct.layout
-        assert np.array_equal(perm, direct._step_perm)
+    pins = assignments(machine)
+    assert [w for _, w in pins] == list(rows.weights)
+    assert len(pins) == len(rows.perms)
+    for (fixed, _), perm in zip(pins, rows.perms):
+        pinned = pinned_machine(machine, fixed)
+        assert rows.layout == pinned.layout
+        assert np.array_equal(perm, reference_step_perm(pinned, fixed["R"], fixed["H"]))
 
 
 def test_expected_time_slices_match_direct_builds():
@@ -194,7 +206,9 @@ def test_other_kinds_slices_match_direct_builds(machine):
 def test_assignment_order_is_randomness_outer_tables_inner():
     machine = build_verifier("random_aborting", toy_guess(), 1, eps=EPS4)
     rows = machine._control_rows
-    assert [f["R"] for f in rows.fixed] == [0] * 4 + [1] * 4
-    assert [f["H"].values for f in rows.fixed[:4]] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    pins = [fixed for fixed, _ in assignments(machine)]
+    assert [f["R"] for f in pins] == [0] * 4 + [1] * 4
+    assert [f["H"].values for f in pins[:4]] == [(0, 0), (1, 0), (0, 1), (1, 1)]
+    _assert_slices_match_direct_builds(machine)
     weights = list(rows.weights[:4])
     assert weights == [Fraction(9, 32), Fraction(3, 32), Fraction(3, 32), Fraction(1, 32)]
