@@ -223,14 +223,15 @@ class VerifierMachine:
     @cached_property
     def _adjusters(self) -> Optional[np.ndarray]:
         """The coherent kind's table rotation of each transcript, stacked
-        as (n**k, |H|, |H|) with transcript digit M1 fastest."""
+        as (n**k, |H|, |H|) with transcript digit M1 fastest. The stack is
+        complex, like the rows, so the einsum stays complex x complex."""
         if self.kind != "superposition":
             return None
         dist = SparseOracleDist(self._prefix_points, self.eps)
         stack = np.stack([
             build_exact_adjuster(t[::-1], dist).matrix
             for t in itertools.product(self.spec.alphabet, repeat=self.k)
-        ])
+        ], dtype=complex)
         stack.setflags(write=False)
         return stack
 

@@ -18,8 +18,9 @@ predicate-table register (one qubit per domain point, bit i = value at
 domain[i], point 0 least significant) and rotates the sparse product
 superposition onto the tables flagging every prefix of a transcript.
 The efficient one acts on the key register and maps the uniform key
-superposition onto the keys whose predicate flags every prefix. Each is
-checked unitary once, when built.
+superposition onto the keys whose predicate flags every prefix. Both
+are real maps kron(block, I) with permuted rows, certified unitary by a
+check at block size and a permutation check on the rows.
 """
 
 from __future__ import annotations
@@ -145,37 +146,17 @@ class TwoQWiseFamily:
     def key_count(self) -> int:
         return self.base.key_count * self.a**self.k
 
-    def split_key(self, key: int) -> tuple[int, tuple[int, ...]]:
-        """(base key, per-round shifts); base key least significant."""
-        kp = key % self.base.key_count
-        key //= self.base.key_count
-        shifts = []
-        for _ in range(self.k):
-            shifts.append(key % self.a)
-            key //= self.a
-        return kp, tuple(shifts)
-
-    def join_key(self, kp: int, shifts: Sequence[int]) -> int:
-        key = 0
-        for s in reversed(shifts):
-            key = key * self.a + s
-        return key * self.base.key_count + kp
-
     def flag_table(self) -> np.ndarray:
         """Every key's predicate table: row ``key``, column = domain position.
 
-        Keys split base key least significant, as in ``split_key``, so
-        row off * |base keys| + kp flags p iff (H'_kp(p) + a_|p|) mod A < B,
+        Keys put the base key least significant, so row
+        off * |base keys| + kp flags p iff (H'_kp(p) + a_|p|) mod A < B,
         with a_i the i-th base-A digit of off.
         """
-        a, dom = self.a, self.domain
-        base = np.array(
-            [[self.base.eval(kp, p) for p in dom] for kp in range(self.base.key_count)]
-        )
-        rounds = np.array([len(p) - 1 for p in dom])
-        shifts = np.arange(a**self.k)[:, None] // a**rounds % a
-        flags = (base[None] + shifts[:, None]) % a < self.b
-        return flags.reshape(-1, len(dom)).astype(int)
+        rounds = [len(p) - 1 for p in self.domain]
+        shifts = _offset_digits(self.a, self.k)[:, rounds]
+        flags = (_base_values(self.base)[None] + shifts[:, None]) % self.a < self.b
+        return flags.reshape(-1, len(self.domain)).astype(int)
 
     def flagged_keys(self, m: Sequence[Hashable]) -> list[int]:
         """Keys whose predicate flags every prefix of transcript ``m``."""
@@ -219,21 +200,46 @@ def random_function_vs_family(
     for vals in itertools.product(range(a), repeat=n):
         acc += value(vals[::-1])  # point 0 the fastest digit
     p_random = acc / a**n
-    rows = (tuple(fam.eval(key, p) for p in fam.domain) for key in range(fam.key_count))
-    p_family = sum(map(value, rows)) / fam.key_count
+    p_family = sum(map(value, map(tuple, _base_values(fam).tolist()))) / fam.key_count
     return p_random, p_family
+
+
+def _offset_digits(a: int, k: int) -> np.ndarray:
+    """Row ``off``: the per-round shifts a_1..a_k, the base-A digits of off."""
+    return np.arange(a**k)[:, None] // a ** np.arange(k) % a
+
+
+def _base_values(fam: BaseFamily) -> np.ndarray:
+    """Every base value: row = key, column = domain position."""
+    return np.array(
+        [[fam.eval(key, p) for p in fam.domain] for key in range(fam.key_count)]
+    )
 
 
 @dataclass(frozen=True)
 class AdjustingUnitary:
-    """A transcript's adjusting rotation, exact or efficient variant."""
+    """A transcript's adjusting rotation, exact or efficient variant.
+
+    ``matrix`` = kron(block, I_rest)[rows], in the block's dtype, is built
+    only after ``block`` is checked unitary at its own size and ``rows`` a
+    permutation of range(d); then U^H U = (block^H block) (x) I.
+    """
 
     target_transcript: tuple[Hashable, ...]
     variant: str
-    matrix: np.ndarray = field(repr=False)
+    block: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    rest: int
+    matrix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        m = _check_unitary(np.array(self.matrix, dtype=complex))
+        block = _check_unitary(self.block, dtype=None)
+        rows = np.asarray(self.rows)
+        d = len(block) * self.rest
+        ok = rows.shape == (d,) and rows.dtype.kind in "iu" and rows.min() >= 0
+        if not (ok and (np.bincount(rows, minlength=d) == 1).all()):
+            raise ValueError(f"row order is not a permutation of range({d})")
+        m = np.kron(block, np.eye(self.rest, dtype=block.dtype))[rows]
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -289,15 +295,10 @@ def build_exact_adjuster(
     missing = pres - set(dist.domain)
     if missing:
         raise ValueError(f"prefixes {sorted(missing)} outside the predicate domain")
-    u_prime = np.array(
-        [[np.sqrt(eps), np.sqrt(1 - eps)], [-np.sqrt(1 - eps), np.sqrt(eps)]]
-    )
-    mats = [
-        u_prime.conj().T if point in pres else np.eye(2)
-        for point in dist.domain
-    ]
+    u_inv = np.array([[np.sqrt(eps), -np.sqrt(1 - eps)], [np.sqrt(1 - eps), np.sqrt(eps)]])
+    mats = [u_inv if point in pres else np.eye(2) for point in dist.domain]
     full = reduce(np.kron, reversed(mats))  # point 0 least significant
-    return AdjustingUnitary(tuple(m), "exact", full)
+    return AdjustingUnitary(tuple(m), "exact", full, np.arange(len(full)), 1)
 
 
 def _householder_to(target: np.ndarray) -> np.ndarray:
@@ -329,36 +330,22 @@ def build_efficient_adjuster(
     shift is a row permutation: row ``key`` of the result is row
     ``shift[key]`` of that Kronecker product, where ``shift[key]`` adds
     the base values of ``m``'s prefixes to the key's offsets. Only the
-    A^k x A^k product is multiplied out; no d x d product is formed.
+    A^k x A^k product is multiplied out and checked; no d x d product is
+    formed.
     """
-    kdim = fam.key_count
-    if kdim > MAX_KEY_DIM:
+    if fam.key_count > MAX_KEY_DIM:
         raise ConfigError("key register exceeds the efficient-adjuster cap")
-    a, b, k = fam.a, fam.b, fam.k
-    nk, off_dim = fam.base.key_count, a**k
+    a, nk = fam.a, fam.base.key_count
+    digits = _offset_digits(a, fam.k)
 
-    def offset_block(limit: int) -> np.ndarray:
-        amp = np.zeros(off_dim)
-        for flat in range(off_dim):
-            digits, rest = [], flat
-            for _ in range(k):
-                digits.append(rest % a)
-                rest //= a
-            if all(d < limit for d in digits):
-                amp[flat] = 1.0
-        return amp / np.sqrt(amp.sum())
+    def householder(limit: int) -> np.ndarray:  # onto offsets with digits < limit
+        amp = (digits < limit).all(axis=1).astype(float)
+        return _householder_to(amp / np.sqrt(amp.sum()))
 
-    w_a = _householder_to(offset_block(a))
-    w_b = _householder_to(offset_block(b))
-
-    shift = np.empty(kdim, dtype=np.intp)
-    pres = prefixes(m)
-    for key in range(kdim):
-        kp, shifts = fam.split_key(key)
-        new = list(shifts)
-        for i, pre in enumerate(pres):
-            new[i] = (new[i] + fam.base.eval(kp, pre)) % a
-        shift[key] = fam.join_key(kp, new)
-
-    u = np.kron(w_b @ w_a.T, np.eye(nk))[shift]
-    return AdjustingUnitary(tuple(m), "efficient", u)
+    # new[off, kp]: off's digits plus base key kp's prefix values, per round
+    cols = [fam.domain.index(p) for p in prefixes(m)]
+    new = np.repeat(digits[:, None], nk, axis=1)
+    new[:, :, : len(cols)] += _base_values(fam.base)[:, cols]
+    shift = (new % a @ a ** np.arange(fam.k)) * nk + np.arange(nk)
+    block = householder(fam.b) @ householder(a).T
+    return AdjustingUnitary(tuple(m), "efficient", block, shift.reshape(-1), nk)

@@ -166,10 +166,13 @@ class DensityOnRegister:
 
     Validation: finite entries, square, Hermitian within 1e-10, unit
     trace within 1e-9, and no eigenvalue below -1e-10. A rank-1 matrix
-    skips the dense eigensolve: with j the largest diagonal entry and
-    v = m[:, j] / sqrt(m_jj), it is accepted when ||m - v v^H||_F <=
-    RANK1_FTOL. By Weyl's inequality its smallest eigenvalue is then at
-    least -sqrt(2) * RANK1_FTOL, far above -1e-10. The certified v is
+    skips the Hermitian pass and the dense eigensolve: with j the largest
+    diagonal entry, 0 < m_jj <= 2 and v = m[:, j] / sqrt(m_jj), it is
+    certified when ||m - v v^H||_F <= RANK1_FTOL. The computed v v^H is
+    Hermitian to rounding (< 1e-15), so m is Hermitian within 3 *
+    RANK1_FTOL, and by Weyl's inequality no eigenvalue is below -sqrt(2) *
+    RANK1_FTOL: both far inside 1e-10. (A larger m_jj fails the trace
+    check anyway.) The certified v is
     kept as the factor ``trace_distance`` reads; any other input keeps
     none.
     """
@@ -186,11 +189,11 @@ class DensityOnRegister:
             raise ValueError("density matrix has a non-finite entry")
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
             raise ValueError("density matrix must be square")
-        if np.abs(m - m.conj().T).max() > 1e-10:
+        factor = _rank1_factor(m)
+        if factor is None and np.abs(m - m.conj().T).max() > 1e-10:
             raise ValueError("density matrix not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise ValueError(f"density trace {np.trace(m).real} not 1")
-        factor = _rank1_factor(m)
         if factor is None and np.linalg.eigvalsh(m).min() < -1e-10:
             raise ValueError("density matrix has eigenvalue below -1e-10")
         m.setflags(write=False)
@@ -211,7 +214,7 @@ def _rank1_factor(m: np.ndarray) -> np.ndarray | None:
     """v with ||m - v v^H||_F <= RANK1_FTOL, or None when there is none."""
     diag = m.diagonal().real
     j = int(np.argmax(diag))
-    if not diag[j] > 0:
+    if not 0 < diag[j] <= 2:
         return None
     v = m[:, j] / np.sqrt(diag[j])
     if not np.linalg.norm(m - np.outer(v, v.conj())) <= RANK1_FTOL:
@@ -225,9 +228,9 @@ def _unitary_defect(u: np.ndarray) -> float:
     return float(np.abs(u.conj().T @ u - np.eye(len(u))).max())
 
 
-def _check_unitary(u) -> np.ndarray:
-    """``u`` as a complex matrix, checked square and unitary within 1e-9."""
-    u = np.asarray(u, dtype=complex)
+def _check_unitary(u, dtype=complex) -> np.ndarray:
+    """``u`` as a ``dtype`` matrix (None keeps its own), checked unitary within 1e-9."""
+    u = np.asarray(u, dtype=dtype)
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError(f"unitary shape {u.shape} is not square")
     if _unitary_defect(u) > ATOL_UNITARY:

@@ -1,17 +1,38 @@
-"""The efficient adjuster built as three dense key-register matrices.
+"""The adjusters built the way they were first written.
 
-This is the composition as first written: a dense shift permutation
-matrix and the two Householder maps expanded to ``kron(w, I)`` over the
+``reference_efficient_adjuster`` is the efficient adjuster as three
+dense key-register matrices: a shift permutation matrix filled key by
+key, and the two Householder maps expanded to ``kron(w, I)`` over the
 whole key register, multiplied out at d^3. It is slow and obviously
 correct, and serves as the reference route that the structured
 ``build_efficient_adjuster`` (a row permutation of ``(w_b w_a^T) (x) I``)
 is tested against.
+
+``reference_exact_adjuster`` is the exact adjuster as one complex
+Kronecker product of per-point 2x2 rotations, checked unitary at full
+size.
 """
+
+from functools import reduce
 
 import numpy as np
 
+from family_reference import join_key, split_key
 from qromlab.hashfam import _householder_to
 from qromlab.oracle import prefixes
+
+
+def reference_exact_adjuster(m, dist) -> np.ndarray:
+    """Per-prefix inverse rotations (x) identity elsewhere, as complex."""
+    eps = float(dist.epsilon)
+    pres = set(prefixes(m))
+    u_prime = np.array(
+        [[np.sqrt(eps), np.sqrt(1 - eps)], [-np.sqrt(1 - eps), np.sqrt(eps)]]
+    )
+    mats = [u_prime.conj().T if p in pres else np.eye(2) for p in dist.domain]
+    full = np.array(reduce(np.kron, reversed(mats)), dtype=complex)
+    assert np.abs(full.conj().T @ full - np.eye(len(full))).max() <= 1e-9
+    return full
 
 
 def reference_efficient_adjuster(m, fam) -> np.ndarray:
@@ -40,10 +61,10 @@ def reference_efficient_adjuster(m, fam) -> np.ndarray:
     shift = np.zeros((kdim, kdim))
     pres = prefixes(m)
     for key in range(kdim):
-        kp, shifts = fam.split_key(key)
+        kp, shifts = split_key(fam, key)
         new = list(shifts)
         for i, pre in enumerate(pres):
             new[i] = (new[i] + fam.base.eval(kp, pre)) % a
-        shift[fam.join_key(kp, new), key] = 1.0
+        shift[join_key(fam, kp, new), key] = 1.0
 
     return shift.T @ u_le_b @ u_le_a.T

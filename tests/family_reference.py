@@ -4,9 +4,11 @@
 values it gives on a set of points; the tests use it to pin down the
 independence order of the table and polynomial families.
 
-``predicate`` is one key's flag at one point, from ``split_key`` and one
-``base.eval``: the reference that ``TwoQWiseFamily.flag_table`` and
-``flagged_keys`` are checked against.
+``split_key`` and ``join_key`` read a ``TwoQWiseFamily`` key as (base
+key, per-round shifts), one key at a time. ``predicate`` is one key's
+flag at one point, from ``split_key`` and one ``base.eval``: the
+reference that ``TwoQWiseFamily.flag_table`` and ``flagged_keys`` are
+checked against.
 
 ``family_exactness_check``, ``random_function_vs_family`` and
 ``sparse_advantage`` are the plain per-key and per-weight loops: they
@@ -33,9 +35,27 @@ def joint_is_uniform(fam: BaseFamily, points: Sequence[Hashable]) -> bool:
     return len(counts) == fam.a ** len(points) and set(counts.values()) == {want}
 
 
+def split_key(fam: TwoQWiseFamily, key: int) -> tuple[int, tuple[int, ...]]:
+    """(base key, per-round shifts); base key least significant."""
+    kp = key % fam.base.key_count
+    key //= fam.base.key_count
+    shifts = []
+    for _ in range(fam.k):
+        shifts.append(key % fam.a)
+        key //= fam.a
+    return kp, tuple(shifts)
+
+
+def join_key(fam: TwoQWiseFamily, kp: int, shifts: Sequence[int]) -> int:
+    key = 0
+    for s in reversed(shifts):
+        key = key * fam.a + s
+    return key * fam.base.key_count + kp
+
+
 def predicate(fam: TwoQWiseFamily, key: int, point: Sequence[Hashable]) -> int:
     """Whether the key flags the point: (H'(point) + a_|point|) mod A < B."""
-    kp, shifts = fam.split_key(key)
+    kp, shifts = split_key(fam, key)
     val = (fam.base.eval(kp, tuple(point)) + shifts[len(point) - 1]) % fam.a
     return 1 if val < fam.b else 0
 

@@ -6,11 +6,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qromlab.qsim import DensityOnRegister, trace_distance
+from qromlab.qsim import DensityOnRegister, _rank1_factor, trace_distance
 
 
 def dense_trace_distance(a: DensityOnRegister, b: DensityOnRegister) -> float:
     return float(0.5 * np.abs(np.linalg.eigvalsh(a.matrix - b.matrix)).sum())
+
+
+def hermitian_first_verdict(m) -> str | None:
+    """The checks in their first order, the Hermitian pass first and a
+    dense eigensolve for every matrix: the error message, or None when
+    accepted."""
+    m = np.array(m, dtype=complex)
+    if not np.isfinite(m).all():
+        return "density matrix has a non-finite entry"
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        return "density matrix must be square"
+    if np.abs(m - m.conj().T).max() > 1e-10:
+        return "density matrix not Hermitian within 1e-10"
+    if abs(np.trace(m).real - 1.0) > 1e-9:
+        return f"density trace {np.trace(m).real} not 1"
+    if np.linalg.eigvalsh(m).min() < -1e-10:
+        return "density matrix has eigenvalue below -1e-10"
+    return None
 
 
 def unit(rng: np.random.Generator, dim: int) -> np.ndarray:
@@ -142,3 +160,71 @@ class TestCertification:
         assert "_factor" not in repr(rho)
         with pytest.raises(TypeError):
             DensityOnRegister("r", rho.matrix, _factor=self.v)
+
+
+class TestCertificateBeforeHermitianPass:
+    """The rank-1 certificate runs before the Hermitian pass and skips it
+    when it certifies; every verdict and message stays as before."""
+
+    @staticmethod
+    def cases():
+        rng = np.random.default_rng(13)
+        v, w = unit(rng, 6), unit(rng, 6)
+        pure = np.outer(v, v.conj())
+        skew = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        skew = (skew - skew.conj().T) / np.abs(skew - skew.conj().T).max()
+        nan = pure.copy()
+        nan[2, 3] = np.nan
+        p = orthogonal_to(rng, v)
+        g = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
+        return {
+            "pure": pure,
+            "outer-v-w": np.outer(v, w.conj()),
+            "rank1-plus-antihermitian": pure + 1e-9 * skew,
+            "rank1-plus-tiny-antihermitian": pure + 1e-14 * skew,
+            "nan-entry": nan,
+            "half-trace": pure / 2,
+            "triple-trace": 3 * pure,
+            "negative-eigenvalue": 1.5 * (pure - np.outer(p, p.conj()) / 3),
+            "mixed": g @ g.conj().T / np.trace(g @ g.conj().T).real,
+            "maximally-mixed": np.eye(6) / 6,
+            "rank-two": 0.5 * (pure + np.outer(p, p.conj())),
+        }
+
+    @pytest.mark.parametrize("name", sorted(cases.__func__()))
+    def test_same_verdict_and_message(self, name):
+        m = self.cases()[name]
+        want = hermitian_first_verdict(m)
+        if want is None:
+            DensityOnRegister("r", m)
+        else:
+            with pytest.raises(ValueError) as err:
+                DensityOnRegister("r", m)
+            assert str(err.value) == want
+
+    def test_rejections_are_the_expected_ones(self):
+        verdicts = {n: hermitian_first_verdict(m) for n, m in self.cases().items()}
+        assert "Hermitian" in verdicts["outer-v-w"]
+        assert "Hermitian" in verdicts["rank1-plus-antihermitian"]
+        assert "non-finite" in verdicts["nan-entry"]
+        assert "trace" in verdicts["half-trace"]
+        assert "eigenvalue" in verdicts["negative-eigenvalue"]
+        for name in ("pure", "rank1-plus-tiny-antihermitian", "mixed",
+                     "maximally-mixed", "rank-two"):
+            assert verdicts[name] is None, name
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.sampled_from((2, 6, 64, 784)), st.integers(0, 2**32 - 1))
+    def test_computed_outer_product_is_hermitian_to_rounding(self, dim, seed):
+        # the skipped pass relies on this: m within RANK1_FTOL of v v^H,
+        # with every |v_i|^2 at most about 2, is Hermitian within
+        # 3 * RANK1_FTOL (a fused multiply-add can make it inexact)
+        v = unit(np.random.default_rng(seed), dim) * np.sqrt(2)
+        o = np.outer(v, v.conj())
+        assert np.abs(o - o.conj().T).max() <= 4 * 2.0**-53 * np.abs(v).max() ** 2
+
+    def test_large_diagonal_is_left_to_the_hermitian_pass(self):
+        v = np.zeros(6)
+        v[2] = 1.0
+        assert _rank1_factor(2 * np.outer(v, v)) is not None
+        assert _rank1_factor(2.5 * np.outer(v, v)) is None

@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,9 +10,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adjuster_reference import reference_efficient_adjuster
-from family_reference import joint_is_uniform, predicate
+from adjuster_reference import reference_efficient_adjuster, reference_exact_adjuster
+from family_reference import join_key, joint_is_uniform, predicate, split_key
 from conftest import accept_all_zero
+from qromlab import hashfam, qsim
 from qromlab.adversary import oracle_zoo
 from qromlab.hashfam import (
     AdjustingUnitary,
@@ -122,8 +124,8 @@ class TestTwoQWiseFamily:
     @given(st.integers(min_value=0, max_value=3**6 * 9 - 1))
     def test_split_join_roundtrip(self, key):
         fam = TwoQWiseFamily(TableFamily(DOM6, 3), 2, 2)
-        kp, shifts = fam.split_key(key)
-        assert fam.join_key(kp, shifts) == key
+        kp, shifts = split_key(fam, key)
+        assert join_key(fam, kp, shifts) == key
         assert 0 <= kp < fam.base.key_count
         assert all(0 <= s < fam.a for s in shifts)
 
@@ -253,7 +255,60 @@ class TestExactAdjuster:
 
     def test_nonunitary_matrix_rejected(self):
         with pytest.raises(ValueError):
-            AdjustingUnitary((0,), "exact", np.ones((2, 2)))
+            AdjustingUnitary((0,), "exact", np.ones((2, 2)), np.arange(2), 1)
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 2)])
+    @pytest.mark.parametrize("m", list(itertools.product((0, 1), repeat=2)))
+    def test_criterion_5_adjusters_equal_reference(self, eps, m):
+        dist = SparseOracleDist(DOM6, eps)
+        got = build_exact_adjuster(m, dist).matrix
+        assert got.dtype == np.float64
+        assert np.array_equal(got, reference_exact_adjuster(m, dist))
+
+
+class TestStructuredForm:
+    """The block and row checks refuse bad input before anything d x d."""
+
+    D = 1024  # a d x d float64 array is 8 MiB
+
+    def rejected(self, block, rows, rest):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                AdjustingUnitary((0,), "efficient", block, rows, rest)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < self.D * self.D * 8 // 16
+
+    def test_repeated_row_index(self):
+        rows = np.arange(self.D)
+        rows[5] = 6
+        self.rejected(np.eye(2), rows, self.D // 2)
+
+    def test_out_of_range_row_index(self):
+        rows = np.arange(self.D)
+        rows[5] = self.D
+        self.rejected(np.eye(2), rows, self.D // 2)
+        rows[5] = -1
+        self.rejected(np.eye(2), rows, self.D // 2)
+
+    def test_wrong_length_row_order(self):
+        self.rejected(np.eye(2), np.arange(self.D - 1), self.D // 2)
+        self.rejected(np.eye(2), np.arange(self.D + 1), self.D // 2)
+
+    def test_nonunitary_block_with_identity_factor(self):
+        self.rejected(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-8]]), np.arange(self.D), self.D // 2)
+
+    def test_matrix_is_the_permuted_kronecker_product(self):
+        rng = np.random.default_rng(3)
+        block = np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        rows = rng.permutation(12)
+        adj = AdjustingUnitary((0,), "efficient", block, rows, 3)
+        assert adj.dim == 12
+        assert adj.matrix.dtype == np.float64
+        assert np.array_equal(adj.matrix, np.kron(block, np.eye(3))[rows])
+        assert not adj.matrix.flags.writeable
 
 
 class TestEfficientAdjuster:
@@ -278,7 +333,21 @@ class TestEfficientAdjuster:
     @pytest.mark.parametrize("m, fam", REFERENCE_ADJUSTERS)
     def test_structured_build_equals_dense_reference(self, m, fam):
         got = build_efficient_adjuster(m, fam).matrix
+        assert got.dtype == np.float64
         assert np.array_equal(got, reference_efficient_adjuster(m, fam))
+
+    def test_unitarity_is_checked_at_block_size(self, monkeypatch):
+        checked = []
+
+        def record(u, dtype=complex):
+            checked.append(np.shape(u))
+            return qsim._check_unitary(u, dtype)
+
+        monkeypatch.setattr(hashfam, "_check_unitary", record)
+        fam = REFERENCE_ADJUSTERS[-1][1]
+        adj = build_efficient_adjuster((1, 1), fam)
+        assert adj.dim == 784
+        assert checked == [(16, 16)] and adj.rest == 49
 
     def test_key_cap(self):
         fam = TwoQWiseFamily(TableFamily(DOM6, 8), 1, 2)
