@@ -239,7 +239,11 @@ class AdjustingUnitary:
         ok = rows.shape == (d,) and rows.dtype.kind in "iu" and rows.min() >= 0
         if not (ok and (np.bincount(rows, minlength=d) == 1).all()):
             raise ValueError(f"row order is not a permutation of range({d})")
-        m = np.kron(block, np.eye(self.rest, dtype=block.dtype))[rows]
+        # row a * rest + s of kron(block, I_rest) is block row a on the
+        # columns s::rest, so each row is written once, in its place
+        m = np.zeros((d, len(block), self.rest), dtype=block.dtype)
+        m[np.arange(d), :, rows % self.rest] = block[rows // self.rest]
+        m = m.reshape(d, d)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 

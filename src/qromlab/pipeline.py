@@ -11,15 +11,17 @@ so identical configurations produce identical bytes.
 The decision experiments share one simulator model: a classical query
 trace that asks a flag oracle on transcript prefixes and a response
 oracle for challenges, wrapped by the ordered measure-and-reprogram
-schedules from ``transforms``. Two primitives carry all of them:
+schedules from ``transforms``. Three primitives carry all of them:
 ``_replay`` runs a trace once against the scheduled, query-counting
-oracle, and ``_fork`` enumerates a replay over every lazily sampled
-assignment with rational weights. The extraction provers are
+oracle; ``_fork`` enumerates a replay over every lazily sampled
+assignment with rational weights; and ``walk._walk``, the
+constant-round counting walk, runs a flag trace under every randomness
+and ordered schedule at once, replaying each node of the trace's answer
+tree once and merging runs into counted paths. The extraction provers are
 predicates on the live scheduled replay. The expected-time experiment
-instead
-drives the dense verifier machines from ``adversary`` and checks
-budget, acceptance, and conditional-state facts on the exact output
-mixture.
+instead drives the dense verifier machines from ``adversary`` and
+checks budget, acceptance, and conditional-state facts on the exact
+output mixture.
 """
 
 from __future__ import annotations
@@ -60,9 +62,11 @@ from qromlab.qsim import DensityOnRegister, swap_test, trace_distance
 from qromlab.transforms import (
     MarSchedule,
     _ordered_outcome,
+    _schedule_count,
     enumerate_schedules,
     truncate,
 )
+from qromlab.walk import _walk
 
 THEOREMS = ("constant-round", "expected-time", "public-coin", "three-round")
 EXPECTED_SIMULATORS = ("expected-honest", "expected-lazy", "expected-geometric")
@@ -286,8 +290,9 @@ class _NeedValue(Exception):
 
 def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
             y=1, default=None):
-    """One deterministic replay of a classical trace: the only scheduled,
-    query-counting oracle of the decision experiments.
+    """One deterministic replay of a classical trace: the scheduled,
+    query-counting oracle of the public-coin and three-round
+    experiments. ``_walk`` runs the constant-round ones by its rules.
 
     The oracle serves reprogrammed values first, then the partial
     assignment, then the default; with no default a miss raises
@@ -409,8 +414,8 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     A fixed transcript replaces the witness strategy and ignores every
     response, which is the give-up behavior. The honest moves are
     memoized per trace, keyed by the responses received so far: they
-    are pure, and a walk replays the trace under every randomness and
-    schedule while the responses take few values.
+    are pure, and ``_walk`` replays the trace once per node of its
+    answer tree, while the responses take few values.
 
     Every trace replayed here keeps one contract: it reads a response
     ``ask_f(p)`` only for a proper prefix p whose flag it has just read
@@ -418,6 +423,8 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     clear in the live replay, so a set flag there marks a measured
     point, which the extraction prover has already forwarded to the
     verifier; ``extraction_prover_value`` is exact because of this.
+    ``_replay`` and ``_walk`` both refuse a response read that breaks
+    the contract.
     """
     k = spec.rounds
     bottom = spec.alphabet[0]
@@ -477,47 +484,26 @@ def _decision_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
 # Constant-round decision experiment.
 
 
-def _live_runs(spec: ProtocolSpec, x, trace, scheds):
-    """(r, slots, output) of the live scheduled replay per randomness
-    and schedule: flags start clear, measured points are reprogrammed
-    to 1, and responses come from the verifier at r. Every replay must
-    make exactly the schedule's q flag queries."""
-    for r in spec.randomness:
-        def ask_f(p):
-            return spec.next_message(x, r, tuple(p))
-
-        for sched in scheds:
-            slots, out, n = _replay(trace, ask_f, {}, sched, default=0)
-            if n != sched.q:
-                raise ConfigError(f"trace makes {n} flag queries, scheduled for {sched.q}")
-            yield r, slots, out
-
-
 def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
     """Pr over randomness and an eps-sparse flag table that the plain
     run outputs an accepted transcript with every prefix flagged."""
     eps = Fraction(eps)
-    values = ((1, eps), (0, 1 - eps))
     k = spec.rounds
     total = Fraction(0)
-    for r in spec.randomness:
-        def ask_f(p):
-            return spec.next_message(x, r, tuple(p))
-
-        for weight, asg, (_, out, _) in _fork(
-            lambda a: _replay(trace, ask_f, a), values
-        ):
-            if spec.decide(x, r, out) and all(
-                asg.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)
-            ):
-                total += weight
+    for weight, group, _, out, asg in _walk(
+        spec, x, trace, values=((1, eps), (0, 1 - eps))
+    ):
+        flags = dict(asg)
+        if all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
+            total += weight * sum(1 for r in group if spec.decide(x, r, out))
     return total / len(spec.randomness)
 
 
-def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds) -> tuple[Fraction, Fraction]:
-    """Exact win rate of the extraction prover over randomness and
-    schedules, with the schedule-averaged decision value it dominates;
-    one walk of the live replays scores both.
+def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
+    """Exact win rate of the extraction prover over randomness and every
+    ordered schedule of (k, q), with the schedule-averaged decision
+    value it dominates; one counting walk (``walk._walk``) of the live
+    replays scores both, and no schedule is built.
 
     The prover forwards each measured point's fresh messages to the
     live verifier and answers response queries with what it received.
@@ -533,15 +519,20 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, scheds) -> tuple[Fract
     Returns:
         (extraction value, decision value), exact.
     """
+    k = spec.rounds
     walk = _memoized(spec)
     extracted = decided = 0
-    for r, slots, out in _live_runs(walk, x, trace, scheds):
-        _, got = _ordered_outcome(slots, out)
-        if got is not None and len(got) == spec.rounds and walk.decide(x, r, got):
-            decided += 1
-        if all(p == out[: len(p)] for p in slots.values()) and walk.decide(x, r, out):
-            extracted += 1
-    total = len(spec.randomness) * len(scheds)
+    for weight, group, slots, out, _ in _walk(walk, x, trace, k, q):
+        measured = dict(slots)
+        _, got = _ordered_outcome(measured, out)
+        full = got is not None and len(got) == k
+        prefixes = all(p == out[: len(p)] for p in measured.values())
+        for r in group:
+            if full and walk.decide(x, r, got):
+                decided += weight
+            if prefixes and walk.decide(x, r, out):
+                extracted += weight
+    total = len(spec.randomness) * _schedule_count(k, q)
     return Fraction(extracted, total), Fraction(decided, total)
 
 
@@ -569,7 +560,6 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
             f" {k}, not {cfg.q}"
         )
     q_h = 2 * k * cfg.q
-    scheds = enumerate_schedules(k, q_h)
     factor = (2 * q_h + 1) ** (2 * k)
     bound = Fraction(1, 8 * factor)
     es = eps_star(k, cfg.q)
@@ -578,7 +568,7 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
         trace = _decision_trace(cfg, spec, x)
-        pstar, value = extraction_prover_value(spec, x, trace, scheds)
+        pstar, value = extraction_prover_value(spec, x, trace, q_h)
         if x in cfg.yes_instances:
             met = True
             for tag, eps in (("", cfg.eps), ("-calibrated", es)):

@@ -11,6 +11,10 @@ is tested against.
 ``reference_exact_adjuster`` is the exact adjuster as one complex
 Kronecker product of per-point 2x2 rotations, checked unitary at full
 size.
+
+``kron_rows`` is how ``AdjustingUnitary`` first built its matrix from
+the structured form: the whole ``kron(block, I_rest)``, then a copy of
+it in row order.
 """
 
 from functools import reduce
@@ -20,6 +24,11 @@ import numpy as np
 from family_reference import join_key, split_key
 from qromlab.hashfam import _householder_to
 from qromlab.oracle import prefixes
+
+
+def kron_rows(block, rows, rest) -> np.ndarray:
+    """kron(block, I_rest)[rows], with both d x d arrays built."""
+    return np.kron(block, np.eye(rest, dtype=block.dtype))[rows]
 
 
 def reference_exact_adjuster(m, dist) -> np.ndarray:

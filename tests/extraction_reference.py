@@ -10,14 +10,15 @@ tested against. The first four functions are the bodies of the
 pipeline's former ``_fork_runs``, ``_extraction_run``, ``_response_runs``
 and ``_single_slot_extraction``; the value functions after them are the
 old experiment bodies on top of these forkers. ``schedule_value`` is the
-constant-round decision value as its own walk of the live replays, before
-the extraction prover's walk scored it too.
+constant-round decision value as its own pass over the live replays,
+before the extraction prover's pass scored it too.
 """
 
 from fractions import Fraction
 
 from qromlab.adversary import challenge_structure
-from qromlab.pipeline import _NeedValue, _live_runs, _replay
+from live_reference import live_runs
+from qromlab.pipeline import _NeedValue, _replay
 from qromlab.transforms import _ordered_outcome, enumerate_schedules
 
 
@@ -195,7 +196,7 @@ def extraction_prover_value(spec, x, trace, scheds) -> Fraction:
 
 def schedule_value(spec, x, trace, scheds) -> Fraction:
     wins = 0
-    for r, slots, out in _live_runs(spec, x, trace, scheds):
+    for r, slots, out in live_runs(spec, x, trace, scheds):
         _, got = _ordered_outcome(slots, out)
         if got is not None and len(got) == spec.rounds and spec.decide(x, r, got):
             wins += 1

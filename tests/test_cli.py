@@ -101,11 +101,11 @@ class TestRun:
     @pytest.mark.parametrize("q", ["3", "400"])
     def test_constant_round_budget_checked_before_any_schedule(self, q, monkeypatch,
                                                                capsys):
-        # the flag trace makes k = 2 calls; --q 400 would need 10,240,001 schedules
+        # the flag trace makes k = 2 calls; --q 400 would walk 10,240,001 schedules
         def unreachable(*args):
-            raise AssertionError("schedules built before the budget check")
+            raise AssertionError("schedules walked before the budget check")
 
-        monkeypatch.setattr(pipeline, "enumerate_schedules", unreachable)
+        monkeypatch.setattr(pipeline, "_walk", unreachable)
         assert main(["run", "constant-round", "--q", q]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

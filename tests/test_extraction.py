@@ -1,5 +1,6 @@
-"""The decision experiments' ``_fork`` over ``_replay`` against the
-hand-written forkers and extraction provers they replaced.
+"""The decision experiments' ``_fork`` over ``_replay`` and the
+constant-round counting walk against the hand-written forkers and
+extraction provers they replaced.
 
 Two sets of traces: the stock honest and give-up simulators of toy-qr
 (1 and 2 repetitions) and toy-table, and hypothesis-generated adaptive
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import extraction_reference as ref
+import live_reference as live
 from qromlab.pipeline import (
     ExperimentConfig,
     _decision_trace,
@@ -75,16 +77,22 @@ def new_branches(runs):
     )
 
 
-def check_constant_round(spec, x, trace, scheds):
-    for r in spec.randomness:
-        masked = only(spec, r)
-        for sched in scheds:
-            old = ref.extraction_run(spec, x, trace, sched, r)
-            new, _ = extraction_prover_value(masked, x, trace, (sched,))
-            assert new == Fraction(int(old), len(spec.randomness)), (r, sched)
+def check_constant_round(spec, x, trace, q):
+    # the hand-written prover wins exactly where the live replay's
+    # predicate says, pair by pair; the walk counts those replays; so
+    # the walk's values are the prover's
+    scheds = enumerate_schedules(spec.rounds, q)
+    pairs = [(r, sched) for r in spec.randomness for sched in scheds]
+    for (r, sched), (_, slots, out) in zip(pairs, live.live_runs(spec, x, trace, scheds)):
+        won, _ = live.pair_scores(spec, x, r, slots, out)
+        assert won == ref.extraction_run(spec, x, trace, sched, r), (r, sched)
+    assert live.walk_counts(spec, x, trace, spec.rounds, q) == (
+        live.live_counts(spec, x, trace, scheds)
+    )
     old = (ref.extraction_prover_value(spec, x, trace, scheds),
            ref.schedule_value(spec, x, trace, scheds))
-    assert extraction_prover_value(spec, x, trace, scheds) == old
+    assert live.extraction_prover_value(spec, x, trace, scheds) == old
+    assert extraction_prover_value(spec, x, trace, q) == old
 
 
 def check_three_round(spec, x, trace, scheds):
@@ -113,7 +121,7 @@ class TestStockTraces:
         for spec, x, cfg in stock(name):
             k = spec.rounds
             trace = _decision_trace(cfg, spec, x)
-            check_constant_round(spec, x, trace, enumerate_schedules(k, 2 * k * k))
+            check_constant_round(spec, x, trace, 2 * k * k)
             for eps in (Fraction(1, 4), eps_star(k, k)):
                 assert _sparse_hypothesis(spec, x, trace, eps) == (
                     ref.sparse_hypothesis(spec, x, trace, eps)
@@ -193,7 +201,7 @@ class TestRandomTraces:
     def test_constant_round(self, name, x, seed, queries):
         spec = SPECS[name]
         trace = flag_trace(seed, LETTERS[name], spec.rounds, queries)
-        check_constant_round(spec, x, trace, enumerate_schedules(spec.rounds, queries))
+        check_constant_round(spec, x, trace, queries)
         assert _sparse_hypothesis(spec, x, trace, Fraction(1, 3)) == (
             ref.sparse_hypothesis(spec, x, trace, Fraction(1, 3))
         )
@@ -237,7 +245,7 @@ def test_the_response_contract_is_load_bearing():
     blank = (MarSchedule((None, None), 1),)
     assert ref.extraction_prover_value(spec, 1, trace, blank) == Fraction(1, 2)
     with pytest.raises(ValueError, match="flag is clear"):
-        extraction_prover_value(spec, 1, trace, blank)
+        extraction_prover_value(spec, 1, trace, 1)
 
 
 def test_a_contract_keeping_trace_replays():
@@ -250,7 +258,7 @@ def test_a_contract_keeping_trace_replays():
 
     scheds = enumerate_schedules(spec.rounds, 1)
     want = ref.extraction_prover_value(spec, 1, trace, scheds)
-    assert extraction_prover_value(spec, 1, trace, scheds)[0] == want
+    assert extraction_prover_value(spec, 1, trace, 1)[0] == want
     assert 0 < want < 1
 
 

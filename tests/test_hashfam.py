@@ -10,7 +10,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from adjuster_reference import reference_efficient_adjuster, reference_exact_adjuster
+from adjuster_reference import (
+    kron_rows,
+    reference_efficient_adjuster,
+    reference_exact_adjuster,
+)
 from family_reference import join_key, joint_is_uniform, predicate, split_key
 from conftest import accept_all_zero
 from qromlab import hashfam, qsim
@@ -309,6 +313,27 @@ class TestStructuredForm:
         assert adj.matrix.dtype == np.float64
         assert np.array_equal(adj.matrix, np.kron(block, np.eye(3))[rows])
         assert not adj.matrix.flags.writeable
+
+    @pytest.mark.parametrize("m, fam", REFERENCE_ADJUSTERS)
+    def test_rows_written_in_place_equal_the_kronecker_route(self, m, fam):
+        for adj in (
+            build_efficient_adjuster(m, fam),
+            build_exact_adjuster(m[:1], SparseOracleDist(DOM6, Fraction(1, 4))),
+        ):
+            want = kron_rows(adj.block, adj.rows, adj.rest)
+            assert adj.matrix.dtype == want.dtype
+            assert np.array_equal(adj.matrix, want)
+
+    def test_a_784_key_build_holds_one_key_register_matrix(self):
+        fam = REFERENCE_ADJUSTERS[-1][1]
+        tracemalloc.start()
+        try:
+            adj = build_efficient_adjuster((1, 0), fam)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert adj.dim == 784
+        assert peak < 1.5 * adj.matrix.nbytes  # 784 x 784 float64: 4.92 MB
 
 
 class TestEfficientAdjuster:
