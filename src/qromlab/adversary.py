@@ -202,15 +202,16 @@ class VerifierMachine:
 
         R and H lead the layout and the step never writes them, so the
         permutation of control index c is the strided slice
-        ``(full[c::ctrl] - c) // ctrl`` of this machine's permutation. The
-        rows share this layout with its control registers dropped.
+        ``(full[c::ctrl] - c) // ctrl`` of this machine's permutation. A
+        table's H digit is its bit mask. The rows share this layout with
+        its control registers dropped.
         """
         rs = self.spec.randomness
-        dist = SparseOracleDist(self._prefix_points, self.eps)
+        tables = tuple(SparseOracleDist(self._prefix_points, self.eps)._weighted_masks())
         cs, weights = zip(*(
-            (ri + len(rs) * _little_endian(h.values, 2), w / len(rs))
+            (ri + len(rs) * mask, w / len(rs))
             for ri in range(len(rs))
-            for h, w in dist.enumerate_weighted()
+            for mask, w in tables
         ))
         layout = RegisterLayout(self.layout.registers[self.layout.index("Count"):])
         ctrl = self.layout.total_dim // layout.total_dim
@@ -240,7 +241,13 @@ class VerifierMachine:
 
         Each row is one machine state, registers first fastest, so it
         reshapes to (M·B, transcript, Count, H, R·Cont) and the blocks the
-        rotations act on are the Count = 0, Cont = 0 slice.
+        rotations act on are the Count = 0, Cont = 0 slice. A column of
+        that block is its table axis at one (row, M·B, transcript, R).
+        Only the columns holding a nonzero amplitude are rotated, each by
+        its transcript's matrix in one einsum that sums the table axis in
+        order, as the full einsum over the block does; the others take
+        exact zeros, which is what that einsum writes there. A BLAS
+        product (``matmul``, ``tensordot``) would move report digits.
         """
         u = self._adjusters
         if u is None:
@@ -250,7 +257,10 @@ class VerifierMachine:
         n, k = len(self.spec.alphabet), self.k
         t = rows.reshape(rows.shape[0], 2 * n, n**k, k, self.layout.dim_of("H"), -1)
         block = t[:, :, :, 0, :, ::2]
-        block[...] = np.einsum("fab,wsfbi->wsfai", u, block)
+        w, s, f, i = np.nonzero((block != 0).any(axis=3))
+        cols = np.einsum("cab,cb->ca", u[f], block[w, s, f, :, i])
+        block[...] = 0
+        block[w, s, f, :, i] = cols
         return t.reshape(rows.shape[0], -1)
 
 
@@ -315,11 +325,6 @@ def _table_dim(base: int, points: int) -> int:
             f" {MAX_STATE_DIM}"
         )
     return base**points
-
-
-def _little_endian(digits: Sequence[int], base: int) -> int:
-    """Register digit of a table whose point i holds digit i (point 0 fastest)."""
-    return sum(int(d) * base**i for i, d in enumerate(digits))
 
 
 def apply_step(

@@ -158,22 +158,27 @@ class SparseOracleDist:
         return ClassicalOracle.constant(self.domain, (0, 1), 0)
 
     def enumerate_weighted(self) -> Iterator[tuple[ClassicalOracle, Fraction]]:
-        """Every nonzero-weight table exactly once, weights summing to 1."""
+        """Every nonzero-weight table exactly once, weights summing to 1:
+        the table whose point i holds bit i of each mask of
+        ``_weighted_masks``, in its order."""
+        n = len(self.domain)
+        for mask, w in self._weighted_masks():
+            vals = tuple((mask >> i) & 1 for i in range(n))
+            yield ClassicalOracle(self.domain, (0, 1), vals), w
+
+    def _weighted_masks(self) -> Iterator[tuple[int, Fraction]]:
+        """(bit mask, weight) of every nonzero-weight table, masks
+        ascending: all 2**n at 0 < eps < 1, else the one constant table.
+        With eps = a/d, a table of j ones weighs a**j (d-a)**(n-j) / d**n."""
         n = len(self.domain)
         eps = self.epsilon
-        free = [i for i in range(n)] if 0 < eps < 1 else []
-        base = 1 if eps == 1 else 0
-        for mask in range(2 ** len(free)):
-            vals = [base] * n
-            w = Fraction(1)
-            for bit, i in enumerate(free):
-                if (mask >> bit) & 1:
-                    vals[i] = 1
-                    w *= eps
-                else:
-                    vals[i] = 0
-                    w *= 1 - eps
-            yield ClassicalOracle(self.domain, (0, 1), tuple(vals)), w
+        if eps in (0, 1):
+            yield (2**n - 1) * int(eps), Fraction(1)
+            return
+        a, d = eps.numerator, eps.denominator
+        by_ones = [Fraction(a**j * (d - a) ** (n - j), d**n) for j in range(n + 1)]
+        for mask in range(2**n):
+            yield mask, by_ones[mask.bit_count()]
 
 
 def sparse_vs_zero_bound(q: int, epsilon):

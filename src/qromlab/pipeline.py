@@ -484,19 +484,29 @@ def _decision_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
 # Constant-round decision experiment.
 
 
-def _sparse_hypothesis(spec: ProtocolSpec, x, trace, eps) -> Fraction:
+def _sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fraction, ...]:
     """Pr over randomness and an eps-sparse flag table that the plain
-    run outputs an accepted transcript with every prefix flagged."""
-    eps = Fraction(eps)
+    run outputs an accepted transcript with every prefix flagged, for
+    each eps of ``densities``.
+
+    One walk serves every density: it forks each flag fairly, so a
+    merged path weighs its count of runs over 2**|assignment|, and its
+    weight at eps is that count times eps**ones (1-eps)**zeros.
+    """
+    densities = tuple(Fraction(eps) for eps in densities)
     k = spec.rounds
-    total = Fraction(0)
-    for weight, group, _, out, asg in _walk(
-        spec, x, trace, values=((1, eps), (0, 1 - eps))
-    ):
+    half = Fraction(1, 2)
+    totals = [Fraction(0)] * len(densities)
+    for weight, group, _, out, asg in _walk(spec, x, trace, values=((1, half), (0, half))):
         flags = dict(asg)
-        if all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
-            total += weight * sum(1 for r in group if spec.decide(x, r, out))
-    return total / len(spec.randomness)
+        if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
+            continue
+        accepted = sum(1 for r in group if spec.decide(x, r, out))
+        ones = sum(flags.values())
+        runs = weight * 2 ** len(flags)
+        for j, eps in enumerate(densities):
+            totals[j] += runs * eps**ones * (1 - eps) ** (len(flags) - ones) * accepted
+    return tuple(t / len(spec.randomness) for t in totals)
 
 
 def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
@@ -571,8 +581,8 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
         pstar, value = extraction_prover_value(spec, x, trace, q_h)
         if x in cfg.yes_instances:
             met = True
-            for tag, eps in (("", cfg.eps), ("-calibrated", es)):
-                hyp = _sparse_hypothesis(spec, x, trace, eps)
+            hyps = _sparse_hypothesis(spec, x, trace, (cfg.eps, es))
+            for tag, eps, hyp in zip(("", "-calibrated"), (cfg.eps, es), hyps):
                 floor = eps ** k / 4
                 c = _check(
                     x, "flag-hypothesis" + tag, "sparse-flag acceptance floor",

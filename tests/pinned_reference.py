@@ -10,17 +10,65 @@ whose control digits read the pinned values map among themselves.
 through the per-branch executor of ``executor_reference``. It is the
 reference the batched route in ``adversary.run_simulator`` is tested
 against, branch by branch.
+
+``control_rows`` is how ``VerifierMachine._control_rows`` was first
+built: one ``ClassicalOracle`` per table from ``enumerate_weighted``,
+read back into its H digit by ``little_endian``. ``product_chain`` is
+``SparseOracleDist.enumerate_weighted`` as it was first written, each
+weight a ``Fraction`` product taken point by point.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 
-from qromlab.adversary import ExpectedAlgorithm, SimulationResult, _little_endian
-from qromlab.oracle import SparseOracleDist
+from qromlab.adversary import ExpectedAlgorithm, SimulationResult, _ControlRows
+from qromlab.oracle import ClassicalOracle, SparseOracleDist
 from qromlab.qsim import RegisterLayout
 
 import executor_reference
+
+
+def little_endian(digits, base):
+    """Register digit of a table whose point i holds digit i (point 0 fastest)."""
+    return sum(int(d) * base**i for i, d in enumerate(digits))
+
+
+def product_chain(dist):
+    """Every nonzero-weight table of ``dist`` once, with its weight."""
+    n = len(dist.domain)
+    eps = dist.epsilon
+    free = [i for i in range(n)] if 0 < eps < 1 else []
+    base = 1 if eps == 1 else 0
+    for mask in range(2 ** len(free)):
+        vals = [base] * n
+        w = Fraction(1)
+        for bit, i in enumerate(free):
+            if (mask >> bit) & 1:
+                vals[i] = 1
+                w *= eps
+            else:
+                vals[i] = 0
+                w *= 1 - eps
+        yield ClassicalOracle(dist.domain, (0, 1), tuple(vals)), w
+
+
+def control_rows(machine):
+    """Every (R, H) assignment of the aborting kind as one row of a batch."""
+    rs = machine.spec.randomness
+    dist = SparseOracleDist(machine._prefix_points, machine.eps)
+    cs, weights = zip(*(
+        (ri + len(rs) * little_endian(h.values, 2), w / len(rs))
+        for ri in range(len(rs))
+        for h, w in dist.enumerate_weighted()
+    ))
+    layout = RegisterLayout(machine.layout.registers[machine.layout.index("Count"):])
+    ctrl = machine.layout.total_dim // layout.total_dim
+    cs = np.array(cs)
+    full = machine._step_perm.reshape(layout.total_dim, ctrl)
+    perms = (full[:, cs].T - cs[:, None]) // ctrl
+    return _ControlRows(weights, perms, layout)
 
 
 def assignments(machine):
@@ -40,7 +88,7 @@ def pinned_machine(machine, fixed):
     if "R" in fixed:
         digit["R"] = machine.spec.randomness.index(fixed["R"])
     if "H" in fixed:
-        digit["H"] = _little_endian(fixed["H"].values, 2)
+        digit["H"] = little_endian(fixed["H"].values, 2)
     keep = RegisterLayout(tuple(r for r in lay.registers if r[0] not in fixed))
     flat = np.arange(lay.total_dim)
     mask = np.ones(lay.total_dim, dtype=bool)

@@ -12,6 +12,11 @@ route that the vectorized ``VerifierMachine._step_perm`` is tested against.
 the protocol spec for given control values ``r`` and ``h``, an independent route to what
 the permutation writes into M and B. ``step_matrix`` and
 ``is_step_unitary`` are the dense test oracles of one call.
+
+``apply_adjusters`` is the coherent kind's table rotation as it was
+first written: one einsum over the whole Count = 0, Cont = 0 block,
+all-zero columns included. It is the reference the column-gathering
+``VerifierMachine._apply_adjusters`` is tested against, bit for bit.
 """
 
 import itertools
@@ -97,6 +102,20 @@ def reference_step_perm(machine, r=None, h=None) -> np.ndarray:
         act(dg, j, j == k - 1)
         perm[flat] = lay.encode(dg)
     return perm
+
+
+def apply_adjusters(machine: VerifierMachine, rows: np.ndarray, forward: bool) -> np.ndarray:
+    """Rotate the table axis of each just-finished Cont=0 block, in place."""
+    u = machine._adjusters
+    if u is None:
+        return rows
+    if not forward:
+        u = u.conj().transpose(0, 2, 1)
+    n, k = len(machine.spec.alphabet), machine.k
+    t = rows.reshape(rows.shape[0], 2 * n, n**k, k, machine.layout.dim_of("H"), -1)
+    block = t[:, :, :, 0, :, ::2]
+    block[...] = np.einsum("fab,wsfbi->wsfai", u, block)
+    return t.reshape(rows.shape[0], -1)
 
 
 def step_matrix(machine: VerifierMachine) -> np.ndarray:

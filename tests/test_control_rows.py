@@ -23,6 +23,7 @@ from qromlab.adversary import (
     honest_wrapper,
     run_simulator,
 )
+from qromlab.oracle import SparseOracleDist
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import toy_guess, toy_table
 from qromlab.transforms import truncate
@@ -60,6 +61,32 @@ def test_expected_time_machines(x, eps):
     sims += [truncate(s, CFG.q) for s in members]
     for sim in sims:
         check(sim, machine)
+
+
+DENSITIES = [0, Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), 1, eps_star(2, 8)]
+
+
+@pytest.mark.parametrize("eps", DENSITIES, ids=str)
+def test_control_rows_match_the_table_build(eps):
+    for x in CFG.yes_instances + CFG.no_instances:
+        machine = build_verifier("random_aborting", SPEC, x, eps=eps)
+        got = machine._control_rows
+        want = pinned_reference.control_rows(machine)
+        assert got.weights == want.weights
+        assert all(type(w) is Fraction for w in got.weights)
+        assert np.array_equal(got.perms, want.perms)
+        assert got.layout == want.layout
+
+
+@pytest.mark.parametrize("eps", DENSITIES, ids=str)
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_enumerate_weighted_matches_the_product_chain(eps, n):
+    dist = SparseOracleDist(tuple(range(n)), eps)
+    got = list(dist.enumerate_weighted())
+    want = list(pinned_reference.product_chain(dist))
+    assert [h for h, _ in got] == [h for h, _ in want]
+    assert [w for _, w in got] == [w for _, w in want]
+    assert all(type(w) is Fraction for _, w in got)
 
 
 def _roundtrip(n):

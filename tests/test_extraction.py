@@ -122,10 +122,10 @@ class TestStockTraces:
             k = spec.rounds
             trace = _decision_trace(cfg, spec, x)
             check_constant_round(spec, x, trace, 2 * k * k)
-            for eps in (Fraction(1, 4), eps_star(k, k)):
-                assert _sparse_hypothesis(spec, x, trace, eps) == (
-                    ref.sparse_hypothesis(spec, x, trace, eps)
-                )
+            densities = (Fraction(1, 4), eps_star(k, k))
+            assert _sparse_hypothesis(spec, x, trace, densities) == tuple(
+                ref.sparse_hypothesis(spec, x, trace, eps) for eps in densities
+            )
 
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_three_round(self, name):
@@ -202,8 +202,8 @@ class TestRandomTraces:
         spec = SPECS[name]
         trace = flag_trace(seed, LETTERS[name], spec.rounds, queries)
         check_constant_round(spec, x, trace, queries)
-        assert _sparse_hypothesis(spec, x, trace, Fraction(1, 3)) == (
-            ref.sparse_hypothesis(spec, x, trace, Fraction(1, 3))
+        assert _sparse_hypothesis(spec, x, trace, (Fraction(1, 3),)) == (
+            ref.sparse_hypothesis(spec, x, trace, Fraction(1, 3)),
         )
 
     @settings(max_examples=30, deadline=None)

@@ -67,8 +67,8 @@ def check_hypothesis(spec, x, trace, eps):
     counts = live.walk_counts(spec, x, trace, values=values)
     assert counts == live.hypothesis_counts(spec, x, trace, eps)
     assert sum(counts.values()) == len(spec.randomness)
-    assert _sparse_hypothesis(spec, x, trace, eps) == (
-        live.sparse_hypothesis(spec, x, trace, eps)
+    assert _sparse_hypothesis(spec, x, trace, (eps,)) == (
+        live.sparse_hypothesis(spec, x, trace, eps),
     )
 
 
@@ -78,6 +78,11 @@ def test_stock_multiplicities(name):
         check_walk(spec, x, trace, q)
         for eps in (Fraction(1, 4), eps_star(spec.rounds, spec.rounds)):
             check_hypothesis(spec, x, trace, eps)
+        densities = (Fraction(1, 4), eps_star(spec.rounds, spec.rounds),
+                     Fraction(2, 3), Fraction(1))
+        assert _sparse_hypothesis(spec, x, trace, densities) == tuple(
+            live.sparse_hypothesis(spec, x, trace, eps) for eps in densities
+        )
 
 
 @settings(max_examples=40, deadline=None)
@@ -130,7 +135,7 @@ def test_the_walk_refuses_a_clear_read_where_a_replay_does(seed, queries):
     assert (old is None) == (new is None)
     if new is not None:
         assert new.endswith("whose flag is clear")
-        check = raised(lambda: _sparse_hypothesis(spec, 1, trace, Fraction(1, 2)))
+        check = raised(lambda: _sparse_hypothesis(spec, 1, trace, (Fraction(1, 2),)))
         want = raised(lambda: live.sparse_hypothesis(spec, 1, trace, Fraction(1, 2)))
         assert (check is None) == (want is None)
     else:
@@ -193,3 +198,18 @@ def test_constant_round_builds_no_schedule(monkeypatch):
     monkeypatch.setattr(MarSchedule, "__post_init__", unreachable)
     monkeypatch.setattr(pipeline, "enumerate_schedules", unreachable)
     assert decide_constant_round(ExperimentConfig(reps=2)).decision["gap"] is not None
+
+
+def test_one_hypothesis_walk_serves_both_densities(monkeypatch):
+    forked = []
+    inner = pipeline._walk
+
+    def counted(spec, x, trace, k=0, q=None, values=None):
+        forked.append(values is not None)
+        return inner(spec, x, trace, k, q, values)
+
+    monkeypatch.setattr(pipeline, "_walk", counted)
+    cfg = ExperimentConfig()
+    decide_constant_round(cfg)
+    assert forked.count(True) == len(cfg.yes_instances)
+    assert forked.count(False) == len(cfg.yes_instances + cfg.no_instances)
