@@ -9,19 +9,16 @@ value per statement and the yes/no gap; serialization is canonical,
 so identical configurations produce identical bytes.
 
 The decision experiments share one simulator model: a classical query
-trace that asks a flag oracle on transcript prefixes and a response
-oracle for challenges, wrapped by the ordered measure-and-reprogram
-schedules from ``transforms``. Three primitives carry all of them:
-``_replay`` runs a trace once against the scheduled, query-counting
-oracle; ``_fork`` enumerates a replay over every lazily sampled
-assignment with rational weights; and ``walk._walk``, the
-constant-round counting walk, runs a flag trace under every randomness
-and ordered schedule at once, replaying each node of the trace's answer
-tree once and merging runs into counted paths. The extraction provers are
-predicates on the live scheduled replay. The expected-time experiment
-instead drives the dense verifier machines from ``adversary`` and
-checks budget, acceptance, and conditional-state facts on the exact
-output mixture.
+trace that asks an oracle on transcript prefixes (flags, hashed
+challenges or labelled challenges) and a response oracle, wrapped by
+the ordered measure-and-reprogram schedules from ``transforms``. One
+driver runs all of them: ``walk._walk``, the counting walk, runs a trace
+under every randomness, ordered schedule and lazily sampled oracle
+table at once, replaying each branching node of the trace's answer tree
+once and merging runs into weighted paths. The extraction provers are
+predicates on those paths. The expected-time experiment instead drives
+the dense verifier machines from ``adversary`` and checks budget,
+acceptance, and conditional-state facts on the exact output mixture.
 """
 
 from __future__ import annotations
@@ -34,7 +31,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Hashable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -59,13 +56,7 @@ from qromlab.protocol import (
     toy_table,
 )
 from qromlab.qsim import DensityOnRegister, swap_test, trace_distance
-from qromlab.transforms import (
-    MarSchedule,
-    _ordered_outcome,
-    _schedule_count,
-    enumerate_schedules,
-    truncate,
-)
+from qromlab.transforms import _ordered_outcome, _schedule_count, truncate
 from qromlab.walk import _walk
 
 THEOREMS = ("constant-round", "expected-time", "public-coin", "three-round")
@@ -280,101 +271,6 @@ def write_report(report: ExperimentReport, json_path=None, csv_path=None) -> Non
 # Classical trace machinery.
 
 
-class _NeedValue(Exception):
-    """A replay hit an oracle point outside its partial assignment."""
-
-    def __init__(self, point):
-        super().__init__(f"unassigned point {point!r}")
-        self.point = point
-
-
-def _replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
-            y=1, default=None):
-    """One deterministic replay of a classical trace: the scheduled,
-    query-counting oracle of the public-coin and three-round
-    experiments. ``_walk`` runs the constant-round ones by its rules.
-
-    The oracle serves reprogrammed values first, then the partial
-    assignment, then the default; with no default a miss raises
-    _NeedValue so ``_fork`` can branch. Slots of the schedule record
-    the queried point and reprogram it to y with the slot's timing.
-    ``ask_f(p)`` raises ValueError unless p's flag, as the oracle would
-    answer it now, is set and the trace's last read of p did not see it
-    clear at a read-then-reprogram slot: the trace contract
-    ``simulator_trace`` states.
-
-    Returns:
-        (slots, output, queries): measured point per slot index, the
-        trace output, and the number of oracle queries made.
-    """
-    patch: dict = {}
-    seen_clear: set = set()  # answered clear at a read-then-reprogram slot
-    slots: dict[int, tuple] = {}
-    slot_of = {} if schedule is None else schedule.by_ordinal
-    count = 0
-
-    def read(point):
-        if point in patch:
-            if seen_clear:  # a later read of the point sees y
-                seen_clear.discard(point)
-            return patch[point]
-        if point in assignment:
-            return assignment[point]
-        if default is None:
-            raise _NeedValue(point)
-        return default
-
-    def ask_h(point):
-        nonlocal count
-        count += 1
-        point = tuple(point)
-        hit = slot_of.get(count)
-        if hit is None:
-            return read(point)
-        i, b = hit
-        slots[i] = point
-        if b == 0:
-            seen_clear.discard(point)
-            patch[point] = y
-            return y
-        value = read(point)
-        if not value:
-            seen_clear.add(point)
-        patch[point] = y
-        return value
-
-    def checked_f(point):
-        flag = tuple(point)
-        if flag in seen_clear or not patch.get(flag, assignment.get(flag, default)):
-            raise ValueError(f"trace reads the response at {flag!r}, whose flag is clear")
-        return ask_f(point)
-
-    out = trace(ask_h, None if ask_f is None else checked_f)
-    return slots, out, count
-
-
-def _fork(run, values):
-    """Every completed run under lazily sampled oracle values.
-
-    run(assignment) is deterministic and returns a result or raises
-    _NeedValue; each miss forks the run over the (value, weight) pairs,
-    whose weights are rational. Returns (weight, assignment, result)
-    per completed branch.
-    """
-    done = []
-    stack: list[tuple[Fraction, dict]] = [(Fraction(1), {})]
-    while stack:
-        weight, asg = stack.pop()
-        try:
-            result = run(asg)
-        except _NeedValue as miss:
-            for value, w in values:
-                stack.append((weight * w, {**asg, miss.point: value}))
-        else:
-            done.append((weight, asg, result))
-    return done
-
-
 def _memoized(spec: ProtocolSpec) -> ProtocolSpec:
     """The spec with ``next_message`` and ``decide`` memoized for one walk.
 
@@ -387,17 +283,18 @@ def _memoized(spec: ProtocolSpec) -> ProtocolSpec:
                    decide=functools.cache(spec.decide))
 
 
-def _named_value(spec: ProtocolSpec, x, runs, labels, randomness_of) -> Fraction:
-    """Pr over forked runs that the output is accepted at the randomness
-    its own first-message entry names, randomness_of(label); an entry
-    the run never queried is averaged over the labels."""
+def _named_value(spec: ProtocolSpec, x, leaves, labels, randomness_of) -> Fraction:
+    """Pr over a walk's leaves that the output is accepted at the
+    randomness its own first-message entry names, randomness_of(label);
+    an entry the run never queried is averaged over the labels."""
     total = Fraction(0)
-    for weight, asg, (_, out, _) in runs:
-        label = asg.get(out[:1])
+    for weight, group, _, out, asg, _ in leaves:
+        label = dict(asg).get(out[:1])
         named = labels if label is None else (label,)
         hits = sum(1 for c in named if spec.decide(x, randomness_of(c), out))
-        total += weight * Fraction(hits, len(named))
-    return total
+        if hits:
+            total += weight * Fraction(hits * len(group), len(named))
+    return total / len(spec.randomness)
 
 
 def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Callable:
@@ -414,8 +311,8 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     A fixed transcript replaces the witness strategy and ignores every
     response, which is the give-up behavior. The honest moves are
     memoized per trace, keyed by the responses received so far: they
-    are pure, and ``_walk`` replays the trace once per node of its
-    answer tree, while the responses take few values.
+    are pure, and ``_walk`` replays the trace once per branching node of
+    its answer tree, while the responses take few values.
 
     Every trace replayed here keeps one contract: it reads a response
     ``ask_f(p)`` only for a proper prefix p whose flag it has just read
@@ -423,8 +320,7 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     clear in the live replay, so a set flag there marks a measured
     point, which the extraction prover has already forwarded to the
     verifier; ``extraction_prover_value`` is exact because of this.
-    ``_replay`` and ``_walk`` both refuse a response read that breaks
-    the contract.
+    ``_walk`` refuses a response read that breaks the contract.
     """
     k = spec.rounds
     bottom = spec.alphabet[0]
@@ -495,9 +391,9 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fractio
     """
     densities = tuple(Fraction(eps) for eps in densities)
     k = spec.rounds
-    half = Fraction(1, 2)
     totals = [Fraction(0)] * len(densities)
-    for weight, group, _, out, asg in _walk(spec, x, trace, values=((1, half), (0, half))):
+    for weight, group, _, out, asg, _ in _walk(spec, x, trace,
+                                               values=((1, 1), (0, 1))):
         flags = dict(asg)
         if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
             continue
@@ -526,13 +422,18 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     the output's prefixes, assemble into a full accepted transcript
     under the ordered abort rule.
 
+    Raises:
+        ConfigError: a path makes other than q flag queries.
+
     Returns:
         (extraction value, decision value), exact.
     """
     k = spec.rounds
     walk = _memoized(spec)
     extracted = decided = 0
-    for weight, group, slots, out, _ in _walk(walk, x, trace, k, q):
+    for weight, group, slots, out, _, made in _walk(walk, x, trace, k, q):
+        if made != q:
+            raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
         measured = dict(slots)
         _, got = _ordered_outcome(measured, out)
         full = got is not None and len(got) == k
@@ -612,20 +513,24 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
 def _hash_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     """Hash-query trace of the challenge-from-hash simulator. Each
     verifier call bills two hash queries on the first message: compute
-    and uncompute around the move, then again around the decision."""
+    and uncompute around the move, then again around the decision. The
+    moves are pure, so the first is made once and the final one once
+    per challenge."""
     u = spec.prover_randomness[0]
     bottom = spec.alphabet[0]
     if cfg.simulator == "honest-wrapper":
         witness = _statement_witness(spec, x, cfg)
+        m1 = spec.honest_prover(x, witness, u, ())
+        finals: dict = {}
 
         def trace(ask_h, ask_f):
-            m1 = spec.honest_prover(x, witness, u, ())
             c = ask_h((m1,))
             ask_h((m1,))
-            m2 = spec.honest_prover(x, witness, u, (c,))
+            if c not in finals:
+                finals[c] = spec.honest_prover(x, witness, u, (c,))
             ask_h((m1,))
             ask_h((m1,))
-            return (m1, m2)
+            return (m1, finals[c])
 
         return trace
     if cfg.simulator == "give-up":
@@ -641,12 +546,13 @@ def _hash_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
 
 def _hash_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     """(Pr over the lazy hash table that the output is accepted at the
-    randomness its own hashed challenge names, hash queries billed)."""
+    randomness its own hashed challenge names, hash queries billed): one
+    walk over the table, billed at the most queries any run makes."""
     challenges, chart = challenge_structure(spec, x)
-    _, _, counted = _replay(trace, None, {}, default=challenges[0])
-    values = [(c, Fraction(1, len(challenges))) for c in challenges]
-    runs = _fork(lambda a: _replay(trace, None, a), values)
-    return _named_value(spec, x, runs, challenges, lambda c: chart[(c,)]), counted
+    values = [(c, 1) for c in challenges]
+    leaves = _walk(spec, x, trace, values=values)
+    counted = max(made for *_, made in leaves)
+    return _named_value(spec, x, leaves, challenges, lambda c: chart[(c,)]), counted
 
 
 def _top_products(masses: Sequence[Fraction], reps: int, n: int) -> list[Fraction]:
@@ -798,54 +704,38 @@ def _response_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     raise ConfigError(f"unknown simulator {cfg.simulator!r}")
 
 
-def _uniform_labels(spec: ProtocolSpec) -> list[tuple[Hashable, Fraction]]:
-    """(label, weight) of a lazy challenge table's uniform randomness labels."""
-    rs = spec.randomness
-    return [(r, Fraction(1, len(rs))) for r in rs]
+def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> list:
+    """The walk of a response trace over the lazy challenge table.
 
-
-def _response_runs(spec: ProtocolSpec, x, trace, sched, r_true, values):
-    """Branches of one scheduled run over the lazy challenge table.
-
-    The table assigns a label from ``values`` (``_uniform_labels``) to
-    each queried point and the answer is that label's response: the
-    trace runs under ``_replay`` with labels as oracle values, so a slot
-    reprograms its point to r_true. Returns (weight, assignment, (slots,
-    output, queries)) per branch.
+    The table assigns each queried point a uniform randomness label and
+    the answer is that label's response; a slot reprograms its point to
+    the live randomness. Returns ``walk._walk``'s leaves, whose
+    assignments hold the labels.
     """
+    rs = spec.randomness
 
     def labeled(ask_h, ask_f):
         return tuple(trace(lambda p: spec.next_message(x, ask_h(p), tuple(p))))
 
-    return _fork(lambda a: _replay(labeled, None, a, sched, r_true), values)
-
-
-def _slot_runs(spec: ProtocolSpec, x, trace, scheds):
-    """(r, weight, measured point or None, output) over the randomness,
-    the schedules and each run's lazy challenge branches."""
-    values = _uniform_labels(spec)
-    for r in spec.randomness:
-        for sched in scheds:
-            for weight, _, (slots, out, _) in _response_runs(
-                spec, x, trace, sched, r, values
-            ):
-                yield r, weight, slots.get(0), out
+    values = [(r, 1) for r in rs]
+    return _walk(spec, x, labeled, k, q, values, live=True)
 
 
 def _fs_game_value(spec: ProtocolSpec, x, trace) -> Fraction:
     """Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names."""
-    runs = _response_runs(spec, x, trace, None, None, _uniform_labels(spec))
-    return _named_value(spec, x, runs, spec.randomness, lambda r: r)
+    return _named_value(spec, x, _label_walk(spec, x, trace), spec.randomness,
+                        lambda r: r)
 
 
-def _single_slot_extraction(spec: ProtocolSpec, x, trace, scheds) -> tuple[Fraction, Fraction]:
+def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
     """Win rate of the prover that forwards the measured first message
     to the live verifier and answers the query with its response, with
-    the single-reprogram extraction value it dominates; one walk of the
-    scheduled replays scores both.
+    the single-reprogram extraction value it dominates, over randomness
+    and every single-slot schedule in q queries; one walk of the
+    scheduled runs scores both, and no schedule is built.
 
-    The forwarding prover's run is the scheduled replay unless the
+    The forwarding prover's run is the scheduled run unless the
     measured point is not a first message, and then it loses; so it
     wins iff the measured point, if any, is the output's first message
     and the output is accepted. The extraction value composes the
@@ -857,13 +747,15 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, scheds) -> tuple[Fract
     """
     walk = _memoized(spec)
     forwarded = extracted = Fraction(0)
-    for r, weight, measured, out in _slot_runs(walk, x, trace, scheds):
+    for weight, group, slots, out, _, _ in _label_walk(walk, x, trace, 1, q):
+        measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
-        if len(claim) == 1 and walk.decide(x, r, (claim[0], out[1])):
-            extracted += weight
-        if measured in (None, out[:1]) and walk.decide(x, r, out):
-            forwarded += weight
-    total = len(spec.randomness) * len(scheds)
+        if len(claim) == 1:
+            composed = (claim[0], out[1])
+            extracted += weight * sum(1 for r in group if walk.decide(x, r, composed))
+        if measured in (None, out[:1]):
+            forwarded += weight * sum(1 for r in group if walk.decide(x, r, out))
+    total = len(spec.randomness) * _schedule_count(1, q)
     return forwarded / total, extracted / total
 
 
@@ -882,7 +774,6 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     spec = build_protocol(cfg)
     if spec.rounds != 2:
         raise ConfigError("the single-slot experiment covers two-move specs")
-    scheds = enumerate_schedules(1, cfg.q)
     q_dec = 1  # decision queries billed by the composed reduction
     puncture = 16 * (q_dec + 1)
     slot_factor = (2 * cfg.q + 1) ** 2
@@ -891,7 +782,7 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
         trace = _response_trace(cfg, spec, x)
-        pstar, value = _single_slot_extraction(spec, x, trace, scheds)
+        pstar, value = _single_slot_extraction(spec, x, trace, cfg.q)
         if x in cfg.yes_instances:
             game = _fs_game_value(spec, x, trace)
             hyp = _check(

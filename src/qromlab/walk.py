@@ -1,152 +1,222 @@
-"""The constant-round counting walk over a classical flag trace.
+"""The counting walk: the one driver of every classical query trace.
 
-``_walk`` runs a trace, as ``pipeline.simulator_trace`` builds it, under
-every verifier randomness and every ordered measure-and-reprogram
-schedule at once, with ``pipeline._replay``'s rules, and returns merged
-paths with integer schedule counts (or rational fork weights) in place
-of one replay per (randomness, schedule) pair. The trace is a plain
-callable, so the walk replays it once per node of its answer tree under
-scripted answers (``_next_event``); everything else is bookkeeping over
-small hashable states.
+``_walk`` runs a trace, as ``pipeline`` builds them, under every
+verifier randomness, every ordered measure-and-reprogram schedule and
+every lazily sampled oracle table at once, and returns merged paths
+with their weights (integer schedule counts times rational fork
+weights) in place of one replay per (randomness, schedule, table). The
+trace is a plain callable, so the walk replays it under scripted answers
+(``_next_event``) once per branching node of its answer tree; everything
+else is bookkeeping over small hashable states.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from fractions import Fraction
+from typing import Callable
 
-from qromlab.protocol import ConfigError, ProtocolSpec
+from qromlab.protocol import ProtocolSpec
 from qromlab.transforms import _schedule_count
 
 
-class _Pause(Exception):
-    """A scripted replay ran out of answers at a query; args[0] is the
-    query as (oracle, point)."""
+class _Fork(Exception):
+    """A replay reached a query with more than one answer; args[0] lists
+    the child nodes as (answers, node)."""
 
 
-def _next_event(trace, answers: tuple) -> tuple:
-    """What a trace does after the scripted answers, in order across
-    both oracles: ("h", point) or ("f", point) for its next query, or
-    ("out", output) when it returns. One partial replay."""
+def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
+    """One replay of a trace from the start: the scripted answers first,
+    then ``expand(node, kind, point)`` gives each further query's child
+    nodes by answer, kind "h" for an oracle query and "f" for a response
+    read. A query with one child is answered inline and the replay goes
+    on; one with more stops it.
+
+    Returns:
+        ("fork", [(answers, node) per child]) at a query with more than
+        one answer, or ("out", (output, node)) when the trace returns.
+    """
     script = iter(answers)
     end = object()
+    at = [answers, node]
 
     def asker(kind):
         def ask(point):
             answer = next(script, end)
-            if answer is end:
-                raise _Pause((kind, tuple(point)))
+            if answer is not end:
+                return answer
+            children = expand(at[1], kind, tuple(point))
+            if len(children) > 1:
+                raise _Fork([(at[0] + (a,), child) for a, child in children.items()])
+            ((answer, at[1]),) = children.items()
+            at[0] += (answer,)
             return answer
 
         return ask
 
     try:
-        return ("out", trace(asker("h"), asker("f")))
-    except _Pause as pause:
-        return pause.args[0]
+        out = trace(asker("h"), asker("f"))
+    except _Fork as fork:
+        return "fork", fork.args[0]
+    return "out", (out, at[1])
 
 
-def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: Optional[int] = None,
-          values=None) -> list:
-    """Every run of a trace over the randomness and each ordered
-    schedule of k slots in q flag queries, as merged counted paths.
+def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
+          live: bool = False) -> list:
+    """Every run of a trace over the randomness, each ordered schedule of
+    k slots in q oracle queries and the lazily sampled oracle table, as
+    merged weighted paths.
 
-    The live replay of ``pipeline._replay`` (flags start clear, a slot
-    reprograms its point to 1 with its timing) under all (randomness,
-    schedule) pairs at once, or, with ``values`` and no slots, its lazy
-    flag table forked as ``pipeline._fork`` forks it. A trace is
-    deterministic given its answers, so the walk goes depth first down
-    its answer tree, and each node costs one partial replay
-    (``_next_event``). A node holds every path that reached it, merged:
-    paths with the same (patch, seen-clear set, slots, assignment) add
-    their weights, a weight being a schedule count times the fork
-    weights of the lazily sampled flags. The node's answers fix its
-    randomness group: a response read splits the live randomness by the
-    response ``next_message`` returns there, instead of forking over
-    every r. Each flag query is one ordinal: no slot fires, or one
-    unused slot fires with timing 0 or 1, and each answer this gives
-    leads to one child node. Patch and seen-clear sets are bit masks
-    over the points in the order the walk first meets them.
+    The oracle ``trace(ask_h, ask_f)`` queries starts unset: an unset
+    point answers 0, or with ``values`` ((value, weight) pairs) is
+    assigned each value on first query with probability its weight over
+    the weights' sum, and keeps it. A
+    slot measures the query at its ordinal and reprograms the point to 1,
+    or with ``live`` to the verifier randomness r, before (timing 0) or
+    after (timing 1) answering; a later query of the point answers the
+    reprogrammed value. ``ask_f(p)`` is the verifier's response at p
+    under r; it must follow a set read of p (the contract
+    ``pipeline.simulator_trace`` states): p's flag, as the oracle would
+    answer it now, is set, and the trace's last read of p did not see it
+    clear at a read-then-reprogram slot.
+
+    A trace is deterministic given its answers, so the walk goes depth
+    first down its answer tree, and each node that branches costs one
+    partial replay (``_next_event``). A node holds every path that
+    reached it, merged: paths with the same (patch, seen-clear set,
+    slots, assignment, randomness group) add their weights, a weight
+    being a schedule count times the weights of the sampled values;
+    with integer value weights the walk counts in integers and divides
+    each leaf by the weights' sum once per assigned point. A
+    response read splits each path's group by the response
+    ``next_message`` gives, instead of forking over every r, and so does
+    an answered live value. Each query is one ordinal: no slot fires, or
+    one unused slot fires with timing 0 or 1 while the ordinal is at most
+    q, and each answer this gives leads to one child node. Patch and
+    seen-clear sets are bit masks over the points in the order the walk
+    first meets them.
 
     Raises:
-        ValueError: a path reads the response of a clear flag, as in
-            ``_replay``.
-        ConfigError: with q given, a path makes other than q flag
-            queries.
+        ValueError: a path reads the response of a clear flag.
 
     Returns:
-        (weight, randomness group, slots, output, assignment) per merged
-        completed path; slots is a tuple of (slot, point) sorted by slot,
-        and the assignment a frozenset of (point, value) items.
-        Each r of a group has the path's weight, and the weights sum to
-        |R| times the schedule count, or the walk raises.
+        (weight, randomness group, slots, output, assignment, made) per
+        merged completed path; the group is a frozenset, slots a tuple of
+        (slot, point) sorted by slot, the assignment a frozenset of
+        (point, value) items and made the path's query count. A path that
+        made fewer than q queries weighs in the schedules whose unused
+        slots sit past its last query. Each r of a group has the path's
+        weight, and the weights sum to |R| times the schedule count, or
+        the walk raises.
     """
-    rs = tuple(spec.randomness)
+    rs = frozenset(spec.randomness)
     bits: dict = {}  # point -> its mask bit
-    done: dict = {}
-    # (answers, flag queries made, randomness group, paths at the node)
-    stack = [((), 0, rs, {(0, 0, (), frozenset()): 1})]
-    while stack:
-        answers, made, group, paths = stack.pop()
-        kind, what = _next_event(trace, answers)
+    lives: dict = {}  # group -> (r, {r}) per r: a live group's reprogrammed reads
+    splits: dict = {}  # (group, point) -> {response: subgroup}
+
+    def expand(node, kind, point):
+        made, paths = node
+        children: dict = {}
         if kind == "h":
-            bit = bits.setdefault(what, 1 << len(bits))
-            children: dict = {}
+            bit = bits.setdefault(point, 1 << len(bits))
+            free = k if made < q else 0
+            # a lone path's read that no slot can measure, of an unpatched
+            # point it has a value for, keeps its state: most public-coin reads
+            if len(paths) == 1:
+                ((patch, _, slots, asg, _),) = paths
+                flags = dict(asg)
+                if len(slots) >= free and not patch & bit and (
+                        values is None or point in flags):
+                    return {flags.get(point, 0): (made + 1, paths)}
             for path, weight in paths.items():
-                for answer, step, w in _flag_steps(what, bit, path, values, k):
+                group = path[4]
+                if not live:
+                    ys: tuple = ((1, group),)
+                elif group in lives:
+                    ys = lives[group]
+                else:
+                    ys = lives[group] = tuple((r, frozenset((r,))) for r in group)
+                for answer, step, w in _flag_steps(point, bit, path, values, free, ys):
                     merged = children.setdefault(answer, {})
                     merged[step] = merged.get(step, 0) + weight * w
-            stack += [(answers + (a,), made + 1, group, merged)
-                      for a, merged in children.items()]
-        elif kind == "f":
-            bit = bits.get(what, 0)
-            for patch, seen, _, asg in paths:
-                if seen & bit or not (patch & bit or dict(asg).get(what)):
-                    raise ValueError(
-                        f"trace reads the response at {what!r}, whose flag is clear"
-                    )
-            split: dict = {}
-            for r in group:
-                split.setdefault(spec.next_message(x, r, what), []).append(r)
-            stack += [(answers + (c,), made, tuple(g), paths) for c, g in split.items()]
-        else:
-            if q is not None and made != q:
-                raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
-            for (_, _, slots, asg), weight in paths.items():
-                leaf = (group, slots, what, asg)
-                done[leaf] = done.get(leaf, 0) + weight
-    total = sum(w * len(group) for (group, *_), w in done.items())
-    if total != len(rs) * _schedule_count(k, 0 if q is None else q):
+            return {a: (made + 1, merged) for a, merged in children.items()}
+        bit = bits.get(point, 0)
+        for path, weight in paths.items():
+            patch, seen, slots, asg, group = path
+            if seen & bit or not (patch & bit or dict(asg).get(point)):
+                raise ValueError(
+                    f"trace reads the response at {point!r}, whose flag is clear"
+                )
+            if (group, point) not in splits:
+                split: dict = {}
+                for r in group:
+                    split.setdefault(spec.next_message(x, r, point), set()).add(r)
+                splits[group, point] = {c: frozenset(g) for c, g in split.items()}
+            for c, g in splits[group, point].items():
+                merged = children.setdefault(c, {})
+                step = (patch, seen, slots, asg, g)
+                merged[step] = merged.get(step, 0) + weight
+        return {c: (made, merged) for c, merged in children.items()}
+
+    done: dict = {}
+    stack = [((), (0, {(0, 0, (), frozenset(), rs): 1}))]
+    while stack:
+        answers, node = stack.pop()
+        kind, what = _next_event(trace, answers, node, expand)
+        if kind == "fork":
+            stack += what
+            continue
+        out, (made, paths) = what
+        for (_, _, slots, asg, group), weight in paths.items():
+            leaf = (group, slots, out, asg, made)
+            done[leaf] = done.get(leaf, 0) + weight
+    for leaf in done:  # weigh in the never-fired schedules
+        _, slots, _, _, made = leaf
+        done[leaf] *= _schedule_count(k - len(slots), max(q - made, 0))
+    scale = sum(w for _, w in values) if values else 1
+    depth = max(len(asg) for _, _, _, asg, _ in done)
+    total = sum(w * len(group) * scale ** (depth - len(asg))
+                for (group, _, _, asg, _), w in done.items())
+    if total != len(rs) * _schedule_count(k, q) * scale**depth:
         raise RuntimeError(f"walk multiplicities sum to {total}")
-    return [(w, *leaf) for leaf, w in done.items()]
+    return [(Fraction(w, scale ** len(leaf[3])) if leaf[3] else w, *leaf)
+            for leaf, w in done.items()]
 
 
-def _flag_steps(point, bit, path, values, k):
-    """(answer, path, weight) of each way one flag query at ``point``
-    (mask ``bit``) takes a path (patch, seen-clear set, slots,
-    assignment): unmeasured, then measured by each of the k slots not
-    yet used, reprogramming before (timing 0) or after (timing 1) the
-    answer, with ``_replay``'s rules."""
-    patch, seen, slots, asg = path
+def _flag_steps(point, bit, path, values, k, ys):
+    """(answer, path, weight) of each way one query at ``point`` (mask
+    ``bit``) takes a path (patch, seen-clear set, slots, assignment,
+    group): unmeasured, then measured by each of the k slots not yet
+    used, reprogramming before (timing 0) or after (timing 1) the
+    answer. ``ys`` lists the (answer, group) pairs of a read of the
+    reprogrammed value: (1, group), or (r, {r}) per r of a live group."""
+    # plain loops, not comprehensions: each comprehension costs a frame,
+    # and this runs once per path at every query
+    patch, seen, slots, asg, group = path
     cleared = seen & ~bit
     if patch & bit:  # a later read of the point sees y
-        reads: tuple = ((1, cleared, asg, 1),)
+        reads: list = []
+        for y, g in ys:
+            reads.append((y, cleared, asg, g, 1))
     elif values is None:
-        reads = ((0, seen, asg, 1),)
+        reads = [(0, seen, asg, group, 1)]
     else:
         flags = dict(asg)
         if point in flags:
-            reads = ((flags[point], seen, asg, 1),)
+            reads = [(flags[point], seen, asg, group, 1)]
         else:
-            reads = tuple((v, seen, asg | {(point, v)}, w) for v, w in values)
-    steps = [(a, (patch, s, slots, g), w) for a, s, g, w in reads]
+            reads = [(v, seen, asg | {(point, v)}, group, w) for v, w in values]
+    steps = []
+    for a, s, g, gr, w in reads:
+        steps.append((a, (patch, s, slots, g, gr), w))
     if len(slots) < k:
-        used = {i for i, _ in slots}
+        used = [i for i, _ in slots]
         marked = patch | bit
         for i in range(k):
             if i in used:
                 continue
             measured = tuple(sorted(slots + ((i, point),)))
-            steps.append((1, (marked, cleared, measured, asg), 1))
-            steps += [(a, (marked, s if a else s | bit, measured, g), w)
-                      for a, s, g, w in reads]
+            for y, g in ys:
+                steps.append((y, (marked, cleared, measured, asg, g), 1))
+            for a, s, g, gr, w in reads:
+                steps.append((a, (marked, s if a else s | bit, measured, g, gr), w))
     return steps

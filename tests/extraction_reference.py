@@ -5,8 +5,8 @@ query-counting oracle: the constant-round extraction prover keeps a wire
 of forwarded messages and a response table, and the three-round routes
 hand-code the challenge oracle with its slot. They are slow to read but
 follow the provers' definitions step by step, and serve as the reference
-that the pipeline's two primitives (``_fork`` over ``_replay``) are
-tested against. The first four functions are the bodies of the
+that the old driver (``live_reference.fork`` over ``live_reference.replay``)
+is tested against. The first four functions are the bodies of the
 pipeline's former ``_fork_runs``, ``_extraction_run``, ``_response_runs``
 and ``_single_slot_extraction``; the value functions after them are the
 old experiment bodies on top of these forkers. ``schedule_value`` is the
@@ -17,8 +17,7 @@ before the extraction prover's pass scored it too.
 from fractions import Fraction
 
 from qromlab.adversary import challenge_structure
-from live_reference import live_runs
-from qromlab.pipeline import _NeedValue, _replay
+from live_reference import NeedValue, live_runs, replay
 from qromlab.transforms import _ordered_outcome, enumerate_schedules
 
 
@@ -35,8 +34,8 @@ def fork_runs(trace, ask_f, values, schedule=None, y=1):
     while stack:
         weight, asg = stack.pop()
         try:
-            slots, out, _ = _replay(trace, ask_f, asg, schedule, y)
-        except _NeedValue as miss:
+            slots, out, _ = replay(trace, ask_f, asg, schedule, y)
+        except NeedValue as miss:
             for value, w in values:
                 stack.append((weight * w, {**asg, miss.point: value}))
         else:
@@ -125,12 +124,12 @@ def response_runs(spec, x, trace, sched, r_true, values):
                 if b == 0:
                     return spec.next_message(x, r_true, point)
             if point not in asg:
-                raise _NeedValue(point)
+                raise NeedValue(point)
             return spec.next_message(x, asg[point], point)
 
         try:
             out = trace(ask_c)
-        except _NeedValue as miss:
+        except NeedValue as miss:
             for value, w in values:
                 stack.append((weight * w, {**asg, miss.point: value}))
         else:
@@ -170,12 +169,12 @@ def single_slot_extraction(spec, x, trace, scheds) -> Fraction:
                         if b == 0 and not dead[0]:
                             return spec.next_message(x, r, point)
                     if point not in asg:
-                        raise _NeedValue(point)
+                        raise NeedValue(point)
                     return spec.next_message(x, asg[point], point)
 
                 try:
                     out = trace(ask_c)
-                except _NeedValue as miss:
+                except NeedValue as miss:
                     for value, w in values:
                         stack.append((weight * w, {**asg, miss.point: value}))
                     continue

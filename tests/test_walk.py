@@ -1,12 +1,13 @@
-"""The constant-round counting walk against one live replay per
-(randomness, schedule) pair.
+"""The counting walk on constant-round flag traces against one live
+replay per (randomness, schedule) pair.
 
-``walk._walk`` merges every run of a trace into counted paths; here
-its weight per (r, slots, output), or per (r, flag assignment, output)
-when it forks a sparse flag table, must equal a counter over the
-reference replays of ``live_reference``. Stock traces cover toy-qr at 1
-to 4 repetitions and toy-table under both simulators; the adaptive
-traces are the hypothesis-generated ones of ``test_extraction``.
+``walk._walk`` merges every run of a trace into weighted paths; here
+its weight per (r, slots, flag assignment, output) must equal a counter
+over the reference replays of ``live_reference``. Stock traces cover
+toy-qr at 1 to 4 repetitions and toy-table under both simulators; the
+adaptive traces are the hypothesis-generated ones of
+``test_extraction``, which also checks the walk on the public-coin and
+three-round traces.
 """
 
 import random
@@ -18,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import live_reference as live
-from qromlab import pipeline, walk
+from qromlab import pipeline, transforms, walk
+from qromlab.cli import main
 from qromlab.pipeline import (
     ExperimentConfig,
     _decision_trace,
@@ -67,6 +69,9 @@ def check_hypothesis(spec, x, trace, eps):
     counts = live.walk_counts(spec, x, trace, values=values)
     assert counts == live.hypothesis_counts(spec, x, trace, eps)
     assert sum(counts.values()) == len(spec.randomness)
+    # integer weights are read over their sum: the same table as eps
+    whole = ((1, eps.numerator), (0, eps.denominator - eps.numerator))
+    assert live.walk_counts(spec, x, trace, values=whole) == counts
     assert _sparse_hypothesis(spec, x, trace, (eps,)) == (
         live.sparse_hypothesis(spec, x, trace, eps),
     )
@@ -146,15 +151,21 @@ def test_a_read_then_reprogram_slot_records_the_clear_read():
     # timing 1 on a clear point answers 0 and marks it seen clear, while
     # the patch holds y; timing 0 answers y and leaves nothing seen
     none = frozenset()
-    steps = _flag_steps((0,), 1, (0, 0, (), none), None, 1)
+    group = frozenset({0, 1})
+    ys = ((1, group),)
+    steps = _flag_steps((0,), 1, (0, 0, (), none, group), None, 1, ys)
     assert steps == [
-        (0, (0, 0, (), none), 1),
-        (1, (1, 0, ((0, (0,)),), none), 1),
-        (0, (1, 1, ((0, (0,)),), none), 1),
+        (0, (0, 0, (), none, group), 1),
+        (1, (1, 0, ((0, (0,)),), none, group), 1),
+        (0, (1, 1, ((0, (0,)),), none, group), 1),
     ]
     # a later unmeasured read of the patched point sees y and clears it
-    (again,) = _flag_steps((0,), 1, (1, 1, ((0, (0,)),), none), None, 1)
-    assert again == (1, (1, 0, ((0, (0,)),), none), 1)
+    (again,) = _flag_steps((0,), 1, (1, 1, ((0, (0,)),), none, group), None, 1, ys)
+    assert again == (1, (1, 0, ((0, (0,)),), none, group), 1)
+    # a live slot's y is the randomness: its read splits the group
+    lives = tuple((r, frozenset({r})) for r in sorted(group))
+    split = _flag_steps((0,), 1, (1, 1, ((0, (0,)),), none, group), None, 1, lives)
+    assert split == [(r, (1, 0, ((0, (0,)),), none, frozenset({r})), 1) for r in (0, 1)]
 
 
 @pytest.mark.parametrize("q", [7, 9])
@@ -171,7 +182,9 @@ def test_the_query_bill_is_checked(q):
 
 def test_multiplicities_that_miss_the_schedule_count_raise(monkeypatch):
     spec, x, trace, q = next(stock("toy-qr-t1"))
-    monkeypatch.setattr(walk, "_schedule_count", lambda k, q: 258)
+    # only the full count is off: a path's unused slots past its last
+    # query (none here, as every path makes q queries) still count 1
+    monkeypatch.setattr(walk, "_schedule_count", lambda k, q: 258 if q else 1)
     with pytest.raises(RuntimeError, match="walk multiplicities sum to 514"):
         _walk(spec, x, trace, spec.rounds, q)
 
@@ -181,32 +194,47 @@ def test_each_trace_node_is_replayed_once(monkeypatch):
     replayed = []
     next_event = walk._next_event
 
-    def counted(trace, answers):
+    def counted(trace, answers, *rest):
         replayed.append(answers)
-        return next_event(trace, answers)
+        return next_event(trace, answers, *rest)
 
     monkeypatch.setattr(walk, "_next_event", counted)
     _walk(spec, x, trace, spec.rounds, q)
     assert len(replayed) == len(set(replayed))
-    assert len(replayed) < len(spec.randomness) * _schedule_count(spec.rounds, q) / 4
+    # a query with one answer is answered inside a replay: 421 replays here
+    assert len(replayed) < len(spec.randomness) * _schedule_count(spec.rounds, q) / 8
 
 
-def test_constant_round_builds_no_schedule(monkeypatch):
+def no_schedules(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("a schedule was built")
 
     monkeypatch.setattr(MarSchedule, "__post_init__", unreachable)
-    monkeypatch.setattr(pipeline, "enumerate_schedules", unreachable)
+    monkeypatch.setattr(transforms, "enumerate_schedules", unreachable)
+
+
+def test_constant_round_builds_no_schedule(monkeypatch):
+    no_schedules(monkeypatch)
     assert decide_constant_round(ExperimentConfig(reps=2)).decision["gap"] is not None
+
+
+def test_three_round_builds_no_schedule_at_any_budget(monkeypatch, tmp_path, capsys):
+    # 200,001 single-slot schedules, counted and never built: the trace
+    # makes one query, so every slot past it weighs in without a replay
+    no_schedules(monkeypatch)
+    out = tmp_path / "report.json"
+    assert main(["run", "three-round", "--q", "100000", "--out", str(out)]) == 0
+    assert '"q": 100000' in out.read_text()
+    assert "[FAIL]" not in capsys.readouterr().out
 
 
 def test_one_hypothesis_walk_serves_both_densities(monkeypatch):
     forked = []
     inner = pipeline._walk
 
-    def counted(spec, x, trace, k=0, q=None, values=None):
+    def counted(spec, x, trace, k=0, q=0, values=None, live=False):
         forked.append(values is not None)
-        return inner(spec, x, trace, k, q, values)
+        return inner(spec, x, trace, k, q, values, live)
 
     monkeypatch.setattr(pipeline, "_walk", counted)
     cfg = ExperimentConfig()
