@@ -22,13 +22,20 @@ simulated by enumerating every control assignment exactly and mixing
 the resulting branches with rational weights: each assignment is a row,
 and its verifier call is the strided slice of the machine's permutation,
 moved for every row by ``qsim``'s one permutation kernel.
+
+A strict run's final rows stay stacked as one ``StrictRun``, and a
+``SimulationResult`` is a tuple of them, one per strict branch of the
+simulator with its stopping weight. ``pr_register``, ``pr_joint_budget``
+and ``cont_density`` read B for all of a run's rows with one reduction
+or one split; ``SimulationResult.branches`` is the same mixture as one
+``RunBranch`` per row.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -45,6 +52,7 @@ from qromlab.oracle import (
 from qromlab.protocol import ConfigError, ProductSpace, ProtocolSpec
 # apply_unitary stays bound here: perfbench's span test checks every binding
 from qromlab.qsim import (  # noqa: F401
+    ATOL_STATE,
     PROB_FLOOR,
     DensityOnRegister,
     RegisterLayout,
@@ -55,12 +63,14 @@ from qromlab.qsim import (  # noqa: F401
     _split_rows,
     _unitary_on_axes,
     apply_unitary,
-    measure_register,
     partial_trace,
 )
 
 VERIFIER_KINDS = ("random_aborting", "superposition")
 MAX_STATE_DIM = 2**17
+# expected-lazy's forward/inverse call pairs: a run's time is linear in them,
+# about 10 s of `run expected-time` at the cap on a 2-core x86-64 host
+MAX_PAD_PAIRS = 2**12
 _EXACT_TOL = 1e-12
 
 
@@ -534,6 +544,12 @@ class QueryAlgorithm:
     def invocations(self) -> int:
         return sum(isinstance(s, (CallVerifier, CallOracle)) for s in self.steps)
 
+    @cached_property
+    def _work_start(self) -> StateVector:
+        """The start of a run without a machine: the work registers' basis
+        state 0, built once per algorithm."""
+        return StateVector.basis(RegisterLayout(self.work_registers))
+
 
 @dataclass(frozen=True)
 class ExpectedAlgorithm:
@@ -575,6 +591,65 @@ class RunBranch:
     outcomes: tuple[tuple[str, int], ...] = ()
     invocations: int = 0
     counts: tuple[tuple[str, int], ...] = ()
+
+
+@dataclass(frozen=True)
+class StrictRun:
+    """The final rows of one strict run, stacked.
+
+    ``weight`` is the run's stopping weight in an expected-mode mixture
+    (1 for a strict simulator), and row i weighs ``weight * weights[i]``
+    in the mixture. ``amplitudes`` is (rows, dim) over ``layout``; every
+    row's squared norm is checked within ``ATOL_STATE`` in one pass when
+    the run is built. Row i keeps its tables ``oracles[i]`` and its
+    measurement outcomes ``outcomes[i]``; the call counts are the run's.
+    """
+
+    weight: object
+    weights: tuple
+    layout: RegisterLayout
+    amplitudes: np.ndarray = field(repr=False)
+    oracles: tuple[tuple[tuple[str, ClassicalOracle], ...], ...]
+    outcomes: tuple[tuple[tuple[str, int], ...], ...]
+    invocations: int
+    counts: tuple[tuple[str, int], ...]
+
+    def __post_init__(self) -> None:
+        amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
+        shape = (len(self.weights), self.layout.total_dim)
+        if amps.shape != shape:
+            raise ValueError(f"row amplitudes {amps.shape} != {shape}")
+        parts = amps.view(float)  # each row's real and imaginary parts
+        off = np.abs(np.einsum("ij,ij->i", parts, parts) - 1.0)
+        if not off.max(initial=0.0) <= ATOL_STATE:  # NaN fails too
+            i = int(np.flatnonzero(~(off <= ATOL_STATE))[0])
+            n2 = float(np.vdot(amps[i], amps[i]).real)
+            raise ValueError(f"state not normalized: squared norm {n2} in row {i}")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amplitudes", amps)
+
+    def tensor(self) -> np.ndarray:
+        """Read-only view shaped (rows, *dims[::-1])."""
+        return self.amplitudes.reshape((len(self.weights),) + self.layout.dims[::-1])
+
+    def row_weight(self, i: int):
+        """Row i's mixture weight, ``weight * weights[i]``."""
+        return self.weight * self.weights[i]
+
+    @property
+    def branches(self) -> tuple[RunBranch, ...]:
+        """The rows as one branch each, in row order."""
+        return tuple(
+            RunBranch(
+                self.row_weight(i),
+                StateVector._of_checked(self.layout, self.amplitudes[i]),
+                self.oracles[i],
+                self.outcomes[i],
+                self.invocations,
+                self.counts,
+            )
+            for i in range(len(self.weights))
+        )
 
 
 def _scale(weight, p: float):
@@ -650,12 +725,7 @@ def run_query_algorithm(
         Final branches; weights stay exact fractions until some
         measurement splits amplitude, and are floats after.
     """
-    visible = _visible_registers(alg, None if machine is None else machine.layout)
-    if machine is None:
-        start = StateVector.basis(RegisterLayout(alg.work_registers))
-    else:
-        start = initial_state(machine, alg.work_registers)
-    return _run_rows(alg, visible, start, machine, oracles, reprogram)
+    return list(_run_rows(alg, machine, oracles, reprogram).branches)
 
 
 def output_distribution(branches: Sequence[RunBranch], registers: Sequence[str]):
@@ -672,10 +742,31 @@ def output_distribution(branches: Sequence[RunBranch], registers: Sequence[str])
 
 @dataclass(frozen=True)
 class SimulationResult:
-    """All branches of one exhaustive simulator run."""
+    """One exhaustive simulator run: one ``StrictRun`` per strict branch of
+    the simulator, in its order, each carrying its stopping weight.
+
+    ``branches`` is the same mixture as one ``RunBranch`` per row, runs in
+    order and rows in order within a run; ``from_branches`` builds a
+    result back from such a list.
+    """
 
     kind: str
-    branches: tuple[RunBranch, ...]
+    runs: tuple[StrictRun, ...]
+
+    @property
+    def branches(self) -> tuple[RunBranch, ...]:
+        return tuple(br for run in self.runs for br in run.branches)
+
+    @classmethod
+    def from_branches(cls, kind: str, branches: Sequence[RunBranch]) -> "SimulationResult":
+        """The result whose rows are ``branches``, one one-row run each."""
+        return cls(kind, tuple(
+            StrictRun(
+                1, (br.weight,), br.state.layout, br.state.amplitudes[None],
+                (br.oracles,), (br.outcomes,), br.invocations, br.counts,
+            )
+            for br in branches
+        ))
 
 
 def pr_register(result: SimulationResult):
@@ -690,20 +781,29 @@ def pr_register(result: SimulationResult):
 
 def pr_budget(result: SimulationResult, q: int):
     """Mixture probability of finishing within q invocations."""
-    return sum((br.weight for br in result.branches if br.invocations <= q), start=0)
+    return sum(
+        (run.row_weight(i) for run in result.runs if run.invocations <= q
+         for i in range(len(run.weights))),
+        start=0,
+    )
 
 
 def pr_joint_budget(result: SimulationResult, q: float):
-    """Mixture probability of {within q invocations and B = 1}."""
+    """Mixture probability of {within q invocations and B = 1}.
+
+    B's probabilities come from one reduction over each run's stacked
+    rows; the rows' terms are added in row order, each row's weight kept
+    exact when B reads 1 with certainty.
+    """
     total = 0
-    for br in result.branches:
-        if br.invocations > q:
+    for run in result.runs:
+        if run.invocations > q:
             continue
-        axis = br.state.layout.axis_of("B")
-        p = float(_register_probs(br.state.tensor(), [axis])[1])
-        if p <= _EXACT_TOL:
-            continue
-        total = total + _scale(br.weight, p)
+        axis = 1 + run.layout.axis_of("B")
+        ones = _register_probs(run.tensor(), [0, axis])[:, 1].tolist()
+        for i, p in enumerate(ones):
+            if p > _EXACT_TOL:
+                total = total + _scale(run.row_weight(i), p)
     return total
 
 
@@ -711,12 +811,13 @@ def cont_density(result: SimulationResult):
     """(Pr[B = 1], reduced Cont state given B = 1) across all branches."""
     num = np.zeros((2, 2), dtype=complex)
     den = 0.0
-    for br in result.branches:
-        for o, post, p in measure_register(br.state, "B"):
+    for run in result.runs:
+        rows, outs, probs, posts = _split_rows(run.tensor(), run.layout.axis_of("B"))
+        for i, o, p, post in zip(rows.tolist(), outs.tolist(), probs.tolist(), posts):
             if o != 1:
                 continue
-            w = float(br.weight) * p
-            num += w * partial_trace(post, "Cont").matrix
+            w = float(run.row_weight(i)) * p
+            num += w * partial_trace(StateVector(run.layout, post), "Cont").matrix
             den += w
     if den <= PROB_FLOOR:
         return 0.0, None
@@ -734,22 +835,16 @@ def run_simulator(
     simulator-visible action, so it is enumerated: every (R, H)
     assignment of its aux state is one row of an amplitude array that
     each strict branch runs once, and the rows are mixed with exact
-    weights. The coherent kind runs as one dense row. Expected-mode
-    simulators contribute each strict branch with its stopping weight.
+    weights. The coherent kind runs as one dense row. Each strict branch
+    is one ``StrictRun``, and an expected-mode simulator's stopping
+    weight is set once on its branch's run, not on each row.
     """
-    if isinstance(sim, ExpectedAlgorithm):
-        allb: list[RunBranch] = []
-        for w, alg in sim.branches:
-            sub = run_simulator(alg, machine)
-            allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
-        return SimulationResult(machine.kind, tuple(allb))
-    kind = machine.kind
-    if kind == "superposition":
-        return SimulationResult(kind, tuple(run_query_algorithm(sim, machine=machine)))
-    rows = machine._control_rows
-    visible = _visible_registers(sim, rows.layout)
-    start = StateVector.basis(RegisterLayout(rows.layout.registers + sim.work_registers))
-    return SimulationResult(kind, tuple(_run_rows(sim, visible, start, rows)))
+
+    verifier = machine if machine.kind == "superposition" else machine._control_rows
+    strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
+    return SimulationResult(
+        machine.kind, tuple(_run_rows(alg, verifier, weight=w) for w, alg in strict)
+    )
 
 
 def _table(tables: dict, name: str) -> ClassicalOracle:
@@ -760,24 +855,37 @@ def _table(tables: dict, name: str) -> ClassicalOracle:
 
 def _run_rows(
     alg: QueryAlgorithm,
-    visible: set[str],
-    start: StateVector,
     verifier: VerifierMachine | _ControlRows | None = None,
     oracles: Mapping[str, ClassicalOracle] | None = None,
     reprogram: tuple[str, Mapping[int, tuple[str, int, Hashable]]] | None = None,
-) -> list[RunBranch]:
-    """One strict run of a step list over the rows of one amplitude array.
+    weight=1,
+) -> StrictRun:
+    """One strict run of a step list over the rows of one amplitude array,
+    returned as one ``StrictRun``.
 
-    Every row starts in ``start``: one row against a machine, whose calls
-    go through ``apply_step``, or against no verifier, and one row per
-    control assignment of the aborting kind's ``_ControlRows``, whose
-    calls move every row by its own permutation at once. A measurement
-    splits each row into its outcomes above ``PROB_FLOOR``, in place and
-    in outcome order, so the rows stay assignment-major. Each row keeps
-    its own weight, times the assignment's weight at the end, and its own
-    outcomes and tables; queries are answered row by row through
-    ``quantum_query``. ``reprogram`` is ``run_query_algorithm``'s.
+    There is one row against a machine, which starts on the kind's
+    canonical aux state (``initial_state``) and answers calls through
+    ``apply_step``, or against no verifier, which starts on the work
+    registers' basis state 0. Against the aborting kind's ``_ControlRows``
+    there is one row per control assignment, each starting on basis state
+    0 of the layout without control registers, and a call moves every row
+    by its own permutation at once. A measurement splits each row into
+    its outcomes above ``PROB_FLOOR``, in place and in outcome order, so
+    the rows stay assignment-major. Each row keeps its own weight, times
+    the assignment's weight at the end, and its own outcomes and tables;
+    queries are answered row by row through ``quantum_query``.
+    ``reprogram`` is ``run_query_algorithm``'s, and ``weight`` is the
+    run's stopping weight.
     """
+    if verifier is None:
+        visible, start = _visible_registers(alg, None), alg._work_start
+    else:
+        visible = _visible_registers(alg, verifier.layout)
+        if isinstance(verifier, _ControlRows):
+            layout = RegisterLayout(verifier.layout.registers + alg.work_registers)
+            start = StateVector.basis(layout)
+        else:
+            start = initial_state(verifier, alg.work_registers)
     layout = start.layout
     shape = layout.dims[::-1]
     base = verifier.weights if isinstance(verifier, _ControlRows) else (Fraction(1),)
@@ -854,18 +962,21 @@ def _run_rows(
         else:
             raise TypeError(f"unknown step {step!r}")
         amps = np.ascontiguousarray(t).reshape(row.size, -1)
-    calls, counted = sum(counts.values()), tuple(sorted(counts.items()))
-    return [
-        RunBranch(
-            base[row[i]] * weights[i],
-            StateVector(layout, amps[i]),
-            tuple(tables[i].items()),
-            outcomes[i],
-            calls,
-            counted,
-        )
-        for i in range(row.size)
-    ]
+    # an unsplit row weighs its exact base[r]: skipping base[r] * Fraction(1)
+    # saves one Fraction product per row, which dense-expected measurably needs
+    return StrictRun(
+        weight,
+        tuple(
+            base[r] * w if isinstance(w, float) else base[r]
+            for r, w in zip(row.tolist(), weights)
+        ),
+        layout,
+        amps,
+        tuple(tuple(tabs.items()) for tabs in tables),
+        tuple(outcomes),
+        sum(counts.values()),
+        tuple(sorted(counts.items())),
+    )
 
 
 def _swap0(n: int, i: int) -> np.ndarray:
@@ -886,10 +997,20 @@ def honest_wrapper(machine: VerifierMachine, witness) -> QueryAlgorithm:
     return QueryAlgorithm("honest-wrapper", tuple(steps), budget=spec.rounds)
 
 
+EXPECTED_MEMBERS = ("expected-honest", "expected-lazy", "expected-geometric")
+
+
 def _expected_branches(
-    machine: VerifierMachine, witness, q: int
-) -> dict[str, tuple[tuple[Fraction, QueryAlgorithm], ...]]:
-    """Strict branches of every expected-mode member, by member name."""
+    name: str, machine: VerifierMachine, witness, q: int
+) -> Optional[tuple[tuple[Fraction, QueryAlgorithm], ...]]:
+    """Strict branches of the named expected-mode member, or None when no
+    member has that name at budget q (expected-lazy needs q >= 2k).
+
+    Only the named member is built. Expected-lazy's pad count grows with
+    q, so it is checked against ``MAX_PAD_PAIRS`` before any step is.
+    """
+    if name not in EXPECTED_MEMBERS:
+        return None
     base = honest_wrapper(machine, witness)
     k = machine.spec.rounds
 
@@ -897,18 +1018,20 @@ def _expected_branches(
         pads = (CallVerifier(), CallVerifier(inverse=True)) * i
         return QueryAlgorithm(f"honest-padded-{i}", pads + base.steps, budget=k + 2 * i)
 
-    members = {"expected-honest": ((Fraction(1), base),)}
-    spare = (q - 2 * k) // 2
-    if spare >= 0:
-        members["expected-lazy"] = (
-            (Fraction(1, 2), base),
-            (Fraction(1, 2), padded(spare)),
-        )
+    if name == "expected-honest":
+        return ((Fraction(1), base),)
+    if name == "expected-lazy":
+        spare = (q - 2 * k) // 2
+        if spare < 0:
+            return None
+        if spare > MAX_PAD_PAIRS:
+            raise ConfigError(
+                f"expected-lazy at q {q} pads {spare} call pairs, over the cap"
+                f" {MAX_PAD_PAIRS}"
+            )
+        return ((Fraction(1, 2), base), (Fraction(1, 2), padded(spare)))
     weights = [Fraction(1, 2 ** (i + 1)) for i in range(4)] + [Fraction(1, 16)]
-    members["expected-geometric"] = tuple(
-        (w, padded(i)) for i, w in enumerate(weights)
-    )
-    return members
+    return tuple((w, padded(i)) for i, w in enumerate(weights))
 
 
 def expected_wrappers(
@@ -920,9 +1043,11 @@ def expected_wrappers(
     the honest wrapper, so the interaction statistics are untouched
     while the invocation count distribution becomes nontrivial.
     """
+    members = ((name, _expected_branches(name, machine, witness, q))
+               for name in EXPECTED_MEMBERS)
     return tuple(
         ExpectedAlgorithm(name, branches, q)
-        for name, branches in _expected_branches(machine, witness, q).items()
+        for name, branches in members if branches is not None
     )
 
 

@@ -60,7 +60,6 @@ from qromlab.transforms import _ordered_outcome, _schedule_count, truncate
 from qromlab.walk import _walk
 
 THEOREMS = ("constant-round", "expected-time", "public-coin", "three-round")
-EXPECTED_SIMULATORS = ("expected-honest", "expected-lazy", "expected-geometric")
 # the verifier flavor each experiment drives, echoed into its report
 _KINDS = {
     "constant-round": "random_aborting",
@@ -823,10 +822,10 @@ def _phi(eps, k: int) -> DensityOnRegister:
 
 
 def _expected_sim(name: str, machine, witness, q: int) -> ExpectedAlgorithm:
-    members = _expected_branches(machine, witness, q)
-    if name not in members:
+    branches = _expected_branches(name, machine, witness, q)
+    if branches is None:
         raise ConfigError(f"unknown expected-mode simulator {name!r}")
-    return ExpectedAlgorithm(name, members[name], q)
+    return ExpectedAlgorithm(name, branches, q)
 
 
 def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:

@@ -131,6 +131,15 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
+    def _of_checked(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
+        """The state of a read-only amplitude row already checked normalised
+        within ``ATOL_STATE``, kept as it is rather than copied."""
+        state = object.__new__(cls)
+        object.__setattr__(state, "layout", layout)
+        object.__setattr__(state, "amplitudes", amps)
+        return state
+
+    @classmethod
     def basis(
         cls, layout: RegisterLayout, digits: Union[Mapping[str, int], Sequence[int], int] = 0
     ) -> "StateVector":
@@ -302,8 +311,9 @@ def _register_probs(t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
 def _split_rows(t: np.ndarray, axis: int):
     """Each row's outcomes above ``PROB_FLOOR`` on tensor axis ``axis`` of a
     row, row-major and in outcome order, as (rows, outcomes, probabilities,
-    normalised post-states); ``t`` is (rows, *dims[::-1])."""
-    probs = np.stack([_register_probs(r, [axis]) for r in t])
+    normalised post-states); ``t`` is (rows, *dims[::-1]). The outcome
+    probabilities of every row are one ``_register_probs`` reduction."""
+    probs = _register_probs(t, [0, axis + 1])
     b, o = np.nonzero(probs > PROB_FLOOR)
     p = probs[b, o]
     lead = (slice(None),) * axis

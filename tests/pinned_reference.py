@@ -121,13 +121,13 @@ def run_simulator(sim, machine, force_dense=False):
         for w, alg in sim.branches:
             sub = run_simulator(alg, machine, force_dense=force_dense)
             allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
-        return SimulationResult(machine.kind, tuple(allb))
+        return SimulationResult.from_branches(machine.kind, allb)
     kind = machine.kind
     if force_dense or kind == "superposition":
         branches = executor_reference.run_query_algorithm(sim, machine=machine)
-        return SimulationResult(kind, tuple(branches))
+        return SimulationResult.from_branches(kind, branches)
     allb = []
     for pinned, w in pinned_machines(machine):
         for b in executor_reference.run_query_algorithm(sim, machine=pinned):
             allb.append(replace(b, weight=w * b.weight))
-    return SimulationResult(kind, tuple(allb))
+    return SimulationResult.from_branches(kind, allb)

@@ -385,7 +385,7 @@ class TestOracleCallsStayVisible:
         branches = run_query_algorithm(
             QueryAlgorithm("empty", (), 0), machine=self.machine, oracles=self.oracles
         )
-        assert pr_register(SimulationResult("superposition", tuple(branches))) == 0
+        assert pr_register(SimulationResult.from_branches("superposition", branches)) == 0
 
     @pytest.mark.parametrize(
         "call",

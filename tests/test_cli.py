@@ -2,11 +2,15 @@
 
 import itertools
 import json
+import time
+from fractions import Fraction
 
 import pytest
 
 import pinned_reference
-from qromlab import cli, pipeline
+from qromlab import adversary, cli, pipeline
+from qromlab.adversary import MAX_PAD_PAIRS, _expected_branches, build_verifier
+from qromlab.protocol import toy_table
 from qromlab.cli import LEMMAS, main
 from qromlab.pipeline import THEOREMS
 
@@ -121,6 +125,48 @@ class TestRun:
         captured = capsys.readouterr()
         assert captured.err == "" and "[FAIL]" not in captured.out
         assert f"simulator={sim}" in captured.out
+
+    def test_expected_geometric_reports_at_a_huge_budget(self, monkeypatch, capsys):
+        # only the named member is built; expected-lazy would pad (q - 4)/2 call pairs
+        def only_geometric(name, *args):
+            if name != "expected-geometric":
+                raise AssertionError(f"built the unnamed member {name}")
+            return _expected_branches(name, *args)
+
+        monkeypatch.setattr(adversary, "_expected_branches", only_geometric)
+        monkeypatch.setattr(pipeline, "_expected_branches", only_geometric)
+        t0 = time.perf_counter()
+        code = main(["run", "expected-time", "--sim", "expected-geometric",
+                     "--q", str(10**9)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert "simulator=expected-geometric" in captured.out
+        assert elapsed < 10.0  # about 0.5 s on a 2-core x86-64 host
+
+    def test_expected_lazy_over_the_pad_cap_stops_at_once(self, monkeypatch, capsys):
+        def unreachable(*args):
+            raise AssertionError("simulated before the pad cap was checked")
+
+        monkeypatch.setattr(pipeline, "run_simulator", unreachable)
+        q = 2 * (MAX_PAD_PAIRS + 1) + 4
+        t0 = time.perf_counter()
+        assert main(["run", "expected-time", "--sim", "expected-lazy", "--q", str(q)]) == 2
+        assert time.perf_counter() - t0 < 1.0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"qromlab: error: expected-lazy at q {q} pads {MAX_PAD_PAIRS + 1} call"
+            f" pairs, over the cap {MAX_PAD_PAIRS}\n"
+        )
+
+    def test_expected_lazy_at_the_pad_cap_is_built(self):
+        spec = toy_table()
+        machine = build_verifier("superposition", spec, 1, eps=Fraction(1, 4))
+        q = 2 * MAX_PAD_PAIRS + 4
+        (_, base), (_, padded) = _expected_branches(
+            "expected-lazy", machine, spec.witness_map(1)[0], q)
+        assert padded.invocations == base.invocations + 2 * MAX_PAD_PAIRS
 
     @pytest.mark.parametrize("protocol", sorted(cli.PROTOCOL_INSTANCES))
     @pytest.mark.parametrize("theorem", THEOREMS)

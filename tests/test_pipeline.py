@@ -7,9 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from qromlab.adversary import challenge_structure
+from qromlab.adversary import EXPECTED_MEMBERS, challenge_structure
 from qromlab.pipeline import (
-    EXPECTED_SIMULATORS,
     THEOREMS,
     ExperimentConfig,
     build_protocol,
@@ -255,7 +254,7 @@ class TestThreeRound:
 
 
 class TestExpectedTime:
-    @pytest.mark.parametrize("sim", EXPECTED_SIMULATORS)
+    @pytest.mark.parametrize("sim", EXPECTED_MEMBERS)
     def test_all_members_pass(self, sim):
         cfg = replace(default_config("expected-time"), simulator=sim)
         rep = expected_time_pipeline(cfg)
