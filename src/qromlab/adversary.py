@@ -23,12 +23,12 @@ the resulting branches with rational weights: each assignment is a row,
 and its verifier call is the strided slice of the machine's permutation,
 moved for every row by ``qsim``'s one permutation kernel.
 
-A strict run's final rows stay stacked as one ``StrictRun``, and a
+A strict run's final rows stay stacked as one ``StrictRun``, the only
+form a run's result takes: ``run_query_algorithm`` returns one, and a
 ``SimulationResult`` is a tuple of them, one per strict branch of the
-simulator with its stopping weight. ``pr_register``, ``pr_joint_budget``
-and ``cont_density`` read B for all of a run's rows with one reduction
-or one split; ``SimulationResult.branches`` is the same mixture as one
-``RunBranch`` per row.
+simulator with its stopping weight. ``output_distribution``,
+``pr_register``, ``pr_joint_budget`` and ``cont_density`` read all of a
+run's rows with one reduction or one split.
 """
 
 from __future__ import annotations
@@ -582,18 +582,6 @@ class ExpectedAlgorithm:
 
 
 @dataclass(frozen=True)
-class RunBranch:
-    """One execution branch: weight, joint state, live tables, outcomes."""
-
-    weight: object
-    state: StateVector
-    oracles: tuple[tuple[str, ClassicalOracle], ...] = ()
-    outcomes: tuple[tuple[str, int], ...] = ()
-    invocations: int = 0
-    counts: tuple[tuple[str, int], ...] = ()
-
-
-@dataclass(frozen=True)
 class StrictRun:
     """The final rows of one strict run, stacked.
 
@@ -603,6 +591,7 @@ class StrictRun:
     row's squared norm is checked within ``ATOL_STATE`` in one pass when
     the run is built. Row i keeps its tables ``oracles[i]`` and its
     measurement outcomes ``outcomes[i]``; the call counts are the run's.
+    ``len(run)`` is the row count.
     """
 
     weight: object
@@ -628,28 +617,16 @@ class StrictRun:
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
+    def __len__(self) -> int:
+        return len(self.weights)
+
     def tensor(self) -> np.ndarray:
         """Read-only view shaped (rows, *dims[::-1])."""
-        return self.amplitudes.reshape((len(self.weights),) + self.layout.dims[::-1])
+        return self.amplitudes.reshape((len(self),) + self.layout.dims[::-1])
 
     def row_weight(self, i: int):
         """Row i's mixture weight, ``weight * weights[i]``."""
         return self.weight * self.weights[i]
-
-    @property
-    def branches(self) -> tuple[RunBranch, ...]:
-        """The rows as one branch each, in row order."""
-        return tuple(
-            RunBranch(
-                self.row_weight(i),
-                StateVector._of_checked(self.layout, self.amplitudes[i]),
-                self.oracles[i],
-                self.outcomes[i],
-                self.invocations,
-                self.counts,
-            )
-            for i in range(len(self.weights))
-        )
 
 
 def _scale(weight, p: float):
@@ -701,8 +678,8 @@ def run_query_algorithm(
     machine: VerifierMachine | None = None,
     oracles: Mapping[str, ClassicalOracle] | None = None,
     reprogram: tuple[str, Mapping[int, tuple[str, int, Hashable]]] | None = None,
-) -> list[RunBranch]:
-    """Execute a step list exhaustively, returning every final branch.
+) -> StrictRun:
+    """Execute a step list exhaustively, returning its final rows.
 
     It is the one-row run of ``_run_rows``.
 
@@ -722,51 +699,40 @@ def run_query_algorithm(
             outcomes under ``label``.
 
     Returns:
-        Final branches; weights stay exact fractions until some
+        One ``StrictRun`` of stopping weight 1, one row per measurement
+        outcome; row weights stay exact fractions until some
         measurement splits amplitude, and are floats after.
     """
-    return list(_run_rows(alg, machine, oracles, reprogram).branches)
+    return _run_rows(alg, machine, oracles, reprogram)
 
 
-def output_distribution(branches: Sequence[RunBranch], registers: Sequence[str]):
-    """Joint digit distribution of named registers over final branches."""
+def _row_outputs(run: StrictRun, registers: Sequence[str]):
+    """(row, digits, weight) for every row of a run and every joint digit
+    tuple of the named registers above ``PROB_FLOOR``, row-major and in
+    digit order. One ``_register_probs`` call reads every row."""
+    axes = [1 + run.layout.axis_of(r) for r in registers]
+    probs = _register_probs(run.tensor(), [0, *axes])
+    for idx in np.argwhere(probs > PROB_FLOOR).tolist():
+        i = idx[0]
+        yield i, tuple(idx[1:]), _scale(run.row_weight(i), float(probs[tuple(idx)]))
+
+
+def output_distribution(run: StrictRun, registers: Sequence[str]):
+    """Joint digit distribution of named registers over a run's final rows,
+    each key's terms added in row order."""
     out: dict[tuple[int, ...], object] = {}
-    for br in branches:
-        lay = br.state.layout
-        marg = _register_probs(br.state.tensor(), [lay.axis_of(r) for r in registers])
-        for idx in np.argwhere(marg > PROB_FLOOR):
-            key = tuple(int(v) for v in idx)
-            out[key] = out.get(key, 0) + _scale(br.weight, float(marg[tuple(idx)]))
+    for _, key, w in _row_outputs(run, registers):
+        out[key] = out.get(key, 0) + w
     return out
 
 
 @dataclass(frozen=True)
 class SimulationResult:
     """One exhaustive simulator run: one ``StrictRun`` per strict branch of
-    the simulator, in its order, each carrying its stopping weight.
-
-    ``branches`` is the same mixture as one ``RunBranch`` per row, runs in
-    order and rows in order within a run; ``from_branches`` builds a
-    result back from such a list.
-    """
+    the simulator, in its order, each carrying its stopping weight."""
 
     kind: str
     runs: tuple[StrictRun, ...]
-
-    @property
-    def branches(self) -> tuple[RunBranch, ...]:
-        return tuple(br for run in self.runs for br in run.branches)
-
-    @classmethod
-    def from_branches(cls, kind: str, branches: Sequence[RunBranch]) -> "SimulationResult":
-        """The result whose rows are ``branches``, one one-row run each."""
-        return cls(kind, tuple(
-            StrictRun(
-                1, (br.weight,), br.state.layout, br.state.amplitudes[None],
-                (br.oracles,), (br.outcomes,), br.invocations, br.counts,
-            )
-            for br in branches
-        ))
 
 
 def pr_register(result: SimulationResult):
@@ -783,7 +749,7 @@ def pr_budget(result: SimulationResult, q: int):
     """Mixture probability of finishing within q invocations."""
     return sum(
         (run.row_weight(i) for run in result.runs if run.invocations <= q
-         for i in range(len(run.weights))),
+         for i in range(len(run))),
         start=0,
     )
 

@@ -28,8 +28,10 @@ from qromlab.adversary import (
     final_cont_state,
     oracle_zoo,
     ordered_zoo,
+    output_distribution,
     pr_budget,
     pr_register,
+    run_query_algorithm,
     run_simulator,
 )
 from qromlab.hashfam import (
@@ -62,7 +64,6 @@ from qromlab.protocol import ConfigError, toy_qr, toy_table
 from qromlab.qsim import DensityOnRegister, swap_test, swap_test_circuit, trace_distance
 from qromlab.qsim import _unitary_defect
 from qromlab.transforms import (
-    _output_mass,
     mar_check_general,
     mar_check_ordered,
     o2h_corollary_C,
@@ -81,10 +82,11 @@ PROTOCOL_INSTANCES = {
 
 def _accept_all_zero(alg: QueryAlgorithm) -> Callable[[ClassicalOracle], object]:
     """Probability that every output register reads 0 against a table."""
+    zeros = (0,) * len(alg.output_registers)
+
     def accept(table: ClassicalOracle):
-        return _output_mass(
-            alg, table, alg.output_registers, lambda d: all(v == 0 for v in d), "h"
-        )
+        run = run_query_algorithm(alg, oracles={"h": table})
+        return output_distribution(run, alg.output_registers).get(zeros, 0)
 
     return accept
 

@@ -131,15 +131,6 @@ class StateVector:
         object.__setattr__(self, "amplitudes", amps)
 
     @classmethod
-    def _of_checked(cls, layout: RegisterLayout, amps: np.ndarray) -> "StateVector":
-        """The state of a read-only amplitude row already checked normalised
-        within ``ATOL_STATE``, kept as it is rather than copied."""
-        state = object.__new__(cls)
-        object.__setattr__(state, "layout", layout)
-        object.__setattr__(state, "amplitudes", amps)
-        return state
-
-    @classmethod
     def basis(
         cls, layout: RegisterLayout, digits: Union[Mapping[str, int], Sequence[int], int] = 0
     ) -> "StateVector":

@@ -4,9 +4,10 @@ One measure-and-reprogram engine serves every transform here.
 ``apply_schedule`` drives the target algorithm under one schedule of
 (query ordinal, timing) picks: the executor measures each picked query
 and reprograms the table at the measured point (``run_query_algorithm``'s
-``reprogram``).
+``reprogram``), and returns the run's final rows as one ``StrictRun``.
 ``_mar_dist`` is the only loop that averages it over every valid
-schedule; the general and ordered wrappers differ only in the outcome
+schedule, reading each run's rows, weights and measured points from the
+run itself; the general and ordered wrappers differ only in the outcome
 rule they pass it (the ordered one is ``_ordered_outcome``, the abort
 rule the constant-round experiment also uses). ``_mar_report`` scores
 either distribution against the plain run on the reprogrammed table,
@@ -32,8 +33,8 @@ from qromlab.adversary import (
     CallVerifier,
     ExpectedAlgorithm,
     QueryAlgorithm,
-    RunBranch,
-    output_distribution,
+    StrictRun,
+    _row_outputs,
     run_query_algorithm,
 )
 from qromlab.oracle import ClassicalOracle, prefixes
@@ -94,14 +95,18 @@ def apply_schedule(
     schedule: MarSchedule,
     y: Sequence[Hashable],
     name: str = "h",
-) -> list[RunBranch]:
-    """Run one algorithm under one schedule, returning the final branches.
+) -> StrictRun:
+    """Run one algorithm under one schedule, returning its final rows.
 
-    Collapsed query points are recorded in branch outcomes under the
-    marker registers ``mar-slot-i`` as domain positions.
+    Collapsed query points are recorded in each row's outcomes under the
+    marker registers ``mar-slot-i`` as domain positions. The schedule
+    must be built for the algorithm's query count to the named table.
     """
     if len(y) != len(schedule.picks):
         raise ValueError("one reprogram value per slot")
+    q = _named_queries(alg, name)
+    if schedule.q != q:
+        raise ValueError(f"schedule built for {schedule.q} queries, not {q}")
     slots = {
         j: (f"mar-slot-{i}", timing, y[i])
         for j, (i, timing) in schedule.by_ordinal.items()
@@ -109,9 +114,9 @@ def apply_schedule(
     return run_query_algorithm(alg, oracles={name: oracle}, reprogram=(name, slots))
 
 
-def _slot_points(branch: RunBranch, domain: tuple) -> dict[int, Hashable]:
+def _slot_points(outcomes: tuple, domain: tuple) -> dict[int, Hashable]:
     pts = {}
-    for reg, o in branch.outcomes:
+    for reg, o in outcomes:
         if reg.startswith("mar-slot-"):
             pts[int(reg.rsplit("-", 1)[1])] = domain[o]
     return pts
@@ -164,11 +169,11 @@ def _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome) -> di
     regs = tuple(claim_registers) + tuple(z_registers)
     dist: dict = {}
     for sched in scheds:
-        for br in apply_schedule(alg, oracle, sched, y, name):
-            pts = _slot_points(br, dom)
-            for digits, w in output_distribution([br], regs).items():
-                key = outcome(pts, digits[:k], digits[k:])
-                dist[key] = dist.get(key, 0) + sw * w
+        run = apply_schedule(alg, oracle, sched, y, name)
+        pts = [_slot_points(out, dom) for out in run.outcomes]
+        for i, digits, w in _row_outputs(run, regs):
+            key = outcome(pts[i], digits[:k], digits[k:])
+            dist[key] = dist.get(key, 0) + sw * w
     return dist
 
 
@@ -245,10 +250,10 @@ def _output_mass(alg, table, regs, hit, name) -> Fraction | float:
     """Mass of the plain run against one table whose digits on regs
     satisfy hit(digits)."""
     total: Fraction | float = 0
-    for br in run_query_algorithm(alg, oracles={name: table}):
-        for digits, w in output_distribution([br], regs).items():
-            if hit(digits):
-                total += w
+    run = run_query_algorithm(alg, oracles={name: table})
+    for _, digits, w in _row_outputs(run, regs):
+        if hit(digits):
+            total += w
     return total
 
 
@@ -395,10 +400,11 @@ def o2h_corollary_C(
     for j in range(1, q + 1):
         # reprogramming the measured point of the all-zero table to 0
         # leaves the table as it is
-        for br in apply_schedule(alg, zero, MarSchedule(((j, 1),), q), (0,), name):
-            caught = _slot_points(br, dom)
+        run = apply_schedule(alg, zero, MarSchedule(((j, 1),), q), (0,), name)
+        for i, outcomes in enumerate(run.outcomes):
+            caught = _slot_points(outcomes, dom)
             if 0 in caught and caught[0] in sset:
-                acc += float(br.weight)
+                acc += float(run.row_weight(i))
     p_b = acc / q if q else 0.0
     p_c = 0.5 * (p_plain + p_b)
     factor = float(1.0 / (4.0 * np.sqrt(q + 1.0)))

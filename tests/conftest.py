@@ -9,11 +9,7 @@ def accept_register_one(alg: QueryAlgorithm, register: str, name: str = "h"):
     """Probability that one named output register reads 1."""
 
     def accept(table: ClassicalOracle):
-        total = 0
-        for br in run_query_algorithm(alg, oracles={name: table}):
-            for digits, w in output_distribution([br], (register,)).items():
-                if digits[0] == 1:
-                    total += w
-        return total
+        run = run_query_algorithm(alg, oracles={name: table})
+        return output_distribution(run, (register,)).get((1,), 0)
 
     return accept

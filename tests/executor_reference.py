@@ -1,5 +1,5 @@
 """The per-branch executor as it was before ``adversary._run_rows`` became
-the only one.
+the only one, and the per-branch results it returned.
 
 ``run_query_algorithm`` runs a step list branch by branch: a ``Unitary``
 is one ``np.tensordot`` on one branch's state, a measurement returns one
@@ -10,9 +10,16 @@ may touch are checked by the library's own ``_visible_registers`` and
 ``_check_visible``. It is the reference the one-row and the batched runs
 of the row executor are tested against, branch by branch, with
 ``assert_same_branches``.
+
+A branch is a ``RunBranch``, as every run's result was before a
+``StrictRun`` became the only one. ``run_branches`` and ``result_branches``
+read a stacked run or simulation result as one branch per row,
+``result_of`` builds a result of one one-row run per branch, and
+``output_distribution`` reduces each branch on its own, one
+``_register_probs`` call per branch, as the library's did.
 """
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +28,8 @@ from qromlab.adversary import (
     CallOracle,
     CallVerifier,
     Measure,
-    RunBranch,
+    SimulationResult,
+    StrictRun,
     Unitary,
     _check_visible,
     _scale,
@@ -29,8 +37,69 @@ from qromlab.adversary import (
     apply_step,
     initial_state,
 )
-from qromlab.oracle import quantum_query
-from qromlab.qsim import RegisterLayout, StateVector, measure_register
+from qromlab.oracle import ClassicalOracle, quantum_query
+from qromlab.qsim import (
+    PROB_FLOOR,
+    RegisterLayout,
+    StateVector,
+    _register_probs,
+    measure_register,
+)
+
+
+@dataclass(frozen=True)
+class RunBranch:
+    """One execution branch: weight, joint state, live tables, outcomes."""
+
+    weight: object
+    state: StateVector
+    oracles: tuple[tuple[str, ClassicalOracle], ...] = ()
+    outcomes: tuple[tuple[str, int], ...] = ()
+    invocations: int = 0
+    counts: tuple[tuple[str, int], ...] = ()
+
+
+def run_branches(run):
+    """A run's rows as one branch each, in row order."""
+    return tuple(
+        RunBranch(
+            run.row_weight(i),
+            StateVector(run.layout, run.amplitudes[i]),
+            run.oracles[i],
+            run.outcomes[i],
+            run.invocations,
+            run.counts,
+        )
+        for i in range(len(run))
+    )
+
+
+def result_branches(result):
+    """A simulation result as one branch per row, runs in order."""
+    return tuple(br for run in result.runs for br in run_branches(run))
+
+
+def result_of(kind, branch_list):
+    """The result whose rows are ``branch_list``, one one-row run each."""
+    return SimulationResult(kind, tuple(
+        StrictRun(
+            1, (br.weight,), br.state.layout, br.state.amplitudes[None],
+            (br.oracles,), (br.outcomes,), br.invocations, br.counts,
+        )
+        for br in branch_list
+    ))
+
+
+def output_distribution(branch_list, registers):
+    """Joint digit distribution of named registers over final branches."""
+    out = {}
+    for br in branch_list:
+        lay = br.state.layout
+        marg = _register_probs(br.state.tensor(), [lay.axis_of(r) for r in registers])
+        for idx in np.argwhere(marg > PROB_FLOOR):
+            key = tuple(int(v) for v in idx)
+            out[key] = out.get(key, 0) + _scale(br.weight, float(marg[tuple(idx)]))
+    return out
 
 
 def unitary_on_axes(t, layout, target_registers, u):
@@ -162,6 +231,15 @@ def run_query_algorithm(alg, *, machine=None, oracles=None, on_query=None):
                 raise TypeError(f"unknown step {step!r}")
         branches = nxt
     return branches
+
+
+def assert_same_value(got, want):
+    """Equal and of the same type: floats by ``float.hex``, the rest by ``==``."""
+    assert type(got) is type(want)
+    if isinstance(want, float):
+        assert got.hex() == want.hex()
+    else:
+        assert got == want
 
 
 def assert_same_branches(got, want):

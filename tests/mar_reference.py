@@ -23,9 +23,9 @@ from executor_reference import (
     apply_schedule,
     branch_oracle,
     measure_query_register,
+    output_distribution,
     run_query_algorithm,
 )
-from qromlab.adversary import output_distribution
 from qromlab.oracle import ClassicalOracle, prefixes
 from qromlab.transforms import (
     MarOutcome,
@@ -49,7 +49,7 @@ def mar_general(alg, oracle, y, claim_registers, *, z_registers=(), name="h"):
     dist = {}
     for sched in scheds:
         for br in apply_schedule(alg, oracle, sched, y, name):
-            pts = _slot_points(br, dom)
+            pts = _slot_points(br.outcomes, dom)
             for digits, w in output_distribution([br], regs).items():
                 xp = tuple(
                     pts.get(i, dom[digits[i]]) for i in range(k)
@@ -81,7 +81,7 @@ def mar_ordered(alg, oracle, y, claim_registers, *, z_registers=(), name="h"):
     dist = {}
     for sched in scheds:
         for br in apply_schedule(alg, oracle, sched, y, name):
-            pts = _slot_points(br, dom)
+            pts = _slot_points(br.outcomes, dom)
             for digits, w in output_distribution([br], regs).items():
                 msgs = tuple(alphabet[d] for d in digits[:k])
                 xs, output, ok = ordered_rule(pts, msgs)

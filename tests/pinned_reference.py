@@ -7,9 +7,10 @@ without those registers, seeded with its slice of the unpinned machine's
 permutation: the step never writes a control register, so the indices
 whose control digits read the pinned values map among themselves.
 ``run_simulator`` runs each strict branch once per fully pinned machine
-through the per-branch executor of ``executor_reference``. It is the
-reference the batched route in ``adversary.run_simulator`` is tested
-against, branch by branch.
+through the per-branch executor of ``executor_reference``, and returns
+its branches as a result of one-row runs (``executor_reference.result_of``).
+It is the reference the batched route in ``adversary.run_simulator`` is
+tested against, branch by branch.
 
 ``control_rows`` is how ``VerifierMachine._control_rows`` was first
 built: one ``ClassicalOracle`` per table from ``enumerate_weighted``,
@@ -23,7 +24,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qromlab.adversary import ExpectedAlgorithm, SimulationResult, _ControlRows
+from qromlab.adversary import ExpectedAlgorithm, _ControlRows
 from qromlab.oracle import ClassicalOracle, SparseOracleDist
 from qromlab.qsim import RegisterLayout
 
@@ -120,14 +121,17 @@ def run_simulator(sim, machine, force_dense=False):
         allb = []
         for w, alg in sim.branches:
             sub = run_simulator(alg, machine, force_dense=force_dense)
-            allb.extend(replace(b, weight=w * b.weight) for b in sub.branches)
-        return SimulationResult.from_branches(machine.kind, allb)
+            allb.extend(
+                replace(b, weight=w * b.weight)
+                for b in executor_reference.result_branches(sub)
+            )
+        return executor_reference.result_of(machine.kind, allb)
     kind = machine.kind
     if force_dense or kind == "superposition":
         branches = executor_reference.run_query_algorithm(sim, machine=machine)
-        return SimulationResult.from_branches(kind, branches)
+        return executor_reference.result_of(kind, branches)
     allb = []
     for pinned, w in pinned_machines(machine):
         for b in executor_reference.run_query_algorithm(sim, machine=pinned):
             allb.append(replace(b, weight=w * b.weight))
-    return SimulationResult.from_branches(kind, allb)
+    return executor_reference.result_of(kind, allb)

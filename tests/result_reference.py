@@ -26,6 +26,7 @@ from qromlab.qsim import (
 )
 
 import pinned_reference
+from executor_reference import result_branches
 
 
 def run_simulator(sim, machine):
@@ -37,7 +38,7 @@ def run_simulator(sim, machine):
             sub = run_simulator(alg, machine)
             allb.extend(replace(b, weight=w * b.weight) for b in sub)
         return tuple(allb)
-    return pinned_reference.run_simulator(sim, machine).branches
+    return result_branches(pinned_reference.run_simulator(sim, machine))
 
 
 def pr_register(branches):

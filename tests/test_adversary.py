@@ -14,6 +14,7 @@ from qromlab.adversary import (
     QueryAlgorithm,
     SimulationResult,
     Unitary,
+    _row_outputs,
     build_aux,
     build_verifier,
     challenge_structure,
@@ -168,8 +169,8 @@ class TestHonestInteraction:
     def test_aborting_accepts_eps_squared(self):
         # the dense route: one run on the whole aux state, no enumeration
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
-        branches = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
-        accept = output_distribution(branches, ("B",))[(1,)]
+        run = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
+        accept = output_distribution(run, ("B",))[(1,)]
         assert abs(accept - 1 / 16) <= 1e-12
 
     def test_wrapper_matches_interaction(self):
@@ -191,8 +192,8 @@ class TestHonestInteraction:
         live = ClassicalOracle.constant(PDOM, (0, 1), 1)
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         m = pinned_reference.pinned_machine(m, {"R": 0, "H": live})
-        branches = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
-        dist = output_distribution(branches, ("M1", "M2"))
+        run = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
+        dist = output_distribution(run, ("M1", "M2"))
         spec = toy_table()
         want = (0, spec.alphabet.index(spec.next_message(1, 0, (0,))))
         assert set(dist) == {want}
@@ -302,7 +303,7 @@ class TestDenseRouteAgreesWithEnumeration:
         sim = sims[which]
         enum = run_simulator(sim, m)
         dense = pinned_reference.run_simulator(sim, m, force_dense=True)
-        assert len(dense.branches) < len(enum.branches)
+        assert sum(map(len, dense.runs)) < sum(map(len, enum.runs))
         for q in (2, 4, 8):
             assert isinstance(pr_budget(enum, q), Fraction)
             assert abs(float(pr_budget(dense, q)) - float(pr_budget(enum, q))) <= 1e-12
@@ -351,7 +352,7 @@ class TestBranchPlumbing:
 
     @pytest.mark.parametrize("timing", [0, 1])
     def test_reprogram_records_the_point_and_the_table(self, timing):
-        """A measured query splits the run by point; each branch carries the
+        """A measured query splits the run by point; each row carries the
         table reprogrammed at its point, answered before or after."""
         tab = ClassicalOracle((0, 1), (0, 1), (0, 0))
         uni = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
@@ -359,17 +360,17 @@ class TestBranchPlumbing:
             "uni", (Unitary(("Q",), uni), CallOracle("h", "Q", "A")), 1,
             (("Q", 2), ("A", 2)),
         )
-        branches = run_query_algorithm(
+        run = run_query_algorithm(
             alg, oracles={"h": tab}, reprogram=("h", {1: ("slot", timing, 1)})
         )
-        assert [br.outcomes for br in branches] == [
+        assert list(run.outcomes) == [
             (("Q", 0), ("slot", 0)), (("Q", 1), ("slot", 1))
         ]
-        for point, br in enumerate(branches):
-            assert br.weight == pytest.approx(0.5)
-            assert br.oracles == (("h", tab.reprogram(point, 1)),)
-            assert br.counts == (("h", 1),) and br.invocations == 1
-            answer = output_distribution([br], ("A",))
+        assert run.counts == (("h", 1),) and run.invocations == 1
+        for point in range(len(run)):
+            assert run.row_weight(point) == pytest.approx(0.5)
+            assert run.oracles[point] == (("h", tab.reprogram(point, 1)),)
+            answer = {d: w for i, d, w in _row_outputs(run, ("A",)) if i == point}
             assert answer == {(1 - timing,): pytest.approx(0.5)}
 
 
@@ -382,10 +383,10 @@ class TestOracleCallsStayVisible:
         self.oracles = {"h": ClassicalOracle.constant((0, 1), (0, 1), 1)}
 
     def test_empty_algorithm_never_accepts(self):
-        branches = run_query_algorithm(
+        run = run_query_algorithm(
             QueryAlgorithm("empty", (), 0), machine=self.machine, oracles=self.oracles
         )
-        assert pr_register(SimulationResult.from_branches("superposition", branches)) == 0
+        assert pr_register(SimulationResult("superposition", (run,))) == 0
 
     @pytest.mark.parametrize(
         "call",
@@ -429,8 +430,8 @@ class TestZoos:
     def test_output_distributions_are_normalized(self):
         tab = ClassicalOracle(prefix_domain((0, 1), 2), (0, 1), (0, 1) * 3)
         for alg in ordered_zoo((0, 1)):
-            branches = run_query_algorithm(alg, oracles={"h": tab})
-            dist = output_distribution(branches, alg.output_registers)
+            run = run_query_algorithm(alg, oracles={"h": tab})
+            dist = output_distribution(run, alg.output_registers)
             assert abs(sum(dist.values()) - 1) <= 1e-12
 
 

@@ -2,9 +2,13 @@
 (``executor_reference``), branch by branch and exactly.
 
 A plain run, a run against a machine and a measure-and-reprogram run
-are each one row of ``adversary._run_rows``. Amplitudes must match with
-``np.array_equal``, weights with ``==`` and the same type, and outcomes,
-counts and tables exactly.
+are each one row of ``adversary._run_rows``, returned as one
+``StrictRun`` and read back one branch per row. Amplitudes must match
+with ``np.array_equal``, weights with ``==`` and the same type, and
+outcomes, counts and tables exactly. On every plain and scheduled run,
+the run's row reader and ``output_distribution`` must equal the
+per-branch reduction: the same rows and keys in the same order, Fractions
+equal and still Fractions, floats equal by ``float.hex``.
 """
 
 import itertools
@@ -13,13 +17,15 @@ from fractions import Fraction
 import pytest
 
 import executor_reference as ref
-from executor_reference import assert_same_branches
+from executor_reference import assert_same_branches, assert_same_value
 from qromlab.adversary import (
+    _row_outputs,
     build_verifier,
     expected_wrappers,
     honest_wrapper,
     oracle_zoo,
     ordered_zoo,
+    output_distribution,
     run_query_algorithm,
 )
 from qromlab.oracle import ClassicalOracle, prefix_domain
@@ -39,13 +45,48 @@ def tables(domain):
         yield ClassicalOracle(tuple(domain), (0, 1), vals)
 
 
+def register_sets(alg):
+    """The output registers both ways round, each work register, and all
+    work registers together."""
+    work = tuple(nm for nm, _ in alg.work_registers)
+    out = tuple(alg.output_registers)
+    sets = [out, out[::-1], *((nm,) for nm in work), work]
+    return list(dict.fromkeys(sets))
+
+
+def assert_same_outputs(run, want, registers):
+    """The run's row reader and ``output_distribution`` on ``registers``
+    against the per-branch reduction of ``want``."""
+    rows = list(_row_outputs(run, registers))
+    want_rows = [
+        (i, key, w)
+        for i, br in enumerate(want)
+        for key, w in ref.output_distribution([br], registers).items()
+    ]
+    assert [r[:2] for r in rows] == [r[:2] for r in want_rows]
+    for (_, _, w), (_, _, v) in zip(rows, want_rows):
+        assert_same_value(w, v)
+    dist = output_distribution(run, registers)
+    want_dist = ref.output_distribution(want, registers)
+    assert list(dist) == list(want_dist)
+    for key, w in dist.items():
+        assert_same_value(w, want_dist[key])
+
+
+def assert_same_run(got, want, alg):
+    assert len(got) == len(want)
+    assert_same_branches(ref.run_branches(got), want)
+    for registers in register_sets(alg):
+        assert_same_outputs(got, want, registers)
+
+
 @pytest.mark.parametrize("zoo", sorted(ZOOS))
 def test_plain_runs_on_every_table(zoo):
     for alg in ZOOS[zoo]:
         for table in tables(DOMAINS[zoo]):
             got = run_query_algorithm(alg, oracles={"h": table})
             want = ref.run_query_algorithm(alg, oracles={"h": table})
-            assert_same_branches(got, want)
+            assert_same_run(got, want, alg)
 
 
 def _named_queries(alg):
@@ -78,7 +119,7 @@ def test_every_schedule_at_k_one_and_two(zoo):
     for alg, table, sched, y in _scheduled(zoo, table_list):
         got = apply_schedule(alg, table, sched, y)
         want = ref.apply_schedule(alg, table, sched, y)
-        assert_same_branches(got, want)
+        assert_same_run(got, want, alg)
         runs += 1
     assert runs > 0
 
@@ -103,5 +144,5 @@ def test_machine_runs(kind, spec):
     for alg in _machine_sims(machine):
         got = run_query_algorithm(alg, machine=machine)
         want = ref.run_query_algorithm(alg, machine=machine)
-        assert_same_branches(got, want)
+        assert_same_branches(ref.run_branches(got), want)
 

@@ -200,4 +200,4 @@ def test_executors_never_check_a_built_step_again(monkeypatch):
         assert run_query_algorithm(alg, oracles={"h": table})
     for machine, members in sims:
         for sim in members:
-            assert run_simulator(sim, machine).branches
+            assert run_simulator(sim, machine).runs

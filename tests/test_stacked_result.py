@@ -18,8 +18,6 @@ from qromlab.adversary import (
     ExpectedAlgorithm,
     Measure,
     QueryAlgorithm,
-    RunBranch,
-    SimulationResult,
     StrictRun,
     Unitary,
     build_verifier,
@@ -36,6 +34,13 @@ from qromlab.protocol import toy_table
 from qromlab.qsim import RegisterLayout
 from qromlab.transforms import truncate
 import result_reference as ref
+from executor_reference import (
+    RunBranch,
+    assert_same_value,
+    result_branches,
+    result_of,
+    run_branches,
+)
 from prover_reference import give_up
 
 CFG = default_config("expected-time")
@@ -46,19 +51,11 @@ DENSITIES = [Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), Fraction(1),
 BUDGETS = range(12)
 
 
-def assert_same_value(got, want):
-    assert type(got) is type(want)
-    if isinstance(want, float):
-        assert got.hex() == want.hex()
-    else:
-        assert got == want
-
-
 def assert_same_result(got, want_branches):
     """One stacked result against the reference's branch list."""
-    branches = got.branches
-    assert len(branches) == len(want_branches)
-    for a, b in zip(branches, want_branches):
+    got_branches = result_branches(got)
+    assert len(got_branches) == len(want_branches)
+    for a, b in zip(got_branches, want_branches):
         assert_same_value(a.weight, b.weight)
         assert a.state.layout == b.state.layout
         assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
@@ -115,16 +112,18 @@ def test_float_rows_add_in_row_order(kind, seed):
     machine = machine_of(kind, Fraction(1, 3))
     for sim in (alg, mixed):
         got = check(sim, machine)
-        assert any(isinstance(br.weight, float) for br in got.branches)
+        assert any(isinstance(br.weight, float) for br in result_branches(got))
 
 
 def test_from_branches_round_trips():
+    """The readers give the same values when each row is a run of its own."""
     machine = build_verifier("superposition", SPEC, 1, eps=Fraction(1, 4))
     sim = expected_wrappers(machine, SPEC.witness_map(1)[0], CFG.q)[-1]
     got = run_simulator(sim, machine)
-    back = SimulationResult.from_branches(got.kind, got.branches)
-    assert len(back.runs) == len(got.branches)
-    assert_same_result(back, got.branches)
+    rows = result_branches(got)
+    back = result_of(got.kind, rows)
+    assert len(back.runs) == len(rows)
+    assert_same_result(back, rows)
 
 
 LAYOUT = RegisterLayout((("B", 2), ("W", 3)))
@@ -153,7 +152,8 @@ def test_rows_within_the_tolerance_pass_and_freeze():
     assert not run.amplitudes.flags.writeable
     with pytest.raises(ValueError, match="row amplitudes"):
         _row_run(amps[:, :5])
-    assert isinstance(run.branches[0], RunBranch)
+    assert len(run) == 3
+    assert isinstance(run_branches(run)[0], RunBranch)
 
 
 @pytest.mark.parametrize("kind", KINDS)

@@ -72,18 +72,27 @@ class TestSchedules:
         alg = zoo_member("oq-classical")
         zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
         for timing, answer in ((0, 1), (1, 0)):
-            branches = apply_schedule(
+            run = apply_schedule(
                 alg, zero, MarSchedule(((1, timing),), 1), (1,)
             )
-            dist = output_distribution(branches, ("A",))
+            dist = output_distribution(run, ("A",))
             assert dist == {(answer,): Fraction(1)}
-            assert all(("mar-slot-0", 0) in br.outcomes for br in branches)
+            assert all(("mar-slot-0", 0) in out for out in run.outcomes)
 
     def test_one_value_per_slot(self):
         alg = zoo_member("oq-classical")
         zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
         with pytest.raises(ValueError):
             apply_schedule(alg, zero, MarSchedule(((1, 0),), 1), (1, 1))
+
+    @pytest.mark.parametrize("q", [0, 2, 3])
+    def test_schedule_built_for_another_query_count(self, q):
+        """A pick past the algorithm's last query would never fire."""
+        alg = zoo_member("oq-classical")
+        zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
+        picks = ((q, 0),) if q else (None,)
+        with pytest.raises(ValueError, match=f"built for {q} queries, not 1"):
+            apply_schedule(alg, zero, MarSchedule(picks, q), (1,))
 
 
 class TestGeneralReprogramming:
