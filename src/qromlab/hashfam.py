@@ -210,10 +210,21 @@ def _offset_digits(a: int, k: int) -> np.ndarray:
 
 
 def _base_values(fam: BaseFamily) -> np.ndarray:
-    """Every base value: row = key, column = domain position."""
-    return np.array(
-        [[fam.eval(key, p) for p in fam.domain] for key in range(fam.key_count)]
-    )
+    """Every base value: row = key, column = domain position.
+
+    ``fam.eval`` on every key and point at once, in int64; a point reads
+    its first position in the domain, as ``eval`` does.
+    """
+    keys = np.arange(fam.key_count, dtype=np.int64)[:, None]
+    x = np.array([fam.domain.index(p) for p in fam.domain], dtype=np.int64)
+    if isinstance(fam, TableFamily):
+        return keys // fam.a**x % fam.a
+    acc, p = np.zeros((len(keys), len(x)), dtype=np.int64), fam.prime
+    for _ in range(fam.degree + 1):
+        # Horner from the highest stored coefficient downward
+        acc = (acc * x + keys % p) % p
+        keys = keys // p
+    return acc % fam.a
 
 
 @dataclass(frozen=True)

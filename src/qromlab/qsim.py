@@ -27,6 +27,7 @@ ATOL_UNITARY = 1e-9
 ATOL_STATE = 1e-8
 PROB_FLOOR = 1e-14
 RANK1_FTOL = 1e-12
+_RANK1_ROWS = 32  # rows per block of the rank-1 residual
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0)
 
@@ -165,16 +166,19 @@ class DensityOnRegister:
     """Density matrix attributed to a single named register.
 
     Validation: finite entries, square, Hermitian within 1e-10, unit
-    trace within 1e-9, and no eigenvalue below -1e-10. A rank-1 matrix
-    skips the Hermitian pass and the dense eigensolve: with j the largest
-    diagonal entry, 0 < m_jj <= 2 and v = m[:, j] / sqrt(m_jj), it is
-    certified when ||m - v v^H||_F <= RANK1_FTOL. The computed v v^H is
-    Hermitian to rounding (< 1e-15), so m is Hermitian within 3 *
-    RANK1_FTOL, and by Weyl's inequality no eigenvalue is below -sqrt(2) *
-    RANK1_FTOL: both far inside 1e-10. (A larger m_jj fails the trace
-    check anyway.) The certified v is
-    kept as the factor ``trace_distance`` reads; any other input keeps
-    none.
+    trace within 1e-9, and no eigenvalue below -1e-10. A square matrix
+    first gets the rank-1 certificate: with j the largest diagonal entry,
+    0 < m_jj <= 2 and v = m[:, j] / sqrt(m_jj), it holds when
+    ||m - v v^H||_F <= RANK1_FTOL, summed over blocks of rows with no
+    d x d temporary. The computed v v^H is Hermitian to rounding
+    (< 1e-15), so m is Hermitian within 3 * RANK1_FTOL, and by Weyl's
+    inequality no eigenvalue is below -sqrt(2) * RANK1_FTOL: both far
+    inside 1e-10. (A larger m_jj fails the trace check anyway.) A NaN or
+    infinite entry makes the residual NaN or infinite, so a certified m
+    is finite too. A certified m thus runs only the trace check; any
+    other input runs every check in the order above, each rejection
+    with its own message. The certified v is kept as the factor
+    ``trace_distance`` reads; any other input keeps none.
     """
 
     register: str
@@ -185,13 +189,15 @@ class DensityOnRegister:
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=complex)
-        if not np.isfinite(m).all():
-            raise ValueError("density matrix has a non-finite entry")
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("density matrix must be square")
-        factor = _rank1_factor(m)
-        if factor is None and np.abs(m - m.conj().T).max() > 1e-10:
-            raise ValueError("density matrix not Hermitian within 1e-10")
+        square = m.ndim == 2 and m.shape[0] == m.shape[1]
+        factor = _rank1_factor(m) if square else None
+        if factor is None:
+            if not np.isfinite(m).all():
+                raise ValueError("density matrix has a non-finite entry")
+            if not square:
+                raise ValueError("density matrix must be square")
+            if np.abs(m - m.conj().T).max(initial=0.0) > 1e-10:
+                raise ValueError("density matrix not Hermitian within 1e-10")
         if abs(np.trace(m).real - 1.0) > 1e-9:
             raise ValueError(f"density trace {np.trace(m).real} not 1")
         if factor is None and np.linalg.eigvalsh(m).min() < -1e-10:
@@ -211,14 +217,33 @@ class DensityOnRegister:
 
 
 def _rank1_factor(m: np.ndarray) -> np.ndarray | None:
-    """v with ||m - v v^H||_F <= RANK1_FTOL, or None when there is none."""
+    """v with ||m - v v^H||_F <= RANK1_FTOL, or None when there is none.
+
+    The squared residual is summed over blocks of ``_RANK1_ROWS`` rows in
+    one reused buffer, and the scan stops at the first block that takes
+    it past RANK1_FTOL**2 (a NaN fails the same comparison).
+    """
+    d = len(m)
+    if d == 0:
+        return None
     diag = m.diagonal().real
     j = int(np.argmax(diag))
     if not 0 < diag[j] <= 2:
         return None
-    v = m[:, j] / np.sqrt(diag[j])
-    if not np.linalg.norm(m - np.outer(v, v.conj())) <= RANK1_FTOL:
-        return None
+    buf = np.empty((min(_RANK1_ROWS, d), d), dtype=complex)
+    acc = 0.0
+    # a non-finite m is rejected by a NaN or infinite residual, silently
+    with np.errstate(invalid="ignore", over="ignore"):
+        v = m[:, j] / np.sqrt(diag[j])
+        vh = v.conj()
+        for i in range(0, d, _RANK1_ROWS):
+            rows = v[i : i + _RANK1_ROWS]
+            b = buf[: len(rows)]
+            np.multiply.outer(rows, vh, out=b)
+            np.subtract(m[i : i + len(rows)], b, out=b)
+            acc += np.vdot(b, b).real
+            if not acc <= RANK1_FTOL**2:
+                return None
     v.setflags(write=False)
     return v
 

@@ -4,6 +4,9 @@
 values it gives on a set of points; the tests use it to pin down the
 independence order of the table and polynomial families.
 
+``base_values`` tabulates ``eval`` one key and one point at a time: the
+reference for the vectorised ``hashfam._base_values``.
+
 ``split_key`` and ``join_key`` read a ``TwoQWiseFamily`` key as (base
 key, per-round shifts), one key at a time. ``predicate`` is one key's
 flag at one point, from ``split_key`` and one ``base.eval``: the
@@ -19,6 +22,8 @@ distinct table; the tests compare the two with ``==``.
 
 from typing import Any, Callable, Hashable, Sequence
 
+import numpy as np
+
 from qromlab.hashfam import BaseFamily, TwoQWiseFamily
 from qromlab.oracle import ClassicalOracle, SparseOracleDist
 
@@ -33,6 +38,13 @@ def joint_is_uniform(fam: BaseFamily, points: Sequence[Hashable]) -> bool:
     if rem:
         return False
     return len(counts) == fam.a ** len(points) and set(counts.values()) == {want}
+
+
+def base_values(fam: BaseFamily) -> np.ndarray:
+    """Every base value: row = key, column = domain position."""
+    return np.array(
+        [[fam.eval(key, p) for p in fam.domain] for key in range(fam.key_count)]
+    )
 
 
 def split_key(fam: TwoQWiseFamily, key: int) -> tuple[int, tuple[int, ...]]:

@@ -1,12 +1,16 @@
 """Rank-1 densities: the certified factor and the trace distance that
 uses it, checked against the dense eigenvalue route it replaces."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qromlab.qsim import DensityOnRegister, _rank1_factor, trace_distance
+import density_reference
+from qromlab.qsim import RANK1_FTOL, DensityOnRegister, _rank1_factor, trace_distance
 
 
 def dense_trace_distance(a: DensityOnRegister, b: DensityOnRegister) -> float:
@@ -228,3 +232,134 @@ class TestCertificateBeforeHermitianPass:
         v[2] = 1.0
         assert _rank1_factor(2 * np.outer(v, v)) is not None
         assert _rank1_factor(2.5 * np.outer(v, v)) is None
+
+
+def anti_hermitian(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A random anti-Hermitian matrix with largest entry 1 in modulus."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    k = g - g.conj().T
+    return k / np.abs(k).max()
+
+
+def square_cases(dim: int) -> dict[str, np.ndarray]:
+    """Pure, noisy, mixed and non-finite dim x dim inputs."""
+    rng = np.random.default_rng(dim)
+    v = unit(rng, dim)
+    real = v.real / np.linalg.norm(v.real)
+    pure = np.outer(v, v.conj())
+    skew = anti_hermitian(rng, dim)
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    cases = {
+        "pure-complex": pure,
+        "pure-real": np.outer(real, real),
+        "half-trace": pure / 2,
+        "mixed": g @ g.conj().T / np.trace(g @ g.conj().T).real,
+    }
+    for e in range(-15, -8):
+        cases[f"antihermitian-1e{e}"] = pure + 10.0**e * skew
+    # the residual is linear in the noise scale: these two sit at 0.7
+    # and 1.4 times the bound, which pins the bound from both sides
+    per_scale = density_reference.rank1_residual(cases["antihermitian-1e-14"])[0] / 1e-14
+    for f in (0.7, 1.4):
+        cases[f"residual-{f}-ftol"] = pure + f * RANK1_FTOL / per_scale * skew
+    if dim > 1:
+        p = orthogonal_to(rng, v)
+        cases["rank-two"] = 0.5 * (pure + np.outer(p, p.conj()))
+    # j is the certificate's column; i and k are two other indices
+    j = int(np.argmax(pure.diagonal().real))
+    i, k = (j + 1) % dim, (j + 2) % dim
+    places = {"j,j": (j, j), "i,j": (i, j), "j,i": (j, i), "i,i": (i, i), "i,k": (i, k)}
+    for bad in (np.nan, np.inf, -np.inf, complex(0, np.inf)):
+        for where, at in places.items():
+            m = pure.copy()
+            m[at] = bad
+            cases[f"{bad}-at-{where}"] = m
+    return cases
+
+
+class TestBlockedCertificateMatchesReference:
+    """The blocked residual and the reordered checks against the whole
+    d x d residual and the earlier check order: the same verdict, the
+    same message, and the same stored matrix and factor bit for bit."""
+
+    # far wider than the relative rounding of either residual sum (about
+    # d^2 * 2^-53, under 1e-10 at d = 784): outside it, both routes
+    # certify alike
+    BAND = 1e-6 * RANK1_FTOL
+
+    def check(self, m):
+        want, ref_matrix, ref_factor = density_reference.verdict(m)
+        with warnings.catch_warnings():
+            # a non-finite input reaches the certificate first: it must
+            # raise its one ValueError, not warn on the way
+            warnings.simplefilter("error", RuntimeWarning)
+            if want is not None:
+                with pytest.raises(ValueError) as err:
+                    DensityOnRegister("r", m)
+                assert str(err.value) == want
+                return
+            rho = DensityOnRegister("r", m)
+        assert np.array_equal(rho.matrix, ref_matrix)
+        if ref_factor is None:
+            assert rho._factor is None
+        else:
+            assert np.array_equal(rho._factor, ref_factor)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 31, 32, 33, 64, 784])
+    def test_square_inputs(self, dim):
+        for name, m in square_cases(dim).items():
+            got = np.isfinite(m).all() and density_reference.rank1_residual(m)
+            if got:
+                assert abs(got[0] - RANK1_FTOL) > self.BAND, name
+            self.check(m)
+
+    def test_cases_reach_every_verdict(self):
+        verdicts = {
+            name: density_reference.verdict(m)
+            for dim in (3, 33)
+            for name, m in square_cases(dim).items()
+        }
+        certified = {n for n, (msg, _, f) in verdicts.items() if f is not None}
+        messages = {msg for msg, _, _ in verdicts.values()}
+        assert {"pure-complex", "pure-real", "antihermitian-1e-15",
+                "residual-0.7-ftol"} <= certified
+        assert not {"mixed", "antihermitian-1e-11", "residual-1.4-ftol"} & certified
+        assert None in messages
+        for part in ("non-finite", "not Hermitian", "density trace"):
+            assert any(msg and part in msg for msg in messages), part
+
+    @pytest.mark.parametrize(
+        "m",
+        [
+            np.zeros((2, 3)),
+            np.full((2, 3), np.nan),
+            np.zeros(4),
+            np.eye(4).reshape(2, 2, 4) / 4,
+            np.full((2, 2, 2), np.inf),
+            np.zeros((0, 3)),
+        ],
+        ids=["2x3", "2x3-nan", "vector", "3d", "3d-inf", "0x3"],
+    )
+    def test_non_square_inputs(self, m):
+        self.check(m)
+
+
+def test_empty_density_fails_the_trace_check():
+    with pytest.raises(ValueError) as err:
+        DensityOnRegister("r", np.zeros((0, 0)))
+    assert str(err.value) == "density trace 0.0 not 1"
+
+
+def test_pure_784_validation_stays_near_one_matrix():
+    # the stored copy is d^2 * 16 bytes; the residual adds one block of
+    # rows, where whole d x d v v^H and m - v v^H temporaries added two
+    v = unit(np.random.default_rng(784), 784)
+    m = np.outer(v, v.conj())
+    tracemalloc.start()
+    try:
+        rho = DensityOnRegister("r", m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rho._factor is not None
+    assert peak <= 1.25 * m.nbytes

@@ -15,7 +15,7 @@ from adjuster_reference import (
     reference_efficient_adjuster,
     reference_exact_adjuster,
 )
-from family_reference import join_key, joint_is_uniform, predicate, split_key
+from family_reference import base_values, join_key, joint_is_uniform, predicate, split_key
 from conftest import accept_all_zero
 from qromlab import hashfam, qsim
 from qromlab.adversary import oracle_zoo
@@ -97,6 +97,24 @@ class TestPolynomialFamily:
 
     def test_nonuniform_reduction_detected(self):
         assert not joint_is_uniform(PolynomialFamily((0,), 5, 1, 2), (0,))
+
+
+@pytest.mark.parametrize(
+    "fam",
+    [
+        TableFamily(DOM6, 3),
+        TableFamily((0, 1, 0), 2),
+        PolynomialFamily(DOM6, 7, 1, 4),
+        PolynomialFamily(DOM6, 7, 3, 5),
+        PolynomialFamily((2, 0, 2), 5, 1, 5),
+    ],
+    ids=["table", "table-repeated-point", "poly-degree-1", "poly-degree-3",
+         "poly-repeated-point"],
+)
+def test_base_values_match_eval_on_every_key_and_point(fam):
+    got = hashfam._base_values(fam)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, base_values(fam))
 
 
 FLAG_FAMILIES = [
