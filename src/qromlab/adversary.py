@@ -966,17 +966,22 @@ def honest_wrapper(machine: VerifierMachine, witness) -> QueryAlgorithm:
 EXPECTED_MEMBERS = ("expected-honest", "expected-lazy", "expected-geometric")
 
 
-def _expected_branches(
+def expected_wrapper(
     name: str, machine: VerifierMachine, witness, q: int
-) -> Optional[tuple[tuple[Fraction, QueryAlgorithm], ...]]:
-    """Strict branches of the named expected-mode member, or None when no
-    member has that name at budget q (expected-lazy needs q >= 2k).
+) -> ExpectedAlgorithm:
+    """The named expected-budget honest variant at budget q; padded call
+    pairs cancel exactly.
 
-    Only the named member is built. Expected-lazy's pad count grows with
-    q, so it is checked against ``MAX_PAD_PAIRS`` before any step is.
+    Each member's strict lists prepend i forward/inverse call pairs to
+    the honest wrapper, so the interaction statistics are untouched
+    while the invocation count distribution becomes nontrivial. Only
+    the named member is built. Expected-lazy pads (q - 2k)/2 pairs,
+    none below q = 2k, checked against ``MAX_PAD_PAIRS`` before any step
+    is built. An unknown name, a pad count over the cap and expected
+    invocations over q/2 raise ``ConfigError``.
     """
     if name not in EXPECTED_MEMBERS:
-        return None
+        raise ConfigError(f"unknown expected-mode simulator {name!r}")
     base = honest_wrapper(machine, witness)
     k = machine.spec.rounds
 
@@ -985,36 +990,23 @@ def _expected_branches(
         return QueryAlgorithm(f"honest-padded-{i}", pads + base.steps, budget=k + 2 * i)
 
     if name == "expected-honest":
-        return ((Fraction(1), base),)
-    if name == "expected-lazy":
-        spare = (q - 2 * k) // 2
-        if spare < 0:
-            return None
+        branches = ((Fraction(1), base),)
+    elif name == "expected-lazy":
+        spare = max(0, (q - 2 * k) // 2)
         if spare > MAX_PAD_PAIRS:
-            raise ConfigError(
-                f"expected-lazy at q {q} pads {spare} call pairs, over the cap"
-                f" {MAX_PAD_PAIRS}"
-            )
-        return ((Fraction(1, 2), base), (Fraction(1, 2), padded(spare)))
-    weights = [Fraction(1, 2 ** (i + 1)) for i in range(4)] + [Fraction(1, 16)]
-    return tuple((w, padded(i)) for i, w in enumerate(weights))
+            raise ConfigError(f"expected-lazy at q {q} pads {spare} call pairs,"
+                              f" over the cap {MAX_PAD_PAIRS}")
+        branches = ((Fraction(1, 2), base), (Fraction(1, 2), padded(spare)))
+    else:
+        weights = [Fraction(1, 2 ** (i + 1)) for i in range(4)] + [Fraction(1, 16)]
+        branches = tuple((w, padded(i)) for i, w in enumerate(weights))
+    return ExpectedAlgorithm(name, branches, q)
 
 
-def expected_wrappers(
-    machine: VerifierMachine, witness, q: int
-) -> tuple[ExpectedAlgorithm, ...]:
-    """Expected-budget honest variants; padded call pairs cancel exactly.
-
-    Each member's strict lists prepend i forward/inverse call pairs to
-    the honest wrapper, so the interaction statistics are untouched
-    while the invocation count distribution becomes nontrivial.
-    """
-    members = ((name, _expected_branches(name, machine, witness, q))
-               for name in EXPECTED_MEMBERS)
-    return tuple(
-        ExpectedAlgorithm(name, branches, q)
-        for name, branches in members if branches is not None
-    )
+def expected_wrappers(machine: VerifierMachine, witness, q: int) -> tuple[ExpectedAlgorithm, ...]:
+    """``expected_wrapper`` of every name in ``EXPECTED_MEMBERS``, in that
+    order. Below q = 2k expected-honest fails the budget check first."""
+    return tuple(expected_wrapper(name, machine, witness, q) for name in EXPECTED_MEMBERS)
 
 
 def _prep_column(dim: int, vec) -> np.ndarray:

@@ -53,6 +53,7 @@ from qromlab.oracle import (
     sparse_vs_zero_bound,
 )
 from qromlab.pipeline import (
+    PROTOCOLS,
     THEOREMS,
     ExperimentConfig,
     ExperimentReport,
@@ -71,13 +72,6 @@ from qromlab.transforms import (
 )
 
 DEMO_TOL = 1e-10
-
-# stand-in statements per protocol, used when --protocol overrides the stock one
-PROTOCOL_INSTANCES = {
-    "toy-qr": ((4, 16), (5, 20)),
-    "toy-table": ((1, 3), ()),
-    "toy-guess": ((1,), (0,)),
-}
 
 
 def _accept_all_zero(alg: QueryAlgorithm) -> Callable[[ClassicalOracle], object]:
@@ -285,8 +279,8 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = default_config(args.theorem)
     fields: dict = {}
     if args.protocol is not None and args.protocol != cfg.protocol:
-        yes, no = PROTOCOL_INSTANCES[args.protocol]
-        fields.update(protocol=args.protocol, yes_instances=yes, no_instances=no)
+        row = PROTOCOLS[args.protocol]  # its stand-ins replace the stock statements
+        fields.update(protocol=args.protocol, yes_instances=row.yes, no_instances=row.no)
     if args.reps is not None:
         fields["reps"] = args.reps
     if args.eps is not None:
@@ -332,7 +326,7 @@ def main(argv: list[str] | None = None) -> int:
 
     run = sub.add_parser("run", help="run one decision experiment")
     run.add_argument("theorem", choices=THEOREMS)
-    run.add_argument("--protocol", choices=sorted(PROTOCOL_INSTANCES),
+    run.add_argument("--protocol", choices=sorted(PROTOCOLS),
                      help="override the experiment's stock protocol")
     run.add_argument("--reps", type=int, help="parallel repetitions (toy-qr)")
     run.add_argument("--eps", type=_parse_eps, metavar="B/A",

@@ -19,6 +19,9 @@ once and merging runs into weighted paths. The extraction provers are
 predicates on those paths. The expected-time experiment instead drives
 the dense verifier machines from ``adversary`` and checks budget,
 acceptance, and conditional-state facts on the exact output mixture.
+Each kind of name has one table: ``EXPERIMENTS`` (verifier kind, stock
+config, runner) and ``PROTOCOLS`` (builder, stand-in statements). A row
+looks its function up by this module's name for it each time it calls.
 """
 
 from __future__ import annotations
@@ -31,16 +34,15 @@ import json
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from qromlab.adversary import (
-    ExpectedAlgorithm,
-    _expected_branches,
     build_verifier,
     challenge_structure,
     cont_density,
+    expected_wrapper,
     final_cont_state,
     pr_budget,
     pr_joint_budget,
@@ -59,14 +61,6 @@ from qromlab.qsim import DensityOnRegister, swap_test, trace_distance
 from qromlab.transforms import _ordered_outcome, _schedule_count, truncate
 from qromlab.walk import _walk
 
-THEOREMS = ("constant-round", "expected-time", "public-coin", "three-round")
-# the verifier flavor each experiment drives, echoed into its report
-_KINDS = {
-    "constant-round": "random_aborting",
-    "expected-time": "superposition",
-    "public-coin": "hash-challenge",
-    "three-round": "response-oracle",
-}
 SLACK = 1e-9  # subtracted from every lower bound before comparing
 TOLERANCE = 1e-10  # added to exact upper bounds
 
@@ -79,15 +73,31 @@ def eps_star(k: int, q: int) -> Fraction:
     return Fraction(1, 256 * k * k * q * q * (4 * k * q + 1) ** (2 * k))
 
 
+class Protocol(NamedTuple):
+    """A protocol: its builder of reps, whether reps is settable, its stand-ins."""
+
+    build: Callable[[int], ProtocolSpec]
+    repeats: bool
+    yes: tuple
+    no: tuple
+
+
+PROTOCOLS = {
+    "toy-qr": Protocol(lambda reps: toy_qr(reps), True, (4, 16), (5, 20)),
+    "toy-table": Protocol(lambda reps: toy_table(), False, (1, 3), ()),
+    "toy-guess": Protocol(lambda reps: toy_guess(), False, (1,), (0,)),
+}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Inputs of one experiment run; everything downstream is derived.
 
     q is the simulator's invocation budget for the experiment at hand:
     verifier calls for the decision experiments, total calls for the
-    expected-time one. eps is the flag density as a rational. The
-    verifier flavor (``_KINDS``), ``SLACK`` and ``TOLERANCE`` are fixed
-    per experiment and only echoed into the report.
+    expected-time one. eps is the flag density as a rational. The default
+    statements are toy-qr's in ``PROTOCOLS``; the verifier flavor
+    (``EXPERIMENTS``), ``SLACK`` and ``TOLERANCE`` are fixed and only echoed.
     """
 
     protocol: str = "toy-qr"
@@ -95,8 +105,8 @@ class ExperimentConfig:
     q: int = 2
     eps: Fraction = Fraction(1, 4)
     simulator: str = "honest-wrapper"
-    yes_instances: tuple = (4, 16)
-    no_instances: tuple = (5, 20)
+    yes_instances: tuple = PROTOCOLS["toy-qr"].yes
+    no_instances: tuple = PROTOCOLS["toy-qr"].no
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "eps", Fraction(self.eps))
@@ -114,33 +124,35 @@ class ExperimentConfig:
 
 def build_protocol(cfg: ExperimentConfig) -> ProtocolSpec:
     """The protocol battery a configuration names."""
-    if cfg.protocol == "toy-qr":
-        return toy_qr(cfg.reps)
-    build = {"toy-table": toy_table, "toy-guess": toy_guess}.get(cfg.protocol)
-    if build is None:
+    row = PROTOCOLS.get(cfg.protocol)
+    if row is None:
         raise ConfigError(f"unknown protocol {cfg.protocol!r}")
-    if cfg.reps != ExperimentConfig.reps:
+    if not row.repeats and cfg.reps != ExperimentConfig.reps:
         raise ConfigError(f"protocol {cfg.protocol!r} has no repetitions to set")
-    return build()
+    return row.build(cfg.reps)
+
+
+# experiment name -> (verifier flavor echoed into its report, stock config, runner)
+EXPERIMENTS = {
+    "constant-round": ("random_aborting", ExperimentConfig(),
+                       lambda cfg: decide_constant_round(cfg)),
+    "expected-time": ("superposition", ExperimentConfig(
+        protocol="toy-table", q=8, simulator="expected-geometric",
+        yes_instances=PROTOCOLS["toy-table"].yes, no_instances=PROTOCOLS["toy-table"].no,
+    ), lambda cfg: expected_time_pipeline(cfg)),
+    "public-coin": ("hash-challenge", ExperimentConfig(eps=Fraction(1, 2)),
+                    lambda cfg: decide_public_coin(cfg)),
+    "three-round": ("response-oracle", ExperimentConfig(q=1, eps=Fraction(1, 2)),
+                    lambda cfg: decide_three_round(cfg)),
+}
+THEOREMS = tuple(EXPERIMENTS)
 
 
 def default_config(theorem: str) -> ExperimentConfig:
     """The stock configuration each experiment is calibrated on."""
-    if theorem == "constant-round":
-        return ExperimentConfig()
-    if theorem == "expected-time":
-        return ExperimentConfig(
-            protocol="toy-table",
-            q=8,
-            simulator="expected-geometric",
-            yes_instances=(1, 3),
-            no_instances=(),
-        )
-    if theorem == "public-coin":
-        return ExperimentConfig(eps=Fraction(1, 2))
-    if theorem == "three-round":
-        return ExperimentConfig(q=1, eps=Fraction(1, 2))
-    raise ConfigError(f"unknown experiment {theorem!r}")
+    if theorem not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {theorem!r}")
+    return EXPERIMENTS[theorem][1]
 
 
 @dataclass(frozen=True)
@@ -191,7 +203,7 @@ def _report(theorem: str, cfg: ExperimentConfig, spec: ProtocolSpec,
         "q": cfg.q,
         "eps": str(cfg.eps),
         "eps_star": str(eps_star(spec.rounds, cfg.q)),
-        "kind": _KINDS[theorem],
+        "kind": EXPERIMENTS[theorem][0],
         "simulator": cfg.simulator,
         "yes": [str(x) for x in cfg.yes_instances],
         "no": [str(x) for x in cfg.no_instances],
@@ -821,13 +833,6 @@ def _phi(eps, k: int) -> DensityOnRegister:
     return DensityOnRegister("Cont", np.outer(v, v))
 
 
-def _expected_sim(name: str, machine, witness, q: int) -> ExpectedAlgorithm:
-    branches = _expected_branches(name, machine, witness, q)
-    if branches is None:
-        raise ConfigError(f"unknown expected-mode simulator {name!r}")
-    return ExpectedAlgorithm(name, branches, q)
-
-
 def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """Budget, acceptance, and conditional-state checks for
     expected-budget simulators against the dense verifier kinds.
@@ -853,7 +858,7 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None) -> Experiment
         for tag, eps in (("", cfg.eps), ("-calibrated", eps_star(k, cfg.q))):
             phi = _phi(eps, k)
             coherent = build_verifier("superposition", spec, x, eps=eps)
-            sim_obj = _expected_sim(cfg.simulator, coherent, witness, cfg.q)
+            sim_obj = expected_wrapper(cfg.simulator, coherent, witness, cfg.q)
             res = run_simulator(sim_obj, coherent)
             accept, rho = cont_density(res)
             halted = pr_budget(res, cfg.q)
@@ -908,12 +913,6 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None) -> Experiment
 def run_experiment(theorem: str,
                    cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
     """One named experiment end to end, on its stock or a given config."""
-    if theorem == "constant-round":
-        return decide_constant_round(cfg)
-    if theorem == "expected-time":
-        return expected_time_pipeline(cfg)
-    if theorem == "public-coin":
-        return decide_public_coin(cfg)
-    if theorem == "three-round":
-        return decide_three_round(cfg)
-    raise ConfigError(f"unknown experiment {theorem!r}")
+    if theorem not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {theorem!r}")
+    return EXPERIMENTS[theorem][2](cfg)

@@ -98,19 +98,6 @@ class RegisterLayout:
             flat += val * stride
         return flat
 
-    def decode(self, flat: int) -> tuple[int, ...]:
-        if not 0 <= flat < self.total_dim:
-            raise ValueError(f"index {flat} out of range")
-        out = []
-        for d in self.dims:
-            out.append(flat % d)
-            flat //= d
-        return tuple(out)
-
-    def digit(self, flat: int, name: str) -> int:
-        i = self.index(name)
-        return (flat // self.strides[i]) % self.dims[i]
-
 
 @dataclass(frozen=True)
 class StateVector:
@@ -205,11 +192,6 @@ class DensityOnRegister:
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "_factor", factor)
-
-    @classmethod
-    def pure(cls, register: str, vector: Sequence[complex]) -> "DensityOnRegister":
-        v = np.asarray(vector, dtype=complex).reshape(-1)
-        return cls(register, np.outer(v, v.conj()))
 
     @property
     def dim(self) -> int:

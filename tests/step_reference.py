@@ -30,6 +30,18 @@ from qromlab.qsim import ATOL_UNITARY
 MAX_MATRIX_DIM = 2**11
 
 
+def decode(layout, flat: int) -> tuple[int, ...]:
+    """The register digits of a flat basis index, first register least
+    significant (the inverse of ``RegisterLayout.encode``)."""
+    if not 0 <= flat < layout.total_dim:
+        raise ValueError(f"index {flat} out of range")
+    out = []
+    for d in layout.dims:
+        out.append(flat % d)
+        flat //= d
+    return tuple(out)
+
+
 def reference_step_perm(machine, r=None, h=None) -> np.ndarray:
     """Basis permutation of one call: count, swap, respond, decide. A
     machine without an R or an H register reads ``r`` or ``h`` instead."""
@@ -94,7 +106,7 @@ def reference_step_perm(machine, r=None, h=None) -> np.ndarray:
 
     perm = np.empty(lay.total_dim, dtype=np.int64)
     for flat in range(lay.total_dim):
-        dg = list(lay.decode(flat))
+        dg = list(decode(lay, flat))
         j = dg[i_count]
         dg[i_count] = (j + 1) % k
         slot = i_msg[j]

@@ -9,7 +9,7 @@ import pytest
 
 import pinned_reference
 from qromlab import adversary, cli, pipeline
-from qromlab.adversary import MAX_PAD_PAIRS, _expected_branches, build_verifier
+from qromlab.adversary import MAX_PAD_PAIRS, build_verifier, expected_wrapper
 from qromlab.protocol import toy_table
 from qromlab.cli import LEMMAS, main
 from qromlab.pipeline import THEOREMS
@@ -93,6 +93,8 @@ class TestRun:
              "protocol 'toy-table' has no repetitions to set"),
             (["constant-round", "--protocol", "toy-guess", "--reps", "2"],
              "protocol 'toy-guess' has no repetitions to set"),
+            (["expected-time", "--sim", "expected-lazy", "--q", "3"],
+             "expected-lazy: expected invocations 2 exceed half the budget 3"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):
@@ -131,10 +133,10 @@ class TestRun:
         def only_geometric(name, *args):
             if name != "expected-geometric":
                 raise AssertionError(f"built the unnamed member {name}")
-            return _expected_branches(name, *args)
+            return expected_wrapper(name, *args)
 
-        monkeypatch.setattr(adversary, "_expected_branches", only_geometric)
-        monkeypatch.setattr(pipeline, "_expected_branches", only_geometric)
+        monkeypatch.setattr(adversary, "expected_wrapper", only_geometric)
+        monkeypatch.setattr(pipeline, "expected_wrapper", only_geometric)
         t0 = time.perf_counter()
         code = main(["run", "expected-time", "--sim", "expected-geometric",
                      "--q", str(10**9)])
@@ -164,11 +166,11 @@ class TestRun:
         spec = toy_table()
         machine = build_verifier("superposition", spec, 1, eps=Fraction(1, 4))
         q = 2 * MAX_PAD_PAIRS + 4
-        (_, base), (_, padded) = _expected_branches(
-            "expected-lazy", machine, spec.witness_map(1)[0], q)
+        (_, base), (_, padded) = expected_wrapper(
+            "expected-lazy", machine, spec.witness_map(1)[0], q).branches
         assert padded.invocations == base.invocations + 2 * MAX_PAD_PAIRS
 
-    @pytest.mark.parametrize("protocol", sorted(cli.PROTOCOL_INSTANCES))
+    @pytest.mark.parametrize("protocol", sorted(pipeline.PROTOCOLS))
     @pytest.mark.parametrize("theorem", THEOREMS)
     def test_every_protocol_override_reports_or_stops(self, theorem, protocol, capsys):
         # a traceback would escape main and fail the test
@@ -324,7 +326,7 @@ def _flag_rows():
     ]
 
 
-@pytest.mark.parametrize("protocol", ["stock", *sorted(cli.PROTOCOL_INSTANCES)])
+@pytest.mark.parametrize("protocol", ["stock", *sorted(pipeline.PROTOCOLS)])
 @pytest.mark.parametrize("theorem", THEOREMS)
 def test_flag_grid_reports_or_stops_with_one_line(theorem, protocol, capsys):
     """Every theorem and protocol under a pairwise cover of the other flags:

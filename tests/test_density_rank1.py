@@ -35,6 +35,11 @@ def hermitian_first_verdict(m) -> str | None:
     return None
 
 
+def pure_density(register: str, vector) -> DensityOnRegister:
+    v = np.asarray(vector, dtype=complex)
+    return DensityOnRegister(register, np.outer(v, v.conj()))
+
+
 def unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     return v / np.linalg.norm(v)
@@ -61,20 +66,20 @@ class TestFactoredRouteAgreesWithDense:
             v, p = v.real / np.linalg.norm(v.real), p.real / np.linalg.norm(p.real)
         w = np.sqrt(1 - mix) * v + np.sqrt(mix) * p  # from equal to unrelated
         w = w / np.linalg.norm(w)
-        a, b = DensityOnRegister.pure("r", v), DensityOnRegister.pure("r", w)
+        a, b = pure_density("r", v), pure_density("r", w)
         assert a._factor is not None and b._factor is not None
         assert abs(trace_distance(a, b) - dense_trace_distance(a, b)) <= 1e-12
 
     def test_basis_states(self):
-        a = DensityOnRegister.pure("r", np.eye(5)[1])
-        b = DensityOnRegister.pure("r", np.eye(5)[3])
+        a = pure_density("r", np.eye(5)[1])
+        b = pure_density("r", np.eye(5)[3])
         assert trace_distance(a, b) == pytest.approx(1.0, abs=1e-15)
         assert trace_distance(a, a) <= 1e-15
 
     @pytest.mark.parametrize("dim", [3, 784])
     def test_equal_states(self, dim):
         v = unit(np.random.default_rng(dim), dim)
-        a, b = DensityOnRegister.pure("r", v), DensityOnRegister.pure("r", v.copy())
+        a, b = pure_density("r", v), pure_density("r", v.copy())
         assert trace_distance(a, b) <= 1e-14
 
     @pytest.mark.parametrize("dim", [3, 784])
@@ -83,15 +88,15 @@ class TestFactoredRouteAgreesWithDense:
         v = unit(rng, dim)
         delta = 1e-9
         w = (v + delta * orthogonal_to(rng, v)) / np.sqrt(1 + delta**2)
-        a, b = DensityOnRegister.pure("r", v), DensityOnRegister.pure("r", w)
+        a, b = pure_density("r", v), pure_density("r", w)
         got = trace_distance(a, b)
         want = delta / np.sqrt(1 + delta**2)
         assert abs(got - want) <= 1e-6 * want
 
     def test_two_dimensions_stay_dense(self):
         rng = np.random.default_rng(2)
-        a = DensityOnRegister.pure("r", unit(rng, 2))
-        b = DensityOnRegister.pure("r", unit(rng, 2))
+        a = pure_density("r", unit(rng, 2))
+        b = pure_density("r", unit(rng, 2))
         assert a._factor is not None
         assert trace_distance(a, b) == dense_trace_distance(a, b)
 
@@ -107,7 +112,7 @@ class TestCertification:
         return np.outer(v, v.conj()) + weight * np.outer(p, p.conj())
 
     def test_factor_reproduces_the_matrix(self):
-        rho = DensityOnRegister.pure("r", self.v)
+        rho = pure_density("r", self.v)
         f = rho._factor
         assert np.linalg.norm(rho.matrix - np.outer(f, f.conj())) <= 1e-15
         assert abs(np.vdot(f, self.v)) == pytest.approx(1.0, abs=1e-15)
@@ -119,7 +124,7 @@ class TestCertification:
     def test_negative_direction_within_floor_takes_dense_route(self):
         rho = DensityOnRegister("r", self.with_direction(-5e-11))
         assert rho._factor is None
-        other = DensityOnRegister.pure("r", self.p)
+        other = pure_density("r", self.p)
         assert trace_distance(rho, other) == dense_trace_distance(rho, other)
 
     def test_mixed_state_keeps_no_factor(self):
@@ -127,7 +132,7 @@ class TestCertification:
         m = rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6))
         rho = DensityOnRegister("r", m @ m.conj().T / np.trace(m @ m.conj().T).real)
         assert rho._factor is None
-        pure = DensityOnRegister.pure("r", self.v)
+        pure = pure_density("r", self.v)
         assert trace_distance(rho, pure) == dense_trace_distance(rho, pure)
 
     def test_rank_two_mixture_keeps_no_factor(self):
@@ -160,7 +165,7 @@ class TestCertification:
             DensityOnRegister("r", np.full((3, 3), np.nan))
 
     def test_factor_is_internal(self):
-        rho = DensityOnRegister.pure("r", self.v)
+        rho = pure_density("r", self.v)
         assert "_factor" not in repr(rho)
         with pytest.raises(TypeError):
             DensityOnRegister("r", rho.matrix, _factor=self.v)

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from qromlab import pipeline
 from qromlab.adversary import EXPECTED_MEMBERS, challenge_structure
 from qromlab.pipeline import (
     THEOREMS,
@@ -97,6 +98,31 @@ class TestConfig:
             build_protocol(ExperimentConfig(protocol="toy-rsa"))
         with pytest.raises(ValueError):
             run_experiment("simulated-annealing")
+        with pytest.raises(ConfigError, match="^unknown experiment 'annealing'$"):
+            run_experiment("annealing", ExperimentConfig())
+
+    def test_tables_reach_rebound_module_names(self, monkeypatch):
+        # perfbench's tracer rebinds module attributes to counting wrappers;
+        # the tables must call through the rebound names, not compare or
+        # keep the original function objects
+        calls = {"decide_three_round": 0, "toy_qr": 0}
+
+        def counting(name):
+            original = getattr(pipeline, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(pipeline, name, wrapper)
+
+        counting("decide_three_round")
+        counting("toy_qr")
+        assert run_experiment("three-round").theorem == "three-round"
+        assert calls["decide_three_round"] == 1
+        built = calls["toy_qr"]
+        assert build_protocol(ExperimentConfig(reps=2)).name == "toy-qr-t2"
+        assert calls["toy_qr"] == built + 1
 
 
 class TestSimulatorTrace:

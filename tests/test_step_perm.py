@@ -17,7 +17,7 @@ from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import ProtocolSpec, toy_guess, toy_table
 from pinned_reference import assignments, pinned_machine
-from step_reference import fstar_oracle, reference_step_perm
+from step_reference import decode, fstar_oracle, reference_step_perm
 
 EPS4 = Fraction(1, 4)
 PDOM = prefix_domain((0, 1), 2)
@@ -86,7 +86,7 @@ def test_step_perm_matches_fstar_oracle(case):
     ctrl = pos["Count"]  # control registers lead the layout
     tables: dict = {}
     for flat in range(lay.total_dim):
-        dg = list(lay.decode(flat))
+        dg = list(decode(lay, flat))
         j = dg[pos["Count"]]
         key = (tuple(dg[:ctrl]), j)
         if key not in tables:
