@@ -21,7 +21,10 @@ row. The aborting kind's control registers stay classical, so it is
 simulated by enumerating every control assignment exactly and mixing
 the resulting branches with rational weights: each assignment is a row,
 and its verifier call is the strided slice of the machine's permutation,
-moved for every row by ``qsim``'s one permutation kernel.
+moved for every row by ``qsim``'s one permutation kernel. Forward/inverse
+call pairs that lead a step list, as the expected-budget wrappers' pads
+do, are counted but not applied wherever they cancel bit for bit, and
+strict branches left with the same steps share one run.
 
 A strict run's final rows stay stacked as one ``StrictRun``, the only
 form a run's result takes: ``run_query_algorithm`` returns one, and a
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
 from typing import Hashable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -68,8 +71,9 @@ from qromlab.qsim import (  # noqa: F401
 
 VERIFIER_KINDS = ("random_aborting", "superposition")
 MAX_STATE_DIM = 2**17
-# expected-lazy's forward/inverse call pairs: a run's time is linear in them,
-# about 10 s of `run expected-time` at the cap on a 2-core x86-64 host
+# expected-lazy's forward/inverse call pairs: the executor counts them
+# without applying them, but the padded step tuple is 2·pairs long, and
+# `invocations` and `transforms.truncate` scan it step by step
 MAX_PAD_PAIRS = 2**12
 _EXACT_TOL = 1e-12
 
@@ -803,14 +807,54 @@ def run_simulator(
     each strict branch runs once, and the rows are mixed with exact
     weights. The coherent kind runs as one dense row. Each strict branch
     is one ``StrictRun``, and an expected-mode simulator's stopping
-    weight is set once on its branch's run, not on each row.
+    weight is set once on its branch's run, not on each row. Branches
+    whose steps after their cancelled pads (``_cancelled_pairs``) are the
+    same step objects, over the same work and output registers, share
+    one run: each gets its own ``StrictRun`` with its own weight and
+    call counts over the shared rows, tables and outcomes.
     """
 
     verifier = machine if machine.kind == "superposition" else machine._control_rows
     strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
-    return SimulationResult(
-        machine.kind, tuple(_run_rows(alg, verifier, weight=w) for w, alg in strict)
-    )
+    shared: dict[tuple, tuple[int, StrictRun]] = {}
+    runs = []
+    for w, alg in strict:
+        skip = 2 * _cancelled_pairs(alg.steps, verifier)
+        # steps compare by identity: a Unitary holds an array and has no hash
+        key = (tuple(map(id, alg.steps[skip:])), alg.work_registers, alg.output_registers)
+        if key in shared:
+            skip0, run = shared[key]
+            calls = run.invocations + skip - skip0  # with no tables, all verifier calls
+            run = replace(run, weight=w, invocations=calls,
+                          counts=(("verifier", calls),) if calls else ())
+        else:
+            run = _run_rows(alg, verifier, weight=w)
+            shared[key] = skip, run
+        runs.append(run)
+    return SimulationResult(machine.kind, tuple(runs))
+
+
+_PAD_PAIR = (CallVerifier(), CallVerifier(inverse=True))
+
+
+def _cancelled_pairs(steps: tuple[Step, ...], verifier) -> int:
+    """How many forward/inverse call pairs lead a step list and leave the
+    start rows of a run against ``verifier`` bit for bit.
+
+    Against ``_ControlRows`` a pair is a scatter and its inverse gather.
+    Against a machine of k >= 2 rounds the forward call moves Count from
+    0 to 1, so ``_apply_adjusters`` finds its Count = 0 block all zero in
+    both directions and the pair is a permutation and its inverse. At
+    k = 1 the rotation and its adjoint act on the live block and round
+    off, so no pair is skipped; nor without a verifier, where a call is
+    an error.
+    """
+    if verifier is None or (isinstance(verifier, VerifierMachine) and verifier.k < 2):
+        return 0
+    n = 0
+    while steps[2 * n:2 * n + 2] == _PAD_PAIR:
+        n += 1
+    return n
 
 
 def _table(tables: dict, name: str) -> ClassicalOracle:
@@ -840,8 +884,10 @@ def _run_rows(
     the rows stay assignment-major. Each row keeps its own weight, times
     the assignment's weight at the end, and its own outcomes and tables;
     queries are answered row by row through ``quantum_query``.
-    ``reprogram`` is ``run_query_algorithm``'s, and ``weight`` is the
-    run's stopping weight.
+    The forward/inverse call pairs that lead the list and cancel on the
+    start rows (``_cancelled_pairs``) count 2 calls each and are not
+    applied. ``reprogram`` is ``run_query_algorithm``'s, and ``weight``
+    is the run's stopping weight.
     """
     if verifier is None:
         visible, start = _visible_registers(alg, None), alg._work_start
@@ -860,7 +906,8 @@ def _run_rows(
     weights: list = [Fraction(1)] * row.size
     outcomes: list[tuple] = [()] * row.size
     tables: list[dict] = [dict(sorted((oracles or {}).items()))] * row.size
-    counts: dict[str, int] = {}
+    pairs = _cancelled_pairs(alg.steps, verifier)
+    counts: dict[str, int] = {"verifier": 2 * pairs} if pairs else {}
     name, slots = reprogram or (None, {})
 
     def collapse(t: np.ndarray, register: str):
@@ -890,7 +937,7 @@ def _run_rows(
             tabs[name] = tab.reprogram(tab.domain[o], value)
             tables[i] = tabs
 
-    for step in alg.steps:
+    for step in alg.steps[2 * pairs:]:
         _check_visible(step, visible)
         t = amps.reshape((row.size,) + shape)
         if isinstance(step, Unitary):
@@ -973,12 +1020,15 @@ def expected_wrapper(
     pairs cancel exactly.
 
     Each member's strict lists prepend i forward/inverse call pairs to
-    the honest wrapper, so the interaction statistics are untouched
-    while the invocation count distribution becomes nontrivial. Only
-    the named member is built. Expected-lazy pads (q - 2k)/2 pairs,
-    none below q = 2k, checked against ``MAX_PAD_PAIRS`` before any step
-    is built. An unknown name, a pad count over the cap and expected
-    invocations over q/2 raise ``ConfigError``.
+    the honest wrapper's own step objects, so the interaction statistics
+    are untouched while the invocation count distribution becomes
+    nontrivial. The executor counts those pairs without applying them
+    where they cancel bit for bit, and the lists then share one run of
+    the honest steps. Only the named member is built. Expected-lazy pads
+    (q - 2k)/2 pairs, none below q = 2k, checked against
+    ``MAX_PAD_PAIRS`` before any step is built. An unknown name, a pad
+    count over the cap and expected invocations over q/2 raise
+    ``ConfigError``.
     """
     if name not in EXPECTED_MEMBERS:
         raise ConfigError(f"unknown expected-mode simulator {name!r}")

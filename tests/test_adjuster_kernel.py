@@ -119,13 +119,20 @@ def test_every_stock_call_matches_the_full_einsum(stock_calls):
 
 
 def test_a_stock_run_rotates_few_columns(stock_calls):
-    """Most stock calls hand the kernel an all-zero block, and the rest
-    a block with 2 of its 32 columns nonzero."""
+    """Half the stock calls hand the kernel an all-zero block, and the
+    rest a block with 2 of its 32 columns nonzero.
+
+    The stock run simulates expected-geometric against the coherent kind
+    at 2 statements × 2 densities. Its 5 strict branches pad 0-4 call
+    pairs ahead of the same honest steps, so the pads are counted, not
+    applied, and the 5 branches share one run of the 2 honest calls: 4
+    runs of 2 calls. A first call moves Count from 0 to 1 and leaves the
+    Count = 0 block empty; a second finishes the transcript there."""
     nonzero = []
     for machine, rows, _, _ in stock_calls:
         block = block_of(machine, rows)
         assert block[0].shape[:2] + block[0].shape[3:] == (4, 4, 2)
         nonzero.append(int((block != 0).any(axis=3).sum()))
-    assert len(nonzero) == 120
-    assert nonzero.count(0) == 100
-    assert nonzero.count(2) == 20
+    assert len(nonzero) == 8
+    assert nonzero.count(0) == 4
+    assert nonzero.count(2) == 4

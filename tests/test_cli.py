@@ -129,7 +129,8 @@ class TestRun:
         assert f"simulator={sim}" in captured.out
 
     def test_expected_geometric_reports_at_a_huge_budget(self, monkeypatch, capsys):
-        # only the named member is built; expected-lazy would pad (q - 4)/2 call pairs
+        # only the named member is built; expected-lazy would refuse to pad
+        # (q - 4)/2 call pairs, over MAX_PAD_PAIRS
         def only_geometric(name, *args):
             if name != "expected-geometric":
                 raise AssertionError(f"built the unnamed member {name}")
@@ -145,6 +146,17 @@ class TestRun:
         assert code == 0 and captured.err == ""
         assert "simulator=expected-geometric" in captured.out
         assert elapsed < 10.0  # about 0.5 s on a 2-core x86-64 host
+
+    def test_expected_lazy_reports_at_the_pad_cap(self, capsys):
+        # the largest q the cap admits: 4096 pad pairs, counted and not applied
+        q = 2 * MAX_PAD_PAIRS + 5
+        t0 = time.perf_counter()
+        code = main(["run", "expected-time", "--sim", "expected-lazy", "--q", str(q)])
+        elapsed = time.perf_counter() - t0
+        captured = capsys.readouterr()
+        assert code == 0 and captured.err == ""
+        assert f"q={q}  simulator=expected-lazy" in captured.out
+        assert elapsed < 2.0  # about 0.05 s on a 2-core x86-64 host
 
     def test_expected_lazy_over_the_pad_cap_stops_at_once(self, monkeypatch, capsys):
         def unreachable(*args):

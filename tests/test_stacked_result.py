@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from qromlab import adversary
 from qromlab.adversary import (
+    EXPECTED_MEMBERS,
     CallVerifier,
     ExpectedAlgorithm,
     Measure,
@@ -22,6 +23,7 @@ from qromlab.adversary import (
     Unitary,
     build_verifier,
     cont_density,
+    expected_wrapper,
     expected_wrappers,
     honest_wrapper,
     pr_budget,
@@ -30,7 +32,7 @@ from qromlab.adversary import (
     run_simulator,
 )
 from qromlab.pipeline import build_protocol, default_config, eps_star
-from qromlab.protocol import toy_table
+from qromlab.protocol import ConfigError, toy_guess, toy_table
 from qromlab.qsim import RegisterLayout
 from qromlab.transforms import truncate
 import result_reference as ref
@@ -80,19 +82,45 @@ def check(sim, machine):
     return got
 
 
+def step_key(step):
+    """A step by value; a ``Unitary`` by its registers and matrix bytes."""
+    return (step.registers, step.matrix.tobytes()) if isinstance(step, Unitary) else step
+
+
+def sim_key(sim):
+    strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
+    return tuple((w, alg.work_registers, tuple(map(step_key, alg.steps)))
+                 for w, alg in strict)
+
+
+def members_up_to_40(machine, witness):
+    """Every member at every budget q up to 40 that admits it, and its
+    truncation at q, each once by value."""
+    seen = set()
+    for q in range(41):
+        for name in EXPECTED_MEMBERS:
+            try:
+                member = expected_wrapper(name, machine, witness, q)
+            except ConfigError:
+                continue
+            for sim in (member, truncate(member, q)):
+                if sim_key(sim) not in seen:
+                    seen.add(sim_key(sim))
+                    yield sim
+
+
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("eps", DENSITIES, ids=str)
 @pytest.mark.parametrize("x", CFG.yes_instances + CFG.no_instances)
 def test_expected_time_statements(x, eps, kind):
     machine = build_verifier(kind, SPEC, x, eps=eps)
     w = SPEC.witness_map(x)[0]
-    members = expected_wrappers(machine, w, CFG.q)
-    sims = [honest_wrapper(machine, w), give_up(machine), *members]
-    sims += [truncate(s, CFG.q) for s in members]
+    sims = [honest_wrapper(machine, w), give_up(machine), *members_up_to_40(machine, w)]
     for sim in sims:
         got = check(sim, machine)
         strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
         assert [run.weight for run in got.runs] == [w for w, _ in strict]
+    assert len(sims) > 20  # lazy pads 0 to 18 pairs
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -113,6 +141,127 @@ def test_float_rows_add_in_row_order(kind, seed):
     for sim in (alg, mixed):
         got = check(sim, machine)
         assert any(isinstance(br.weight, float) for br in result_branches(got))
+
+
+def run_counting_calls(sim, machine):
+    """The result of sim vs machine, and how many verifier calls the
+    executor applied: each is one ``_permute_rows``, on the rows of the
+    aborting kind or inside ``apply_step`` for the coherent kind."""
+    calls = []
+    real = adversary._permute_rows
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(adversary, "_permute_rows", counted)
+        got = run_simulator(sim, machine)
+    return got, len(calls)
+
+
+def check_applied(sim, machine, applied):
+    got, calls = run_counting_calls(sim, machine)
+    assert_same_result(got, ref.run_simulator(sim, machine))
+    assert calls == applied
+    return got
+
+
+PAIR = (CallVerifier(), CallVerifier(inverse=True))
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("q, applied", [(13, 4), (14, 2), (21, 3)])
+def test_a_cut_inside_the_pads_applies_what_is_left(kind, q, applied):
+    """Pads of 6 and 12 shared pairs ahead of the honest steps, cut at q.
+
+    At q 13 the 12-pair list keeps 6 pairs and one forward call, which is
+    applied (1), the 6-pair list keeps its pads and U, CV, U (1), and the
+    honest list makes its 2. At q 14 the long list keeps 7 whole pairs
+    and nothing else (0), and the 6-pair list is not cut, so it shares
+    the honest run (2). At q 21 the long list again ends on one forward
+    call (1) next to the shared honest run (2)."""
+    machine = machine_of(kind, Fraction(1, 3))
+    base = honest_wrapper(machine, toy_table().witness_map(1)[0])
+    mid = QueryAlgorithm("mid", PAIR * 6 + base.steps, 14)
+    long = QueryAlgorithm("long", PAIR * 12 + base.steps, 26)
+    mix = ExpectedAlgorithm(
+        "pads", ((Fraction(3, 4), base), (Fraction(1, 8), mid), (Fraction(1, 8), long)), 40)
+    cut = truncate(mix, q)
+    if q % 2:
+        assert cut.branches[2][1].steps[-1] == CallVerifier()
+    check_applied(cut, machine, applied)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_a_pair_after_another_step_is_applied(kind):
+    """Only the pairs that lead a list are skipped: after a Unitary or a
+    Measure, every call is applied."""
+    machine = machine_of(kind, Fraction(1, 4))
+    u = Unitary(("M",), _unitary(2, 5))
+    for lead in (u, Measure("M")):
+        alg = QueryAlgorithm("late-pairs", (lead,) + PAIR * 2 + (CallVerifier(),), 5)
+        check_applied(alg, machine, 5)
+        alg = QueryAlgorithm("both", PAIR * 3 + (lead,) + PAIR + (CallVerifier(),), 9)
+        check_applied(alg, machine, 3)
+
+
+@pytest.mark.parametrize("eps", DENSITIES, ids=str)
+def test_one_round_coherent_pads_are_applied(eps):
+    """At k = 1 a forward call leaves Count at 0, so the adjuster and its
+    adjoint rotate the live block and round off: every pad is applied.
+    Expected-geometric's 5 lists differ, so none is shared."""
+    spec = toy_guess()
+    machine = build_verifier("superposition", spec, 1, eps=eps)
+    w = spec.witness_map(1)[0]
+    geometric = expected_wrapper("expected-geometric", machine, w, 40)
+    check_applied(geometric, machine, 1 + 3 + 5 + 7 + 9)
+    for sim in members_up_to_40(machine, w):
+        check(sim, machine)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_shared_steps_in_other_work_registers_are_not_shared(kind):
+    """Lists of the same step objects share a run only over the same work
+    registers: ``plain`` and ``again`` share one, ``wide`` has its own."""
+    machine = machine_of(kind, Fraction(1, 3))
+    steps = (Unitary(("M",), _unitary(2, 7)), CallVerifier(), Measure("M"))
+    plain = QueryAlgorithm("plain", steps, 1)
+    wide = QueryAlgorithm("wide", steps, 1, (("W1", 2),))
+    again = QueryAlgorithm("again", steps, 3)
+    mix = ExpectedAlgorithm(
+        "mix", ((Fraction(1, 2), plain), (Fraction(1, 4), wide), (Fraction(1, 4), again)), 2)
+    got = check_applied(mix, machine, 2)
+    first, other, shared = got.runs
+    assert shared.amplitudes is first.amplitudes
+    assert other.layout != first.layout
+
+
+def test_expected_geometric_runs_each_distinct_list_once(monkeypatch):
+    """The stock member's 5 lists pad 0-4 pairs ahead of the same honest
+    steps: one run against the coherent kind. Cut at q 8, the 4-pair list
+    keeps its pads and one Unitary: two runs against the aborting kind."""
+    runs = []
+    real = adversary._run_rows
+
+    def counted(alg, *args, **kwargs):
+        runs.append(alg.name)
+        return real(alg, *args, **kwargs)
+
+    monkeypatch.setattr(adversary, "_run_rows", counted)
+    w = SPEC.witness_map(1)[0]
+    for kind, sim, want in (
+        ("superposition", lambda s: s, ["honest-padded-0"]),
+        ("random_aborting", lambda s: truncate(s, CFG.q),
+         ["honest-padded-0", "honest-padded-4-cut8"]),
+    ):
+        runs.clear()
+        machine = build_verifier(kind, SPEC, 1, eps=CFG.eps)
+        member = sim(expected_wrapper("expected-geometric", machine, w, CFG.q))
+        got = run_simulator(member, machine)
+        assert runs == want
+        assert [run.invocations for run in got.runs] == [
+            alg.invocations for _, alg in member.branches]
 
 
 def test_from_branches_round_trips():
