@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 
 from qromlab.adversary import (
+    EXPECTED_MEMBERS,
     QueryAlgorithm,
     build_verifier,
     expected_wrappers,
@@ -54,6 +55,7 @@ from qromlab.oracle import (
 )
 from qromlab.pipeline import (
     PROTOCOLS,
+    SIMULATORS,
     THEOREMS,
     ExperimentConfig,
     ExperimentReport,
@@ -332,7 +334,8 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--eps", type=_parse_eps, metavar="B/A",
                      help="flag density as an exact fraction")
     run.add_argument("--q", type=int, help="query budget")
-    run.add_argument("--sim", help="simulator name")
+    run.add_argument("--sim", help=f"simulator name: {', '.join(SIMULATORS)} (decision"
+                     f" experiments) or {', '.join(EXPECTED_MEMBERS)} (expected-time)")
     run.add_argument("--out", metavar="report.json", help="write the JSON report")
     run.add_argument("--csv", metavar="table.csv", help="write the check table")
     run.add_argument("--seed", type=int, default=0,

@@ -20,8 +20,10 @@ predicates on those paths. The expected-time experiment instead drives
 the dense verifier machines from ``adversary`` and checks budget,
 acceptance, and conditional-state facts on the exact output mixture.
 Each kind of name has one table: ``EXPERIMENTS`` (verifier kind, stock
-config, runner) and ``PROTOCOLS`` (builder, stand-in statements). A row
-looks its function up by this module's name for it each time it calls.
+config, runner), ``PROTOCOLS`` (builder, stand-in statements) and
+``SIMULATORS`` (a decision simulator's moves, which each experiment's
+one query plan asks). A row looks its function up by this module's name
+for it each time it calls.
 """
 
 from __future__ import annotations
@@ -308,8 +310,9 @@ def _named_value(spec: ProtocolSpec, x, leaves, labels, randomness_of) -> Fracti
     return total / len(spec.randomness)
 
 
-def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Callable:
-    """Flag-oracle query trace of the wrapped simulator on a statement.
+def simulator_trace(spec: ProtocolSpec, move: Callable) -> Callable:
+    """Flag-oracle query trace of a simulator whose next message after
+    the responses ``got`` is ``move(got)``, as ``_moves`` builds it.
 
     Each of the first k-1 verifier calls pads the call's prefix 2k
     times and then reads its flag live, keeping the flag register held
@@ -319,11 +322,6 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     held prefixes in reverse order (2k queries in total, so the trace
     makes 2k per call). Every pad sits ahead of the live read, which
     maximizes the reprogramming slots that can raise the flag in time.
-    A fixed transcript replaces the witness strategy and ignores every
-    response, which is the give-up behavior. The honest moves are
-    memoized per trace, keyed by the responses received so far: they
-    are pure, and ``_walk`` replays the trace once per branching node of
-    its answer tree, while the responses take few values.
 
     Every trace replayed here keeps one contract: it reads a response
     ``ask_f(p)`` only for a proper prefix p whose flag it has just read
@@ -335,26 +333,18 @@ def simulator_trace(spec: ProtocolSpec, x, witness, u, transcript=None) -> Calla
     """
     k = spec.rounds
     bottom = spec.alphabet[0]
-    moves: dict = {}
-
-    def move(i, got):
-        if transcript is not None:
-            return transcript[i]
-        if got not in moves:
-            moves[got] = spec.honest_prover(x, witness, u, got)
-        return moves[got]
 
     def trace(ask_h, ask_f):
         ms: list = []
         got: tuple = ()
-        for i in range(k - 1):
-            ms.append(move(i, got))
+        for _ in range(k - 1):
+            ms.append(move(got))
             p = tuple(ms)
             for _ in range(2 * k):
                 ask_h(p)  # padding block, all ahead of the live read
             live = ask_h(p)
             got = got + ((ask_f(p) if live else bottom),)
-        ms.append(move(k - 1, got))
+        ms.append(move(got))
         full = tuple(ms)
         ask_h(full)
         ask_h(full)
@@ -377,14 +367,30 @@ def _statement_witness(spec: ProtocolSpec, x, cfg: ExperimentConfig):
     return stand_in[0]
 
 
-def _decision_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
+def _honest_moves(spec: ProtocolSpec, x, cfg: ExperimentConfig) -> Callable:
+    """The honest prover's moves on a statement, at its first witness
+    and prover randomness. They are pure, and ``_walk`` replays a trace
+    once per branching node of its answer tree while the responses take
+    few values, so each move is made once per statement."""
+    witness = _statement_witness(spec, x, cfg)
     u = spec.prover_randomness[0]
-    if cfg.simulator == "honest-wrapper":
-        return simulator_trace(spec, x, _statement_witness(spec, x, cfg), u)
-    if cfg.simulator == "give-up":
-        fixed = (spec.alphabet[0],) * spec.rounds
-        return simulator_trace(spec, x, None, u, transcript=fixed)
-    raise ConfigError(f"unknown simulator {cfg.simulator!r}")
+    return functools.cache(lambda got: spec.honest_prover(x, witness, u, got))
+
+
+# decision simulator name -> its moves on a statement: (spec, x, cfg) -> move,
+# where move(got) is the next message after the responses got
+SIMULATORS = {
+    "honest-wrapper": lambda spec, x, cfg: _honest_moves(spec, x, cfg),
+    "give-up": lambda spec, x, cfg: lambda got: spec.alphabet[0],
+}
+
+
+def _moves(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
+    """The moves of the configured decision simulator on a statement."""
+    row = SIMULATORS.get(cfg.simulator)
+    if row is None:
+        raise ConfigError(f"unknown simulator {cfg.simulator!r}")
+    return row(spec, x, cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -489,7 +495,7 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        trace = _decision_trace(cfg, spec, x)
+        trace = simulator_trace(spec, _moves(cfg, spec, x))
         pstar, value = extraction_prover_value(spec, x, trace, q_h)
         if x in cfg.yes_instances:
             met = True
@@ -521,38 +527,21 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
 # Public-coin decision experiment.
 
 
-def _hash_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
+def _hash_trace(spec: ProtocolSpec, move: Callable) -> Callable:
     """Hash-query trace of the challenge-from-hash simulator. Each
     verifier call bills two hash queries on the first message: compute
-    and uncompute around the move, then again around the decision. The
-    moves are pure, so the first is made once and the final one once
-    per challenge."""
-    u = spec.prover_randomness[0]
-    bottom = spec.alphabet[0]
-    if cfg.simulator == "honest-wrapper":
-        witness = _statement_witness(spec, x, cfg)
-        m1 = spec.honest_prover(x, witness, u, ())
-        finals: dict = {}
+    and uncompute around the move, then again around the decision."""
 
-        def trace(ask_h, ask_f):
-            c = ask_h((m1,))
-            ask_h((m1,))
-            if c not in finals:
-                finals[c] = spec.honest_prover(x, witness, u, (c,))
-            ask_h((m1,))
-            ask_h((m1,))
-            return (m1, finals[c])
+    def trace(ask_h, ask_f):
+        m1 = move(())
+        c = ask_h((m1,))
+        ask_h((m1,))
+        m2 = move((c,))
+        ask_h((m1,))
+        ask_h((m1,))
+        return (m1, m2)
 
-        return trace
-    if cfg.simulator == "give-up":
-
-        def trace(ask_h, ask_f):
-            for _ in range(4):
-                ask_h((bottom,))
-            return (bottom, bottom)
-
-        return trace
-    raise ConfigError(f"unknown simulator {cfg.simulator!r}")
+    return trace
 
 
 def _hash_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
@@ -656,7 +645,7 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        trace = _hash_trace(cfg, spec, x)
+        trace = _hash_trace(spec, _moves(cfg, spec, x))
         total, counted = _hash_value(spec, x, trace)
         checks.append(_check(
             x, "hash-budget", "per-call hash budget", counted, budget, "==",
@@ -687,32 +676,15 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
 # Three-round (single-slot) decision experiment.
 
 
-def _response_trace(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
+def _response_trace(spec: ProtocolSpec, move: Callable) -> Callable:
     """Response-oracle trace of the unwrapped simulator: one classical
-    challenge query at the first message, then the final move. The
-    moves are pure, so the first is made once and the final one once
-    per challenge."""
-    u = spec.prover_randomness[0]
-    bottom = spec.alphabet[0]
-    if cfg.simulator == "honest-wrapper":
-        witness = _statement_witness(spec, x, cfg)
-        m1 = spec.honest_prover(x, witness, u, ())
-        finals: dict = {}
+    challenge query at the first message, then the final move."""
 
-        def trace(ask_c):
-            c = ask_c((m1,))
-            if c not in finals:
-                finals[c] = spec.honest_prover(x, witness, u, (c,))
-            return (m1, finals[c])
+    def trace(ask_c):
+        m1 = move(())
+        return (m1, move((ask_c((m1,)),)))
 
-        return trace
-    if cfg.simulator == "give-up":
-
-        def trace(ask_c):
-            return (bottom, bottom)
-
-        return trace
-    raise ConfigError(f"unknown simulator {cfg.simulator!r}")
+    return trace
 
 
 def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> list:
@@ -792,7 +764,7 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        trace = _response_trace(cfg, spec, x)
+        trace = _response_trace(spec, _moves(cfg, spec, x))
         pstar, value = _single_slot_extraction(spec, x, trace, cfg.q)
         if x in cfg.yes_instances:
             game = _fs_game_value(spec, x, trace)

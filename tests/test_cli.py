@@ -104,6 +104,27 @@ class TestRun:
         assert captured.err.startswith("qromlab: error: ")
         assert message in captured.err and captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("theorem", ["constant-round", "public-coin", "three-round"])
+    def test_decision_simulator_names(self, theorem, capsys):
+        # every SIMULATORS name reports; any other name, an expected-time
+        # member included, stops with the one unknown-simulator line
+        for sim in pipeline.SIMULATORS:
+            assert main(["run", theorem, "--sim", sim]) in (0, 1)
+            out = capsys.readouterr().out
+            assert out.startswith(f"{theorem}  protocol=") and f"simulator={sim}" in out
+        for sim in (*adversary.EXPECTED_MEMBERS, "bogus"):
+            assert main(["run", theorem, "--sim", sim]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"qromlab: error: unknown simulator '{sim}'\n"
+
+    @pytest.mark.parametrize("sim", sorted(pipeline.SIMULATORS))
+    def test_expected_time_rejects_decision_simulators(self, sim, capsys):
+        assert main(["run", "expected-time", "--sim", sim]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qromlab: error: unknown expected-mode simulator '{sim}'\n"
+
     @pytest.mark.parametrize("q", ["3", "400"])
     def test_constant_round_budget_checked_before_any_schedule(self, q, monkeypatch,
                                                                capsys):

@@ -28,12 +28,13 @@ import live_reference as live
 from qromlab import pipeline
 from qromlab.adversary import challenge_structure
 from qromlab.pipeline import (
+    SIMULATORS,
     ExperimentConfig,
-    _decision_trace,
     _fs_game_value,
     _hash_trace,
     _hash_value,
     _label_walk,
+    _moves,
     _response_trace,
     _single_slot_extraction,
     _sparse_hypothesis,
@@ -41,6 +42,7 @@ from qromlab.pipeline import (
     decide_public_coin,
     eps_star,
     extraction_prover_value,
+    simulator_trace,
 )
 from qromlab.protocol import toy_qr, toy_table
 from qromlab.transforms import MarSchedule, enumerate_schedules
@@ -53,12 +55,11 @@ CONFIGS = {
         protocol="toy-table", yes_instances=(1, 3), no_instances=(0, 2)
     ),
 }
-SIMS = ("honest-wrapper", "give-up")
 
 
 def stock(name):
     """(spec, statement, cfg) for every statement of a stock config, per simulator."""
-    for sim in SIMS:
+    for sim in SIMULATORS:
         cfg = replace(CONFIGS[name], simulator=sim)
         spec = build_protocol(cfg)
         for x in cfg.yes_instances + cfg.no_instances:
@@ -152,7 +153,7 @@ class TestStockTraces:
     def test_constant_round(self, name):
         for spec, x, cfg in stock(name):
             k = spec.rounds
-            trace = _decision_trace(cfg, spec, x)
+            trace = simulator_trace(spec, _moves(cfg, spec, x))
             check_constant_round(spec, x, trace, 2 * k * k)
             densities = (Fraction(1, 4), eps_star(k, k))
             assert _sparse_hypothesis(spec, x, trace, densities) == tuple(
@@ -162,14 +163,14 @@ class TestStockTraces:
     @pytest.mark.parametrize("name", sorted(CONFIGS))
     def test_three_round(self, name):
         for spec, x, cfg in stock(name):
-            trace = _response_trace(cfg, spec, x)
+            trace = _response_trace(spec, _moves(cfg, spec, x))
             for q in (1, 2, 3):
                 check_three_round(spec, x, trace, q)
 
     @pytest.mark.parametrize("name", ["toy-qr-t1", "toy-qr-t2"])
     def test_public_coin(self, name):
         for spec, x, cfg in stock(name):
-            trace = _hash_trace(cfg, spec, x)
+            trace = _hash_trace(spec, _moves(cfg, spec, x))
             assert check_public_coin(spec, x, trace) == 2 * (spec.rounds - 1) * cfg.q
             assert _hash_value(spec, x, trace)[1] == live.hash_value(spec, x, trace)[1]
 
@@ -184,7 +185,7 @@ class TestStockTraces:
             return spec.honest_prover(*args)
 
         counting = replace(spec, honest_prover=counted)
-        _hash_value(counting, 4, _hash_trace(cfg, counting, 4))
+        _hash_value(counting, 4, _hash_trace(counting, _moves(cfg, counting, 4)))
         assert len(calls) == len(set(calls)) == 1 + len(spec.randomness)
 
 
@@ -305,9 +306,9 @@ def test_a_requeried_slot_point_answers_the_live_randomness():
     # hand-written reference forgets the reprogrammed value here
     cfg = ExperimentConfig(reps=1, q=2, eps=Fraction(1, 2))
     spec = build_protocol(cfg)
-    honest = _response_trace(cfg, spec, 4)
-    witness = pipeline._statement_witness(spec, 4, cfg)
-    m1 = spec.honest_prover(4, witness, spec.prover_randomness[0], ())
+    move = _moves(cfg, spec, 4)
+    honest = _response_trace(spec, move)
+    m1 = move(())
 
     def trace(ask_c):
         ask_c((m1,))
@@ -422,12 +423,13 @@ def test_a_read_then_reprogram_slot_keeps_the_clear_read_on_the_walk():
 def adaptive_hash_trace(when_first):
     """A stock hash trace builder whose traces ask a fifth hash query
     only when their challenge is (or, with when_first False, is not) the
-    first one."""
+    first one. toy-qr's challenges do not depend on the statement, so
+    statement 4's first challenge serves every statement."""
     stock_trace = pipeline._hash_trace
 
-    def build(cfg, spec, x):
-        honest = stock_trace(cfg, spec, x)
-        first = challenge_structure(spec, x)[0][0]
+    def build(spec, move):
+        honest = stock_trace(spec, move)
+        first = challenge_structure(spec, 4)[0][0]
 
         def trace(ask_h, ask_f):
             got = []
@@ -453,7 +455,7 @@ def test_an_adaptive_hash_query_is_billed(when_first, monkeypatch):
     adaptive = adaptive_hash_trace(when_first)
     cfg = ExperimentConfig(reps=1, eps=Fraction(1, 2))
     spec = build_protocol(cfg)
-    trace = adaptive(cfg, spec, 4)
+    trace = adaptive(spec, _moves(cfg, spec, 4))
     assert live.hash_value(spec, 4, trace)[1] == (5 if when_first else 4)
     assert check_public_coin(spec, 4, trace) == 5
     monkeypatch.setattr(pipeline, "_hash_trace", adaptive)

@@ -53,6 +53,9 @@ def grind_forgery(spec, x, q: int) -> Fraction:
     return best
 
 
+DECISIONS = ("constant-round", "public-coin", "three-round")
+
+
 def checks_by_key(report):
     return {(c.statement, c.name): c for c in report.checks}
 
@@ -105,7 +108,7 @@ class TestConfig:
         # perfbench's tracer rebinds module attributes to counting wrappers;
         # the tables must call through the rebound names, not compare or
         # keep the original function objects
-        calls = {"decide_three_round": 0, "toy_qr": 0}
+        calls = {"decide_three_round": 0, "toy_qr": 0, "_honest_moves": 0}
 
         def counting(name):
             original = getattr(pipeline, name)
@@ -118,25 +121,37 @@ class TestConfig:
 
         counting("decide_three_round")
         counting("toy_qr")
+        counting("_honest_moves")
         assert run_experiment("three-round").theorem == "three-round"
         assert calls["decide_three_round"] == 1
         built = calls["toy_qr"]
         assert build_protocol(ExperimentConfig(reps=2)).name == "toy-qr-t2"
         assert calls["toy_qr"] == built + 1
+        # the honest-wrapper row makes one set of moves per statement
+        for theorem in DECISIONS:
+            cfg = default_config(theorem)
+            before = calls["_honest_moves"]
+            assert run_experiment(theorem).theorem == theorem
+            assert calls["_honest_moves"] == before + len(
+                cfg.yes_instances + cfg.no_instances
+            )
+
+
+def honest_moves(spec, x, witness, u):
+    return lambda got: spec.honest_prover(x, witness, u, got)
 
 
 class TestSimulatorTrace:
     def test_query_bill(self):
         # 2k flag queries per verifier call: k=2 bills 8, k=1 bills 2
         spec = toy_qr(1)
-        trace = simulator_trace(spec, 4, 2, (1,))
+        trace = simulator_trace(spec, honest_moves(spec, 4, 2, (1,)))
         calls = []
         out = trace(lambda p: calls.append(tuple(p)) or 1, lambda p: (1,))
         assert len(calls) == 8
         assert out == ((1,), (2,))  # honest m1 = u^2, m2 = u * w^c at c=(1,)
-        cfg = default_config("constant-round")
         guess = build_protocol(ExperimentConfig(protocol="toy-guess", q=1))
-        tg = simulator_trace(guess, 1, (1,), 0)
+        tg = simulator_trace(guess, honest_moves(guess, 1, (1,), 0))
         short = []
         tg(lambda p: short.append(p) or 1, lambda p: 0)
         assert len(short) == 2
@@ -144,13 +159,14 @@ class TestSimulatorTrace:
     def test_give_up_ignores_responses(self):
         spec = toy_qr(1)
         fixed = (spec.alphabet[0],) * 2
-        trace = simulator_trace(spec, 5, None, (1,), transcript=fixed)
+        cfg = ExperimentConfig(reps=1, simulator="give-up")
+        trace = simulator_trace(spec, pipeline._moves(cfg, spec, 5))
         outs = {trace(lambda p: 1, lambda p: (0,)), trace(lambda p: 1, lambda p: (1,))}
         assert outs == {fixed}
 
     def test_cleared_flag_yields_bottom_response(self):
         spec = toy_qr(1)
-        trace = simulator_trace(spec, 4, 2, (1,))
+        trace = simulator_trace(spec, honest_moves(spec, 4, 2, (1,)))
         seen = []
         trace(lambda p: 0, lambda p: seen.append(p))
         assert seen == []  # the response oracle is never consulted

@@ -22,13 +22,15 @@ import live_reference as live
 from qromlab import pipeline, transforms, walk
 from qromlab.cli import main
 from qromlab.pipeline import (
+    SIMULATORS,
     ExperimentConfig,
-    _decision_trace,
+    _moves,
     _sparse_hypothesis,
     build_protocol,
     decide_constant_round,
     eps_star,
     extraction_prover_value,
+    simulator_trace,
 )
 from qromlab.protocol import ConfigError, toy_table
 from qromlab.transforms import MarSchedule, _schedule_count, enumerate_schedules
@@ -45,12 +47,13 @@ STOCK = {
 
 def stock(name):
     """(spec, statement, trace, q) for every statement of a stock config
-    under both simulators; q is the trace's flag-query count."""
-    for sim in ("honest-wrapper", "give-up"):
+    under every simulator; q is the trace's flag-query count."""
+    for sim in SIMULATORS:
         cfg = replace(STOCK[name], simulator=sim)
         spec = build_protocol(cfg)
         for x in cfg.yes_instances + cfg.no_instances:
-            yield spec, x, _decision_trace(cfg, spec, x), 2 * spec.rounds * cfg.q
+            trace = simulator_trace(spec, _moves(cfg, spec, x))
+            yield spec, x, trace, 2 * spec.rounds * cfg.q
 
 
 def check_walk(spec, x, trace, q):
