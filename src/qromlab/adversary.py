@@ -17,14 +17,16 @@ tables: a ``Unitary`` step, checked when built, is one stacked matmul
 over every row, and a measurement is ``qsim``'s one split. A
 measure-and-reprogram slot splits the rows on the query register and
 reprograms each row's table at the measured point. A plain run is one
-row. The aborting kind's control registers stay classical, so it is
-simulated by enumerating every control assignment exactly and mixing
-the resulting branches with rational weights: each assignment is a row,
-and its verifier call is the strided slice of the machine's permutation,
-moved for every row by ``qsim``'s one permutation kernel. Forward/inverse
-call pairs that lead a step list, as the expected-budget wrappers' pads
-do, are counted but not applied wherever they cancel bit for bit, and
-strict branches left with the same steps share one run.
+row, or one start row per table when several tables are averaged over
+(``_table_masses``), each row keeping its own. The aborting kind's
+control registers stay classical, so it is simulated by enumerating
+every control assignment exactly and mixing the resulting branches with
+rational weights: each assignment is a row, and its verifier call is the
+strided slice of the machine's permutation, moved for every row by
+``qsim``'s one permutation kernel. Forward/inverse call pairs that lead
+a step list, as the expected-budget wrappers' pads do, are counted but
+not applied wherever they cancel bit for bit, and strict branches left
+with the same steps share one run.
 
 A strict run's final rows stay stacked as one ``StrictRun``, the only
 form a run's result takes: ``run_query_algorithm`` returns one, and a
@@ -707,7 +709,7 @@ def run_query_algorithm(
         outcome; row weights stay exact fractions until some
         measurement splits amplitude, and are floats after.
     """
-    return _run_rows(alg, machine, oracles, reprogram)
+    return _run_rows(alg, machine, (oracles or {},), reprogram)
 
 
 def _row_outputs(run: StrictRun, registers: Sequence[str]):
@@ -721,13 +723,38 @@ def _row_outputs(run: StrictRun, registers: Sequence[str]):
         yield i, tuple(idx[1:]), _scale(run.row_weight(i), float(probs[tuple(idx)]))
 
 
-def output_distribution(run: StrictRun, registers: Sequence[str]):
+def output_distribution(run: StrictRun, registers: Sequence[str], key=None):
     """Joint digit distribution of named registers over a run's final rows,
-    each key's terms added in row order."""
-    out: dict[tuple[int, ...], object] = {}
-    for _, key, w in _row_outputs(run, registers):
-        out[key] = out.get(key, 0) + w
+    each key's terms added in row order. With ``key``, a term of row i and
+    digits d is keyed ``key(i, d)`` instead, and dropped when that is None."""
+    out: dict = {}
+    for i, digits, w in _row_outputs(run, registers):
+        k = digits if key is None else key(i, digits)
+        if k is not None:
+            out[k] = out.get(k, 0) + w
     return out
+
+
+def _table_masses(alg: QueryAlgorithm, name: str, tables: Sequence[ClassicalOracle],
+                  registers: Sequence[str], hit) -> list:
+    """For each table of ``tables``, the mass of the plain run of ``alg``
+    with that table as ``name`` whose digits on ``registers`` satisfy
+    ``hit(digits)``: each table's terms added in row order, from 0.
+
+    The distinct tables are the start rows of ``_run_rows`` runs, as many
+    to a run as keep rows times state dimension within ``MAX_STATE_DIM``
+    (checked before any run), and each final row's terms count for the
+    table it kept.
+    """
+    distinct = list(dict.fromkeys(tables))
+    per_run = max(1, MAX_STATE_DIM // alg._work_start.layout.total_dim)
+    masses: dict = {}
+    for lo in range(0, len(distinct), per_run):
+        run = _run_rows(alg, None, [{name: t} for t in distinct[lo:lo + per_run]])
+        kept = [dict(tabs)[name] for tabs in run.oracles]
+        masses.update(output_distribution(
+            run, registers, lambda i, digits: kept[i] if hit(digits) else None))
+    return [masses.get(t, 0) for t in tables]
 
 
 @dataclass(frozen=True)
@@ -866,20 +893,21 @@ def _table(tables: dict, name: str) -> ClassicalOracle:
 def _run_rows(
     alg: QueryAlgorithm,
     verifier: VerifierMachine | _ControlRows | None = None,
-    oracles: Mapping[str, ClassicalOracle] | None = None,
+    oracles: Sequence[Mapping[str, ClassicalOracle]] = ({},),
     reprogram: tuple[str, Mapping[int, tuple[str, int, Hashable]]] | None = None,
     weight=1,
 ) -> StrictRun:
     """One strict run of a step list over the rows of one amplitude array,
     returned as one ``StrictRun``.
 
-    There is one row against a machine, which starts on the kind's
-    canonical aux state (``initial_state``) and answers calls through
-    ``apply_step``, or against no verifier, which starts on the work
-    registers' basis state 0. Against the aborting kind's ``_ControlRows``
-    there is one row per control assignment, each starting on basis state
-    0 of the layout without control registers, and a call moves every row
-    by its own permutation at once. A measurement splits each row into
+    There is one start row per oracle mapping of ``oracles`` against a
+    machine, each on the kind's canonical aux state (``initial_state``)
+    and answering calls through ``apply_step``, or against no verifier,
+    each on the work registers' basis state 0. Against the aborting kind's
+    ``_ControlRows`` there is one row per control assignment, each starting
+    on basis state 0 of the layout without control registers and sharing
+    the one oracle mapping, and a call moves every row by its own
+    permutation at once. A measurement splits each row into
     its outcomes above ``PROB_FLOOR``, in place and in outcome order, so
     the rows stay assignment-major. Each row keeps its own weight, times
     the assignment's weight at the end, and its own outcomes and tables;
@@ -900,12 +928,16 @@ def _run_rows(
             start = initial_state(verifier, alg.work_registers)
     layout = start.layout
     shape = layout.dims[::-1]
-    base = verifier.weights if isinstance(verifier, _ControlRows) else (Fraction(1),)
+    tables: list[dict] = [dict(sorted(tabs.items())) for tabs in oracles]
+    if isinstance(verifier, _ControlRows):  # the assignments share one mapping
+        base = verifier.weights
+        tables *= len(base)
+    else:
+        base = (Fraction(1),) * len(tables)
     row = np.arange(len(base))
     amps = np.repeat(start.amplitudes[None], row.size, axis=0)
     weights: list = [Fraction(1)] * row.size
     outcomes: list[tuple] = [()] * row.size
-    tables: list[dict] = [dict(sorted((oracles or {}).items()))] * row.size
     pairs = _cancelled_pairs(alg.steps, verifier)
     counts: dict[str, int] = {"verifier": 2 * pairs} if pairs else {}
     name, slots = reprogram or (None, {})

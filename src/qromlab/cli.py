@@ -24,15 +24,14 @@ import numpy as np
 from qromlab.adversary import (
     EXPECTED_MEMBERS,
     QueryAlgorithm,
+    _table_masses,
     build_verifier,
     expected_wrappers,
     final_cont_state,
     oracle_zoo,
     ordered_zoo,
-    output_distribution,
     pr_budget,
     pr_register,
-    run_query_algorithm,
     run_simulator,
 )
 from qromlab.hashfam import (
@@ -76,13 +75,15 @@ from qromlab.transforms import (
 DEMO_TOL = 1e-10
 
 
-def _accept_all_zero(alg: QueryAlgorithm) -> Callable[[ClassicalOracle], object]:
-    """Probability that every output register reads 0 against a table."""
+def _accept_all_zero(alg: QueryAlgorithm) -> Callable[[list[ClassicalOracle]], list]:
+    """Probability that every output register reads 0, against each of a
+    list of tables: the tables are the start rows of one batched run, or
+    of as few as ``MAX_STATE_DIM`` allows."""
     zeros = (0,) * len(alg.output_registers)
 
-    def accept(table: ClassicalOracle):
-        run = run_query_algorithm(alg, oracles={"h": table})
-        return output_distribution(run, alg.output_registers).get(zeros, 0)
+    def accept(tables: list[ClassicalOracle]) -> list:
+        return _table_masses(alg, "h", tables, alg.output_registers,
+                             lambda digits: digits == zeros)
 
     return accept
 

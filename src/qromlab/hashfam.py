@@ -33,7 +33,7 @@ from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
 
-from qromlab.oracle import ClassicalOracle, SparseOracleDist, _per_table, prefixes
+from qromlab.oracle import ClassicalOracle, SparseOracleDist, _accepted, prefixes
 from qromlab.protocol import ConfigError
 from qromlab.qsim import _check_unitary
 
@@ -165,42 +165,49 @@ class TwoQWiseFamily:
 
 
 def family_exactness_check(
-    fam: TwoQWiseFamily, accept: Callable[[ClassicalOracle], Any]
+    fam: TwoQWiseFamily, accept: Callable[[list[ClassicalOracle]], Sequence]
 ) -> tuple[Any, Any]:
     """Acceptance under the sparse table distribution vs. under uniform keys.
 
     Both sides are exact enumerations; with an exactly independent base
     family of high enough order they agree to rounding. ``accept`` maps a
-    binary predicate table to the algorithm's acceptance probability. It
-    must be a function of the table alone: both sides share one memo, so
-    it is called once per distinct table, at most 2^|domain| times.
+    list of binary predicate tables to the algorithm's acceptance
+    probability on each, in order. Each value must be a function of its
+    table alone: ``accept`` is called once, on the distinct tables of
+    both sides in first-use order, at most 2^|domain| of them.
     """
     if not fam.base.exactly_uniform:
         raise ValueError("exactness check needs an exactly uniform base family")
     dist = SparseOracleDist(fam.domain, fam.epsilon)
-    value = _per_table(accept, fam.domain, (0, 1))
-    p_random = sum(w * value(h.values) for h, w in dist.enumerate_weighted())
-    p_family = sum(map(value, map(tuple, fam.flag_table().tolist()))) / fam.key_count
+    weighted = [(h.values, w) for h, w in dist.enumerate_weighted()]
+    keyed = list(map(tuple, fam.flag_table().tolist()))
+    value = _accepted(accept, fam.domain, (0, 1), [*(v for v, _ in weighted), *keyed])
+    p_random = sum(w * value[v] for v, w in weighted)
+    p_family = sum(map(value.__getitem__, keyed)) / fam.key_count
     return p_random, p_family
 
 
 def random_function_vs_family(
-    fam: BaseFamily, accept: Callable[[ClassicalOracle], Any]
+    fam: BaseFamily, accept: Callable[[list[ClassicalOracle]], Sequence]
 ) -> tuple[Any, Any]:
     """Acceptance under a uniform function vs. under the keyed family.
 
     Enumerates all a^|domain| tables on the left and all keys on the
     right; used to confirm that bounded-query behavior on the family
-    matches the truly random function. ``accept`` must be a function of
-    the table alone: it is called once per distinct table.
+    matches the truly random function. ``accept`` maps a list of tables
+    to the acceptance probability on each, in order, and is called once,
+    on the distinct tables in first-use order.
     """
     n, a = len(fam.domain), fam.a
-    value = _per_table(accept, fam.domain, tuple(range(a)))
+    # point 0 the fastest digit
+    every = [vals[::-1] for vals in itertools.product(range(a), repeat=n)]
+    keyed = list(map(tuple, _base_values(fam).tolist()))
+    value = _accepted(accept, fam.domain, tuple(range(a)), [*every, *keyed])
     acc = 0
-    for vals in itertools.product(range(a), repeat=n):
-        acc += value(vals[::-1])  # point 0 the fastest digit
+    for vals in every:
+        acc += value[vals]
     p_random = acc / a**n
-    p_family = sum(map(value, map(tuple, _base_values(fam).tolist()))) / fam.key_count
+    p_family = sum(map(value.__getitem__, keyed)) / fam.key_count
     return p_random, p_family
 
 

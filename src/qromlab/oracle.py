@@ -7,7 +7,8 @@ domain tuple by position, y indexes the range tuple, and + is addition
 mod |range| (XOR when the range is binary). Basis states beyond the
 encoded domain/range act as identity, keeping the embedding unitary on
 oversized registers. A query is one index vector over the whole state,
-applied by ``qsim``'s permutation kernel.
+applied by ``qsim``'s permutation kernel; its digit arrays are kept on
+the register layout and its shift vector on the table.
 
 Probability weights for the sparse distribution are exact rationals;
 only per-table acceptance probabilities are floats. That keeps
@@ -21,7 +22,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Any, Callable, Hashable, Iterator, Sequence
+from typing import Any, Callable, Hashable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -88,6 +89,14 @@ class ClassicalOracle:
     def _rpos(self) -> dict[Hashable, int]:
         return {v: i for i, v in enumerate(self.range_values)}
 
+    @cached_property
+    def _shift(self) -> np.ndarray:
+        """Range index of f(p) for each domain point p, in domain order:
+        the addend of quantum_query, built once per table."""
+        shift = np.array([self.value_index(p) for p in self.domain], dtype=np.intp)
+        shift.setflags(write=False)
+        return shift
+
     def __call__(self, point: Hashable) -> Hashable:
         return self.values[self._pos[point]]
 
@@ -128,12 +137,12 @@ def quantum_query(
         )
     if in_register == out_register:
         raise ValueError("repeated target register")
-    s_in, s_out = (lay.strides[lay.index(r)] for r in (in_register, out_register))
-    flat = np.arange(lay.total_dim)
-    x, y = flat // s_in % d_in, flat // s_out % d_out
-    shift = np.array([oracle.value_index(p) for p in oracle.domain] + [0] * (d_in - n_dom))
+    i_in, i_out = lay.index(in_register), lay.index(out_register)
+    x, y = lay._digits[i_in], lay._digits[i_out]
+    shift = np.zeros(d_in, dtype=np.intp)
+    shift[:n_dom] = oracle._shift
     jy = np.where(y < n_rng, (y + shift[x]) % n_rng, y)
-    perm = flat + (jy - y) * s_out
+    perm = np.arange(lay.total_dim) + (jy - y) * lay.strides[i_out]
     amps = _permute_rows(state.amplitudes.reshape(1, 1, -1), perm[None], False)
     return StateVector(lay, amps.reshape(-1))
 
@@ -189,36 +198,40 @@ def sparse_vs_zero_bound(q: int, epsilon):
 
 
 def sparse_advantage(
-    accept: Callable[[ClassicalOracle], Any], dist: SparseOracleDist
+    accept: Callable[[list[ClassicalOracle]], Sequence], dist: SparseOracleDist
 ):
     """Exact advantage of an acceptance functional between H_eps and H_0.
 
     Args:
-        accept: maps a table to the algorithm's acceptance probability
-            (float or Fraction). It must be a function of the table
-            alone: it is called once per distinct table.
+        accept: maps a list of tables to the algorithm's acceptance
+            probability on each (float or Fraction), in the same order.
+            Each value must be a function of its table alone: ``accept``
+            is called once, on every distinct table in first-use order.
         dist: the sparse distribution to average over.
 
     Returns:
         (p_eps, p_zero, advantage) with p_eps the weighted average over
         enumerate_weighted and advantage = |p_eps - p_zero|.
     """
-    value = _per_table(accept, dist.domain, (0, 1))
-    p_eps = sum(w * value(h.values) for h, w in dist.enumerate_weighted())
-    p_zero = value(dist.zero_oracle().values)
+    weighted = [(h.values, w) for h, w in dist.enumerate_weighted()]
+    zero = dist.zero_oracle().values
+    value = _accepted(accept, dist.domain, (0, 1), [*(v for v, _ in weighted), zero])
+    p_eps = sum(w * value[v] for v, w in weighted)
+    p_zero = value[zero]
     return p_eps, p_zero, abs(p_eps - p_zero)
 
 
-def _per_table(
-    accept: Callable[[ClassicalOracle], Any], domain: tuple, range_values: tuple
-) -> Callable[[tuple], Any]:
-    """``accept`` of the table with the given values, run once per distinct
-    table: the memo lives as long as the returned function, one check."""
-    memo: dict[tuple, Any] = {}
-
-    def value(values: tuple):
-        if values not in memo:
-            memo[values] = accept(ClassicalOracle(domain, range_values, values))
-        return memo[values]
-
-    return value
+def _accepted(
+    accept: Callable[[list[ClassicalOracle]], Sequence],
+    domain: tuple,
+    range_values: tuple,
+    rows: Iterable[tuple],
+) -> dict[tuple, Any]:
+    """``accept``'s value of each distinct table among ``rows`` (tables by
+    their values), keyed by the values: one ``accept`` call on the
+    distinct tables in first-use order."""
+    distinct = list(dict.fromkeys(rows))
+    values = accept([ClassicalOracle(domain, range_values, v) for v in distinct])
+    if len(values) != len(distinct):
+        raise ValueError(f"accept gave {len(values)} values for {len(distinct)} tables")
+    return dict(zip(distinct, values))

@@ -71,6 +71,16 @@ class RegisterLayout:
             acc *= d
         return tuple(out)
 
+    @cached_property
+    def _digits(self) -> tuple[np.ndarray, ...]:
+        """Each register's digit of every flat basis index, in register
+        order, built once per layout and read-only."""
+        flat = np.arange(self.total_dim)
+        out = tuple(flat // s % d for d, s in zip(self.dims, self.strides))
+        for a in out:
+            a.setflags(write=False)
+        return out
+
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)

@@ -35,6 +35,7 @@ from qromlab.adversary import (
     QueryAlgorithm,
     StrictRun,
     _row_outputs,
+    _table_masses,
     run_query_algorithm,
 )
 from qromlab.oracle import ClassicalOracle, prefixes
@@ -246,17 +247,6 @@ class MarReport:
     schedules: int
 
 
-def _output_mass(alg, table, regs, hit, name) -> Fraction | float:
-    """Mass of the plain run against one table whose digits on regs
-    satisfy hit(digits)."""
-    total: Fraction | float = 0
-    run = run_query_algorithm(alg, oracles={name: table})
-    for _, digits, w in _row_outputs(run, regs):
-        if hit(digits):
-            total += w
-    return total
-
-
 def _mar_report(
     alg, oracle, scored, xs, targets, y, regs, letters, relation, name
 ) -> MarReport:
@@ -281,7 +271,7 @@ def _mar_report(
             return False
         return relation is None or relation(xs, digits[k:])
 
-    rhs = _output_mass(alg, star, regs, hit, name)
+    (rhs,) = _table_masses(alg, name, [star], regs, hit)
     q = _named_queries(alg, name)
     factor = Fraction(1, (2 * q + 1) ** (2 * k))
     if isinstance(lhs, Rational) and isinstance(rhs, Rational):
@@ -394,8 +384,8 @@ def o2h_corollary_C(
     def in_set(digits: tuple) -> bool:
         return digits[0] < len(dom) and dom[digits[0]] in sset
 
-    p_a_fs = float(_output_mass(alg, indicator, out_reg, in_set, name))
-    p_plain = float(_output_mass(alg, zero, out_reg, in_set, name))
+    masses = _table_masses(alg, name, [indicator, zero], out_reg, in_set)
+    p_a_fs, p_plain = map(float, masses)
     acc = 0.0
     for j in range(1, q + 1):
         # reprogramming the measured point of the all-zero table to 0

@@ -6,8 +6,8 @@ every lazily sampled oracle table at once, and returns merged paths
 with their weights (integer schedule counts times rational fork
 weights) in place of one replay per (randomness, schedule, table). The
 trace is a plain callable, so the walk replays it under scripted answers
-(``_next_event``) once per branching node of its answer tree; everything
-else is bookkeeping over small hashable states.
+(``_next_event``) once per leaf of its answer tree; everything else is
+bookkeeping over small hashable states.
 """
 
 from __future__ import annotations
@@ -19,45 +19,39 @@ from qromlab.protocol import ProtocolSpec
 from qromlab.transforms import _schedule_count
 
 
-class _Fork(Exception):
-    """A replay reached a query with more than one answer; args[0] lists
-    the child nodes as (answers, node)."""
-
-
 def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
     """One replay of a trace from the start: the scripted answers first,
     then ``expand(node, kind, point)`` gives each further query's child
     nodes by answer, kind "h" for an oracle query and "f" for a response
-    read. A query with one child is answered inline and the replay goes
-    on; one with more stops it.
+    read. At a query with more than one child the replay goes on down
+    the last child, and the others are set aside to replay later: the
+    child a stack of all of them would pop first, so the walk meets its
+    leaves in depth-first order.
 
     Returns:
-        ("fork", [(answers, node) per child]) at a query with more than
-        one answer, or ("out", (output, node)) when the trace returns.
+        (output, node, forks): the trace's output and the node it ended
+        in, and the children set aside, as (answers, node), in the order
+        their queries were met and each query's children in answer order.
     """
     script = iter(answers)
     end = object()
     at = [answers, node]
+    forks: list = []
 
     def asker(kind):
         def ask(point):
             answer = next(script, end)
             if answer is not end:
                 return answer
-            children = expand(at[1], kind, tuple(point))
-            if len(children) > 1:
-                raise _Fork([(at[0] + (a,), child) for a, child in children.items()])
-            ((answer, at[1]),) = children.items()
+            *rest, (answer, at[1]) = expand(at[1], kind, tuple(point)).items()
+            forks.extend((at[0] + (a,), child) for a, child in rest)
             at[0] += (answer,)
             return answer
 
         return ask
 
-    try:
-        out = trace(asker("h"), asker("f"))
-    except _Fork as fork:
-        return "fork", fork.args[0]
-    return "out", (out, at[1])
+    out = trace(asker("h"), asker("f"))
+    return out, at[1], forks
 
 
 def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
@@ -80,11 +74,13 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
     clear at a read-then-reprogram slot.
 
     A trace is deterministic given its answers, so the walk goes depth
-    first down its answer tree, and each node that branches costs one
-    partial replay (``_next_event``). A node holds every path that
-    reached it, merged: paths with the same (patch, seen-clear set,
-    slots, assignment, randomness group) add their weights, a weight
-    being a schedule count times the weights of the sampled values;
+    first down its answer tree, and each leaf costs one replay
+    (``_next_event``): a replay follows one child of every branching
+    query it meets and leaves the others to replays of their own. A node
+    holds every path that reached it, merged: paths with the same (patch,
+    seen-clear set, slots, assignment, randomness group) add their
+    weights, a weight being a schedule count times the weights of the
+    sampled values;
     with integer value weights the walk counts in integers and divides
     each leaf by the weights' sum once per assigned point. A
     response read splits each path's group by the response
@@ -161,11 +157,8 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
     stack = [((), (0, {(0, 0, (), frozenset(), rs): 1}))]
     while stack:
         answers, node = stack.pop()
-        kind, what = _next_event(trace, answers, node, expand)
-        if kind == "fork":
-            stack += what
-            continue
-        out, (made, paths) = what
+        out, (made, paths), forks = _next_event(trace, answers, node, expand)
+        stack += forks
         for (_, _, slots, asg, group), weight in paths.items():
             leaf = (group, slots, out, asg, made)
             done[leaf] = done.get(leaf, 0) + weight

@@ -15,9 +15,11 @@ checked against.
 
 ``family_exactness_check``, ``random_function_vs_family`` and
 ``sparse_advantage`` are the plain per-key and per-weight loops: they
-build one table and call ``accept`` once for every key or weight, in
-enumeration order. The library versions call ``accept`` once per
-distinct table; the tests compare the two with ``==``.
+build one table and call a one-table ``accept`` once for every key or
+weight, in enumeration order. The library versions call a list-taking
+``accept`` once, on the distinct tables; the tests hand these loops the
+same functional one table at a time (``conftest.one_table``) and compare
+the two with ``==``.
 """
 
 from typing import Any, Callable, Hashable, Sequence

@@ -10,7 +10,9 @@ whose control digits read the pinned values map among themselves.
 through the per-branch executor of ``executor_reference``, and returns
 its branches as a result of one-row runs (``executor_reference.result_of``).
 It is the reference the batched route in ``adversary.run_simulator`` is
-tested against, branch by branch.
+tested against, branch by branch. A machine's pinned machines are built
+once, and each distinct strict step list (by value) runs through them
+once; both are kept on the machine object, so they live as long as it.
 
 ``control_rows`` is how ``VerifierMachine._control_rows`` was first
 built: one ``ClassicalOracle`` per table from ``enumerate_weighted``,
@@ -24,7 +26,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qromlab.adversary import ExpectedAlgorithm, _ControlRows
+from qromlab.adversary import ExpectedAlgorithm, Unitary, _ControlRows
 from qromlab.oracle import ClassicalOracle, SparseOracleDist
 from qromlab.qsim import RegisterLayout
 
@@ -106,11 +108,43 @@ def pinned_machine(machine, fixed):
     return pinned
 
 
+def _kept(machine, name, build):
+    """``build()``, made once per machine object and kept on it."""
+    memo = vars(machine)
+    if name not in memo:
+        memo[name] = build()
+    return memo[name]
+
+
 def pinned_machines(machine):
     """Every (R, H) assignment of the aborting kind as (pinned machine, weight)."""
-    return tuple(
+    return _kept(machine, "_pinned_reference", lambda: tuple(
         (pinned_machine(machine, fx), w) for fx, w in assignments(machine)
+    ))
+
+
+def _list_key(alg):
+    """A strict step list by value; a ``Unitary`` by its registers and
+    matrix bytes."""
+    steps = tuple(
+        (s.registers, s.matrix.tobytes()) if isinstance(s, Unitary) else s
+        for s in alg.steps
     )
+    return alg.budget, alg.work_registers, alg.output_registers, steps
+
+
+def _pinned_branches(sim, machine):
+    """Every final branch of one strict list, one per-branch run per
+    pinned machine; each distinct list runs once per machine."""
+    runs = _kept(machine, "_pinned_runs", dict)
+    key = _list_key(sim)
+    if key not in runs:
+        allb = []
+        for pinned, w in pinned_machines(machine):
+            for b in executor_reference.run_query_algorithm(sim, machine=pinned):
+                allb.append(replace(b, weight=w * b.weight))
+        runs[key] = tuple(allb)
+    return runs[key]
 
 
 def run_simulator(sim, machine, force_dense=False):
@@ -130,8 +164,4 @@ def run_simulator(sim, machine, force_dense=False):
     if force_dense or kind == "superposition":
         branches = executor_reference.run_query_algorithm(sim, machine=machine)
         return executor_reference.result_of(kind, branches)
-    allb = []
-    for pinned, w in pinned_machines(machine):
-        for b in executor_reference.run_query_algorithm(sim, machine=pinned):
-            allb.append(replace(b, weight=w * b.weight))
-    return executor_reference.result_of(kind, allb)
+    return executor_reference.result_of(kind, _pinned_branches(sim, machine))

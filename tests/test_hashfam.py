@@ -212,7 +212,7 @@ class TestExactnessChecks:
     def test_nonuniform_base_rejected(self):
         fam = TwoQWiseFamily(PolynomialFamily(DOM6, 7, 1, 4), 2, 2)
         with pytest.raises(ValueError):
-            family_exactness_check(fam, lambda h: 0)
+            family_exactness_check(fam, lambda tables: [0] * len(tables))
 
     def test_linear_bits_exhaust_all_tables(self):
         # degree-1 keys over GF(2) hit each 2-point table exactly once,

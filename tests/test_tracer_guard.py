@@ -2,11 +2,18 @@
 
 ``perfbench/run.py`` fails a traced run whose worker measured no value
 for a ``PER_LAYER`` name; this test fails the same way under pytest, so
-renaming or privatising a traced function cannot pass unnoticed.
+renaming or privatising a traced function cannot pass unnoticed. A
+traced pass of every lemma demo must also still reach the per-call
+kernels the ``lemma-sweep`` workload is about: a route that bypassed
+them would read as a zero in the benchmark's per-layer table.
 """
 
+import contextlib
+import io
 import sys
 from pathlib import Path
+
+from qromlab import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
@@ -26,3 +33,19 @@ def test_tracer_covers_every_per_layer_name():
         if not name.startswith("trace.") and name not in layers
     ]
     assert missing == []
+
+
+def test_a_traced_demo_pass_reaches_the_query_and_unitary_kernels():
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            codes = [cli.main(["verify-lemma", name]) for name in sorted(cli.LEMMAS)]
+        layers = spans.layer_metrics(tracer, passes=1)
+    finally:
+        tracer.uninstall()
+    assert codes == [0] * len(cli.LEMMAS)
+    assert layers["cli.main.calls"] == len(cli.LEMMAS)
+    for name in ("oracle.quantum_query", "qsim.apply_unitary"):
+        assert layers[f"{name}.calls"] > 0, name
+        assert layers[f"{name}.amps"] > 0, name

@@ -194,17 +194,35 @@ def test_multiplicities_that_miss_the_schedule_count_raise(monkeypatch):
 
 def test_each_trace_node_is_replayed_once(monkeypatch):
     spec, x, trace, q = next(stock("toy-qr-t4"))
-    replayed = []
+    replayed, leaves = [], []
     next_event = walk._next_event
 
     def counted(trace, answers, *rest):
         replayed.append(answers)
         return next_event(trace, answers, *rest)
 
+    def recorded(ask_h, ask_f):
+        """The trace, logging the answers each run of it got to the end."""
+        got = []
+
+        def logged(ask):
+            def asked(point):
+                got.append(ask(point))
+                return got[-1]
+
+            return asked
+
+        out = trace(logged(ask_h), logged(ask_f))
+        leaves.append(tuple(got))
+        return out
+
     monkeypatch.setattr(walk, "_next_event", counted)
-    _walk(spec, x, trace, spec.rounds, q)
+    _walk(spec, x, recorded, spec.rounds, q)
     assert len(replayed) == len(set(replayed))
-    # a query with one answer is answered inside a replay: 421 replays here
+    # one replay per leaf: every replay runs the trace to its end, down
+    # an answer path no other replay takes
+    assert len(leaves) == len(set(leaves)) == len(replayed)
+    # a query with one answer is answered inside a replay: 246 replays here
     assert len(replayed) < len(spec.randomness) * _schedule_count(spec.rounds, q) / 8
 
 
