@@ -23,10 +23,11 @@ control registers stay classical, so it is simulated by enumerating
 every control assignment exactly and mixing the resulting branches with
 rational weights: each assignment is a row, and its verifier call is the
 strided slice of the machine's permutation, moved for every row by
-``qsim``'s one permutation kernel. Forward/inverse call pairs that lead
-a step list, as the expected-budget wrappers' pads do, are counted but
-not applied wherever they cancel bit for bit, and strict branches left
-with the same steps share one run.
+``qsim``'s one permutation kernel. A ``Pad`` step, which the
+expected-budget wrappers put ahead of the honest steps, stands for its
+forward/inverse call pairs: it is billed as two calls a pair and moves
+no row, and strict branches whose other steps are the same share one
+run.
 
 A strict run's final rows stay stacked as one ``StrictRun``, the only
 form a run's result takes: ``run_query_algorithm`` returns one, and a
@@ -73,10 +74,6 @@ from qromlab.qsim import (  # noqa: F401
 
 VERIFIER_KINDS = ("random_aborting", "superposition")
 MAX_STATE_DIM = 2**17
-# expected-lazy's forward/inverse call pairs: the executor counts them
-# without applying them, but the padded step tuple is 2·pairs long, and
-# `invocations` and `transforms.truncate` scan it step by step
-MAX_PAD_PAIRS = 2**12
 _EXACT_TOL = 1e-12
 
 
@@ -360,31 +357,21 @@ def apply_step(
     return StateVector(lay, rows.reshape(-1))
 
 
-@dataclass(frozen=True)
-class AuxState:
-    """A named auxiliary input: one amplitude factor per control register."""
-
-    name: str
-    factors: tuple[tuple[str, tuple[complex, ...]], ...]
-
-
-_CANONICAL_AUX = {"random_aborting": "psi_eps", "superposition": "psi_tilde_eps"}
-
-
-def build_aux(machine: VerifierMachine) -> AuxState:
-    """The kind's canonical auxiliary state over its control registers."""
-    factors = []
+def build_aux(machine: VerifierMachine) -> dict[str, tuple[complex, ...]]:
+    """The kind's canonical auxiliary state over its control registers, as
+    one amplitude factor per control register."""
+    factors = {}
     for reg, dim in machine.layout.registers:
         if reg == "Cont":
-            factors.append((reg, (1 / np.sqrt(2), 1 / np.sqrt(2))))
+            factors[reg] = (1 / np.sqrt(2), 1 / np.sqrt(2))
         elif reg == "R":
-            factors.append((reg, (1 / np.sqrt(dim),) * dim))
+            factors[reg] = (1 / np.sqrt(dim),) * dim
         elif reg == "H":
             vec = table_superposition(
                 SparseOracleDist(machine._prefix_points, machine.eps)
             )
-            factors.append((reg, tuple(complex(v) for v in vec)))
-    return AuxState(_CANONICAL_AUX[machine.kind], tuple(factors))
+            factors[reg] = tuple(complex(v) for v in vec)
+    return factors
 
 
 def initial_state(
@@ -393,7 +380,7 @@ def initial_state(
     """The kind's canonical aux state on the control registers, zeros on the
     rest of the machine and on the work registers."""
     layout = RegisterLayout(machine.layout.registers + tuple(work))
-    fax = dict(build_aux(machine).factors)
+    fax = build_aux(machine)
     factors = {}
     for reg, dim in layout.registers:
         if reg in fax:
@@ -411,11 +398,7 @@ def _prover_move_matrices(spec: ProtocolSpec, x, witness, u) -> list[np.ndarray]
         raise ValueError("dense interaction supports at most two prover moves")
     n = len(spec.alphabet)
     aidx = {a: i for i, a in enumerate(spec.alphabet)}
-    first = np.eye(n)
-    i1 = aidx[spec.honest_prover(x, witness, u, ())]
-    if i1:
-        first[[0, i1]] = first[[i1, 0]]
-    mats = [first]
+    mats = [_swap0(n, aidx[spec.honest_prover(x, witness, u, ())])]
     if spec.rounds == 2:
         targets = [aidx[spec.honest_prover(x, witness, u, (a,))] for a in spec.alphabet]
         if len(set(targets)) != n:
@@ -426,10 +409,11 @@ def _prover_move_matrices(spec: ProtocolSpec, x, witness, u) -> list[np.ndarray]
     return mats
 
 
-def final_cont_state(spec: ProtocolSpec, x, witness, eps, u=None):
-    """Exact accept statistics of the coherent kind without the dense state.
+def final_cont_state(spec: ProtocolSpec, x, witness, eps, u):
+    """Exact accept statistics of the coherent kind without the dense state,
+    against the honest prover on coins ``u``.
 
-    Works branch by classical branch over (r, u), tracking only the two
+    Works branch by classical branch over r, tracking only the two
     predicate bits the interaction can reach; every other table point
     stays in the same product state in both control blocks and factors
     out. Two-move specs only, which keeps the reachable set at two.
@@ -442,42 +426,40 @@ def final_cont_state(spec: ProtocolSpec, x, witness, eps, u=None):
     eps = Fraction(eps)
     if not 0 < eps <= 1:
         raise ValueError("the adjusting rotation needs a density in (0, 1]")
-    us = list(spec.prover_randomness) if u is None else [u]
     se, sne = np.sqrt(float(eps)), np.sqrt(float(1 - eps))
     s2 = np.sqrt(2.0)
-    weight = 1.0 / (len(spec.randomness) * len(us))
+    weight = 1.0 / len(spec.randomness)
     total = 0.0
     rho = np.zeros((2, 2), dtype=complex)
+    m1 = spec.honest_prover(x, witness, u, ())
+    m2_ab = spec.honest_prover(x, witness, u, (spec.alphabet[0],))
     for r in spec.randomness:
-        for uu in us:
-            m1 = spec.honest_prover(x, witness, uu, ())
-            c = spec.next_message(x, r, (m1,))
-            m2 = spec.honest_prover(x, witness, uu, (c,))
-            m2_ab = spec.honest_prover(x, witness, uu, (spec.alphabet[0],))
-            acc = int(bool(spec.decide(x, r, (m1, m2))))
-            dist = SparseOracleDist(((m1,), (m1, m2)), eps)
-            adj = build_exact_adjuster((m1, m2), dist).matrix @ table_superposition(dist)
-            # amplitude per (Cont, bit at (m1,), bit at (m1, m2), second message, B)
-            amps: dict[tuple, float] = {}
-            for hflat in range(4):
-                h1, h2 = hflat & 1, (hflat >> 1) & 1
-                key = (0, h1, h2, m2, acc)
-                amps[key] = amps.get(key, 0.0) + adj[hflat] / s2
-                alpha = (se if h1 else sne) * (se if h2 else sne) / s2
-                if h1:
-                    key = (1, 1, h2, m2, h2 & acc)
-                else:
-                    key = (1, 0, h2, m2_ab, 0)
-                amps[key] = amps.get(key, 0.0) + alpha
-            rests: dict[tuple, list] = {}
-            for (cont, h1, h2, mm, b), a in amps.items():
-                if b != 1:
-                    continue
-                rests.setdefault((h1, h2, mm), [0.0, 0.0])[cont] += a
-            for pair in rests.values():
-                vec = np.array(pair, dtype=complex)
-                rho += weight * np.outer(vec, vec.conj())
-                total += weight * float((vec.conj() @ vec).real)
+        c = spec.next_message(x, r, (m1,))
+        m2 = spec.honest_prover(x, witness, u, (c,))
+        acc = int(bool(spec.decide(x, r, (m1, m2))))
+        dist = SparseOracleDist(((m1,), (m1, m2)), eps)
+        adj = build_exact_adjuster((m1, m2), dist).matrix @ table_superposition(dist)
+        # amplitude per (Cont, bit at (m1,), bit at (m1, m2), second message, B)
+        amps: dict[tuple, float] = {}
+        for hflat in range(4):
+            h1, h2 = hflat & 1, (hflat >> 1) & 1
+            key = (0, h1, h2, m2, acc)
+            amps[key] = amps.get(key, 0.0) + adj[hflat] / s2
+            alpha = (se if h1 else sne) * (se if h2 else sne) / s2
+            if h1:
+                key = (1, 1, h2, m2, h2 & acc)
+            else:
+                key = (1, 0, h2, m2_ab, 0)
+            amps[key] = amps.get(key, 0.0) + alpha
+        rests: dict[tuple, list] = {}
+        for (cont, h1, h2, mm, b), a in amps.items():
+            if b != 1:
+                continue
+            rests.setdefault((h1, h2, mm), [0.0, 0.0])[cont] += a
+        for pair in rests.values():
+            vec = np.array(pair, dtype=complex)
+            rho += weight * np.outer(vec, vec.conj())
+            total += weight * float((vec.conj() @ vec).real)
     if total <= PROB_FLOOR:
         return 0.0, None, 0.0
     rho /= total
@@ -506,6 +488,19 @@ class CallVerifier:
 
 
 @dataclass(frozen=True)
+class Pad:
+    """``pairs`` forward/inverse verifier call pairs as one step, billed as
+    2·pairs calls. Each pair composes to the identity, so no row moves."""
+
+    pairs: int
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.pairs, int) or self.pairs < 1:
+            raise ValueError(f"a pad holds a whole number of call pairs, at least"
+                             f" one, not {self.pairs!r}")
+
+
+@dataclass(frozen=True)
 class CallOracle:
     """One superposed query to a named classical table."""
 
@@ -521,7 +516,7 @@ class Measure:
     register: str
 
 
-Step = Union[Unitary, CallVerifier, CallOracle, Measure]
+Step = Union[Unitary, CallVerifier, Pad, CallOracle, Measure]
 
 
 @dataclass(frozen=True)
@@ -548,7 +543,7 @@ class QueryAlgorithm:
 
     @property
     def invocations(self) -> int:
-        return sum(isinstance(s, (CallVerifier, CallOracle)) for s in self.steps)
+        return sum(map(_calls, self.steps))
 
     @cached_property
     def _work_start(self) -> StateVector:
@@ -633,6 +628,13 @@ class StrictRun:
     def row_weight(self, i: int):
         """Row i's mixture weight, ``weight * weights[i]``."""
         return self.weight * self.weights[i]
+
+
+def _calls(step: Step) -> int:
+    """How many invocations a step is billed."""
+    if isinstance(step, Pad):
+        return 2 * step.pairs
+    return int(isinstance(step, (CallVerifier, CallOracle)))
 
 
 def _scale(weight, p: float):
@@ -834,54 +836,29 @@ def run_simulator(
     each strict branch runs once, and the rows are mixed with exact
     weights. The coherent kind runs as one dense row. Each strict branch
     is one ``StrictRun``, and an expected-mode simulator's stopping
-    weight is set once on its branch's run, not on each row. Branches
-    whose steps after their cancelled pads (``_cancelled_pairs``) are the
-    same step objects, over the same work and output registers, share
-    one run: each gets its own ``StrictRun`` with its own weight and
-    call counts over the shared rows, tables and outcomes.
+    weight is set once on its branch's run, not on each row. A ``Pad``
+    moves no row, so branches whose other steps are the same step
+    objects, over the same work and output registers, share one run:
+    each gets its own ``StrictRun`` with its own weight and call counts
+    over the shared rows, tables and outcomes.
     """
 
     verifier = machine if machine.kind == "superposition" else machine._control_rows
     strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
-    shared: dict[tuple, tuple[int, StrictRun]] = {}
+    shared: dict[tuple, StrictRun] = {}
     runs = []
     for w, alg in strict:
-        skip = 2 * _cancelled_pairs(alg.steps, verifier)
         # steps compare by identity: a Unitary holds an array and has no hash
-        key = (tuple(map(id, alg.steps[skip:])), alg.work_registers, alg.output_registers)
+        moves = tuple(id(s) for s in alg.steps if not isinstance(s, Pad))
+        key = (moves, alg.work_registers, alg.output_registers)
         if key in shared:
-            skip0, run = shared[key]
-            calls = run.invocations + skip - skip0  # with no tables, all verifier calls
-            run = replace(run, weight=w, invocations=calls,
+            calls = alg.invocations  # with no tables, all verifier calls
+            run = replace(shared[key], weight=w, invocations=calls,
                           counts=(("verifier", calls),) if calls else ())
         else:
-            run = _run_rows(alg, verifier, weight=w)
-            shared[key] = skip, run
+            run = shared[key] = _run_rows(alg, verifier, weight=w)
         runs.append(run)
     return SimulationResult(machine.kind, tuple(runs))
-
-
-_PAD_PAIR = (CallVerifier(), CallVerifier(inverse=True))
-
-
-def _cancelled_pairs(steps: tuple[Step, ...], verifier) -> int:
-    """How many forward/inverse call pairs lead a step list and leave the
-    start rows of a run against ``verifier`` bit for bit.
-
-    Against ``_ControlRows`` a pair is a scatter and its inverse gather.
-    Against a machine of k >= 2 rounds the forward call moves Count from
-    0 to 1, so ``_apply_adjusters`` finds its Count = 0 block all zero in
-    both directions and the pair is a permutation and its inverse. At
-    k = 1 the rotation and its adjoint act on the live block and round
-    off, so no pair is skipped; nor without a verifier, where a call is
-    an error.
-    """
-    if verifier is None or (isinstance(verifier, VerifierMachine) and verifier.k < 2):
-        return 0
-    n = 0
-    while steps[2 * n:2 * n + 2] == _PAD_PAIR:
-        n += 1
-    return n
 
 
 def _table(tables: dict, name: str) -> ClassicalOracle:
@@ -911,11 +888,10 @@ def _run_rows(
     its outcomes above ``PROB_FLOOR``, in place and in outcome order, so
     the rows stay assignment-major. Each row keeps its own weight, times
     the assignment's weight at the end, and its own outcomes and tables;
-    queries are answered row by row through ``quantum_query``.
-    The forward/inverse call pairs that lead the list and cancel on the
-    start rows (``_cancelled_pairs``) count 2 calls each and are not
-    applied. ``reprogram`` is ``run_query_algorithm``'s, and ``weight``
-    is the run's stopping weight.
+    queries are answered row by row through ``quantum_query``. A
+    ``Pad`` is billed its calls and moves no row. ``reprogram`` is
+    ``run_query_algorithm``'s, and ``weight`` is the run's stopping
+    weight.
     """
     if verifier is None:
         visible, start = _visible_registers(alg, None), alg._work_start
@@ -938,8 +914,7 @@ def _run_rows(
     amps = np.repeat(start.amplitudes[None], row.size, axis=0)
     weights: list = [Fraction(1)] * row.size
     outcomes: list[tuple] = [()] * row.size
-    pairs = _cancelled_pairs(alg.steps, verifier)
-    counts: dict[str, int] = {"verifier": 2 * pairs} if pairs else {}
+    counts: dict[str, int] = {}
     name, slots = reprogram or (None, {})
 
     def collapse(t: np.ndarray, register: str):
@@ -969,20 +944,22 @@ def _run_rows(
             tabs[name] = tab.reprogram(tab.domain[o], value)
             tables[i] = tabs
 
-    for step in alg.steps[2 * pairs:]:
+    for step in alg.steps:
         _check_visible(step, visible)
         t = amps.reshape((row.size,) + shape)
         if isinstance(step, Unitary):
             t = _unitary_on_axes(t, layout, step.registers, step.matrix)
         elif isinstance(step, Measure):
             _, t = collapse(t, step.register)
-        elif isinstance(step, (CallVerifier, CallOracle)):
-            if isinstance(step, CallVerifier) and verifier is None:
+        elif isinstance(step, (CallVerifier, Pad, CallOracle)):
+            if not isinstance(step, CallOracle) and verifier is None:
                 raise ValueError("no verifier attached to this run")
-            if sum(counts.values()) + 1 > alg.budget:
+            if sum(counts.values()) + _calls(step) > alg.budget:
                 raise RuntimeError("budget violation in strict mode")
             key = step.name if isinstance(step, CallOracle) else "verifier"
-            counts[key] = counts.get(key, 0) + 1
+            counts[key] = counts.get(key, 0) + _calls(step)
+            if isinstance(step, Pad):
+                continue  # the pairs compose to the identity
             if isinstance(step, CallVerifier):
                 if isinstance(verifier, _ControlRows):
                     rows = t.reshape(row.size, -1, verifier.layout.total_dim)
@@ -1048,19 +1025,16 @@ EXPECTED_MEMBERS = ("expected-honest", "expected-lazy", "expected-geometric")
 def expected_wrapper(
     name: str, machine: VerifierMachine, witness, q: int
 ) -> ExpectedAlgorithm:
-    """The named expected-budget honest variant at budget q; padded call
-    pairs cancel exactly.
+    """The named expected-budget honest variant at budget q.
 
-    Each member's strict lists prepend i forward/inverse call pairs to
-    the honest wrapper's own step objects, so the interaction statistics
-    are untouched while the invocation count distribution becomes
-    nontrivial. The executor counts those pairs without applying them
-    where they cancel bit for bit, and the lists then share one run of
-    the honest steps. Only the named member is built. Expected-lazy pads
-    (q - 2k)/2 pairs, none below q = 2k, checked against
-    ``MAX_PAD_PAIRS`` before any step is built. An unknown name, a pad
-    count over the cap and expected invocations over q/2 raise
-    ``ConfigError``.
+    Each member's strict lists put one ``Pad(i)`` of i forward/inverse
+    call pairs ahead of the honest wrapper's own step objects (none when
+    i is 0), so the interaction statistics are untouched while the
+    invocation count distribution becomes nontrivial. A pad moves no
+    row, so the lists share one run of the honest steps, and a padded
+    list is 2k + 1 steps at any q. Only the named member is built.
+    Expected-lazy pads (q - 2k)/2 pairs, none below q = 2k. An unknown
+    name and expected invocations over q/2 raise ``ConfigError``.
     """
     if name not in EXPECTED_MEMBERS:
         raise ConfigError(f"unknown expected-mode simulator {name!r}")
@@ -1068,16 +1042,13 @@ def expected_wrapper(
     k = machine.spec.rounds
 
     def padded(i: int) -> QueryAlgorithm:
-        pads = (CallVerifier(), CallVerifier(inverse=True)) * i
+        pads = (Pad(i),) if i else ()
         return QueryAlgorithm(f"honest-padded-{i}", pads + base.steps, budget=k + 2 * i)
 
     if name == "expected-honest":
         branches = ((Fraction(1), base),)
     elif name == "expected-lazy":
         spare = max(0, (q - 2 * k) // 2)
-        if spare > MAX_PAD_PAIRS:
-            raise ConfigError(f"expected-lazy at q {q} pads {spare} call pairs,"
-                              f" over the cap {MAX_PAD_PAIRS}")
         branches = ((Fraction(1, 2), base), (Fraction(1, 2), padded(spare)))
     else:
         weights = [Fraction(1, 2 ** (i + 1)) for i in range(4)] + [Fraction(1, 16)]

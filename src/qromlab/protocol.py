@@ -139,10 +139,6 @@ class ProtocolSpec:
     fold_base: Optional["ProtocolSpec"] = field(default=None, init=False)
     fold_reps: int = field(default=1, init=False)
 
-    @property
-    def k(self) -> int:
-        return self.rounds
-
 
 def soundness_exact(spec: ProtocolSpec, x: Hashable) -> Fraction:
     """Max over deterministic adaptive prover strategies of Pr_r[accept].

@@ -32,8 +32,10 @@ from qromlab.adversary import (
     CallOracle,
     CallVerifier,
     ExpectedAlgorithm,
+    Pad,
     QueryAlgorithm,
     StrictRun,
+    _calls,
     _row_outputs,
     _table_masses,
     run_query_algorithm,
@@ -407,7 +409,9 @@ def truncate(sim: ExpectedAlgorithm, q: int) -> ExpectedAlgorithm:
 
     Requires expected invocations at most q/2. Short branches pass
     through; longer ones keep exactly the steps before their (q+1)-th
-    invocation, so a cut run ends in whatever state it reached there.
+    invocation, so a cut run ends in whatever state it reached there. A
+    cut inside a ``Pad`` keeps its whole pairs as a shorter ``Pad``, and
+    a forward ``CallVerifier`` when an odd number of its calls is left.
     """
     if sim.expected_invocations > Fraction(q, 2):
         raise ValueError(
@@ -419,12 +423,16 @@ def truncate(sim: ExpectedAlgorithm, q: int) -> ExpectedAlgorithm:
             out.append((w, alg))
             continue
         steps = []
-        used = 0
+        left = q
         for s in alg.steps:
-            if isinstance(s, (CallVerifier, CallOracle)):
-                if used == q:
-                    break
-                used += 1
+            if _calls(s) > left:
+                if isinstance(s, Pad):
+                    if left >= 2:
+                        steps.append(Pad(left // 2))
+                    if left % 2:
+                        steps.append(CallVerifier())
+                break
+            left -= _calls(s)
             steps.append(s)
         out.append(
             (

@@ -7,9 +7,10 @@ branch per outcome, and a query goes through ``answer_query`` unless the
 ``on_query`` interceptor answers it. ``measure_query_register`` and
 ``set_branch_oracle`` are the interceptor's tools. The registers a step
 may touch are checked by the library's own ``_visible_registers`` and
-``_check_visible``. It is the reference the one-row and the batched runs
-of the row executor are tested against, branch by branch, with
-``assert_same_branches``.
+``_check_visible``. A ``Pad`` runs as its explicit forward/inverse call
+pairs, one call at a time (``explicit_pairs``). It is the reference the
+one-row and the batched runs of the row executor are tested against,
+branch by branch, with ``assert_same_branches``.
 
 A branch is a ``RunBranch``, as every run's result was before a
 ``StrictRun`` became the only one. ``run_branches`` and ``result_branches``
@@ -28,6 +29,7 @@ from qromlab.adversary import (
     CallOracle,
     CallVerifier,
     Measure,
+    Pad,
     SimulationResult,
     StrictRun,
     Unitary,
@@ -177,6 +179,22 @@ def measure_query_register(branch, call):
     return out
 
 
+def explicit_pairs(steps):
+    """The steps with each ``Pad`` written out as its call pairs."""
+    out = []
+    for step in steps:
+        if isinstance(step, Pad):
+            out += [CallVerifier(), CallVerifier(inverse=True)] * step.pairs
+        else:
+            out.append(step)
+    return out
+
+
+def without_pads(alg):
+    """The list with its ``Pad`` steps dropped, under the same budget."""
+    return replace(alg, steps=tuple(s for s in alg.steps if not isinstance(s, Pad)))
+
+
 def run_query_algorithm(alg, *, machine=None, oracles=None, on_query=None):
     """Execute a step list exhaustively, branch by branch.
 
@@ -192,7 +210,7 @@ def run_query_algorithm(alg, *, machine=None, oracles=None, on_query=None):
         state = StateVector.basis(RegisterLayout(work))
     tables = tuple(sorted((oracles or {}).items()))
     branches = [RunBranch(Fraction(1), state, tables)]
-    for step in alg.steps:
+    for step in explicit_pairs(alg.steps):
         _check_visible(step, visible)
         nxt = []
         for br in branches:

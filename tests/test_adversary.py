@@ -11,6 +11,7 @@ from qromlab.adversary import (
     CallVerifier,
     ExpectedAlgorithm,
     Measure,
+    Pad,
     QueryAlgorithm,
     SimulationResult,
     Unitary,
@@ -145,14 +146,9 @@ class TestFstarOracle:
 
 
 class TestAuxAndInitialState:
-    def test_canonical_names(self):
-        m = build_verifier("superposition", toy_table(), 1, eps=EPS4)
-        assert build_aux(m).name == "psi_tilde_eps"
-
     def test_sparse_table_amplitudes(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
-        fax = dict(build_aux(m).factors)
-        amps = np.array(fax["H"])
+        amps = np.array(build_aux(m)["H"])
         assert np.isclose(np.linalg.norm(amps), 1.0)
         assert np.isclose(amps[0], (3 / 4) ** 3)  # six points, all unflagged
 
@@ -226,9 +222,9 @@ class TestCoherentKind:
 
     def test_reduced_routine_validation(self):
         with pytest.raises(ValueError):
-            final_cont_state(toy_guess(), 1, (1,), EPS4)
+            final_cont_state(toy_guess(), 1, (1,), EPS4, u=0)
         with pytest.raises(ValueError):
-            final_cont_state(toy_table(), 1, (1,), Fraction(0))
+            final_cont_state(toy_table(), 1, (1,), Fraction(0), u=0)
 
     def test_cont_register_is_private(self):
         m = build_verifier("superposition", toy_table(), 1, eps=EPS4)
@@ -286,6 +282,24 @@ class TestExpectedWrappers:
         )
         with pytest.raises(ValueError):
             ExpectedAlgorithm("tight", ((Fraction(1), two),), 3)
+
+
+class TestPad:
+    @pytest.mark.parametrize("pairs", [0, -1, 1.5, "2"])
+    def test_a_pad_holds_a_whole_number_of_pairs(self, pairs):
+        with pytest.raises(ValueError, match="whole number of call pairs"):
+            Pad(pairs)
+
+    def test_a_pad_is_billed_two_calls_a_pair(self):
+        alg = QueryAlgorithm("p", (Pad(3), CallVerifier()), 7)
+        assert alg.invocations == 7
+        with pytest.raises(ValueError, match="budget violation"):
+            QueryAlgorithm("p", (Pad(3),), 5)
+
+    def test_a_pad_needs_a_verifier(self):
+        alg = QueryAlgorithm("p", (Pad(1),), 2, (("W", 2),))
+        with pytest.raises(ValueError, match="no verifier attached"):
+            run_query_algorithm(alg)
 
 
 class TestDenseRouteAgreesWithEnumeration:

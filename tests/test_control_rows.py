@@ -16,6 +16,7 @@ from qromlab.adversary import (
     CallOracle,
     CallVerifier,
     Measure,
+    Pad,
     QueryAlgorithm,
     Unitary,
     build_verifier,
@@ -166,10 +167,11 @@ DIMS = dict(WORK, M=2)
 def step_lists(draw, general):
     """Steps over M and two work registers: unitaries on one or two of
     them (permutations, or any unitary when ``general``), verifier calls
-    both ways, and measurements of a work register."""
+    both ways, pads of one to three pairs, and measurements of a work
+    register, each at any position."""
     steps = []
     for _ in range(draw(st.integers(0, 7))):
-        pick = draw(st.integers(0, 3))
+        pick = draw(st.integers(0, 4))
         if pick == 0:
             regs = tuple(draw(st.lists(st.sampled_from(sorted(DIMS)), min_size=1,
                                        max_size=2, unique=True)))
@@ -181,9 +183,12 @@ def step_lists(draw, general):
             steps.append(Unitary(regs, mat))
         elif pick in (1, 2):
             steps.append(CallVerifier(inverse=pick == 2))
+        elif pick == 3:
+            steps.append(Pad(draw(st.integers(1, 3))))
         else:
             steps.append(Measure(draw(st.sampled_from(("W1", "W2")))))
-    calls = sum(isinstance(s, CallVerifier) for s in steps)
+    calls = sum(2 * s.pairs if isinstance(s, Pad) else isinstance(s, CallVerifier)
+                for s in steps)
     return QueryAlgorithm("drawn", tuple(steps), calls, WORK)
 
 

@@ -5,6 +5,7 @@ Every comparison is exact: Fractions equal and still Fractions, floats
 equal by ``float.hex``, amplitudes and reduced states by
 ``np.array_equal``, and branches in the same order."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +19,7 @@ from qromlab.adversary import (
     CallVerifier,
     ExpectedAlgorithm,
     Measure,
+    Pad,
     QueryAlgorithm,
     StrictRun,
     Unitary,
@@ -42,6 +44,7 @@ from executor_reference import (
     result_branches,
     result_of,
     run_branches,
+    without_pads,
 )
 from prover_reference import give_up
 
@@ -113,6 +116,9 @@ def members_up_to_40(machine, witness):
 @pytest.mark.parametrize("eps", DENSITIES, ids=str)
 @pytest.mark.parametrize("x", CFG.yes_instances + CFG.no_instances)
 def test_expected_time_statements(x, eps, kind):
+    """The differential test of the expected members: every member and
+    its truncation at every budget up to 40, each run equal to the
+    reference, which applies each ``Pad`` pair by pair."""
     machine = build_verifier(kind, SPEC, x, eps=eps)
     w = SPEC.witness_map(x)[0]
     sims = [honest_wrapper(machine, w), give_up(machine), *members_up_to_40(machine, w)]
@@ -173,51 +179,87 @@ PAIR = (CallVerifier(), CallVerifier(inverse=True))
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("q, applied", [(13, 4), (14, 2), (21, 3)])
 def test_a_cut_inside_the_pads_applies_what_is_left(kind, q, applied):
-    """Pads of 6 and 12 shared pairs ahead of the honest steps, cut at q.
+    """Pads of 6 and 12 pairs ahead of the honest steps, cut at q.
 
-    At q 13 the 12-pair list keeps 6 pairs and one forward call, which is
-    applied (1), the 6-pair list keeps its pads and U, CV, U (1), and the
-    honest list makes its 2. At q 14 the long list keeps 7 whole pairs
+    At q 13 the 12-pair list keeps ``Pad(6)`` and one forward call, which
+    is applied (1), the 6-pair list keeps its pad and U, CV, U (1), and
+    the honest list makes its 2. At q 14 the long list keeps ``Pad(7)``
     and nothing else (0), and the 6-pair list is not cut, so it shares
     the honest run (2). At q 21 the long list again ends on one forward
-    call (1) next to the shared honest run (2)."""
+    call after ``Pad(10)`` (1), next to the shared honest run (2)."""
     machine = machine_of(kind, Fraction(1, 3))
     base = honest_wrapper(machine, toy_table().witness_map(1)[0])
-    mid = QueryAlgorithm("mid", PAIR * 6 + base.steps, 14)
-    long = QueryAlgorithm("long", PAIR * 12 + base.steps, 26)
+    mid = QueryAlgorithm("mid", (Pad(6),) + base.steps, 14)
+    long = QueryAlgorithm("long", (Pad(12),) + base.steps, 26)
     mix = ExpectedAlgorithm(
         "pads", ((Fraction(3, 4), base), (Fraction(1, 8), mid), (Fraction(1, 8), long)), 40)
     cut = truncate(mix, q)
-    if q % 2:
-        assert cut.branches[2][1].steps[-1] == CallVerifier()
+    assert cut.branches[2][1].steps == (Pad(q // 2),) + (CallVerifier(),) * (q % 2)
+    assert cut.branches[2][1].invocations == q
     check_applied(cut, machine, applied)
 
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_a_pair_after_another_step_is_applied(kind):
-    """Only the pairs that lead a list are skipped: after a Unitary or a
-    Measure, every call is applied."""
+    """Explicit forward/inverse pairs are ordinary calls, applied wherever
+    they stand, leading the list or not. A ``Pad`` is billed wherever it
+    stands and applies nothing."""
     machine = machine_of(kind, Fraction(1, 4))
     u = Unitary(("M",), _unitary(2, 5))
     for lead in (u, Measure("M")):
         alg = QueryAlgorithm("late-pairs", (lead,) + PAIR * 2 + (CallVerifier(),), 5)
         check_applied(alg, machine, 5)
         alg = QueryAlgorithm("both", PAIR * 3 + (lead,) + PAIR + (CallVerifier(),), 9)
-        check_applied(alg, machine, 3)
+        check_applied(alg, machine, 9)
+        alg = QueryAlgorithm("late-pad", (lead, Pad(2), CallVerifier()), 5)
+        got = check_applied(alg, machine, 1)
+        assert {run.counts for run in got.runs} == {(("verifier", 5),)}
 
 
 @pytest.mark.parametrize("eps", DENSITIES, ids=str)
 def test_one_round_coherent_pads_are_applied(eps):
     """At k = 1 a forward call leaves Count at 0, so the adjuster and its
-    adjoint rotate the live block and round off: every pad is applied.
-    Expected-geometric's 5 lists differ, so none is shared."""
+    adjoint rotate the live block and round off: explicit pairs are
+    applied call by call. A ``Pad`` moves no row, so expected-geometric's
+    5 lists share one run of the honest steps, and every padded branch's
+    rows equal the honest branch's rows exactly; the reference, which
+    applies each pad pair by pair, is then matched by the list without
+    its pads."""
     spec = toy_guess()
     machine = build_verifier("superposition", spec, 1, eps=eps)
     w = spec.witness_map(1)[0]
+    honest = honest_wrapper(machine, w)
+    check_applied(QueryAlgorithm("pairs", PAIR * 2 + honest.steps, 5), machine, 5)
     geometric = expected_wrapper("expected-geometric", machine, w, 40)
-    check_applied(geometric, machine, 1 + 3 + 5 + 7 + 9)
+    got, calls = check_rows_without_pads(geometric, machine)
+    assert calls == 1
+    want = run_simulator(honest, machine).runs[0]
+    for run in got.runs:
+        assert np.array_equal(run.amplitudes, want.amplitudes)
+        assert run.weights == want.weights
     for sim in members_up_to_40(machine, w):
-        check(sim, machine)
+        check_rows_without_pads(sim, machine)
+
+
+def check_rows_without_pads(sim, machine):
+    """Each strict branch's run against the reference run of its list
+    without its pads, billed as the list itself is. Returns the result
+    and how many verifier calls the executor applied."""
+    got, calls = run_counting_calls(sim, machine)
+    strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
+    assert len(got.runs) == len(strict)
+    for run, (w, alg) in zip(got.runs, strict):
+        want = ref.run_simulator(without_pads(alg), machine)
+        rows = run_branches(replace(run, weight=1))
+        assert len(rows) == len(want)
+        for a, b in zip(rows, want):
+            assert_same_value(a.weight, b.weight)
+            assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
+            assert (a.oracles, a.outcomes) == (b.oracles, b.outcomes)
+        assert run.weight == w
+        assert run.invocations == alg.invocations
+        assert run.counts == ((("verifier", alg.invocations),) if alg.invocations else ())
+    return got, calls
 
 
 @pytest.mark.parametrize("kind", KINDS)

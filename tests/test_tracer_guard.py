@@ -5,7 +5,9 @@ for a ``PER_LAYER`` name; this test fails the same way under pytest, so
 renaming or privatising a traced function cannot pass unnoticed. A
 traced pass of every lemma demo must also still reach the per-call
 kernels the ``lemma-sweep`` workload is about: a route that bypassed
-them would read as a zero in the benchmark's per-layer table.
+them would read as a zero in the benchmark's per-layer table. So must a
+traced ``run expected-time`` under each simulator reach the coherent
+kernel ``apply_step`` and ``run_simulator``, as ``dense-expected`` does.
 """
 
 import contextlib
@@ -49,3 +51,22 @@ def test_a_traced_demo_pass_reaches_the_query_and_unitary_kernels():
     for name in ("oracle.quantum_query", "qsim.apply_unitary"):
         assert layers[f"{name}.calls"] > 0, name
         assert layers[f"{name}.amps"] > 0, name
+
+
+def test_a_traced_expected_time_run_reaches_the_coherent_kernel():
+    """Each expected-time member's coherent runs still go through
+    ``apply_step``: a pad route that bypassed it would read as a zero in
+    the ``dense-expected`` per-layer table."""
+    for sim in ("expected-honest", "expected-lazy", "expected-geometric"):
+        tracer = spans.Tracer()
+        tracer.install()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = cli.main(["run", "expected-time", "--sim", sim])
+            layers = spans.layer_metrics(tracer, passes=1)
+        finally:
+            tracer.uninstall()
+        assert code == 0, sim
+        assert layers["adversary.apply_step.calls"] > 0, sim
+        assert layers["adversary.apply_step.amps"] > 0, sim
+        assert layers["adversary.run_simulator.calls"] > 0, sim
