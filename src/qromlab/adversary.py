@@ -15,10 +15,12 @@ in superposition, and measure visible registers. One executor,
 of one amplitude array, each row with its own weight, outcomes and
 tables: a ``Unitary`` step, checked when built, is one stacked matmul
 over every row, and a measurement is ``qsim``'s one split. A
-measure-and-reprogram slot splits the rows on the query register and
-reprograms each row's table at the measured point. A plain run is one
-row, or one start row per table when several tables are averaged over
-(``_table_masses``), each row keeping its own. The aborting kind's
+measure-and-reprogram slot belongs to a start row: it splits that start
+row's rows on the query register and reprograms each one's table at the
+measured point. A plain run is one row, or one start row per table when
+several tables are averaged over (``_table_masses``), or per schedule
+when schedules are (``transforms.apply_schedules``), each row keeping
+its own. The aborting kind's
 control registers stay classical, so it is simulated by enumerating
 every control assignment exactly and mixing the resulting branches with
 rational weights: each assignment is a row, and its verifier call is the
@@ -689,7 +691,9 @@ def run_query_algorithm(
 ) -> StrictRun:
     """Execute a step list exhaustively, returning its final rows.
 
-    It is the one-row run of ``_run_rows``.
+    It is the one-row run of ``_run_rows``, whose ``reprogram`` takes
+    one slot mapping per start row; this one-row form wraps its one
+    mapping.
 
     Args:
         alg: the algorithm (strict budget).
@@ -711,6 +715,8 @@ def run_query_algorithm(
         outcome; row weights stay exact fractions until some
         measurement splits amplitude, and are floats after.
     """
+    if reprogram is not None:
+        reprogram = (reprogram[0], (reprogram[1],))
     return _run_rows(alg, machine, (oracles or {},), reprogram)
 
 
@@ -737,22 +743,28 @@ def output_distribution(run: StrictRun, registers: Sequence[str], key=None):
     return out
 
 
+def _start_chunks(alg: QueryAlgorithm, items: Sequence) -> list:
+    """``items`` cut into the start rows of successive runs of ``alg``
+    against no verifier: as many to a run as keep rows times state
+    dimension within ``MAX_STATE_DIM``, and at least one. The cut is
+    fixed before any run."""
+    per_run = max(1, MAX_STATE_DIM // alg._work_start.layout.total_dim)
+    return [items[lo:lo + per_run] for lo in range(0, len(items), per_run)]
+
+
 def _table_masses(alg: QueryAlgorithm, name: str, tables: Sequence[ClassicalOracle],
                   registers: Sequence[str], hit) -> list:
     """For each table of ``tables``, the mass of the plain run of ``alg``
     with that table as ``name`` whose digits on ``registers`` satisfy
     ``hit(digits)``: each table's terms added in row order, from 0.
 
-    The distinct tables are the start rows of ``_run_rows`` runs, as many
-    to a run as keep rows times state dimension within ``MAX_STATE_DIM``
-    (checked before any run), and each final row's terms count for the
-    table it kept.
+    The distinct tables are the start rows of ``_run_rows`` runs, cut by
+    ``_start_chunks``, and each final row's terms count for the table it
+    kept.
     """
-    distinct = list(dict.fromkeys(tables))
-    per_run = max(1, MAX_STATE_DIM // alg._work_start.layout.total_dim)
     masses: dict = {}
-    for lo in range(0, len(distinct), per_run):
-        run = _run_rows(alg, None, [{name: t} for t in distinct[lo:lo + per_run]])
+    for chunk in _start_chunks(alg, list(dict.fromkeys(tables))):
+        run = _run_rows(alg, None, [{name: t} for t in chunk])
         kept = [dict(tabs)[name] for tabs in run.oracles]
         masses.update(output_distribution(
             run, registers, lambda i, digits: kept[i] if hit(digits) else None))
@@ -871,7 +883,7 @@ def _run_rows(
     alg: QueryAlgorithm,
     verifier: VerifierMachine | _ControlRows | None = None,
     oracles: Sequence[Mapping[str, ClassicalOracle]] = ({},),
-    reprogram: tuple[str, Mapping[int, tuple[str, int, Hashable]]] | None = None,
+    reprogram: tuple[str, Sequence[Mapping[int, tuple[str, int, Hashable]]]] | None = None,
     weight=1,
 ) -> StrictRun:
     """One strict run of a step list over the rows of one amplitude array,
@@ -889,9 +901,17 @@ def _run_rows(
     the rows stay assignment-major. Each row keeps its own weight, times
     the assignment's weight at the end, and its own outcomes and tables;
     queries are answered row by row through ``quantum_query``. A
-    ``Pad`` is billed its calls and moves no row. ``reprogram`` is
-    ``run_query_algorithm``'s, and ``weight`` is the run's stopping
-    weight.
+    ``Pad`` is billed its calls and moves no row. ``weight`` is the run's
+    stopping weight.
+
+    ``reprogram`` is (name, slots), with one ``run_query_algorithm``
+    mapping {ordinal: (label, timing, value)} per oracle mapping. At a
+    query to the named table, only the rows whose start row has a slot at
+    that ordinal are measured, each split in place and in outcome order
+    and reprogrammed with its own slot's timing and value; the other rows
+    are answered plainly and keep their place. So the rows stay
+    start-row-major, and each start row's rows come in the order of its
+    run alone. Without ``reprogram`` no row looks up a slot.
     """
     if verifier is None:
         visible, start = _visible_registers(alg, None), alg._work_start
@@ -905,9 +925,13 @@ def _run_rows(
     layout = start.layout
     shape = layout.dims[::-1]
     tables: list[dict] = [dict(sorted(tabs.items())) for tabs in oracles]
+    name, slots = reprogram or (None, ())
+    if reprogram is not None and len(slots) != len(tables):
+        raise ValueError("one reprogram mapping per oracle mapping")
     if isinstance(verifier, _ControlRows):  # the assignments share one mapping
         base = verifier.weights
         tables *= len(base)
+        slots = tuple(slots) * len(base)
     else:
         base = (Fraction(1),) * len(tables)
     row = np.arange(len(base))
@@ -915,16 +939,33 @@ def _run_rows(
     weights: list = [Fraction(1)] * row.size
     outcomes: list[tuple] = [()] * row.size
     counts: dict[str, int] = {}
-    name, slots = reprogram or (None, {})
 
-    def collapse(t: np.ndarray, register: str):
+    def collapse(t: np.ndarray, register: str, chosen=None):
+        """Split every row, or each row where the mask ``chosen`` is set,
+        into its outcomes on ``register``; a row not chosen keeps its
+        place as one part of outcome -1 and probability 1."""
         nonlocal row, weights, outcomes, tables
-        b, o, p, t = _split_rows(t, layout.axis_of(register))
+        if chosen is None or chosen.all():
+            b, o, p, t = _split_rows(t, layout.axis_of(register))
+        else:
+            # a chosen row has at least one outcome above the floor
+            sb, so, sp, post = _split_rows(t[chosen], layout.axis_of(register))
+            parts = np.ones(row.size, dtype=int)
+            parts[chosen] = np.bincount(sb)
+            b = np.repeat(np.arange(row.size), parts)
+            split = chosen[b]
+            t = t[b]
+            t[split] = post
+            o = np.full(b.size, -1)
+            o[split] = so
+            p = np.ones(b.size)
+            p[split] = sp
         weights = [_scale(weights[i], float(pi)) for i, pi in zip(b, p)]
-        outcomes = [outcomes[i] + ((register, int(oi)),) for i, oi in zip(b, o)]
+        outcomes = [outcomes[i] + ((register, int(oi)),) if oi >= 0 else outcomes[i]
+                    for i, oi in zip(b, o)]
         tables = [tables[i] for i in b]
         row = row[b]
-        return o, t
+        return b, o, t
 
     def answer(t: np.ndarray, call: CallOracle) -> np.ndarray:
         return np.stack([
@@ -935,8 +976,10 @@ def _run_rows(
             for a, tabs in zip(t.reshape(row.size, -1), tables)
         ])
 
-    def reprogram_rows(points, value) -> None:
-        for i, o in enumerate(points):
+    def reprogram_rows(hits, when: int) -> None:
+        for i, (_, timing, value), o in hits:
+            if timing != when:
+                continue
             tabs = dict(tables[i])
             tab = _table(tabs, name)
             if o >= len(tab.domain):
@@ -950,7 +993,7 @@ def _run_rows(
         if isinstance(step, Unitary):
             t = _unitary_on_axes(t, layout, step.registers, step.matrix)
         elif isinstance(step, Measure):
-            _, t = collapse(t, step.register)
+            _, _, t = collapse(t, step.register)
         elif isinstance(step, (CallVerifier, Pad, CallOracle)):
             if not isinstance(step, CallOracle) and verifier is None:
                 raise ValueError("no verifier attached to this run")
@@ -970,17 +1013,21 @@ def _run_rows(
                         .amplitudes
                         for a in t.reshape(row.size, -1)
                     ])
-            elif key != name or counts[key] not in slots:
+            elif key != name:
                 t = answer(t, step)
             else:
-                label, timing, value = slots[counts[key]]
-                points, t = collapse(t, step.in_register)
-                if timing == 0:
-                    reprogram_rows(points, value)
+                here = [slots[r].get(counts[key]) for r in row.tolist()]
+                chosen = np.array([slot is not None for slot in here])
+                hits = []  # (row, its slot, outcome) for every measured row
+                if chosen.any():
+                    b, o, t = collapse(t, step.in_register, chosen)
+                    hits = [(n, here[i], oi) for n, (i, oi)
+                            in enumerate(zip(b.tolist(), o.tolist())) if oi >= 0]
+                reprogram_rows(hits, 0)
                 t = answer(t, step)
-                if timing == 1:
-                    reprogram_rows(points, value)
-                outcomes = [out + ((label, int(o)),) for out, o in zip(outcomes, points)]
+                reprogram_rows(hits, 1)
+                for n, (label, _, _), oi in hits:
+                    outcomes[n] += ((label, oi),)
         else:
             raise TypeError(f"unknown step {step!r}")
         amps = np.ascontiguousarray(t).reshape(row.size, -1)

@@ -26,9 +26,11 @@ check at block size and a permutation check on the rows.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
+from numbers import Rational
 from typing import Any, Callable, Hashable, Sequence
 
 import numpy as np
@@ -183,7 +185,7 @@ def family_exactness_check(
     keyed = list(map(tuple, fam.flag_table().tolist()))
     value = _accepted(accept, fam.domain, (0, 1), [*(v for v, _ in weighted), *keyed])
     p_random = sum(w * value[v] for v, w in weighted)
-    p_family = sum(map(value.__getitem__, keyed)) / fam.key_count
+    p_family = _keyed_sum(value, keyed) / fam.key_count
     return p_random, p_family
 
 
@@ -207,8 +209,19 @@ def random_function_vs_family(
     for vals in every:
         acc += value[vals]
     p_random = acc / a**n
-    p_family = sum(map(value.__getitem__, keyed)) / fam.key_count
+    p_family = _keyed_sum(value, keyed) / fam.key_count
     return p_random, p_family
+
+
+def _keyed_sum(value: dict, keyed: list):
+    """The sum of ``value[v]`` over every key's table ``v``. When every
+    value is exact, each distinct table's value times its key count: the
+    same number of the same type. Otherwise one term a key, in key order,
+    so a float sum rounds as it always has."""
+    counts = Counter(keyed)
+    if all(isinstance(value[v], Rational) for v in counts):
+        return sum(value[v] * c for v, c in counts.items())
+    return sum(map(value.__getitem__, keyed))
 
 
 def _offset_digits(a: int, k: int) -> np.ndarray:

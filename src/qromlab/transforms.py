@@ -1,19 +1,21 @@
 """Reprogramming schedules, the puncturing corollary, and truncation.
 
 One measure-and-reprogram engine serves every transform here.
-``apply_schedule`` drives the target algorithm under one schedule of
-(query ordinal, timing) picks: the executor measures each picked query
-and reprograms the table at the measured point (``run_query_algorithm``'s
-``reprogram``), and returns the run's final rows as one ``StrictRun``.
-``_mar_dist`` is the only loop that averages it over every valid
-schedule, reading each run's rows, weights and measured points from the
-run itself; the general and ordered wrappers differ only in the outcome
-rule they pass it (the ordered one is ``_ordered_outcome``, the abort
-rule the constant-round experiment also uses). ``_mar_report`` scores
-either distribution against the plain run on the reprogrammed table,
-and the puncturing corollary measures its query through
-``apply_schedule`` too. Everything here is an exhaustive computation
-over small domains; nothing is sampled.
+``apply_schedules`` drives the target algorithm under a list of
+schedules of (query ordinal, timing) picks, each schedule one start row
+of one executor run: the executor measures each row's picked queries
+and reprograms that row's table at the measured point (``_run_rows``'s
+per-start-row ``reprogram``), and returns the final rows, start-row-major,
+as one ``StrictRun``. ``_mar_dist`` is the only loop that averages over
+every valid schedule, reading the rows, weights and measured points from
+the runs themselves; the general and ordered wrappers differ only in the
+outcome rule they pass it (the ordered one is ``_ordered_outcome``, the
+abort rule the constant-round experiment also uses). ``_mar_report``
+scores either distribution against the plain run on the reprogrammed
+table, and the puncturing corollary measures its queries through
+``apply_schedules`` too, one schedule per query. Schedules go as many to
+a run as ``MAX_STATE_DIM`` allows (``_start_chunks``). Everything here
+is an exhaustive computation over small domains; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -37,7 +39,10 @@ from qromlab.adversary import (
     StrictRun,
     _calls,
     _row_outputs,
+    _run_rows,
+    _start_chunks,
     _table_masses,
+    output_distribution,
     run_query_algorithm,
 )
 from qromlab.oracle import ClassicalOracle, prefixes
@@ -92,29 +97,33 @@ def _schedule_count(k: int, q: int) -> int:
     return sum(math.comb(k, i) * math.perm(q, i) * 2**i for i in range(k + 1))
 
 
-def apply_schedule(
+def apply_schedules(
     alg: QueryAlgorithm,
     oracle: ClassicalOracle,
-    schedule: MarSchedule,
+    schedules: Sequence[MarSchedule],
     y: Sequence[Hashable],
     name: str = "h",
 ) -> StrictRun:
-    """Run one algorithm under one schedule, returning its final rows.
+    """Run one algorithm under a list of schedules as one run: start row
+    i runs schedule i, and its final rows come before those of row i + 1.
 
     Collapsed query points are recorded in each row's outcomes under the
-    marker registers ``mar-slot-i`` as domain positions. The schedule
-    must be built for the algorithm's query count to the named table.
+    marker registers ``mar-slot-i`` as domain positions. Every schedule
+    must be built for the algorithm's query count to the named table,
+    with one value of ``y`` per slot; all are checked before the run.
     """
-    if len(y) != len(schedule.picks):
-        raise ValueError("one reprogram value per slot")
     q = _named_queries(alg, name)
-    if schedule.q != q:
-        raise ValueError(f"schedule built for {schedule.q} queries, not {q}")
-    slots = {
-        j: (f"mar-slot-{i}", timing, y[i])
-        for j, (i, timing) in schedule.by_ordinal.items()
-    }
-    return run_query_algorithm(alg, oracles={name: oracle}, reprogram=(name, slots))
+    for schedule in schedules:
+        if len(y) != len(schedule.picks):
+            raise ValueError("one reprogram value per slot")
+        if schedule.q != q:
+            raise ValueError(f"schedule built for {schedule.q} queries, not {q}")
+    labels = [f"mar-slot-{i}" for i in range(len(y))]
+    slots = [
+        {j: (labels[i], timing, y[i]) for j, (i, timing) in s.by_ordinal.items()}
+        for s in schedules
+    ]
+    return _run_rows(alg, None, [{name: oracle}] * len(slots), (name, slots))
 
 
 def _slot_points(outcomes: tuple, domain: tuple) -> dict[int, Hashable]:
@@ -162,7 +171,11 @@ class MarOutcome:
 def _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome) -> dict:
     """The one schedule-averaging loop: every valid schedule runs with
     uniform weight, and each final (claim digits, z digits) outcome is
-    keyed by outcome(measured point per slot, claim digits, z digits)."""
+    keyed by outcome(measured point per slot, claim digits, z digits).
+
+    The schedules are the start rows of ``apply_schedules`` runs, cut by
+    ``_start_chunks``; a run's rows come schedule by schedule, so every
+    key's terms are added in schedule order and then row order."""
     k = len(y)
     if len(claim_registers) != k:
         raise ValueError("need one claim register per target slot")
@@ -171,8 +184,8 @@ def _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome) -> di
     sw = Fraction(1, len(scheds))
     regs = tuple(claim_registers) + tuple(z_registers)
     dist: dict = {}
-    for sched in scheds:
-        run = apply_schedule(alg, oracle, sched, y, name)
+    for chunk in _start_chunks(alg, scheds):
+        run = apply_schedules(alg, oracle, chunk, y, name)
         pts = [_slot_points(out, dom) for out in run.outcomes]
         for i, digits, w in _row_outputs(run, regs):
             key = outcome(pts[i], digits[:k], digits[k:])
@@ -273,7 +286,8 @@ def _mar_report(
             return False
         return relation is None or relation(xs, digits[k:])
 
-    (rhs,) = _table_masses(alg, name, [star], regs, hit)
+    run = run_query_algorithm(alg, oracles={name: star})
+    rhs = output_distribution(run, regs, lambda i, d: hit(d) or None).get(True, 0)
     q = _named_queries(alg, name)
     factor = Fraction(1, (2 * q + 1) ** (2 * k))
     if isinstance(lhs, Rational) and isinstance(rhs, Rational):
@@ -389,10 +403,11 @@ def o2h_corollary_C(
     masses = _table_masses(alg, name, [indicator, zero], out_reg, in_set)
     p_a_fs, p_plain = map(float, masses)
     acc = 0.0
-    for j in range(1, q + 1):
-        # reprogramming the measured point of the all-zero table to 0
-        # leaves the table as it is
-        run = apply_schedule(alg, zero, MarSchedule(((j, 1),), q), (0,), name)
+    # one schedule per query; reprogramming the measured point of the
+    # all-zero table to 0 leaves the table as it is
+    scheds = [MarSchedule(((j, 1),), q) for j in range(1, q + 1)]
+    for chunk in _start_chunks(alg, scheds):
+        run = apply_schedules(alg, zero, chunk, (0,), name)
         for i, outcomes in enumerate(run.outcomes):
             caught = _slot_points(outcomes, dom)
             if 0 in caught and caught[0] in sset:

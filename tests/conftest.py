@@ -1,13 +1,31 @@
-"""Shared helpers: acceptance functionals over query algorithms.
+"""Shared helpers: acceptance functionals over query algorithms, and a
+log of executor runs.
 
 An acceptance functional maps a list of tables to one value per table,
 as the table-averaging checks call it. ``one_table`` reads one as a
 function of a single table, run alone: the form the per-key loops of
-``family_reference`` call.
+``family_reference`` call. ``counting_runs`` logs the start rows of
+every ``_run_rows`` run.
 """
 
+from qromlab import adversary, transforms
 from qromlab.adversary import QueryAlgorithm, output_distribution, run_query_algorithm
 from qromlab.cli import _accept_all_zero as accept_all_zero  # noqa: F401
+
+
+def counting_runs(monkeypatch) -> list:
+    """Log the start-row count of every ``_run_rows`` run, rebinding it in
+    each module that binds it."""
+    runs = []
+    real = adversary._run_rows
+
+    def counted(alg, verifier=None, oracles=({},), *rest, **kwargs):
+        runs.append(len(oracles))
+        return real(alg, verifier, oracles, *rest, **kwargs)
+
+    for module in (adversary, transforms):
+        monkeypatch.setattr(module, "_run_rows", counted)
+    return runs
 
 
 def one_table(accept):

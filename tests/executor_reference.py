@@ -275,8 +275,8 @@ def assert_same_branches(got, want):
 
 
 def apply_schedule(alg, oracle, schedule, y, name="h"):
-    """One schedule through the ``on_query`` interceptor, as the library's
-    ``transforms.apply_schedule`` ran it."""
+    """One schedule through the ``on_query`` interceptor: the one-schedule
+    form of ``transforms.apply_schedules``, as the library once ran it."""
     if len(y) != len(schedule.picks):
         raise ValueError("one reprogram value per slot")
     slots = schedule.by_ordinal

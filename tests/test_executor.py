@@ -3,12 +3,14 @@
 
 A plain run, a run against a machine and a measure-and-reprogram run
 are each one row of ``adversary._run_rows``, returned as one
-``StrictRun`` and read back one branch per row. Amplitudes must match
-with ``np.array_equal``, weights with ``==`` and the same type, and
-outcomes, counts and tables exactly. On every plain and scheduled run,
-the run's row reader and ``output_distribution`` must equal the
-per-branch reduction: the same rows and keys in the same order, Fractions
-equal and still Fractions, floats equal by ``float.hex``.
+``StrictRun`` and read back one branch per row; a list of schedules is
+one start row each, and reads back as each schedule's run in turn.
+Amplitudes must match with ``np.array_equal``, weights with ``==`` and
+the same type, and outcomes, counts and tables exactly. On every plain
+and scheduled run, the run's row reader and ``output_distribution`` must
+equal the per-branch reduction: the same rows and keys in the same
+order, Fractions equal and still Fractions, floats equal by
+``float.hex``.
 """
 
 import itertools
@@ -32,7 +34,7 @@ from qromlab.adversary import (
 )
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.protocol import toy_guess, toy_table
-from qromlab.transforms import apply_schedule, enumerate_schedules, truncate
+from qromlab.transforms import apply_schedules, enumerate_schedules, truncate
 
 DOM6 = prefix_domain((0, 1), 2)
 DOMAINS = {"dom2": (0, 1), "dom3": (0, 1, 2), "dom6": DOM6}
@@ -119,11 +121,36 @@ def test_every_schedule_at_k_one_and_two(zoo):
         ]
     runs = 0
     for alg, table, sched, y in _scheduled(zoo, table_list):
-        got = apply_schedule(alg, table, sched, y)
+        got = apply_schedules(alg, table, (sched,), y)
         want = ref.apply_schedule(alg, table, sched, y)
         assert_same_run(got, want, alg)
         runs += 1
     assert runs > 0
+
+
+@pytest.mark.parametrize("zoo", ["dom2", "dom3", "ordered"])
+def test_a_schedule_list_is_each_schedule_in_turn(zoo):
+    """Every valid schedule list at k = 1 and 2, under every y, as one run
+    of ``apply_schedules``: its rows are the per-branch runs of each
+    schedule alone, concatenated in list order. Each list has rows
+    measured and rows left alone at every query, and both timings."""
+    dom = DOMAINS[zoo]
+    mixed = tuple(i % 2 for i in range(len(dom)))
+    table_list = [
+        ClassicalOracle.constant(dom, (0, 1), 0), ClassicalOracle(dom, (0, 1), mixed)
+    ]
+    lists = 0
+    for alg in ZOOS[zoo]:
+        for k in (1, 2):
+            scheds = enumerate_schedules(k, _named_queries(alg))
+            for y in itertools.product((0, 1), repeat=k):
+                for table in table_list:
+                    got = apply_schedules(alg, table, scheds, y)
+                    want = [br for sched in scheds
+                            for br in ref.apply_schedule(alg, table, sched, y)]
+                    assert_same_run(got, want, alg)
+                    lists += len(scheds) > 1
+    assert lists > 0
 
 
 def _machine_sims(machine):

@@ -13,6 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mar_reference as ref
+from conftest import counting_runs
+from qromlab import adversary, transforms
 from qromlab.adversary import oracle_zoo, ordered_zoo
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.transforms import (
@@ -137,6 +139,40 @@ def test_o2h_matches_reference(alg, marked):
         new = o2h_corollary_C(alg, O2H_DOM, marked, output_register=out_reg)
         old = ref.o2h_corollary_C(alg, O2H_DOM, marked, output_register=out_reg)
         assert_same(new, old)
+
+
+def seam_cases():
+    """(algorithm, engine call) pairs over lists of 3 to 17 schedules."""
+    dom = (0, 1, 2)
+    zero = ClassicalOracle.constant(dom, (0, 1), 0)
+    for alg in oracle_zoo(dom):
+        claim = tuple(nm for nm, _ in alg.work_registers)[:2]
+        y = (1,) * len(claim)
+        yield alg, lambda m, a=alg, c=claim, y=y: m.mar_general(a, zero, y, c)
+        yield alg, lambda m, a=alg: m.o2h_corollary_C(a, dom, (0,))
+    odom = prefix_domain((0, 1), 2)
+    ozero = ClassicalOracle.constant(odom, (0, 1), 0)
+    for alg in ordered_zoo((0, 1)):
+        yield alg, lambda m, a=alg: m.mar_check_ordered(
+            a, ozero, (0, 1), (1, 1), ("O1", "O2"))
+
+
+@pytest.mark.parametrize("room", [1, 3])
+def test_chunk_seams_inside_a_schedule_list(monkeypatch, room):
+    """With room for 1 or 3 rows of state a run, a schedule list goes as
+    runs of that many start rows, and every value is still the
+    reference's."""
+    cut = 0
+    for alg, call in seam_cases():
+        want = call(ref)
+        dim = alg._work_start.layout.total_dim
+        monkeypatch.setattr(adversary, "MAX_STATE_DIM", room * dim)
+        runs = counting_runs(monkeypatch)
+        assert_same(call(transforms), want)
+        monkeypatch.undo()
+        assert max(runs) <= room, alg.name
+        cut += runs.count(room) > 1
+    assert cut > 0
 
 
 @st.composite

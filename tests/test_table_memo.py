@@ -19,7 +19,7 @@ from fractions import Fraction
 import pytest
 
 import family_reference as ref
-from conftest import accept_all_zero, accept_register_one, one_table
+from conftest import accept_all_zero, accept_register_one, counting_runs, one_table
 from qromlab import adversary
 from qromlab.adversary import oracle_zoo
 from qromlab.hashfam import (
@@ -154,19 +154,6 @@ def test_accept_must_answer_every_table():
 def every_table(dom, rng):
     return [ClassicalOracle(dom, rng, v)
             for v in itertools.product(rng, repeat=len(dom))]
-
-
-def counting_runs(monkeypatch):
-    """Log the start rows of every ``_run_rows`` run."""
-    runs = []
-    real = adversary._run_rows
-
-    def counted(alg, verifier=None, oracles=({},), *rest, **kwargs):
-        runs.append(len(oracles))
-        return real(alg, verifier, oracles, *rest, **kwargs)
-
-    monkeypatch.setattr(adversary, "_run_rows", counted)
-    return runs
 
 
 # (start rows a run, MAX_STATE_DIM in rows of state); a cap of 3 rows

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import counting_runs
 from qromlab.adversary import (
     ExpectedAlgorithm,
     QueryAlgorithm,
@@ -20,7 +21,7 @@ from qromlab.protocol import toy_table
 from qromlab.transforms import (
     MarSchedule,
     _schedule_count,
-    apply_schedule,
+    apply_schedules,
     enumerate_schedules,
     mar_check_general,
     mar_check_ordered,
@@ -72,8 +73,8 @@ class TestSchedules:
         alg = zoo_member("oq-classical")
         zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
         for timing, answer in ((0, 1), (1, 0)):
-            run = apply_schedule(
-                alg, zero, MarSchedule(((1, timing),), 1), (1,)
+            run = apply_schedules(
+                alg, zero, (MarSchedule(((1, timing),), 1),), (1,)
             )
             dist = output_distribution(run, ("A",))
             assert dist == {(answer,): Fraction(1)}
@@ -83,7 +84,7 @@ class TestSchedules:
         alg = zoo_member("oq-classical")
         zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
         with pytest.raises(ValueError):
-            apply_schedule(alg, zero, MarSchedule(((1, 0),), 1), (1, 1))
+            apply_schedules(alg, zero, (MarSchedule(((1, 0),), 1),), (1, 1))
 
     @pytest.mark.parametrize("q", [0, 2, 3])
     def test_schedule_built_for_another_query_count(self, q):
@@ -92,7 +93,44 @@ class TestSchedules:
         zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
         picks = ((q, 0),) if q else (None,)
         with pytest.raises(ValueError, match=f"built for {q} queries, not 1"):
-            apply_schedule(alg, zero, MarSchedule(picks, q), (1,))
+            apply_schedules(alg, zero, (MarSchedule(picks, q),), (1,))
+
+    @pytest.mark.parametrize("bad,message", [
+        (MarSchedule(((2, 0),), 2), "built for 2 queries, not 1"),
+        (MarSchedule((None, (1, 1)), 1), "one reprogram value per slot"),
+    ])
+    def test_a_bad_schedule_mid_list_raises_before_any_run(
+        self, monkeypatch, bad, message
+    ):
+        alg = zoo_member("oq-classical")
+        zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
+        good = MarSchedule(((1, 0),), 1)
+        runs = counting_runs(monkeypatch)
+        with pytest.raises(ValueError, match=message):
+            apply_schedules(alg, zero, (good, bad, good), (1,))
+        assert runs == []
+
+
+class TestRunCounts:
+    """A reprogramming average is one run of all its schedules, plus the
+    plain runs it is scored against."""
+
+    def test_ordered_check_on_the_demo_inputs(self, monkeypatch):
+        alg = ordered_member("ord-classical")
+        zero = ClassicalOracle.constant(ODOM, (0, 1), 0)
+        runs = counting_runs(monkeypatch)
+        r = mar_check_ordered(alg, zero, (0, 1), (1, 1), ("O1", "O2"))
+        # the 17 schedules as the start rows of one run, then the rhs
+        assert runs == [r.schedules, 1] == [17, 1]
+
+    @pytest.mark.parametrize("name", ["oq-classical", "oq-phase", "oq-adaptive"])
+    def test_puncturing(self, monkeypatch, name):
+        alg = zoo_member(name, (0, 1, 2))
+        runs = counting_runs(monkeypatch)
+        r = o2h_corollary_C(alg, (0, 1, 2), (0,))
+        # the indicator and all-zero tables, then one schedule per query
+        assert r.q >= 1
+        assert runs == [2, r.q]
 
 
 class TestGeneralReprogramming:
