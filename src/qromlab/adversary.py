@@ -687,13 +687,10 @@ def run_query_algorithm(
     *,
     machine: VerifierMachine | None = None,
     oracles: Mapping[str, ClassicalOracle] | None = None,
-    reprogram: tuple[str, Mapping[int, tuple[str, int, Hashable]]] | None = None,
 ) -> StrictRun:
     """Execute a step list exhaustively, returning its final rows.
 
-    It is the one-row run of ``_run_rows``, whose ``reprogram`` takes
-    one slot mapping per start row; this one-row form wraps its one
-    mapping.
+    It is the one-row run of ``_run_rows``.
 
     Args:
         alg: the algorithm (strict budget).
@@ -702,22 +699,13 @@ def run_query_algorithm(
             (``initial_state``), and only M among them is visible to the
             algorithm's steps.
         oracles: named classical tables serving CallOracle steps.
-        reprogram: (name, {ordinal: (label, timing, value)}) measures and
-            reprograms queries to the named table; ordinals count that
-            table's queries from 1. The picked query's in-register is
-            measured, and the table is reprogrammed to ``value`` at the
-            measured point before the answer (timing 0) or after it
-            (timing 1). The point's domain position is recorded in the
-            outcomes under ``label``.
 
     Returns:
         One ``StrictRun`` of stopping weight 1, one row per measurement
         outcome; row weights stay exact fractions until some
         measurement splits amplitude, and are floats after.
     """
-    if reprogram is not None:
-        reprogram = (reprogram[0], (reprogram[1],))
-    return _run_rows(alg, machine, (oracles or {},), reprogram)
+    return _run_rows(alg, machine, (oracles or {},))
 
 
 def _row_outputs(run: StrictRun, registers: Sequence[str]):
@@ -745,9 +733,10 @@ def output_distribution(run: StrictRun, registers: Sequence[str], key=None):
 
 def _start_chunks(alg: QueryAlgorithm, items: Sequence) -> list:
     """``items`` cut into the start rows of successive runs of ``alg``
-    against no verifier: as many to a run as keep rows times state
+    against no verifier: as many to a run as keep start rows times state
     dimension within ``MAX_STATE_DIM``, and at least one. The cut is
-    fixed before any run."""
+    fixed before any run and counts start rows only: a row that a
+    measurement or a measured query splits ends as several."""
     per_run = max(1, MAX_STATE_DIM // alg._work_start.layout.total_dim)
     return [items[lo:lo + per_run] for lo in range(0, len(items), per_run)]
 
@@ -904,12 +893,15 @@ def _run_rows(
     ``Pad`` is billed its calls and moves no row. ``weight`` is the run's
     stopping weight.
 
-    ``reprogram`` is (name, slots), with one ``run_query_algorithm``
-    mapping {ordinal: (label, timing, value)} per oracle mapping. At a
-    query to the named table, only the rows whose start row has a slot at
-    that ordinal are measured, each split in place and in outcome order
-    and reprogrammed with its own slot's timing and value; the other rows
-    are answered plainly and keep their place. So the rows stay
+    ``reprogram`` is (name, slots), with one mapping {ordinal: (label,
+    timing, value)} per oracle mapping; ordinals count the named table's
+    queries from 1. At a query to that table, only the rows whose start
+    row has a slot at its ordinal are measured on the query's
+    in-register, each split in place and in outcome order. Each is
+    reprogrammed to its own slot's ``value`` at the measured point,
+    before the answer (timing 0) or after it (timing 1), and records the
+    point's domain position in its outcomes under ``label``. The other
+    rows are answered plainly and keep their place. So the rows stay
     start-row-major, and each start row's rows come in the order of its
     run alone. Without ``reprogram`` no row looks up a slot.
     """

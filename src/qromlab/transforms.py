@@ -13,9 +13,13 @@ outcome rule they pass it (the ordered one is ``_ordered_outcome``, the
 abort rule the constant-round experiment also uses). ``_mar_report``
 scores either distribution against the plain run on the reprogrammed
 table, and the puncturing corollary measures its queries through
-``apply_schedules`` too, one schedule per query. Schedules go as many to
-a run as ``MAX_STATE_DIM`` allows (``_start_chunks``). Everything here
-is an exhaustive computation over small domains; nothing is sampled.
+``apply_schedules`` too, one schedule per query. Both cut their
+schedules into runs with ``_start_chunks``, which caps start rows times
+state dimension at ``MAX_STATE_DIM``. The cap counts start rows only: a
+measured query splits a row into up to as many rows as its in-register
+has values, so a run can end with that many times its start amplitudes
+for each slot. Everything here is an exhaustive computation over small
+domains; nothing is sampled.
 """
 
 from __future__ import annotations
@@ -110,8 +114,11 @@ def apply_schedules(
     Collapsed query points are recorded in each row's outcomes under the
     marker registers ``mar-slot-i`` as domain positions. Every schedule
     must be built for the algorithm's query count to the named table,
-    with one value of ``y`` per slot; all are checked before the run.
+    with one value of ``y`` per slot; all are checked before the run,
+    and an empty list is refused.
     """
+    if not schedules:
+        raise ValueError("no schedules")
     q = _named_queries(alg, name)
     for schedule in schedules:
         if len(y) != len(schedule.picks):

@@ -16,6 +16,7 @@ from qromlab.adversary import (
     SimulationResult,
     Unitary,
     _row_outputs,
+    _run_rows,
     build_aux,
     build_verifier,
     challenge_structure,
@@ -360,9 +361,7 @@ class TestBranchPlumbing:
             (("Q", 3), ("A", 2)),
         )
         with pytest.raises(ValueError, match="outside the table domain"):
-            run_query_algorithm(
-                alg, oracles={"h": tab}, reprogram=("h", {1: ("slot", 0, 1)})
-            )
+            _run_rows(alg, None, ({"h": tab},), ("h", ({1: ("slot", 0, 1)},)))
 
     @pytest.mark.parametrize("timing", [0, 1])
     def test_reprogram_records_the_point_and_the_table(self, timing):
@@ -374,8 +373,8 @@ class TestBranchPlumbing:
             "uni", (Unitary(("Q",), uni), CallOracle("h", "Q", "A")), 1,
             (("Q", 2), ("A", 2)),
         )
-        run = run_query_algorithm(
-            alg, oracles={"h": tab}, reprogram=("h", {1: ("slot", timing, 1)})
+        run = _run_rows(
+            alg, None, ({"h": tab},), ("h", ({1: ("slot", timing, 1)},))
         )
         assert list(run.outcomes) == [
             (("Q", 0), ("slot", 0)), (("Q", 1), ("slot", 1))

@@ -97,19 +97,33 @@ def _named_queries(alg):
     return sum(getattr(s, "name", None) == "h" for s in alg.steps)
 
 
+def _schedule_lists(scheds):
+    """Each schedule alone, the list cut into runs of three (the slices a
+    cap of three start rows cuts), and the whole list forward and
+    reversed: lists whose rows are measured and left alone at the same
+    query, under both timings."""
+    lists = [(s,) for s in scheds]
+    lists += [scheds[lo:lo + 3] for lo in range(0, len(scheds), 3)]
+    lists += [scheds, scheds[::-1]]
+    return list(dict.fromkeys(map(tuple, lists)))
+
+
 def _scheduled(zoo, table_list):
     for alg in ZOOS[zoo]:
         q = _named_queries(alg)
         for k in (1, 2):
-            for sched in enumerate_schedules(k, q):
+            for scheds in _schedule_lists(enumerate_schedules(k, q)):
                 for y in itertools.product((0, 1), repeat=k):
                     for table in table_list:
-                        yield alg, table, sched, y
+                        yield alg, table, scheds, y
 
 
 @pytest.mark.parametrize("zoo", sorted(ZOOS))
 def test_every_schedule_at_k_one_and_two(zoo):
-    """Every table on the 2-point domain; the all-zero table and one mixed
+    """The schedule lists of ``_schedule_lists`` at k = 1 and 2, under
+    every y, each as one run of ``apply_schedules``: its rows are the
+    per-branch runs of each schedule alone, concatenated in list order.
+    Every table on the 2-point domain; the all-zero table and one mixed
     table elsewhere."""
     dom = DOMAINS[zoo]
     if zoo == "dom2":
@@ -119,38 +133,15 @@ def test_every_schedule_at_k_one_and_two(zoo):
         table_list = [
             ClassicalOracle.constant(dom, (0, 1), 0), ClassicalOracle(dom, (0, 1), mixed)
         ]
-    runs = 0
-    for alg, table, sched, y in _scheduled(zoo, table_list):
-        got = apply_schedules(alg, table, (sched,), y)
-        want = ref.apply_schedule(alg, table, sched, y)
+    runs = lists = 0
+    for alg, table, scheds, y in _scheduled(zoo, table_list):
+        got = apply_schedules(alg, table, scheds, y)
+        want = [br for sched in scheds
+                for br in ref.apply_schedule(alg, table, sched, y)]
         assert_same_run(got, want, alg)
         runs += 1
-    assert runs > 0
-
-
-@pytest.mark.parametrize("zoo", ["dom2", "dom3", "ordered"])
-def test_a_schedule_list_is_each_schedule_in_turn(zoo):
-    """Every valid schedule list at k = 1 and 2, under every y, as one run
-    of ``apply_schedules``: its rows are the per-branch runs of each
-    schedule alone, concatenated in list order. Each list has rows
-    measured and rows left alone at every query, and both timings."""
-    dom = DOMAINS[zoo]
-    mixed = tuple(i % 2 for i in range(len(dom)))
-    table_list = [
-        ClassicalOracle.constant(dom, (0, 1), 0), ClassicalOracle(dom, (0, 1), mixed)
-    ]
-    lists = 0
-    for alg in ZOOS[zoo]:
-        for k in (1, 2):
-            scheds = enumerate_schedules(k, _named_queries(alg))
-            for y in itertools.product((0, 1), repeat=k):
-                for table in table_list:
-                    got = apply_schedules(alg, table, scheds, y)
-                    want = [br for sched in scheds
-                            for br in ref.apply_schedule(alg, table, sched, y)]
-                    assert_same_run(got, want, alg)
-                    lists += len(scheds) > 1
-    assert lists > 0
+        lists += len(scheds) > 1
+    assert runs > 0 and lists > 0
 
 
 def _machine_sims(machine):

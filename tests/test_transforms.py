@@ -98,16 +98,18 @@ class TestSchedules:
     @pytest.mark.parametrize("bad,message", [
         (MarSchedule(((2, 0),), 2), "built for 2 queries, not 1"),
         (MarSchedule((None, (1, 1)), 1), "one reprogram value per slot"),
+        (None, "no schedules"),
     ])
     def test_a_bad_schedule_mid_list_raises_before_any_run(
         self, monkeypatch, bad, message
     ):
+        """A bad schedule between two good ones, or no schedule at all."""
         alg = zoo_member("oq-classical")
         zero = ClassicalOracle.constant((0, 1), (0, 1), 0)
         good = MarSchedule(((1, 0),), 1)
         runs = counting_runs(monkeypatch)
         with pytest.raises(ValueError, match=message):
-            apply_schedules(alg, zero, (good, bad, good), (1,))
+            apply_schedules(alg, zero, () if bad is None else (good, bad, good), (1,))
         assert runs == []
 
 
