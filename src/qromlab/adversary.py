@@ -11,8 +11,9 @@ arrays. (The paper's hash-challenge and response-oracle verifiers run as
 classical query traces in ``pipeline``.) Simulators are step lists that
 may call the machine forward or inverted, query named classical tables
 in superposition, and measure visible registers. One executor,
-``_run_rows``, runs them under strict invocation budgets over the rows
-of one amplitude array, each row with its own weight, outcomes and
+``run_query_algorithm``, runs every one of them, and every table
+average and schedule list, under strict invocation budgets over the
+rows of one amplitude array, each row with its own weight, outcomes and
 tables: a ``Unitary`` step, checked when built, is one stacked matmul
 over every row, and a measurement is ``qsim``'s one split. A
 measure-and-reprogram slot belongs to a start row: it splits that start
@@ -586,7 +587,7 @@ class ExpectedAlgorithm:
 
 @dataclass(frozen=True)
 class StrictRun:
-    """The final rows of one strict run, stacked.
+    """The final rows of one strict ``run_query_algorithm`` run, stacked.
 
     ``weight`` is the run's stopping weight in an expected-mode mixture
     (1 for a strict simulator), and row i weighs ``weight * weights[i]``
@@ -682,32 +683,6 @@ def _check_visible(step: Step, visible: set[str]) -> None:
         raise ValueError(f"step touches verifier-internal registers {sorted(hidden)}")
 
 
-def run_query_algorithm(
-    alg: QueryAlgorithm,
-    *,
-    machine: VerifierMachine | None = None,
-    oracles: Mapping[str, ClassicalOracle] | None = None,
-) -> StrictRun:
-    """Execute a step list exhaustively, returning its final rows.
-
-    It is the one-row run of ``_run_rows``.
-
-    Args:
-        alg: the algorithm (strict budget).
-        machine: optional verifier; its registers lead the joint layout,
-            its control registers start in the kind's canonical aux state
-            (``initial_state``), and only M among them is visible to the
-            algorithm's steps.
-        oracles: named classical tables serving CallOracle steps.
-
-    Returns:
-        One ``StrictRun`` of stopping weight 1, one row per measurement
-        outcome; row weights stay exact fractions until some
-        measurement splits amplitude, and are floats after.
-    """
-    return _run_rows(alg, machine, (oracles or {},))
-
-
 def _row_outputs(run: StrictRun, registers: Sequence[str]):
     """(row, digits, weight) for every row of a run and every joint digit
     tuple of the named registers above ``PROB_FLOOR``, row-major and in
@@ -747,13 +722,13 @@ def _table_masses(alg: QueryAlgorithm, name: str, tables: Sequence[ClassicalOrac
     with that table as ``name`` whose digits on ``registers`` satisfy
     ``hit(digits)``: each table's terms added in row order, from 0.
 
-    The distinct tables are the start rows of ``_run_rows`` runs, cut by
-    ``_start_chunks``, and each final row's terms count for the table it
-    kept.
+    The distinct tables are the start rows of ``run_query_algorithm``
+    runs, cut by ``_start_chunks``, and each final row's terms count for
+    the table it kept.
     """
     masses: dict = {}
     for chunk in _start_chunks(alg, list(dict.fromkeys(tables))):
-        run = _run_rows(alg, None, [{name: t} for t in chunk])
+        run = run_query_algorithm(alg, None, [{name: t} for t in chunk])
         kept = [dict(tabs)[name] for tabs in run.oracles]
         masses.update(output_distribution(
             run, registers, lambda i, digits: kept[i] if hit(digits) else None))
@@ -857,7 +832,7 @@ def run_simulator(
             run = replace(shared[key], weight=w, invocations=calls,
                           counts=(("verifier", calls),) if calls else ())
         else:
-            run = shared[key] = _run_rows(alg, verifier, weight=w)
+            run = shared[key] = run_query_algorithm(alg, verifier, weight=w)
         runs.append(run)
     return SimulationResult(machine.kind, tuple(runs))
 
@@ -868,7 +843,7 @@ def _table(tables: dict, name: str) -> ClassicalOracle:
     return tables[name]
 
 
-def _run_rows(
+def run_query_algorithm(
     alg: QueryAlgorithm,
     verifier: VerifierMachine | _ControlRows | None = None,
     oracles: Sequence[Mapping[str, ClassicalOracle]] = ({},),
@@ -876,18 +851,21 @@ def _run_rows(
     weight=1,
 ) -> StrictRun:
     """One strict run of a step list over the rows of one amplitude array,
-    returned as one ``StrictRun``.
+    returned as one ``StrictRun``: the one executor that every simulator
+    run, table average and schedule run goes through.
 
-    There is one start row per oracle mapping of ``oracles`` against a
-    machine, each on the kind's canonical aux state (``initial_state``)
-    and answering calls through ``apply_step``, or against no verifier,
-    each on the work registers' basis state 0. Against the aborting kind's
-    ``_ControlRows`` there is one row per control assignment, each starting
-    on basis state 0 of the layout without control registers and sharing
-    the one oracle mapping, and a call moves every row by its own
-    permutation at once. A measurement splits each row into
-    its outcomes above ``PROB_FLOOR``, in place and in outcome order, so
-    the rows stay assignment-major. Each row keeps its own weight, times
+    ``oracles`` is a sequence of table mappings, not one mapping (a
+    mapping raises ``TypeError``). There is one start row per mapping
+    against a machine, each on the kind's canonical aux state
+    (``initial_state``), with only M among the machine's registers
+    visible to the steps, and answering calls through ``apply_step``; or
+    against no verifier, each on the work registers' basis state 0.
+    Against the aborting kind's ``_ControlRows`` there is one row per
+    control assignment, each starting on basis state 0 of the layout
+    without control registers and sharing the one oracle mapping, and a
+    call moves every row by its own permutation at once. A measurement
+    splits each row into its outcomes above ``PROB_FLOOR``, in place and
+    in outcome order, so the rows stay assignment-major. Each row keeps its own weight, times
     the assignment's weight at the end, and its own outcomes and tables;
     queries are answered row by row through ``quantum_query``. A
     ``Pad`` is billed its calls and moves no row. ``weight`` is the run's
@@ -905,6 +883,8 @@ def _run_rows(
     start-row-major, and each start row's rows come in the order of its
     run alone. Without ``reprogram`` no row looks up a slot.
     """
+    if isinstance(oracles, Mapping):
+        raise TypeError("oracles is a sequence of table mappings, one per start row")
     if verifier is None:
         visible, start = _visible_registers(alg, None), alg._work_start
     else:

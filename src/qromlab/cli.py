@@ -77,8 +77,9 @@ DEMO_TOL = 1e-10
 
 def _accept_all_zero(alg: QueryAlgorithm) -> Callable[[list[ClassicalOracle]], list]:
     """Probability that every output register reads 0, against each of a
-    list of tables: the tables are the start rows of one batched run, or
-    of as few as ``MAX_STATE_DIM`` allows."""
+    list of tables: the tables are the start rows of one
+    ``run_query_algorithm`` run, or of as few as ``MAX_STATE_DIM``
+    allows (``_table_masses``)."""
     zeros = (0,) * len(alg.output_registers)
 
     def accept(tables: list[ClassicalOracle]) -> list:

@@ -284,18 +284,6 @@ def write_report(report: ExperimentReport, json_path=None, csv_path=None) -> Non
 # Classical trace machinery.
 
 
-def _memoized(spec: ProtocolSpec) -> ProtocolSpec:
-    """The spec with ``next_message`` and ``decide`` memoized for one walk.
-
-    Both are pure, and a walk asks the same few (randomness, transcript)
-    pairs many times; on a folded spec each fresh call costs one base
-    call per repetition. The copy drops the fold record, so callers
-    bind it to its own name and use it only for the walk.
-    """
-    return replace(spec, next_message=functools.cache(spec.next_message),
-                   decide=functools.cache(spec.decide))
-
-
 def _named_value(spec: ProtocolSpec, x, leaves, labels, randomness_of) -> Fraction:
     """Pr over a walk's leaves that the output is accepted at the
     randomness its own first-message entry names, randomness_of(label);
@@ -446,9 +434,8 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
         (extraction value, decision value), exact.
     """
     k = spec.rounds
-    walk = _memoized(spec)
     extracted = decided = 0
-    for weight, group, slots, out, _, made in _walk(walk, x, trace, k, q):
+    for weight, group, slots, out, _, made in _walk(spec, x, trace, k, q):
         if made != q:
             raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
         measured = dict(slots)
@@ -456,9 +443,9 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
         full = got is not None and len(got) == k
         prefixes = all(p == out[: len(p)] for p in measured.values())
         for r in group:
-            if full and walk.decide(x, r, got):
+            if full and spec.decide(x, r, got):
                 decided += weight
-            if prefixes and walk.decide(x, r, out):
+            if prefixes and spec.decide(x, r, out):
                 extracted += weight
     total = len(spec.randomness) * _schedule_count(k, q)
     return Fraction(extracted, total), Fraction(decided, total)
@@ -728,16 +715,15 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     Returns:
         (forwarding prover's value, extraction value), exact.
     """
-    walk = _memoized(spec)
     forwarded = extracted = Fraction(0)
-    for weight, group, slots, out, _, _ in _label_walk(walk, x, trace, 1, q):
+    for weight, group, slots, out, _, _ in _label_walk(spec, x, trace, 1, q):
         measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
         if len(claim) == 1:
             composed = (claim[0], out[1])
-            extracted += weight * sum(1 for r in group if walk.decide(x, r, composed))
+            extracted += weight * sum(1 for r in group if spec.decide(x, r, composed))
         if measured in (None, out[:1]):
-            forwarded += weight * sum(1 for r in group if walk.decide(x, r, out))
+            forwarded += weight * sum(1 for r in group if spec.decide(x, r, out))
     total = len(spec.randomness) * _schedule_count(1, q)
     return forwarded / total, extracted / total
 

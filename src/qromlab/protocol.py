@@ -30,6 +30,7 @@ small dense register dimensions rather than soundness.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import sys
 from collections.abc import Sequence
@@ -188,7 +189,10 @@ def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:
     next message and the honest prover's move concatenate the base's
     per coordinate, and the verifier accepts iff it accepts every
     coordinate. The statement, language and witnesses are the base's:
-    one witness serves every repetition.
+    one witness serves every repetition. ``next_message`` and ``decide``
+    memoize themselves: both are pure, each fresh call costs one base
+    call per repetition, and the walks ask the same few (randomness,
+    transcript) pairs many times.
     """
     if reps < 1:
         raise ConfigError("need at least one repetition")
@@ -201,12 +205,14 @@ def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:
             return itertools.repeat((), reps)
         return zip(*map(alphabet.split, msgs))
 
+    @functools.cache
     def next_message(x, r, ms):
         return _join(
             base.next_message(x, rj, col)
             for rj, col in zip(randomness.split(r), columns(ms))
         )
 
+    @functools.cache
     def decide(x, r, ms):
         return all(
             base.decide(x, rj, col)

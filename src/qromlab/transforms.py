@@ -3,16 +3,17 @@
 One measure-and-reprogram engine serves every transform here.
 ``apply_schedules`` drives the target algorithm under a list of
 schedules of (query ordinal, timing) picks, each schedule one start row
-of one executor run: the executor measures each row's picked queries
-and reprograms that row's table at the measured point (``_run_rows``'s
-per-start-row ``reprogram``), and returns the final rows, start-row-major,
-as one ``StrictRun``. ``_mar_dist`` is the only loop that averages over
-every valid schedule, reading the rows, weights and measured points from
-the runs themselves; the general and ordered wrappers differ only in the
-outcome rule they pass it (the ordered one is ``_ordered_outcome``, the
-abort rule the constant-round experiment also uses). ``_mar_report``
-scores either distribution against the plain run on the reprogrammed
-table, and the puncturing corollary measures its queries through
+of one ``run_query_algorithm`` run: the executor measures each row's
+picked queries and reprograms that row's table at the measured point
+(its per-start-row ``reprogram``), and returns the final rows,
+start-row-major, as one ``StrictRun``. ``_mar_dist`` is the only loop
+that averages over every valid schedule, reading the rows, weights and
+measured points from the runs themselves; the general and ordered
+wrappers differ only in the outcome rule they pass it (the ordered one
+is ``_ordered_outcome``, the abort rule the constant-round experiment
+also uses). ``_mar_report`` scores either distribution against the
+plain run on the reprogrammed table (``_table_masses``), and the
+puncturing corollary measures its queries through
 ``apply_schedules`` too, one schedule per query. Both cut their
 schedules into runs with ``_start_chunks``, which caps start rows times
 state dimension at ``MAX_STATE_DIM``. The cap counts start rows only: a
@@ -43,10 +44,8 @@ from qromlab.adversary import (
     StrictRun,
     _calls,
     _row_outputs,
-    _run_rows,
     _start_chunks,
     _table_masses,
-    output_distribution,
     run_query_algorithm,
 )
 from qromlab.oracle import ClassicalOracle, prefixes
@@ -130,7 +129,7 @@ def apply_schedules(
         {j: (labels[i], timing, y[i]) for j, (i, timing) in s.by_ordinal.items()}
         for s in schedules
     ]
-    return _run_rows(alg, None, [{name: oracle}] * len(slots), (name, slots))
+    return run_query_algorithm(alg, None, [{name: oracle}] * len(slots), (name, slots))
 
 
 def _slot_points(outcomes: tuple, domain: tuple) -> dict[int, Hashable]:
@@ -293,8 +292,7 @@ def _mar_report(
             return False
         return relation is None or relation(xs, digits[k:])
 
-    run = run_query_algorithm(alg, oracles={name: star})
-    rhs = output_distribution(run, regs, lambda i, d: hit(d) or None).get(True, 0)
+    (rhs,) = _table_masses(alg, name, [star], regs, hit)
     q = _named_queries(alg, name)
     factor = Fraction(1, (2 * q + 1) ** (2 * k))
     if isinstance(lhs, Rational) and isinstance(rhs, Rational):
@@ -399,6 +397,8 @@ def o2h_corollary_C(
     sset = set(marked)
     if sset - set(dom):
         raise ValueError("marked points outside the domain")
+    if output_register is None and not alg.output_registers:
+        raise ValueError(f"{alg.name} has no output register to score")
     out_reg = (output_register or alg.output_registers[0],)
     zero = ClassicalOracle.constant(dom, (0, 1), 0)
     indicator = ClassicalOracle(dom, (0, 1), tuple(int(p in sset) for p in dom))

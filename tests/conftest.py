@@ -5,7 +5,7 @@ An acceptance functional maps a list of tables to one value per table,
 as the table-averaging checks call it. ``one_table`` reads one as a
 function of a single table, run alone: the form the per-key loops of
 ``family_reference`` call. ``counting_runs`` logs the start rows of
-every ``_run_rows`` run.
+every ``run_query_algorithm`` run.
 """
 
 from qromlab import adversary, transforms
@@ -14,17 +14,17 @@ from qromlab.cli import _accept_all_zero as accept_all_zero  # noqa: F401
 
 
 def counting_runs(monkeypatch) -> list:
-    """Log the start-row count of every ``_run_rows`` run, rebinding it in
-    each module that binds it."""
+    """Log the start-row count of every ``run_query_algorithm`` run,
+    rebinding it in each module that binds it."""
     runs = []
-    real = adversary._run_rows
+    real = adversary.run_query_algorithm
 
     def counted(alg, verifier=None, oracles=({},), *rest, **kwargs):
         runs.append(len(oracles))
         return real(alg, verifier, oracles, *rest, **kwargs)
 
     for module in (adversary, transforms):
-        monkeypatch.setattr(module, "_run_rows", counted)
+        monkeypatch.setattr(module, "run_query_algorithm", counted)
     return runs
 
 
@@ -40,7 +40,7 @@ def accept_register_one(alg: QueryAlgorithm, register: str, name: str = "h"):
     def accept(tables):
         return [
             output_distribution(
-                run_query_algorithm(alg, oracles={name: table}), (register,)
+                run_query_algorithm(alg, oracles=({name: table},)), (register,)
             ).get((1,), 0)
             for table in tables
         ]

@@ -1,5 +1,6 @@
-"""The per-branch executor as it was before ``adversary._run_rows`` became
-the only one, and the per-branch results it returned.
+"""The per-branch executor as it was before the row executor
+``adversary.run_query_algorithm`` became the only one, and the
+per-branch results it returned.
 
 ``run_query_algorithm`` runs a step list branch by branch: a ``Unitary``
 is one ``np.tensordot`` on one branch's state, a measurement returns one

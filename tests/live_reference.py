@@ -16,15 +16,22 @@ and values are tested against. ``walk_counts`` flattens the walk's
 merged paths into the same counters.
 """
 
+import functools
 from collections import Counter
+from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
 from qromlab.adversary import challenge_structure
-from qromlab.pipeline import _memoized
 from qromlab.protocol import ConfigError
 from qromlab.transforms import MarSchedule, _ordered_outcome
 from qromlab.walk import _walk
+
+
+def _memoized(spec):
+    """The spec with ``next_message`` and ``decide`` memoized for one walk."""
+    return replace(spec, next_message=functools.cache(spec.next_message),
+                   decide=functools.cache(spec.decide))
 
 
 class NeedValue(Exception):

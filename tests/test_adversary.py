@@ -16,7 +16,6 @@ from qromlab.adversary import (
     SimulationResult,
     Unitary,
     _row_outputs,
-    _run_rows,
     build_aux,
     build_verifier,
     challenge_structure,
@@ -159,14 +158,14 @@ class TestAuxAndInitialState:
         assert st.layout.names[-1] == "W1"
         alg = QueryAlgorithm("x", (), 0, (("M", 2),))
         with pytest.raises(ValueError):
-            run_query_algorithm(alg, machine=m)
+            run_query_algorithm(alg, verifier=m)
 
 
 class TestHonestInteraction:
     def test_aborting_accepts_eps_squared(self):
         # the dense route: one run on the whole aux state, no enumeration
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
-        run = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
+        run = run_query_algorithm(honest_wrapper(m, (1,)), verifier=m)
         accept = output_distribution(run, ("B",))[(1,)]
         assert abs(accept - 1 / 16) <= 1e-12
 
@@ -189,7 +188,7 @@ class TestHonestInteraction:
         live = ClassicalOracle.constant(PDOM, (0, 1), 1)
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         m = pinned_reference.pinned_machine(m, {"R": 0, "H": live})
-        run = run_query_algorithm(honest_wrapper(m, (1,)), machine=m)
+        run = run_query_algorithm(honest_wrapper(m, (1,)), verifier=m)
         dist = output_distribution(run, ("M1", "M2"))
         spec = toy_table()
         want = (0, spec.alphabet.index(spec.next_message(1, 0, (0,))))
@@ -231,7 +230,7 @@ class TestCoherentKind:
         m = build_verifier("superposition", toy_table(), 1, eps=EPS4)
         probe = QueryAlgorithm("peek", (Measure("Cont"),), 0)
         with pytest.raises(ValueError):
-            run_query_algorithm(probe, machine=m)
+            run_query_algorithm(probe, verifier=m)
 
 
 class TestExpectedWrappers:
@@ -339,17 +338,33 @@ class TestQueryAlgorithmValidation:
         with pytest.raises(ValueError):
             run_query_algorithm(QueryAlgorithm("x", (), 0))
 
+    @pytest.mark.parametrize(
+        "oracles", [{}, {"h": ClassicalOracle.constant((0, 1), (0, 1), 1)}],
+        ids=["empty", "one-table"],
+    )
+    def test_one_mapping_as_oracles_is_refused(self, oracles):
+        """``oracles`` holds one mapping per start row: a bare mapping would
+        be read as its keys, so it raises before any work."""
+        alg = QueryAlgorithm("x", (), 0, (("W", 2),))
+        with pytest.raises(TypeError, match="one per start row"):
+            run_query_algorithm(alg, oracles=oracles)
+
+    def test_machine_is_no_keyword(self):
+        m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
+        with pytest.raises(TypeError, match="machine"):
+            run_query_algorithm(QueryAlgorithm("x", (), 0), machine=m)
+
     def test_output_registers_must_be_visible(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         alg = QueryAlgorithm("x", (), 0, output_registers=("B",))
         with pytest.raises(ValueError):
-            run_query_algorithm(alg, machine=m)
+            run_query_algorithm(alg, verifier=m)
 
     def test_hidden_registers_rejected(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         touch = QueryAlgorithm("x", (Unitary(("B",), np.eye(2)),), 0)
         with pytest.raises(ValueError):
-            run_query_algorithm(touch, machine=m)
+            run_query_algorithm(touch, verifier=m)
 
 
 class TestBranchPlumbing:
@@ -361,7 +376,7 @@ class TestBranchPlumbing:
             (("Q", 3), ("A", 2)),
         )
         with pytest.raises(ValueError, match="outside the table domain"):
-            _run_rows(alg, None, ({"h": tab},), ("h", ({1: ("slot", 0, 1)},)))
+            run_query_algorithm(alg, None, ({"h": tab},), ("h", ({1: ("slot", 0, 1)},)))
 
     @pytest.mark.parametrize("timing", [0, 1])
     def test_reprogram_records_the_point_and_the_table(self, timing):
@@ -373,7 +388,7 @@ class TestBranchPlumbing:
             "uni", (Unitary(("Q",), uni), CallOracle("h", "Q", "A")), 1,
             (("Q", 2), ("A", 2)),
         )
-        run = _run_rows(
+        run = run_query_algorithm(
             alg, None, ({"h": tab},), ("h", ({1: ("slot", timing, 1)},))
         )
         assert list(run.outcomes) == [
@@ -393,11 +408,11 @@ class TestOracleCallsStayVisible:
 
     def setup_method(self):
         self.machine = build_verifier("superposition", toy_table(), 1, eps=EPS4)
-        self.oracles = {"h": ClassicalOracle.constant((0, 1), (0, 1), 1)}
+        self.oracles = ({"h": ClassicalOracle.constant((0, 1), (0, 1), 1)},)
 
     def test_empty_algorithm_never_accepts(self):
         run = run_query_algorithm(
-            QueryAlgorithm("empty", (), 0), machine=self.machine, oracles=self.oracles
+            QueryAlgorithm("empty", (), 0), verifier=self.machine, oracles=self.oracles
         )
         assert pr_register(SimulationResult("superposition", (run,))) == 0
 
@@ -409,7 +424,7 @@ class TestOracleCallsStayVisible:
     def test_a_hidden_register_is_refused(self, call):
         peek = QueryAlgorithm("peek", (call,), 1)
         with pytest.raises(ValueError, match="verifier-internal"):
-            run_query_algorithm(peek, machine=self.machine, oracles=self.oracles)
+            run_query_algorithm(peek, verifier=self.machine, oracles=self.oracles)
 
 
 class TestZoos:
@@ -443,7 +458,7 @@ class TestZoos:
     def test_output_distributions_are_normalized(self):
         tab = ClassicalOracle(prefix_domain((0, 1), 2), (0, 1), (0, 1) * 3)
         for alg in ordered_zoo((0, 1)):
-            run = run_query_algorithm(alg, oracles={"h": tab})
+            run = run_query_algorithm(alg, oracles=({"h": tab},))
             dist = output_distribution(run, alg.output_registers)
             assert abs(sum(dist.values()) - 1) <= 1e-12
 

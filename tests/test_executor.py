@@ -2,7 +2,7 @@
 (``executor_reference``), branch by branch and exactly.
 
 A plain run, a run against a machine and a measure-and-reprogram run
-are each one row of ``adversary._run_rows``, returned as one
+are each one row of ``adversary.run_query_algorithm``, returned as one
 ``StrictRun`` and read back one branch per row; a list of schedules is
 one start row each, and reads back as each schedule's run in turn.
 Amplitudes must match with ``np.array_equal``, weights with ``==`` and
@@ -88,7 +88,7 @@ def assert_same_run(got, want, alg):
 def test_plain_runs_on_every_table(zoo):
     for alg in ZOOS[zoo]:
         for table in tables(DOMAINS[zoo]):
-            got = run_query_algorithm(alg, oracles={"h": table})
+            got = run_query_algorithm(alg, oracles=({"h": table},))
             want = ref.run_query_algorithm(alg, oracles={"h": table})
             assert_same_run(got, want, alg)
 
@@ -171,7 +171,7 @@ def test_machine_runs(kind, spec):
     rounds_off = kind == "superposition" and spec.rounds == 1
     padded = 0
     for alg in _machine_sims(machine):
-        got = ref.run_branches(run_query_algorithm(alg, machine=machine))
+        got = ref.run_branches(run_query_algorithm(alg, verifier=machine))
         want = ref.run_query_algorithm(alg, machine=machine)
         if rounds_off and alg.steps != ref.without_pads(alg).steps:
             bare = ref.run_query_algorithm(ref.without_pads(alg), machine=machine)

@@ -284,13 +284,13 @@ def test_expected_geometric_runs_each_distinct_list_once(monkeypatch):
     steps: one run against the coherent kind. Cut at q 8, the 4-pair list
     keeps its pads and one Unitary: two runs against the aborting kind."""
     runs = []
-    real = adversary._run_rows
+    real = adversary.run_query_algorithm
 
     def counted(alg, *args, **kwargs):
         runs.append(alg.name)
         return real(alg, *args, **kwargs)
 
-    monkeypatch.setattr(adversary, "_run_rows", counted)
+    monkeypatch.setattr(adversary, "run_query_algorithm", counted)
     w = SPEC.witness_map(1)[0]
     for kind, sim, want in (
         ("superposition", lambda s: s, ["honest-padded-0"]),

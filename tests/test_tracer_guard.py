@@ -8,6 +8,8 @@ kernels the ``lemma-sweep`` workload is about: a route that bypassed
 them would read as a zero in the benchmark's per-layer table. So must a
 traced ``run expected-time`` under each simulator reach the coherent
 kernel ``apply_step`` and ``run_simulator``, as ``dense-expected`` does.
+And the traced executor row must count every run of the one row
+executor, ``run_query_algorithm``, that a demo makes.
 """
 
 import contextlib
@@ -15,6 +17,9 @@ import io
 import sys
 from pathlib import Path
 
+import pytest
+
+from conftest import counting_runs
 from qromlab import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
@@ -70,3 +75,21 @@ def test_a_traced_expected_time_run_reaches_the_coherent_kernel():
         assert layers["adversary.apply_step.calls"] > 0, sim
         assert layers["adversary.apply_step.amps"] > 0, sim
         assert layers["adversary.run_simulator.calls"] > 0, sim
+
+
+@pytest.mark.parametrize("name", sorted(cli.LEMMAS))
+def test_the_traced_executor_row_counts_every_run(monkeypatch, name):
+    argv = ["verify-lemma", name, "--seed", "1"]
+    runs = counting_runs(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+    monkeypatch.undo()
+    tracer = spans.Tracer()
+    tracer.install()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        layers = spans.layer_metrics(tracer, passes=1)
+    finally:
+        tracer.uninstall()
+    assert layers["adversary.run_query_algorithm.calls"] == len(runs)

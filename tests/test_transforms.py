@@ -1,5 +1,6 @@
 """Reprogramming schedules, ordered variant, puncturing, truncation."""
 
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,18 @@ class TestPuncturing:
         alg = zoo_member("oq-none", (0, 1, 2))
         with pytest.raises(ValueError):
             o2h_corollary_C(alg, (0, 1, 2), (7,))
+
+    def test_a_missing_output_register_raises_before_any_run(self, monkeypatch):
+        """With no output register and none named, there is nothing to
+        score; naming one scores it as the algorithm's own."""
+        alg = zoo_member("oq-classical", (0, 1, 2))
+        bare = replace(alg, output_registers=())
+        runs = counting_runs(monkeypatch)
+        with pytest.raises(ValueError, match="no output register"):
+            o2h_corollary_C(bare, (0, 1, 2), (0,))
+        assert runs == []
+        named = o2h_corollary_C(bare, (0, 1, 2), (0,), output_register=alg.output_registers[0])
+        assert named == o2h_corollary_C(alg, (0, 1, 2), (0,))
 
     @pytest.mark.parametrize("name", ["oq-phase", "oq-adaptive"])
     @pytest.mark.parametrize("marked", [(), (0,), (1, 2)])
