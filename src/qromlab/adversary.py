@@ -9,12 +9,12 @@ transcript-controlled adjusting rotations on the table register. The
 permutation is one vectorized numpy computation over per-register digit
 arrays. (The paper's hash-challenge and response-oracle verifiers run as
 classical query traces in ``pipeline``.) Simulators are step lists that
-may call the machine forward or inverted, query named classical tables
-in superposition, and measure visible registers. One executor,
+may call the machine forward or inverted, query one classical table in
+superposition, and measure visible registers. One executor,
 ``run_query_algorithm``, runs every one of them, and every table
 average and schedule list, under strict invocation budgets over the
 rows of one amplitude array, each row with its own weight, outcomes and
-tables: a ``Unitary`` step, checked when built, is one stacked matmul
+table: a ``Unitary`` step, checked when built, is one stacked matmul
 over every row, and a measurement is ``qsim``'s one split. A
 measure-and-reprogram slot belongs to a start row: it splits that start
 row's rows on the query register and reprograms each one's table at the
@@ -505,9 +505,8 @@ class Pad:
 
 @dataclass(frozen=True)
 class CallOracle:
-    """One superposed query to a named classical table."""
+    """One superposed query to the run's classical table."""
 
-    name: str
     in_register: str
     out_register: str
 
@@ -593,21 +592,22 @@ class StrictRun:
     (1 for a strict simulator), and row i weighs ``weight * weights[i]``
     in the mixture. ``amplitudes`` is (rows, dim) over ``layout``; every
     row's squared norm is checked within ``ATOL_STATE`` in one pass when
-    the run is built. Row i keeps its tables ``oracles[i]`` and its
-    measurement outcomes ``outcomes[i]``; the call counts are the run's.
-    ``len(run)`` is the row count.
+    the run is built. Row i keeps its table ``oracles[i]`` (None in a
+    run without one) and its measurement outcomes ``outcomes[i]``; the
+    call count is the run's. ``len(run)`` is the row count.
     """
 
     weight: object
     weights: tuple
     layout: RegisterLayout
     amplitudes: np.ndarray = field(repr=False)
-    oracles: tuple[tuple[tuple[str, ClassicalOracle], ...], ...]
+    oracles: tuple[Optional[ClassicalOracle], ...]
     outcomes: tuple[tuple[tuple[str, int], ...], ...]
     invocations: int
-    counts: tuple[tuple[str, int], ...]
 
     def __post_init__(self) -> None:
+        if not len(self.oracles) == len(self.outcomes) == len(self.weights):
+            raise ValueError("a run holds one table and one outcome tuple per row")
         amps = np.ascontiguousarray(self.amplitudes, dtype=complex)
         shape = (len(self.weights), self.layout.total_dim)
         if amps.shape != shape:
@@ -716,22 +716,21 @@ def _start_chunks(alg: QueryAlgorithm, items: Sequence) -> list:
     return [items[lo:lo + per_run] for lo in range(0, len(items), per_run)]
 
 
-def _table_masses(alg: QueryAlgorithm, name: str, tables: Sequence[ClassicalOracle],
+def _table_masses(alg: QueryAlgorithm, tables: Sequence[ClassicalOracle],
                   registers: Sequence[str], hit) -> list:
     """For each table of ``tables``, the mass of the plain run of ``alg``
-    with that table as ``name`` whose digits on ``registers`` satisfy
+    against that table whose digits on ``registers`` satisfy
     ``hit(digits)``: each table's terms added in row order, from 0.
 
     The distinct tables are the start rows of ``run_query_algorithm``
     runs, cut by ``_start_chunks``, and each final row's terms count for
-    the table it kept.
+    the table it kept, ``run.oracles``.
     """
     masses: dict = {}
     for chunk in _start_chunks(alg, list(dict.fromkeys(tables))):
-        run = run_query_algorithm(alg, None, [{name: t} for t in chunk])
-        kept = [dict(tabs)[name] for tabs in run.oracles]
+        run = run_query_algorithm(alg, None, chunk)
         masses.update(output_distribution(
-            run, registers, lambda i, digits: kept[i] if hit(digits) else None))
+            run, registers, lambda i, digits: run.oracles[i] if hit(digits) else None))
     return [masses.get(t, 0) for t in tables]
 
 
@@ -815,7 +814,7 @@ def run_simulator(
     weight is set once on its branch's run, not on each row. A ``Pad``
     moves no row, so branches whose other steps are the same step
     objects, over the same work and output registers, share one run:
-    each gets its own ``StrictRun`` with its own weight and call counts
+    each gets its own ``StrictRun`` with its own weight and call count
     over the shared rows, tables and outcomes.
     """
 
@@ -828,63 +827,64 @@ def run_simulator(
         moves = tuple(id(s) for s in alg.steps if not isinstance(s, Pad))
         key = (moves, alg.work_registers, alg.output_registers)
         if key in shared:
-            calls = alg.invocations  # with no tables, all verifier calls
-            run = replace(shared[key], weight=w, invocations=calls,
-                          counts=(("verifier", calls),) if calls else ())
+            run = replace(shared[key], weight=w, invocations=alg.invocations)
         else:
             run = shared[key] = run_query_algorithm(alg, verifier, weight=w)
         runs.append(run)
     return SimulationResult(machine.kind, tuple(runs))
 
 
-def _table(tables: dict, name: str) -> ClassicalOracle:
-    if name not in tables:
-        raise KeyError(f"no oracle named {name!r}")
-    return tables[name]
-
-
 def run_query_algorithm(
     alg: QueryAlgorithm,
     verifier: VerifierMachine | _ControlRows | None = None,
-    oracles: Sequence[Mapping[str, ClassicalOracle]] = ({},),
-    reprogram: tuple[str, Sequence[Mapping[int, tuple[str, int, Hashable]]]] | None = None,
+    oracles: Sequence[ClassicalOracle | None] = (None,),
+    reprogram: Sequence[Mapping[int, tuple[str, int, Hashable]]] | None = None,
     weight=1,
 ) -> StrictRun:
     """One strict run of a step list over the rows of one amplitude array,
     returned as one ``StrictRun``: the one executor that every simulator
     run, table average and schedule run goes through.
 
-    ``oracles`` is a sequence of table mappings, not one mapping (a
-    mapping raises ``TypeError``). There is one start row per mapping
-    against a machine, each on the kind's canonical aux state
-    (``initial_state``), with only M among the machine's registers
-    visible to the steps, and answering calls through ``apply_step``; or
-    against no verifier, each on the work registers' basis state 0.
-    Against the aborting kind's ``_ControlRows`` there is one row per
-    control assignment, each starting on basis state 0 of the layout
-    without control registers and sharing the one oracle mapping, and a
-    call moves every row by its own permutation at once. A measurement
-    splits each row into its outcomes above ``PROB_FLOOR``, in place and
-    in outcome order, so the rows stay assignment-major. Each row keeps its own weight, times
-    the assignment's weight at the end, and its own outcomes and tables;
-    queries are answered row by row through ``quantum_query``. A
-    ``Pad`` is billed its calls and moves no row. ``weight`` is the run's
-    stopping weight.
+    ``oracles`` holds one start row's table, or None for a run without
+    one, per start row; a bare table or mapping raises ``TypeError``.
+    There is one start row per entry against a machine, each on the
+    kind's canonical aux state (``initial_state``), with only M among the
+    machine's registers visible to the steps, and answering calls through
+    ``apply_step``; or against no verifier, each on the work registers'
+    basis state 0. Against the aborting kind's ``_ControlRows`` there is
+    one start row, whose table every control assignment shares, and one
+    row per assignment, each starting on basis state 0 of the layout
+    without control registers; a call moves every row by its own
+    permutation at once. A measurement splits each row into its outcomes
+    above ``PROB_FLOOR``, in place and in outcome order, so the rows stay
+    assignment-major. Each row keeps its own weight, times the
+    assignment's weight at the end, and its own outcomes and table;
+    queries are answered row by row through ``quantum_query``, and a
+    query in a row without a table raises ``KeyError``. A ``Pad`` is
+    billed its calls and moves no row. ``weight`` is the run's stopping
+    weight.
 
-    ``reprogram`` is (name, slots), with one mapping {ordinal: (label,
-    timing, value)} per oracle mapping; ordinals count the named table's
-    queries from 1. At a query to that table, only the rows whose start
-    row has a slot at its ordinal are measured on the query's
-    in-register, each split in place and in outcome order. Each is
-    reprogrammed to its own slot's ``value`` at the measured point,
-    before the answer (timing 0) or after it (timing 1), and records the
-    point's domain position in its outcomes under ``label``. The other
-    rows are answered plainly and keep their place. So the rows stay
-    start-row-major, and each start row's rows come in the order of its
-    run alone. Without ``reprogram`` no row looks up a slot.
+    ``reprogram`` holds one mapping {ordinal: (label, timing, value)} per
+    start row; ordinals count the run's queries from 1. At a query, only
+    the rows whose start row has a slot at its ordinal are measured on
+    the query's in-register, each split in place and in outcome order.
+    Each is reprogrammed to its own slot's ``value`` at the measured
+    point, before the answer (timing 0) or after it (timing 1), and
+    records the point's domain position in its outcomes under ``label``.
+    The other rows are answered plainly and keep their place. So the
+    rows stay start-row-major, and each start row's rows come in the
+    order of its run alone. Without ``reprogram`` no row looks up a slot.
     """
-    if isinstance(oracles, Mapping):
-        raise TypeError("oracles is a sequence of table mappings, one per start row")
+    if isinstance(oracles, (Mapping, ClassicalOracle)) or not all(
+            t is None or isinstance(t, ClassicalOracle) for t in oracles):
+        raise TypeError("oracles is a sequence of tables, one per start row,"
+                        " each a ClassicalOracle or None")
+    tables = list(oracles)
+    slots = () if reprogram is None else tuple(reprogram)
+    if reprogram is not None and len(slots) != len(tables):
+        raise ValueError("one reprogram mapping per start row")
+    if isinstance(verifier, _ControlRows) and len(tables) != 1:
+        raise ValueError("the aborting kind's control rows run from one start row")
     if verifier is None:
         visible, start = _visible_registers(alg, None), alg._work_start
     else:
@@ -896,21 +896,17 @@ def run_query_algorithm(
             start = initial_state(verifier, alg.work_registers)
     layout = start.layout
     shape = layout.dims[::-1]
-    tables: list[dict] = [dict(sorted(tabs.items())) for tabs in oracles]
-    name, slots = reprogram or (None, ())
-    if reprogram is not None and len(slots) != len(tables):
-        raise ValueError("one reprogram mapping per oracle mapping")
-    if isinstance(verifier, _ControlRows):  # the assignments share one mapping
+    if isinstance(verifier, _ControlRows):  # the assignments share one table
         base = verifier.weights
         tables *= len(base)
-        slots = tuple(slots) * len(base)
+        slots *= len(base)
     else:
         base = (Fraction(1),) * len(tables)
     row = np.arange(len(base))
     amps = np.repeat(start.amplitudes[None], row.size, axis=0)
     weights: list = [Fraction(1)] * row.size
     outcomes: list[tuple] = [()] * row.size
-    counts: dict[str, int] = {}
+    calls = queries = 0
 
     def collapse(t: np.ndarray, register: str, chosen=None):
         """Split every row, or each row where the mask ``chosen`` is set,
@@ -942,22 +938,19 @@ def run_query_algorithm(
     def answer(t: np.ndarray, call: CallOracle) -> np.ndarray:
         return np.stack([
             quantum_query(
-                StateVector(layout, a), _table(tabs, call.name),
-                call.in_register, call.out_register,
+                StateVector(layout, a), tab, call.in_register, call.out_register
             ).amplitudes
-            for a, tabs in zip(t.reshape(row.size, -1), tables)
+            for a, tab in zip(t.reshape(row.size, -1), tables)
         ])
 
     def reprogram_rows(hits, when: int) -> None:
         for i, (_, timing, value), o in hits:
             if timing != when:
                 continue
-            tabs = dict(tables[i])
-            tab = _table(tabs, name)
+            tab = tables[i]
             if o >= len(tab.domain):
                 raise ValueError("measured a query outside the table domain")
-            tabs[name] = tab.reprogram(tab.domain[o], value)
-            tables[i] = tabs
+            tables[i] = tab.reprogram(tab.domain[o], value)
 
     for step in alg.steps:
         _check_visible(step, visible)
@@ -969,10 +962,9 @@ def run_query_algorithm(
         elif isinstance(step, (CallVerifier, Pad, CallOracle)):
             if not isinstance(step, CallOracle) and verifier is None:
                 raise ValueError("no verifier attached to this run")
-            if sum(counts.values()) + _calls(step) > alg.budget:
+            calls += _calls(step)
+            if calls > alg.budget:
                 raise RuntimeError("budget violation in strict mode")
-            key = step.name if isinstance(step, CallOracle) else "verifier"
-            counts[key] = counts.get(key, 0) + _calls(step)
             if isinstance(step, Pad):
                 continue  # the pairs compose to the identity
             if isinstance(step, CallVerifier):
@@ -985,10 +977,13 @@ def run_query_algorithm(
                         .amplitudes
                         for a in t.reshape(row.size, -1)
                     ])
-            elif key != name:
+            elif any(tab is None for tab in tables):
+                raise KeyError("a query in a run without a table")
+            elif not slots:
                 t = answer(t, step)
             else:
-                here = [slots[r].get(counts[key]) for r in row.tolist()]
+                queries += 1
+                here = [slots[r].get(queries) for r in row.tolist()]
                 chosen = np.array([slot is not None for slot in here])
                 hits = []  # (row, its slot, outcome) for every measured row
                 if chosen.any():
@@ -1013,10 +1008,9 @@ def run_query_algorithm(
         ),
         layout,
         amps,
-        tuple(tuple(tabs.items()) for tabs in tables),
+        tuple(tables),
         tuple(outcomes),
-        sum(counts.values()),
-        tuple(sorted(counts.items())),
+        calls,
     )
 
 
@@ -1095,8 +1089,8 @@ def _prep_column(dim: int, vec) -> np.ndarray:
     return np.eye(dim) - 2.0 * np.outer(u, u)
 
 
-def oracle_zoo(domain: Sequence[Hashable], name: str = "h") -> tuple[QueryAlgorithm, ...]:
-    """Strict algorithms against one named binary table.
+def oracle_zoo(domain: Sequence[Hashable]) -> tuple[QueryAlgorithm, ...]:
+    """Strict algorithms against one binary table.
 
     Covers the shapes the reprogramming and puncturing arguments care
     about: no queries, classical point queries (plain, second-point,
@@ -1116,18 +1110,18 @@ def oracle_zoo(domain: Sequence[Hashable], name: str = "h") -> tuple[QueryAlgori
             "oq-none", (Unitary(("Q",), np.eye(big)),), 0, (q,), ("Q",)
         ),
         QueryAlgorithm(
-            "oq-classical", (CallOracle(name, "Q", "A"),), 1, (q, a), ("Q", "A")
+            "oq-classical", (CallOracle("Q", "A"),), 1, (q, a), ("Q", "A")
         ),
         QueryAlgorithm(
             "oq-classical-second",
-            (Unitary(("Q",), _swap0(big, min(1, big - 1))), CallOracle(name, "Q", "A")),
+            (Unitary(("Q",), _swap0(big, min(1, big - 1))), CallOracle("Q", "A")),
             1,
             (q, a),
             ("Q", "A"),
         ),
         QueryAlgorithm(
             "oq-uniform",
-            (Unitary(("Q",), uni), CallOracle(name, "Q", "A")),
+            (Unitary(("Q",), uni), CallOracle("Q", "A")),
             1,
             (q, a),
             ("Q",),
@@ -1137,9 +1131,9 @@ def oracle_zoo(domain: Sequence[Hashable], name: str = "h") -> tuple[QueryAlgori
             (
                 Unitary(("A",), minus),
                 Unitary(("Q",), uni),
-                CallOracle(name, "Q", "A"),
+                CallOracle("Q", "A"),
                 Unitary(("Q",), diff),
-                CallOracle(name, "Q", "A"),
+                CallOracle("Q", "A"),
                 Unitary(("A",), minus.conj().T),
             ),
             2,
@@ -1158,9 +1152,9 @@ def oracle_zoo(domain: Sequence[Hashable], name: str = "h") -> tuple[QueryAlgori
             QueryAlgorithm(
                 "oq-adaptive",
                 (
-                    CallOracle(name, "Q", "A"),
+                    CallOracle("Q", "A"),
                     Unitary(("A", "Q2"), hop),
-                    CallOracle(name, "Q2", "A2"),
+                    CallOracle("Q2", "A2"),
                 ),
                 2,
                 (q, a, q2, a2),
@@ -1170,7 +1164,7 @@ def oracle_zoo(domain: Sequence[Hashable], name: str = "h") -> tuple[QueryAlgori
     return tuple(members)
 
 
-def ordered_zoo(alphabet: Sequence[Hashable], name: str = "h") -> tuple[QueryAlgorithm, ...]:
+def ordered_zoo(alphabet: Sequence[Hashable]) -> tuple[QueryAlgorithm, ...]:
     """Query algorithms over a prefix-closed two-round domain.
 
     The inconsistent member queries a singleton prefix and then a pair
@@ -1195,9 +1189,9 @@ def ordered_zoo(alphabet: Sequence[Hashable], name: str = "h") -> tuple[QueryAlg
         "ord-classical",
         (
             prep("Q1", pidx[(alphabet[0],)]),
-            CallOracle(name, "Q1", "A1"),
+            CallOracle("Q1", "A1"),
             prep("Q2", pidx[(alphabet[0], alphabet[1])]),
-            CallOracle(name, "Q2", "A2"),
+            CallOracle("Q2", "A2"),
             prep("O2", 1),
         ),
         2,
@@ -1208,9 +1202,9 @@ def ordered_zoo(alphabet: Sequence[Hashable], name: str = "h") -> tuple[QueryAlg
         "ord-inconsistent",
         (
             prep("Q1", pidx[(alphabet[0],)]),
-            CallOracle(name, "Q1", "A1"),
+            CallOracle("Q1", "A1"),
             prep("Q2", pidx[(alphabet[1], alphabet[0])]),
-            CallOracle(name, "Q2", "A2"),
+            CallOracle("Q2", "A2"),
             prep("O1", 1),
         ),
         2,
@@ -1221,7 +1215,7 @@ def ordered_zoo(alphabet: Sequence[Hashable], name: str = "h") -> tuple[QueryAlg
         "ord-superposition",
         (
             Unitary(("Q1",), uni),
-            CallOracle(name, "Q1", "A1"),
+            CallOracle("Q1", "A1"),
             prep("O2", 1),
         ),
         1,

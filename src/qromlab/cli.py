@@ -26,6 +26,7 @@ from qromlab.adversary import (
     QueryAlgorithm,
     _table_masses,
     build_verifier,
+    expected_wrapper,
     expected_wrappers,
     final_cont_state,
     oracle_zoo,
@@ -58,6 +59,7 @@ from qromlab.pipeline import (
     THEOREMS,
     ExperimentConfig,
     ExperimentReport,
+    _phi,
     default_config,
     run_experiment,
     write_report,
@@ -83,7 +85,7 @@ def _accept_all_zero(alg: QueryAlgorithm) -> Callable[[list[ClassicalOracle]], l
     zeros = (0,) * len(alg.output_registers)
 
     def accept(tables: list[ClassicalOracle]) -> list:
-        return _table_masses(alg, "h", tables, alg.output_registers,
+        return _table_masses(alg, tables, alg.output_registers,
                              lambda digits: digits == zeros)
 
     return accept
@@ -224,9 +226,7 @@ def _demo_final_state(rng: np.random.Generator) -> tuple[bool, str]:
         pb, rho, pcont = final_cont_state(spec, x, w, eps, u=u)
         want = eps * eps / (1 + eps * eps)
         ok &= abs(pcont - float(want)) <= DEMO_TOL and pb > 0
-        amp = np.array([1.0, float(eps)]) / np.sqrt(1 + float(eps) ** 2)
-        phi = DensityOnRegister("Cont", np.outer(amp, amp))
-        ok &= trace_distance(rho, phi) <= 1e-9
+        ok &= trace_distance(rho, _phi(eps, 2)) <= 1e-9
         if eps == Fraction(1, 4):
             shown = f"Pr[Cont=1 | B=1] = {pcont:.10f} vs eps^2/(1+eps^2) = {float(want):.10f}"
     return ok, shown + " (state matches at eps 1/10, 1/4, 1/2)"
@@ -249,7 +249,7 @@ def _demo_truncation(rng: np.random.Generator) -> tuple[bool, str]:
     x, q, eps = 1, 8, Fraction(1, 4)
     w = spec.witness_map(x)[0]
     coherent = build_verifier("superposition", spec, x, eps=eps)
-    sim = {s.name: s for s in expected_wrappers(coherent, w, q)}["expected-geometric"]
+    sim = expected_wrapper("expected-geometric", coherent, w, q)
     aborting = build_verifier("random_aborting", spec, x, eps=eps)
     got = pr_register(run_simulator(truncate(sim, q), aborting))
     floor = eps ** spec.rounds / 4

@@ -105,20 +105,19 @@ def apply_schedules(
     oracle: ClassicalOracle,
     schedules: Sequence[MarSchedule],
     y: Sequence[Hashable],
-    name: str = "h",
 ) -> StrictRun:
     """Run one algorithm under a list of schedules as one run: start row
     i runs schedule i, and its final rows come before those of row i + 1.
 
     Collapsed query points are recorded in each row's outcomes under the
     marker registers ``mar-slot-i`` as domain positions. Every schedule
-    must be built for the algorithm's query count to the named table,
-    with one value of ``y`` per slot; all are checked before the run,
+    must be built for the algorithm's query count, with one value of
+    ``y`` per slot; all are checked before the run,
     and an empty list is refused.
     """
     if not schedules:
         raise ValueError("no schedules")
-    q = _named_queries(alg, name)
+    q = _queries(alg)
     for schedule in schedules:
         if len(y) != len(schedule.picks):
             raise ValueError("one reprogram value per slot")
@@ -129,7 +128,7 @@ def apply_schedules(
         {j: (labels[i], timing, y[i]) for j, (i, timing) in s.by_ordinal.items()}
         for s in schedules
     ]
-    return run_query_algorithm(alg, None, [{name: oracle}] * len(slots), (name, slots))
+    return run_query_algorithm(alg, None, [oracle] * len(slots), slots)
 
 
 def _slot_points(outcomes: tuple, domain: tuple) -> dict[int, Hashable]:
@@ -140,10 +139,8 @@ def _slot_points(outcomes: tuple, domain: tuple) -> dict[int, Hashable]:
     return pts
 
 
-def _named_queries(alg: QueryAlgorithm, name: str) -> int:
-    return sum(
-        1 for s in alg.steps if isinstance(s, CallOracle) and s.name == name
-    )
+def _queries(alg: QueryAlgorithm) -> int:
+    return sum(isinstance(s, CallOracle) for s in alg.steps)
 
 
 def _alphabet(oracle: ClassicalOracle) -> tuple:
@@ -174,7 +171,7 @@ class MarOutcome:
     z: tuple
 
 
-def _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome) -> dict:
+def _mar_dist(alg, oracle, y, claim_registers, z_registers, outcome) -> dict:
     """The one schedule-averaging loop: every valid schedule runs with
     uniform weight, and each final (claim digits, z digits) outcome is
     keyed by outcome(measured point per slot, claim digits, z digits).
@@ -186,12 +183,12 @@ def _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome) -> di
     if len(claim_registers) != k:
         raise ValueError("need one claim register per target slot")
     dom = oracle.domain
-    scheds = enumerate_schedules(k, _named_queries(alg, name))
+    scheds = enumerate_schedules(k, _queries(alg))
     sw = Fraction(1, len(scheds))
     regs = tuple(claim_registers) + tuple(z_registers)
     dist: dict = {}
     for chunk in _start_chunks(alg, scheds):
-        run = apply_schedules(alg, oracle, chunk, y, name)
+        run = apply_schedules(alg, oracle, chunk, y)
         pts = [_slot_points(out, dom) for out in run.outcomes]
         for i, digits, w in _row_outputs(run, regs):
             key = outcome(pts[i], digits[:k], digits[k:])
@@ -206,7 +203,6 @@ def mar_general(
     claim_registers: Sequence[str],
     *,
     z_registers: Sequence[str] = (),
-    name: str = "h",
 ) -> dict[tuple[tuple, tuple], Fraction | float]:
     """Exact outcome distribution of the schedule-averaged wrapper.
 
@@ -220,7 +216,7 @@ def mar_general(
     def outcome(pts, claim, z):
         return tuple(pts.get(i, dom[c]) for i, c in enumerate(claim)), z
 
-    return _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome)
+    return _mar_dist(alg, oracle, y, claim_registers, z_registers, outcome)
 
 
 def mar_ordered(
@@ -230,7 +226,6 @@ def mar_ordered(
     claim_registers: Sequence[str],
     *,
     z_registers: Sequence[str] = (),
-    name: str = "h",
 ) -> dict[MarOutcome, Fraction | float]:
     """Ordered variant over a prefix-closed domain, with the abort rule.
 
@@ -246,7 +241,7 @@ def mar_ordered(
         points, out = _ordered_outcome(pts, tuple(alphabet[d] for d in claim))
         return MarOutcome(points, out, out is not None, z)
 
-    return _mar_dist(alg, oracle, y, claim_registers, z_registers, name, outcome)
+    return _mar_dist(alg, oracle, y, claim_registers, z_registers, outcome)
 
 
 @dataclass(frozen=True)
@@ -269,7 +264,7 @@ class MarReport:
 
 
 def _mar_report(
-    alg, oracle, scored, xs, targets, y, regs, letters, relation, name
+    alg, oracle, scored, xs, targets, y, regs, letters, relation
 ) -> MarReport:
     """Both sides of one inequality from (output, z, weight) triples, an
     output of None being abort mass. The rhs reruns the algorithm on the
@@ -292,8 +287,8 @@ def _mar_report(
             return False
         return relation is None or relation(xs, digits[k:])
 
-    (rhs,) = _table_masses(alg, name, [star], regs, hit)
-    q = _named_queries(alg, name)
+    (rhs,) = _table_masses(alg, [star], regs, hit)
+    q = _queries(alg)
     factor = Fraction(1, (2 * q + 1) ** (2 * k))
     if isinstance(lhs, Rational) and isinstance(rhs, Rational):
         holds = lhs >= factor * rhs
@@ -312,7 +307,6 @@ def mar_check_general(
     *,
     relation: Callable[[tuple, tuple], bool] | None = None,
     z_registers: Sequence[str] = (),
-    name: str = "h",
     dist: dict | None = None,
 ) -> MarReport:
     """Both sides of the general inequality for one target tuple.
@@ -325,13 +319,11 @@ def mar_check_general(
     if len(set(xs)) != len(xs):
         raise ValueError("target points must be distinct")
     if dist is None:
-        dist = mar_general(
-            alg, oracle, y, claim_registers, z_registers=z_registers, name=name
-        )
+        dist = mar_general(alg, oracle, y, claim_registers, z_registers=z_registers)
     scored = ((pts, z, w) for (pts, z), w in dist.items())
     regs = tuple(claim_registers) + tuple(z_registers)
     return _mar_report(
-        alg, oracle, scored, xs, xs, y, regs, oracle.domain, relation, name
+        alg, oracle, scored, xs, xs, y, regs, oracle.domain, relation
     )
 
 
@@ -344,7 +336,6 @@ def mar_check_ordered(
     *,
     relation: Callable[[tuple, tuple], bool] | None = None,
     z_registers: Sequence[str] = (),
-    name: str = "h",
     dist: dict | None = None,
 ) -> MarReport:
     """Ordered counterpart: the reference run reprograms every prefix
@@ -355,13 +346,11 @@ def mar_check_ordered(
     if set(targets) - set(oracle.domain):
         raise ValueError("target prefixes outside the table domain")
     if dist is None:
-        dist = mar_ordered(
-            alg, oracle, y, claim_registers, z_registers=z_registers, name=name
-        )
+        dist = mar_ordered(alg, oracle, y, claim_registers, z_registers=z_registers)
     scored = ((out.output, out.z, w) for out, w in dist.items())
     regs = tuple(claim_registers) + tuple(z_registers)
     return _mar_report(
-        alg, oracle, scored, xs, targets, y, regs, _alphabet(oracle), relation, name
+        alg, oracle, scored, xs, targets, y, regs, _alphabet(oracle), relation
     )
 
 
@@ -381,7 +370,6 @@ def o2h_corollary_C(
     domain: Sequence[Hashable],
     marked: Sequence[Hashable],
     *,
-    name: str = "h",
     output_register: str | None = None,
 ) -> O2HReport:
     """The measure-a-random-query corollary for one algorithm and set.
@@ -402,19 +390,19 @@ def o2h_corollary_C(
     out_reg = (output_register or alg.output_registers[0],)
     zero = ClassicalOracle.constant(dom, (0, 1), 0)
     indicator = ClassicalOracle(dom, (0, 1), tuple(int(p in sset) for p in dom))
-    q = _named_queries(alg, name)
+    q = _queries(alg)
 
     def in_set(digits: tuple) -> bool:
         return digits[0] < len(dom) and dom[digits[0]] in sset
 
-    masses = _table_masses(alg, name, [indicator, zero], out_reg, in_set)
+    masses = _table_masses(alg, [indicator, zero], out_reg, in_set)
     p_a_fs, p_plain = map(float, masses)
     acc = 0.0
     # one schedule per query; reprogramming the measured point of the
     # all-zero table to 0 leaves the table as it is
     scheds = [MarSchedule(((j, 1),), q) for j in range(1, q + 1)]
     for chunk in _start_chunks(alg, scheds):
-        run = apply_schedules(alg, zero, chunk, (0,), name)
+        run = apply_schedules(alg, zero, chunk, (0,))
         for i, outcomes in enumerate(run.outcomes):
             caught = _slot_points(outcomes, dom)
             if 0 in caught and caught[0] in sset:

@@ -19,7 +19,7 @@ def counting_runs(monkeypatch) -> list:
     runs = []
     real = adversary.run_query_algorithm
 
-    def counted(alg, verifier=None, oracles=({},), *rest, **kwargs):
+    def counted(alg, verifier=None, oracles=(None,), *rest, **kwargs):
         runs.append(len(oracles))
         return real(alg, verifier, oracles, *rest, **kwargs)
 
@@ -33,14 +33,14 @@ def one_table(accept):
     return lambda table: accept([table])[0]
 
 
-def accept_register_one(alg: QueryAlgorithm, register: str, name: str = "h"):
+def accept_register_one(alg: QueryAlgorithm, register: str):
     """Probability that one named output register reads 1, against each
     table, one run per table."""
 
     def accept(tables):
         return [
             output_distribution(
-                run_query_algorithm(alg, oracles=({name: table},)), (register,)
+                run_query_algorithm(alg, oracles=(table,)), (register,)
             ).get((1,), 0)
             for table in tables
         ]

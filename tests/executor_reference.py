@@ -19,6 +19,11 @@ read a stacked run or simulation result as one branch per row,
 ``result_of`` builds a result of one one-row run per branch, and
 ``output_distribution`` reduces each branch on its own, one
 ``_register_probs`` call per branch, as the library's did.
+
+The reference keeps its name-keyed tables and per-name call counts: a
+branch's one table sits under the fixed name ``TABLE``, every query is
+to it, and its ordinals count that name's queries. A run's row without
+a table reads back as a branch without tables.
 """
 
 from dataclasses import dataclass, replace
@@ -49,6 +54,8 @@ from qromlab.qsim import (
     measure_register,
 )
 
+TABLE = "h"
+
 
 @dataclass(frozen=True)
 class RunBranch:
@@ -68,10 +75,9 @@ def run_branches(run):
         RunBranch(
             run.row_weight(i),
             StateVector(run.layout, run.amplitudes[i]),
-            run.oracles[i],
+            () if run.oracles[i] is None else ((TABLE, run.oracles[i]),),
             run.outcomes[i],
             run.invocations,
-            run.counts,
         )
         for i in range(len(run))
     )
@@ -87,7 +93,7 @@ def result_of(kind, branch_list):
     return SimulationResult(kind, tuple(
         StrictRun(
             1, (br.weight,), br.state.layout, br.state.amplitudes[None],
-            (br.oracles,), (br.outcomes,), br.invocations, br.counts,
+            (dict(br.oracles).get(TABLE),), (br.outcomes,), br.invocations,
         )
         for br in branch_list
     ))
@@ -153,15 +159,15 @@ def set_branch_oracle(branch, name, table):
 
 def answer_query(branch, call):
     """Answer one query from the branch's table, bumping counts."""
-    tab = branch_oracle(branch, call.name)
+    tab = branch_oracle(branch, TABLE)
     st = quantum_query(branch.state, tab, call.in_register, call.out_register)
-    return replace(_bump(branch, call.name), state=st)
+    return replace(_bump(branch, TABLE), state=st)
 
 
 def measure_query_register(branch, call):
     """Collapse the query register, as (domain point, collapsed branch) pairs;
     the invocation count is not bumped."""
-    tab = branch_oracle(branch, call.name)
+    tab = branch_oracle(branch, TABLE)
     out = []
     for o, post, p in measure_register(branch.state, call.in_register):
         if o >= len(tab.domain):
@@ -241,7 +247,7 @@ def run_query_algorithm(alg, *, machine=None, oracles=None, on_query=None):
                     raise RuntimeError("budget violation in strict mode")
                 res = None
                 if on_query is not None:
-                    res = on_query(br, step, branch_count(br, step.name) + 1)
+                    res = on_query(br, step, branch_count(br, TABLE) + 1)
                 if res is None:
                     nxt.append(answer_query(br, step))
                 else:
@@ -269,13 +275,12 @@ def assert_same_branches(got, want):
         assert a.weight == b.weight
         assert a.outcomes == b.outcomes
         assert a.invocations == b.invocations
-        assert a.counts == b.counts
         assert a.oracles == b.oracles
         assert a.state.layout == b.state.layout
         assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
 
 
-def apply_schedule(alg, oracle, schedule, y, name="h"):
+def apply_schedule(alg, oracle, schedule, y):
     """One schedule through the ``on_query`` interceptor: the one-schedule
     form of ``transforms.apply_schedules``, as the library once ran it."""
     if len(y) != len(schedule.picks):
@@ -283,22 +288,22 @@ def apply_schedule(alg, oracle, schedule, y, name="h"):
     slots = schedule.by_ordinal
 
     def on_query(branch, call, ordinal):
-        if call.name != name or ordinal not in slots:
+        if ordinal not in slots:
             return None
         i, timing = slots[ordinal]
         out = []
         for point, cb in measure_query_register(branch, call):
-            tab = branch_oracle(cb, name)
+            tab = branch_oracle(cb, TABLE)
             pos = tab.domain.index(point)
             if timing == 0:
-                cb = set_branch_oracle(cb, name, tab.reprogram(point, y[i]))
+                cb = set_branch_oracle(cb, TABLE, tab.reprogram(point, y[i]))
                 cb = answer_query(cb, call)
             else:
                 cb = answer_query(cb, call)
                 cb = set_branch_oracle(
-                    cb, name, branch_oracle(cb, name).reprogram(point, y[i])
+                    cb, TABLE, branch_oracle(cb, TABLE).reprogram(point, y[i])
                 )
             out.append(replace(cb, outcomes=cb.outcomes + ((f"mar-slot-{i}", pos),)))
         return out
 
-    return run_query_algorithm(alg, oracles={name: oracle}, on_query=on_query)
+    return run_query_algorithm(alg, oracles={TABLE: oracle}, on_query=on_query)

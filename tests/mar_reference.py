@@ -19,6 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from executor_reference import (
+    TABLE,
     answer_query,
     apply_schedule,
     branch_oracle,
@@ -31,24 +32,24 @@ from qromlab.transforms import (
     MarOutcome,
     MarReport,
     O2HReport,
-    _named_queries,
+    _queries,
     _slot_points,
     enumerate_schedules,
 )
 
 
-def mar_general(alg, oracle, y, claim_registers, *, z_registers=(), name="h"):
+def mar_general(alg, oracle, y, claim_registers, *, z_registers=()):
     k = len(y)
     if len(claim_registers) != k:
         raise ValueError("need one claim register per target slot")
     dom = oracle.domain
-    q = _named_queries(alg, name)
+    q = _queries(alg)
     scheds = enumerate_schedules(k, q)
     sw = Fraction(1, len(scheds))
     regs = tuple(claim_registers) + tuple(z_registers)
     dist = {}
     for sched in scheds:
-        for br in apply_schedule(alg, oracle, sched, y, name):
+        for br in apply_schedule(alg, oracle, sched, y):
             pts = _slot_points(br.outcomes, dom)
             for digits, w in output_distribution([br], regs).items():
                 xp = tuple(
@@ -68,19 +69,19 @@ def ordered_rule(pts, msgs):
     return xs, (last if ok else None), ok
 
 
-def mar_ordered(alg, oracle, y, claim_registers, *, z_registers=(), name="h"):
+def mar_ordered(alg, oracle, y, claim_registers, *, z_registers=()):
     k = len(y)
     if len(claim_registers) != k:
         raise ValueError("need one claim register per target slot")
     dom = oracle.domain
     alphabet = tuple(p[0] for p in dom if len(p) == 1)
-    q = _named_queries(alg, name)
+    q = _queries(alg)
     scheds = enumerate_schedules(k, q)
     sw = Fraction(1, len(scheds))
     regs = tuple(claim_registers) + tuple(z_registers)
     dist = {}
     for sched in scheds:
-        for br in apply_schedule(alg, oracle, sched, y, name):
+        for br in apply_schedule(alg, oracle, sched, y):
             pts = _slot_points(br.outcomes, dom)
             for digits, w in output_distribution([br], regs).items():
                 msgs = tuple(alphabet[d] for d in digits[:k])
@@ -90,9 +91,9 @@ def mar_ordered(alg, oracle, y, claim_registers, *, z_registers=(), name="h"):
     return dist
 
 
-def claim_mass(alg, table, x_star, decode, regs, k, relation, name):
+def claim_mass(alg, table, x_star, decode, regs, k, relation):
     total = 0
-    for br in run_query_algorithm(alg, oracles={name: table}):
+    for br in run_query_algorithm(alg, oracles={TABLE: table}):
         for digits, w in output_distribution([br], regs).items():
             if decode(digits[:k]) != x_star:
                 continue
@@ -104,7 +105,7 @@ def claim_mass(alg, table, x_star, decode, regs, k, relation, name):
 
 def mar_check_general(
     alg, oracle, x_star, y, claim_registers, *,
-    relation=None, z_registers=(), name="h", dist=None,
+    relation=None, z_registers=(), dist=None,
 ):
     xs = tuple(x_star)
     k = len(xs)
@@ -112,7 +113,7 @@ def mar_check_general(
         raise ValueError("target points must be distinct")
     if dist is None:
         dist = mar_general(
-            alg, oracle, y, claim_registers, z_registers=z_registers, name=name
+            alg, oracle, y, claim_registers, z_registers=z_registers
         )
     lhs = 0
     for (pts, z), w in dist.items():
@@ -127,9 +128,9 @@ def mar_check_general(
     dom = oracle.domain
     regs = tuple(claim_registers) + tuple(z_registers)
     rhs = claim_mass(
-        alg, star, xs, lambda d: tuple(dom[i] for i in d), regs, k, relation, name
+        alg, star, xs, lambda d: tuple(dom[i] for i in d), regs, k, relation
     )
-    q = _named_queries(alg, name)
+    q = _queries(alg)
     factor = Fraction(1, (2 * q + 1) ** (2 * k))
     holds = float(lhs) >= float(factor) * float(rhs) - 1e-10
     return MarReport(
@@ -139,7 +140,7 @@ def mar_check_general(
 
 def mar_check_ordered(
     alg, oracle, x_star, y, claim_registers, *,
-    relation=None, z_registers=(), name="h", dist=None,
+    relation=None, z_registers=(), dist=None,
 ):
     xs = tuple(x_star)
     k = len(xs)
@@ -148,7 +149,7 @@ def mar_check_ordered(
         raise ValueError("target prefixes outside the table domain")
     if dist is None:
         dist = mar_ordered(
-            alg, oracle, y, claim_registers, z_registers=z_registers, name=name
+            alg, oracle, y, claim_registers, z_registers=z_registers
         )
     lhs = 0
     bot = 0
@@ -168,9 +169,9 @@ def mar_check_ordered(
     regs = tuple(claim_registers) + tuple(z_registers)
     rhs = claim_mass(
         alg, star, xs, lambda d: tuple(alphabet[i] for i in d), regs, k,
-        relation, name,
+        relation,
     )
-    q = _named_queries(alg, name)
+    q = _queries(alg)
     factor = Fraction(1, (2 * q + 1) ** (2 * k))
     holds = float(lhs) >= float(factor) * float(rhs) - 1e-10
     return MarReport(
@@ -179,7 +180,7 @@ def mar_check_ordered(
     )
 
 
-def o2h_corollary_C(alg, domain, marked, *, name="h", output_register=None):
+def o2h_corollary_C(alg, domain, marked, *, output_register=None):
     dom = tuple(domain)
     sset = set(marked)
     if sset - set(dom):
@@ -187,11 +188,11 @@ def o2h_corollary_C(alg, domain, marked, *, name="h", output_register=None):
     out_reg = output_register or alg.output_registers[0]
     zero = ClassicalOracle.constant(dom, (0, 1), 0)
     indicator = ClassicalOracle(dom, (0, 1), tuple(int(p in sset) for p in dom))
-    q = _named_queries(alg, name)
+    q = _queries(alg)
 
     def output_mass(table):
         total = 0.0
-        for br in run_query_algorithm(alg, oracles={name: table}):
+        for br in run_query_algorithm(alg, oracles={TABLE: table}):
             for digits, w in output_distribution([br], (out_reg,)).items():
                 if digits[0] < len(dom) and dom[digits[0]] in sset:
                     total += float(w)
@@ -206,18 +207,18 @@ def o2h_corollary_C(alg, domain, marked, *, name="h", output_register=None):
         for j in range(1, q + 1):
 
             def on_query(branch, call, ordinal, _j=j):
-                if call.name != name or ordinal != _j:
+                if ordinal != _j:
                     return None
                 out = []
                 for point, cb in measure_query_register(branch, call):
-                    pos = branch_oracle(cb, name).domain.index(point)
+                    pos = branch_oracle(cb, TABLE).domain.index(point)
                     cb = answer_query(cb, call)
                     out.append(
                         replace(cb, outcomes=cb.outcomes + (("o2h-catch", pos),))
                     )
                 return out
 
-            for br in run_query_algorithm(alg, oracles={name: zero}, on_query=on_query):
+            for br in run_query_algorithm(alg, oracles={TABLE: zero}, on_query=on_query):
                 caught = [o for reg, o in br.outcomes if reg == "o2h-catch"]
                 if caught and dom[caught[0]] in sset:
                     acc += float(br.weight)

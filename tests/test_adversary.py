@@ -1,11 +1,13 @@
 """Verifier machines, query algorithms, and the exhaustive simulator."""
 
 import itertools
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from qromlab import adversary
 from qromlab.adversary import (
     CallOracle,
     CallVerifier,
@@ -339,15 +341,49 @@ class TestQueryAlgorithmValidation:
             run_query_algorithm(QueryAlgorithm("x", (), 0))
 
     @pytest.mark.parametrize(
-        "oracles", [{}, {"h": ClassicalOracle.constant((0, 1), (0, 1), 1)}],
-        ids=["empty", "one-table"],
+        "oracles",
+        [{}, {"h": ClassicalOracle.constant((0, 1), (0, 1), 1)},
+         ClassicalOracle.constant((0, 1), (0, 1), 1)],
+        ids=["empty", "one-table", "bare-table"],
     )
     def test_one_mapping_as_oracles_is_refused(self, oracles):
-        """``oracles`` holds one mapping per start row: a bare mapping would
-        be read as its keys, so it raises before any work."""
+        """``oracles`` holds one table per start row: a bare mapping would
+        be read as its keys, and a bare table is no sequence of them, so
+        either raises before any work."""
         alg = QueryAlgorithm("x", (), 0, (("W", 2),))
         with pytest.raises(TypeError, match="one per start row"):
             run_query_algorithm(alg, oracles=oracles)
+
+    def test_a_mapping_per_start_row_is_refused_before_any_work(self, monkeypatch):
+        """The old form, one {name: table} mapping per start row, raises
+        before a row is built instead of being read as a table."""
+
+        def refuse(*args):
+            raise AssertionError("the run began")
+
+        monkeypatch.setattr(adversary, "_visible_registers", refuse)
+        tab = ClassicalOracle.constant((0, 1), (0, 1), 1)
+        alg = QueryAlgorithm("x", (CallOracle("W", "V"),), 1, (("W", 2), ("V", 2)))
+        for oracles in [({"h": tab},), (tab, {"h": tab})]:
+            with pytest.raises(TypeError, match="ClassicalOracle or None"):
+                run_query_algorithm(alg, oracles=oracles)
+
+    def test_a_call_names_no_table(self):
+        assert [f.name for f in fields(CallOracle)] == ["in_register", "out_register"]
+        with pytest.raises(TypeError):
+            CallOracle("h", "Q", "A")
+
+    @pytest.mark.parametrize(
+        "oracles",
+        [(None,), (None, None), (ClassicalOracle.constant((0, 1), (0, 1), 1), None)],
+        ids=["none", "two-none", "mixed"],
+    )
+    def test_a_query_without_a_table_raises_key_error(self, oracles):
+        alg = QueryAlgorithm("x", (CallOracle("W", "V"),), 1, (("W", 2), ("V", 2)))
+        with pytest.raises(KeyError):
+            run_query_algorithm(alg, oracles=oracles)
+        free = QueryAlgorithm("y", (Unitary(("W",), np.eye(2)),), 0, (("W", 2),))
+        assert run_query_algorithm(free, oracles=oracles).oracles == oracles
 
     def test_machine_is_no_keyword(self):
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
@@ -372,11 +408,11 @@ class TestBranchPlumbing:
         tab = ClassicalOracle((0, 1), (0, 1), (0, 0))
         shift = np.eye(3)[:, [2, 0, 1]]  # |0> -> |2>, outside the table domain
         alg = QueryAlgorithm(
-            "far", (Unitary(("Q",), shift), CallOracle("h", "Q", "A")), 1,
+            "far", (Unitary(("Q",), shift), CallOracle("Q", "A")), 1,
             (("Q", 3), ("A", 2)),
         )
         with pytest.raises(ValueError, match="outside the table domain"):
-            run_query_algorithm(alg, None, ({"h": tab},), ("h", ({1: ("slot", 0, 1)},)))
+            run_query_algorithm(alg, None, (tab,), ({1: ("slot", 0, 1)},))
 
     @pytest.mark.parametrize("timing", [0, 1])
     def test_reprogram_records_the_point_and_the_table(self, timing):
@@ -385,19 +421,17 @@ class TestBranchPlumbing:
         tab = ClassicalOracle((0, 1), (0, 1), (0, 0))
         uni = np.array([[1, 1], [1, -1]]) / np.sqrt(2)
         alg = QueryAlgorithm(
-            "uni", (Unitary(("Q",), uni), CallOracle("h", "Q", "A")), 1,
+            "uni", (Unitary(("Q",), uni), CallOracle("Q", "A")), 1,
             (("Q", 2), ("A", 2)),
         )
-        run = run_query_algorithm(
-            alg, None, ({"h": tab},), ("h", ({1: ("slot", timing, 1)},))
-        )
+        run = run_query_algorithm(alg, None, (tab,), ({1: ("slot", timing, 1)},))
         assert list(run.outcomes) == [
             (("Q", 0), ("slot", 0)), (("Q", 1), ("slot", 1))
         ]
-        assert run.counts == (("h", 1),) and run.invocations == 1
+        assert run.invocations == 1
         for point in range(len(run)):
             assert run.row_weight(point) == pytest.approx(0.5)
-            assert run.oracles[point] == (("h", tab.reprogram(point, 1)),)
+            assert run.oracles[point] == tab.reprogram(point, 1)
             answer = {d: w for i, d, w in _row_outputs(run, ("A",)) if i == point}
             assert answer == {(1 - timing,): pytest.approx(0.5)}
 
@@ -408,7 +442,7 @@ class TestOracleCallsStayVisible:
 
     def setup_method(self):
         self.machine = build_verifier("superposition", toy_table(), 1, eps=EPS4)
-        self.oracles = ({"h": ClassicalOracle.constant((0, 1), (0, 1), 1)},)
+        self.oracles = (ClassicalOracle.constant((0, 1), (0, 1), 1),)
 
     def test_empty_algorithm_never_accepts(self):
         run = run_query_algorithm(
@@ -418,7 +452,7 @@ class TestOracleCallsStayVisible:
 
     @pytest.mark.parametrize(
         "call",
-        [CallOracle("h", "M", "B"), CallOracle("h", "Count", "M"), CallOracle("h", "B", "M")],
+        [CallOracle("M", "B"), CallOracle("Count", "M"), CallOracle("B", "M")],
         ids=["writes-B", "reads-Count", "reads-B"],
     )
     def test_a_hidden_register_is_refused(self, call):
@@ -458,7 +492,7 @@ class TestZoos:
     def test_output_distributions_are_normalized(self):
         tab = ClassicalOracle(prefix_domain((0, 1), 2), (0, 1), (0, 1) * 3)
         for alg in ordered_zoo((0, 1)):
-            run = run_query_algorithm(alg, oracles=({"h": tab},))
+            run = run_query_algorithm(alg, oracles=(tab,))
             dist = output_distribution(run, alg.output_registers)
             assert abs(sum(dist.values()) - 1) <= 1e-12
 

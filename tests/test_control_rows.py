@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qromlab import adversary
 from qromlab.adversary import (
     CallOracle,
     CallVerifier,
@@ -22,9 +23,10 @@ from qromlab.adversary import (
     build_verifier,
     expected_wrappers,
     honest_wrapper,
+    run_query_algorithm,
     run_simulator,
 )
-from qromlab.oracle import SparseOracleDist
+from qromlab.oracle import ClassicalOracle, SparseOracleDist
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import toy_guess, toy_table
 from qromlab.transforms import truncate
@@ -211,9 +213,9 @@ def _budget_zero():
 
 
 BAD = {
-    "oracle-call": lambda: QueryAlgorithm("q", (CallOracle("h", "M", "B"),), 1),
+    "oracle-call": lambda: QueryAlgorithm("q", (CallOracle("M", "B"),), 1),
     "missing-oracle": lambda: QueryAlgorithm(
-        "q", (CallOracle("h", "M", "W"),), 1, (("W", 2),)
+        "q", (CallOracle("M", "W"),), 1, (("W", 2),)
     ),
     "hidden-unitary": lambda: QueryAlgorithm("u", (Unitary(("Count",), np.eye(2)),), 0),
     "hidden-measure": lambda: QueryAlgorithm("m", (Measure("B"),), 0),
@@ -237,3 +239,25 @@ def test_both_routes_raise_the_same_error(case):
         pinned_reference.run_simulator(alg, machine)
     with pytest.raises(want.type):
         run_simulator(alg, machine)
+
+
+@pytest.mark.parametrize("starts", [0, 2, 3])
+def test_control_rows_run_from_one_start_row(monkeypatch, starts):
+    """Every control assignment shares the one start row's table. Any other
+    number of start rows would be dealt out across the assignments, so it
+    is refused before a row is built."""
+    rows = machine_named("aborting")._control_rows
+    alg = QueryAlgorithm("q", (CallOracle("W", "V"),), 1, (("W", 2), ("V", 2)))
+    tables = [ClassicalOracle.constant((0, 1), (0, 1), v % 2) for v in range(starts)]
+
+    def refuse(*args):
+        raise AssertionError("the run began")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(adversary, "_visible_registers", refuse)
+        with pytest.raises(ValueError, match="one start row"):
+            run_query_algorithm(alg, rows, tables)
+    table = ClassicalOracle((0, 1), (0, 1), (0, 1))
+    run = run_query_algorithm(alg, rows, (table,))
+    assert len(run) == len(rows.weights)
+    assert run.oracles == (table,) * len(run)

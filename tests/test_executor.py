@@ -6,7 +6,7 @@ are each one row of ``adversary.run_query_algorithm``, returned as one
 ``StrictRun`` and read back one branch per row; a list of schedules is
 one start row each, and reads back as each schedule's run in turn.
 Amplitudes must match with ``np.array_equal``, weights with ``==`` and
-the same type, and outcomes, counts and tables exactly. On every plain
+the same type, and outcomes, call counts and tables exactly. On every plain
 and scheduled run, the run's row reader and ``output_distribution`` must
 equal the per-branch reduction: the same rows and keys in the same
 order, Fractions equal and still Fractions, floats equal by
@@ -23,6 +23,7 @@ import pytest
 import executor_reference as ref
 from executor_reference import assert_same_branches, assert_same_value
 from qromlab.adversary import (
+    CallOracle,
     _row_outputs,
     build_verifier,
     expected_wrappers,
@@ -88,13 +89,13 @@ def assert_same_run(got, want, alg):
 def test_plain_runs_on_every_table(zoo):
     for alg in ZOOS[zoo]:
         for table in tables(DOMAINS[zoo]):
-            got = run_query_algorithm(alg, oracles=({"h": table},))
-            want = ref.run_query_algorithm(alg, oracles={"h": table})
+            got = run_query_algorithm(alg, oracles=(table,))
+            want = ref.run_query_algorithm(alg, oracles={ref.TABLE: table})
             assert_same_run(got, want, alg)
 
 
-def _named_queries(alg):
-    return sum(getattr(s, "name", None) == "h" for s in alg.steps)
+def _queries(alg):
+    return sum(isinstance(s, CallOracle) for s in alg.steps)
 
 
 def _schedule_lists(scheds):
@@ -110,7 +111,7 @@ def _schedule_lists(scheds):
 
 def _scheduled(zoo, table_list):
     for alg in ZOOS[zoo]:
-        q = _named_queries(alg)
+        q = _queries(alg)
         for k in (1, 2):
             for scheds in _schedule_lists(enumerate_schedules(k, q)):
                 for y in itertools.product((0, 1), repeat=k):
@@ -178,7 +179,7 @@ def test_machine_runs(kind, spec):
             assert len(bare) == len(want)
             for b, w in zip(bare, want):
                 assert np.allclose(b.state.amplitudes, w.state.amplitudes, atol=1e-12)
-            want = [replace(b, invocations=w.invocations, counts=w.counts)
+            want = [replace(b, invocations=w.invocations)
                     for b, w in zip(bare, want)]
             padded += 1
         assert_same_branches(got, want)

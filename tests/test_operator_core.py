@@ -197,7 +197,7 @@ def test_executors_never_check_a_built_step_again(monkeypatch):
     for module in (qsim, adversary, hashfam):
         monkeypatch.setattr(module, "_check_unitary", refuse, raising=False)
     for alg in zoo:
-        assert run_query_algorithm(alg, oracles=({"h": table},))
+        assert run_query_algorithm(alg, oracles=(table,))
     for machine, members in sims:
         for sim in members:
             assert run_simulator(sim, machine).runs

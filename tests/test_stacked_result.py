@@ -65,7 +65,7 @@ def assert_same_result(got, want_branches):
         assert a.state.layout == b.state.layout
         assert np.array_equal(a.state.amplitudes, b.state.amplitudes)
         assert (a.oracles, a.outcomes) == (b.oracles, b.outcomes)
-        assert (a.invocations, a.counts) == (b.invocations, b.counts)
+        assert a.invocations == b.invocations
     assert_same_value(pr_register(got), ref.pr_register(want_branches))
     for q in BUDGETS:
         assert_same_value(pr_budget(got, q), ref.pr_budget(want_branches, q))
@@ -213,7 +213,7 @@ def test_a_pair_after_another_step_is_applied(kind):
         check_applied(alg, machine, 9)
         alg = QueryAlgorithm("late-pad", (lead, Pad(2), CallVerifier()), 5)
         got = check_applied(alg, machine, 1)
-        assert {run.counts for run in got.runs} == {(("verifier", 5),)}
+        assert {run.invocations for run in got.runs} == {5}
 
 
 @pytest.mark.parametrize("eps", DENSITIES, ids=str)
@@ -258,7 +258,6 @@ def check_rows_without_pads(sim, machine):
             assert (a.oracles, a.outcomes) == (b.oracles, b.outcomes)
         assert run.weight == w
         assert run.invocations == alg.invocations
-        assert run.counts == ((("verifier", alg.invocations),) if alg.invocations else ())
     return got, calls
 
 
@@ -322,7 +321,7 @@ LAYOUT = RegisterLayout((("B", 2), ("W", 3)))
 
 def _row_run(amps):
     n = len(amps)
-    return StrictRun(1, (Fraction(1, n),) * n, LAYOUT, amps, ((),) * n, ((),) * n, 0, ())
+    return StrictRun(1, (Fraction(1, n),) * n, LAYOUT, amps, (None,) * n, ((),) * n, 0)
 
 
 @pytest.mark.parametrize("row", [0, 1, 2])
@@ -333,6 +332,17 @@ def test_a_row_off_the_unit_sphere_is_refused(row, bad):
     amps[row, 0] = np.sqrt(bad)
     with pytest.raises(ValueError, match=f"not normalized.*row {row}"):
         _row_run(amps)
+
+
+@pytest.mark.parametrize("field", ["oracles", "outcomes"])
+def test_a_row_without_its_table_or_outcomes_is_refused(field):
+    """A run holds one table, or None, and one outcome tuple per row."""
+    amps = np.zeros((3, 6), dtype=complex)
+    amps[:, 0] = 1.0
+    run = _row_run(amps)
+    for cut in (getattr(run, field)[:2], getattr(run, field) * 2):
+        with pytest.raises(ValueError, match="one table and one outcome tuple per row"):
+            replace(run, **{field: cut})
 
 
 def test_rows_within_the_tolerance_pass_and_freeze():
