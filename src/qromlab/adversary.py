@@ -9,28 +9,31 @@ transcript-controlled adjusting rotations on the table register. The
 permutation is one vectorized numpy computation over per-register digit
 arrays. (The paper's hash-challenge and response-oracle verifiers run as
 classical query traces in ``pipeline``.) Simulators are step lists that
-may call the machine forward or inverted, query one classical table in
-superposition, and measure visible registers. One executor,
-``run_query_algorithm``, runs every one of them, and every table
-average and schedule list, under strict invocation budgets over the
-rows of one amplitude array, each row with its own weight, outcomes and
-table: a ``Unitary`` step, checked when built, is one stacked matmul
-over every row, and a measurement is ``qsim``'s one split. A
-measure-and-reprogram slot belongs to a start row: it splits that start
-row's rows on the query register and reprograms each one's table at the
-measured point. A plain run is one row, or one start row per table when
-several tables are averaged over (``_table_masses``), or per schedule
-when schedules are (``transforms.apply_schedules``), each row keeping
-its own. The aborting kind's
-control registers stay classical, so it is simulated by enumerating
-every control assignment exactly and mixing the resulting branches with
-rational weights: each assignment is a row, and its verifier call is the
-strided slice of the machine's permutation, moved for every row by
-``qsim``'s one permutation kernel. A ``Pad`` step, which the
-expected-budget wrappers put ahead of the honest steps, stands for its
-forward/inverse call pairs: it is billed as two calls a pair and moves
-no row, and strict branches whose other steps are the same share one
-run.
+may call the machine forward or inverted and query one classical table
+in superposition. They measure nothing themselves: by deferred
+measurement, copying a register onto a fresh work register gives the
+statistics measuring it would. One executor, ``run_query_algorithm``,
+runs every one of them, and every table average and schedule list,
+under strict invocation budgets over the rows of one amplitude array,
+each row with its own weight, outcomes and table: a ``Unitary`` step,
+checked when built, is one stacked matmul over every row. Rows split in
+one place only, a measured query at a measure-and-reprogram slot, and
+only in a run with no verifier: the slot belongs to a start row, splits
+that start row's rows on the query register with ``qsim``'s one split,
+and reprograms each one's table at the measured point. A plain run is
+one row, or one start row per table when several tables are averaged
+over (``_table_masses``), or per schedule when schedules are
+(``transforms.apply_schedules``), each row keeping its own. A run
+against a verifier has one start row, and its rows never change. The
+aborting kind's control registers stay classical, so it is simulated by
+enumerating every control assignment exactly and mixing the resulting
+branches with rational weights: each assignment is a row, and its
+verifier call is the strided slice of the machine's permutation, moved
+for every row by ``qsim``'s one permutation kernel. A ``Pad`` step,
+which the expected-budget wrappers put ahead of the honest steps, stands
+for its forward/inverse call pairs: it is billed as two calls a pair and
+moves no row, and strict branches whose other steps are the same share
+one run.
 
 A strict run's final rows stay stacked as one ``StrictRun``, the only
 form a run's result takes: ``run_query_algorithm`` returns one, and a
@@ -511,14 +514,7 @@ class CallOracle:
     out_register: str
 
 
-@dataclass(frozen=True)
-class Measure:
-    """Computational-basis measurement of one visible register."""
-
-    register: str
-
-
-Step = Union[Unitary, CallVerifier, Pad, CallOracle, Measure]
+Step = Union[Unitary, CallVerifier, Pad, CallOracle]
 
 
 @dataclass(frozen=True)
@@ -593,8 +589,9 @@ class StrictRun:
     in the mixture. ``amplitudes`` is (rows, dim) over ``layout``; every
     row's squared norm is checked within ``ATOL_STATE`` in one pass when
     the run is built. Row i keeps its table ``oracles[i]`` (None in a
-    run without one) and its measurement outcomes ``outcomes[i]``; the
-    call count is the run's. ``len(run)`` is the row count.
+    run without one) and ``outcomes[i]``, a (label, domain position)
+    pair per measured reprogram slot; the call count is the run's.
+    ``len(run)`` is the row count.
     """
 
     weight: object
@@ -602,7 +599,7 @@ class StrictRun:
     layout: RegisterLayout
     amplitudes: np.ndarray = field(repr=False)
     oracles: tuple[Optional[ClassicalOracle], ...]
-    outcomes: tuple[tuple[tuple[str, int], ...], ...]
+    outcomes: tuple[tuple[tuple[Hashable, int], ...], ...]
     invocations: int
 
     def __post_init__(self) -> None:
@@ -669,12 +666,9 @@ def _visible_registers(
 
 
 def _check_visible(step: Step, visible: set[str]) -> None:
-    """Reject a unitary, a measurement or a query on a register the steps
-    cannot see."""
+    """Reject a unitary or a query on a register the steps cannot see."""
     if isinstance(step, Unitary):
         hidden = set(step.registers) - visible
-    elif isinstance(step, Measure):
-        hidden = {step.register} - visible
     elif isinstance(step, CallOracle):
         hidden = {step.in_register, step.out_register} - visible
     else:
@@ -711,7 +705,7 @@ def _start_chunks(alg: QueryAlgorithm, items: Sequence) -> list:
     against no verifier: as many to a run as keep start rows times state
     dimension within ``MAX_STATE_DIM``, and at least one. The cut is
     fixed before any run and counts start rows only: a row that a
-    measurement or a measured query splits ends as several."""
+    measured query splits ends as several."""
     per_run = max(1, MAX_STATE_DIM // alg._work_start.layout.total_dim)
     return [items[lo:lo + per_run] for lo in range(0, len(items), per_run)]
 
@@ -838,7 +832,7 @@ def run_query_algorithm(
     alg: QueryAlgorithm,
     verifier: VerifierMachine | _ControlRows | None = None,
     oracles: Sequence[ClassicalOracle | None] = (None,),
-    reprogram: Sequence[Mapping[int, tuple[str, int, Hashable]]] | None = None,
+    reprogram: Sequence[Mapping[int, tuple[Hashable, int, Hashable]]] | None = None,
     weight=1,
 ) -> StrictRun:
     """One strict run of a step list over the rows of one amplitude array,
@@ -847,33 +841,34 @@ def run_query_algorithm(
 
     ``oracles`` holds one start row's table, or None for a run without
     one, per start row; a bare table or mapping raises ``TypeError``.
-    There is one start row per entry against a machine, each on the
-    kind's canonical aux state (``initial_state``), with only M among the
-    machine's registers visible to the steps, and answering calls through
-    ``apply_step``; or against no verifier, each on the work registers'
-    basis state 0. Against the aborting kind's ``_ControlRows`` there is
-    one start row, whose table every control assignment shares, and one
-    row per assignment, each starting on basis state 0 of the layout
-    without control registers; a call moves every row by its own
-    permutation at once. A measurement splits each row into its outcomes
-    above ``PROB_FLOOR``, in place and in outcome order, so the rows stay
-    assignment-major. Each row keeps its own weight, times the
-    assignment's weight at the end, and its own outcomes and table;
-    queries are answered row by row through ``quantum_query``, and a
-    query in a row without a table raises ``KeyError``. A ``Pad`` is
-    billed its calls and moves no row. ``weight`` is the run's stopping
-    weight.
+    Against no verifier there is one start row per entry, each on the
+    work registers' basis state 0. A run against a verifier takes one
+    start row and no ``reprogram``, and anything else raises
+    ``ValueError`` before any work; only M among the machine's registers
+    is visible to its steps. Against a machine the row starts on the
+    kind's canonical aux state (``initial_state``), and a call is one
+    ``apply_step``. Against the aborting kind's ``_ControlRows`` there is
+    one row per control assignment, each starting on basis state 0 of
+    the layout without control registers and sharing the start row's
+    table, and a call moves every row by its own permutation at once.
+    Each row keeps its own weight, times its assignment's weight at the
+    end, and its own outcomes and table; queries are answered row by row through
+    ``quantum_query``, and a query in a row without a table raises
+    ``KeyError``. A ``Pad`` is billed its calls and moves no row.
+    ``weight`` is the run's stopping weight.
 
     ``reprogram`` holds one mapping {ordinal: (label, timing, value)} per
-    start row; ordinals count the run's queries from 1. At a query, only
-    the rows whose start row has a slot at its ordinal are measured on
-    the query's in-register, each split in place and in outcome order.
-    Each is reprogrammed to its own slot's ``value`` at the measured
-    point, before the answer (timing 0) or after it (timing 1), and
-    records the point's domain position in its outcomes under ``label``.
-    The other rows are answered plainly and keep their place. So the
-    rows stay start-row-major, and each start row's rows come in the
-    order of its run alone. Without ``reprogram`` no row looks up a slot.
+    start row; ordinals count the run's queries from 1. This is the one
+    place rows split. At a query, only the rows whose start row has a
+    slot at its ordinal are measured on the query's in-register, each
+    split in place into its outcomes above ``PROB_FLOOR``, in outcome
+    order. Each is reprogrammed to its own slot's ``value`` at the
+    measured point, before the answer (timing 0) or after it (timing 1),
+    and records the point's domain position in its outcomes under
+    ``label``. The other rows are answered plainly and keep their place.
+    So the rows stay start-row-major, and each start row's rows come in
+    the order of its run alone. Without ``reprogram`` no row looks up a
+    slot.
     """
     if isinstance(oracles, (Mapping, ClassicalOracle)) or not all(
             t is None or isinstance(t, ClassicalOracle) for t in oracles):
@@ -883,8 +878,9 @@ def run_query_algorithm(
     slots = () if reprogram is None else tuple(reprogram)
     if reprogram is not None and len(slots) != len(tables):
         raise ValueError("one reprogram mapping per start row")
-    if isinstance(verifier, _ControlRows) and len(tables) != 1:
-        raise ValueError("the aborting kind's control rows run from one start row")
+    if verifier is not None and (len(tables) != 1 or reprogram is not None):
+        raise ValueError("a run against a verifier takes one start row and no"
+                         " reprogram mapping")
     if verifier is None:
         visible, start = _visible_registers(alg, None), alg._work_start
     else:
@@ -899,7 +895,6 @@ def run_query_algorithm(
     if isinstance(verifier, _ControlRows):  # the assignments share one table
         base = verifier.weights
         tables *= len(base)
-        slots *= len(base)
     else:
         base = (Fraction(1),) * len(tables)
     row = np.arange(len(base))
@@ -908,12 +903,12 @@ def run_query_algorithm(
     outcomes: list[tuple] = [()] * row.size
     calls = queries = 0
 
-    def collapse(t: np.ndarray, register: str, chosen=None):
-        """Split every row, or each row where the mask ``chosen`` is set,
-        into its outcomes on ``register``; a row not chosen keeps its
-        place as one part of outcome -1 and probability 1."""
+    def collapse(t: np.ndarray, register: str, chosen: np.ndarray):
+        """Split each row where the mask ``chosen`` is set into its outcomes
+        on ``register``; a row not chosen keeps its place as one part of
+        outcome -1 and probability 1."""
         nonlocal row, weights, outcomes, tables
-        if chosen is None or chosen.all():
+        if chosen.all():
             b, o, p, t = _split_rows(t, layout.axis_of(register))
         else:
             # a chosen row has at least one outcome above the floor
@@ -929,8 +924,7 @@ def run_query_algorithm(
             p = np.ones(b.size)
             p[split] = sp
         weights = [_scale(weights[i], float(pi)) for i, pi in zip(b, p)]
-        outcomes = [outcomes[i] + ((register, int(oi)),) if oi >= 0 else outcomes[i]
-                    for i, oi in zip(b, o)]
+        outcomes = [outcomes[i] for i in b]
         tables = [tables[i] for i in b]
         row = row[b]
         return b, o, t
@@ -957,8 +951,6 @@ def run_query_algorithm(
         t = amps.reshape((row.size,) + shape)
         if isinstance(step, Unitary):
             t = _unitary_on_axes(t, layout, step.registers, step.matrix)
-        elif isinstance(step, Measure):
-            _, _, t = collapse(t, step.register)
         elif isinstance(step, (CallVerifier, Pad, CallOracle)):
             if not isinstance(step, CallOracle) and verifier is None:
                 raise ValueError("no verifier attached to this run")
@@ -970,13 +962,10 @@ def run_query_algorithm(
             if isinstance(step, CallVerifier):
                 if isinstance(verifier, _ControlRows):
                     rows = t.reshape(row.size, -1, verifier.layout.total_dim)
-                    t = _permute_rows(rows, verifier.perms[row], step.inverse)
-                else:
-                    t = np.stack([
-                        apply_step(verifier, StateVector(layout, a), step.inverse)
-                        .amplitudes
-                        for a in t.reshape(row.size, -1)
-                    ])
+                    t = _permute_rows(rows, verifier.perms, step.inverse)
+                else:  # the one row
+                    state = StateVector(layout, t.reshape(-1))
+                    t = apply_step(verifier, state, step.inverse).amplitudes
             elif any(tab is None for tab in tables):
                 raise KeyError("a query in a run without a table")
             elif not slots:

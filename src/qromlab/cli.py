@@ -279,6 +279,15 @@ def _parse_eps(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"eps must be a fraction B/A, got {text!r}") from exc
 
 
+def _parse_seed(text: str) -> int:
+    try:
+        if int(text) >= 0:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"seed must be a nonnegative integer, got {text!r}")
+
+
 def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
     cfg = default_config(args.theorem)
     fields: dict = {}
@@ -325,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
 
     lemma = sub.add_parser("verify-lemma", help="run one exact lemma demo")
     lemma.add_argument("name", choices=sorted(LEMMAS))
-    lemma.add_argument("--seed", type=int, default=0,
+    lemma.add_argument("--seed", type=_parse_seed, default=0,
                        help="seed for the demo's sampled inputs")
 
     run = sub.add_parser("run", help="run one decision experiment")
@@ -340,7 +349,7 @@ def main(argv: list[str] | None = None) -> int:
                      f" experiments) or {', '.join(EXPECTED_MEMBERS)} (expected-time)")
     run.add_argument("--out", metavar="report.json", help="write the JSON report")
     run.add_argument("--csv", metavar="table.csv", help="write the check table")
-    run.add_argument("--seed", type=int, default=0,
+    run.add_argument("--seed", type=_parse_seed, default=0,
                      help="accepted for symmetry; experiments are deterministic")
 
     args = parser.parse_args(argv)

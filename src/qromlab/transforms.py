@@ -4,11 +4,12 @@ One measure-and-reprogram engine serves every transform here.
 ``apply_schedules`` drives the target algorithm under a list of
 schedules of (query ordinal, timing) picks, each schedule one start row
 of one ``run_query_algorithm`` run: the executor measures each row's
-picked queries and reprograms that row's table at the measured point
-(its per-start-row ``reprogram``), and returns the final rows,
-start-row-major, as one ``StrictRun``. ``_mar_dist`` is the only loop
-that averages over every valid schedule, reading the rows, weights and
-measured points from the runs themselves; the general and ordered
+picked queries, the one place a run's rows split, reprograms that row's
+table at the measured point (its per-start-row ``reprogram``), records
+slot i's point in the row's outcomes under the label i, and returns the
+final rows, start-row-major, as one ``StrictRun``. ``_mar_dist`` is the
+only loop that averages over every valid schedule, reading the rows,
+weights and measured points from the runs themselves; the general and ordered
 wrappers differ only in the outcome rule they pass it (the ordered one
 is ``_ordered_outcome``, the abort rule the constant-round experiment
 also uses). ``_mar_report`` scores either distribution against the
@@ -109,11 +110,10 @@ def apply_schedules(
     """Run one algorithm under a list of schedules as one run: start row
     i runs schedule i, and its final rows come before those of row i + 1.
 
-    Collapsed query points are recorded in each row's outcomes under the
-    marker registers ``mar-slot-i`` as domain positions. Every schedule
-    must be built for the algorithm's query count, with one value of
-    ``y`` per slot; all are checked before the run,
-    and an empty list is refused.
+    Each measured slot i records its collapsed point in the row's
+    outcomes as (i, domain position). Every schedule must be built for
+    the algorithm's query count, with one value of ``y`` per slot; all
+    are checked before the run, and an empty list is refused.
     """
     if not schedules:
         raise ValueError("no schedules")
@@ -123,20 +123,15 @@ def apply_schedules(
             raise ValueError("one reprogram value per slot")
         if schedule.q != q:
             raise ValueError(f"schedule built for {schedule.q} queries, not {q}")
-    labels = [f"mar-slot-{i}" for i in range(len(y))]
     slots = [
-        {j: (labels[i], timing, y[i]) for j, (i, timing) in s.by_ordinal.items()}
+        {j: (i, timing, y[i]) for j, (i, timing) in s.by_ordinal.items()}
         for s in schedules
     ]
     return run_query_algorithm(alg, None, [oracle] * len(slots), slots)
 
 
 def _slot_points(outcomes: tuple, domain: tuple) -> dict[int, Hashable]:
-    pts = {}
-    for reg, o in outcomes:
-        if reg.startswith("mar-slot-"):
-            pts[int(reg.rsplit("-", 1)[1])] = domain[o]
-    return pts
+    return {i: domain[o] for i, o in outcomes}
 
 
 def _queries(alg: QueryAlgorithm) -> int:

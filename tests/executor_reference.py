@@ -8,10 +8,17 @@ branch per outcome, and a query goes through ``answer_query`` unless the
 ``on_query`` interceptor answers it. ``measure_query_register`` and
 ``set_branch_oracle`` are the interceptor's tools. The registers a step
 may touch are checked by the library's own ``_visible_registers`` and
-``_check_visible``. A ``Pad`` runs as its explicit forward/inverse call
-pairs, one call at a time (``explicit_pairs``). It is the reference the
-one-row and the batched runs of the row executor are tested against,
-branch by branch, with ``assert_same_branches``.
+``_check_visible``, and a ``Measure`` by ``check_visible``. A ``Pad``
+runs as its explicit forward/inverse call pairs, one call at a time
+(``explicit_pairs``). It is the reference the one-row and the batched
+runs of the row executor are tested against, branch by branch, with
+``assert_same_branches``.
+
+``Measure`` is the measurement step the library had before its rows
+split only at measured reprogram slots. ``deferred`` rewrites a list's
+measurements as copies onto fresh work registers, the form the library
+runs: by deferred measurement the two give the same statistics on every
+other register.
 
 A branch is a ``RunBranch``, as every run's result was before a
 ``StrictRun`` became the only one. ``run_branches`` and ``result_branches``
@@ -23,7 +30,9 @@ read a stacked run or simulation result as one branch per row,
 The reference keeps its name-keyed tables and per-name call counts: a
 branch's one table sits under the fixed name ``TABLE``, every query is
 to it, and its ordinals count that name's queries. A run's row without
-a table reads back as a branch without tables.
+a table reads back as a branch without tables. ``apply_schedule`` keeps
+its ``mar-slot-i`` outcome labels and the measured query register's
+outcome, and returns what the library records: (i, position) per slot.
 """
 
 from dataclasses import dataclass, replace
@@ -34,8 +43,9 @@ import numpy as np
 from qromlab.adversary import (
     CallOracle,
     CallVerifier,
-    Measure,
+    ExpectedAlgorithm,
     Pad,
+    QueryAlgorithm,
     SimulationResult,
     StrictRun,
     Unitary,
@@ -55,6 +65,59 @@ from qromlab.qsim import (
 )
 
 TABLE = "h"
+
+
+@dataclass(frozen=True)
+class Measure:
+    """Computational-basis measurement of one visible register."""
+
+    register: str
+
+
+def check_visible(step, visible):
+    """The library's ``_check_visible``, and a ``Measure`` on a register
+    the steps cannot see refused as it refused one."""
+    _check_visible(step, visible)
+    if isinstance(step, Measure) and step.register not in visible:
+        raise ValueError(f"step touches verifier-internal registers {[step.register]}")
+
+
+def copy_step(register, dim, fresh):
+    """A ``Unitary`` adding the digit of ``register`` onto ``fresh`` mod dim."""
+    old = np.arange(dim * dim)
+    digit, into = old % dim, old // dim  # the first register listed is fastest
+    m = np.zeros((dim * dim, dim * dim))
+    m[digit + dim * ((into + digit) % dim), old] = 1.0
+    return Unitary((register, fresh), m)
+
+
+def deferred(sim, machine):
+    """``sim`` with its n-th ``Measure(R)`` replaced by a copy of R onto a
+    fresh work register ``copy-n`` of R's dimension, in every strict list.
+    One ``Measure`` object at the same ordinal becomes one copy object, so
+    lists that shared steps still share them."""
+    copies = {}
+
+    def strict(alg):
+        dims = dict(machine.layout.registers + alg.work_registers)
+        steps, work = [], list(alg.work_registers)
+        for step in alg.steps:
+            if isinstance(step, Measure):
+                fresh = f"copy-{len(work) - len(alg.work_registers)}"
+                key = (id(step), fresh)
+                if key not in copies:
+                    copies[key] = copy_step(step.register, dims[step.register], fresh)
+                steps.append(copies[key])
+                work.append((fresh, dims[step.register]))
+            else:
+                steps.append(step)
+        return QueryAlgorithm(alg.name, tuple(steps), alg.budget, tuple(work),
+                              alg.output_registers)
+
+    if isinstance(sim, ExpectedAlgorithm):
+        return ExpectedAlgorithm(
+            sim.name, tuple((w, strict(alg)) for w, alg in sim.branches), sim.budget)
+    return strict(sim)
 
 
 @dataclass(frozen=True)
@@ -218,7 +281,7 @@ def run_query_algorithm(alg, *, machine=None, oracles=None, on_query=None):
     tables = tuple(sorted((oracles or {}).items()))
     branches = [RunBranch(Fraction(1), state, tables)]
     for step in explicit_pairs(alg.steps):
-        _check_visible(step, visible)
+        check_visible(step, visible)
         nxt = []
         for br in branches:
             if isinstance(step, Unitary):
@@ -306,4 +369,9 @@ def apply_schedule(alg, oracle, schedule, y):
             out.append(replace(cb, outcomes=cb.outcomes + ((f"mar-slot-{i}", pos),)))
         return out
 
-    return run_query_algorithm(alg, oracles={TABLE: oracle}, on_query=on_query)
+    return [
+        replace(br, outcomes=tuple(
+            (int(reg.rsplit("-", 1)[1]), pos)
+            for reg, pos in br.outcomes if reg.startswith("mar-slot-")))
+        for br in run_query_algorithm(alg, oracles={TABLE: oracle}, on_query=on_query)
+    ]

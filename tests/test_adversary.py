@@ -12,7 +12,6 @@ from qromlab.adversary import (
     CallOracle,
     CallVerifier,
     ExpectedAlgorithm,
-    Measure,
     Pad,
     QueryAlgorithm,
     SimulationResult,
@@ -230,7 +229,7 @@ class TestCoherentKind:
 
     def test_cont_register_is_private(self):
         m = build_verifier("superposition", toy_table(), 1, eps=EPS4)
-        probe = QueryAlgorithm("peek", (Measure("Cont"),), 0)
+        probe = QueryAlgorithm("peek", (Unitary(("Cont",), np.eye(2)),), 0)
         with pytest.raises(ValueError):
             run_query_algorithm(probe, verifier=m)
 
@@ -425,9 +424,7 @@ class TestBranchPlumbing:
             (("Q", 2), ("A", 2)),
         )
         run = run_query_algorithm(alg, None, (tab,), ({1: ("slot", timing, 1)},))
-        assert list(run.outcomes) == [
-            (("Q", 0), ("slot", 0)), (("Q", 1), ("slot", 1))
-        ]
+        assert list(run.outcomes) == [(("slot", 0),), (("slot", 1),)]
         assert run.invocations == 1
         for point in range(len(run)):
             assert run.row_weight(point) == pytest.approx(0.5)

@@ -31,6 +31,14 @@ class TestVerifyLemma:
             main(["verify-lemma", "grover"])
         assert exc.value.code == 2
 
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-lemma", "swap", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qromlab verify-lemma")
+        assert "seed must be a nonnegative integer, got '-1'" in err
+
 
 class TestRun:
     def test_stock_constant_round_passes(self, capsys):
@@ -227,6 +235,14 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", "grand-unified"])
         assert exc.value.code == 2
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "constant-round", "--seed", "-1"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: qromlab run")
+        assert "seed must be a nonnegative integer, got '-1'" in err
 
 
 # Decision and (statement, check, lhs, rhs) of each report at --reps 5, as

@@ -16,7 +16,6 @@ from qromlab import adversary
 from qromlab.adversary import (
     CallOracle,
     CallVerifier,
-    Measure,
     Pad,
     QueryAlgorithm,
     Unitary,
@@ -29,15 +28,19 @@ from qromlab.adversary import (
 from qromlab.oracle import ClassicalOracle, SparseOracleDist
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import toy_guess, toy_table
+from qromlab.qsim import PROB_FLOOR
 from qromlab.transforms import truncate
 import pinned_reference
-from executor_reference import assert_same_branches, result_branches
+from executor_reference import Measure, assert_same_branches, deferred, result_branches
 from prover_reference import give_up
 
 EPS4 = Fraction(1, 4)
 
 
 def check(sim, machine):
+    """The library's run of sim against the reference's, each ``Measure``
+    of sim deferred onto a copy register on both sides."""
+    sim = deferred(sim, machine)
     got = run_simulator(sim, machine)
     want = pinned_reference.run_simulator(sim, machine)
     assert got.kind == want.kind
@@ -93,8 +96,8 @@ def test_enumerate_weighted_matches_the_product_chain(eps, n):
 
 
 def _roundtrip(n):
-    """A random unitary on a work register and back, then its measurement:
-    the off-outcomes carry rounding far below ``PROB_FLOOR``."""
+    """A random unitary on a work register and back, then its deferred
+    measurement: the off-outcomes carry rounding far below ``PROB_FLOOR``."""
     u = _unitary(n, 7)
     return QueryAlgorithm(
         "roundtrip",
@@ -139,6 +142,10 @@ def test_roundtrip_drops_the_rounding_outcomes():
     machine = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
     got = check(_roundtrip(3), machine)
     assert len(result_branches(got)) == len(machine._control_rows.weights)
+    (run,) = got.runs
+    off = np.take(run.tensor(), [1, 2], axis=1 + run.layout.axis_of("copy-0"))
+    assert 0 < np.abs(off).max() ** 2 <= PROB_FLOOR
+    assert set(adversary.output_distribution(run, ("copy-0",))) == {(0,)}
 
 
 def _unitary(n, seed):
@@ -163,17 +170,21 @@ def machine_named(name):
 
 WORK = (("W1", 2), ("W2", 3))
 DIMS = dict(WORK, M=2)
+# each deferred measurement adds a copy register: at most 3 keep the
+# state within 27 times its size
+MAX_MEASURES = 3
 
 
 @st.composite
 def step_lists(draw, general):
     """Steps over M and two work registers: unitaries on one or two of
     them (permutations, or any unitary when ``general``), verifier calls
-    both ways, pads of one to three pairs, and measurements of a work
-    register, each at any position."""
+    both ways, pads of one to three pairs, and up to ``MAX_MEASURES``
+    measurements of a work register, each at any position."""
     steps = []
     for _ in range(draw(st.integers(0, 7))):
-        pick = draw(st.integers(0, 4))
+        measures = sum(isinstance(s, Measure) for s in steps)
+        pick = draw(st.integers(0, 4 if measures < MAX_MEASURES else 3))
         if pick == 0:
             regs = tuple(draw(st.lists(st.sampled_from(sorted(DIMS)), min_size=1,
                                        max_size=2, unique=True)))
@@ -218,7 +229,7 @@ BAD = {
         "q", (CallOracle("M", "W"),), 1, (("W", 2),)
     ),
     "hidden-unitary": lambda: QueryAlgorithm("u", (Unitary(("Count",), np.eye(2)),), 0),
-    "hidden-measure": lambda: QueryAlgorithm("m", (Measure("B"),), 0),
+    "hidden-decision": lambda: QueryAlgorithm("m", (Unitary(("B",), np.eye(2)),), 0),
     "unknown-register": lambda: QueryAlgorithm("u", (Unitary(("Z",), np.eye(2)),), 0),
     "shadowing-work": lambda: QueryAlgorithm("w", (), 0, (("Count", 2),)),
     "hidden-output": lambda: QueryAlgorithm("o", (), 0, (), ("B",)),
@@ -241,14 +252,15 @@ def test_both_routes_raise_the_same_error(case):
         run_simulator(alg, machine)
 
 
-@pytest.mark.parametrize("starts", [0, 2, 3])
-def test_control_rows_run_from_one_start_row(monkeypatch, starts):
-    """Every control assignment shares the one start row's table. Any other
-    number of start rows would be dealt out across the assignments, so it
-    is refused before a row is built."""
-    rows = machine_named("aborting")._control_rows
-    alg = QueryAlgorithm("q", (CallOracle("W", "V"),), 1, (("W", 2), ("V", 2)))
-    tables = [ClassicalOracle.constant((0, 1), (0, 1), v % 2) for v in range(starts)]
+VERIFIERS = {
+    "aborting": lambda: machine_named("aborting")._control_rows,
+    "coherent": lambda: build_verifier("superposition", toy_table(), 1, eps=EPS4),
+}
+
+
+def refused_before_any_work(monkeypatch, *args):
+    """The run raises ``ValueError`` naming its one start row before
+    ``_visible_registers``, the run's first step, is reached."""
 
     def refuse(*args):
         raise AssertionError("the run began")
@@ -256,8 +268,33 @@ def test_control_rows_run_from_one_start_row(monkeypatch, starts):
     with monkeypatch.context() as patch:
         patch.setattr(adversary, "_visible_registers", refuse)
         with pytest.raises(ValueError, match="one start row"):
-            run_query_algorithm(alg, rows, tables)
+            run_query_algorithm(*args)
+
+
+@pytest.mark.parametrize("starts", [0, 2, 3])
+def test_control_rows_run_from_one_start_row(monkeypatch, starts):
+    """Every control assignment shares the one start row's table, and a
+    coherent run is its one row. Any other number of start rows would be
+    dealt out across the assignments, so either kind refuses it before a
+    row is built."""
+    alg = QueryAlgorithm("q", (CallOracle("W", "V"),), 1, (("W", 2), ("V", 2)))
+    tables = [ClassicalOracle.constant((0, 1), (0, 1), v % 2) for v in range(starts)]
     table = ClassicalOracle((0, 1), (0, 1), (0, 1))
-    run = run_query_algorithm(alg, rows, (table,))
-    assert len(run) == len(rows.weights)
-    assert run.oracles == (table,) * len(run)
+    for name in sorted(VERIFIERS):
+        verifier = VERIFIERS[name]()
+        refused_before_any_work(monkeypatch, alg, verifier, tables)
+        run = run_query_algorithm(alg, verifier, (table,))
+        rows = len(verifier.weights) if name == "aborting" else 1
+        assert len(run) == rows
+        assert run.oracles == (table,) * rows
+
+
+@pytest.mark.parametrize("name", sorted(VERIFIERS))
+def test_a_verifier_run_reprograms_no_query(monkeypatch, name):
+    """Rows split only at a measured reprogram slot, and only in a run
+    with no verifier: a reprogram mapping against either kind is refused
+    before a row is built, even for the one start row."""
+    alg = QueryAlgorithm("q", (CallOracle("W", "V"),), 1, (("W", 2), ("V", 2)))
+    table = ClassicalOracle((0, 1), (0, 1), (0, 1))
+    for reprogram in ([{1: (0, 0, 1)}], [{}]):
+        refused_before_any_work(monkeypatch, alg, VERIFIERS[name](), (table,), reprogram)

@@ -18,7 +18,6 @@ from qromlab.adversary import (
     EXPECTED_MEMBERS,
     CallVerifier,
     ExpectedAlgorithm,
-    Measure,
     Pad,
     QueryAlgorithm,
     StrictRun,
@@ -39,8 +38,10 @@ from qromlab.qsim import RegisterLayout
 from qromlab.transforms import truncate
 import result_reference as ref
 from executor_reference import (
+    Measure,
     RunBranch,
     assert_same_value,
+    deferred,
     result_branches,
     result_of,
     run_branches,
@@ -80,6 +81,9 @@ def assert_same_result(got, want_branches):
 
 
 def check(sim, machine):
+    """The library's run of sim against the reference's, each ``Measure``
+    of sim deferred onto a copy register on both sides."""
+    sim = deferred(sim, machine)
     got = run_simulator(sim, machine)
     assert_same_result(got, ref.run_simulator(sim, machine))
     return got
@@ -132,8 +136,9 @@ def test_expected_time_statements(x, eps, kind):
 @pytest.mark.parametrize("kind", KINDS)
 @pytest.mark.parametrize("seed", range(4))
 def test_float_rows_add_in_row_order(kind, seed):
-    """Measurements between the calls leave many float-weight rows with B
-    split between 0 and 1, so the sum depends on the order of its terms."""
+    """Deferred measurements between the calls leave B split between 0
+    and 1 in many rows, so their terms are floats and the sum over the
+    aborting kind's rows depends on the order of its terms."""
     u = [Unitary(("M",), _unitary(2, 10 * seed + i)) for i in range(3)]
     alg = QueryAlgorithm(
         "measured-calls",
@@ -146,7 +151,7 @@ def test_float_rows_add_in_row_order(kind, seed):
     machine = machine_of(kind, Fraction(1, 3))
     for sim in (alg, mixed):
         got = check(sim, machine)
-        assert any(isinstance(br.weight, float) for br in result_branches(got))
+        assert isinstance(pr_register(got), float)
 
 
 def run_counting_calls(sim, machine):
@@ -167,6 +172,7 @@ def run_counting_calls(sim, machine):
 
 
 def check_applied(sim, machine, applied):
+    sim = deferred(sim, machine)
     got, calls = run_counting_calls(sim, machine)
     assert_same_result(got, ref.run_simulator(sim, machine))
     assert calls == applied
@@ -393,19 +399,30 @@ def machine_of(kind, eps):
     return MACHINES[kind, eps]
 
 
+# each deferred measurement adds a copy register: at most 3 keep the
+# state within 27 times its size
+MAX_MEASURES = 3
+
+
+def _drawn_unitary(draw):
+    """A general unitary on one or two of M and the work registers."""
+    regs = tuple(draw(st.lists(st.sampled_from(sorted(DIMS)), min_size=1,
+                               max_size=2, unique=True)))
+    d = int(np.prod([DIMS[r] for r in regs]))
+    return Unitary(regs, _unitary(d, draw(st.integers(0, 2**16))))
+
+
 @st.composite
 def step_lists(draw):
     """A strict list over M and two work registers: general unitaries on
-    one or two of them, verifier calls both ways, and measurements of any
-    of them, so row weights turn to floats after a split."""
+    one or two of them, verifier calls both ways, and up to
+    ``MAX_MEASURES`` measurements of any of them."""
     steps = []
     for _ in range(draw(st.integers(0, 6))):
-        pick = draw(st.integers(0, 3))
+        measures = sum(isinstance(s, Measure) for s in steps)
+        pick = draw(st.integers(0, 3 if measures < MAX_MEASURES else 2))
         if pick == 0:
-            regs = tuple(draw(st.lists(st.sampled_from(sorted(DIMS)), min_size=1,
-                                       max_size=2, unique=True)))
-            d = int(np.prod([DIMS[r] for r in regs]))
-            steps.append(Unitary(regs, _unitary(d, draw(st.integers(0, 2**16)))))
+            steps.append(_drawn_unitary(draw))
         elif pick in (1, 2):
             steps.append(CallVerifier(inverse=pick == 2))
         else:
@@ -415,9 +432,22 @@ def step_lists(draw):
 
 
 @st.composite
-def expected_sims(draw):
+def measured_rounds(draw):
+    """One to ``MAX_MEASURES`` rounds, each a unitary, a measurement of
+    any register, a second unitary and a verifier call, mostly forward:
+    a measurement between two unitaries on its register changes what
+    the next call sees."""
+    steps = []
+    for _ in range(draw(st.integers(1, MAX_MEASURES))):
+        steps += [_drawn_unitary(draw), Measure(draw(st.sampled_from(sorted(DIMS)))),
+                  _drawn_unitary(draw), CallVerifier(inverse=draw(st.integers(0, 3)) == 0)]
+    return QueryAlgorithm("rounds", tuple(steps), len(steps) // 4, WORK)
+
+
+@st.composite
+def expected_sims(draw, lists=step_lists()):
     """One to three drawn strict lists mixed with drawn rational weights."""
-    algs = draw(st.lists(step_lists(), min_size=1, max_size=3))
+    algs = draw(st.lists(lists, min_size=1, max_size=3))
     parts = draw(st.lists(st.integers(1, 5), min_size=len(algs), max_size=len(algs)))
     weights = [Fraction(p, sum(parts)) for p in parts]
     budget = 2 * max(alg.invocations for alg in algs)
@@ -432,3 +462,32 @@ def expected_sims(draw):
 )
 def test_drawn_simulators_with_measurements(kind, eps, sim):
     check(sim, machine_of(kind, eps))
+
+
+def assert_close(got, want):
+    assert abs(float(got) - float(want)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    kind=st.sampled_from(KINDS),
+    eps=st.sampled_from([Fraction(1, 4), Fraction(1, 3)]),
+    sim=st.one_of(step_lists(), measured_rounds(), expected_sims(measured_rounds())),
+)
+def test_deferred_measurement_matches_the_measured_reference(kind, eps, sim):
+    """Deferred measurement: the reference measures each ``Measure(R)``,
+    splitting its branches, and the library copies R onto a fresh work
+    register instead. B's probabilities within every budget and the
+    conditional Cont state agree within 1e-12."""
+    machine = machine_of(kind, eps)
+    got = run_simulator(deferred(sim, machine), machine)
+    want = ref.run_simulator(sim, machine)
+    assert_close(pr_register(got), ref.pr_register(want))
+    for q in BUDGETS:
+        assert_close(pr_joint_budget(got, q), ref.pr_joint_budget(want, q))
+    if kind == "superposition":
+        (den, rho), (want_den, want_rho) = cont_density(got), ref.cont_density(want)
+        assert_close(den, want_den)
+        assert (rho is None) == (want_rho is None)
+        if rho is not None:
+            assert np.abs(rho.matrix - want_rho.matrix).max() <= 1e-12

@@ -12,14 +12,18 @@ The same holds for the methods and properties of every class: one
 passes only when library code outside its own definition reads its
 name. Dunders are exempt, and so is ``eval`` on the two hash families:
 it is the per-key definition of a family, which the tests check
-``_base_values`` and the independence claims against.
+``_base_values`` and the independence claims against. A step type must
+be built by library code: reading its name in an ``isinstance`` check
+does not count.
 """
 
 import ast
+import typing
 from collections import Counter
 from pathlib import Path
 
 import qromlab
+from qromlab import adversary
 
 PACKAGE = Path(qromlab.__file__).parent
 
@@ -118,3 +122,18 @@ def test_every_private_definition_has_a_library_caller():
 def test_every_method_has_a_library_reader():
     assert sorted(set(_unused_methods()) - METHOD_EXEMPTIONS) == []
     assert METHOD_EXEMPTIONS <= set(_unused_methods())  # drop an exemption once read
+
+
+def test_every_step_type_is_built_by_library_code():
+    """Each member of ``adversary.Step`` is constructed, as a call,
+    somewhere in the library: a step type that only ``isinstance`` reads
+    is dead, since no library run can meet it."""
+    built = {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for tree in _library_trees().values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+    members = {step.__name__ for step in typing.get_args(adversary.Step)}
+    assert len(members) > 1
+    assert sorted(members - built) == []
