@@ -35,10 +35,11 @@ for its forward/inverse call pairs: it is billed as two calls a pair and
 moves no row, and strict branches whose other steps are the same share
 one run.
 
-A strict run's final rows stay stacked as one ``StrictRun``, the only
-form a run's result takes: ``run_query_algorithm`` returns one, and a
-``SimulationResult`` is a tuple of them, one per strict branch of the
-simulator with its stopping weight. ``output_distribution``,
+The executor settles a run before its first step: every refusal, the
+bill and each start row's weight. A run's final rows stay stacked as
+one ``StrictRun``, the only form a run's result takes:
+``run_query_algorithm`` returns one, and ``run_simulator`` one per
+strict branch, with its stopping weight. ``output_distribution``,
 ``pr_register``, ``pr_joint_budget`` and ``cont_density`` read all of a
 run's rows with one reduction or one split.
 """
@@ -153,7 +154,6 @@ class VerifierMachine:
     spec: ProtocolSpec
     x: Hashable
     layout: RegisterLayout
-    output_register: tuple[str, ...]
     eps: Fraction
 
     @property
@@ -323,8 +323,7 @@ def build_verifier(
         raise ConfigError(
             f"machine dimension {layout.total_dim} exceeds the dense cap"
         )
-    out = ("Cont", "B") if kind == "superposition" else ("B",)
-    return VerifierMachine(kind, spec, x, layout, out, eps)
+    return VerifierMachine(kind, spec, x, layout, eps)
 
 
 def _prefix_count(n: int, depth: int) -> int:
@@ -590,7 +589,7 @@ class StrictRun:
     row's squared norm is checked within ``ATOL_STATE`` in one pass when
     the run is built. Row i keeps its table ``oracles[i]`` (None in a
     run without one) and ``outcomes[i]``, a (label, domain position)
-    pair per measured reprogram slot; the call count is the run's.
+    pair per measured reprogram slot; the call count is its algorithm's bill.
     ``len(run)`` is the row count.
     """
 
@@ -728,35 +727,26 @@ def _table_masses(alg: QueryAlgorithm, tables: Sequence[ClassicalOracle],
     return [masses.get(t, 0) for t in tables]
 
 
-@dataclass(frozen=True)
-class SimulationResult:
-    """One exhaustive simulator run: one ``StrictRun`` per strict branch of
-    the simulator, in its order, each carrying its stopping weight."""
-
-    kind: str
-    runs: tuple[StrictRun, ...]
-
-
-def pr_register(result: SimulationResult):
+def pr_register(runs: Sequence[StrictRun]):
     """Mixture probability that the decision register B reads 1 at the end.
 
     Exact (a Fraction) whenever every branch is classical in B; a float
     as soon as genuine amplitude splitting occurred. It is
     ``pr_joint_budget`` with no budget cut.
     """
-    return pr_joint_budget(result, math.inf)
+    return pr_joint_budget(runs, math.inf)
 
 
-def pr_budget(result: SimulationResult, q: int):
+def pr_budget(runs: Sequence[StrictRun], q: int):
     """Mixture probability of finishing within q invocations."""
     return sum(
-        (run.row_weight(i) for run in result.runs if run.invocations <= q
+        (run.row_weight(i) for run in runs if run.invocations <= q
          for i in range(len(run))),
         start=0,
     )
 
 
-def pr_joint_budget(result: SimulationResult, q: float):
+def pr_joint_budget(runs: Sequence[StrictRun], q: float):
     """Mixture probability of {within q invocations and B = 1}.
 
     B's probabilities come from one reduction over each run's stacked
@@ -764,7 +754,7 @@ def pr_joint_budget(result: SimulationResult, q: float):
     exact when B reads 1 with certainty.
     """
     total = 0
-    for run in result.runs:
+    for run in runs:
         if run.invocations > q:
             continue
         axis = 1 + run.layout.axis_of("B")
@@ -775,11 +765,11 @@ def pr_joint_budget(result: SimulationResult, q: float):
     return total
 
 
-def cont_density(result: SimulationResult):
+def cont_density(runs: Sequence[StrictRun]):
     """(Pr[B = 1], reduced Cont state given B = 1) across all branches."""
     num = np.zeros((2, 2), dtype=complex)
     den = 0.0
-    for run in result.runs:
+    for run in runs:
         rows, outs, probs, posts = _split_rows(run.tensor(), run.layout.axis_of("B"))
         for i, o, p, post in zip(rows.tolist(), outs.tolist(), probs.tolist(), posts):
             if o != 1:
@@ -795,21 +785,20 @@ def cont_density(result: SimulationResult):
 def run_simulator(
     sim: Union[QueryAlgorithm, ExpectedAlgorithm],
     machine: VerifierMachine,
-) -> SimulationResult:
+) -> tuple[StrictRun, ...]:
     """Exhaustive simulation: the exact output mixture of sim vs machine,
-    started on the kind's canonical aux state.
+    started on the kind's canonical aux state, as one ``StrictRun`` per
+    strict branch of sim, in its order, each with its stopping weight.
 
     The aborting kind's control registers commute with every
     simulator-visible action, so it is enumerated: every (R, H)
     assignment of its aux state is one row of an amplitude array that
     each strict branch runs once, and the rows are mixed with exact
-    weights. The coherent kind runs as one dense row. Each strict branch
-    is one ``StrictRun``, and an expected-mode simulator's stopping
-    weight is set once on its branch's run, not on each row. A ``Pad``
-    moves no row, so branches whose other steps are the same step
-    objects, over the same work and output registers, share one run:
-    each gets its own ``StrictRun`` with its own weight and call count
-    over the shared rows, tables and outcomes.
+    weights. The coherent kind runs as one dense row. A ``Pad`` moves no
+    row, so branches whose other steps are the same step objects, over
+    the same work and output registers, share one run: each gets its
+    own ``StrictRun`` with its own weight and call count over the shared
+    rows, tables and outcomes.
     """
 
     verifier = machine if machine.kind == "superposition" else machine._control_rows
@@ -825,7 +814,7 @@ def run_simulator(
         else:
             run = shared[key] = run_query_algorithm(alg, verifier, weight=w)
         runs.append(run)
-    return SimulationResult(machine.kind, tuple(runs))
+    return tuple(runs)
 
 
 def run_query_algorithm(
@@ -839,23 +828,22 @@ def run_query_algorithm(
     returned as one ``StrictRun``: the one executor that every simulator
     run, table average and schedule run goes through.
 
-    ``oracles`` holds one start row's table, or None for a run without
-    one, per start row; a bare table or mapping raises ``TypeError``.
-    Against no verifier there is one start row per entry, each on the
-    work registers' basis state 0. A run against a verifier takes one
-    start row and no ``reprogram``, and anything else raises
-    ``ValueError`` before any work; only M among the machine's registers
-    is visible to its steps. Against a machine the row starts on the
-    kind's canonical aux state (``initial_state``), and a call is one
-    ``apply_step``. Against the aborting kind's ``_ControlRows`` there is
-    one row per control assignment, each starting on basis state 0 of
-    the layout without control registers and sharing the start row's
-    table, and a call moves every row by its own permutation at once.
-    Each row keeps its own weight, times its assignment's weight at the
-    end, and its own outcomes and table; queries are answered row by row through
-    ``quantum_query``, and a query in a row without a table raises
-    ``KeyError``. A ``Pad`` is billed its calls and moves no row.
-    ``weight`` is the run's stopping weight.
+    ``oracles`` holds one table, or None for a run without one, per
+    start row, and at least one entry. Against no verifier each start
+    row starts on the work registers' basis state 0. A run against a
+    verifier takes one start row and no ``reprogram``, and only M among
+    the machine's registers is visible to its steps. Against a machine
+    the row starts on the kind's canonical aux state (``initial_state``),
+    and a call is one ``apply_step``. Against the aborting kind's
+    ``_ControlRows`` each control assignment is a row starting on basis
+    state 0 of the layout without control registers, with the
+    assignment's weight and the start row's table, and a call moves
+    every row by its own permutation at once. Each row keeps its own
+    weight, outcomes and table; queries are answered row by row through
+    ``quantum_query``. A ``Pad`` moves no row. The run's call count is
+    ``alg.invocations``, and ``weight`` is its stopping weight.
+    Every refusal but a measured point outside the table domain comes
+    before any row is allocated, in step order.
 
     ``reprogram`` holds one mapping {ordinal: (label, timing, value)} per
     start row; ordinals count the run's queries from 1. This is the one
@@ -876,32 +864,42 @@ def run_query_algorithm(
                         " each a ClassicalOracle or None")
     tables = list(oracles)
     slots = () if reprogram is None else tuple(reprogram)
+    if not tables:
+        raise ValueError("a run needs at least one start row")
     if reprogram is not None and len(slots) != len(tables):
         raise ValueError("one reprogram mapping per start row")
     if verifier is not None and (len(tables) != 1 or reprogram is not None):
         raise ValueError("a run against a verifier takes one start row and no"
                          " reprogram mapping")
+    if alg.invocations > alg.budget:  # only a forged algorithm gets here
+        raise RuntimeError("budget violation in strict mode")
+    visible = _visible_registers(alg, None if verifier is None else verifier.layout)
+    tableless = any(t is None for t in tables)
+    for step in alg.steps:
+        _check_visible(step, visible)
+        if not isinstance(step, Step):
+            raise TypeError(f"unknown step {step!r}")
+        if verifier is None and isinstance(step, (CallVerifier, Pad)):
+            raise ValueError("no verifier attached to this run")
+        if tableless and isinstance(step, CallOracle):
+            raise KeyError("a query in a run without a table")
+
+    weights: list = [Fraction(1)] * len(tables)
     if verifier is None:
-        visible, start = _visible_registers(alg, None), alg._work_start
+        start = alg._work_start
+    elif isinstance(verifier, _ControlRows):  # the assignments share one table
+        start = StateVector.basis(
+            RegisterLayout(verifier.layout.registers + alg.work_registers))
+        weights = list(verifier.weights)
+        tables *= len(weights)
     else:
-        visible = _visible_registers(alg, verifier.layout)
-        if isinstance(verifier, _ControlRows):
-            layout = RegisterLayout(verifier.layout.registers + alg.work_registers)
-            start = StateVector.basis(layout)
-        else:
-            start = initial_state(verifier, alg.work_registers)
+        start = initial_state(verifier, alg.work_registers)
     layout = start.layout
     shape = layout.dims[::-1]
-    if isinstance(verifier, _ControlRows):  # the assignments share one table
-        base = verifier.weights
-        tables *= len(base)
-    else:
-        base = (Fraction(1),) * len(tables)
-    row = np.arange(len(base))
+    row = np.arange(len(weights))
     amps = np.repeat(start.amplitudes[None], row.size, axis=0)
-    weights: list = [Fraction(1)] * row.size
     outcomes: list[tuple] = [()] * row.size
-    calls = queries = 0
+    queries = 0
 
     def collapse(t: np.ndarray, register: str, chosen: np.ndarray):
         """Split each row where the mask ``chosen`` is set into its outcomes
@@ -947,60 +945,37 @@ def run_query_algorithm(
             tables[i] = tab.reprogram(tab.domain[o], value)
 
     for step in alg.steps:
-        _check_visible(step, visible)
+        if isinstance(step, Pad):
+            continue  # the pairs compose to the identity
         t = amps.reshape((row.size,) + shape)
         if isinstance(step, Unitary):
             t = _unitary_on_axes(t, layout, step.registers, step.matrix)
-        elif isinstance(step, (CallVerifier, Pad, CallOracle)):
-            if not isinstance(step, CallOracle) and verifier is None:
-                raise ValueError("no verifier attached to this run")
-            calls += _calls(step)
-            if calls > alg.budget:
-                raise RuntimeError("budget violation in strict mode")
-            if isinstance(step, Pad):
-                continue  # the pairs compose to the identity
-            if isinstance(step, CallVerifier):
-                if isinstance(verifier, _ControlRows):
-                    rows = t.reshape(row.size, -1, verifier.layout.total_dim)
-                    t = _permute_rows(rows, verifier.perms, step.inverse)
-                else:  # the one row
-                    state = StateVector(layout, t.reshape(-1))
-                    t = apply_step(verifier, state, step.inverse).amplitudes
-            elif any(tab is None for tab in tables):
-                raise KeyError("a query in a run without a table")
-            elif not slots:
-                t = answer(t, step)
-            else:
-                queries += 1
-                here = [slots[r].get(queries) for r in row.tolist()]
-                chosen = np.array([slot is not None for slot in here])
-                hits = []  # (row, its slot, outcome) for every measured row
-                if chosen.any():
-                    b, o, t = collapse(t, step.in_register, chosen)
-                    hits = [(n, here[i], oi) for n, (i, oi)
-                            in enumerate(zip(b.tolist(), o.tolist())) if oi >= 0]
-                reprogram_rows(hits, 0)
-                t = answer(t, step)
-                reprogram_rows(hits, 1)
-                for n, (label, _, _), oi in hits:
-                    outcomes[n] += ((label, oi),)
+        elif isinstance(step, CallVerifier):
+            if isinstance(verifier, _ControlRows):
+                rows = t.reshape(row.size, -1, verifier.layout.total_dim)
+                t = _permute_rows(rows, verifier.perms, step.inverse)
+            else:  # the one row
+                state = StateVector(layout, t.reshape(-1))
+                t = apply_step(verifier, state, step.inverse).amplitudes
+        elif not slots:
+            t = answer(t, step)
         else:
-            raise TypeError(f"unknown step {step!r}")
+            queries += 1
+            here = [slots[r].get(queries) for r in row.tolist()]
+            chosen = np.array([slot is not None for slot in here])
+            hits = []  # (row, its slot, outcome) for every measured row
+            if chosen.any():
+                b, o, t = collapse(t, step.in_register, chosen)
+                hits = [(n, here[i], oi) for n, (i, oi)
+                        in enumerate(zip(b.tolist(), o.tolist())) if oi >= 0]
+            reprogram_rows(hits, 0)
+            t = answer(t, step)
+            reprogram_rows(hits, 1)
+            for n, (label, _, _), oi in hits:
+                outcomes[n] += ((label, oi),)
         amps = np.ascontiguousarray(t).reshape(row.size, -1)
-    # an unsplit row weighs its exact base[r]: skipping base[r] * Fraction(1)
-    # saves one Fraction product per row, which dense-expected measurably needs
-    return StrictRun(
-        weight,
-        tuple(
-            base[r] * w if isinstance(w, float) else base[r]
-            for r, w in zip(row.tolist(), weights)
-        ),
-        layout,
-        amps,
-        tuple(tables),
-        tuple(outcomes),
-        calls,
-    )
+    return StrictRun(weight, tuple(weights), layout, amps, tuple(tables),
+                     tuple(outcomes), alg.invocations)
 
 
 def _swap0(n: int, i: int) -> np.ndarray:

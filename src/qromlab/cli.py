@@ -3,17 +3,21 @@
 ``qromlab verify-lemma <name>`` runs one small exact check per named
 bound and prints a single pass/fail line; ``qromlab run <theorem>``
 executes a decision experiment and serializes its report. Experiment
-output is deterministic; only the demos consume ``--seed``.
+output is deterministic; ``--seed`` feeds only the ``swap`` demo's
+sampled inputs.
 
 Exit codes: 0 when every check passes, 1 when a check fails, and 2 for
-a rejected config: argparse's usage errors, and a ``ConfigError`` from
-the experiment, printed as one ``qromlab: error: <message>`` line. Any
+a rejected config: argparse's usage errors, a ``ConfigError`` from the
+experiment, and an ``--out`` or ``--csv`` path that cannot be written
+(refused before the experiment runs when it is a directory or its
+directory is missing), each one ``qromlab: error: <message>`` line. Any
 other exception is a defect and keeps its traceback.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -359,12 +363,20 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if ok else 1
 
     try:
+        for path in filter(None, (args.out, args.csv)):  # no file is touched
+            if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
+                raise ConfigError(f"cannot write {path}: not a file in an existing"
+                                  " directory")
         report = run_experiment(args.theorem, _experiment_config(args))
     except ConfigError as exc:
         print(f"qromlab: error: {exc}", file=sys.stderr)
         return 2
     ok = _print_report(report)
-    write_report(report, json_path=args.out, csv_path=args.csv)
+    try:
+        write_report(report, json_path=args.out, csv_path=args.csv)
+    except OSError as exc:
+        print(f"qromlab: error: {exc}", file=sys.stderr)
+        return 2
     for path in (args.out, args.csv):
         if path:
             print(f"wrote {path}")

@@ -22,8 +22,9 @@ other register.
 
 A branch is a ``RunBranch``, as every run's result was before a
 ``StrictRun`` became the only one. ``run_branches`` and ``result_branches``
-read a stacked run or simulation result as one branch per row,
-``result_of`` builds a result of one one-row run per branch, and
+read a stacked run or a simulation's runs as one branch per row,
+``result_of`` builds the runs of a simulation, one one-row run per
+branch, and
 ``output_distribution`` reduces each branch on its own, one
 ``_register_probs`` call per branch, as the library's did.
 
@@ -46,7 +47,6 @@ from qromlab.adversary import (
     ExpectedAlgorithm,
     Pad,
     QueryAlgorithm,
-    SimulationResult,
     StrictRun,
     Unitary,
     _check_visible,
@@ -146,20 +146,21 @@ def run_branches(run):
     )
 
 
-def result_branches(result):
-    """A simulation result as one branch per row, runs in order."""
-    return tuple(br for run in result.runs for br in run_branches(run))
+def result_branches(runs):
+    """A simulation's runs as one branch per row, runs in order."""
+    return tuple(br for run in runs for br in run_branches(run))
 
 
-def result_of(kind, branch_list):
-    """The result whose rows are ``branch_list``, one one-row run each."""
-    return SimulationResult(kind, tuple(
+def result_of(branch_list):
+    """The simulation runs whose rows are ``branch_list``, one one-row run
+    each."""
+    return tuple(
         StrictRun(
             1, (br.weight,), br.state.layout, br.state.amplitudes[None],
             (dict(br.oracles).get(TABLE),), (br.outcomes,), br.invocations,
         )
         for br in branch_list
-    ))
+    )
 
 
 def output_distribution(branch_list, registers):

@@ -159,9 +159,9 @@ def run_simulator(sim, machine, force_dense=False):
                 replace(b, weight=w * b.weight)
                 for b in executor_reference.result_branches(sub)
             )
-        return executor_reference.result_of(machine.kind, allb)
+        return executor_reference.result_of(allb)
     kind = machine.kind
     if force_dense or kind == "superposition":
         branches = executor_reference.run_query_algorithm(sim, machine=machine)
-        return executor_reference.result_of(kind, branches)
-    return executor_reference.result_of(kind, _pinned_branches(sim, machine))
+        return executor_reference.result_of(branches)
+    return executor_reference.result_of(_pinned_branches(sim, machine))

@@ -69,7 +69,7 @@ def with_complex_stack(machine, rng):
     z = rng.normal(size=stack.shape) + 1j * rng.normal(size=stack.shape)
     q, _ = np.linalg.qr(z)
     twin = VerifierMachine(**{f: getattr(machine, f) for f in (
-        "kind", "spec", "x", "layout", "output_register", "eps")})
+        "kind", "spec", "x", "layout", "eps")})
     vars(twin)["_adjusters"] = q
     return twin
 

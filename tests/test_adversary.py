@@ -14,7 +14,6 @@ from qromlab.adversary import (
     ExpectedAlgorithm,
     Pad,
     QueryAlgorithm,
-    SimulationResult,
     Unitary,
     _row_outputs,
     build_aux,
@@ -94,10 +93,8 @@ class TestBuildVerifier:
         m = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
         assert m.layout.names == ("R", "H", "Count", "M1", "M2", "B", "M")
         assert m.layout.dim_of("H") == 2 ** len(PDOM)
-        assert m.output_register == ("B",)
         c = build_verifier("superposition", toy_table(), 1, eps=EPS4)
         assert c.layout.names[:3] == ("Cont", "R", "H")
-        assert c.output_register == ("Cont", "B")
         pinned = pinned_reference.pinned_machine(
             m, {"R": 0, "H": ClassicalOracle.constant(PDOM, (0, 1), 1)}
         )
@@ -318,7 +315,7 @@ class TestDenseRouteAgreesWithEnumeration:
         sim = sims[which]
         enum = run_simulator(sim, m)
         dense = pinned_reference.run_simulator(sim, m, force_dense=True)
-        assert sum(map(len, dense.runs)) < sum(map(len, enum.runs))
+        assert sum(map(len, dense)) < sum(map(len, enum))
         for q in (2, 4, 8):
             assert isinstance(pr_budget(enum, q), Fraction)
             assert abs(float(pr_budget(dense, q)) - float(pr_budget(enum, q))) <= 1e-12
@@ -352,6 +349,13 @@ class TestQueryAlgorithmValidation:
         alg = QueryAlgorithm("x", (), 0, (("W", 2),))
         with pytest.raises(TypeError, match="one per start row"):
             run_query_algorithm(alg, oracles=oracles)
+
+    @pytest.mark.parametrize("reprogram", [None, []], ids=["plain", "reprogram"])
+    def test_zero_start_rows_are_refused(self, reprogram):
+        """A run needs a start row to build its rows from: none is refused
+        with its own ``ValueError``, not inside numpy."""
+        with pytest.raises(ValueError, match="a run needs at least one start row"):
+            run_query_algorithm(oracle_zoo((0, 1))[1], None, [], reprogram)
 
     def test_a_mapping_per_start_row_is_refused_before_any_work(self, monkeypatch):
         """The old form, one {name: table} mapping per start row, raises
@@ -445,7 +449,7 @@ class TestOracleCallsStayVisible:
         run = run_query_algorithm(
             QueryAlgorithm("empty", (), 0), verifier=self.machine, oracles=self.oracles
         )
-        assert pr_register(SimulationResult("superposition", (run,))) == 0
+        assert pr_register((run,)) == 0
 
     @pytest.mark.parametrize(
         "call",

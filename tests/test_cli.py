@@ -212,6 +212,40 @@ class TestRun:
             assert code in (0, 1) and captured.err == ""
             assert captured.out.startswith(f"{theorem}  protocol=")
 
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    @pytest.mark.parametrize("where", ["missing-directory", "a-directory"])
+    def test_an_unwritable_path_stops_before_the_experiment(self, flag, where, tmp_path,
+                                                           monkeypatch, capsys):
+        """A path whose directory is missing, or that is a directory, exits
+        2 with one error line before any work, and writes no file."""
+        def unreachable(theorem, cfg):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        path = tmp_path / "gone" / "r.json" if where == "missing-directory" else tmp_path
+        other = tmp_path / "other.json"
+        keep = "--csv" if flag == "--out" else "--out"
+        assert main(["run", "three-round", flag, str(path), keep, str(other)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"qromlab: error: cannot write {path}")
+        assert captured.err.count("\n") == 1
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_a_failed_write_is_one_error_line(self, flag, tmp_path, monkeypatch, capsys):
+        """An ``OSError`` raised while the report is written exits 2 with
+        one error line, not a traceback."""
+        def refused(*args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(tmp_path / "r"))
+
+        monkeypatch.setattr(cli, "write_report", refused)
+        assert main(["run", "three-round", flag, str(tmp_path / "r")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out.startswith("three-round  protocol=")
+        assert captured.err == (
+            f"qromlab: error: [Errno 13] Permission denied: '{tmp_path / 'r'}'\n")
+
     def test_internal_value_error_keeps_its_traceback(self, monkeypatch):
         def broken(theorem, cfg):
             raise ValueError("matrix is not unitary within 1e-9")

@@ -43,7 +43,6 @@ def check(sim, machine):
     sim = deferred(sim, machine)
     got = run_simulator(sim, machine)
     want = pinned_reference.run_simulator(sim, machine)
-    assert got.kind == want.kind
     assert_same_branches(result_branches(got), result_branches(want))
     return got
 
@@ -142,7 +141,7 @@ def test_roundtrip_drops_the_rounding_outcomes():
     machine = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
     got = check(_roundtrip(3), machine)
     assert len(result_branches(got)) == len(machine._control_rows.weights)
-    (run,) = got.runs
+    (run,) = got
     off = np.take(run.tensor(), [1, 2], axis=1 + run.layout.axis_of("copy-0"))
     assert 0 < np.abs(off).max() ** 2 <= PROB_FLOOR
     assert set(adversary.output_distribution(run, ("copy-0",))) == {(0,)}
@@ -250,6 +249,67 @@ def test_both_routes_raise_the_same_error(case):
         pinned_reference.run_simulator(alg, machine)
     with pytest.raises(want.type):
         run_simulator(alg, machine)
+
+
+def _no_step_runs(monkeypatch):
+    """Patch every kernel a step runs through to raise, so a run that
+    reaches its first step fails."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the run began")
+
+    for name in ("_unitary_on_axes", "_permute_rows", "apply_step"):
+        monkeypatch.setattr(adversary, name, refuse)
+
+
+# a bad step of each kind that a verifier run refuses, with its error
+LATE_BAD = {
+    "oracle-call": (ValueError, lambda: CallOracle("M", "B")),
+    "missing-oracle": (KeyError, lambda: CallOracle("M", "W")),
+    "hidden-unitary": (ValueError, lambda: Unitary(("Count",), np.eye(2))),
+    "hidden-decision": (ValueError, lambda: Unitary(("B",), np.eye(2))),
+    "unknown-step": (TypeError, lambda: "bogus"),
+    "over-budget": (RuntimeError, CallVerifier),
+}
+LEADS = {"unitary": lambda: Unitary(("M",), np.eye(2)), "call": CallVerifier}
+
+
+@pytest.mark.parametrize("lead", sorted(LEADS))
+@pytest.mark.parametrize("case", sorted(LATE_BAD))
+@pytest.mark.parametrize("kind", ["random_aborting", "superposition"])
+def test_a_late_bad_step_is_refused_before_the_first(monkeypatch, kind, case, lead):
+    """The library route alone: a bad step after a good one raises before
+    the good one runs, against either verifier kind. The over-budget
+    list is forged, since a built one cannot exceed its budget."""
+    error, bad = LATE_BAD[case]
+    alg = QueryAlgorithm("late", (LEADS[lead](), bad()), 2, (("W", 2),))
+    if case == "over-budget":
+        object.__setattr__(alg, "budget", alg.invocations - 1)
+    machine = build_verifier(kind, toy_table(), 1, eps=EPS4)
+    _no_step_runs(monkeypatch)
+    with pytest.raises(error):
+        run_simulator(alg, machine)
+
+
+TABLE_BAD = {
+    "pad-without-verifier": (ValueError, lambda: Pad(1)),
+    "call-without-verifier": (ValueError, CallVerifier),
+    "query-without-table": (KeyError, lambda: CallOracle("W", "V")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_BAD))
+def test_a_late_bad_step_is_refused_before_the_first_in_a_table_run(monkeypatch, case):
+    """A run with no verifier, one start row with a table and one
+    without: a bad step after a ``Unitary`` raises before the ``Unitary``
+    runs."""
+    error, bad = TABLE_BAD[case]
+    alg = QueryAlgorithm(
+        "late", (Unitary(("W",), np.eye(2)), bad()), 2, (("W", 2), ("V", 2)))
+    table = ClassicalOracle((0, 1), (0, 1), (0, 1))
+    _no_step_runs(monkeypatch)
+    with pytest.raises(error):
+        run_query_algorithm(alg, None, (table, None))
 
 
 VERIFIERS = {

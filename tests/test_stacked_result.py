@@ -1,4 +1,4 @@
-"""The stacked simulation result and its one-call-per-run readers against
+"""A simulation's stacked runs and their one-call-per-run readers against
 the flat branch lists and per-branch readers of ``result_reference``.
 
 Every comparison is exact: Fractions equal and still Fractions, floats
@@ -57,8 +57,9 @@ DENSITIES = [Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), Fraction(1),
 BUDGETS = range(12)
 
 
-def assert_same_result(got, want_branches):
-    """One stacked result against the reference's branch list."""
+def assert_same_result(got, want_branches, kind):
+    """One simulation's runs against the reference's branch list, for a
+    machine of the given kind."""
     got_branches = result_branches(got)
     assert len(got_branches) == len(want_branches)
     for a, b in zip(got_branches, want_branches):
@@ -71,7 +72,7 @@ def assert_same_result(got, want_branches):
     for q in BUDGETS:
         assert_same_value(pr_budget(got, q), ref.pr_budget(want_branches, q))
         assert_same_value(pr_joint_budget(got, q), ref.pr_joint_budget(want_branches, q))
-    if got.kind == "superposition":
+    if kind == "superposition":
         den, rho = cont_density(got)
         want_den, want_rho = ref.cont_density(want_branches)
         assert_same_value(den, want_den)
@@ -85,7 +86,7 @@ def check(sim, machine):
     of sim deferred onto a copy register on both sides."""
     sim = deferred(sim, machine)
     got = run_simulator(sim, machine)
-    assert_same_result(got, ref.run_simulator(sim, machine))
+    assert_same_result(got, ref.run_simulator(sim, machine), machine.kind)
     return got
 
 
@@ -129,7 +130,7 @@ def test_expected_time_statements(x, eps, kind):
     for sim in sims:
         got = check(sim, machine)
         strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
-        assert [run.weight for run in got.runs] == [w for w, _ in strict]
+        assert [run.weight for run in got] == [w for w, _ in strict]
     assert len(sims) > 20  # lazy pads 0 to 18 pairs
 
 
@@ -174,7 +175,7 @@ def run_counting_calls(sim, machine):
 def check_applied(sim, machine, applied):
     sim = deferred(sim, machine)
     got, calls = run_counting_calls(sim, machine)
-    assert_same_result(got, ref.run_simulator(sim, machine))
+    assert_same_result(got, ref.run_simulator(sim, machine), machine.kind)
     assert calls == applied
     return got
 
@@ -219,7 +220,7 @@ def test_a_pair_after_another_step_is_applied(kind):
         check_applied(alg, machine, 9)
         alg = QueryAlgorithm("late-pad", (lead, Pad(2), CallVerifier()), 5)
         got = check_applied(alg, machine, 1)
-        assert {run.invocations for run in got.runs} == {5}
+        assert {run.invocations for run in got} == {5}
 
 
 @pytest.mark.parametrize("eps", DENSITIES, ids=str)
@@ -239,8 +240,8 @@ def test_one_round_coherent_pads_are_applied(eps):
     geometric = expected_wrapper("expected-geometric", machine, w, 40)
     got, calls = check_rows_without_pads(geometric, machine)
     assert calls == 1
-    want = run_simulator(honest, machine).runs[0]
-    for run in got.runs:
+    want = run_simulator(honest, machine)[0]
+    for run in got:
         assert np.array_equal(run.amplitudes, want.amplitudes)
         assert run.weights == want.weights
     for sim in members_up_to_40(machine, w):
@@ -253,8 +254,8 @@ def check_rows_without_pads(sim, machine):
     and how many verifier calls the executor applied."""
     got, calls = run_counting_calls(sim, machine)
     strict = sim.branches if isinstance(sim, ExpectedAlgorithm) else ((1, sim),)
-    assert len(got.runs) == len(strict)
-    for run, (w, alg) in zip(got.runs, strict):
+    assert len(got) == len(strict)
+    for run, (w, alg) in zip(got, strict):
         want = ref.run_simulator(without_pads(alg), machine)
         rows = run_branches(replace(run, weight=1))
         assert len(rows) == len(want)
@@ -279,7 +280,7 @@ def test_shared_steps_in_other_work_registers_are_not_shared(kind):
     mix = ExpectedAlgorithm(
         "mix", ((Fraction(1, 2), plain), (Fraction(1, 4), wide), (Fraction(1, 4), again)), 2)
     got = check_applied(mix, machine, 2)
-    first, other, shared = got.runs
+    first, other, shared = got
     assert shared.amplitudes is first.amplitudes
     assert other.layout != first.layout
 
@@ -307,7 +308,7 @@ def test_expected_geometric_runs_each_distinct_list_once(monkeypatch):
         member = sim(expected_wrapper("expected-geometric", machine, w, CFG.q))
         got = run_simulator(member, machine)
         assert runs == want
-        assert [run.invocations for run in got.runs] == [
+        assert [run.invocations for run in got] == [
             alg.invocations for _, alg in member.branches]
 
 
@@ -317,9 +318,9 @@ def test_from_branches_round_trips():
     sim = expected_wrappers(machine, SPEC.witness_map(1)[0], CFG.q)[-1]
     got = run_simulator(sim, machine)
     rows = result_branches(got)
-    back = result_of(got.kind, rows)
-    assert len(back.runs) == len(rows)
-    assert_same_result(back, rows)
+    back = result_of(rows)
+    assert len(back) == len(rows)
+    assert_same_result(back, rows, machine.kind)
 
 
 LAYOUT = RegisterLayout((("B", 2), ("W", 3)))

@@ -15,6 +15,10 @@ it is the per-key definition of a family, which the tests check
 ``_base_values`` and the independence claims against. A step type must
 be built by library code: reading its name in an ``isinstance`` check
 does not count.
+
+Every field of a library dataclass or ``NamedTuple`` must be read as an
+attribute somewhere in library code. The exemptions are result-record
+fields that only callers and the tests read.
 """
 
 import ast
@@ -91,6 +95,51 @@ def _unused_methods() -> list[str]:
     return unused
 
 
+# result-record fields that only callers and the tests read
+FIELD_EXEMPTIONS = {
+    "transforms.MarOutcome.points",
+    "transforms.MarOutcome.consistent",
+    "transforms.MarReport.schedules",
+    "qsim.DensityOnRegister.register",
+    "hashfam.AdjustingUnitary.target_transcript",
+    "hashfam.AdjustingUnitary.variant",
+}
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """A class decorated ``@dataclass`` (called or not) or built on
+    ``NamedTuple``."""
+    marks = [d.func if isinstance(d, ast.Call) else d for d in cls.decorator_list]
+    marks += cls.bases
+    return any(
+        (isinstance(m, ast.Name) and m.id in ("dataclass", "NamedTuple"))
+        or (isinstance(m, ast.Attribute) and m.attr in ("dataclass", "NamedTuple"))
+        for m in marks
+    )
+
+
+def _unused_fields() -> list[str]:
+    """Fields of library dataclasses and ``NamedTuple``s that no library
+    code reads as an attribute."""
+    trees = _library_trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unused = []
+    for module, tree in trees.items():
+        for cls in ast.walk(tree):
+            if not (isinstance(cls, ast.ClassDef) and _is_record(cls)):
+                continue
+            for node in cls.body:
+                if (isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+                        and node.target.id not in read):
+                    unused.append(f"{module}.{cls.name}.{node.target.id}")
+    return unused
+
+
 def _unused_definitions() -> tuple[list[str], list[str]]:
     """(public, private) module-level definitions without a library user."""
     trees = _library_trees()
@@ -122,6 +171,11 @@ def test_every_private_definition_has_a_library_caller():
 def test_every_method_has_a_library_reader():
     assert sorted(set(_unused_methods()) - METHOD_EXEMPTIONS) == []
     assert METHOD_EXEMPTIONS <= set(_unused_methods())  # drop an exemption once read
+
+
+def test_every_field_has_a_library_reader():
+    assert sorted(set(_unused_fields()) - FIELD_EXEMPTIONS) == []
+    assert FIELD_EXEMPTIONS <= set(_unused_fields())  # drop an exemption once read
 
 
 def test_every_step_type_is_built_by_library_code():
