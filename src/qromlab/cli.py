@@ -10,8 +10,9 @@ Exit codes: 0 when every check passes, 1 when a check fails, and 2 for
 a rejected config: argparse's usage errors, a ``ConfigError`` from the
 experiment, and an ``--out`` or ``--csv`` path that cannot be written
 (refused before the experiment runs when it is a directory or its
-directory is missing), each one ``qromlab: error: <message>`` line. Any
-other exception is a defect and keeps its traceback.
+directory is missing, or when ``--out`` and ``--csv`` name the same
+file), each one ``qromlab: error: <message>`` line. Any other exception
+is a defect and keeps its traceback.
 """
 
 from __future__ import annotations
@@ -367,6 +368,11 @@ def main(argv: list[str] | None = None) -> int:
             if os.path.isdir(path) or not os.path.isdir(os.path.dirname(path) or "."):
                 raise ConfigError(f"cannot write {path}: not a file in an existing"
                                   " directory")
+        if args.out and args.csv and (
+                os.path.realpath(args.out) == os.path.realpath(args.csv)
+                or all(map(os.path.exists, (args.out, args.csv)))
+                and os.path.samefile(args.out, args.csv)):
+            raise ConfigError(f"--out {args.out} and --csv {args.csv} name the same file")
         report = run_experiment(args.theorem, _experiment_config(args))
     except ConfigError as exc:
         print(f"qromlab: error: {exc}", file=sys.stderr)

@@ -311,6 +311,11 @@ def simulator_trace(spec: ProtocolSpec, move: Callable) -> Callable:
     makes 2k per call). Every pad sits ahead of the live read, which
     maximizes the reprogramming slots that can raise the flag in time.
 
+    Only the live reads' answers matter, so every other read passes
+    ``ask_h`` the ``drop`` mark: a dropped read returns None, and the
+    trace must not use it. The counting walk then merges the read's
+    children in place of replaying each (``walk._next_event``).
+
     Every trace replayed here keeps one contract: it reads a response
     ``ask_f(p)`` only for a proper prefix p whose flag it has just read
     as set, and it returns a full k-message transcript. Flags start
@@ -329,15 +334,15 @@ def simulator_trace(spec: ProtocolSpec, move: Callable) -> Callable:
             ms.append(move(got))
             p = tuple(ms)
             for _ in range(2 * k):
-                ask_h(p)  # padding block, all ahead of the live read
+                ask_h(p, drop=True)  # padding block, all ahead of the live read
             live = ask_h(p)
             got = got + ((ask_f(p) if live else bottom),)
         ms.append(move(got))
         full = tuple(ms)
-        ask_h(full)
-        ask_h(full)
+        ask_h(full, drop=True)
+        ask_h(full, drop=True)
         for i in range(k - 1, 0, -1):
-            ask_h(tuple(ms[:i]))  # release the held prefix flags
+            ask_h(tuple(ms[:i]), drop=True)  # release the held prefix flags
         return full
 
     return trace
@@ -517,15 +522,17 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
 def _hash_trace(spec: ProtocolSpec, move: Callable) -> Callable:
     """Hash-query trace of the challenge-from-hash simulator. Each
     verifier call bills two hash queries on the first message: compute
-    and uncompute around the move, then again around the decision."""
+    and uncompute around the move, then again around the decision. Only
+    the first answer is read; the other three reads are dropped, as in
+    ``simulator_trace``."""
 
     def trace(ask_h, ask_f):
         m1 = move(())
         c = ask_h((m1,))
-        ask_h((m1,))
+        ask_h((m1,), drop=True)
         m2 = move((c,))
-        ask_h((m1,))
-        ask_h((m1,))
+        ask_h((m1,), drop=True)
+        ask_h((m1,), drop=True)
         return (m1, m2)
 
     return trace

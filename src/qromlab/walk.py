@@ -7,7 +7,9 @@ with their weights (integer schedule counts times rational fork
 weights) in place of one replay per (randomness, schedule, table). The
 trace is a plain callable, so the walk replays it under scripted answers
 (``_next_event``) once per leaf of its answer tree; everything else is
-bookkeeping over small hashable states.
+bookkeeping over small hashable states. A read whose answer the trace
+drops (``ask_h(point, drop=True)``) has one child in that tree, its
+children's paths merged, so it costs no replay.
 """
 
 from __future__ import annotations
@@ -28,6 +30,12 @@ def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
     child a stack of all of them would pop first, so the walk meets its
     leaves in depth-first order.
 
+    A read the trace drops, ``ask(point, drop=True)``, has one child:
+    its children's paths merged, under the answer None, which the read
+    returns. The trace must not use it; since a trace is deterministic
+    given the answers it reads, every child would replay the same
+    continuation, and each path state records all the read did.
+
     Returns:
         (output, node, forks): the trace's output and the node it ended
         in, and the children set aside, as (answers, node), in the order
@@ -39,12 +47,16 @@ def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
     forks: list = []
 
     def asker(kind):
-        def ask(point):
+        def ask(point, drop=False):
             answer = next(script, end)
             if answer is not end:
                 return answer
-            *rest, (answer, at[1]) = expand(at[1], kind, tuple(point)).items()
-            forks.extend((at[0] + (a,), child) for a, child in rest)
+            children = expand(at[1], kind, tuple(point))
+            if drop:
+                answer, at[1] = None, _merged(children)
+            else:
+                *rest, (answer, at[1]) = children.items()
+                forks.extend((at[0] + (a,), child) for a, child in rest)
             at[0] += (answer,)
             return answer
 
@@ -52,6 +64,18 @@ def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
 
     out = trace(asker("h"), asker("f"))
     return out, at[1], forks
+
+
+def _merged(children: dict) -> tuple:
+    """The one node of a dropped read: its children's paths, with the
+    weights of equal paths added. A lone child passes through as it is;
+    with two or more, ``expand`` built each child's path dict afresh, so
+    the first one takes in the rest."""
+    (made, paths), *rest = children.values()
+    for _, more in rest:
+        for path, weight in more.items():
+            paths[path] = paths.get(path, 0) + weight
+    return made, paths
 
 
 def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
@@ -76,7 +100,9 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
     A trace is deterministic given its answers, so the walk goes depth
     first down its answer tree, and each leaf costs one replay
     (``_next_event``): a replay follows one child of every branching
-    query it meets and leaves the others to replays of their own. A node
+    query it meets and leaves the others to replays of their own. A read
+    the trace drops has one child, all its answers' paths merged, and
+    answers None. A node
     holds every path that reached it, merged: paths with the same (patch,
     seen-clear set, slots, assignment, randomness group) add their
     weights, a weight being a schedule count times the weights of the

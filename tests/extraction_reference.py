@@ -72,7 +72,7 @@ def extraction_run(spec, x, trace, schedule, r) -> bool:
                 if len(sent) < k:
                     resp[tuple(sent)] = spec.next_message(x, r, tuple(sent))
 
-    def ask_h(point):
+    def ask_h(point, drop=False):  # the true answer, dropped or not
         state["count"] += 1
         point = tuple(point)
         b = slot_of.get(state["count"])

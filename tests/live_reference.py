@@ -77,7 +77,7 @@ def replay(trace, ask_f, assignment, schedule: Optional[MarSchedule] = None,
             raise NeedValue(point)
         return default
 
-    def ask_h(point):
+    def ask_h(point, drop=False):  # the true answer, dropped or not
         nonlocal count
         count += 1
         point = tuple(point)

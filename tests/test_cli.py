@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import os
 import time
 from fractions import Fraction
 
@@ -231,6 +232,34 @@ class TestRun:
         assert captured.err.startswith(f"qromlab: error: cannot write {path}")
         assert captured.err.count("\n") == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("alias", ["dot-slash", "symlink", "hardlink"])
+    def test_one_file_for_both_reports_stops_before_the_experiment(
+            self, alias, tmp_path, monkeypatch, capsys):
+        """``--out`` and ``--csv`` naming one file, by another spelling,
+        a symlink or a hard link, exit 2 with one error line before any
+        work, and touch no file; the CSV would overwrite the JSON."""
+        def unreachable(theorem, cfg):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", unreachable)
+        monkeypatch.chdir(tmp_path)
+        other = {"dot-slash": "./same.json", "symlink": "link.json",
+                 "hardlink": "hard.json"}[alias]
+        if alias == "symlink":
+            os.symlink("same.json", "link.json")  # dangling: neither file exists
+        elif alias == "hardlink":
+            (tmp_path / "same.json").write_text("kept")
+            os.link("same.json", "hard.json")
+        before = sorted(os.listdir(tmp_path))
+        assert main(["run", "three-round", "--out", "same.json", "--csv", other]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"qromlab: error: --out same.json and --csv {other}"
+                                " name the same file\n")
+        assert sorted(os.listdir(tmp_path)) == before
+        if alias == "hardlink":
+            assert (tmp_path / "same.json").read_text() == "kept"
 
     @pytest.mark.parametrize("flag", ["--out", "--csv"])
     def test_a_failed_write_is_one_error_line(self, flag, tmp_path, monkeypatch, capsys):

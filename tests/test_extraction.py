@@ -193,7 +193,9 @@ def flag_trace(seed, letters, k, queries, respond=True):
     """An adaptive flag trace that keeps the contract: a response is read
     only on a proper prefix whose flag was just read as set, and the
     output is a full k-message transcript, often extending a queried
-    point so that measured points and output can agree."""
+    point so that measured points and output can agree. About three
+    reads in ten are dropped, ``ask_h(p, drop=True)``: their answer is
+    not seen, so no response read follows and the rng is not reseeded."""
 
     def trace(ask_h, ask_f):
         seen: list = []
@@ -202,6 +204,9 @@ def flag_trace(seed, letters, k, queries, respond=True):
         for _ in range(queries):
             p = tuple(rng.choice(letters) for _ in range(rng.randint(1, k)))
             asked.append(p)
+            if rng.random() < 0.3:
+                ask_h(p, drop=True)
+                continue
             seen.append(ask_h(p))
             if respond and seen[-1] and len(p) < k and rng.random() < 0.8:
                 seen.append(ask_f(p))
@@ -434,8 +439,8 @@ def adaptive_hash_trace(when_first):
         def trace(ask_h, ask_f):
             got = []
 
-            def ask(p):
-                got.append(ask_h(p))
+            def ask(p, drop=False):
+                got.append(ask_h(p, drop=drop))
                 return got[-1]
 
             out = honest(ask, ask_f)

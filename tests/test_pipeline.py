@@ -147,13 +147,13 @@ class TestSimulatorTrace:
         spec = toy_qr(1)
         trace = simulator_trace(spec, honest_moves(spec, 4, 2, (1,)))
         calls = []
-        out = trace(lambda p: calls.append(tuple(p)) or 1, lambda p: (1,))
+        out = trace(lambda p, drop=False: calls.append(tuple(p)) or 1, lambda p: (1,))
         assert len(calls) == 8
         assert out == ((1,), (2,))  # honest m1 = u^2, m2 = u * w^c at c=(1,)
         guess = build_protocol(ExperimentConfig(protocol="toy-guess", q=1))
         tg = simulator_trace(guess, honest_moves(guess, 1, (1,), 0))
         short = []
-        tg(lambda p: short.append(p) or 1, lambda p: 0)
+        tg(lambda p, drop=False: short.append(p) or 1, lambda p: 0)
         assert len(short) == 2
 
     def test_give_up_ignores_responses(self):
@@ -161,14 +161,15 @@ class TestSimulatorTrace:
         fixed = (spec.alphabet[0],) * 2
         cfg = ExperimentConfig(reps=1, simulator="give-up")
         trace = simulator_trace(spec, pipeline._moves(cfg, spec, 5))
-        outs = {trace(lambda p: 1, lambda p: (0,)), trace(lambda p: 1, lambda p: (1,))}
+        outs = {trace(lambda p, drop=False: 1, lambda p: (0,)),
+                trace(lambda p, drop=False: 1, lambda p: (1,))}
         assert outs == {fixed}
 
     def test_cleared_flag_yields_bottom_response(self):
         spec = toy_qr(1)
         trace = simulator_trace(spec, honest_moves(spec, 4, 2, (1,)))
         seen = []
-        trace(lambda p: 0, lambda p: seen.append(p))
+        trace(lambda p, drop=False: 0, lambda p: seen.append(p))
         assert seen == []  # the response oracle is never consulted
 
 

@@ -10,6 +10,8 @@ adaptive traces are the hypothesis-generated ones of
 three-round traces.
 """
 
+import ast
+import inspect
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -28,6 +30,7 @@ from qromlab.pipeline import (
     _sparse_hypothesis,
     build_protocol,
     decide_constant_round,
+    default_config,
     eps_star,
     extraction_prover_value,
     simulator_trace,
@@ -206,8 +209,8 @@ def test_each_trace_node_is_replayed_once(monkeypatch):
         got = []
 
         def logged(ask):
-            def asked(point):
-                got.append(ask(point))
+            def asked(point, drop=False):
+                got.append(ask(point, drop=drop))
                 return got[-1]
 
             return asked
@@ -222,8 +225,59 @@ def test_each_trace_node_is_replayed_once(monkeypatch):
     # one replay per leaf: every replay runs the trace to its end, down
     # an answer path no other replay takes
     assert len(leaves) == len(set(leaves)) == len(replayed)
-    # a query with one answer is answered inside a replay: 246 replays here
+    # a query with one answer is answered inside a replay, and a dropped
+    # read has one child: 17 replays here
     assert len(replayed) < len(spec.randomness) * _schedule_count(spec.rounds, q) / 8
+    assert len(replayed) == 17
+
+
+@pytest.mark.parametrize("reps, replays", [(None, 54), (4, 102)])
+def test_a_dropped_read_costs_no_replay(reps, replays, monkeypatch):
+    # the pad, full-transcript and release reads of every statement's
+    # walks fork nothing: only the live reads and the responses branch
+    replayed = []
+    next_event = walk._next_event
+
+    def counted(*args):
+        replayed.append(args[1])
+        return next_event(*args)
+
+    monkeypatch.setattr(walk, "_next_event", counted)
+    cfg = default_config("constant-round")
+    decide_constant_round(cfg if reps is None else replace(cfg, reps=reps))
+    assert len(replayed) == replays
+
+
+def test_a_dropped_read_adds_the_weights_of_equal_paths():
+    # in the suite's walks the children of one read hold distinct paths,
+    # so the merge is checked on its own: a lone child passes through,
+    # and equal paths add their weights
+    lone = {0: (3, {"p": 1})}
+    assert walk._merged(lone) == lone[0]
+    assert walk._merged(lone)[1] is lone[0][1]
+    children = {0: (3, {"p": 1, "q": Fraction(1, 2)}), 1: (3, {"q": 2, "s": 5})}
+    assert walk._merged(children) == (3, {"p": 1, "q": Fraction(5, 2), "s": 5})
+
+
+def test_a_trace_drops_exactly_the_reads_it_discards():
+    # every ask_h call of the pipeline whose value is thrown away carries
+    # drop=True, so the walk merges its children; and every dropped call
+    # is such a statement, so the None it returns is never bound or tested
+    tree = ast.parse(inspect.getsource(pipeline))
+    calls = sorted((node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "ask_h"),
+                   key=lambda node: node.lineno)
+    discarded = {node.value for node in ast.walk(tree) if isinstance(node, ast.Expr)}
+    dropped = 0
+    for node in calls:
+        marked = False
+        for mark in node.keywords:
+            assert mark.arg == "drop" and isinstance(mark.value, ast.Constant)
+            assert mark.value.value is True, ast.unparse(node)
+            marked = True
+        assert marked == (node in discarded), f"line {node.lineno}: {ast.unparse(node)}"
+        dropped += marked
+    assert len(calls) > dropped > 0  # the live reads stay, the pads are dropped
 
 
 def no_schedules(monkeypatch):
