@@ -8,7 +8,8 @@ count/swap/respond bookkeeping, followed for the coherent kind by
 transcript-controlled adjusting rotations on the table register. The
 permutation is one vectorized numpy computation over per-register digit
 arrays. (The paper's hash-challenge and response-oracle verifiers run as
-classical query traces in ``pipeline``.) Simulators are step lists that
+response traces on ``pipeline``'s label walk, where a challenge is its
+randomness label.) Simulators are step lists that
 may call the machine forward or inverted and query one classical table
 in superposition. They measure nothing themselves: by deferred
 measurement, copying a register onto a fresh work register gives the
@@ -62,7 +63,7 @@ from qromlab.oracle import (
     prefix_domain,
     quantum_query,
 )
-from qromlab.protocol import ConfigError, ProductSpace, ProtocolSpec
+from qromlab.protocol import ConfigError, ProtocolSpec
 # apply_unitary stays bound here: perfbench's span test checks every binding
 from qromlab.qsim import (  # noqa: F401
     ATOL_STATE,
@@ -82,55 +83,6 @@ from qromlab.qsim import (  # noqa: F401
 VERIFIER_KINDS = ("random_aborting", "superposition")
 MAX_STATE_DIM = 2**17
 _EXACT_TOL = 1e-12
-
-
-def challenge_structure(spec: ProtocolSpec, x: Hashable):
-    """Challenge alphabet and challenge-to-randomness chart of a spec.
-
-    Verifies the public-coin structure directly rather than trusting
-    the flag: the round-1 response may depend on the randomness only,
-    and distinct randomness must yield distinct challenges. Only
-    two-move specs are supported.
-
-    A spec built by ``protocol.fold`` is checked exhaustively on its base
-    and then lifted, without enumerating its own |A|·|R| pairs. Its
-    next-message function is the base's applied coordinate by coordinate
-    by construction, so the lift proves what the exhaustive check would:
-    a product of injective charts is injective, and a product of
-    message-blind responses is message-blind. Challenges come in the
-    folded randomness order, as the exhaustive walk lists them.
-
-    Returns:
-        (challenges, chart) with challenges in first-appearance order
-        and chart mapping each challenge tuple to its randomness label.
-    """
-    if spec.rounds != 2:
-        raise ValueError("challenge extraction needs exactly two prover moves")
-    if spec.fold_base is not None:
-        # the base lists its i-th challenge for its i-th randomness, so the
-        # i-th product challenge belongs to the i-th folded randomness
-        base_cs, _ = challenge_structure(spec.fold_base, x)
-        order = tuple(ProductSpace(base_cs, spec.fold_reps))
-        return order, {(c,): r for c, r in zip(order, spec.randomness)}
-    a0 = spec.alphabet[0]
-    alpha = set(spec.alphabet)
-    by_r: dict[Hashable, Hashable] = {}
-    chart: dict[tuple, Hashable] = {}
-    order: list[Hashable] = []
-    for r in spec.randomness:
-        c = spec.next_message(x, r, (a0,))
-        if c not in alpha:
-            raise ValueError(f"challenge {c!r} leaves the message alphabet")
-        if (c,) in chart:
-            raise ValueError("randomness does not map injectively onto challenges")
-        by_r[r] = c
-        chart[(c,)] = r
-        order.append(c)
-    for m1 in spec.alphabet:
-        for r in spec.randomness:
-            if spec.next_message(x, r, (m1,)) != by_r[r]:
-                raise ValueError("round-1 response depends on the prover message")
-    return tuple(order), chart
 
 
 class _ControlRows(NamedTuple):

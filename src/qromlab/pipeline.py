@@ -9,13 +9,17 @@ value per statement and the yes/no gap; serialization is canonical,
 so identical configurations produce identical bytes.
 
 The decision experiments share one simulator model: a classical query
-trace that asks an oracle on transcript prefixes (flags, hashed
-challenges or labelled challenges) and a response oracle, wrapped by
-the ordered measure-and-reprogram schedules from ``transforms``. One
-driver runs all of them: ``walk._walk``, the counting walk, runs a trace
-under every randomness, ordered schedule and lazily sampled oracle
-table at once, replaying each branching node of the trace's answer tree
-once and merging runs into weighted paths. The extraction provers are
+trace that asks an oracle on transcript prefixes and, for flags, a
+response oracle, wrapped by the ordered measure-and-reprogram schedules
+from ``transforms``. One driver runs all of them: ``walk._walk``, the
+counting walk, runs a trace under every randomness, ordered schedule
+and lazily sampled oracle table at once, replaying each branching node
+of the trace's answer tree once and merging runs into weighted paths.
+Both hashed-challenge experiments, public-coin and three-round, run
+response traces on ``_label_walk``, whose table holds randomness labels
+and answers each with its response: a public-coin challenge is fresh
+verifier randomness, so it is its label, and no challenge chart is
+kept. The extraction provers are
 predicates on those paths. The expected-time experiment instead drives
 the dense verifier machines from ``adversary`` and checks budget,
 acceptance, and conditional-state facts on the exact output mixture.
@@ -42,7 +46,6 @@ import numpy as np
 
 from qromlab.adversary import (
     build_verifier,
-    challenge_structure,
     cont_density,
     expected_wrapper,
     final_cont_state,
@@ -284,20 +287,6 @@ def write_report(report: ExperimentReport, json_path=None, csv_path=None) -> Non
 # Classical trace machinery.
 
 
-def _named_value(spec: ProtocolSpec, x, leaves, labels, randomness_of) -> Fraction:
-    """Pr over a walk's leaves that the output is accepted at the
-    randomness its own first-message entry names, randomness_of(label);
-    an entry the run never queried is averaged over the labels."""
-    total = Fraction(0)
-    for weight, group, _, out, asg, _ in leaves:
-        label = dict(asg).get(out[:1])
-        named = labels if label is None else (label,)
-        hits = sum(1 for c in named if spec.decide(x, randomness_of(c), out))
-        if hits:
-            total += weight * Fraction(hits * len(group), len(named))
-    return total / len(spec.randomness)
-
-
 def simulator_trace(spec: ProtocolSpec, move: Callable) -> Callable:
     """Flag-oracle query trace of a simulator whose next message after
     the responses ``got`` is ``move(got)``, as ``_moves`` builds it.
@@ -520,33 +509,56 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
 
 
 def _hash_trace(spec: ProtocolSpec, move: Callable) -> Callable:
-    """Hash-query trace of the challenge-from-hash simulator. Each
-    verifier call bills two hash queries on the first message: compute
-    and uncompute around the move, then again around the decision. Only
-    the first answer is read; the other three reads are dropped, as in
-    ``simulator_trace``."""
+    """Response trace of the challenge-from-hash simulator, for
+    ``_label_walk``. Each verifier call bills two hash queries on the
+    first message: compute and uncompute around the move, then again
+    around the decision. Only the first answer is read; the other three
+    reads are dropped, as in ``simulator_trace``."""
 
-    def trace(ask_h, ask_f):
+    def trace(ask_c):
         m1 = move(())
-        c = ask_h((m1,))
-        ask_h((m1,), drop=True)
+        c = ask_c((m1,))
+        ask_c((m1,), drop=True)
         m2 = move((c,))
-        ask_h((m1,), drop=True)
-        ask_h((m1,), drop=True)
+        ask_c((m1,), drop=True)
+        ask_c((m1,), drop=True)
         return (m1, m2)
 
     return trace
 
 
-def _hash_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
-    """(Pr over the lazy hash table that the output is accepted at the
-    randomness its own hashed challenge names, hash queries billed): one
-    walk over the table, billed at the most queries any run makes."""
-    challenges, chart = challenge_structure(spec, x)
-    values = [(c, 1) for c in challenges]
-    leaves = _walk(spec, x, trace, values=values)
-    counted = max(made for *_, made in leaves)
-    return _named_value(spec, x, leaves, challenges, lambda c: chart[(c,)]), counted
+def _check_public_coin(spec: ProtocolSpec, x) -> None:
+    """Refuse a spec whose challenges are not its verifier randomness,
+    so that a hashed challenge is its randomness label.
+
+    Verifies the public-coin structure directly rather than trusting
+    the flag: the round-1 response may depend on the randomness only,
+    and distinct randomness must yield distinct challenges in the
+    message alphabet. Only two-move specs are supported. A spec built
+    by ``protocol.fold`` is checked on its base: its next-message
+    function is the base's applied coordinate by coordinate, and a
+    product of injective, message-blind maps is injective and
+    message-blind.
+    """
+    if spec.rounds != 2:
+        raise ValueError("challenge extraction needs exactly two prover moves")
+    if spec.fold_base is not None:
+        return _check_public_coin(spec.fold_base, x)
+    a0 = spec.alphabet[0]
+    alpha = set(spec.alphabet)
+    by_r: dict = {}
+    seen: set = set()
+    for r in spec.randomness:
+        c = by_r[r] = spec.next_message(x, r, (a0,))
+        if c not in alpha:
+            raise ValueError(f"challenge {c!r} leaves the message alphabet")
+        if c in seen:
+            raise ValueError("randomness does not map injectively onto challenges")
+        seen.add(c)
+    for m1 in spec.alphabet:
+        for r in spec.randomness:
+            if spec.next_message(x, r, (m1,)) != by_r[r]:
+                raise ValueError("round-1 response depends on the prover message")
 
 
 def _top_products(masses: Sequence[Fraction], reps: int, n: int) -> list[Fraction]:
@@ -575,7 +587,8 @@ def _top_products(masses: Sequence[Fraction], reps: int, n: int) -> list[Fractio
 
 def _forgery_masses(spec: ProtocolSpec, x, n: int) -> list[Fraction]:
     """The n largest answerable challenge masses over first messages,
-    largest first: the share of challenges some second message answers.
+    largest first: the share of randomness, each naming one challenge
+    (``_check_public_coin``), at which some second message is accepted.
 
     A spec built by ``protocol.fold`` answers a challenge iff every
     coordinate does, and its challenge coordinates are independent, so
@@ -583,16 +596,16 @@ def _forgery_masses(spec: ProtocolSpec, x, n: int) -> list[Fraction]:
     ``_top_products`` over the sorted base masses, and the folded
     alphabet is never listed.
     """
+    _check_public_coin(spec, x)
     folded = spec.fold_base is not None
     base, reps = (spec.fold_base, spec.fold_reps) if folded else (spec, 1)
-    challenges, chart = challenge_structure(base, x)
     masses = []
     for m1 in base.alphabet:
         good = sum(
-            1 for c in challenges
-            if any(base.decide(x, chart[(c,)], (m1, m2)) for m2 in base.alphabet)
+            1 for r in base.randomness
+            if any(base.decide(x, r, (m1, m2)) for m2 in base.alphabet)
         )
-        masses.append(Fraction(good, len(challenges)))
+        masses.append(Fraction(good, len(base.randomness)))
     return _top_products(sorted(masses, reverse=True), reps, n)
 
 
@@ -617,12 +630,12 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     challenges.
 
     The challenge of every prefix is the hash value at that prefix,
-    forked lazily and exactly over the challenge alphabet; a run
-    scores when the output transcript is accepted at the randomness
-    its own hashed challenge names. Yes-statements must clear the
-    closeness floor; no-statement values are capped by the exact
-    optimum of a hash-grinding forger with the simulator's billed
-    query budget, and by exact soundness.
+    fresh verifier randomness, so the hash table is the lazy table of
+    randomness labels and the value is the challenge game
+    ``_fs_game_value`` scores. Yes-statements must clear the closeness
+    floor; no-statement values are capped by the exact optimum of a
+    hash-grinding forger with the simulator's billed query budget, and
+    by exact soundness.
     """
     cfg = default_config("public-coin") if cfg is None else cfg
     spec = build_protocol(cfg)
@@ -639,8 +652,9 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
+        _check_public_coin(spec, x)
         trace = _hash_trace(spec, _moves(cfg, spec, x))
-        total, counted = _hash_value(spec, x, trace)
+        total, counted = _fs_game_value(spec, x, trace)
         checks.append(_check(
             x, "hash-budget", "per-call hash budget", counted, budget, "==",
         ))
@@ -682,27 +696,43 @@ def _response_trace(spec: ProtocolSpec, move: Callable) -> Callable:
 
 
 def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> list:
-    """The walk of a response trace over the lazy challenge table.
+    """The walk of a response trace ``trace(ask_c)`` over the lazy
+    challenge table, the one challenge game of both hashed experiments.
 
     The table assigns each queried point a uniform randomness label and
     the answer is that label's response; a slot reprograms its point to
-    the live randomness. Returns ``walk._walk``'s leaves, whose
-    assignments hold the labels.
+    the live randomness. A dropped read, ``ask_c(p, drop=True)``, is a
+    dropped label read: it answers None and makes no response. Returns
+    ``walk._walk``'s leaves, whose assignments hold the labels.
     """
-    rs = spec.randomness
 
     def labeled(ask_h, ask_f):
-        return tuple(trace(lambda p: spec.next_message(x, ask_h(p), tuple(p))))
+        def ask_c(p, drop=False):
+            if drop:
+                ask_h(p, drop=True)
+                return None
+            return spec.next_message(x, ask_h(p), tuple(p))
 
-    values = [(r, 1) for r in rs]
+        return tuple(trace(ask_c))
+
+    values = [(r, 1) for r in spec.randomness]
     return _walk(spec, x, labeled, k, q, values, live=True)
 
 
-def _fs_game_value(spec: ProtocolSpec, x, trace) -> Fraction:
-    """Pr over the lazy challenge table that the simulator's output is
-    accepted at the randomness its own first-message entry names."""
-    return _named_value(spec, x, _label_walk(spec, x, trace), spec.randomness,
-                        lambda r: r)
+def _fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
+    """(Pr over the lazy challenge table that the simulator's output is
+    accepted at the randomness its own first-message entry names, the
+    most queries any run made); an entry the run never queried is
+    averaged over the randomness."""
+    total = Fraction(0)
+    leaves = _label_walk(spec, x, trace)
+    for weight, group, _, out, asg, _ in leaves:
+        label = dict(asg).get(out[:1])
+        named = spec.randomness if label is None else (label,)
+        hits = sum(1 for r in named if spec.decide(x, r, out))
+        if hits:
+            total += weight * Fraction(hits * len(group), len(named))
+    return total / len(spec.randomness), max(made for *_, made in leaves)
 
 
 def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
@@ -760,7 +790,7 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
         trace = _response_trace(spec, _moves(cfg, spec, x))
         pstar, value = _single_slot_extraction(spec, x, trace, cfg.q)
         if x in cfg.yes_instances:
-            game = _fs_game_value(spec, x, trace)
+            game, _ = _fs_game_value(spec, x, trace)
             hyp = _check(
                 x, "challenge-game", "challenge-game floor",
                 game, 1.0 - float(cfg.eps) - SLACK, ">=",

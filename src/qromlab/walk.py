@@ -9,7 +9,10 @@ trace is a plain callable, so the walk replays it under scripted answers
 (``_next_event``) once per leaf of its answer tree; everything else is
 bookkeeping over small hashable states. A read whose answer the trace
 drops (``ask_h(point, drop=True)``) has one child in that tree, its
-children's paths merged, so it costs no replay.
+children's paths merged, so it costs no replay. A slot reprograms its
+point to 1, or to the live randomness: ``pipeline._label_walk`` runs
+both hashed-challenge experiments' response traces over a table of
+randomness labels that way, a challenge being its label's response.
 """
 
 from __future__ import annotations
@@ -151,7 +154,7 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
                     return {flags.get(point, 0): (made + 1, paths)}
             for path, weight in paths.items():
                 group = path[4]
-                if not live:
+                if not (live and k):  # r singletons only where a slot can fire
                     ys: tuple = ((1, group),)
                 elif group in lives:
                     ys = lives[group]

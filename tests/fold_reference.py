@@ -5,17 +5,28 @@ prover randomness as full tuples and writes its callables over whole
 tuples; ``challenge_structure`` checks a spec over all |A|·|R| pairs,
 folded or not; ``fs_forgery_exact`` scores every first message of a
 folded spec and sorts the products of its base masses. They are the
-reference the lazy product spaces, the lifted challenge chart and the
-k-best forgery masses are tested against, for small repetition counts.
-``forgery_masses`` is ``fs_forgery_exact``'s sorted mass list, split out
-so the masses themselves can be compared.
+reference the lazy product spaces, the base-only public-coin check and
+the k-best forgery masses are tested against, for small repetition
+counts. ``forgery_masses`` is ``fs_forgery_exact``'s sorted mass list,
+split out so the masses themselves can be compared.
+
+``lifted_challenge_structure`` is the challenge chart the library once
+kept, lifted from a folded spec's base: the hash-table routes of
+``live_reference`` and ``extraction_reference`` read a folded spec's
+chart from it without the |A|·|R| walk.
 """
 
 import itertools
 from fractions import Fraction
 from typing import Hashable
 
-from qromlab.protocol import RESIDUES_21, UNITS_21, ConfigError, ProtocolSpec
+from qromlab.protocol import (
+    RESIDUES_21,
+    UNITS_21,
+    ConfigError,
+    ProductSpace,
+    ProtocolSpec,
+)
 
 
 def _toy_qr_elements() -> tuple[int, ...]:
@@ -115,6 +126,37 @@ def challenge_structure(spec: ProtocolSpec, x: Hashable):
             if spec.next_message(x, r, (m1,)) != by_r[r]:
                 raise ValueError("round-1 response depends on the prover message")
     return tuple(order), chart
+
+
+def lifted_challenge_structure(spec: ProtocolSpec, x: Hashable):
+    """Challenge alphabet and challenge-to-randomness chart of a spec.
+
+    Verifies the public-coin structure directly rather than trusting
+    the flag: the round-1 response may depend on the randomness only,
+    and distinct randomness must yield distinct challenges. Only
+    two-move specs are supported.
+
+    A spec built by ``protocol.fold`` is checked exhaustively on its base
+    and then lifted, without enumerating its own |A|·|R| pairs. Its
+    next-message function is the base's applied coordinate by coordinate
+    by construction, so the lift proves what the exhaustive check would:
+    a product of injective charts is injective, and a product of
+    message-blind responses is message-blind. Challenges come in the
+    folded randomness order, as the exhaustive walk lists them.
+
+    Returns:
+        (challenges, chart) with challenges in first-appearance order
+        and chart mapping each challenge tuple to its randomness label.
+    """
+    if spec.rounds != 2:
+        raise ValueError("challenge extraction needs exactly two prover moves")
+    if spec.fold_base is not None:
+        # the base lists its i-th challenge for its i-th randomness, so the
+        # i-th product challenge belongs to the i-th folded randomness
+        base_cs, _ = challenge_structure(spec.fold_base, x)
+        order = tuple(ProductSpace(base_cs, spec.fold_reps))
+        return order, {(c,): r for c, r in zip(order, spec.randomness)}
+    return challenge_structure(spec, x)
 
 
 def forgery_masses(spec: ProtocolSpec, x) -> list[Fraction]:

@@ -22,7 +22,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from qromlab.adversary import challenge_structure
+from fold_reference import lifted_challenge_structure
 from qromlab.protocol import ConfigError
 from qromlab.transforms import MarSchedule, _ordered_outcome
 from qromlab.walk import _walk
@@ -221,7 +221,7 @@ def hash_value(spec, x, trace) -> tuple[Fraction, int]:
     """(Pr over the lazy hash table that the output is accepted at the
     randomness its own hashed challenge names, hash queries billed on
     one replay that answers every query with the first challenge)."""
-    challenges, chart = challenge_structure(spec, x)
+    challenges, chart = lifted_challenge_structure(spec, x)
     _, _, counted = replay(trace, None, {}, default=challenges[0])
     values = [(c, Fraction(1, len(challenges))) for c in challenges]
     runs = fork(lambda a: replay(trace, None, a), values)

@@ -18,7 +18,6 @@ from qromlab.adversary import (
     _row_outputs,
     build_aux,
     build_verifier,
-    challenge_structure,
     cont_density,
     expected_wrappers,
     final_cont_state,
@@ -34,8 +33,10 @@ from qromlab.adversary import (
     run_simulator,
 )
 from qromlab.oracle import ClassicalOracle, prefix_domain
+from qromlab.pipeline import _check_public_coin
 from qromlab.protocol import toy_guess, toy_qr, toy_table
 from qromlab.qsim import trace_distance
+import fold_reference
 import pinned_reference
 from prover_reference import give_up
 from step_reference import fstar_oracle, is_step_unitary
@@ -45,18 +46,22 @@ PDOM = prefix_domain((0, 1), 2)
 
 
 class TestChallengeStructure:
+    """The public-coin structure the hash-challenge experiment checks
+    (``pipeline._check_public_coin``): each challenge is its randomness."""
+
     def test_toy_qr(self):
-        challenges, chart = challenge_structure(toy_qr(1), 4)
+        assert _check_public_coin(toy_qr(1), 4) is None
+        challenges, chart = fold_reference.challenge_structure(toy_qr(1), 4)
         assert challenges == ((0,), (1,))
         assert chart == {((0,),): (0,), ((1,),): (1,)}
 
     def test_rejects_private_coins(self):
-        with pytest.raises(ValueError):
-            challenge_structure(toy_table(), 1)
+        with pytest.raises(ValueError, match="depends on the prover message"):
+            _check_public_coin(toy_table(), 1)
 
     def test_rejects_wrong_round_count(self):
-        with pytest.raises(ValueError):
-            challenge_structure(toy_guess(), 1)
+        with pytest.raises(ValueError, match="exactly two prover moves"):
+            _check_public_coin(toy_guess(), 1)
 
 
 class TestBuildVerifier:

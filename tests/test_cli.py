@@ -104,6 +104,11 @@ class TestRun:
              "protocol 'toy-guess' has no repetitions to set"),
             (["expected-time", "--sim", "expected-lazy", "--q", "3"],
              "expected-lazy: expected invocations 2 exceed half the budget 3"),
+            # an explicit --reps is refused even at the default 3
+            (["expected-time", "--reps", "3"],
+             "protocol 'toy-table' has no repetitions to set"),
+            (["three-round", "--protocol", "toy-table", "--reps", "3"],
+             "protocol 'toy-table' has no repetitions to set"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):

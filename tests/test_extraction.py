@@ -25,14 +25,14 @@ from hypothesis import strategies as st
 
 import extraction_reference as ref
 import live_reference as live
+import trace_reference
+from fold_reference import lifted_challenge_structure
 from qromlab import pipeline
-from qromlab.adversary import challenge_structure
 from qromlab.pipeline import (
     SIMULATORS,
     ExperimentConfig,
     _fs_game_value,
     _hash_trace,
-    _hash_value,
     _label_walk,
     _moves,
     _response_trace,
@@ -113,7 +113,7 @@ def check_walk_three_round(spec, x, trace, q):
     assert _single_slot_extraction(spec, x, trace, q) == (
         live.single_slot_extraction(spec, x, trace, scheds)
     )
-    assert _fs_game_value(spec, x, trace) == live.fs_game_value(spec, x, trace)
+    assert _fs_game_value(spec, x, trace)[0] == live.fs_game_value(spec, x, trace)
 
 
 def check_three_round(spec, x, trace, q):
@@ -141,10 +141,18 @@ def check_three_round(spec, x, trace, q):
     check_walk_three_round(spec, x, trace, q)
 
 
+def on_table(trace):
+    """A one-asker hash trace run against the hash table itself, as the
+    hash-table routes run it: the table is its asker."""
+    return lambda ask_h, ask_f: trace(ask_h)
+
+
 def check_public_coin(spec, x, trace):
-    total, counted = _hash_value(spec, x, trace)
-    assert total == live.hash_value(spec, x, trace)[0]
-    assert total == ref.hash_total(spec, x, trace)
+    # the challenge game on the label walk against both hash-table
+    # routes, which map each hashed challenge back through the chart
+    total, counted = _fs_game_value(spec, x, trace)
+    assert total == live.hash_value(spec, x, on_table(trace))[0]
+    assert total == ref.hash_total(spec, x, on_table(trace))
     return counted
 
 
@@ -171,8 +179,26 @@ class TestStockTraces:
     def test_public_coin(self, name):
         for spec, x, cfg in stock(name):
             trace = _hash_trace(spec, _moves(cfg, spec, x))
-            assert check_public_coin(spec, x, trace) == 2 * (spec.rounds - 1) * cfg.q
-            assert _hash_value(spec, x, trace)[1] == live.hash_value(spec, x, trace)[1]
+            counted = check_public_coin(spec, x, trace)
+            assert counted == 2 * (spec.rounds - 1) * cfg.q == (
+                live.hash_value(spec, x, on_table(trace))[1]
+            )
+
+    @pytest.mark.parametrize("reps", [1, 2, 3])
+    def test_public_coin_against_the_hash_table_route(self, reps):
+        # the label walk's challenge game on the pipeline's trace against
+        # both hash-table routes on the reference trace as first written,
+        # which asks the hash table and never drops a read
+        for sim in SIMULATORS:
+            cfg = ExperimentConfig(reps=reps, eps=Fraction(1, 2), simulator=sim)
+            spec = build_protocol(cfg)
+            for x in (4, 16, 5, 20, 0, 7):
+                total, counted = _fs_game_value(
+                    spec, x, _hash_trace(spec, _moves(cfg, spec, x)))
+                old = trace_reference.hash_trace(cfg, spec, x)
+                assert (total, counted) == live.hash_value(spec, x, old), (sim, x)
+                assert total == ref.hash_total(spec, x, old)
+                assert type(total) is Fraction and type(counted) is int
 
     def test_public_coin_makes_each_honest_move_once(self):
         # the first move once per trace, the final one once per challenge
@@ -185,7 +211,7 @@ class TestStockTraces:
             return spec.honest_prover(*args)
 
         counting = replace(spec, honest_prover=counted)
-        _hash_value(counting, 4, _hash_trace(counting, _moves(cfg, counting, 4)))
+        _fs_game_value(counting, 4, _hash_trace(counting, _moves(cfg, counting, 4)))
         assert len(calls) == len(set(calls)) == 1 + len(spec.randomness)
 
 
@@ -274,7 +300,7 @@ class TestRandomTraces:
     def test_public_coin(self, x, seed, queries):
         spec = SPECS["toy-qr-t1"]
         trace = flag_trace(seed, LETTERS["toy-qr-t1"], 2, queries, respond=False)
-        assert check_public_coin(spec, x, trace) == queries
+        assert check_public_coin(spec, x, lambda ask_c: trace(ask_c, None)) == queries
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -434,18 +460,18 @@ def adaptive_hash_trace(when_first):
 
     def build(spec, move):
         honest = stock_trace(spec, move)
-        first = challenge_structure(spec, 4)[0][0]
+        first = lifted_challenge_structure(spec, 4)[0][0]
 
-        def trace(ask_h, ask_f):
+        def trace(ask_c):
             got = []
 
             def ask(p, drop=False):
-                got.append(ask_h(p, drop=drop))
+                got.append(ask_c(p, drop=drop))
                 return got[-1]
 
-            out = honest(ask, ask_f)
+            out = honest(ask)
             if (got[0] == first) == when_first:
-                ask_h(out[:1])
+                ask_c(out[:1])
             return out
 
         return trace
@@ -461,7 +487,7 @@ def test_an_adaptive_hash_query_is_billed(when_first, monkeypatch):
     cfg = ExperimentConfig(reps=1, eps=Fraction(1, 2))
     spec = build_protocol(cfg)
     trace = adaptive(spec, _moves(cfg, spec, 4))
-    assert live.hash_value(spec, 4, trace)[1] == (5 if when_first else 4)
+    assert live.hash_value(spec, 4, on_table(trace))[1] == (5 if when_first else 4)
     assert check_public_coin(spec, 4, trace) == 5
     monkeypatch.setattr(pipeline, "_hash_trace", adaptive)
     billed = [c for c in decide_public_coin(cfg).checks if c.name == "hash-budget"]

@@ -1,8 +1,9 @@
 """Folded specs against the materialised route they replaced.
 
 ``protocol.fold`` builds parallel repetitions over lazy ``ProductSpace``
-sequences, ``challenge_structure`` lifts a folded chart from its base,
-and the forgery optimum takes the k best product masses from a heap.
+sequences, ``pipeline._check_public_coin`` checks a folded spec on its
+base, and the forgery optimum takes the k best product masses from a
+heap.
 Each is checked here for exact equality with ``fold_reference`` on small
 repetition counts, the two primitives by property tests, and the lazy
 route by counting the base calls and the spaces it enumerates.
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 import fold_reference as ref
 from prover_reference import acceptance_set
 from qromlab import pipeline
-from qromlab.adversary import challenge_structure
 from qromlab.pipeline import (
+    _check_public_coin,
     _forgery_masses,
     _top_products,
     fs_forgery_exact,
@@ -84,9 +85,13 @@ class TestAgainstMaterialised:
                     assert new.decide(x, r, (m1, m2)) == old.decide(x, r, (m1, m2))
 
     def test_challenge_chart(self, pair):
+        # the base-only check passes where the exhaustive one does, and the
+        # chart lifted from the base, which the hash-table references read,
+        # is the exhaustive chart
         new, old = pair
         for x in STATEMENTS:
-            challenges, chart = challenge_structure(new, x)
+            assert _check_public_coin(new, x) is None
+            challenges, chart = ref.lifted_challenge_structure(new, x)
             want_challenges, want_chart = ref.challenge_structure(old, x)
             assert challenges == want_challenges
             assert list(chart.items()) == list(want_chart.items())
@@ -209,13 +214,15 @@ def counted_base():
 
 
 class TestLazyRoute:
-    def test_lifted_chart_checks_the_base_once(self):
+    @pytest.mark.parametrize("reps", [4, 12])
+    def test_a_folded_spec_is_checked_on_its_base_once(self, reps):
+        # one base call per randomness and per (first message, randomness);
+        # a call of the folded next message would cost one per repetition
         base, calls = counted_base()
-        spec = fold(base, 4, "toy-qr-t4")
-        challenges, chart = challenge_structure(spec, 5)
+        spec = fold(base, reps, f"toy-qr-t{reps}")
+        assert _check_public_coin(spec, 5) is None
         pairs = len(base.alphabet) * len(base.randomness)
         assert calls[0] == len(base.randomness) + pairs
-        assert len(challenges) == len(chart) == 16
         fs_forgery_exact(spec, 5, 4)
         assert calls[0] == 2 * (len(base.randomness) + pairs)
 
@@ -228,7 +235,7 @@ class TestLazyRoute:
         leaky = replace(toy_qr(2), next_message=lambda x, r, ms: (
             r if ms[0] == (0, 0) else ms[0]))
         with pytest.raises(ValueError, match="depends on the prover message"):
-            challenge_structure(leaky, 5)
+            _check_public_coin(leaky, 5)
         with pytest.raises(ValueError, match="init=False"):
             replace(toy_qr(2), fold_base=toy_qr(1))
 
@@ -237,7 +244,7 @@ class TestLazyRoute:
         base = toy_qr(1)
         leaky = replace(base, next_message=lambda x, r, ms: ms[0] if ms[0] != (0,) else r)
         with pytest.raises(ValueError, match="depends on the prover message"):
-            challenge_structure(fold(leaky, 3, "leaky"), 5)
+            _check_public_coin(fold(leaky, 3, "leaky"), 5)
 
     @pytest.mark.parametrize("theorem", ["constant-round", "public-coin", "three-round"])
     def test_experiments_never_enumerate_a_folded_alphabet(self, theorem, monkeypatch):

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import fold_reference
 from qromlab import pipeline
-from qromlab.adversary import EXPECTED_MEMBERS, challenge_structure
+from qromlab.adversary import EXPECTED_MEMBERS
 from qromlab.pipeline import (
     THEOREMS,
     ExperimentConfig,
+    _check_public_coin,
     build_protocol,
     decide_constant_round,
     decide_public_coin,
@@ -26,7 +28,7 @@ from qromlab.pipeline import (
     simulator_trace,
     write_report,
 )
-from qromlab.protocol import ConfigError, toy_qr
+from qromlab.protocol import ConfigError, fold, toy_qr, toy_table
 
 
 def grind_forgery(spec, x, q: int) -> Fraction:
@@ -35,7 +37,7 @@ def grind_forgery(spec, x, q: int) -> Fraction:
     Computes each first message's answerable-challenge mass directly
     and maximizes the hit probability over every (q+1)-subset of grind
     points, independent of the sorted-greedy argument."""
-    challenges, chart = challenge_structure(spec, x)
+    challenges, chart = fold_reference.challenge_structure(spec, x)
     masses = []
     for m1 in spec.alphabet:
         good = sum(
@@ -256,6 +258,49 @@ class TestPublicCoin:
         )
         with pytest.raises(ConfigError):
             decide_public_coin(cfg)
+
+
+# a copy of toy_qr(1)'s next message per refusal, and the refusal's message
+BAD_CHALLENGES = {
+    "leaves the message alphabet": lambda x, r, ms: (99,) if r == (1,) else r,
+    "does not map injectively": lambda x, r, ms: (0,),
+    "depends on the prover message": lambda x, r, ms: r if ms[0] == (0,) else ms[0],
+}
+
+
+class TestPublicCoinCheck:
+    @pytest.mark.parametrize("message", sorted(BAD_CHALLENGES))
+    def test_each_refusal(self, message):
+        # a fold of a bad base raises the base's error
+        bad = replace(toy_qr(1), next_message=BAD_CHALLENGES[message])
+        assert bad.public_coin
+        for spec in (bad, fold(bad, 2, "bad-t2"), fold(bad, 3, "bad-t3")):
+            with pytest.raises(ValueError, match=message):
+                _check_public_coin(spec, 5)
+            with pytest.raises(ValueError, match=message):
+                fs_forgery_exact(spec, 5, 4)
+
+    def test_refusal_order(self):
+        # the alphabet before injectivity, injectivity before the message
+        for respond, message in ((lambda x, r, ms: (99,), "leaves the message alphabet"),
+                                 (lambda x, r, ms: ms[0], "does not map injectively")):
+            with pytest.raises(ValueError, match=message):
+                _check_public_coin(replace(toy_qr(1), next_message=respond), 5)
+        with pytest.raises(ValueError, match="exactly two prover moves"):
+            fs_forgery_exact(replace(toy_qr(1), rounds=3), 5, 4)
+        with pytest.raises(ValueError, match="depends on the prover message"):
+            fs_forgery_exact(toy_table(), 0, 4)
+
+    def test_decide_public_coin_checks_before_any_walk(self, monkeypatch):
+        flat = replace(toy_qr(1), next_message=BAD_CHALLENGES["does not map injectively"])
+
+        def unreachable(*args, **kwargs):
+            raise AssertionError("a walk ran before the public-coin check")
+
+        monkeypatch.setattr(pipeline, "_walk", unreachable)
+        monkeypatch.setattr(pipeline, "build_protocol", lambda cfg: flat)
+        with pytest.raises(ValueError, match="does not map injectively"):
+            decide_public_coin(ExperimentConfig(reps=1, eps=Fraction(1, 2)))
 
 
 class TestForgeryOptimum:

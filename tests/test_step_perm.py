@@ -109,7 +109,7 @@ def small_specs(draw):
     """A random table-driven spec small enough for the per-index loop.
 
     With public_coin the round-1 response is an injective function of the
-    randomness only, as challenge_structure requires.
+    randomness only, as ``pipeline._check_public_coin`` requires.
     """
     k = draw(st.integers(1, 2))
     n = draw(st.integers(2, 3)) if k == 1 else 2

@@ -259,16 +259,24 @@ def test_a_dropped_read_adds_the_weights_of_equal_paths():
     assert walk._merged(children) == (3, {"p": 1, "q": Fraction(5, 2), "s": 5})
 
 
+def asker_calls(tree):
+    """The calls in a syntax tree of every asker name the pipeline's
+    traces use: ask_h, a flag or hash-table read, and ask_c, a challenge
+    read on the label walk."""
+    return sorted((node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                   and isinstance(node.func, ast.Name)
+                   and node.func.id in ("ask_h", "ask_c")),
+                  key=lambda node: node.lineno)
+
+
 def test_a_trace_drops_exactly_the_reads_it_discards():
-    # every ask_h call of the pipeline whose value is thrown away carries
+    # every asker call of the pipeline whose value is thrown away carries
     # drop=True, so the walk merges its children; and every dropped call
     # is such a statement, so the None it returns is never bound or tested
     tree = ast.parse(inspect.getsource(pipeline))
-    calls = sorted((node for node in ast.walk(tree) if isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Name) and node.func.id == "ask_h"),
-                   key=lambda node: node.lineno)
+    calls = asker_calls(tree)
     discarded = {node.value for node in ast.walk(tree) if isinstance(node, ast.Expr)}
-    dropped = 0
+    dropped = set()
     for node in calls:
         marked = False
         for mark in node.keywords:
@@ -276,8 +284,15 @@ def test_a_trace_drops_exactly_the_reads_it_discards():
             assert mark.value.value is True, ast.unparse(node)
             marked = True
         assert marked == (node in discarded), f"line {node.lineno}: {ast.unparse(node)}"
-        dropped += marked
-    assert len(calls) > dropped > 0  # the live reads stay, the pads are dropped
+        if marked:
+            dropped.add(node)
+    assert len(calls) > len(dropped) > 0  # the live reads stay, the pads are dropped
+    # public-coin's uncompute reads are three dropped challenge reads
+    (hash_trace,) = (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+                     and node.name == "_hash_trace")
+    hashed = asker_calls(hash_trace)
+    assert [node.func.id for node in hashed] == ["ask_c"] * 4
+    assert sum(node in dropped for node in hashed) == 3
 
 
 def no_schedules(monkeypatch):
