@@ -56,7 +56,7 @@ from typing import Hashable, Mapping, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from qromlab.hashfam import build_exact_adjuster, table_superposition
+from qromlab.hashfam import _householder_to, build_exact_adjuster, table_superposition
 from qromlab.oracle import (
     ClassicalOracle,
     SparseOracleDist,
@@ -127,7 +127,7 @@ class VerifierMachine:
         n = len(spec.alphabet)
         aidx = {a: i for i, a in enumerate(spec.alphabet)}
         flat = np.arange(lay.total_dim, dtype=np.int64)
-        dg = {nm: (flat // s) % d for nm, d, s in zip(lay.names, lay.dims, lay.strides)}
+        dg = dict(zip(lay.names, lay._digits))
         zero = np.zeros_like(flat)
 
         # count and swap: the counted slot takes M, and M takes the slot
@@ -991,20 +991,6 @@ def expected_wrappers(machine: VerifierMachine, witness, q: int) -> tuple[Expect
     return tuple(expected_wrapper(name, machine, witness, q) for name in EXPECTED_MEMBERS)
 
 
-def _prep_column(dim: int, vec) -> np.ndarray:
-    """A real reflection sending basis state 0 to the given unit vector."""
-    v = np.asarray(vec, dtype=float)
-    v = v / np.linalg.norm(v)
-    e0 = np.zeros(dim)
-    e0[0] = 1.0
-    u = e0 - v
-    nrm = np.linalg.norm(u)
-    if nrm < 1e-12:
-        return np.eye(dim)
-    u = u / nrm
-    return np.eye(dim) - 2.0 * np.outer(u, u)
-
-
 def oracle_zoo(domain: Sequence[Hashable]) -> tuple[QueryAlgorithm, ...]:
     """Strict algorithms against one binary table.
 
@@ -1016,7 +1002,7 @@ def oracle_zoo(domain: Sequence[Hashable]) -> tuple[QueryAlgorithm, ...]:
     big = len(domain)
     s = 1 / np.sqrt(big)
     s2 = 1 / np.sqrt(2)
-    uni = _prep_column(big, [s] * big)
+    uni = _householder_to([s] * big)
     minus = np.array([[s2, s2], [-s2, s2]])
     diff = 2.0 * np.full((big, big), 1.0 / big) - np.eye(big)
     q, a = ("Q", big), ("A", 2)
@@ -1093,7 +1079,7 @@ def ordered_zoo(alphabet: Sequence[Hashable]) -> tuple[QueryAlgorithm, ...]:
     big, n = len(dom), len(alphabet)
     pidx = {p: i for i, p in enumerate(dom)}
     s = 1 / np.sqrt(big)
-    uni = _prep_column(big, [s] * big)
+    uni = _householder_to([s] * big)
     q1, a1 = ("Q1", big), ("A1", 2)
     q2, a2 = ("Q2", big), ("A2", 2)
     o1, o2 = ("O1", n), ("O2", n)

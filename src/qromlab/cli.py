@@ -300,9 +300,6 @@ def _experiment_config(args: argparse.Namespace) -> ExperimentConfig:
         row = PROTOCOLS[args.protocol]  # its stand-ins replace the stock statements
         fields.update(protocol=args.protocol, yes_instances=row.yes, no_instances=row.no)
     if args.reps is not None:
-        protocol = args.protocol or cfg.protocol
-        if not PROTOCOLS[protocol].repeats:  # refused even at the default 3
-            raise ConfigError(f"protocol {protocol!r} has no repetitions to set")
         fields["reps"] = args.reps
     if args.eps is not None:
         fields["eps"] = args.eps

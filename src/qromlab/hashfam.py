@@ -336,16 +336,19 @@ def build_exact_adjuster(
     return AdjustingUnitary(tuple(m), "exact", full, np.arange(len(full)), 1)
 
 
-def _householder_to(target: np.ndarray) -> np.ndarray:
-    """Real unitary whose first column is the given unit vector."""
-    d = target.size
-    e0 = np.zeros(d)
+def _householder_to(vec) -> np.ndarray:
+    """A real reflection sending basis state 0 to the given vector,
+    normalised; the identity when that is basis state 0."""
+    v = np.asarray(vec, dtype=float)
+    v = v / np.linalg.norm(v)
+    e0 = np.zeros(v.size)
     e0[0] = 1.0
-    v = e0 - target
-    n2 = float(v @ v)
-    if n2 < 1e-30:
-        return np.eye(d)
-    return np.eye(d) - 2.0 * np.outer(v, v) / n2
+    u = e0 - v
+    nrm = np.linalg.norm(u)
+    if nrm < 1e-12:
+        return np.eye(v.size)
+    u = u / nrm
+    return np.eye(v.size) - 2.0 * np.outer(u, u)
 
 
 def build_efficient_adjuster(
@@ -375,7 +378,7 @@ def build_efficient_adjuster(
 
     def householder(limit: int) -> np.ndarray:  # onto offsets with digits < limit
         amp = (digits < limit).all(axis=1).astype(float)
-        return _householder_to(amp / np.sqrt(amp.sum()))
+        return _householder_to(amp)
 
     # new[off, kp]: off's digits plus base key kp's prefix values, per round
     cols = [fam.domain.index(p) for p in prefixes(m)]

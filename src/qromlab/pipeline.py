@@ -87,6 +87,7 @@ class Protocol(NamedTuple):
     no: tuple
 
 
+REPS = 3  # the repetitions a config that sets none runs and echoes
 PROTOCOLS = {
     "toy-qr": Protocol(lambda reps: toy_qr(reps), True, (4, 16), (5, 20)),
     "toy-table": Protocol(lambda reps: toy_table(), False, (1, 3), ()),
@@ -100,13 +101,15 @@ class ExperimentConfig:
 
     q is the simulator's invocation budget for the experiment at hand:
     verifier calls for the decision experiments, total calls for the
-    expected-time one. eps is the flag density as a rational. The default
+    expected-time one. eps is the flag density as a rational. reps, the
+    parallel repetitions, runs ``REPS`` when unset, and a protocol that
+    does not repeat refuses any set value, ``REPS`` included. The default
     statements are toy-qr's in ``PROTOCOLS``; the verifier flavor
     (``EXPERIMENTS``), ``SLACK`` and ``TOLERANCE`` are fixed and only echoed.
     """
 
     protocol: str = "toy-qr"
-    reps: int = 3
+    reps: Optional[int] = None
     q: int = 2
     eps: Fraction = Fraction(1, 4)
     simulator: str = "honest-wrapper"
@@ -132,7 +135,9 @@ def build_protocol(cfg: ExperimentConfig) -> ProtocolSpec:
     row = PROTOCOLS.get(cfg.protocol)
     if row is None:
         raise ConfigError(f"unknown protocol {cfg.protocol!r}")
-    if not row.repeats and cfg.reps != ExperimentConfig.reps:
+    if cfg.reps is None:
+        return row.build(REPS)
+    if not row.repeats:  # refused even at the default
         raise ConfigError(f"protocol {cfg.protocol!r} has no repetitions to set")
     return row.build(cfg.reps)
 
@@ -204,7 +209,7 @@ def _report(theorem: str, cfg: ExperimentConfig, spec: ProtocolSpec,
     echo = {
         "protocol": spec.name,
         "k": spec.rounds,
-        "reps": cfg.reps,
+        "reps": REPS if cfg.reps is None else cfg.reps,
         "q": cfg.q,
         "eps": str(cfg.eps),
         "eps_star": str(eps_star(spec.rounds, cfg.q)),
@@ -311,7 +316,8 @@ def simulator_trace(spec: ProtocolSpec, move: Callable) -> Callable:
     clear in the live replay, so a set flag there marks a measured
     point, which the extraction prover has already forwarded to the
     verifier; ``extraction_prover_value`` is exact because of this.
-    ``_walk`` refuses a response read that breaks the contract.
+    The walk checks the contract on the replay (``walk._next_event``)
+    and refuses a response read that breaks it.
     """
     k = spec.rounds
     bottom = spec.alphabet[0]

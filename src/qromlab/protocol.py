@@ -157,26 +157,22 @@ def soundness_exact(spec: ProtocolSpec, x: Hashable) -> Fraction:
     if n_m**k * n_r > MAX_STRATEGY_WORK:
         raise ConfigError("strategy space exceeds the enumeration cap")
 
-    def best(ms: tuple, rset: tuple) -> Fraction:
-        out = Fraction(0)
+    def best(ms: tuple, rset: tuple) -> int:  # accepting randomness, counted
+        out = 0
         for m in spec.alphabet:
             ms2 = ms + (m,)
             if len(ms2) == k:
-                val = Fraction(
-                    sum(1 for r in rset if spec.decide(x, r, ms2)), n_r
-                )
+                val = sum(1 for r in rset if spec.decide(x, r, ms2))
             else:
                 parts: dict = {}
                 for r in rset:
                     parts.setdefault(spec.next_message(x, r, ms2), []).append(r)
-                val = sum(
-                    (best(ms2, tuple(p)) for p in parts.values()), Fraction(0)
-                )
+                val = sum(best(ms2, tuple(p)) for p in parts.values())
             if val > out:
                 out = val
         return out
 
-    return best((), spec.randomness)
+    return Fraction(best((), spec.randomness), n_r)
 
 
 def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:

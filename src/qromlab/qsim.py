@@ -403,7 +403,7 @@ def swap_test_circuit(rho: DensityOnRegister, sigma: DensityOnRegister) -> float
     dim = rho.dim
     layout = RegisterLayout((("anc", 2), ("a", dim), ("b", dim)))
     flat = np.arange(layout.total_dim)
-    anc, ia, ib = flat % 2, flat // 2 % dim, flat // (2 * dim)
+    anc, ia, ib = layout._digits
     cswap = np.where(anc == 1, 1 + 2 * ib + 2 * dim * ia, flat)[None]
 
     def pure_accept(u: np.ndarray, v: np.ndarray) -> float:

@@ -106,6 +106,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="^unknown experiment 'annealing'$"):
             run_experiment("annealing", ExperimentConfig())
 
+    def test_an_explicit_reps_is_refused_where_nothing_repeats(self):
+        # the library refuses what the CLI refuses, the default's 3 included
+        for reps in (2, 3):
+            cfg = ExperimentConfig(protocol="toy-table", reps=reps, q=1,
+                                   yes_instances=(1, 3), no_instances=())
+            with pytest.raises(ConfigError,
+                               match="^protocol 'toy-table' has no repetitions to set$"):
+                run_experiment("three-round", cfg)
+        # an unset reps runs and echoes the default
+        cfg = ExperimentConfig(protocol="toy-table", q=1, yes_instances=(1, 3),
+                               no_instances=())
+        assert run_experiment("three-round", cfg).config["reps"] == 3
+        assert build_protocol(ExperimentConfig()).name == "toy-qr-t3"
+
     def test_tables_reach_rebound_module_names(self, monkeypatch):
         # perfbench's tracer rebinds module attributes to counting wrappers;
         # the tables must call through the rebound names, not compare or

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import live_reference as live
+import walk_reference
 from qromlab import pipeline, transforms, walk
 from qromlab.cli import main
 from qromlab.pipeline import (
@@ -110,15 +111,57 @@ def test_adaptive_multiplicities(name, x, seed, queries):
     check_hypothesis(spec, x, trace, Fraction(1, 3))
 
 
+def leaves(walker, spec, x, trace, *args):
+    """A walk's leaves as a leaf -> weight mapping: the order a walk meets
+    its leaves in is not part of its contract."""
+    out = {}
+    for weight, *leaf in walker(spec, x, trace, *args):
+        assert tuple(leaf) not in out
+        out[tuple(leaf)] = weight
+    return out
+
+
+def check_reference(spec, x, trace, *args):
+    got = leaves(_walk, spec, x, trace, *args)
+    want = leaves(walk_reference._walk, spec, x, trace, *args)
+    assert got == want
+    assert all(type(got[leaf]) is type(w) for leaf, w in want.items())
+
+
+@pytest.mark.parametrize("name", sorted(STOCK))
+def test_stock_leaves_match_the_reference_walk(name):
+    for spec, x, trace, q in stock(name):
+        check_reference(spec, x, trace, spec.rounds, q)
+        check_reference(spec, x, trace, 0, 0, ((1, 1), (0, 3)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(SPECS)),
+    x=st.sampled_from([1, 4, 5]),
+    seed=st.integers(0, 2**32 - 1),
+    queries=st.integers(1, 5),
+)
+def test_adaptive_leaves_match_the_reference_walk(name, x, seed, queries):
+    spec = SPECS[name]
+    trace = flag_trace(seed, LETTERS[name], spec.rounds, queries)
+    check_reference(spec, x, trace, spec.rounds, queries)
+    check_reference(spec, x, trace, 0, 0, ((1, Fraction(1, 3)), (0, Fraction(2, 3))))
+
+
 def reckless_trace(seed, letters, k, queries):
-    """A flag trace that sometimes reads a response whatever its flag."""
+    """A flag trace that sometimes reads a response whatever its flag,
+    and sometimes drops a read."""
 
     def trace(ask_h, ask_f):
         seen: list = []
         rng = random.Random(seed)
         for _ in range(queries):
             p = tuple(rng.choice(letters) for _ in range(rng.randint(1, k)))
-            seen.append(ask_h(p))
+            if rng.random() < 0.3:
+                ask_h(p, drop=True)
+            else:
+                seen.append(ask_h(p))
             if len(p) < k and rng.random() < 0.3:
                 seen.append(ask_f(p))
             rng = random.Random(repr((seed, seen)))
@@ -144,6 +187,8 @@ def test_the_walk_refuses_a_clear_read_where_a_replay_does(seed, queries):
     old = raised(lambda: live.extraction_prover_value(spec, 1, trace, scheds))
     new = raised(lambda: extraction_prover_value(spec, 1, trace, queries))
     assert (old is None) == (new is None)
+    ref = raised(lambda: walk_reference._walk(spec, 1, trace, 2, queries))
+    assert ref == raised(lambda: _walk(spec, 1, trace, 2, queries))
     if new is not None:
         assert new.endswith("whose flag is clear")
         check = raised(lambda: _sparse_hypothesis(spec, 1, trace, (Fraction(1, 2),)))
@@ -153,25 +198,60 @@ def test_the_walk_refuses_a_clear_read_where_a_replay_does(seed, queries):
         check_walk(spec, 1, trace, queries)
 
 
-def test_a_read_then_reprogram_slot_records_the_clear_read():
-    # timing 1 on a clear point answers 0 and marks it seen clear, while
-    # the patch holds y; timing 0 answers y and leaves nothing seen
+def test_a_slot_reprograms_the_point_it_measures():
+    # timing 0 answers y and timing 1 the clear value; either way the
+    # measured point is reprogrammed, and a path is (slots, assignment,
+    # group): nothing records what the read saw
     none = frozenset()
     group = frozenset({0, 1})
     ys = ((1, group),)
-    steps = _flag_steps((0,), 1, (0, 0, (), none, group), None, 1, ys)
+    slot = ((0, (0,)),)
+    steps = _flag_steps((0,), ((), none, group), None, 1, ys)
     assert steps == [
-        (0, (0, 0, (), none, group), 1),
-        (1, (1, 0, ((0, (0,)),), none, group), 1),
-        (0, (1, 1, ((0, (0,)),), none, group), 1),
+        (0, ((), none, group), 1),
+        (1, (slot, none, group), 1),
+        (0, (slot, none, group), 1),
     ]
-    # a later unmeasured read of the patched point sees y and clears it
-    (again,) = _flag_steps((0,), 1, (1, 1, ((0, (0,)),), none, group), None, 1, ys)
-    assert again == (1, (1, 0, ((0, (0,)),), none, group), 1)
+    # a later unmeasured read of the measured point sees y
+    (again,) = _flag_steps((0,), (slot, none, group), None, 1, ys)
+    assert again == (1, (slot, none, group), 1)
     # a live slot's y is the randomness: its read splits the group
     lives = tuple((r, frozenset({r})) for r in sorted(group))
-    split = _flag_steps((0,), 1, (1, 1, ((0, (0,)),), none, group), None, 1, lives)
-    assert split == [(r, (1, 0, ((0, (0,)),), none, frozenset({r})), 1) for r in (0, 1)]
+    split = _flag_steps((0,), (slot, none, group), None, 1, lives)
+    assert split == [(r, (slot, none, frozenset({r})), 1) for r in (0, 1)]
+    # an unmeasured read of an unset point samples each value once
+    values = ((1, 1), (0, 3))
+    sampled = _flag_steps((1,), (slot, none, group), values, 1, ys)
+    assert sampled == [(v, (slot, frozenset({((1,), v)}), group), w) for v, w in values]
+
+
+def test_a_response_read_checks_the_last_kept_read():
+    # the response contract is checked on the replay: a response at p
+    # needs the last read of p the trace kept to have answered set, and
+    # the walk raises where the reference raises on some path
+    spec = toy_table()
+
+    def refused(drops, guarded=False):
+        def trace(ask_h, ask_f):
+            live = 0
+            for drop in drops:
+                if drop:
+                    ask_h((1,), drop=True)
+                else:
+                    live = ask_h((1,))
+            return (ask_f((1,)) if live or not guarded else 0), 0
+
+        got = raised(lambda: _walk(spec, 1, trace, 1, len(drops)))
+        assert got == raised(lambda: walk_reference._walk(spec, 1, trace, 1, len(drops)))
+        return got
+
+    clear = "trace reads the response at (1,), whose flag is clear"
+    assert refused(()) == clear  # never read
+    assert refused((True,)) == clear  # only dropped: some path left it clear
+    assert refused((False,)) == clear  # some path read it clear
+    assert refused((False, True)) == clear  # a later slot sets it on some paths only
+    assert refused((False,), guarded=True) is None
+    assert refused((False, True), guarded=True) is None  # read set stays set
 
 
 @pytest.mark.parametrize("q", [7, 9])
@@ -246,6 +326,25 @@ def test_a_dropped_read_costs_no_replay(reps, replays, monkeypatch):
     cfg = default_config("constant-round")
     decide_constant_round(cfg if reps is None else replace(cfg, reps=reps))
     assert len(replayed) == replays
+
+
+@pytest.mark.parametrize("reps, calls",
+                         [(None, 660), (4, 1_156), (8, 16_036), (10, 63_652)])
+def test_paths_that_saw_different_answers_merge(reps, calls, monkeypatch):
+    # a path is (slots, assignment, group), so paths that read a point
+    # clear and set merge: 852, 1,476, 20,196 and 80,100 calls kept
+    # them apart
+    counted = []
+    flag_steps = walk._flag_steps
+
+    def counting(*args):
+        counted.append(args[0])
+        return flag_steps(*args)
+
+    monkeypatch.setattr(walk, "_flag_steps", counting)
+    cfg = default_config("constant-round")
+    decide_constant_round(cfg if reps is None else replace(cfg, reps=reps))
+    assert len(counted) == calls
 
 
 def test_a_dropped_read_adds_the_weights_of_equal_paths():
