@@ -381,6 +381,36 @@ def _moves(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
     return row(spec, x, cfg)
 
 
+def _acceptor(spec: ProtocolSpec, x) -> Callable:
+    """A memoized ``count(group, out)``: the number of r in ``group``
+    at which ``spec.decide(x, r, out)`` holds, the decision scorers' one
+    reader.
+
+    A folded spec's randomness is its base's to the reps, and it accepts
+    iff every coordinate does, so a full group counts as the product
+    over the columns of ``out`` of each column's accepting base
+    randomness, each distinct column read once and none after a zero
+    (where the folded ``decide`` reads none either). Every other group,
+    and every spec without a fold record, sums over r.
+    """
+    base, n = spec.fold_base, len(spec.randomness)
+
+    @functools.cache
+    def column(col) -> int:
+        return sum(1 for r in base.randomness if base.decide(x, r, col))
+
+    @functools.cache
+    def count(group, out) -> int:
+        if base is None or len(group) != n:  # a group is a subset of R
+            return sum(1 for r in group if spec.decide(x, r, out))
+        hits = 1
+        for col in zip(*map(spec.alphabet.split, out)):
+            hits = hits and hits * column(col)
+        return hits
+
+    return count
+
+
 # ---------------------------------------------------------------------------
 # Constant-round decision experiment.
 
@@ -392,17 +422,19 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fractio
 
     One walk serves every density: it forks each flag fairly, so a
     merged path weighs its count of runs over 2**|assignment|, and its
-    weight at eps is that count times eps**ones (1-eps)**zeros.
+    weight at eps is that count times eps**ones (1-eps)**zeros. Each
+    path's accepting randomness is read by ``_acceptor``.
     """
     densities = tuple(Fraction(eps) for eps in densities)
     k = spec.rounds
+    count = _acceptor(spec, x)
     totals = [Fraction(0)] * len(densities)
     for weight, group, _, out, asg, _ in _walk(spec, x, trace,
                                                values=((1, 1), (0, 1))):
         flags = dict(asg)
         if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
             continue
-        accepted = sum(1 for r in group if spec.decide(x, r, out))
+        accepted = count(group, out)
         ones = sum(flags.values())
         runs = weight * 2 ** len(flags)
         for j, eps in enumerate(densities):
@@ -425,7 +457,8 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     is accepted; a clash breaks the first condition, and loses. The
     decision value scores a run when its measured points, backfilled by
     the output's prefixes, assemble into a full accepted transcript
-    under the ordered abort rule.
+    under the ordered abort rule. Both count accepting randomness with
+    ``_acceptor``.
 
     Raises:
         ConfigError: a path makes other than q flag queries.
@@ -434,19 +467,17 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
         (extraction value, decision value), exact.
     """
     k = spec.rounds
+    count = _acceptor(spec, x)
     extracted = decided = 0
     for weight, group, slots, out, _, made in _walk(spec, x, trace, k, q):
         if made != q:
             raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
         measured = dict(slots)
         _, got = _ordered_outcome(measured, out)
-        full = got is not None and len(got) == k
-        prefixes = all(p == out[: len(p)] for p in measured.values())
-        for r in group:
-            if full and spec.decide(x, r, got):
-                decided += weight
-            if prefixes and spec.decide(x, r, out):
-                extracted += weight
+        if got is not None and len(got) == k:
+            decided += weight * count(group, got)
+        if all(p == out[: len(p)] for p in measured.values()):
+            extracted += weight * count(group, out)
     total = len(spec.randomness) * _schedule_count(k, q)
     return Fraction(extracted, total), Fraction(decided, total)
 
@@ -729,13 +760,14 @@ def _fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     """(Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names, the
     most queries any run made); an entry the run never queried is
-    averaged over the randomness."""
+    averaged over the randomness, its hits read by ``_acceptor``."""
+    count = _acceptor(spec, x)
     total = Fraction(0)
     leaves = _label_walk(spec, x, trace)
     for weight, group, _, out, asg, _ in leaves:
         label = dict(asg).get(out[:1])
         named = spec.randomness if label is None else (label,)
-        hits = sum(1 for r in named if spec.decide(x, r, out))
+        hits = count(named, out)
         if hits:
             total += weight * Fraction(hits * len(group), len(named))
     return total / len(spec.randomness), max(made for *_, made in leaves)
@@ -753,20 +785,21 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     wins iff the measured point, if any, is the output's first message
     and the output is accepted. The extraction value composes the
     measured first message (the output's own if none was measured)
-    with the simulator's final move.
+    with the simulator's final move. Both count accepting randomness
+    with ``_acceptor``.
 
     Returns:
         (forwarding prover's value, extraction value), exact.
     """
+    count = _acceptor(spec, x)
     forwarded = extracted = Fraction(0)
     for weight, group, slots, out, _, _ in _label_walk(spec, x, trace, 1, q):
         measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
         if len(claim) == 1:
-            composed = (claim[0], out[1])
-            extracted += weight * sum(1 for r in group if spec.decide(x, r, composed))
+            extracted += weight * count(group, (claim[0], out[1]))
         if measured in (None, out[:1]):
-            forwarded += weight * sum(1 for r in group if spec.decide(x, r, out))
+            forwarded += weight * count(group, out)
     total = len(spec.randomness) * _schedule_count(1, q)
     return forwarded / total, extracted / total
 

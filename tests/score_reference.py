@@ -1,0 +1,83 @@
+"""The four decision scorers as they were before ``pipeline._acceptor``.
+
+Each counts a walk leaf's accepting randomness with a per-r loop of
+``spec.decide`` calls over the leaf's group, so an unmeasured leaf of a
+folded spec costs one folded ``decide`` per r of the whole product
+randomness. The bodies are otherwise the pipeline's: the same walks,
+the same weights and the same exact sums. The pipeline's scorers read
+the count from ``_acceptor`` instead, and are tested against these for
+exact ``Fraction`` equality.
+"""
+
+from fractions import Fraction
+
+from qromlab.pipeline import _label_walk
+from qromlab.protocol import ConfigError, ProtocolSpec
+from qromlab.transforms import _ordered_outcome, _schedule_count
+from qromlab.walk import _walk
+
+
+def sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fraction, ...]:
+    """``pipeline._sparse_hypothesis``, per-r."""
+    densities = tuple(Fraction(eps) for eps in densities)
+    k = spec.rounds
+    totals = [Fraction(0)] * len(densities)
+    for weight, group, _, out, asg, _ in _walk(spec, x, trace,
+                                               values=((1, 1), (0, 1))):
+        flags = dict(asg)
+        if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
+            continue
+        accepted = sum(1 for r in group if spec.decide(x, r, out))
+        ones = sum(flags.values())
+        runs = weight * 2 ** len(flags)
+        for j, eps in enumerate(densities):
+            totals[j] += runs * eps**ones * (1 - eps) ** (len(flags) - ones) * accepted
+    return tuple(t / len(spec.randomness) for t in totals)
+
+
+def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
+    """``pipeline.extraction_prover_value``, per-r."""
+    k = spec.rounds
+    extracted = decided = 0
+    for weight, group, slots, out, _, made in _walk(spec, x, trace, k, q):
+        if made != q:
+            raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
+        measured = dict(slots)
+        _, got = _ordered_outcome(measured, out)
+        full = got is not None and len(got) == k
+        prefixes = all(p == out[: len(p)] for p in measured.values())
+        for r in group:
+            if full and spec.decide(x, r, got):
+                decided += weight
+            if prefixes and spec.decide(x, r, out):
+                extracted += weight
+    total = len(spec.randomness) * _schedule_count(k, q)
+    return Fraction(extracted, total), Fraction(decided, total)
+
+
+def fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
+    """``pipeline._fs_game_value``, per-r."""
+    total = Fraction(0)
+    leaves = _label_walk(spec, x, trace)
+    for weight, group, _, out, asg, _ in leaves:
+        label = dict(asg).get(out[:1])
+        named = spec.randomness if label is None else (label,)
+        hits = sum(1 for r in named if spec.decide(x, r, out))
+        if hits:
+            total += weight * Fraction(hits * len(group), len(named))
+    return total / len(spec.randomness), max(made for *_, made in leaves)
+
+
+def single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
+    """``pipeline._single_slot_extraction``, per-r."""
+    forwarded = extracted = Fraction(0)
+    for weight, group, slots, out, _, _ in _label_walk(spec, x, trace, 1, q):
+        measured = slots[0][1] if slots else None
+        claim = out[:1] if measured is None else measured
+        if len(claim) == 1:
+            composed = (claim[0], out[1])
+            extracted += weight * sum(1 for r in group if spec.decide(x, r, composed))
+        if measured in (None, out[:1]):
+            forwarded += weight * sum(1 for r in group if spec.decide(x, r, out))
+    total = len(spec.randomness) * _schedule_count(1, q)
+    return forwarded / total, extracted / total

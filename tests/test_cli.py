@@ -389,6 +389,38 @@ def test_five_repetitions_keep_their_values(theorem, tmp_path, capsys):
     assert all(c["pass"] for c in report["checks"])
 
 
+def test_eight_repetitions_of_three_round_keep_their_values(tmp_path, capsys):
+    # the values the per-r scorers gave, where a full group's 256 coins
+    # are now counted per coordinate
+    path = tmp_path / "r.json"
+    assert main(["run", "three-round", "--reps", "8", "--out", str(path)]) == 0
+    capsys.readouterr()
+    report = json.loads(path.read_text())
+    assert report["config"]["protocol"] == "toy-qr-t8"
+    assert report["decision"] == {
+        "yes": [0.3359375, 0.3359375],
+        "no": [0.001312255859375, 0.001312255859375],
+        "gap": 0.334625244140625,
+    }
+    assert [(c["statement"], c["name"], c["lhs"], c["rhs"])
+            for c in report["checks"]] == [
+        ("4", "challenge-game", 1.0, 0.499999999),
+        ("4", "decision-queries", 0.0, 1.0),
+        ("4", "yes-decision", 0.3359375, 0.003472221222222222),
+        ("16", "challenge-game", 1.0, 0.499999999),
+        ("16", "decision-queries", 0.0, 1.0),
+        ("16", "yes-decision", 0.3359375, 0.003472221222222222),
+        ("5", "extraction-dominance", 0.001312255859375, 0.001312255859375),
+        ("5", "extraction-soundness", 0.001312255859375, 0.0039062501),
+        ("5", "no-decision", 0.001312255859375, 0.0039062501),
+        ("20", "extraction-dominance", 0.001312255859375, 0.001312255859375),
+        ("20", "extraction-soundness", 0.001312255859375, 0.0039062501),
+        ("20", "no-decision", 0.001312255859375, 0.0039062501),
+        ("*", "decision-gap", 0.334625244140625, 0.1),
+    ]
+    assert all(c["pass"] for c in report["checks"])
+
+
 @pytest.mark.parametrize(
     "sim", ["expected-geometric", "expected-honest", "expected-lazy"]
 )
