@@ -7,11 +7,15 @@ coherently. Each call is a basis permutation doing the
 count/swap/respond bookkeeping, followed for the coherent kind by
 transcript-controlled adjusting rotations on the table register. The
 permutation is one vectorized numpy computation over per-register digit
-arrays. (The paper's hash-challenge and response-oracle verifiers run as
-response traces on ``pipeline``'s label walk, where a challenge is its
-randomness label.) Simulators are step lists that
-may call the machine forward or inverted and query one classical table
-in superposition. They measure nothing themselves: by deferred
+arrays, made once per statement and shared by both kinds at every
+density, since neither enters it: the aborting kind's step is the
+coherent kind's Cont = 1 block. The rotations are made once per density
+and shared by every statement; both are kept while the spec lives
+(``_shared``). (The paper's hash-challenge and response-oracle verifiers
+run as response traces on ``pipeline``'s label walk, where a challenge
+is its randomness label.) Simulators are step lists that may call the
+machine forward or inverted and query one classical table in
+superposition. They measure nothing themselves: by deferred
 measurement, copying a register onto a fresh work register gives the
 statistics measuring it would. One executor, ``run_query_algorithm``,
 runs every one of them, and every table average and schedule list,
@@ -49,6 +53,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import weakref
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import cached_property
@@ -99,7 +104,9 @@ class VerifierMachine:
 
     The layout orders control registers first (Cont, R, then the flag
     table H), the count/transcript/decision block next, and the message
-    register M last.
+    register M last. A machine is cheap: its statement's one step
+    permutation pair serves both kinds at every density, and its
+    density's one adjuster stack serves every statement.
     """
 
     kind: str
@@ -120,52 +127,18 @@ class VerifierMachine:
     def _step_perm(self) -> np.ndarray:
         """Basis permutation of one call: count, swap, respond, decide.
 
-        One numpy computation over a digit array per register. The flag
-        of table position p is bit p of the H digit.
+        Read-only. Both kinds read the statement's one pair of
+        Cont-free permutations (``_step_perms``), whatever the density:
+        the aborting kind's step is the gated one, and the coherent kind
+        interleaves the two on its leading Cont digit, the Cont = 0
+        block ungated and the Cont = 1 block gated.
         """
-        lay, spec, x, k = self.layout, self.spec, self.x, self.k
-        n = len(spec.alphabet)
-        aidx = {a: i for i, a in enumerate(spec.alphabet)}
-        flat = np.arange(lay.total_dim, dtype=np.int64)
-        dg = dict(zip(lay.names, lay._digits))
-        zero = np.zeros_like(flat)
-
-        # count and swap: the counted slot takes M, and M takes the slot
-        j = dg["Count"]
-        msgs = np.stack([dg[f"M{i}"] for i in range(1, k + 1)])
-        m = msgs[j, flat]
-        msgs[j, flat] = dg["M"]
-
-        # table position of each prefix (shortest first)
-        points = self._prefix_points
-        code, offset, pf = zero, 0, []
-        for i in range(k):
-            code = code * n + msgs[i]
-            pf.append(offset + code)
-            offset += n ** (i + 1)
-        pf = np.stack(pf)
-
-        live = (dg["H"] >> pf) & 1 == 1
-        if "Cont" in dg:  # only the Cont = 1 block aborts on a zero flag
-            live |= dg["Cont"] != 1
-        # the response digit below round k, the acceptance bit at round k
-        out = np.array([
-            [
-                aidx[spec.next_message(x, r, p)] if len(p) < k
-                else int(bool(spec.decide(x, r, p)))
-                for p in points
-            ]
-            for r in spec.randomness
-        ])
-        val = out[dg["R"], pf[j, flat]]
-        resp = np.where(live[j, flat], val, 0)
-        acc = val & live.all(axis=0)
-
-        final = j == k - 1
-        new = dict(dg, Count=(j + 1) % k, M=np.where(final, m, (m + resp) % n))
-        new["B"] = np.where(final, dg["B"] ^ acc, dg["B"])
-        new.update((f"M{i}", msgs[i - 1]) for i in range(1, k + 1))
-        return sum(new[nm] * s for nm, s in zip(lay.names, lay.strides))
+        gated, ungated = _shared(_step_perms, self.spec, self.x)
+        if self.kind == "random_aborting":
+            return gated
+        perm = np.stack((2 * ungated, 2 * gated + 1), axis=1).ravel()
+        perm.setflags(write=False)
+        return perm
 
     @cached_property
     def _control_rows(self) -> _ControlRows:
@@ -177,12 +150,11 @@ class VerifierMachine:
         table's H digit is its bit mask. The rows share this layout with
         its control registers dropped.
         """
-        rs = self.spec.randomness
-        tables = tuple(SparseOracleDist(self._prefix_points, self.eps)._weighted_masks())
+        nr = len(self.spec.randomness)
+        tables = [(mask, w / nr) for mask, w in
+                  SparseOracleDist(self._prefix_points, self.eps)._weighted_masks()]
         cs, weights = zip(*(
-            (ri + len(rs) * mask, w / len(rs))
-            for ri in range(len(rs))
-            for mask, w in tables
+            (ri + nr * mask, w) for ri in range(nr) for mask, w in tables
         ))
         layout = RegisterLayout(self.layout.registers[self.layout.index("Count"):])
         ctrl = self.layout.total_dim // layout.total_dim
@@ -194,18 +166,11 @@ class VerifierMachine:
 
     @cached_property
     def _adjusters(self) -> Optional[np.ndarray]:
-        """The coherent kind's table rotation of each transcript, stacked
-        as (n**k, |H|, |H|) with transcript digit M1 fastest. The stack is
-        complex, like the rows, so the einsum stays complex x complex."""
+        """The coherent kind's table rotations (``_adjuster_stack``), one
+        stack per density that every statement shares."""
         if self.kind != "superposition":
             return None
-        dist = SparseOracleDist(self._prefix_points, self.eps)
-        stack = np.stack([
-            build_exact_adjuster(t[::-1], dist).matrix
-            for t in itertools.product(self.spec.alphabet, repeat=self.k)
-        ], dtype=complex)
-        stack.setflags(write=False)
-        return stack
+        return _shared(_adjuster_stack, self.spec, self.eps)
 
     def _apply_adjusters(self, rows: np.ndarray, forward: bool) -> np.ndarray:
         """Rotate the table axis of each just-finished Cont=0 block, in place.
@@ -253,29 +218,120 @@ def build_verifier(
     """
     if kind not in VERIFIER_KINDS:
         raise ValueError(f"unknown verifier kind {kind!r}")
-    n, k = len(spec.alphabet), spec.rounds
     if eps is None:
         raise ValueError(f"the {kind} kind needs a predicate density")
     eps = Fraction(eps)
 
-    regs: list[tuple[str, int]] = []
+    regs: tuple[tuple[str, int], ...] = ()
     if kind == "superposition":
         if not 0 < eps <= 1:
             raise ValueError("the adjusting rotation needs a density in (0, 1]")
-        regs.append(("Cont", 2))
+        regs = (("Cont", 2),)
     elif not 0 <= eps <= 1:
         raise ValueError("predicate density outside [0, 1]")
-    regs.append(("R", len(spec.randomness)))
-    regs.append(("H", _table_dim(2, _prefix_count(n, k))))
-    regs.append(("Count", k))
-    regs += [(f"M{i}", n) for i in range(1, k + 1)]
-    regs += [("B", 2), ("M", n)]
-    layout = RegisterLayout(tuple(regs))
+    layout = RegisterLayout(regs + _step_registers(spec))
     if layout.total_dim > MAX_STATE_DIM:
         raise ConfigError(
             f"machine dimension {layout.total_dim} exceeds the dense cap"
         )
     return VerifierMachine(kind, spec, x, layout, eps)
+
+
+def _step_registers(spec: ProtocolSpec) -> tuple[tuple[str, int], ...]:
+    """The Cont-free machine registers: R, the flag table H, Count, the
+    transcript M1..Mk, B and M. They are the aborting kind's layout, and
+    the coherent kind's after its leading Cont."""
+    n, k = len(spec.alphabet), spec.rounds
+    msgs = tuple((f"M{i}", n) for i in range(1, k + 1))
+    return (("R", len(spec.randomness)), ("H", _table_dim(2, _prefix_count(n, k))),
+            ("Count", k), *msgs, ("B", 2), ("M", n))
+
+
+# spec -> {(_step_perms, x): (gated, ungated), (_adjuster_stack, eps): stack},
+# the arrays no verifier kind or density changes; an entry goes with its spec
+_SHARED: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _shared(build, spec: ProtocolSpec, arg):
+    """``build(spec, arg)``, made once and kept while the spec lives."""
+    memo = _SHARED.setdefault(spec, {})
+    if (build, arg) not in memo:
+        memo[build, arg] = build(spec, arg)
+    return memo[build, arg]
+
+
+def _step_perms(spec: ProtocolSpec, x: Hashable) -> tuple[np.ndarray, np.ndarray]:
+    """(gated, ungated) basis permutations of one call on the Cont-free
+    layout (``_step_registers``): count, swap, respond, decide.
+
+    One numpy computation over a digit array per register serves both.
+    In the gated one a zero flag silences the response and the
+    acceptance bit, the flag of table position p being bit p of the H
+    digit; the ungated one reads no flag. Both are read-only.
+    """
+    lay = RegisterLayout(_step_registers(spec))
+    k, n = spec.rounds, len(spec.alphabet)
+    aidx = {a: i for i, a in enumerate(spec.alphabet)}
+    flat = np.arange(lay.total_dim, dtype=np.int64)
+    dg = dict(zip(lay.names, lay._digits))
+
+    # count and swap: the counted slot takes M, and M takes the slot
+    j = dg["Count"]
+    msgs = np.stack([dg[f"M{i}"] for i in range(1, k + 1)])
+    m = msgs[j, flat]
+    msgs[j, flat] = dg["M"]
+
+    # table position of each prefix (shortest first)
+    points = prefix_domain(spec.alphabet, k)
+    code, offset, pf = np.zeros_like(flat), 0, []
+    for i in range(k):
+        code = code * n + msgs[i]
+        pf.append(offset + code)
+        offset += n ** (i + 1)
+    pf = np.stack(pf)
+
+    live = (dg["H"] >> pf) & 1 == 1
+    # the response digit below round k, the acceptance bit at round k
+    out = np.array([
+        [
+            aidx[spec.next_message(x, r, p)] if len(p) < k
+            else int(bool(spec.decide(x, r, p)))
+            for p in points
+        ]
+        for r in spec.randomness
+    ])
+    val = out[dg["R"], pf[j, flat]]
+
+    # every register but M and B moves the same way in both
+    final = j == k - 1
+    new = dict(dg, Count=(j + 1) % k)
+    new.update((f"M{i}", msgs[i - 1]) for i in range(1, k + 1))
+    stride = dict(zip(lay.names, lay.strides))
+    rest = sum(new[nm] * stride[nm] for nm in lay.names if nm not in ("M", "B"))
+
+    def perm(resp, acc):
+        moved = (rest
+                 + np.where(final, m, (m + resp) % n) * stride["M"]
+                 + np.where(final, dg["B"] ^ acc, dg["B"]) * stride["B"])
+        moved.setflags(write=False)
+        return moved
+
+    gated = perm(np.where(live[j, flat], val, 0), val & live.all(axis=0))
+    return gated, perm(val, val)
+
+
+def _adjuster_stack(spec: ProtocolSpec, eps: Fraction) -> np.ndarray:
+    """The coherent kind's table rotation of each transcript at density
+    eps, stacked as (n**k, |H|, |H|) with transcript digit M1 fastest,
+    read-only. The stack is complex, like the rows, so the einsum stays
+    complex x complex."""
+    dist = SparseOracleDist(prefix_domain(spec.alphabet, spec.rounds), eps)
+    stack = np.stack([
+        build_exact_adjuster(t[::-1], dist).matrix
+        for t in itertools.product(spec.alphabet, repeat=spec.rounds)
+    ], dtype=complex)
+    stack.setflags(write=False)
+    return stack
 
 
 def _prefix_count(n: int, depth: int) -> int:

@@ -760,17 +760,22 @@ def _fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     """(Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names, the
     most queries any run made); an entry the run never queried is
-    averaged over the randomness, its hits read by ``_acceptor``."""
+    averaged over the randomness, its hits read by ``_acceptor``. The
+    leaves sum as integers over their weights' common denominator,
+    divided once."""
     count = _acceptor(spec, x)
-    total = Fraction(0)
+    nr = len(spec.randomness)
     leaves = _label_walk(spec, x, trace)
+    den = math.lcm(*(weight.denominator for weight, *_ in leaves))
+    total = 0
     for weight, group, _, out, asg, _ in leaves:
         label = dict(asg).get(out[:1])
         named = spec.randomness if label is None else (label,)
         hits = count(named, out)
-        if hits:
-            total += weight * Fraction(hits * len(group), len(named))
-    return total / len(spec.randomness), max(made for *_, made in leaves)
+        if hits:  # hits·|group|/|named|, where |named| is 1 or |R|
+            scaled = den // weight.denominator * weight.numerator
+            total += scaled * hits * len(group) * (nr // len(named))
+    return Fraction(total, den * nr * nr), max(made for *_, made in leaves)
 
 
 def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
@@ -786,22 +791,26 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     and the output is accepted. The extraction value composes the
     measured first message (the output's own if none was measured)
     with the simulator's final move. Both count accepting randomness
-    with ``_acceptor``.
+    with ``_acceptor``, and sum as integers over the leaf weights'
+    common denominator, divided once.
 
     Returns:
         (forwarding prover's value, extraction value), exact.
     """
     count = _acceptor(spec, x)
-    forwarded = extracted = Fraction(0)
-    for weight, group, slots, out, _, _ in _label_walk(spec, x, trace, 1, q):
+    leaves = _label_walk(spec, x, trace, 1, q)
+    den = math.lcm(*(weight.denominator for weight, *_ in leaves))
+    forwarded = extracted = 0
+    for weight, group, slots, out, _, _ in leaves:
+        scaled = den // weight.denominator * weight.numerator
         measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
         if len(claim) == 1:
-            extracted += weight * count(group, (claim[0], out[1]))
+            extracted += scaled * count(group, (claim[0], out[1]))
         if measured in (None, out[:1]):
-            forwarded += weight * count(group, out)
-    total = len(spec.randomness) * _schedule_count(1, q)
-    return forwarded / total, extracted / total
+            forwarded += scaled * count(group, out)
+    total = len(spec.randomness) * _schedule_count(1, q) * den
+    return Fraction(forwarded, total), Fraction(extracted, total)
 
 
 def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:

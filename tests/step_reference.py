@@ -42,9 +42,10 @@ def decode(layout, flat: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reference_step_perm(machine, r=None, h=None) -> np.ndarray:
+def reference_step_perm(machine, r=None, h=None, flats=None) -> np.ndarray:
     """Basis permutation of one call: count, swap, respond, decide. A
-    machine without an R or an H register reads ``r`` or ``h`` instead."""
+    machine without an R or an H register reads ``r`` or ``h`` instead.
+    With ``flats``, only the images of those basis indices, in order."""
     lay, spec, x, k = machine.layout, machine.spec, machine.x, machine.k
     n = len(spec.alphabet)
     aidx = {a: i for i, a in enumerate(spec.alphabet)}
@@ -104,15 +105,16 @@ def reference_step_perm(machine, r=None, h=None) -> np.ndarray:
                 resp = 0
             dg[i_m] = (dg[i_m] + resp) % n
 
-    perm = np.empty(lay.total_dim, dtype=np.int64)
-    for flat in range(lay.total_dim):
-        dg = list(decode(lay, flat))
+    flats = range(lay.total_dim) if flats is None else flats
+    perm = np.empty(len(flats), dtype=np.int64)
+    for i, flat in enumerate(flats):
+        dg = list(decode(lay, int(flat)))
         j = dg[i_count]
         dg[i_count] = (j + 1) % k
         slot = i_msg[j]
         dg[i_m], dg[slot] = dg[slot], dg[i_m]
         act(dg, j, j == k - 1)
-        perm[flat] = lay.encode(dg)
+        perm[i] = lay.encode(dg)
     return perm
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qromlab.adversary import build_verifier
+from qromlab.adversary import VERIFIER_KINDS, build_verifier
 from qromlab.oracle import ClassicalOracle, prefix_domain
 from qromlab.pipeline import build_protocol, default_config, eps_star
 from qromlab.protocol import ProtocolSpec, toy_guess, toy_table
@@ -160,13 +160,16 @@ def _random_pin(draw, spec):
 @settings(max_examples=40, deadline=None)
 @given(spec=small_specs(), data=st.data())
 def test_random_specs_match_reference(spec, data):
-    kind = data.draw(st.sampled_from(["random_aborting", "superposition"]))
-    fixed = {} if kind == "superposition" else _random_pin(data.draw, spec)
-    machine = build_verifier(kind, spec, 0, eps=EPS4)
-    if fixed:
-        machine = pinned_machine(machine, fixed)
-    want = reference_step_perm(machine, fixed.get("R"), fixed.get("H"))
-    assert np.array_equal(machine._step_perm, want)
+    """Both kinds at two densities of one (spec, x), all four read from
+    the statement's one pair of permutations."""
+    pin = _random_pin(data.draw, spec)
+    for kind, eps in itertools.product(VERIFIER_KINDS, (EPS4, Fraction(1))):
+        fixed = pin if kind == "random_aborting" else {}
+        machine = build_verifier(kind, spec, 0, eps=eps)
+        if fixed:
+            machine = pinned_machine(machine, fixed)
+        want = reference_step_perm(machine, fixed.get("R"), fixed.get("H"))
+        assert np.array_equal(machine._step_perm, want)
 
 
 def _assert_slices_match_direct_builds(machine):
