@@ -44,9 +44,11 @@ The executor settles a run before its first step: every refusal, the
 bill and each start row's weight. A run's final rows stay stacked as
 one ``StrictRun``, the only form a run's result takes:
 ``run_query_algorithm`` returns one, and ``run_simulator`` one per
-strict branch, with its stopping weight. ``output_distribution``,
-``pr_register``, ``pr_joint_budget`` and ``cont_density`` read all of a
-run's rows with one reduction or one split.
+strict branch, with its stopping weight. ``output_distribution`` reads
+all of a run's rows with one reduction. Branches that share a run share
+its rows, so ``pr_register``, ``pr_joint_budget`` and ``cont_density``
+read each shared run once, with one reduction or one split, and fold in
+each branch's stopping weight.
 """
 
 from __future__ import annotations
@@ -598,7 +600,8 @@ class StrictRun:
     the run is built. Row i keeps its table ``oracles[i]`` (None in a
     run without one) and ``outcomes[i]``, a (label, domain position)
     pair per measured reprogram slot; the call count is its algorithm's bill.
-    ``len(run)`` is the row count.
+    ``len(run)`` is the row count. The branches ``run_simulator`` makes
+    with ``replace`` share one read-only amplitudes array.
     """
 
     weight: object
@@ -754,36 +757,77 @@ def pr_budget(runs: Sequence[StrictRun], q: int):
     )
 
 
+def _exact(value) -> bool:
+    """Whether a weight is an int or a Fraction, so sums of it stay exact."""
+    return isinstance(value, (int, Fraction))
+
+
+def _per_array(runs: Sequence[StrictRun], read):
+    """(run, ``read(run)``) for each run in order, ``read`` made once per
+    distinct row array: the branches ``run_simulator`` makes with
+    ``replace`` share their amplitudes, weights and layout, so they share
+    one read. Keying on ids is safe within one call, since ``runs`` keeps
+    every array alive, and the arrays are read-only."""
+    memo: dict = {}
+    for run in runs:
+        key = (id(run.amplitudes), id(run.weights), id(run.layout))
+        if key not in memo:
+            memo[key] = read(run)
+        yield run, memo[key]
+
+
+def _b_ones(run: StrictRun):
+    """The rows of a run where B reads 1 above ``_EXACT_TOL``, as (row, p)
+    in row order from one reduction over the stacked rows, and the exact
+    sum of their weights when there is one and each of them reads 1 with
+    certainty and weighs an int or Fraction (else None)."""
+    axis = 1 + run.layout.axis_of("B")
+    ones = _register_probs(run.tensor(), [0, axis])[:, 1].tolist()
+    hits = [(i, p) for i, p in enumerate(ones) if p > _EXACT_TOL]
+    if hits and all(abs(p - 1.0) <= _EXACT_TOL and _exact(run.weights[i]) for i, p in hits):
+        return hits, sum((run.weights[i] for i, _ in hits), start=0)
+    return hits, None
+
+
 def pr_joint_budget(runs: Sequence[StrictRun], q: float):
     """Mixture probability of {within q invocations and B = 1}.
 
-    B's probabilities come from one reduction over each run's stacked
-    rows; the rows' terms are added in row order, each row's weight kept
-    exact when B reads 1 with certainty.
+    B's probabilities come from one reduction per distinct row array;
+    the rows' terms are added in branch and row order, each row's weight
+    kept exact when B reads 1 with certainty. While the total is exact,
+    a branch whose B = 1 rows are all exact adds its stopping weight
+    times their exact sum, which is the same Fraction (or int).
     """
     total = 0
-    for run in runs:
-        if run.invocations > q:
+    for run, (hits, inner) in _per_array([r for r in runs if r.invocations <= q], _b_ones):
+        if inner is not None and _exact(total) and _exact(run.weight):
+            total = total + run.weight * inner
             continue
-        axis = 1 + run.layout.axis_of("B")
-        ones = _register_probs(run.tensor(), [0, axis])[:, 1].tolist()
-        for i, p in enumerate(ones):
-            if p > _EXACT_TOL:
-                total = total + _scale(run.row_weight(i), p)
+        for i, p in hits:
+            total = total + _scale(run.row_weight(i), p)
     return total
 
 
+def _b_one_states(run: StrictRun):
+    """(row, p, reduced Cont matrix) for each row of a run where B reads 1,
+    in row order: one split of the stacked rows on B."""
+    rows, outs, probs, posts = _split_rows(run.tensor(), run.layout.axis_of("B"))
+    return [
+        (i, p, partial_trace(StateVector(run.layout, post), "Cont").matrix)
+        for i, o, p, post in zip(rows.tolist(), outs.tolist(), probs.tolist(), posts)
+        if o == 1
+    ]
+
+
 def cont_density(runs: Sequence[StrictRun]):
-    """(Pr[B = 1], reduced Cont state given B = 1) across all branches."""
+    """(Pr[B = 1], reduced Cont state given B = 1) across all branches,
+    each distinct row array split and traced once."""
     num = np.zeros((2, 2), dtype=complex)
     den = 0.0
-    for run in runs:
-        rows, outs, probs, posts = _split_rows(run.tensor(), run.layout.axis_of("B"))
-        for i, o, p, post in zip(rows.tolist(), outs.tolist(), probs.tolist(), posts):
-            if o != 1:
-                continue
+    for run, states in _per_array(runs, _b_one_states):
+        for i, p, rho in states:
             w = float(run.row_weight(i)) * p
-            num += w * partial_trace(StateVector(run.layout, post), "Cont").matrix
+            num += w * rho
             den += w
     if den <= PROB_FLOOR:
         return 0.0, None

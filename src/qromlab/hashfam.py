@@ -313,6 +313,13 @@ def flagged_table_superposition(
     return out
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two matrices as one broadcast product: entry
+    (i*rb + k, j*cb + l) is the single product a[i, j] * b[k, l]."""
+    (ra, ca), (rb, cb) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
+
+
 def build_exact_adjuster(
     m: Sequence[Hashable], dist: SparseOracleDist
 ) -> AdjustingUnitary:
@@ -332,7 +339,7 @@ def build_exact_adjuster(
         raise ValueError(f"prefixes {sorted(missing)} outside the predicate domain")
     u_inv = np.array([[np.sqrt(eps), -np.sqrt(1 - eps)], [np.sqrt(1 - eps), np.sqrt(eps)]])
     mats = [u_inv if point in pres else np.eye(2) for point in dist.domain]
-    full = reduce(np.kron, reversed(mats))  # point 0 least significant
+    full = reduce(_kron, reversed(mats))  # point 0 least significant
     return AdjustingUnitary(tuple(m), "exact", full, np.arange(len(full)), 1)
 
 

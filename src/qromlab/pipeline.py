@@ -502,8 +502,8 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
         raise ConfigError("the trace layout covers one- and two-move specs")
     if cfg.q != k:
         raise ConfigError(
-            f"the flag trace makes {k} verifier calls, so the budget q must be"
-            f" {k}, not {cfg.q}"
+            f"the flag trace makes {k} verifier call{'s' * (k != 1)}, so the"
+            f" budget q must be {k}, not {cfg.q}"
         )
     q_h = 2 * k * cfg.q
     factor = (2 * q_h + 1) ** (2 * k)

@@ -5,10 +5,12 @@ run's rows became one stacked ``StrictRun``.
 branch by branch: each strict run's branches, from the per-branch
 executor of ``pinned_reference``, are re-weighted by the stopping weight
 with ``dataclasses.replace``. The readers reduce each branch on its own:
-``pr_joint_budget`` makes one ``_register_probs`` call per branch, and
-``cont_density`` one ``measure_register`` per branch. It is the
-reference the stacked result and its one-call-per-run readers are tested
-against, exactly.
+``pr_joint_budget`` makes one ``_register_probs`` call per branch and
+adds one term per branch, and ``cont_density`` one ``measure_register``
+and one ``partial_trace`` per branch. It is the reference the stacked
+result is tested against, exactly, and so are the library's readers,
+which read each distinct row array once however many branches share it
+and add an all-exact run's accepting rows as one exact sum.
 """
 
 import math

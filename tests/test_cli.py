@@ -109,6 +109,8 @@ class TestRun:
              "protocol 'toy-table' has no repetitions to set"),
             (["three-round", "--protocol", "toy-table", "--reps", "3"],
              "protocol 'toy-table' has no repetitions to set"),
+            (["constant-round", "--protocol", "toy-guess"],
+             "the flag trace makes 1 verifier call, so the budget q must be 1, not 2"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):

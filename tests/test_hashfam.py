@@ -4,6 +4,7 @@ import itertools
 import time
 import tracemalloc
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -286,6 +287,25 @@ class TestExactAdjuster:
         got = build_exact_adjuster(m, dist).matrix
         assert got.dtype == np.float64
         assert np.array_equal(got, reference_exact_adjuster(m, dist))
+
+    @pytest.mark.parametrize("eps", [Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), Fraction(1)])
+    def test_matrix_bytes_equal_the_kron_chain(self, eps):
+        """Every flag pattern on 1 to ``MAX_EXACT_DOMAIN`` points: the
+        flagged points hold the prefixes of an all-zero transcript, the
+        others points no prefix is, and the matrix is byte for byte
+        ``np.kron``'s chain of the same 2x2 factors."""
+        e = float(eps)
+        u_inv = np.array([[np.sqrt(e), -np.sqrt(1 - e)], [np.sqrt(1 - e), np.sqrt(e)]])
+        for n in range(1, hashfam.MAX_EXACT_DOMAIN + 1):
+            for flags in itertools.product((0, 1), repeat=n):
+                rank = itertools.accumulate(flags)
+                domain = [(0,) * r if f else ("free", i)
+                          for i, (f, r) in enumerate(zip(flags, rank))]
+                got = build_exact_adjuster((0,) * sum(flags), SparseOracleDist(domain, eps))
+                mats = [u_inv if f else np.eye(2) for f in flags]
+                want = reduce(np.kron, reversed(mats))
+                assert got.matrix.dtype == want.dtype
+                assert got.matrix.tobytes() == want.tobytes()
 
 
 class TestStructuredForm:
