@@ -153,10 +153,13 @@ class VerifierMachine:
         its control registers dropped.
         """
         nr = len(self.spec.randomness)
-        tables = [(mask, w / nr) for mask, w in
-                  SparseOracleDist(self._prefix_points, self.eps)._weighted_masks()]
+        tables = list(SparseOracleDist(self._prefix_points, self.eps)._weighted_masks())
+        # a table's weight is set by its count of ones, and an int key
+        # hashes faster than a Fraction: one division per count
+        by_ones = {mask.bit_count(): w for mask, w in tables}
+        shares = {ones: w / nr for ones, w in by_ones.items()}
         cs, weights = zip(*(
-            (ri + nr * mask, w) for ri in range(nr) for mask, w in tables
+            (ri + nr * mask, shares[mask.bit_count()]) for ri in range(nr) for mask, _ in tables
         ))
         layout = RegisterLayout(self.layout.registers[self.layout.index("Count"):])
         ctrl = self.layout.total_dim // layout.total_dim

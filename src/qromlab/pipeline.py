@@ -1,12 +1,12 @@
 """Theorem-scale decision experiments over the toy protocol batteries.
 
 Every experiment is an exact computation. Oracles are enumerated or
-lazily forked with rational weights, reprogramming schedules are
-averaged with rational weights, and each reported number is the float
-of an exact fraction. A report is a flat list of checks, one audited
-inequality per line with both sides spelled out, plus the decision
-value per statement and the yes/no gap; serialization is canonical,
-so identical configurations produce identical bytes.
+lazily forked, reprogramming schedules are counted, and each reported
+number is the float of an exact fraction. A report is a flat list of
+checks, one audited inequality per line with both sides spelled out,
+plus the decision value per statement and the yes/no gap;
+serialization is canonical, so identical configurations produce
+identical bytes.
 
 The decision experiments share one simulator model: a classical query
 trace that asks an oracle on transcript prefixes and, for flags, a
@@ -14,7 +14,7 @@ response oracle, wrapped by the ordered measure-and-reprogram schedules
 from ``transforms``. One driver runs all of them: ``walk._walk``, the
 counting walk, runs a trace under every randomness, ordered schedule
 and lazily sampled oracle table at once, replaying each branching node
-of the trace's answer tree once and merging runs into weighted paths.
+of the trace's answer tree once and counting runs on merged paths.
 Both hashed-challenge experiments, public-coin and three-round, run
 response traces on ``_label_walk``, whose table holds randomness labels
 and answers each with its response: a public-coin challenge is fresh
@@ -63,7 +63,7 @@ from qromlab.protocol import (
     toy_table,
 )
 from qromlab.qsim import DensityOnRegister, swap_test, trace_distance
-from qromlab.transforms import _ordered_outcome, _schedule_count, truncate
+from qromlab.transforms import _ordered_outcome, truncate
 from qromlab.walk import _walk
 
 SLACK = 1e-9  # subtracted from every lower bound before comparing
@@ -420,26 +420,25 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fractio
     run outputs an accepted transcript with every prefix flagged, for
     each eps of ``densities``.
 
-    One walk serves every density: it forks each flag fairly, so a
-    merged path weighs its count of runs over 2**|assignment|, and its
-    weight at eps is that count times eps**ones (1-eps)**zeros. Each
-    path's accepting randomness is read by ``_acceptor``.
+    One walk serves every density: it forks each flag fairly, and a
+    path weighs at eps its fair count times the likelihood ratio
+    (2 eps)**ones (2 - 2 eps)**zeros. Each path's accepting randomness
+    is read by ``_acceptor``.
     """
-    densities = tuple(Fraction(eps) for eps in densities)
+    ratios = [(2 * Fraction(eps), 2 - 2 * Fraction(eps)) for eps in densities]
     k = spec.rounds
     count = _acceptor(spec, x)
-    totals = [Fraction(0)] * len(densities)
-    for weight, group, _, out, asg, _ in _walk(spec, x, trace,
-                                               values=((1, 1), (0, 1))):
+    totals = [Fraction(0)] * len(ratios)
+    total, leaves = _walk(spec, x, trace, values=(1, 0))
+    for weight, group, _, out, asg, _ in leaves:
         flags = dict(asg)
         if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
             continue
-        accepted = count(group, out)
+        accepted = weight * count(group, out)
         ones = sum(flags.values())
-        runs = weight * 2 ** len(flags)
-        for j, eps in enumerate(densities):
-            totals[j] += runs * eps**ones * (1 - eps) ** (len(flags) - ones) * accepted
-    return tuple(t / len(spec.randomness) for t in totals)
+        for j, (one, zero) in enumerate(ratios):
+            totals[j] += one**ones * zero ** (len(flags) - ones) * accepted
+    return tuple(t / total for t in totals)
 
 
 def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
@@ -469,7 +468,8 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     k = spec.rounds
     count = _acceptor(spec, x)
     extracted = decided = 0
-    for weight, group, slots, out, _, made in _walk(spec, x, trace, k, q):
+    total, leaves = _walk(spec, x, trace, k, q)
+    for weight, group, slots, out, _, made in leaves:
         if made != q:
             raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
         measured = dict(slots)
@@ -478,7 +478,6 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
             decided += weight * count(group, got)
         if all(p == out[: len(p)] for p in measured.values()):
             extracted += weight * count(group, out)
-    total = len(spec.randomness) * _schedule_count(k, q)
     return Fraction(extracted, total), Fraction(decided, total)
 
 
@@ -732,7 +731,7 @@ def _response_trace(spec: ProtocolSpec, move: Callable) -> Callable:
     return trace
 
 
-def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> list:
+def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> tuple:
     """The walk of a response trace ``trace(ask_c)`` over the lazy
     challenge table, the one challenge game of both hashed experiments.
 
@@ -740,7 +739,7 @@ def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> list:
     the answer is that label's response; a slot reprograms its point to
     the live randomness. A dropped read, ``ask_c(p, drop=True)``, is a
     dropped label read: it answers None and makes no response. Returns
-    ``walk._walk``'s leaves, whose assignments hold the labels.
+    ``walk._walk``'s (total, leaves), whose assignments hold the labels.
     """
 
     def labeled(ask_h, ask_f):
@@ -752,30 +751,25 @@ def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> list:
 
         return tuple(trace(ask_c))
 
-    values = [(r, 1) for r in spec.randomness]
-    return _walk(spec, x, labeled, k, q, values, live=True)
+    return _walk(spec, x, labeled, k, q, tuple(spec.randomness), live=True)
 
 
 def _fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     """(Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names, the
     most queries any run made); an entry the run never queried is
-    averaged over the randomness, its hits read by ``_acceptor``. The
-    leaves sum as integers over their weights' common denominator,
-    divided once."""
+    averaged over the randomness, its hits read by ``_acceptor``."""
     count = _acceptor(spec, x)
     nr = len(spec.randomness)
-    leaves = _label_walk(spec, x, trace)
-    den = math.lcm(*(weight.denominator for weight, *_ in leaves))
-    total = 0
+    total, leaves = _label_walk(spec, x, trace)
+    won = 0
     for weight, group, _, out, asg, _ in leaves:
         label = dict(asg).get(out[:1])
         named = spec.randomness if label is None else (label,)
         hits = count(named, out)
         if hits:  # hits·|group|/|named|, where |named| is 1 or |R|
-            scaled = den // weight.denominator * weight.numerator
-            total += scaled * hits * len(group) * (nr // len(named))
-    return Fraction(total, den * nr * nr), max(made for *_, made in leaves)
+            won += weight * hits * len(group) * (nr // len(named))
+    return Fraction(won, total * nr), max(made for *_, made in leaves)
 
 
 def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
@@ -791,25 +785,21 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     and the output is accepted. The extraction value composes the
     measured first message (the output's own if none was measured)
     with the simulator's final move. Both count accepting randomness
-    with ``_acceptor``, and sum as integers over the leaf weights'
-    common denominator, divided once.
+    with ``_acceptor``.
 
     Returns:
         (forwarding prover's value, extraction value), exact.
     """
     count = _acceptor(spec, x)
-    leaves = _label_walk(spec, x, trace, 1, q)
-    den = math.lcm(*(weight.denominator for weight, *_ in leaves))
+    total, leaves = _label_walk(spec, x, trace, 1, q)
     forwarded = extracted = 0
     for weight, group, slots, out, _, _ in leaves:
-        scaled = den // weight.denominator * weight.numerator
         measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
         if len(claim) == 1:
-            extracted += scaled * count(group, (claim[0], out[1]))
+            extracted += weight * count(group, (claim[0], out[1]))
         if measured in (None, out[:1]):
-            forwarded += scaled * count(group, out)
-    total = len(spec.randomness) * _schedule_count(1, q) * den
+            forwarded += weight * count(group, out)
     return Fraction(forwarded, total), Fraction(extracted, total)
 
 

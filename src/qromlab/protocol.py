@@ -12,11 +12,14 @@ concatenations of ``reps`` base elements and whose callables apply the
 base's coordinate by coordinate. Its spaces are lazy ``ProductSpace``
 sequences, so a folded spec is never materialised unless a caller
 enumerates it. ``fold`` is the only code that sets ``fold_base`` and
-``fold_reps``; they are a record of how a spec was built, and routes
-that factor through the base (``soundness_exact`` here, the challenge
-chart and the forgery optimum elsewhere) rely on that record. A copy
-made with ``dataclasses.replace`` may carry other callables, so it
-drops the record and those routes enumerate it like any other spec.
+``fold_reps``, a record of how a spec was built that the tree's fold
+rules read to factor through the base:
+- ``soundness_exact`` raises the base's soundness to the reps;
+- ``pipeline._acceptor`` counts a full group as a per-column product;
+- ``pipeline._check_public_coin`` checks the base;
+- ``pipeline._forgery_masses`` takes the top products of base masses.
+A copy made with ``dataclasses.replace`` may carry other callables, so
+it drops the record and those rules enumerate it like any other spec.
 
 toy_qr: quadratic residuosity mod 21 with t parallel repetitions folded
 into single tuple-valued messages. Perfectly complete, public-coin,

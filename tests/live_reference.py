@@ -12,7 +12,8 @@ is the former per-pair scoring of both predicates on those replays;
 and ``single_slot_extraction`` are the former public-coin and
 three-round bodies, one replay per (randomness, schedule, challenge
 table branch). They serve as the reference the walk's multiplicities
-and values are tested against. ``walk_counts`` flattens the walk's
+and values are tested against. ``masses`` reads the walk's integer
+weights as these runs' masses, and ``walk_counts`` flattens the walk's
 merged paths into the same counters.
 """
 
@@ -24,7 +25,7 @@ from typing import Optional
 
 from fold_reference import lifted_challenge_structure
 from qromlab.protocol import ConfigError
-from qromlab.transforms import MarSchedule, _ordered_outcome
+from qromlab.transforms import MarSchedule, _ordered_outcome, _schedule_count
 from qromlab.walk import _walk
 
 
@@ -288,15 +289,24 @@ def response_counts(spec, x, trace, scheds) -> Counter:
     return counts
 
 
-def leaf_counts(leaves) -> Counter:
-    """A walk's weight per (r, slots, assignment, output), summed over
+def masses(walked, runs) -> list:
+    """A walk's leaves, each weight rescaled from the walk's total to
+    ``runs`` (|R| times the schedule count): the mass these replays
+    give the leaf."""
+    total, leaves = walked
+    return [(Fraction(weight * runs, total), *leaf) for weight, *leaf in leaves]
+
+
+def leaf_counts(walked, runs) -> Counter:
+    """A walk's mass per (r, slots, assignment, output), summed over
     its merged paths."""
     counts: Counter = Counter()
-    for weight, group, slots, out, asg, _ in leaves:
+    for weight, group, slots, out, asg, _ in masses(walked, runs):
         for r in group:
             counts[r, frozenset(slots), asg, out] += weight
     return counts
 
 
 def walk_counts(spec, x, trace, k=0, q=0, values=None, live=False) -> Counter:
-    return leaf_counts(_walk(spec, x, trace, k, q, values, live))
+    runs = len(spec.randomness) * _schedule_count(k, q)
+    return leaf_counts(_walk(spec, x, trace, k, q, values, live), runs)

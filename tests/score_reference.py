@@ -4,13 +4,15 @@ Each counts a walk leaf's accepting randomness with a per-r loop of
 ``spec.decide`` calls over the leaf's group, so an unmeasured leaf of a
 folded spec costs one folded ``decide`` per r of the whole product
 randomness. The bodies are otherwise the pipeline's: the same walks,
-the same weights and the same exact sums. The pipeline's scorers read
-the count from ``_acceptor`` instead, and are tested against these for
-exact ``Fraction`` equality.
+the same weights, read as masses (``live_reference.masses``), and the
+same exact sums. The pipeline's scorers read the count from
+``_acceptor`` instead, and are tested against these for exact
+``Fraction`` equality.
 """
 
 from fractions import Fraction
 
+from live_reference import masses
 from qromlab.pipeline import _label_walk
 from qromlab.protocol import ConfigError, ProtocolSpec
 from qromlab.transforms import _ordered_outcome, _schedule_count
@@ -22,8 +24,8 @@ def sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fraction
     densities = tuple(Fraction(eps) for eps in densities)
     k = spec.rounds
     totals = [Fraction(0)] * len(densities)
-    for weight, group, _, out, asg, _ in _walk(spec, x, trace,
-                                               values=((1, 1), (0, 1))):
+    walked = _walk(spec, x, trace, values=(1, 0))
+    for weight, group, _, out, asg, _ in masses(walked, len(spec.randomness)):
         flags = dict(asg)
         if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
             continue
@@ -39,7 +41,8 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     """``pipeline.extraction_prover_value``, per-r."""
     k = spec.rounds
     extracted = decided = 0
-    for weight, group, slots, out, _, made in _walk(spec, x, trace, k, q):
+    total = len(spec.randomness) * _schedule_count(k, q)
+    for weight, group, slots, out, _, made in masses(_walk(spec, x, trace, k, q), total):
         if made != q:
             raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
         measured = dict(slots)
@@ -51,14 +54,13 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
                 decided += weight
             if prefixes and spec.decide(x, r, out):
                 extracted += weight
-    total = len(spec.randomness) * _schedule_count(k, q)
     return Fraction(extracted, total), Fraction(decided, total)
 
 
 def fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     """``pipeline._fs_game_value``, per-r."""
     total = Fraction(0)
-    leaves = _label_walk(spec, x, trace)
+    leaves = masses(_label_walk(spec, x, trace), len(spec.randomness))
     for weight, group, _, out, asg, _ in leaves:
         label = dict(asg).get(out[:1])
         named = spec.randomness if label is None else (label,)
@@ -71,7 +73,8 @@ def fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
 def single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
     """``pipeline._single_slot_extraction``, per-r."""
     forwarded = extracted = Fraction(0)
-    for weight, group, slots, out, _, _ in _label_walk(spec, x, trace, 1, q):
+    total = len(spec.randomness) * _schedule_count(1, q)
+    for weight, group, slots, out, _, _ in masses(_label_walk(spec, x, trace, 1, q), total):
         measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
         if len(claim) == 1:
@@ -79,5 +82,4 @@ def single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fracti
             extracted += weight * sum(1 for r in group if spec.decide(x, r, composed))
         if measured in (None, out[:1]):
             forwarded += weight * sum(1 for r in group if spec.decide(x, r, out))
-    total = len(spec.randomness) * _schedule_count(1, q)
     return forwarded / total, extracted / total

@@ -19,6 +19,7 @@ from qromlab.adversary import (
     build_aux,
     build_verifier,
     cont_density,
+    expected_wrapper,
     expected_wrappers,
     final_cont_state,
     honest_wrapper,
@@ -33,9 +34,16 @@ from qromlab.adversary import (
     run_simulator,
 )
 from qromlab.oracle import ClassicalOracle, prefix_domain
-from qromlab.pipeline import _check_public_coin
+from qromlab.pipeline import (
+    _check_public_coin,
+    _statement_witness,
+    build_protocol,
+    default_config,
+    eps_star,
+)
 from qromlab.protocol import toy_guess, toy_qr, toy_table
 from qromlab.qsim import trace_distance
+from qromlab.transforms import truncate
 import fold_reference
 import pinned_reference
 from prover_reference import give_up
@@ -537,3 +545,24 @@ class TestSmallCircuitSearch:
                 alg = QueryAlgorithm("circuit", tuple(steps), budget=nq)
                 p = float(pr_register(run_simulator(alg, m)))
                 assert abs(p - 0.5 * nq) <= 1e-9
+
+
+@pytest.mark.parametrize("sim", ["expected-honest", "expected-lazy", "expected-geometric"])
+def test_aborting_acceptance_is_twice_the_coherent_joint(sim):
+    """The aborting kind's truncated acceptance, an exact ``pr_register``,
+    is 2·Pr[Cont = 1, B = 1] of the coherent kind under the same truncated
+    simulator, read from ``cont_density``: two routes to one number."""
+    cfg = default_config("expected-time")
+    spec = build_protocol(cfg)
+    densities = (Fraction(1, 4), eps_star(spec.rounds, cfg.q), Fraction(1, 3),
+                 Fraction(3, 4), Fraction(1))
+    for x in (1, 3):
+        witness = _statement_witness(spec, x, cfg)
+        for eps in densities:
+            coherent = build_verifier("superposition", spec, x, eps=eps)
+            cut = truncate(expected_wrapper(sim, coherent, witness, cfg.q), cfg.q)
+            aborting = build_verifier("random_aborting", spec, x, eps=eps)
+            exact = pr_register(run_simulator(cut, aborting))
+            assert isinstance(exact, (int, Fraction))
+            accept, rho = cont_density(run_simulator(cut, coherent))
+            assert abs(exact - 2 * accept * rho.matrix[1, 1].real) <= 1e-12, (x, eps)

@@ -358,3 +358,27 @@ def test_a_verifier_run_reprograms_no_query(monkeypatch, name):
     table = ClassicalOracle((0, 1), (0, 1), (0, 1))
     for reprogram in ([{1: (0, 0, 1)}], [{}]):
         refused_before_any_work(monkeypatch, alg, VERIFIERS[name](), (table,), reprogram)
+
+
+def test_control_rows_divide_each_distinct_weight_once(monkeypatch):
+    """A table's weight depends only on its count of ones, so the 64
+    toy-table tables share n + 1 = 7 weights: each is divided by |R|
+    once, and the rows keep every table's share in mask order."""
+    machine = build_verifier("random_aborting", toy_table(), 1, eps=EPS4)
+    machine._step_perm  # built outside the count
+    divided = []
+    truediv = Fraction.__truediv__
+
+    def counted(a, b):
+        divided.append(a)
+        return truediv(a, b)
+
+    monkeypatch.setattr(Fraction, "__truediv__", counted)
+    rows = machine._control_rows
+    monkeypatch.undo()
+    assert len(divided) <= len(machine._prefix_points) + 1 == 7
+    nr = len(machine.spec.randomness)
+    tables = SparseOracleDist(machine._prefix_points, machine.eps)._weighted_masks()
+    shares = [w / nr for _, w in tables]
+    assert len(shares) == 64
+    assert list(rows.weights) == [w for _ in range(nr) for w in shares]

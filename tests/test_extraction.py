@@ -107,7 +107,8 @@ def check_walk_three_round(spec, x, trace, q):
     # the walk against the old driver: weight per (r, slot, labels,
     # output), and both values and the challenge game exactly
     scheds = enumerate_schedules(1, q)
-    assert live.leaf_counts(_label_walk(spec, x, trace, 1, q)) == (
+    runs = len(spec.randomness) * len(scheds)
+    assert live.leaf_counts(_label_walk(spec, x, trace, 1, q), runs) == (
         live.response_counts(spec, x, trace, scheds)
     )
     assert _single_slot_extraction(spec, x, trace, q) == (

@@ -305,3 +305,39 @@ class TestTypedCaps:
         with pytest.raises(ConfigError):
             build_efficient_adjuster((0, 1), fam)
 
+
+
+# base (no slot, timing-0 slot, timing-1 slot) values of the q = 1
+# single-slot game per simulator and side: a folded schedule class
+# scores its base value to the n
+SLOT_BASES = {
+    ("honest-wrapper", True): (1, Fraction(1, 2), Fraction(1, 2)),
+    ("honest-wrapper", False): (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)),
+    ("give-up", True): (0, 0, 0),
+    ("give-up", False): (0, 0, 0),
+}
+
+
+@pytest.mark.parametrize("sim", sorted(pipeline.SIMULATORS))
+@pytest.mark.parametrize("x", [4, 16, 5, 20])
+def test_folded_label_games_are_powers_of_the_base_game(sim, x):
+    # the label walk on a folded trace, at several depths, against the
+    # parallel-repetition rule: each coordinate plays the base game
+    def traces(reps):
+        cfg = pipeline.ExperimentConfig(reps=reps, simulator=sim)
+        spec = pipeline.build_protocol(cfg)
+        move = pipeline._moves(cfg, spec, x)
+        return spec, pipeline._response_trace(spec, move), pipeline._hash_trace(spec, move)
+
+    base, response, hashed = traces(1)
+    games = [pipeline._fs_game_value(base, x, t)[0] for t in (response, hashed)]
+    bases = SLOT_BASES[sim, base.language(x)]
+    for n in range(1, 7):
+        spec, response, hashed = traces(n)
+        assert [pipeline._fs_game_value(spec, x, t)[0] for t in (response, hashed)] == [
+            game**n for game in games
+        ]
+        want = sum(Fraction(v) ** n for v in bases) / 3
+        assert pipeline._single_slot_extraction(spec, x, response, 1) == (want, want)
+    if sim == "honest-wrapper":
+        assert want == (Fraction(11, 32) if base.language(x) else Fraction(11, 2048))

@@ -1,18 +1,19 @@
 """The counting walk on constant-round flag traces against one live
 replay per (randomness, schedule) pair.
 
-``walk._walk`` merges every run of a trace into weighted paths; here
-its weight per (r, slots, flag assignment, output) must equal a counter
-over the reference replays of ``live_reference``. Stock traces cover
-toy-qr at 1 to 4 repetitions and toy-table under both simulators; the
-adaptive traces are the hypothesis-generated ones of
-``test_extraction``, which also checks the walk on the public-coin and
-three-round traces.
+``walk._walk`` merges every run of a trace into paths counted in
+integers over one total; here its mass per (r, slots, flag assignment,
+output) must equal a counter over the reference replays of
+``live_reference``. Stock traces cover toy-qr at 1 to 4 repetitions and
+toy-table under both simulators; the adaptive traces are the
+hypothesis-generated ones of ``test_extraction``, which also checks the
+walk on the public-coin and three-round traces.
 """
 
 import ast
 import inspect
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,7 +28,10 @@ from qromlab.cli import main
 from qromlab.pipeline import (
     SIMULATORS,
     ExperimentConfig,
+    _hash_trace,
+    _label_walk,
     _moves,
+    _response_trace,
     _sparse_hypothesis,
     build_protocol,
     decide_constant_round,
@@ -72,13 +76,17 @@ def check_walk(spec, x, trace, q):
 
 
 def check_hypothesis(spec, x, trace, eps):
-    values = ((1, eps), (0, 1 - eps))
-    counts = live.walk_counts(spec, x, trace, values=values)
+    # the fair walk reweighed by the likelihood ratio of an eps-sparse
+    # table is the eps-forked replays
+    fair = live.walk_counts(spec, x, trace, values=(1, 0))
+    counts = Counter()
+    for (r, slots, asg, out), mass in fair.items():
+        ones = sum(v for _, v in asg)
+        counts[r, slots, asg, out] = (
+            mass * (2 * eps) ** ones * (2 - 2 * eps) ** (len(asg) - ones)
+        )
     assert counts == live.hypothesis_counts(spec, x, trace, eps)
     assert sum(counts.values()) == len(spec.randomness)
-    # integer weights are read over their sum: the same table as eps
-    whole = ((1, eps.numerator), (0, eps.denominator - eps.numerator))
-    assert live.walk_counts(spec, x, trace, values=whole) == counts
     assert _sparse_hypothesis(spec, x, trace, (eps,)) == (
         live.sparse_hypothesis(spec, x, trace, eps),
     )
@@ -111,28 +119,57 @@ def test_adaptive_multiplicities(name, x, seed, queries):
     check_hypothesis(spec, x, trace, Fraction(1, 3))
 
 
-def leaves(walker, spec, x, trace, *args):
+def leaves(weighted):
     """A walk's leaves as a leaf -> weight mapping: the order a walk meets
     its leaves in is not part of its contract."""
     out = {}
-    for weight, *leaf in walker(spec, x, trace, *args):
+    for weight, *leaf in weighted:
         assert tuple(leaf) not in out
         out[tuple(leaf)] = weight
     return out
 
 
-def check_reference(spec, x, trace, *args):
-    got = leaves(_walk, spec, x, trace, *args)
-    want = leaves(walk_reference._walk, spec, x, trace, *args)
-    assert got == want
-    assert all(type(got[leaf]) is type(w) for leaf, w in want.items())
+def check_reference(spec, x, trace, k=0, q=0, values=None):
+    # the reference walk forks over (value, weight) pairs and weighs a
+    # leaf by its mass; the walk forks uniformly, over one total
+    walked = _walk(spec, x, trace, k, q, values)
+    runs = len(spec.randomness) * _schedule_count(k, q)
+    got = leaves(live.masses(walked, runs))
+    pairs = None if values is None else tuple((v, 1) for v in values)
+    assert got == leaves(walk_reference._walk(spec, x, trace, k, q, pairs))
+
+
+def check_integers(walked):
+    total, paths = walked
+    assert all(type(weight) is int for weight, *_ in paths)
+    assert sum(weight * len(group) for weight, group, *_ in paths) == total
 
 
 @pytest.mark.parametrize("name", sorted(STOCK))
 def test_stock_leaves_match_the_reference_walk(name):
     for spec, x, trace, q in stock(name):
         check_reference(spec, x, trace, spec.rounds, q)
-        check_reference(spec, x, trace, 0, 0, ((1, 1), (0, 3)))
+        check_reference(spec, x, trace, 0, 0, (1, 0))
+
+
+@pytest.mark.parametrize("name", sorted(STOCK))
+def test_stock_walks_count_in_integers_over_their_total(name):
+    # every leaf weight is a run count, and the counts over the
+    # randomness sum to the total the scorers divide by
+    for spec, x, trace, q in stock(name):
+        k = spec.rounds
+        check_integers(_walk(spec, x, trace, k, q))
+        check_integers(_walk(spec, x, trace, values=(1, 0)))
+    for sim in SIMULATORS:
+        cfg = replace(STOCK[name], simulator=sim)
+        spec = build_protocol(cfg)
+        for x in cfg.yes_instances + cfg.no_instances:
+            move = _moves(cfg, spec, x)
+            response = _response_trace(spec, move)
+            check_integers(_label_walk(spec, x, response))
+            check_integers(_label_walk(spec, x, response, 1, cfg.q))
+            if spec.public_coin:
+                check_integers(_label_walk(spec, x, _hash_trace(spec, move)))
 
 
 @settings(max_examples=40, deadline=None)
@@ -146,7 +183,7 @@ def test_adaptive_leaves_match_the_reference_walk(name, x, seed, queries):
     spec = SPECS[name]
     trace = flag_trace(seed, LETTERS[name], spec.rounds, queries)
     check_reference(spec, x, trace, spec.rounds, queries)
-    check_reference(spec, x, trace, 0, 0, ((1, Fraction(1, 3)), (0, Fraction(2, 3))))
+    check_reference(spec, x, trace, 0, 0, (1, 0))
 
 
 def reckless_trace(seed, letters, k, queries):
@@ -208,21 +245,20 @@ def test_a_slot_reprograms_the_point_it_measures():
     slot = ((0, (0,)),)
     steps = _flag_steps((0,), ((), none, group), None, 1, ys)
     assert steps == [
-        (0, ((), none, group), 1),
-        (1, (slot, none, group), 1),
-        (0, (slot, none, group), 1),
+        (0, ((), none, group)),
+        (1, (slot, none, group)),
+        (0, (slot, none, group)),
     ]
     # a later unmeasured read of the measured point sees y
     (again,) = _flag_steps((0,), (slot, none, group), None, 1, ys)
-    assert again == (1, (slot, none, group), 1)
+    assert again == (1, (slot, none, group))
     # a live slot's y is the randomness: its read splits the group
     lives = tuple((r, frozenset({r})) for r in sorted(group))
     split = _flag_steps((0,), (slot, none, group), None, 1, lives)
-    assert split == [(r, (slot, none, frozenset({r})), 1) for r in (0, 1)]
+    assert split == [(r, (slot, none, frozenset({r}))) for r in (0, 1)]
     # an unmeasured read of an unset point samples each value once
-    values = ((1, 1), (0, 3))
-    sampled = _flag_steps((1,), (slot, none, group), values, 1, ys)
-    assert sampled == [(v, (slot, frozenset({((1,), v)}), group), w) for v, w in values]
+    sampled = _flag_steps((1,), (slot, none, group), (1, 0), 1, ys)
+    assert sampled == [(v, (slot, frozenset({((1,), v)}), group)) for v in (1, 0)]
 
 
 def test_a_response_read_checks_the_last_kept_read():
@@ -354,8 +390,8 @@ def test_a_dropped_read_adds_the_weights_of_equal_paths():
     lone = {0: (3, {"p": 1})}
     assert walk._merged(lone) == lone[0]
     assert walk._merged(lone)[1] is lone[0][1]
-    children = {0: (3, {"p": 1, "q": Fraction(1, 2)}), 1: (3, {"q": 2, "s": 5})}
-    assert walk._merged(children) == (3, {"p": 1, "q": Fraction(5, 2), "s": 5})
+    children = {0: (3, {"p": 1, "q": 4}), 1: (3, {"q": 2, "s": 5})}
+    assert walk._merged(children) == (3, {"p": 1, "q": 6, "s": 5})
 
 
 def asker_calls(tree):
