@@ -19,7 +19,9 @@ Both hashed-challenge experiments, public-coin and three-round, run
 response traces on ``_label_walk``, whose table holds randomness labels
 and answers each with its response: a public-coin challenge is fresh
 verifier randomness, so it is its label, and no challenge chart is
-kept. The extraction provers are
+kept. On a folded spec the simulator's moves are the base's per
+coordinate, so both score a repetition game from one base walk per
+schedule class. The extraction provers are
 predicates on those paths. The expected-time experiment instead drives
 the dense verifier machines from ``adversary`` and checks budget,
 acceptance, and conditional-state facts on the exact output mixture.
@@ -57,6 +59,7 @@ from qromlab.adversary import (
 from qromlab.protocol import (
     ConfigError,
     ProtocolSpec,
+    _join,
     soundness_exact,
     toy_guess,
     toy_qr,
@@ -374,11 +377,63 @@ SIMULATORS = {
 
 
 def _moves(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
-    """The moves of the configured decision simulator on a statement."""
+    """The moves of the configured decision simulator on a statement.
+
+    On a spec built by ``protocol.fold`` they are the base simulator's
+    moves in every coordinate (``_fold_move``), which are the moves the
+    row makes on the folded spec: the honest prover's fold joins its
+    base moves at the base's first prover randomness, and give-up's
+    bottom is the base's in every coordinate.
+    """
     row = SIMULATORS.get(cfg.simulator)
     if row is None:
         raise ConfigError(f"unknown simulator {cfg.simulator!r}")
+    if spec.fold_base is not None:
+        return _fold_move(spec, _moves(cfg, spec.fold_base, x))
     return row(spec, x, cfg)
+
+
+def _fold_move(spec: ProtocolSpec, base_move: Callable) -> Callable:
+    """The move on a folded spec that makes ``base_move`` in every
+    coordinate: it splits the responses by the alphabet's width, as
+    ``fold`` does, and joins the next messages. It is memoized like
+    ``_honest_moves``, and carries ``base_move`` for ``spec``."""
+    split = spec.alphabet.split
+    reps = spec.fold_reps
+
+    @functools.cache
+    def move(got):
+        cols = zip(*map(split, got)) if got else [()] * reps
+        return _join(base_move(col) for col in cols)
+
+    move.fold = (spec, base_move)
+    return move
+
+
+def _fold_record(fn: Callable, spec: ProtocolSpec) -> Optional[Callable]:
+    """The base move or trace that ``fn`` carries for ``spec``
+    (``_fold_move``, ``_fold_trace``), or None. A callable read against
+    another spec, such as a ``dataclasses.replace`` copy with other
+    callables, carries none for it."""
+    record = getattr(fn, "fold", None)
+    return record[1] if record is not None and record[0] is spec else None
+
+
+def _fold_trace(trace: Callable, spec: ProtocolSpec, move: Callable,
+                builder: Callable) -> Callable:
+    """``trace``, built by ``builder(spec, move)``, carrying for ``spec``
+    the trace ``builder`` builds on the fold's base from the base move
+    that ``move`` carries, if it carries one.
+
+    Both builders read only the point (m1,), so given the schedule each
+    coordinate of the folded trace runs the base trace on its own label
+    and randomness. ``_fs_game_value`` and ``_single_slot_extraction``
+    score such a trace from base walks.
+    """
+    base_move = _fold_record(move, spec)
+    if base_move is not None:
+        trace.fold = (spec, builder(spec.fold_base, base_move))
+    return trace
 
 
 def _acceptor(spec: ProtocolSpec, x) -> Callable:
@@ -496,6 +551,10 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     """
     cfg = default_config("constant-round") if cfg is None else cfg
     spec = build_protocol(cfg)
+    # the flag trace is walked on the folded spec, whose flags are not
+    # per coordinate, so a fold too long to index is refused before work
+    for space in (spec.alphabet, spec.randomness, spec.prover_randomness):
+        len(space)
     k = spec.rounds
     if k > 2:
         raise ConfigError("the trace layout covers one- and two-move specs")
@@ -560,7 +619,7 @@ def _hash_trace(spec: ProtocolSpec, move: Callable) -> Callable:
         ask_c((m1,), drop=True)
         return (m1, m2)
 
-    return trace
+    return _fold_trace(trace, spec, move, _hash_trace)
 
 
 def _check_public_coin(spec: ProtocolSpec, x) -> None:
@@ -728,17 +787,19 @@ def _response_trace(spec: ProtocolSpec, move: Callable) -> Callable:
         m1 = move(())
         return (m1, move((ask_c((m1,)),)))
 
-    return trace
+    return _fold_trace(trace, spec, move, _response_trace)
 
 
-def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> tuple:
+def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0,
+                fixed=None) -> tuple:
     """The walk of a response trace ``trace(ask_c)`` over the lazy
     challenge table, the one challenge game of both hashed experiments.
 
     The table assigns each queried point a uniform randomness label and
     the answer is that label's response; a slot reprograms its point to
     the live randomness. A dropped read, ``ask_c(p, drop=True)``, is a
-    dropped label read: it answers None and makes no response. Returns
+    dropped label read: it answers None and makes no response. ``fixed``
+    walks one single-slot schedule (``walk._walk``). Returns
     ``walk._walk``'s (total, leaves), whose assignments hold the labels.
     """
 
@@ -751,14 +812,25 @@ def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> tuple:
 
         return tuple(trace(ask_c))
 
-    return _walk(spec, x, labeled, k, q, tuple(spec.randomness), live=True)
+    return _walk(spec, x, labeled, k, q, tuple(spec.randomness), live=True,
+                 fixed=fixed)
 
 
 def _fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     """(Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names, the
     most queries any run made); an entry the run never queried is
-    averaged over the randomness, its hits read by ``_acceptor``."""
+    averaged over the randomness, its hits read by ``_acceptor``.
+
+    A trace that carries a base trace (``_fold_trace``) plays the base
+    game in each coordinate on its own label and randomness, and wins
+    iff every coordinate wins: its value is the base value to the reps,
+    and it makes the base trace's queries.
+    """
+    base = _fold_record(trace, spec)
+    if base is not None:
+        value, made = _fs_game_value(spec.fold_base, x, base)
+        return value**spec.fold_reps, made
     count = _acceptor(spec, x)
     nr = len(spec.randomness)
     total, leaves = _label_walk(spec, x, trace)
@@ -787,11 +859,34 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     with the simulator's final move. Both count accepting randomness
     with ``_acceptor``.
 
+    A trace that carries a base trace (``_fold_trace``) is scored per
+    schedule class: no slot, or the one slot at each (ordinal, timing).
+    Every coordinate shares the class, and given it each coordinate is a
+    base run on its own label and randomness, so each value is the class
+    average of the base walk's value in the class to the reps.
+
     Returns:
         (forwarding prover's value, extraction value), exact.
     """
+    base = _fold_record(trace, spec)
+    if base is None:
+        return _slot_scores(spec, x, trace, 1, q)
+    reps = spec.fold_reps
+    classes = [(0, None)] + [(1, (i, t)) for i in range(q) for t in (0, 1)]
+    forwarded = extracted = Fraction(0)
+    for k, fixed in classes:
+        f, e = _slot_scores(spec.fold_base, x, base, k, q, fixed)
+        forwarded += f**reps
+        extracted += e**reps
+    return forwarded / len(classes), extracted / len(classes)
+
+
+def _slot_scores(spec: ProtocolSpec, x, trace, k: int, q: int,
+                 fixed=None) -> tuple[Fraction, Fraction]:
+    """``_single_slot_extraction``'s two values over the schedules of k
+    slots in q queries, or the one schedule ``fixed``, on one walk."""
     count = _acceptor(spec, x)
-    total, leaves = _label_walk(spec, x, trace, 1, q)
+    total, leaves = _label_walk(spec, x, trace, k, q, fixed)
     forwarded = extracted = 0
     for weight, group, slots, out, _, _ in leaves:
         measured = slots[0][1] if slots else None

@@ -17,7 +17,10 @@ rules read to factor through the base:
 - ``soundness_exact`` raises the base's soundness to the reps;
 - ``pipeline._acceptor`` counts a full group as a per-column product;
 - ``pipeline._check_public_coin`` checks the base;
-- ``pipeline._forgery_masses`` takes the top products of base masses.
+- ``pipeline._forgery_masses`` takes the top products of base masses;
+- ``pipeline._fs_game_value`` and ``pipeline._single_slot_extraction``
+  score a trace built from a fold's move (``pipeline._fold_move``) from
+  one base walk per schedule class, as a product over the coordinates.
 A copy made with ``dataclasses.replace`` may carry other callables, so
 it drops the record and those rules enumerate it like any other spec.
 
@@ -42,6 +45,7 @@ from fractions import Fraction
 from typing import Callable, Hashable, Iterator, Optional
 
 MAX_STRATEGY_WORK = 2**20
+MAX_REPS = 64  # the most repetitions ``fold`` builds
 
 UNITS_21 = (1, 2, 4, 5, 8, 10, 11, 13, 16, 17, 19, 20)
 RESIDUES_21 = (1, 4, 16)
@@ -58,14 +62,12 @@ class ProductSpace(Sequence):
     Elements follow ``itertools.product(base, repeat=reps)`` order, each
     the concatenation of its ``reps`` base elements; base elements are
     tuples of one common width, so a product element splits back into
-    its coordinates by slicing.
+    its coordinates by slicing. A product of more than ``sys.maxsize``
+    elements is built, split and tested for membership like any other,
+    but refuses a ``len()`` or index read.
     """
 
     def __init__(self, base: Sequence, reps: int) -> None:
-        if len(base) ** reps > sys.maxsize:
-            raise ConfigError(
-                f"a product of {len(base)}**{reps} elements is too long to index"
-            )
         self.base = tuple(base)
         self.reps = reps
         widths = {len(b) if isinstance(b, tuple) else None for b in self.base}
@@ -79,7 +81,12 @@ class ProductSpace(Sequence):
             raise ValueError("base elements must be distinct")
 
     def __len__(self) -> int:
-        return len(self.base) ** self.reps
+        n = len(self.base) ** self.reps
+        if n > sys.maxsize:
+            raise ConfigError(
+                f"a product of {len(self.base)}**{self.reps} elements is too long to index"
+            )
+        return n
 
     def __getitem__(self, i: int) -> tuple:
         n = len(self)
@@ -191,10 +198,10 @@ def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:
     one witness serves every repetition. ``next_message`` and ``decide``
     memoize themselves: both are pure, each fresh call costs one base
     call per repetition, and the walks ask the same few (randomness,
-    transcript) pairs many times.
+    transcript) pairs many times. At most ``MAX_REPS`` repetitions are
+    built.
     """
-    if reps < 1:
-        raise ConfigError("need at least one repetition")
+    _check_reps(reps)
     alphabet = ProductSpace(base.alphabet, reps)
     randomness = ProductSpace(base.randomness, reps)
     prover_rand = ProductSpace(base.prover_randomness, reps)
@@ -242,6 +249,13 @@ def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:
     return spec
 
 
+def _check_reps(reps: int) -> None:
+    if reps < 1:
+        raise ConfigError("need at least one repetition")
+    if reps > MAX_REPS:
+        raise ConfigError(f"at most {MAX_REPS} repetitions are supported, not {reps}")
+
+
 def toy_qr(reps: int = 3) -> ProtocolSpec:
     """Quadratic residuosity mod 21, ``reps`` parallel challenges per round.
 
@@ -252,8 +266,7 @@ def toy_qr(reps: int = 3) -> ProtocolSpec:
     repetition is written out over 1-tuples; more are
     ``fold(toy_qr(1), reps, ...)``.
     """
-    if reps < 1:
-        raise ConfigError("need at least one repetition")
+    _check_reps(reps)
     if reps > 1:
         return fold(toy_qr(1), reps, f"toy-qr-t{reps}")
     units = set(UNITS_21)

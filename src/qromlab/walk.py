@@ -99,10 +99,14 @@ def _merged(children: dict) -> tuple:
 
 
 def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
-          live: bool = False) -> tuple:
+          live: bool = False, fixed=None) -> tuple:
     """Every run of a trace over the randomness, each ordered schedule of
     k slots in q oracle queries and the lazily sampled oracle table, as
-    merged counted paths.
+    merged counted paths. With ``fixed``, an (ordinal, timing) pair and
+    k = 1, the walk takes the one schedule whose slot fires at the query
+    after ``ordinal`` queries with that timing, or never if the run makes
+    no such query; merged leaves do not record the timing, so a caller
+    that scores schedules apart walks each this way.
 
     The oracle ``trace(ask_h, ask_f)`` queries starts unset: an unset
     point answers 0, or with ``values`` (a tuple of equally likely
@@ -143,6 +147,7 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
         the most points a path assigned, counting the schedules whose
         unused slots sit past its last query and every value of its
         unassigned points; the walk raises unless they sum to ``total``.
+        A fixed schedule counts 1.
     """
     rs = frozenset(spec.randomness)
     lives: dict = {}  # group -> (r, {r}) per r: a live group's reprogrammed reads
@@ -152,7 +157,9 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
         made, paths = node
         children: dict = {}
         if kind == "h":
-            free = k if made < q else 0
+            ways, free = _flag_steps, (k if made < q else 0)
+            if fixed is not None:  # the one slot fires at this query or not at all
+                ways, free = (_fired, fixed[1]) if made == fixed[0] else (_flag_steps, 0)
             for path, weight in paths.items():
                 group = path[2]
                 if not (live and k):  # r singletons only where a slot can fire
@@ -161,7 +168,7 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
                     ys = lives[group]
                 else:
                     ys = lives[group] = tuple((r, frozenset((r,))) for r in group)
-                for answer, step in _flag_steps(point, path, values, free, ys):
+                for answer, step in ways(point, path, values, free, ys):
                     merged = children.setdefault(answer, {})
                     merged[step] = merged.get(step, 0) + weight
             return {a: (made + 1, merged) for a, merged in children.items()}
@@ -188,15 +195,30 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
             done[leaf] = done.get(leaf, 0) + weight
     base = len(values) if values else 1
     depth = max(len(asg) for _, _, _, asg, _ in done)
-    for leaf in done:  # weigh in the never-fired schedules and unassigned points
+    # weigh in the never-fired schedules (none past a fixed one) and the
+    # unassigned points
+    unfired = _schedule_count if fixed is None else lambda k, q: 1
+    for leaf in done:
         _, slots, _, asg, made = leaf
-        done[leaf] *= (_schedule_count(k - len(slots), max(q - made, 0))
+        done[leaf] *= (unfired(k - len(slots), max(q - made, 0))
                        * base ** (depth - len(asg)))
-    total = len(rs) * _schedule_count(k, q) * base**depth
+    total = len(rs) * unfired(k, q) * base**depth
     counted = sum(w * len(group) for (group, *_), w in done.items())
     if counted != total:
         raise RuntimeError(f"walk multiplicities sum to {counted}")
     return total, [(w, *leaf) for leaf, w in done.items()]
+
+
+def _fired(point, path, values, timing, ys):
+    """(answer, path) of each way the one slot of a fixed schedule takes
+    an unmeasured path at ``point``: it measures the point and answers
+    the reprogrammed value's reads ``ys`` (timing 0) or the plain read's
+    answers (timing 1), as ``_flag_steps`` has a slot fire."""
+    measured = ((0, point),)
+    if timing == 0:
+        return [(y, (measured, path[1], g)) for y, g in ys]
+    return [(a, (measured, asg, g))
+            for a, (_, asg, g) in _flag_steps(point, path, values, 0, ys)]
 
 
 def _flag_steps(point, path, values, k, ys):

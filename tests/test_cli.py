@@ -11,7 +11,7 @@ import pytest
 import pinned_reference
 from qromlab import adversary, cli, pipeline
 from qromlab.adversary import EXPECTED_MEMBERS, build_verifier, expected_wrapper
-from qromlab.protocol import toy_table
+from qromlab.protocol import MAX_REPS, toy_table
 from qromlab.cli import LEMMAS, main
 from qromlab.pipeline import THEOREMS
 
@@ -95,7 +95,8 @@ class TestRun:
              "expected-geometric: expected invocations 31/8 exceed half the budget 4"),
             (["public-coin", "--q", "1"], "the budget q must be 2, not 1"),
             (["public-coin", "--q", "3"], "the budget q must be 2, not 3"),
-            (["three-round", "--reps", "18"], "a product of 13**18 elements"),
+            # constant-round's flags are not per coordinate: it keeps the index cap
+            (["constant-round", "--reps", "18"], "a product of 13**18 elements"),
             (["expected-time", "--reps", "7"],
              "protocol 'toy-table' has no repetitions to set"),
             (["three-round", "--protocol", "toy-table", "--reps", "2"],
@@ -111,6 +112,10 @@ class TestRun:
              "protocol 'toy-table' has no repetitions to set"),
             (["constant-round", "--protocol", "toy-guess"],
              "the flag trace makes 1 verifier call, so the budget q must be 1, not 2"),
+            (["three-round", "--reps", str(MAX_REPS + 1)],
+             f"at most {MAX_REPS} repetitions are supported, not {MAX_REPS + 1}"),
+            (["public-coin", "--reps", str(MAX_REPS + 1)],
+             f"at most {MAX_REPS} repetitions are supported, not {MAX_REPS + 1}"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):
@@ -119,6 +124,15 @@ class TestRun:
         assert captured.out == ""
         assert captured.err.startswith("qromlab: error: ")
         assert message in captured.err and captured.err.count("\n") == 1
+
+    @pytest.mark.parametrize("theorem", ["public-coin", "three-round"])
+    def test_hashed_challenges_report_past_the_index_cap(self, theorem, capsys):
+        # a fold of 13**18 messages cannot be indexed; these experiments
+        # score it from its base and never index it
+        assert main(["run", theorem, "--reps", "18"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"{theorem}  protocol=toy-qr-t18")
+        assert "[FAIL]" not in out
 
     @pytest.mark.parametrize("theorem", ["constant-round", "public-coin", "three-round"])
     def test_decision_simulator_names(self, theorem, capsys):

@@ -31,6 +31,7 @@ from qromlab.pipeline import (
     run_experiment,
 )
 from qromlab.protocol import (
+    MAX_REPS,
     ConfigError,
     ProductSpace,
     fold,
@@ -341,3 +342,158 @@ def test_folded_label_games_are_powers_of_the_base_game(sim, x):
         assert pipeline._single_slot_extraction(spec, x, response, 1) == (want, want)
     if sim == "honest-wrapper":
         assert want == (Fraction(11, 32) if base.language(x) else Fraction(11, 2048))
+
+
+# ---------------------------------------------------------------------------
+# Fold traces: a trace built from a folded spec's move is scored from one
+# base walk per schedule class. Each test below compares that route with
+# the folded walk, which a move without the fold record still takes.
+
+
+def unrecorded(move):
+    """The same move without its fold record, so that traces built from
+    it take the folded walk."""
+    return lambda got: move(got)
+
+
+def both_routes(spec, x, move, qs):
+    """Every label-walk score of the response and hash traces of a move,
+    on the fold-trace route and on the folded walk."""
+    def scores(mv):
+        response = pipeline._response_trace(spec, mv)
+        hashed = pipeline._hash_trace(spec, mv)
+        return (
+            pipeline._fs_game_value(spec, x, response),
+            pipeline._fs_game_value(spec, x, hashed),
+            *(pipeline._single_slot_extraction(spec, x, response, q) for q in qs),
+        )
+
+    return scores(move), scores(unrecorded(move))
+
+
+@pytest.mark.parametrize("sim", sorted(pipeline.SIMULATORS))
+@pytest.mark.parametrize("reps", range(1, 11))
+def test_fold_traces_score_as_the_folded_walk(reps, sim):
+    # q = 1 is three-round's stock budget, q = 3 its --q 3
+    cfg = pipeline.ExperimentConfig(reps=reps, simulator=sim)
+    spec = pipeline.build_protocol(cfg)
+    for x in (4, 16, 5, 20):
+        based, folded = both_routes(spec, x, pipeline._moves(cfg, spec, x), (1, 3))
+        assert based == folded, x
+        for value in (based[0][0], based[1][0], *based[2], *based[3]):
+            assert type(value) is Fraction
+
+
+LETTERS = [(0,), (1,), (2,), (4,)]  # honest messages of x = 4 and 16 plus bottom
+letter = st.sampled_from(LETTERS)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(letter, letter, letter), st.integers(2, 4),
+       st.sampled_from((4, 16, 5, 20)))
+def test_drawn_fold_traces_score_as_the_folded_walk(letters, reps, x):
+    # a drawn base move, a first message and a final message per
+    # challenge, made in every coordinate of a fold
+    table = dict(zip([(), ((0,),), ((1,),)], letters))
+    spec = toy_qr(reps)
+    move = pipeline._fold_move(spec, lambda got: table[got])
+    based, folded = both_routes(spec, x, move, (1, 2))
+    assert based == folded
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The specs ``pipeline._walk`` is called on, in order."""
+    specs = []
+    walk = pipeline._walk
+
+    def recording(spec, *args, **kwargs):
+        specs.append(spec)
+        return walk(spec, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "_walk", recording)
+    return specs
+
+
+@pytest.mark.parametrize("theorem", ["public-coin", "three-round"])
+def test_stock_hashed_challenges_walk_only_base_specs(theorem, walked):
+    for sim in sorted(pipeline.SIMULATORS):
+        for reps in range(2, 11):
+            cfg = replace(pipeline.default_config(theorem), reps=reps, simulator=sim)
+            run_experiment(theorem, cfg)
+    assert walked and all(spec.fold_base is None for spec in walked)
+
+
+def test_a_grinding_trace_takes_the_folded_walk(walked):
+    # the grinder is written against the folded spec and carries no base
+    # trace; it probes several first messages, so its coordinates are
+    # not independent base runs, and its reps-2 value 781/1024 is not
+    # (31/32)**2
+    from test_acceptor import grinding_trace
+
+    spec = toy_qr(2)
+    trace = grinding_trace(spec, 5)
+    assert pipeline._fs_game_value(spec, 5, trace)[0] == Fraction(781, 1024)
+    pipeline._single_slot_extraction(spec, 5, trace, 4)
+    assert walked == [spec, spec]
+
+
+@pytest.mark.parametrize("reps", [12, 17, 32, 64])
+def test_closed_forms_past_the_index_cap(reps):
+    # three-round: yes (1 + 2**(1 - n)) / 3 and no 2**-n times yes, from
+    # the base values (1, 1/2, 1/2) and (1/2, 1/4, 1/4) of the q = 1
+    # schedule classes; public-coin: no 2**-n
+    yes = (1 + Fraction(2) ** (1 - reps)) / 3
+    no = yes / 2**reps
+    cfg = replace(pipeline.default_config("three-round"), reps=reps)
+    spec = pipeline.build_protocol(cfg)
+    for x, want in ((4, yes), (16, yes), (5, no), (20, no)):
+        trace = pipeline._response_trace(spec, pipeline._moves(cfg, spec, x))
+        assert pipeline._single_slot_extraction(spec, x, trace, 1) == (want, want)
+    report = run_experiment("three-round", cfg)
+    assert report.decision["yes"] == [float(yes)] * 2
+    assert report.decision["no"] == [float(no)] * 2
+
+    cfg = replace(pipeline.default_config("public-coin"), reps=reps)
+    spec = pipeline.build_protocol(cfg)
+    for x, want in ((4, 1), (16, 1), (5, Fraction(1, 2**reps)), (20, Fraction(1, 2**reps))):
+        trace = pipeline._hash_trace(spec, pipeline._moves(cfg, spec, x))
+        assert pipeline._fs_game_value(spec, x, trace) == (want, 4)
+    report = run_experiment("public-coin", cfg)
+    assert report.decision["yes"] == [1.0, 1.0]
+    assert report.decision["no"] == [float(Fraction(1, 2**reps))] * 2
+    assert all(c.passed for c in report.checks)
+
+
+@pytest.mark.parametrize("x", [1, 2, 4, 5, 16, 20])
+def test_soundness_is_the_best_first_message_mass(x):
+    # an unbounded prover of a public-coin two-move spec sends the first
+    # message of largest answerable mass; folded, replaced or neither
+    for reps in range(1, 6):
+        spec = toy_qr(reps)
+        assert soundness_exact(spec, x) == _forgery_masses(spec, x, 1)[0], reps
+    for reps in (1, 2):
+        copy = replace(toy_qr(reps))
+        assert copy.fold_base is None
+        assert soundness_exact(copy, x) == _forgery_masses(copy, x, 1)[0], reps
+
+
+class TestPastTheIndexCap:
+    def test_a_fold_too_long_to_index_is_built(self):
+        spec = toy_qr(18)
+        space = spec.alphabet
+        for read in (lambda: len(space), lambda: space[0]):
+            with pytest.raises(ConfigError, match=r"a product of 13\*\*18 elements"):
+                read()
+        assert (20,) * 18 in space and (3,) * 18 not in space
+        assert space.split((1,) * 18) == ((1,),) * 18
+        assert soundness_exact(spec, 5) == Fraction(1, 2**18)
+
+    def test_the_reps_cap_is_checked_before_anything_is_built(self, monkeypatch):
+        def unbuilt(*args):
+            raise AssertionError("a space was built past the repetition cap")
+
+        monkeypatch.setattr(ProductSpace, "__init__", unbuilt)
+        for build in (lambda: toy_qr(MAX_REPS + 1), lambda: fold(None, MAX_REPS + 1, "")):
+            with pytest.raises(ConfigError, match=f"at most {MAX_REPS} repetitions"):
+                build()
