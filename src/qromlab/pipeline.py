@@ -478,22 +478,27 @@ def _sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fractio
     One walk serves every density: it forks each flag fairly, and a
     path weighs at eps its fair count times the likelihood ratio
     (2 eps)**ones (2 - 2 eps)**zeros. Each path's accepting randomness
-    is read by ``_acceptor``.
+    is read by ``_acceptor``, and the accepted runs are summed in
+    integers per (ones, zeros) class, so each density's ratio is applied
+    once per class.
     """
     ratios = [(2 * Fraction(eps), 2 - 2 * Fraction(eps)) for eps in densities]
     k = spec.rounds
     count = _acceptor(spec, x)
-    totals = [Fraction(0)] * len(ratios)
+    classes: dict = {}  # (ones, zeros) -> accepted runs
     total, leaves = _walk(spec, x, trace, values=(1, 0))
     for weight, group, _, out, asg, _ in leaves:
         flags = dict(asg)
         if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
             continue
-        accepted = weight * count(group, out)
         ones = sum(flags.values())
-        for j, (one, zero) in enumerate(ratios):
-            totals[j] += one**ones * zero ** (len(flags) - ones) * accepted
-    return tuple(t / total for t in totals)
+        key = (ones, len(flags) - ones)
+        classes[key] = classes.get(key, 0) + weight * count(group, out)
+    return tuple(
+        sum((one**ones * zero**zeros * runs for (ones, zeros), runs in classes.items()),
+            Fraction(0)) / total
+        for one, zero in ratios
+    )
 
 
 def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
@@ -527,6 +532,11 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     for weight, group, slots, out, _, made in leaves:
         if made != q:
             raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
+        if not slots and len(out) == k:  # the output is the assembled transcript
+            hits = weight * count(group, out)
+            decided += hits
+            extracted += hits
+            continue
         measured = dict(slots)
         _, got = _ordered_outcome(measured, out)
         if got is not None and len(got) == k:

@@ -3,62 +3,72 @@
 ``_walk`` runs a trace, as ``pipeline`` builds them, under every
 verifier randomness, every ordered measure-and-reprogram schedule and
 every lazily sampled oracle table at once, and returns merged paths
-counted in integers over one total in place of one replay per
-(randomness, schedule, table). The trace is a plain callable, so the
-walk replays it under scripted answers (``_next_event``) once per leaf
-of its answer tree; everything else is bookkeeping over small hashable
-paths, each (slots, assignment, randomness group). A read whose answer
-the trace drops (``ask_h(point, drop=True)``) has one child in that
-tree, its children's paths merged, so it costs no replay. A slot
-reprograms its point to 1, or to the live randomness:
-``pipeline._label_walk`` runs both hashed-challenge experiments'
-response traces over a table of randomness labels that way, a challenge
-being its label's response.
+counted in integers over one total. The trace is a plain callable, so
+the walk replays it under scripted answers (``_next_event``) once per
+leaf of its answer tree. A path, (slots, assignment, randomness group),
+is one int (``_FIELD``). A read whose answer the trace drops
+(``ask_h(point, drop=True)``) costs no replay, and the dropped reads of
+one point with the kept read that may end them are one step
+(``_run_steps``). A slot reprograms its point to 1, or to the live
+randomness: ``pipeline._label_walk`` runs both hashed-challenge
+experiments' response traces over a table of randomness labels that
+way, a challenge being its label's response.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+from itertools import combinations
 from typing import Callable
 
 from qromlab.protocol import ProtocolSpec
 from qromlab.transforms import _schedule_count
 
+# A path's low _FIELD bits hold its group's index in the walk's table of
+# groups, and the bits above them its core: the used-slot mask (k bits),
+# each slot's point index in the walk's point table (_FIELD bits a slot)
+# and its assignment's index in the walk's assignment table. No table a
+# walk can hold in memory outgrows a field.
+_FIELD = 32
+_LOW = (1 << _FIELD) - 1
+_STILL = (0, (), False, False)  # a run at which no slot fires (``_ways``)
+
 
 def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
     """One replay of a trace from the start: the scripted answers first,
-    then ``expand(node, kind, point)`` gives each further query's child
-    nodes by answer, kind "h" for an oracle query and "f" for a response
-    read. At a query with more than one child the replay goes on down
-    the last child, and the others are set aside to replay later: the
-    child a stack of all of them would pop first, so the walk meets its
-    leaves in depth-first order.
+    then ``expand(node, kind, point, reads, kept)`` walks each further
+    query, kind "h" for an oracle query and "f" for a response read. A
+    query with more than one child goes on down the last and sets the
+    others aside, in the order a stack pops them depth first.
 
-    A read the trace drops, ``ask(point, drop=True)``, has one child:
-    its children's paths merged, under the answer None, which the read
-    returns. The trace must not use it; since a trace is deterministic
-    given the answers it reads, every child would replay the same
-    continuation, and each path state records all the read did.
+    A read the trace drops, ``ask(point, drop=True)``, answers None and
+    has one child, its children's paths merged: a trace is deterministic
+    given the answers it reads, and each path records all the read did.
+    Dropped oracle reads of one point in a row wait, and ``expand`` walks
+    them as one run of ``reads`` reads, with the kept read of the point
+    that ends them (``kept``: children by answer) or alone (one node).
 
-    The replay checks the response contract: a response read at p
-    raises unless the trace's last kept read of p answered set. Every
-    path at the node saw that answer, so this raises iff some path
-    reads a clear flag: a flag read set stays set, as a slot reprograms
-    to 1, and after a kept clear read of p, or none, the path no slot
-    measured at p has it clear (a sampled flag walk draws 0 too).
-
-    Raises:
-        ValueError: the trace reads the response of a clear flag.
+    A response read at p raises unless the trace's last kept read of p
+    answered set (the response contract): every path at the node saw
+    that answer, and a flag read set stays set, so this raises iff some
+    path reads a clear flag.
 
     Returns:
-        (output, node, forks): the trace's output and the node it ended
-        in, and the children set aside, as (answers, node), in the order
-        their queries were met and each query's children in answer order.
+        (output, node, forks): the trace's output, the node it ended in,
+        and the children set aside as (answers, node).
     """
     script = iter(answers)
     end = object()
     at = [answers, node]
     forks: list = []
     last: dict = {}  # point -> answer of the trace's last kept read of it
+    run = [None, 0]  # the point of the dropped reads not yet walked, and their count
+
+    def flush():
+        if run[1]:
+            at[1] = expand(at[1], "h", run[0], run[1], False)
+            run[1] = 0
 
     def asker(kind):
         def ask(point, drop=False):
@@ -69,11 +79,17 @@ def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
                 )
             answer = next(script, end)
             if answer is end:
-                children = expand(at[1], kind, point)
-                if drop:
-                    answer, at[1] = None, _merged(children)
+                if kind == "f" or point != run[0]:
+                    flush()
+                if drop and kind == "h":
+                    run[0] = point
+                    run[1] += 1
+                    answer = None
+                elif drop:
+                    answer, at[1] = None, expand(at[1], kind, point, 1, False)
                 else:
-                    *rest, (answer, at[1]) = children.items()
+                    reads, run[1] = run[1] + 1, 0
+                    *rest, (answer, at[1]) = expand(at[1], kind, point, reads, True).items()
                     forks.extend((at[0] + (a,), child) for a, child in rest)
                 at[0] += (answer,)
             if kind == "h" and not drop:
@@ -83,19 +99,8 @@ def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
         return ask
 
     out = trace(asker("h"), asker("f"))
+    flush()
     return out, at[1], forks
-
-
-def _merged(children: dict) -> tuple:
-    """The one node of a dropped read: its children's paths, with the
-    weights of equal paths added. A lone child passes through as it is;
-    with two or more, ``expand`` built each child's path dict afresh, so
-    the first one takes in the rest."""
-    (made, paths), *rest = children.values()
-    for _, more in rest:
-        for path, weight in more.items():
-            paths[path] = paths.get(path, 0) + weight
-    return made, paths
 
 
 def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
@@ -105,34 +110,29 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
     merged counted paths. With ``fixed``, an (ordinal, timing) pair and
     k = 1, the walk takes the one schedule whose slot fires at the query
     after ``ordinal`` queries with that timing, or never if the run makes
-    no such query; merged leaves do not record the timing, so a caller
-    that scores schedules apart walks each this way.
+    no such query.
 
     The oracle ``trace(ask_h, ask_f)`` queries starts unset: an unset
     point answers 0, or with ``values`` (a tuple of equally likely
-    values) is assigned each value on first query, and keeps it. A
-    slot measures the query at its ordinal and reprograms the point to 1,
-    or with ``live`` to the verifier randomness r, before (timing 0) or
+    values) is assigned each value on first query, and keeps it. A slot
+    measures the query at its ordinal and reprograms the point to 1, or
+    with ``live`` to the verifier randomness r, before (timing 0) or
     after (timing 1) answering; a later query of the point answers the
     reprogrammed value. ``ask_f(p)`` is the verifier's response at p
     under r; it must follow a set read of p (the contract
-    ``pipeline.simulator_trace`` states), which each replay checks
-    (``_next_event``).
+    ``pipeline.simulator_trace`` states), which each replay checks.
 
-    A trace is deterministic given its answers, so the walk goes depth
-    first down its answer tree, and each leaf costs one replay
-    (``_next_event``): a replay follows one child of every branching
-    query it meets and leaves the others to replays of their own. A read
-    the trace drops has one child, all its answers' paths merged, and
-    answers None. A node
-    holds every path that reached it, merged: paths with the same (slots,
-    assignment, randomness group) add their counts of runs; the points
-    a path's slots measured are the ones it reprogrammed. A
+    A node holds every path that reached it, merged: paths with the same
+    (slots, assignment, randomness group) add their counts of runs. Each
+    query is one ordinal: no slot fires, or one unused slot fires with
+    timing 0 or 1 while the ordinal is at most q. A run of reads of one
+    point is one step, counted by ``_run_steps`` once per walk for every
+    core with the same used slots, measured point and plain read, and
+    kept in a table on the point, the run and the core, which paths of
+    every group share; a fixed walk's run splits at its ordinal. A
     response read splits each path's group by the response
     ``next_message`` gives, instead of forking over every r, and so does
-    an answered live value. Each query is one ordinal: no slot fires, or
-    one unused slot fires with timing 0 or 1 while the ordinal is at most
-    q, and each answer this gives leads to one child node.
+    a live value.
 
     Raises:
         ValueError: the trace reads the response of a clear flag.
@@ -150,115 +150,269 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
         A fixed schedule counts 1.
     """
     rs = frozenset(spec.randomness)
-    lives: dict = {}  # group -> (r, {r}) per r: a live group's reprogrammed reads
-    splits: dict = {}  # (group, point) -> {response: subgroup}
+    points: dict = {}  # point -> its index in ``table``
+    table: list = []
+    groups: list = [rs]
+    indices: dict = {rs: 0}  # group -> its index in ``groups``
+    assignments: list = [(frozenset(), {})]  # index -> (items, {point index: value})
+    assigned: dict = {frozenset(): 0}  # items -> their index in ``assignments``
+    lives: dict = {}  # group index -> (r, index of {r}) per r of the group
+    splits: dict = {}  # (group index, point) -> (response, subgroup index) pairs
+    moves: dict = {}  # (point index, run, kept) -> {core: its ``_run_steps``}
+    computed: dict = {}  # ``_run_steps`` arguments -> its steps
+    at_assignment = k + k * _FIELD
+    slot_bits = (1 << k) - 1
 
-    def expand(node, kind, point):
-        made, paths = node
+    def group_index(group) -> int:
+        if group not in indices:
+            indices[group] = len(groups)
+            groups.append(group)
+        return indices[group]
+
+    def plain_read(core: int, index: int) -> tuple:
+        """(answer, change) of each way an unreprogrammed read of a point
+        goes: 0 if unset, its value, or each value assigned, the change
+        XORing the new assignment's index into the core."""
+        if values is None:
+            return ((0, 0),)
+        a = core >> at_assignment
+        items, held = assignments[a]
+        if index in held:
+            return ((held[index], 0),)
+        reads = []
+        for v in values:
+            more = items | {(table[index], v)}
+            if more not in assigned:
+                assigned[more] = len(assignments)
+                assignments.append((more, {**held, index: v}))
+            reads.append((v, (a ^ assigned[more]) << at_assignment))
+        return tuple(reads)
+
+    def stepped(core: int, index: int, run: tuple, kept: bool) -> tuple:
+        used = core & slot_bits
+        measured = False
+        for i in range(k):
+            if used >> i & 1 and core >> (k + i * _FIELD) & _LOW == index:
+                measured = True
+        plain = () if measured else plain_read(core, index)
+        args = (run, k, used, measured, plain, kept, bool(live and k))
+        if len(plain) > 1:  # a fresh assignment per core: nothing to share
+            return _run_steps(*args)
+        ways = computed.get(args)
+        if ways is None:
+            ways = computed[args] = _run_steps(*args)
+        return ways
+
+    def advance(paths: dict, index: int, run: tuple, kept: bool, fresh: bool) -> dict:
+        """The paths after a run: by answer when ``kept``, else merged. At
+        a ``fresh`` point of a walk without values, a path's steps follow
+        from its used slots alone."""
+        known, mask = ({}, slot_bits) if fresh and values is None else (
+            moves.get((index, run, kept)), -1)
+        if known is None:
+            known = moves[index, run, kept] = {}
         children: dict = {}
-        if kind == "h":
-            ways, free = _flag_steps, (k if made < q else 0)
-            if fixed is not None:  # the one slot fires at this query or not at all
-                ways, free = (_fired, fixed[1]) if made == fixed[0] else (_flag_steps, 0)
-            for path, weight in paths.items():
-                group = path[2]
-                if not (live and k):  # r singletons only where a slot can fire
-                    ys: tuple = ((1, group),)
-                elif group in lives:
-                    ys = lives[group]
-                else:
-                    ys = lives[group] = tuple((r, frozenset((r,))) for r in group)
-                for answer, step in ways(point, path, values, free, ys):
-                    merged = children.setdefault(answer, {})
-                    merged[step] = merged.get(step, 0) + weight
-            return {a: (made + 1, merged) for a, merged in children.items()}
-        for (slots, asg, group), weight in paths.items():
-            if (group, point) not in splits:
-                split: dict = {}
-                for r in group:
-                    split.setdefault(spec.next_message(x, r, point), set()).add(r)
-                splits[group, point] = {c: frozenset(g) for c, g in split.items()}
-            for c, g in splits[group, point].items():
-                merged = children.setdefault(c, {})
-                step = (slots, asg, g)
-                merged[step] = merged.get(step, 0) + weight
-        return {c: (made, merged) for c, merged in children.items()}
+        for path, weight in paths.items():
+            core = path >> _FIELD
+            ways = known.get(core & mask)
+            if ways is None:
+                ways = known[core & mask] = stepped(core, index, run, kept)
+            plain, ys = ways
+            if kept:
+                for answer, steps in plain.items():
+                    merged = children.get(answer)
+                    if merged is None:
+                        merged = children[answer] = {}
+                    for (change, spread), count in steps.items():
+                        step = path ^ (change | index * spread)
+                        merged[step] = merged.get(step, 0) + weight * count
+            else:
+                for (change, spread), count in plain.items():
+                    step = path ^ (change | index * spread)
+                    children[step] = children.get(step, 0) + weight * count
+            if ys:  # a live read: the answer r takes the group to {r}
+                g = path & _LOW
+                if g not in lives:
+                    lives[g] = tuple((r, group_index(frozenset((r,)))) for r in groups[g])
+                for r, single in lives[g]:
+                    merged = children.get(r) if kept else children
+                    if merged is None:
+                        merged = children[r] = {}
+                    for (change, spread), count in ys.items():
+                        step = path ^ (change | index * spread) ^ g | single
+                        merged[step] = merged.get(step, 0) + weight * count
+        return children
 
-    done: dict = {}
-    stack = [((), (0, {((), frozenset(), rs): 1}))]
+    def expand(node, kind, point, reads, kept):
+        made, paths = node
+        if kind == "f":
+            children: dict = {}
+            for path, weight in paths.items():
+                g = path & _LOW
+                if (g, point) not in splits:
+                    split: dict = {}
+                    for r in groups[g]:
+                        split.setdefault(spec.next_message(x, r, point), set()).add(r)
+                    splits[g, point] = tuple(
+                        (c, group_index(frozenset(sub))) for c, sub in split.items())
+                for c, gc in splits[g, point]:
+                    merged = children.setdefault(c, {})
+                    merged[path ^ g | gc] = merged.get(path ^ g | gc, 0) + weight
+            nodes = {c: (made, merged) for c, merged in children.items()}
+            return nodes if kept else _merged(nodes)
+        fresh = point not in points
+        if fresh:
+            points[point] = len(table)
+            table.append(point)
+        index = points[point]
+        if fixed is None:
+            fire = max(0, min(reads, q - made)) if k else 0
+            run = (fire, (0, 1), fire == reads, False) if fire else _STILL
+        else:  # the one slot fires at the run's read of the fixed ordinal
+            ahead, run = fixed[0] - made, _STILL
+            if 0 <= ahead < reads:
+                if ahead:
+                    paths = advance(paths, index, _STILL, False, fresh)
+                run = (1, (fixed[1],), ahead == reads - 1, True)
+        children = advance(paths, index, run, kept, fresh)
+        if kept:
+            return {a: (made + reads, merged) for a, merged in children.items()}
+        return made + reads, children
+
+    done: dict = {}  # (output, made) -> {path: weight}
+    stack = [((), (0, {0: 1}))]  # the root path: no slot, no assignment, all of R
     while stack:
         answers, node = stack.pop()
         out, (made, paths), forks = _next_event(trace, answers, node, expand)
         stack += forks
-        for (slots, asg, group), weight in paths.items():
-            leaf = (group, slots, out, asg, made)
-            done[leaf] = done.get(leaf, 0) + weight
+        ended = done.setdefault((out, made), paths)
+        if ended is not paths:
+            for path, weight in paths.items():
+                ended[path] = ended.get(path, 0) + weight
     base = len(values) if values else 1
-    depth = max(len(asg) for _, _, _, asg, _ in done)
-    # weigh in the never-fired schedules (none past a fixed one) and the
-    # unassigned points
-    unfired = _schedule_count if fixed is None else lambda k, q: 1
-    for leaf in done:
-        _, slots, _, asg, made = leaf
-        done[leaf] *= (unfired(k - len(slots), max(q - made, 0))
-                       * base ** (depth - len(asg)))
-    total = len(rs) * unfired(k, q) * base**depth
-    counted = sum(w * len(group) for (group, *_), w in done.items())
+    depth = max(len(assignments[a][0]) for a in {
+        path >> (_FIELD + at_assignment) for paths in done.values() for path in paths
+    }) if values else 0
+    # weigh in the never-fired schedules (none past a fixed one), counted
+    # once per (unused slots, queries left), and the unassigned points
+    unfired: dict = {(k, q): _schedule_count(k, q) if fixed is None else 1}
+    decoded: dict = {}  # made -> {core: (slots, assignment, factor)}
+    leaves = []
+    counted = 0
+    for (out, made), paths in done.items():
+        known = decoded.get(made)
+        if known is None:
+            known = decoded[made] = {}
+        for path, weight in paths.items():
+            core = path >> _FIELD
+            leaf = known.get(core)
+            if leaf is None:
+                slots = tuple([(i, table[core >> (k + i * _FIELD) & _LOW])
+                               for i in range(k) if core >> i & 1]) if core & slot_bits else ()
+                asg = assignments[core >> at_assignment][0]
+                left = (k - len(slots), max(q - made, 0))
+                if left not in unfired:
+                    unfired[left] = _schedule_count(*left) if fixed is None else 1
+                leaf = known[core] = slots, asg, unfired[left] * base ** (depth - len(asg))
+            slots, asg, factor = leaf
+            group = groups[path & _LOW]
+            weight *= factor
+            counted += weight * len(group)
+            leaves.append((weight, group, slots, out, asg, made))
+    total = len(rs) * unfired[k, q] * base**depth
     if counted != total:
         raise RuntimeError(f"walk multiplicities sum to {counted}")
-    return total, [(w, *leaf) for leaf, w in done.items()]
+    return total, leaves
 
 
-def _fired(point, path, values, timing, ys):
-    """(answer, path) of each way the one slot of a fixed schedule takes
-    an unmeasured path at ``point``: it measures the point and answers
-    the reprogrammed value's reads ``ys`` (timing 0) or the plain read's
-    answers (timing 1), as ``_flag_steps`` has a slot fire."""
-    measured = ((0, point),)
-    if timing == 0:
-        return [(y, (measured, path[1], g)) for y, g in ys]
-    return [(a, (measured, asg, g))
-            for a, (_, asg, g) in _flag_steps(point, path, values, 0, ys)]
+def _merged(children: dict) -> tuple:
+    """The one node of a dropped read: its children's paths, with the
+    weights of equal paths added. A lone child passes through as it is;
+    with two or more, ``expand`` built each child's path dict afresh, so
+    the first one takes in the rest."""
+    (made, paths), *rest = children.values()
+    for _, more in rest:
+        for path, weight in more.items():
+            paths[path] = paths.get(path, 0) + weight
+    return made, paths
 
 
-def _flag_steps(point, path, values, k, ys):
-    """(answer, path) of each way one query at ``point`` takes a path
-    (slots, assignment, group): unmeasured, then measured by each of the
-    k slots not yet used, reprogramming before (timing 0) or after
-    (timing 1) the answer. A point some slot measured answers its
-    reprogrammed value. ``ys`` lists the (answer, group) pairs of a read
-    of the reprogrammed value: (1, group), or (r, {r}) per r of a live
-    group."""
-    # plain loops, not comprehensions: each comprehension costs a frame,
-    # and this runs once per path at every query
-    slots, asg, group = path
-    reads: list = []
-    for _, measured in slots:
-        if measured == point:  # a later read of the point sees y
-            for y, g in ys:
-                reads.append((y, asg, g))
-            break
-    else:
-        if values is None:
-            reads.append((0, asg, group))
-        else:
-            flags = dict(asg)
-            if point in flags:
-                reads.append((flags[point], asg, group))
+def _run_steps(run: tuple, k: int, used: int, measured: bool, plain: tuple, kept: bool,
+               live: bool) -> tuple:
+    """(plain, ys): the ways a run of reads of one point takes a path
+    whose used-slot mask is ``used``, as {(change, spread): count}: the
+    path XORs in the change and the point's index times the spread,
+    which writes the index into the fields of the slots that fire.
+    ``plain`` in holds the (answer, change) ways of a plain read of the
+    point; out, the steps that keep the group, in a dict per answer when
+    ``kept``. ``ys`` holds the steps that read the live reprogrammed
+    value, whose answer r splits the group. ``_ways`` counts them."""
+    by: dict = {}
+    if not run[0] and not measured:  # one plain read, and no slot to count
+        for answer, change in plain:
+            into = by.setdefault(answer, {}) if kept else by
+            into[change << _FIELD, 0] = into.get((change << _FIELD, 0), 0) + 1
+        return by, {}
+    changes = [change << _FIELD for _, change in plain]
+
+    def placed(steps: dict) -> dict:
+        out: dict = {}
+        for (read, bits, spread), count in steps.items():
+            step = (bits if read is None else bits | changes[read], spread)
+            out[step] = out.get(step, 0) + count
+        return out
+
+    by, ys = _ways(run, k, used, measured, tuple(answer for answer, _ in plain), kept, live)
+    if kept:
+        return {answer: placed(steps) for answer, steps in by.items()}, placed(ys)
+    return placed(by), placed(ys)
+
+
+@functools.lru_cache(maxsize=1024)
+def _ways(run: tuple, k: int, used: int, measured: bool, answers: tuple, kept: bool,
+          live: bool) -> tuple:
+    """``_run_steps`` with each step as (read, bits, spread): ``read`` is
+    None where the path keeps its assignment, else the index in
+    ``answers`` of the plain read whose assignment it takes. Without
+    ``live`` the reprogrammed value reads 1. It depends on the run's
+    shape alone, so walks share it.
+
+    ``run`` is (fire, timings, tail, must): slots may fire at the first
+    ``fire`` reads with a timing of ``timings``, ``tail`` says the last
+    read is one of them, and with ``must`` one slot fires. Only the last
+    read is kept. A set S of unused slots fires in perm(fire, |S|) ·
+    |timings|**|S| ways. If a slot ``measured`` the point before the
+    run, every read answers the reprogrammed value. Otherwise the first
+    read is plain and takes the plain read's assignment, except in the
+    |S| · perm(fire - 1, |S| - 1) · |timings|**(|S| - 1) ways a slot
+    fires there with timing 0; and the last read answers the plain read
+    when no slot fires, or the one slot of S fires there with timing 1.
+    """
+    fire, timings, tail, must = run
+    unused = [i for i in range(k) if not used >> i & 1]
+    by: dict = {}
+    ys: dict = {}
+    for s in range(1 if must else 0, min(len(unused), fire) + 1):
+        every = math.perm(fire, s) * len(timings) ** s
+        first = (s * math.perm(fire - 1, s - 1) * len(timings) ** (s - 1)
+                 if s and 0 in timings else 0)
+        last = 1 if tail and s == 1 and 1 in timings else 0
+        for chosen in combinations(unused, s):
+            bits = sum(1 << i for i in chosen) << _FIELD
+            spread = sum(1 << (k + i * _FIELD) for i in chosen) << _FIELD
+            # (answer, read, count); the answer None reads the reprogrammed value
+            if measured:
+                counts = [(None, None, every)]
+            elif s:
+                counts = [(None, None, first)]
+                counts += [(None, j, every - first - last) for j in range(len(answers))]
+                counts += [(a, j, last) for j, a in enumerate(answers)]
             else:
-                for v in values:
-                    reads.append((v, asg | {(point, v)}, group))
-    steps = []
-    for a, g, gr in reads:
-        steps.append((a, (slots, g, gr)))
-    if len(slots) < k:
-        used = [i for i, _ in slots]
-        for i in range(k):
-            if i in used:
-                continue
-            measured = tuple(sorted(slots + ((i, point),)))
-            for y, g in ys:
-                steps.append((y, (measured, asg, g)))
-            for a, g, gr in reads:
-                steps.append((a, (measured, g, gr)))
-    return steps
+                counts = [(a, j, 1) for j, a in enumerate(answers)]
+            for answer, read, count in counts:
+                if count and answer is None and live:
+                    ys[read, bits, spread] = ys.get((read, bits, spread), 0) + count
+                elif count:
+                    into = by.setdefault(1 if answer is None else answer, {}) if kept else by
+                    into[read, bits, spread] = into.get((read, bits, spread), 0) + count
+    return by, ys

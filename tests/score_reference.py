@@ -8,12 +8,17 @@ the same weights, read as masses (``live_reference.masses``), and the
 same exact sums. The pipeline's scorers read the count from
 ``_acceptor`` instead, and are tested against these for exact
 ``Fraction`` equality.
+
+``leafwise_sparse_hypothesis`` is ``pipeline._sparse_hypothesis`` as it
+was before it summed each (ones, zeros) class in integers: it reads the
+count from ``_acceptor`` and applies each density's likelihood ratio
+once per kept leaf.
 """
 
 from fractions import Fraction
 
 from live_reference import masses
-from qromlab.pipeline import _label_walk
+from qromlab.pipeline import _acceptor, _label_walk
 from qromlab.protocol import ConfigError, ProtocolSpec
 from qromlab.transforms import _ordered_outcome, _schedule_count
 from qromlab.walk import _walk
@@ -35,6 +40,24 @@ def sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fraction
         for j, eps in enumerate(densities):
             totals[j] += runs * eps**ones * (1 - eps) ** (len(flags) - ones) * accepted
     return tuple(t / len(spec.randomness) for t in totals)
+
+
+def leafwise_sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fraction, ...]:
+    """``pipeline._sparse_hypothesis``, one ratio product per kept leaf."""
+    ratios = [(2 * Fraction(eps), 2 - 2 * Fraction(eps)) for eps in densities]
+    k = spec.rounds
+    count = _acceptor(spec, x)
+    totals = [Fraction(0)] * len(ratios)
+    total, leaves = _walk(spec, x, trace, values=(1, 0))
+    for weight, group, _, out, asg, _ in leaves:
+        flags = dict(asg)
+        if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
+            continue
+        accepted = weight * count(group, out)
+        ones = sum(flags.values())
+        for j, (one, zero) in enumerate(ratios):
+            totals[j] += one**ones * zero ** (len(flags) - ones) * accepted
+    return tuple(t / total for t in totals)
 
 
 def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:

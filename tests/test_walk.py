@@ -22,7 +22,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import live_reference as live
+import score_reference
 import walk_reference
+from executor_reference import assert_same_value
 from qromlab import pipeline, transforms, walk
 from qromlab.cli import main
 from qromlab.pipeline import (
@@ -42,7 +44,7 @@ from qromlab.pipeline import (
 )
 from qromlab.protocol import ConfigError, toy_table
 from qromlab.transforms import MarSchedule, _schedule_count, enumerate_schedules
-from qromlab.walk import _flag_steps, _walk
+from qromlab.walk import _walk
 from test_extraction import LETTERS, SPECS, flag_trace
 
 STOCK = {
@@ -103,6 +105,19 @@ def test_stock_multiplicities(name):
         assert _sparse_hypothesis(spec, x, trace, densities) == tuple(
             live.sparse_hypothesis(spec, x, trace, eps) for eps in densities
         )
+
+
+@pytest.mark.parametrize("name", sorted(STOCK))
+def test_the_hypothesis_sums_each_class_once(name):
+    # summing each (ones, zeros) class in integers and applying each
+    # density's ratio once per class gives the per-leaf value, type too
+    for spec, x, trace, _ in stock(name):
+        densities = (Fraction(1, 4), eps_star(spec.rounds, spec.rounds),
+                     Fraction(2, 3), Fraction(1), Fraction(0))
+        got = _sparse_hypothesis(spec, x, trace, densities)
+        want = score_reference.leafwise_sparse_hypothesis(spec, x, trace, densities)
+        for value, expected in zip(got, want, strict=True):
+            assert_same_value(value, expected)
 
 
 @settings(max_examples=40, deadline=None)
@@ -239,26 +254,40 @@ def test_a_slot_reprograms_the_point_it_measures():
     # timing 0 answers y and timing 1 the clear value; either way the
     # measured point is reprogrammed, and a path is (slots, assignment,
     # group): nothing records what the read saw
+    spec = toy_table()
+    group = frozenset(spec.randomness)
     none = frozenset()
-    group = frozenset({0, 1})
-    ys = ((1, group),)
     slot = ((0, (0,)),)
-    steps = _flag_steps((0,), ((), none, group), None, 1, ys)
-    assert steps == [
-        (0, ((), none, group)),
-        (1, (slot, none, group)),
-        (0, (slot, none, group)),
-    ]
-    # a later unmeasured read of the measured point sees y
-    (again,) = _flag_steps((0,), (slot, none, group), None, 1, ys)
-    assert again == (1, (slot, none, group))
+
+    def reads(n):
+        return lambda ask_h, ask_f: tuple(ask_h((0,)) for _ in range(n))
+
+    def walked(trace, **kwargs):
+        total, leaves = _walk(spec, 1, trace, **kwargs)
+        return total, {tuple(leaf): weight for weight, *leaf in leaves}
+
+    assert walked(reads(1), k=1, q=1) == (6, {
+        (group, (), (0,), none, 1): 1,
+        (group, slot, (1,), none, 1): 1,
+        (group, slot, (0,), none, 1): 1,
+    })
+    # a later read of the measured point sees y; a slot past q never fires
+    assert walked(reads(2), k=1, q=1) == (6, {
+        (group, (), (0, 0), none, 2): 1,
+        (group, slot, (1, 1), none, 2): 1,
+        (group, slot, (0, 1), none, 2): 1,
+    })
     # a live slot's y is the randomness: its read splits the group
-    lives = tuple((r, frozenset({r})) for r in sorted(group))
-    split = _flag_steps((0,), (slot, none, group), None, 1, lives)
-    assert split == [(r, (slot, none, frozenset({r}))) for r in (0, 1)]
+    live = walked(reads(2), k=1, q=1, live=True)[1]
+    split = Counter()
+    for r in spec.randomness:
+        split[frozenset({r}), slot, (r, r), none, 2] += 1  # timing 0
+        split[frozenset({r}), slot, (0, r), none, 2] += 1  # timing 1
+    assert {leaf: w for leaf, w in live.items() if leaf[1]} == split
     # an unmeasured read of an unset point samples each value once
-    sampled = _flag_steps((1,), (slot, none, group), (1, 0), 1, ys)
-    assert sampled == [(v, (slot, frozenset({((1,), v)}), group)) for v in (1, 0)]
+    assert walked(reads(2), values=(1, 0)) == (4, {
+        (group, (), (v, v), frozenset({((0,), v)}), 2): 1 for v in (1, 0)
+    })
 
 
 def test_a_response_read_checks_the_last_kept_read():
@@ -365,22 +394,46 @@ def test_a_dropped_read_costs_no_replay(reps, replays, monkeypatch):
 
 
 @pytest.mark.parametrize("reps, calls",
-                         [(None, 660), (4, 1_156), (8, 16_036), (10, 63_652)])
-def test_paths_that_saw_different_answers_merge(reps, calls, monkeypatch):
-    # a path is (slots, assignment, group), so paths that read a point
-    # clear and set merge: 852, 1,476, 20,196 and 80,100 calls kept
-    # them apart
+                         [(None, 72), (4, 88), (8, 568), (10, 2_104)])
+def test_each_run_step_is_computed_once(reps, calls, monkeypatch):
+    # a run of reads of one point is one step, and a walk computes each
+    # step once for every core with the same used slots, measured point
+    # and plain read: stepping every path at every read took 660, 1,156,
+    # 16,036 and 63,652 calls
     counted = []
-    flag_steps = walk._flag_steps
+    run_steps = walk._run_steps
 
     def counting(*args):
         counted.append(args[0])
-        return flag_steps(*args)
+        return run_steps(*args)
 
-    monkeypatch.setattr(walk, "_flag_steps", counting)
+    monkeypatch.setattr(walk, "_run_steps", counting)
     cfg = default_config("constant-round")
     decide_constant_round(cfg if reps is None else replace(cfg, reps=reps))
     assert len(counted) == calls
+
+
+def test_the_never_fired_count_is_taken_once_per_argument(monkeypatch):
+    # each walk counts the schedules past a path's last query once per
+    # (unused slots, queries left), not once per leaf
+    counts: list = []
+    schedule_count = walk._schedule_count
+    inner = pipeline._walk
+
+    def walked(*args, **kwargs):
+        counts.append([])
+        return inner(*args, **kwargs)
+
+    def counting(k, q):
+        counts[-1].append((k, q))
+        return schedule_count(k, q)
+
+    monkeypatch.setattr(pipeline, "_walk", walked)
+    monkeypatch.setattr(walk, "_schedule_count", counting)
+    decide_constant_round(replace(default_config("constant-round"), reps=4))
+    assert len(counts) == 6
+    for pairs in counts:
+        assert len(pairs) == len(set(pairs))
 
 
 def test_a_dropped_read_adds_the_weights_of_equal_paths():
