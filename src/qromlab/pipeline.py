@@ -666,18 +666,19 @@ def _check_public_coin(spec: ProtocolSpec, x) -> None:
                 raise ValueError("round-1 response depends on the prover message")
 
 
-def _top_products(masses: Sequence[Fraction], reps: int, n: int) -> list[Fraction]:
-    """The n largest products of ``reps`` entries of ``masses``, largest
-    first, exact. ``masses`` is nonnegative and sorted descending, so a
-    product can only fall as any index of its index vector grows: a
-    best-first heap from (0, ..., 0) that pushes each popped vector's
-    one-step neighbours pops the products in descending order."""
+def _top_products(masses: Sequence, reps: int, n: int) -> list:
+    """The n largest products of ``reps`` entries of ``masses`` (ints or
+    Fractions), largest first, exact. ``masses`` is nonnegative and
+    sorted descending, so a product can only fall as any index of its
+    index vector grows: a best-first heap from (0, ..., 0) that pushes
+    each popped vector's one-step neighbours pops the products in
+    descending order."""
     if not masses:
         return []
     start = (0,) * reps
     heap = [(-math.prod(masses[i] for i in start), start)]
     seen = {start}
-    out: list[Fraction] = []
+    out = []
     while heap and len(out) < n:
         neg, idx = heapq.heappop(heap)
         out.append(-neg)
@@ -698,20 +699,24 @@ def _forgery_masses(spec: ProtocolSpec, x, n: int) -> list[Fraction]:
     A spec built by ``protocol.fold`` answers a challenge iff every
     coordinate does, and its challenge coordinates are independent, so
     its masses are the products of base masses; the n largest come from
-    ``_top_products`` over the sorted base masses, and the folded
-    alphabet is never listed.
+    ``_top_products`` over the sorted base masses, counted in ints and
+    divided once, and the folded alphabet is never listed.
     """
     _check_public_coin(spec, x)
     folded = spec.fold_base is not None
     base, reps = (spec.fold_base, spec.fold_reps) if folded else (spec, 1)
-    masses = []
+    counts = []
     for m1 in base.alphabet:
-        good = sum(
-            1 for r in base.randomness
-            if any(base.decide(x, r, (m1, m2)) for m2 in base.alphabet)
-        )
-        masses.append(Fraction(good, len(base.randomness)))
-    return _top_products(sorted(masses, reverse=True), reps, n)
+        good = 0
+        for r in base.randomness:
+            for m2 in base.alphabet:
+                if base.decide(x, r, (m1, m2)):
+                    good += 1
+                    break
+        counts.append(good)
+    total = len(base.randomness) ** reps
+    return [Fraction(c, total)
+            for c in _top_products(sorted(counts, reverse=True), reps, n)]
 
 
 def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
@@ -724,6 +729,8 @@ def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
     largest masses, which ``_forgery_masses`` takes from the base of a
     folded spec without building the folded one.
     """
+    if q < 0:
+        raise ValueError("query count must be nonnegative")
     miss = Fraction(1)
     for p in _forgery_masses(spec, x, q + 1):
         miss *= 1 - p

@@ -159,6 +159,10 @@ def soundness_exact(spec: ProtocolSpec, x: Hashable) -> Fraction:
     randomness). Folded parallel repetitions with componentwise
     decisions and product randomness factor exactly, so those use the
     base value raised to the repetition count.
+
+    A node stops scanning messages at one that accepts its whole
+    randomness set: every value counts members of that set, so no later
+    message can beat it, and the exit is exact.
     """
     if spec.fold_base is not None:
         return soundness_exact(spec.fold_base, x) ** spec.fold_reps
@@ -171,15 +175,21 @@ def soundness_exact(spec: ProtocolSpec, x: Hashable) -> Fraction:
         out = 0
         for m in spec.alphabet:
             ms2 = ms + (m,)
+            val = 0
             if len(ms2) == k:
-                val = sum(1 for r in rset if spec.decide(x, r, ms2))
+                for r in rset:
+                    if spec.decide(x, r, ms2):
+                        val += 1
             else:
                 parts: dict = {}
                 for r in rset:
                     parts.setdefault(spec.next_message(x, r, ms2), []).append(r)
-                val = sum(best(ms2, tuple(p)) for p in parts.values())
+                for p in parts.values():
+                    val += best(ms2, tuple(p))
             if val > out:
                 out = val
+                if out == len(rset):
+                    break
         return out
 
     return Fraction(best((), spec.randomness), n_r)

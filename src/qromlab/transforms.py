@@ -146,9 +146,15 @@ def _ordered_outcome(measured: dict[int, tuple], claim: Sequence) -> tuple:
     """The ordered abort rule: (points, output or None). Slot i is its
     measured point or else the claim's (i+1)-prefix; the output is the
     last point when every point is a prefix of it, None on a clash."""
-    points = tuple(measured.get(i, tuple(claim[: i + 1])) for i in range(len(claim)))
+    points = []
+    for i in range(len(claim)):
+        points.append(measured[i] if i in measured else tuple(claim[: i + 1]))
+    points = tuple(points)
     last = points[-1]
-    return points, (last if all(p == last[: len(p)] for p in points) else None)
+    for p in points:
+        if p != last[: len(p)]:
+            return points, None
+    return points, last
 
 
 @dataclass(frozen=True)

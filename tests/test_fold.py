@@ -201,6 +201,37 @@ class TestTopProducts:
     def test_empty_masses(self):
         assert _top_products([], 2, 3) == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.integers(0, 6), min_size=1, max_size=6),
+           st.integers(1, 3), st.integers(1, 250))
+    def test_int_counts_are_scaled_masses(self, counts, reps, n):
+        # products of counts over d are the products of the masses over d**reps
+        counts = sorted(counts, reverse=True)
+        d = 6
+        got = _top_products(counts, reps, n)
+        assert all(type(p) is int for p in got)
+        want = _top_products([Fraction(c, d) for c in counts], reps, n)
+        assert [Fraction(p, d**reps) for p in got] == want
+
+
+@pytest.mark.parametrize("reps", [1, 2, 3, 4])
+def test_integer_masses_against_materialised(reps):
+    # the int-counted masses, divided once, against every first message
+    # of the materialised fold scored in Fractions
+    new, old = toy_qr(reps), ref.toy_qr(reps)
+    for x in (4, 5, 16, 20):
+        want = ref.forgery_masses(old, x)
+        for n in (1, 3, 5, 13, 169):
+            got = _forgery_masses(new, x, n)
+            assert got == want[:n]
+            assert all(type(p) is Fraction for p in got)
+
+
+def test_forgery_refuses_a_negative_query_count():
+    assert fs_forgery_exact(toy_qr(1), 5, 0) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="query count must be nonnegative"):
+        fs_forgery_exact(toy_qr(1), 5, -1)
+
 
 def counted_base():
     """toy_qr(1) with a counter on its next-message calls."""

@@ -1,13 +1,18 @@
 """Protocol specs: completeness, exact soundness, acceptance sets."""
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import soundness_reference as ref
 from qromlab.protocol import (
     RESIDUES_21,
     UNITS_21,
+    ConfigError,
     ProtocolSpec,
     soundness_exact,
     toy_guess,
@@ -15,6 +20,7 @@ from qromlab.protocol import (
     toy_table,
 )
 from prover_reference import Transcript, acceptance_set, honest_execution
+from test_packed_walk import challenges_spec
 
 
 def brute_two_move(spec: ProtocolSpec, x) -> Fraction:
@@ -149,6 +155,100 @@ class TestSoundness:
         object.__setattr__(spec, "fold_base", None)
         with pytest.raises(ValueError):
             soundness_exact(spec, 5)
+
+
+def counting(spec: ProtocolSpec):
+    """A ``replace`` copy of ``spec`` (so with no fold record) that
+    counts its ``decide`` and ``next_message`` calls."""
+    calls = {"decide": 0, "next_message": 0}
+
+    def decide(x, r, ms):
+        calls["decide"] += 1
+        return spec.decide(x, r, ms)
+
+    def next_message(x, r, ms):
+        calls["next_message"] += 1
+        return spec.next_message(x, r, ms)
+
+    return replace(spec, decide=decide, next_message=next_message), calls
+
+
+REFERENCE_CASES = (
+    [(f"toy-qr-t{t}-{x}", toy_qr(t), x)
+     for t in (1, 2, 3) for x in (0, 1, 2, 4, 5, 16, 20)]
+    + [(f"toy-table-{x}", toy_table(), x) for x in range(4)]
+    + [(f"toy-guess-{x}", toy_guess(), x) for x in range(2)]
+    + [(f"toy-qr-t2-copy-{x}", replace(toy_qr(2)), x) for x in (4, 5)]
+    + [(f"toy-qr-2c-{x}", challenges_spec(2), x) for x in (4, 5, 16, 20)]
+    + [(f"toy-qr-3c-{x}", challenges_spec(3), x) for x in (4, 5)]
+)
+
+
+@st.composite
+def table_specs(draw):
+    """Two- and three-move specs over random next-message and decision
+    tables: up to 3 messages, 4 randomness values and 3 verifier
+    replies."""
+    k = draw(st.integers(2, 3))
+    alphabet = tuple(range(draw(st.integers(1, 3))))
+    randomness = tuple(range(draw(st.integers(1, 4))))
+    prefixes = [ms for n in range(1, k)
+                for ms in itertools.product(alphabet, repeat=n)]
+    replies = draw(st.integers(1, 3))
+    nm = {(r, ms): draw(st.integers(0, replies - 1))
+          for r in randomness for ms in prefixes}
+    dec = {(r, ms): draw(st.booleans())
+           for r in randomness for ms in itertools.product(alphabet, repeat=k)}
+    return ProtocolSpec(
+        name="table", alphabet=alphabet, rounds=k, randomness=randomness,
+        prover_randomness=(0,), language=lambda x: False,
+        witness_map=lambda x: (),
+        next_message=lambda x, r, ms: nm[(r, ms)],
+        decide=lambda x, r, ms: dec[(r, ms)],
+        honest_prover=lambda x, w, u, received: 0,
+    )
+
+
+class TestPrunedTree:
+    """The tree that stops at a message accepting its whole randomness
+    set, against ``soundness_reference``, which scans every message."""
+
+    @pytest.mark.parametrize("spec, x", [c[1:] for c in REFERENCE_CASES],
+                             ids=[c[0] for c in REFERENCE_CASES])
+    def test_against_reference(self, spec, x):
+        got = soundness_exact(spec, x)
+        assert type(got) is Fraction
+        assert got == ref.soundness_exact(spec, x)
+        if spec.fold_base is None:
+            new, new_calls = counting(spec)
+            old, old_calls = counting(spec)
+            assert soundness_exact(new, x) == ref.soundness_exact(old, x) == got
+            assert new_calls["decide"] <= old_calls["decide"]
+
+    @settings(max_examples=200, deadline=None)
+    @given(table_specs())
+    def test_against_reference_on_random_tables(self, spec):
+        new, new_calls = counting(spec)
+        old, old_calls = counting(spec)
+        assert soundness_exact(new, 0) == ref.soundness_exact(old, 0)
+        assert new_calls["decide"] <= old_calls["decide"]
+
+    @pytest.mark.parametrize("x, calls", [(4, 31), (16, 32), (5, 278), (20, 278)])
+    def test_decide_calls_at_the_stock_statements(self, x, calls):
+        # a yes statement's first accepting message ends the scan of the
+        # 13 first messages; the reference makes all 13 * 13 * 2 calls
+        new, new_calls = counting(toy_qr(1))
+        old, old_calls = counting(toy_qr(1))
+        soundness_exact(new, x)
+        ref.soundness_exact(old, x)
+        assert (new_calls["decide"], old_calls["decide"]) == (calls, 338)
+
+    def test_cap_refuses_before_any_call(self):
+        spec, calls = counting(toy_qr(3))
+        assert spec.fold_base is None
+        with pytest.raises(ConfigError):
+            soundness_exact(spec, 5)
+        assert calls == {"decide": 0, "next_message": 0}
 
 
 class TestAcceptanceSet:
