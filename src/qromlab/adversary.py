@@ -693,12 +693,13 @@ def _check_visible(step: Step, visible: set[str]) -> None:
 def _row_outputs(run: StrictRun, registers: Sequence[str]):
     """(row, digits, weight) for every row of a run and every joint digit
     tuple of the named registers above ``PROB_FLOOR``, row-major and in
-    digit order. One ``_register_probs`` call reads every row."""
+    digit order: one ``_register_probs`` call and one weight read per row."""
     axes = [1 + run.layout.axis_of(r) for r in registers]
     probs = _register_probs(run.tensor(), [0, *axes])
-    for idx in np.argwhere(probs > PROB_FLOOR).tolist():
-        i = idx[0]
-        yield i, tuple(idx[1:]), _scale(run.row_weight(i), float(probs[tuple(idx)]))
+    hit = probs > PROB_FLOOR
+    weights = [run.row_weight(i) for i in range(len(run))]
+    for idx, p in zip(np.argwhere(hit).tolist(), probs[hit].tolist()):
+        yield idx[0], tuple(idx[1:]), _scale(weights[idx[0]], p)
 
 
 def output_distribution(run: StrictRun, registers: Sequence[str], key=None):
@@ -894,8 +895,9 @@ def run_query_algorithm(
     state 0 of the layout without control registers, with the
     assignment's weight and the start row's table, and a call moves
     every row by its own permutation at once. Each row keeps its own
-    weight, outcomes and table; queries are answered row by row through
-    ``quantum_query``. A ``Pad`` moves no row. The run's call count is
+    weight, outcomes and table; a query is one ``quantum_query`` call per
+    row, each on the run's one layout, which keeps the query's index
+    arrays for every row. A ``Pad`` moves no row. The run's call count is
     ``alg.invocations``, and ``weight`` is its stopping weight.
     Every refusal but a measured point outside the table domain comes
     before any row is allocated, in step order.

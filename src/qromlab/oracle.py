@@ -7,8 +7,9 @@ domain tuple by position, y indexes the range tuple, and + is addition
 mod |range| (XOR when the range is binary). Basis states beyond the
 encoded domain/range act as identity, keeping the embedding unitary on
 oversized registers. A query is one index vector over the whole state,
-applied by ``qsim``'s permutation kernel; its digit arrays are kept on
-the register layout and its shift vector on the table.
+applied by ``qsim``'s permutation kernel. Its index arrays are kept on
+the layout object (``_query_axes``), one set per registers and table
+shape, and its shift vector on the table.
 
 Probability weights for the sparse distribution are exact rationals;
 only per-table acceptance probabilities are floats. That keeps
@@ -59,6 +60,9 @@ class ClassicalOracle:
     values: tuple[Hashable, ...]
 
     def __post_init__(self) -> None:
+        if not type(self.domain) is type(self.range_values) is type(self.values) is tuple:
+            for name in ("domain", "range_values", "values"):
+                object.__setattr__(self, name, tuple(getattr(self, name)))
         if len(set(self.domain)) != len(self.domain):
             raise ValueError("domain points must be distinct")
         if len(set(self.range_values)) != len(self.range_values):
@@ -91,9 +95,9 @@ class ClassicalOracle:
 
     @cached_property
     def _shift(self) -> np.ndarray:
-        """Range index of f(p) for each domain point p, in domain order:
-        the addend of quantum_query, built once per table."""
-        shift = np.array([self.value_index(p) for p in self.domain], dtype=np.intp)
+        """Range index of f(p) per domain point p, in domain order, then the 0
+        a surplus in-digit reads: quantum_query's addend, built once per table."""
+        shift = np.array([*map(self.value_index, self.domain), 0], dtype=np.intp)
         shift.setflags(write=False)
         return shift
 
@@ -125,7 +129,10 @@ def quantum_query(
 
     The in/out registers must be at least as large as the domain/range
     encodings; surplus basis states pass through untouched. Self-inverse
-    whenever |range| = 2 (XOR).
+    whenever |range| = 2 (XOR). ``_permute_rows`` gathers index j from
+    sources[s, j] (y < |range| from y - s mod |range|) at the table's shift
+    s = ``_shift[x[j]]``. The axes x, flat and sources are built once per
+    layout object and table shape, and kept in its ``_query_axes``.
     """
     lay = state.layout
     d_in, d_out = lay.dim_of(in_register), lay.dim_of(out_register)
@@ -137,13 +144,19 @@ def quantum_query(
         )
     if in_register == out_register:
         raise ValueError("repeated target register")
-    i_in, i_out = lay.index(in_register), lay.index(out_register)
-    x, y = lay._digits[i_in], lay._digits[i_out]
-    shift = np.zeros(d_in, dtype=np.intp)
-    shift[:n_dom] = oracle._shift
-    jy = np.where(y < n_rng, (y + shift[x]) % n_rng, y)
-    perm = np.arange(lay.total_dim) + (jy - y) * lay.strides[i_out]
-    amps = _permute_rows(state.amplitudes.reshape(1, 1, -1), perm[None], False)
+    key = (in_register, out_register, n_dom, n_rng)
+    axes = lay._query_axes.get(key)
+    if axes is None:
+        i_out = lay.index(out_register)
+        y, flat = lay._digits[i_out], np.arange(lay.total_dim)
+        back = np.where(y < n_rng, (y - np.arange(n_rng)[:, None]) % n_rng - y, 0)
+        x = np.minimum(lay._digits[lay.index(in_register)], n_dom)
+        axes = lay._query_axes[key] = (x, flat, flat + back * lay.strides[i_out])
+        for a in axes:
+            a.setflags(write=False)
+    x, flat, sources = axes
+    perm = sources[oracle._shift[x], flat]
+    amps = _permute_rows(state.amplitudes.reshape(1, 1, -1), perm[None], True)
     return StateVector(lay, amps.reshape(-1))
 
 

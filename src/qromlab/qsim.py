@@ -81,6 +81,12 @@ class RegisterLayout:
             a.setflags(write=False)
         return out
 
+    @cached_property
+    def _query_axes(self) -> dict:
+        """``oracle.quantum_query``'s index arrays on this layout object (not
+        an equal one), by registers and table shape, built on first use."""
+        return {}
+
     def index(self, name: str) -> int:
         try:
             return self.names.index(name)
@@ -302,9 +308,10 @@ def _unitary_on_axes(
     # u's basis runs over the targets last-listed slowest, as the axes do
     axes = [1 + layout.axis_of(n) for n in reversed(targets)]
     rest = [a for a in range(1, t.ndim) if a not in axes]
-    moved = t.transpose([0, *axes, *rest])
+    order = [0, *axes, *rest]
+    moved = t.transpose(order)
     out = np.matmul(u, moved.reshape(t.shape[0], block, -1)).reshape(moved.shape)
-    return np.moveaxis(out, range(1, len(axes) + 1), axes)
+    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def _register_probs(t: np.ndarray, axes: Sequence[int]) -> np.ndarray:
@@ -348,13 +355,21 @@ def measure_register(state: StateVector, register: str):
 
 def _permute_rows(rows: np.ndarray, perms: np.ndarray, inverse: bool) -> np.ndarray:
     """Move amplitudes by a basis permutation: ``rows`` is (rows, work, dim)
-    and ``perms`` (rows, dim). A forward call scatters amplitude i of a row
-    to ``perm[i]``, an inverse call gathers it back."""
-    idx = perms[:, None, :]
+    and ``perms`` (rows, dim), or (1, dim) for one permutation of every
+    row. A forward call scatters amplitude i of a row to ``perm[i]``, an
+    inverse call gathers it back. One permutation indexes the last axis,
+    and one per row a flat index of every amplitude."""
+    if len(perms) == 1:
+        if inverse:
+            return rows.take(perms[0], axis=2)
+        out = np.empty(rows.shape, rows.dtype)
+        out[..., perms[0]] = rows
+        return out
+    idx = perms[:, None] + np.arange(0, rows.size, rows.shape[2]).reshape(*rows.shape[:2], 1)
     if inverse:
-        return np.take_along_axis(rows, idx, axis=2)
-    out = np.empty_like(rows)
-    np.put_along_axis(out, idx, rows, axis=2)
+        return rows.reshape(-1).take(idx)
+    out = np.empty(rows.shape, rows.dtype)
+    out.reshape(-1)[idx] = rows
     return out
 
 

@@ -34,6 +34,10 @@ to it, and its ordinals count that name's queries. A run's row without
 a table reads back as a branch without tables. ``apply_schedule`` keeps
 its ``mar-slot-i`` outcome labels and the measured query register's
 outcome, and returns what the library records: (i, position) per slot.
+
+``row_outputs`` is the stacked run's row reader as it was before it read
+each row's weight once: one term per (row, digits) above ``PROB_FLOOR``,
+each reading its row's weight and its probability on its own.
 """
 
 from dataclasses import dataclass, replace
@@ -173,6 +177,16 @@ def output_distribution(branch_list, registers):
             key = tuple(int(v) for v in idx)
             out[key] = out.get(key, 0) + _scale(br.weight, float(marg[tuple(idx)]))
     return out
+
+
+def row_outputs(run, registers):
+    """(row, digits, weight) of every term of a ``StrictRun``, row-major
+    and in digit order, one ``row_weight`` read per term."""
+    axes = [1 + run.layout.axis_of(r) for r in registers]
+    probs = _register_probs(run.tensor(), [0, *axes])
+    for idx in np.argwhere(probs > PROB_FLOOR).tolist():
+        i = idx[0]
+        yield i, tuple(idx[1:]), _scale(run.row_weight(i), float(probs[tuple(idx)]))
 
 
 def unitary_on_axes(t, layout, target_registers, u):

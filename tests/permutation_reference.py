@@ -8,6 +8,11 @@ register by slicing each outcome out of the state tensor. They are slow
 and obviously correct, and serve as the reference routes the index-vector
 permutations and the row-batched measurement split in ``qsim`` are tested
 against.
+
+``permute_rows`` is the index-vector kernel as it was before it indexed
+directly: ``np.take_along_axis`` gathers and ``np.put_along_axis``
+scatters along the last axis, broadcasting one permutation over every
+row. ``qsim._permute_rows`` is tested against it.
 """
 
 import numpy as np
@@ -33,6 +38,17 @@ def quantum_query(
             jy = (iy + shift) % n_rng if iy < n_rng else iy
             u[ix + d_in * jy, ix + d_in * iy] = 1.0
     return apply_unitary(state, [in_register, out_register], u)
+
+
+def permute_rows(rows: np.ndarray, perms: np.ndarray, inverse: bool) -> np.ndarray:
+    """``rows`` (rows, work, dim) moved by ``perms`` (rows or 1, dim):
+    forward scatters amplitude i of a row to ``perm[i]``, inverse gathers."""
+    idx = perms[:, None, :]
+    if inverse:
+        return np.take_along_axis(rows, idx, axis=2)
+    out = np.empty_like(rows)
+    np.put_along_axis(out, idx, rows, axis=2)
+    return out
 
 
 def cswap_matrix(dim: int) -> np.ndarray:

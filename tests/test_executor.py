@@ -10,7 +10,9 @@ the same type, and outcomes, call counts and tables exactly. On every plain
 and scheduled run, the run's row reader and ``output_distribution`` must
 equal the per-branch reduction: the same rows and keys in the same
 order, Fractions equal and still Fractions, floats equal by
-``float.hex``.
+``float.hex``. So must the row reader equal the per-term loop it
+replaced (``executor_reference.row_outputs``) on every run the table
+masses of the zoo and the measure-and-reprogram demos read.
 """
 
 import itertools
@@ -21,7 +23,9 @@ import numpy as np
 import pytest
 
 import executor_reference as ref
+from conftest import accept_all_zero
 from executor_reference import assert_same_branches, assert_same_value
+from qromlab import adversary, cli, transforms
 from qromlab.adversary import (
     CallOracle,
     _row_outputs,
@@ -186,3 +190,46 @@ def test_machine_runs(kind, spec):
     # lazy's padded list and geometric's four, as built and cut at q = 8
     assert padded == (10 if rounds_off else 0)
 
+
+def logged_row_reads(monkeypatch) -> list:
+    """Log (run, registers) of every read of ``_row_outputs``, rebinding it
+    in each module that binds it."""
+    reads = []
+    real = adversary._row_outputs
+
+    def logged(run, registers):
+        reads.append((run, tuple(registers)))
+        return real(run, registers)
+
+    for module in (adversary, transforms):
+        monkeypatch.setattr(module, "_row_outputs", logged)
+    return reads
+
+
+def assert_same_terms(reads):
+    for run, registers in reads:
+        got = list(_row_outputs(run, registers))
+        want = list(ref.row_outputs(run, registers))
+        assert [r[:2] for r in got] == [r[:2] for r in want]
+        for (_, _, w), (_, _, v) in zip(got, want):
+            assert_same_value(w, v)
+
+
+@pytest.mark.parametrize("zoo", ["dom2", "dom3"])
+def test_row_reader_matches_the_per_term_loop_on_table_masses(monkeypatch, zoo):
+    reads = logged_row_reads(monkeypatch)
+    for alg in ZOOS[zoo]:
+        accept_all_zero(alg)(list(tables(DOMAINS[zoo])))
+    monkeypatch.undo()
+    assert len(reads) == len(ZOOS[zoo])
+    assert_same_terms(reads)
+
+
+@pytest.mark.parametrize("demo", ["mar", "mar-ordered"])
+def test_row_reader_matches_the_per_term_loop_on_demo_schedules(monkeypatch, demo):
+    reads = logged_row_reads(monkeypatch)
+    ok, _ = cli.LEMMAS[demo](np.random.default_rng(1))
+    monkeypatch.undo()
+    assert ok
+    assert any(any(run.outcomes) for run, _ in reads)  # measured schedule runs
+    assert_same_terms(reads)

@@ -4,13 +4,18 @@ check-once rule for unitaries.
 The oracle query and the SWAP test's controlled swap move amplitudes by
 one index-vector kernel, ``qsim._permute_rows``; ``measure_register`` is
 the one-row case of the batched split ``qsim._split_rows``. Each must be
-bit-identical to its dense route in ``permutation_reference``. The
+bit-identical to its dense route in ``permutation_reference``, and the
+kernel to the along-axis route it replaced there. A query's axes are
+built once per layout object and query registers, and a run still
+answers every row's query with one ``quantum_query`` call. The
 unitary kernel ``qsim._unitary_on_axes`` is one stacked matmul over rows,
 and must give every row exactly what a one-row ``np.tensordot`` gives it.
 A ``Unitary`` step is checked when it is built, so the executors never
 check it again.
 """
 
+import contextlib
+import io
 import itertools
 from fractions import Fraction
 
@@ -21,9 +26,11 @@ from hypothesis import strategies as st
 
 import permutation_reference as ref
 from executor_reference import unitary_on_axes
-from qromlab import adversary, hashfam, qsim
+from qromlab import adversary, cli, hashfam, qsim
 from qromlab.adversary import (
+    CallOracle,
     Unitary,
+    _table_masses,
     build_verifier,
     expected_wrappers,
     honest_wrapper,
@@ -31,7 +38,7 @@ from qromlab.adversary import (
     run_query_algorithm,
     run_simulator,
 )
-from qromlab.oracle import ClassicalOracle, quantum_query
+from qromlab.oracle import ClassicalOracle, prefix_domain, quantum_query
 from qromlab.protocol import toy_table
 from qromlab.qsim import (
     PROB_FLOOR,
@@ -81,6 +88,94 @@ def test_query_refuses_one_register_for_both_roles():
     state = StateVector.basis(RegisterLayout((("Q", 2),)))
     with pytest.raises(ValueError, match="repeated target register"):
         quantum_query(state, ClassicalOracle.constant((0, 1), (0, 1)), "Q", "Q")
+
+
+class LoggedAxes(dict):
+    """A layout's query axes that log the key of every entry they store."""
+
+    def __init__(self):
+        super().__init__()
+        self.stored = []
+
+    def __setitem__(self, key, value):
+        self.stored.append(key)
+        super().__setitem__(key, value)
+
+
+def counted_queries(monkeypatch) -> list:
+    """Log every query the executor makes, by the rows' state layout."""
+    calls = []
+    real = adversary.quantum_query
+
+    def counted(state, *args):
+        calls.append(state.layout)
+        return real(state, *args)
+
+    monkeypatch.setattr(adversary, "quantum_query", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", [a.name for a in oracle_zoo(prefix_domain((0, 1), 2))])
+def test_query_axes_are_built_once_per_layout_object(monkeypatch, name):
+    """64 tables as the start rows of one ``_table_masses`` run: one query
+    call per row and query step, all on the algorithm's one layout, whose
+    axes are built once per query register pair. An equal layout built
+    anew builds its own."""
+    dom = prefix_domain((0, 1), 2)
+    alg = {a.name: a for a in oracle_zoo(dom)}[name]
+    lay = alg._work_start.layout
+    built = lay.__dict__["_query_axes"] = LoggedAxes()
+    calls = counted_queries(monkeypatch)
+    tables = [ClassicalOracle(dom, (0, 1), bits)
+              for bits in itertools.product((0, 1), repeat=len(dom))]
+    masses = _table_masses(alg, tables, alg.output_registers, lambda digits: True)
+    assert len(masses) == 64
+    queries = [s for s in alg.steps if isinstance(s, CallOracle)]
+    assert len(calls) == 64 * len(queries)
+    assert all(layout is lay for layout in calls)
+    pairs = {(s.in_register, s.out_register) for s in queries}
+    assert len(built.stored) == len(set(built.stored)) == len(pairs)
+    if queries:
+        twin = RegisterLayout(lay.registers)
+        assert twin == lay and twin is not lay
+        quantum_query(StateVector.basis(twin), tables[1], *pairs.pop())
+        assert len(built.stored) == len(pairs) + 1
+        (key,) = twin._query_axes
+        assert all(a is not b for a, b in zip(twin._query_axes[key], built[key]))
+
+
+def test_a_demo_pass_makes_its_372_queries(monkeypatch):
+    """Every lemma demo at seed 1, as one pass of the ``lemma-sweep``
+    workload runs them: the executor still answers each row's query with
+    its own ``quantum_query`` call."""
+    calls = counted_queries(monkeypatch)
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes = [cli.main(["verify-lemma", n, "--seed", "1"]) for n in sorted(cli.LEMMAS)]
+    assert codes == [0] * len(cli.LEMMAS)
+    assert len(calls) == 372
+
+
+@st.composite
+def permutation_cases(draw):
+    """(rows, perms): 1-5 rows of 1-3 work columns over dimension 1-12,
+    moved by one permutation or one per row; the rows may be a strided
+    view."""
+    n, work, dim = draw(st.integers(1, 5)), draw(st.integers(1, 3)), draw(st.integers(1, 12))
+    count = draw(st.sampled_from([1, n]))
+    perms = np.array([draw(st.permutations(range(dim))) for _ in range(count)], dtype=np.intp)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = rng.normal(size=(n, work, dim)) + 1j * rng.normal(size=(n, work, dim))
+    if draw(st.booleans()):  # the same rows as a strided view
+        rows = np.repeat(rows, 2, axis=2)[..., ::2]
+    return rows, perms
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=permutation_cases(), inverse=st.booleans())
+def test_permutation_kernel_matches_the_along_axis_route(case, inverse):
+    rows, perms = case
+    got = qsim._permute_rows(rows, perms, inverse)
+    assert np.array_equal(got, ref.permute_rows(rows, perms, inverse))
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 4])

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import accept_all_zero, accept_register_one
-from qromlab.adversary import oracle_zoo
+from qromlab.adversary import _table_masses, oracle_zoo
 from qromlab.oracle import (
     ClassicalOracle,
     SparseOracleDist,
@@ -61,6 +61,21 @@ class TestClassicalOracle:
             h.reprogram(2, 1)
         with pytest.raises(ValueError):
             h.reprogram(0, 7)
+
+
+    def test_a_table_built_from_lists_is_the_tuple_built_one(self):
+        listed = ClassicalOracle([0, 1, 2], [0, 1], [0, 1, 0])
+        tupled = ClassicalOracle((0, 1, 2), (0, 1), (0, 1, 0))
+        assert listed == tupled
+        assert hash(listed) == hash(tupled)
+        assert isinstance(listed.values, tuple)
+        alg = {a.name: a for a in oracle_zoo((0, 1, 2))}["oq-uniform"]
+
+        def mass(table):
+            (m,) = _table_masses(alg, [table], ("Q",), lambda digits: digits == (1,))
+            return m
+
+        assert 0 < mass(listed) == mass(tupled) < 1
 
 
 class TestPrefixes:
