@@ -97,16 +97,12 @@ class ClassicalOracle:
     def _shift(self) -> np.ndarray:
         """Range index of f(p) per domain point p, in domain order, then the 0
         a surplus in-digit reads: quantum_query's addend, built once per table."""
-        shift = np.array([*map(self.value_index, self.domain), 0], dtype=np.intp)
+        shift = np.array([*map(self._rpos.__getitem__, self.values), 0], dtype=np.intp)
         shift.setflags(write=False)
         return shift
 
     def __call__(self, point: Hashable) -> Hashable:
         return self.values[self._pos[point]]
-
-    def value_index(self, point: Hashable) -> int:
-        """Range index of f(point), as seen by quantum_query."""
-        return self._rpos[self.values[self._pos[point]]]
 
     def reprogram(self, point: Hashable, new_value: Hashable) -> "ClassicalOracle":
         """New table differing from this one at exactly ``point``."""

@@ -19,12 +19,14 @@ Both hashed-challenge experiments, public-coin and three-round, run
 response traces on ``_label_walk``, whose table holds randomness labels
 and answers each with its response: a public-coin challenge is fresh
 verifier randomness, so it is its label, and no challenge chart is
-kept. On a folded spec the simulator's moves are the base's per
-coordinate, so both score a repetition game from one base walk per
-schedule class. The extraction provers are
-predicates on those paths. The expected-time experiment instead drives
-the dense verifier machines from ``adversary`` and checks budget,
-acceptance, and conditional-state facts on the exact output mixture.
+kept. Every decision experiment walks its trace on the fold's base (an
+unfolded spec is its own base at one repetition) and scores the
+repetitions as the mixture of the base walk's values over the schedule
+classes the walk keeps on its paths (``_mixture``). The extraction
+provers are predicates on those paths. The expected-time experiment
+instead drives the dense verifier machines from ``adversary`` and checks
+budget, acceptance, and conditional-state facts on the exact output
+mixture.
 Each kind of name has one table: ``EXPERIMENTS`` (verifier kind, stock
 config, runner), ``PROTOCOLS`` (builder, stand-in statements) and
 ``SIMULATORS`` (a decision simulator's moves, which each experiment's
@@ -59,7 +61,6 @@ from qromlab.adversary import (
 from qromlab.protocol import (
     ConfigError,
     ProtocolSpec,
-    _join,
     soundness_exact,
     toy_guess,
     toy_qr,
@@ -377,135 +378,135 @@ SIMULATORS = {
 
 
 def _moves(cfg: ExperimentConfig, spec: ProtocolSpec, x) -> Callable:
-    """The moves of the configured decision simulator on a statement.
-
-    On a spec built by ``protocol.fold`` they are the base simulator's
-    moves in every coordinate (``_fold_move``), which are the moves the
-    row makes on the folded spec: the honest prover's fold joins its
-    base moves at the base's first prover randomness, and give-up's
-    bottom is the base's in every coordinate.
-    """
+    """The moves of the configured decision simulator on a statement."""
     row = SIMULATORS.get(cfg.simulator)
     if row is None:
         raise ConfigError(f"unknown simulator {cfg.simulator!r}")
-    if spec.fold_base is not None:
-        return _fold_move(spec, _moves(cfg, spec.fold_base, x))
     return row(spec, x, cfg)
-
-
-def _fold_move(spec: ProtocolSpec, base_move: Callable) -> Callable:
-    """The move on a folded spec that makes ``base_move`` in every
-    coordinate: it splits the responses by the alphabet's width, as
-    ``fold`` does, and joins the next messages. It is memoized like
-    ``_honest_moves``, and carries ``base_move`` for ``spec``."""
-    split = spec.alphabet.split
-    reps = spec.fold_reps
-
-    @functools.cache
-    def move(got):
-        cols = zip(*map(split, got)) if got else [()] * reps
-        return _join(base_move(col) for col in cols)
-
-    move.fold = (spec, base_move)
-    return move
-
-
-def _fold_record(fn: Callable, spec: ProtocolSpec) -> Optional[Callable]:
-    """The base move or trace that ``fn`` carries for ``spec``
-    (``_fold_move``, ``_fold_trace``), or None. A callable read against
-    another spec, such as a ``dataclasses.replace`` copy with other
-    callables, carries none for it."""
-    record = getattr(fn, "fold", None)
-    return record[1] if record is not None and record[0] is spec else None
-
-
-def _fold_trace(trace: Callable, spec: ProtocolSpec, move: Callable,
-                builder: Callable) -> Callable:
-    """``trace``, built by ``builder(spec, move)``, carrying for ``spec``
-    the trace ``builder`` builds on the fold's base from the base move
-    that ``move`` carries, if it carries one.
-
-    Both builders read only the point (m1,), so given the schedule each
-    coordinate of the folded trace runs the base trace on its own label
-    and randomness. ``_fs_game_value`` and ``_single_slot_extraction``
-    score such a trace from base walks.
-    """
-    base_move = _fold_record(move, spec)
-    if base_move is not None:
-        trace.fold = (spec, builder(spec.fold_base, base_move))
-    return trace
 
 
 def _acceptor(spec: ProtocolSpec, x) -> Callable:
     """A memoized ``count(group, out)``: the number of r in ``group``
     at which ``spec.decide(x, r, out)`` holds, the decision scorers' one
-    reader.
-
-    A folded spec's randomness is its base's to the reps, and it accepts
-    iff every coordinate does, so a full group counts as the product
-    over the columns of ``out`` of each column's accepting base
-    randomness, each distinct column read once and none after a zero
-    (where the folded ``decide`` reads none either). Every other group,
-    and every spec without a fold record, sums over r.
-    """
-    base, n = spec.fold_base, len(spec.randomness)
-
-    @functools.cache
-    def column(col) -> int:
-        return sum(1 for r in base.randomness if base.decide(x, r, col))
+    reader."""
 
     @functools.cache
     def count(group, out) -> int:
-        if base is None or len(group) != n:  # a group is a subset of R
-            return sum(1 for r in group if spec.decide(x, r, out))
-        hits = 1
-        for col in zip(*map(spec.alphabet.split, out)):
-            hits = hits and hits * column(col)
-        return hits
+        return sum(1 for r in group if spec.decide(x, r, out))
 
     return count
+
+
+def _tally(classes: dict, key, weight: int, group, *scored: int, labels=None) -> None:
+    """Add a walk leaf to its class in ``classes``: key -> [{(group,
+    table): weight}, runs, scored weight, ...], its runs being weight ·
+    |group|. With ``labels``, a label walk's (assignment, label count),
+    the leaf's table is its assignment, at which it weighs as each whole
+    table it stands for: each coordinate draws its own labels, as its r.
+    """
+    entry = classes.get(key)
+    if entry is None:
+        entry = classes[key] = [{}, 0, *[0] * len(scored)]
+    cells, table, mass = entry[0], None, weight
+    if labels is not None:
+        table, width = labels
+        mass *= width ** len(table)
+    cell = group, table
+    cells[cell] = cells.get(cell, 0) + mass
+    entry[1] += weight * len(group)
+    for i, s in enumerate(scored, 2):
+        entry[i] += s
+
+
+def _mixture(classes: dict, nr: int, reps: int,
+             weigh: Callable = lambda key: 1) -> tuple[Fraction, ...]:
+    """The value of ``reps`` parallel repetitions of a base game, per
+    scored column of its walk's ``classes`` (``_tally``):
+    (1/S)·Σ_c |c|·v_cⁿ, exact.
+
+    A class is what every coordinate of a repetition shares, such as a
+    schedule class: given it, each coordinate plays the base game on its
+    own world (r, and a label walk's table), so the repetition scores
+    v_c, the base value in the class, to the n. |c| is the class's
+    weight in any one world, S the weights' sum, and ``weigh(key)``
+    scales a class's share (a flag density's likelihood ratio). At one
+    repetition this is the plain average of the walk.
+
+    Raises:
+        RuntimeError: at more than one repetition, a class weighs other
+            than the same in every world over the ``nr`` randomness:
+            its coordinates would not share it.
+    """
+    sums: dict = {}  # (class runs, share scale) -> per column, the sum of scoredⁿ
+    for key, (cells, runs, *scored) in classes.items():
+        if reps > 1:
+            at: dict = {}  # world -> the class's weight there
+            for (group, table), mass in cells.items():
+                for r in group:
+                    at[r, table] = at.get((r, table), 0) + mass
+            size, *other = set(at.values())
+            if other or runs != size * nr:
+                raise RuntimeError(
+                    f"schedule class {key!r} weighs unequally over the randomness")
+        acc = sums.setdefault((runs, weigh(key)), [0] * len(scored))
+        for i, s in enumerate(scored):
+            acc[i] += s**reps
+    total = sum(runs for _, runs, *_ in classes.values())
+    # a class of R runs scoring s holds R/total of the mass, at (s/R)ⁿ
+    columns = zip(*[[w * Fraction(a, runs ** (reps - 1)) for a in acc]
+                    for (runs, w), acc in sums.items()])
+    return tuple(sum(column) / total for column in columns)
+
+
+def _fold_parts(spec: ProtocolSpec) -> tuple:
+    """(base, reps): the spec ``protocol.fold`` built ``spec`` from, and its
+    repetitions; an unfolded spec is its own base at one repetition."""
+    return (spec, 1) if spec.fold_base is None else (spec.fold_base, spec.fold_reps)
 
 
 # ---------------------------------------------------------------------------
 # Constant-round decision experiment.
 
 
-def _sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fraction, ...]:
-    """Pr over randomness and an eps-sparse flag table that the plain
-    run outputs an accepted transcript with every prefix flagged, for
-    each eps of ``densities``.
+def _sparse_hypothesis(spec: ProtocolSpec, x, trace, densities,
+                       reps: int = 1) -> tuple[Fraction, ...]:
+    """Pr over randomness and an eps-sparse flag table that ``reps``
+    parallel plain runs output accepted transcripts with every prefix
+    flagged, for each eps of ``densities``.
 
     One walk serves every density: it forks each flag fairly, and a
     path weighs at eps its fair count times the likelihood ratio
     (2 eps)**ones (2 - 2 eps)**zeros. Each path's accepting randomness
-    is read by ``_acceptor``, and the accepted runs are summed in
-    integers per (ones, zeros) class, so each density's ratio is applied
-    once per class.
+    is read by ``_acceptor``. The coordinates of a repetition share the
+    flag table, so a path's class is its flags along the output's
+    prefixes with its (ones, zeros), which fixes the ratio; each
+    density's value is the ``_mixture`` of the classes.
     """
     ratios = [(2 * Fraction(eps), 2 - 2 * Fraction(eps)) for eps in densities]
     k = spec.rounds
     count = _acceptor(spec, x)
-    classes: dict = {}  # (ones, zeros) -> accepted runs
-    total, leaves = _walk(spec, x, trace, values=(1, 0))
-    for weight, group, _, out, asg, _ in leaves:
+    classes: dict = {}
+    _, leaves = _walk(spec, x, trace, values=(1, 0))
+    for weight, group, _, out, asg, *_ in leaves:
         flags = dict(asg)
-        if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
-            continue
+        marks = tuple([flags.get(tuple(out[:i])) for i in range(1, k + 1)])
         ones = sum(flags.values())
-        key = (ones, len(flags) - ones)
-        classes[key] = classes.get(key, 0) + weight * count(group, out)
+        hits = count(group, out) if marks.count(1) == k else 0
+        _tally(classes, (marks, ones, len(flags) - ones), weight, group, weight * hits)
     return tuple(
-        sum((one**ones * zero**zeros * runs for (ones, zeros), runs in classes.items()),
-            Fraction(0)) / total
+        _mixture(classes, len(spec.randomness), reps,
+                 lambda key: one ** key[1] * zero ** key[2])[0]
         for one, zero in ratios
     )
 
 
-def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
+def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int,
+                            reps: int = 1) -> tuple[Fraction, Fraction]:
     """Exact win rate of the extraction prover over randomness and every
     ordered schedule of (k, q), with the schedule-averaged decision
-    value it dominates; one counting walk (``walk._walk``) of the live
-    replays scores both, and no schedule is built.
+    value it dominates, each over ``reps`` parallel runs of the trace
+    that share the schedule; one counting walk (``walk._walk``) of
+    the live replays scores both, and no schedule is built.
 
     The prover forwards each measured point's fresh messages to the
     live verifier and answers response queries with what it received.
@@ -517,7 +518,7 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     decision value scores a run when its measured points, backfilled by
     the output's prefixes, assemble into a full accepted transcript
     under the ordered abort rule. Both count accepting randomness with
-    ``_acceptor``.
+    ``_acceptor``, and each is the ``_mixture`` of the schedule classes.
 
     Raises:
         ConfigError: a path makes other than q flag queries.
@@ -527,23 +528,23 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     """
     k = spec.rounds
     count = _acceptor(spec, x)
-    extracted = decided = 0
-    total, leaves = _walk(spec, x, trace, k, q)
-    for weight, group, slots, out, _, made in leaves:
+    classes: dict = {}
+    _, leaves = _walk(spec, x, trace, k, q)
+    for weight, group, slots, out, _, made, key in leaves:
         if made != q:
             raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
+        extracted = decided = 0
         if not slots and len(out) == k:  # the output is the assembled transcript
-            hits = weight * count(group, out)
-            decided += hits
-            extracted += hits
-            continue
-        measured = dict(slots)
-        _, got = _ordered_outcome(measured, out)
-        if got is not None and len(got) == k:
-            decided += weight * count(group, got)
-        if all(p == out[: len(p)] for p in measured.values()):
-            extracted += weight * count(group, out)
-    return Fraction(extracted, total), Fraction(decided, total)
+            extracted = decided = count(group, out)
+        else:
+            measured = dict(slots)
+            _, got = _ordered_outcome(measured, out)
+            if got is not None and len(got) == k:
+                decided = count(group, got)
+            if all(p == out[: len(p)] for p in measured.values()):
+                extracted = count(group, out)
+        _tally(classes, key, weight, group, weight * extracted, weight * decided)
+    return _mixture(classes, len(spec.randomness), reps)
 
 
 def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
@@ -557,14 +558,11 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     hypothesis holds at the calibrated density (the display density is
     audited alongside); on no-statements the extraction prover built
     from the same trace must dominate the decision value while staying
-    under exact soundness.
+    under exact soundness. Every value is scored on the protocol's fold
+    base and raised to its repetitions by schedule class (``_mixture``).
     """
     cfg = default_config("constant-round") if cfg is None else cfg
     spec = build_protocol(cfg)
-    # the flag trace is walked on the folded spec, whose flags are not
-    # per coordinate, so a fold too long to index is refused before work
-    for space in (spec.alphabet, spec.randomness, spec.prover_randomness):
-        len(space)
     k = spec.rounds
     if k > 2:
         raise ConfigError("the trace layout covers one- and two-move specs")
@@ -573,6 +571,7 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
             f"the flag trace makes {k} verifier call{'s' * (k != 1)}, so the"
             f" budget q must be {k}, not {cfg.q}"
         )
+    base, reps = _fold_parts(spec)
     q_h = 2 * k * cfg.q
     factor = (2 * q_h + 1) ** (2 * k)
     bound = Fraction(1, 8 * factor)
@@ -581,11 +580,11 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        trace = simulator_trace(spec, _moves(cfg, spec, x))
-        pstar, value = extraction_prover_value(spec, x, trace, q_h)
+        trace = simulator_trace(base, _moves(cfg, base, x))
+        pstar, value = extraction_prover_value(base, x, trace, q_h, reps)
         if x in cfg.yes_instances:
             met = True
-            hyps = _sparse_hypothesis(spec, x, trace, (cfg.eps, es))
+            hyps = _sparse_hypothesis(base, x, trace, (cfg.eps, es), reps)
             for tag, eps, hyp in zip(("", "-calibrated"), (cfg.eps, es), hyps):
                 floor = eps ** k / 4
                 c = _check(
@@ -629,7 +628,7 @@ def _hash_trace(spec: ProtocolSpec, move: Callable) -> Callable:
         ask_c((m1,), drop=True)
         return (m1, m2)
 
-    return _fold_trace(trace, spec, move, _hash_trace)
+    return trace
 
 
 def _check_public_coin(spec: ProtocolSpec, x) -> None:
@@ -703,8 +702,7 @@ def _forgery_masses(spec: ProtocolSpec, x, n: int) -> list[Fraction]:
     divided once, and the folded alphabet is never listed.
     """
     _check_public_coin(spec, x)
-    folded = spec.fold_base is not None
-    base, reps = (spec.fold_base, spec.fold_reps) if folded else (spec, 1)
+    base, reps = _fold_parts(spec)
     counts = []
     for m1 in base.alphabet:
         good = 0
@@ -760,13 +758,14 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
         )
     k = spec.rounds
     budget = 2 * (k - 1) * cfg.q
+    base, reps = _fold_parts(spec)
     checks: list[Check] = []
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
         _check_public_coin(spec, x)
-        trace = _hash_trace(spec, _moves(cfg, spec, x))
-        total, counted = _fs_game_value(spec, x, trace)
+        trace = _hash_trace(base, _moves(cfg, base, x))
+        total, counted = _fs_game_value(base, x, trace, reps)
         checks.append(_check(
             x, "hash-budget", "per-call hash budget", counted, budget, "==",
         ))
@@ -804,19 +803,17 @@ def _response_trace(spec: ProtocolSpec, move: Callable) -> Callable:
         m1 = move(())
         return (m1, move((ask_c((m1,)),)))
 
-    return _fold_trace(trace, spec, move, _response_trace)
+    return trace
 
 
-def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0,
-                fixed=None) -> tuple:
+def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0) -> tuple:
     """The walk of a response trace ``trace(ask_c)`` over the lazy
     challenge table, the one challenge game of both hashed experiments.
 
     The table assigns each queried point a uniform randomness label and
     the answer is that label's response; a slot reprograms its point to
     the live randomness. A dropped read, ``ask_c(p, drop=True)``, is a
-    dropped label read: it answers None and makes no response. ``fixed``
-    walks one single-slot schedule (``walk._walk``). Returns
+    dropped label read: it answers None and makes no response. Returns
     ``walk._walk``'s (total, leaves), whose assignments hold the labels.
     """
 
@@ -829,43 +826,41 @@ def _label_walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0,
 
         return tuple(trace(ask_c))
 
-    return _walk(spec, x, labeled, k, q, tuple(spec.randomness), live=True,
-                 fixed=fixed)
+    return _walk(spec, x, labeled, k, q, spec.randomness, live=True)
 
 
-def _fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
+def _fs_game_value(spec: ProtocolSpec, x, trace, reps: int = 1) -> tuple[Fraction, int]:
     """(Pr over the lazy challenge table that the simulator's output is
     accepted at the randomness its own first-message entry names, the
     most queries any run made); an entry the run never queried is
     averaged over the randomness, its hits read by ``_acceptor``.
 
-    A trace that carries a base trace (``_fold_trace``) plays the base
-    game in each coordinate on its own label and randomness, and wins
-    iff every coordinate wins: its value is the base value to the reps,
-    and it makes the base trace's queries.
+    Over ``reps`` parallel runs each coordinate plays the game on its own
+    label and randomness, and the repetition wins iff every coordinate
+    does: the walk's one class (no slot) makes the value the base value
+    to the reps.
     """
-    base = _fold_record(trace, spec)
-    if base is not None:
-        value, made = _fs_game_value(spec.fold_base, x, base)
-        return value**spec.fold_reps, made
     count = _acceptor(spec, x)
     nr = len(spec.randomness)
-    total, leaves = _label_walk(spec, x, trace)
-    won = 0
-    for weight, group, _, out, asg, _ in leaves:
+    classes: dict = {}
+    _, leaves = _label_walk(spec, x, trace)
+    for weight, group, _, out, asg, _, key in leaves:
         label = dict(asg).get(out[:1])
         named = spec.randomness if label is None else (label,)
-        hits = count(named, out)
-        if hits:  # hits·|group|/|named|, where |named| is 1 or |R|
-            won += weight * hits * len(group) * (nr // len(named))
-    return Fraction(won, total * nr), max(made for *_, made in leaves)
+        # hits·|group|/|named| of the group's nr·weight, |named| being 1 or nr
+        won = weight * count(named, out) * len(group) * (nr // len(named))
+        _tally(classes, key, weight * nr, group, won, labels=(asg, nr))
+    value, = _mixture(classes, nr, reps)
+    return value, max(made for *_, made, _ in leaves)
 
 
-def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
+def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int,
+                            reps: int = 1) -> tuple[Fraction, Fraction]:
     """Win rate of the prover that forwards the measured first message
     to the live verifier and answers the query with its response, with
     the single-reprogram extraction value it dominates, over randomness
-    and every single-slot schedule in q queries; one walk of the
+    and every single-slot schedule in q queries, each over ``reps``
+    parallel runs that share the schedule; one walk of the
     scheduled runs scores both, and no schedule is built.
 
     The forwarding prover's run is the scheduled run unless the
@@ -874,45 +869,26 @@ def _single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     and the output is accepted. The extraction value composes the
     measured first message (the output's own if none was measured)
     with the simulator's final move. Both count accepting randomness
-    with ``_acceptor``.
-
-    A trace that carries a base trace (``_fold_trace``) is scored per
-    schedule class: no slot, or the one slot at each (ordinal, timing).
-    Every coordinate shares the class, and given it each coordinate is a
-    base run on its own label and randomness, so each value is the class
-    average of the base walk's value in the class to the reps.
+    with ``_acceptor``, and each is the ``_mixture`` of the schedule
+    classes.
 
     Returns:
         (forwarding prover's value, extraction value), exact.
     """
-    base = _fold_record(trace, spec)
-    if base is None:
-        return _slot_scores(spec, x, trace, 1, q)
-    reps = spec.fold_reps
-    classes = [(0, None)] + [(1, (i, t)) for i in range(q) for t in (0, 1)]
-    forwarded = extracted = Fraction(0)
-    for k, fixed in classes:
-        f, e = _slot_scores(spec.fold_base, x, base, k, q, fixed)
-        forwarded += f**reps
-        extracted += e**reps
-    return forwarded / len(classes), extracted / len(classes)
-
-
-def _slot_scores(spec: ProtocolSpec, x, trace, k: int, q: int,
-                 fixed=None) -> tuple[Fraction, Fraction]:
-    """``_single_slot_extraction``'s two values over the schedules of k
-    slots in q queries, or the one schedule ``fixed``, on one walk."""
     count = _acceptor(spec, x)
-    total, leaves = _label_walk(spec, x, trace, k, q, fixed)
-    forwarded = extracted = 0
-    for weight, group, slots, out, _, _ in leaves:
+    classes: dict = {}
+    _, leaves = _label_walk(spec, x, trace, 1, q)
+    for weight, group, slots, out, asg, _, key in leaves:
         measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
+        forwarded = extracted = 0
         if len(claim) == 1:
-            extracted += weight * count(group, (claim[0], out[1]))
+            extracted = weight * count(group, (claim[0], out[1]))
         if measured in (None, out[:1]):
-            forwarded += weight * count(group, out)
-    return Fraction(forwarded, total), Fraction(extracted, total)
+            forwarded = weight * count(group, out)
+        _tally(classes, key, weight, group, forwarded, extracted,
+               labels=(asg, len(spec.randomness)))
+    return _mixture(classes, len(spec.randomness), reps)
 
 
 def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentReport:
@@ -933,14 +909,15 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     q_dec = 1  # decision queries billed by the composed reduction
     puncture = 16 * (q_dec + 1)
     slot_factor = (2 * cfg.q + 1) ** 2
+    base, reps = _fold_parts(spec)
     checks: list[Check] = []
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        trace = _response_trace(spec, _moves(cfg, spec, x))
-        pstar, value = _single_slot_extraction(spec, x, trace, cfg.q)
+        trace = _response_trace(base, _moves(cfg, base, x))
+        pstar, value = _single_slot_extraction(base, x, trace, cfg.q, reps)
         if x in cfg.yes_instances:
-            game, _ = _fs_game_value(spec, x, trace)
+            game, _ = _fs_game_value(base, x, trace, reps)
             hyp = _check(
                 x, "challenge-game", "challenge-game floor",
                 game, 1.0 - float(cfg.eps) - SLACK, ">=",

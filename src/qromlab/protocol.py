@@ -12,15 +12,14 @@ concatenations of ``reps`` base elements and whose callables apply the
 base's coordinate by coordinate. Its spaces are lazy ``ProductSpace``
 sequences, so a folded spec is never materialised unless a caller
 enumerates it. ``fold`` is the only code that sets ``fold_base`` and
-``fold_reps``, a record of how a spec was built that the tree's fold
-rules read to factor through the base:
+``fold_reps``, a record of how a spec was built that the tree's four
+fold rules read to factor through the base:
 - ``soundness_exact`` raises the base's soundness to the reps;
-- ``pipeline._acceptor`` counts a full group as a per-column product;
-- ``pipeline._check_public_coin`` checks the base;
 - ``pipeline._forgery_masses`` takes the top products of base masses;
-- ``pipeline._fs_game_value`` and ``pipeline._single_slot_extraction``
-  score a trace built from a fold's move (``pipeline._fold_move``) from
-  one base walk per schedule class, as a product over the coordinates.
+- ``pipeline._check_public_coin`` checks the base;
+- fold traces: every decision experiment walks its trace on the base
+  and scores the reps as a mixture of the base walk's classes
+  (``pipeline._mixture``).
 A copy made with ``dataclasses.replace`` may carry other callables, so
 it drops the record and those rules enumerate it like any other spec.
 
@@ -36,7 +35,6 @@ small dense register dimensions rather than soundness.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import sys
 from collections.abc import Sequence
@@ -205,11 +203,8 @@ def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:
     next message and the honest prover's move concatenate the base's
     per coordinate, and the verifier accepts iff it accepts every
     coordinate. The statement, language and witnesses are the base's:
-    one witness serves every repetition. ``next_message`` and ``decide``
-    memoize themselves: both are pure, each fresh call costs one base
-    call per repetition, and the walks ask the same few (randomness,
-    transcript) pairs many times. At most ``MAX_REPS`` repetitions are
-    built.
+    one witness serves every repetition. At most ``MAX_REPS`` repetitions
+    are built.
     """
     _check_reps(reps)
     alphabet = ProductSpace(base.alphabet, reps)
@@ -221,14 +216,12 @@ def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:
             return itertools.repeat((), reps)
         return zip(*map(alphabet.split, msgs))
 
-    @functools.cache
     def next_message(x, r, ms):
         return _join(
             base.next_message(x, rj, col)
             for rj, col in zip(randomness.split(r), columns(ms))
         )
 
-    @functools.cache
     def decide(x, r, ms):
         return all(
             base.decide(x, rj, col)

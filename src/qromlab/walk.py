@@ -12,7 +12,9 @@ one point with the kept read that may end them are one step
 (``_run_steps``). A slot reprograms its point to 1, or to the live
 randomness: ``pipeline._label_walk`` runs both hashed-challenge
 experiments' response traces over a table of randomness labels that
-way, a challenge being its label's response.
+way, a challenge being its label's response. Paths keep each fired
+slot's schedule class, from which the pipeline's scorers value parallel
+repetitions of the walked game.
 """
 
 from __future__ import annotations
@@ -22,17 +24,17 @@ import math
 from itertools import combinations
 from typing import Callable
 
-from qromlab.protocol import ProtocolSpec
+from qromlab.protocol import MAX_STRATEGY_WORK, ConfigError, ProtocolSpec
 from qromlab.transforms import _schedule_count
 
 # A path's low _FIELD bits hold its group's index in the walk's table of
 # groups, and the bits above them its core: the used-slot mask (k bits),
-# each slot's point index in the walk's point table (_FIELD bits a slot)
-# and its assignment's index in the walk's assignment table. No table a
-# walk can hold in memory outgrows a field.
+# each slot's point index in the walk's point table and its schedule
+# class (_FIELD bits each a slot), and its assignment's index in the
+# walk's assignment table. No table a walk can hold in memory outgrows a
+# field.
 _FIELD = 32
 _LOW = (1 << _FIELD) - 1
-_STILL = (0, (), False, False)  # a run at which no slot fires (``_ways``)
 
 
 def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
@@ -104,13 +106,13 @@ def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
 
 
 def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
-          live: bool = False, fixed=None) -> tuple:
+          live: bool = False) -> tuple:
     """Every run of a trace over the randomness, each ordered schedule of
     k slots in q oracle queries and the lazily sampled oracle table, as
-    merged counted paths. With ``fixed``, an (ordinal, timing) pair and
-    k = 1, the walk takes the one schedule whose slot fires at the query
-    after ``ordinal`` queries with that timing, or never if the run makes
-    no such query.
+    merged counted paths. The paths of distinct schedule classes stay
+    apart: a slot's class is the ordinal at which the run of reads it
+    fired in starts, with its kind (``_ways``), so the schedules of one
+    class take every run alike.
 
     The oracle ``trace(ask_h, ask_f)`` queries starts unset: an unset
     point answers 0, or with ``values`` (a tuple of equally likely
@@ -129,27 +131,32 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
     point is one step, counted by ``_run_steps`` once per walk for every
     core with the same used slots, measured point and plain read, and
     kept in a table on the point, the run and the core, which paths of
-    every group share; a fixed walk's run splits at its ordinal. A
-    response read splits each path's group by the response
-    ``next_message`` gives, instead of forking over every r, and so does
-    a live value.
+    every group share. A response read splits each path's group by the
+    response ``next_message`` gives, instead of forking over every r, and
+    so does a live value.
 
     Raises:
+        ConfigError: the randomness has more than ``MAX_STRATEGY_WORK``
+            elements, or too many to count; nothing is built first.
         ValueError: the trace reads the response of a clear flag.
 
     Returns:
         (total, leaves): per merged completed path, (weight, randomness
-        group, slots, output, assignment, made); the group is a
+        group, slots, output, assignment, made, class); the group is a
         frozenset, slots a tuple of (slot, point) sorted by slot, the
-        assignment a frozenset of (point, value) items and made the
-        path's query count. Each r of a group has the path's int weight
-        out of ``total`` = |R| · schedule count · |values|**depth, depth
-        the most points a path assigned, counting the schedules whose
-        unused slots sit past its last query and every value of its
-        unassigned points; the walk raises unless they sum to ``total``.
-        A fixed schedule counts 1.
+        assignment a frozenset of (point, value) items, made the path's
+        query count and the class a (slot, start ordinal, kind) triple
+        per slot of ``slots``. Each r of a group has the path's
+        int weight out of ``total`` = |R| · schedule count ·
+        |values|**depth, depth the most points a path assigned, counting
+        the schedules whose unused slots sit past its last query and
+        every value of its unassigned points; the walk raises unless
+        they sum to ``total``.
     """
+    if len(spec.randomness) > MAX_STRATEGY_WORK:
+        raise ConfigError("the randomness exceeds the enumeration cap")
     rs = frozenset(spec.randomness)
+    values = None if values is None else tuple(values)
     points: dict = {}  # point -> its index in ``table``
     table: list = []
     groups: list = [rs]
@@ -160,8 +167,10 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
     splits: dict = {}  # (group index, point) -> (response, subgroup index) pairs
     moves: dict = {}  # (point index, run, kept) -> {core: its ``_run_steps``}
     computed: dict = {}  # ``_run_steps`` arguments -> its steps
-    at_assignment = k + k * _FIELD
+    at_class = k * _FIELD  # from a slot's point field to its class field
+    at_assignment = k + 2 * at_class
     slot_bits = (1 << k) - 1
+    unclassed = ~(((1 << at_class) - 1) << (k + at_class))  # steps ignore the classes
 
     def group_index(group) -> int:
         if group not in indices:
@@ -203,14 +212,16 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
             ways = computed[args] = _run_steps(*args)
         return ways
 
-    def advance(paths: dict, index: int, run: tuple, kept: bool, fresh: bool) -> dict:
-        """The paths after a run: by answer when ``kept``, else merged. At
-        a ``fresh`` point of a walk without values, a path's steps follow
-        from its used slots alone."""
+    def advance(paths: dict, index: int, run: tuple, kept: bool, fresh: bool,
+                made: int) -> dict:
+        """The paths after a run that starts at ordinal ``made``: by answer
+        when ``kept``, else merged. At a ``fresh`` point of a walk without
+        values, a path's steps follow from its used slots alone."""
         known, mask = ({}, slot_bits) if fresh and values is None else (
-            moves.get((index, run, kept)), -1)
+            moves.get((index, run, kept)), unclassed)
         if known is None:
             known = moves[index, run, kept] = {}
+        at = index | made << (at_class + 2)  # a firing slot's point and start
         children: dict = {}
         for path, weight in paths.items():
             core = path >> _FIELD
@@ -224,11 +235,11 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
                     if merged is None:
                         merged = children[answer] = {}
                     for (change, spread), count in steps.items():
-                        step = path ^ (change | index * spread)
+                        step = path ^ (change | at * spread)
                         merged[step] = merged.get(step, 0) + weight * count
             else:
                 for (change, spread), count in plain.items():
-                    step = path ^ (change | index * spread)
+                    step = path ^ (change | at * spread)
                     children[step] = children.get(step, 0) + weight * count
             if ys:  # a live read: the answer r takes the group to {r}
                 g = path & _LOW
@@ -239,7 +250,7 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
                     if merged is None:
                         merged = children[r] = {}
                     for (change, spread), count in ys.items():
-                        step = path ^ (change | index * spread) ^ g | single
+                        step = path ^ (change | at * spread) ^ g | single
                         merged[step] = merged.get(step, 0) + weight * count
         return children
 
@@ -265,16 +276,8 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
             points[point] = len(table)
             table.append(point)
         index = points[point]
-        if fixed is None:
-            fire = max(0, min(reads, q - made)) if k else 0
-            run = (fire, (0, 1), fire == reads, False) if fire else _STILL
-        else:  # the one slot fires at the run's read of the fixed ordinal
-            ahead, run = fixed[0] - made, _STILL
-            if 0 <= ahead < reads:
-                if ahead:
-                    paths = advance(paths, index, _STILL, False, fresh)
-                run = (1, (fixed[1],), ahead == reads - 1, True)
-        children = advance(paths, index, run, kept, fresh)
+        fire = max(0, min(reads, q - made)) if k else 0
+        children = advance(paths, index, (fire, fire == reads), kept, fresh, made)
         if kept:
             return {a: (made + reads, merged) for a, merged in children.items()}
         return made + reads, children
@@ -293,10 +296,10 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
     depth = max(len(assignments[a][0]) for a in {
         path >> (_FIELD + at_assignment) for paths in done.values() for path in paths
     }) if values else 0
-    # weigh in the never-fired schedules (none past a fixed one), counted
-    # once per (unused slots, queries left), and the unassigned points
-    unfired: dict = {(k, q): _schedule_count(k, q) if fixed is None else 1}
-    decoded: dict = {}  # made -> {core: (slots, assignment, factor)}
+    # weigh in the never-fired schedules, counted once per (unused slots,
+    # queries left), and the unassigned points
+    unfired: dict = {(k, q): _schedule_count(k, q)}
+    decoded: dict = {}  # made -> {core: (slots, assignment, class, factor)}
     leaves = []
     counted = 0
     for (out, made), paths in done.items():
@@ -307,18 +310,20 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
             core = path >> _FIELD
             leaf = known.get(core)
             if leaf is None:
-                slots = tuple([(i, table[core >> (k + i * _FIELD) & _LOW])
-                               for i in range(k) if core >> i & 1]) if core & slot_bits else ()
+                used = [i for i in range(k) if core >> i & 1]
+                slots = tuple([(i, table[core >> (k + i * _FIELD) & _LOW]) for i in used])
                 asg = assignments[core >> at_assignment][0]
                 left = (k - len(slots), max(q - made, 0))
                 if left not in unfired:
-                    unfired[left] = _schedule_count(*left) if fixed is None else 1
-                leaf = known[core] = slots, asg, unfired[left] * base ** (depth - len(asg))
-            slots, asg, factor = leaf
+                    unfired[left] = _schedule_count(*left)
+                key = tuple([(i, *divmod(core >> (k + at_class + i * _FIELD) & _LOW, 4))
+                             for i in used])
+                leaf = known[core] = slots, asg, key, unfired[left] * base ** (depth - len(asg))
+            slots, asg, key, factor = leaf
             group = groups[path & _LOW]
             weight *= factor
             counted += weight * len(group)
-            leaves.append((weight, group, slots, out, asg, made))
+            leaves.append((weight, group, slots, out, asg, made, key))
     total = len(rs) * unfired[k, q] * base**depth
     if counted != total:
         raise RuntimeError(f"walk multiplicities sum to {counted}")
@@ -346,7 +351,13 @@ def _run_steps(run: tuple, k: int, used: int, measured: bool, plain: tuple, kept
     ``plain`` in holds the (answer, change) ways of a plain read of the
     point; out, the steps that keep the group, in a dict per answer when
     ``kept``. ``ys`` holds the steps that read the live reprogrammed
-    value, whose answer r splits the group. ``_ways`` counts them."""
+    value, whose answer r splits the group. ``_ways`` counts them.
+
+    A firing slot's kind (``_ways``) goes into its class only where the
+    kinds' steps differ: none at a measured point,
+    where every read answers the reprogrammed value; kind 1 apart from 0
+    where the plain read assigns the point; kind 2 apart from 1 at a kept
+    read, whose answer it sets."""
     by: dict = {}
     if not run[0] and not measured:  # one plain read, and no slot to count
         for answer, change in plain:
@@ -362,7 +373,12 @@ def _run_steps(run: tuple, k: int, used: int, measured: bool, plain: tuple, kept
             out[step] = out.get(step, 0) + count
         return out
 
-    by, ys = _ways(run, k, used, measured, tuple(answer for answer, _ in plain), kept, live)
+    answers = tuple(answer for answer, _ in plain)
+    kinds = (0, 0, 0)  # the class field value of each kind
+    if not measured:
+        middle = 1 if any(changes) else 0
+        kinds = (0, middle, 2 if kept else middle)
+    by, ys = _ways(run, k, used, measured, answers, kept, live, kinds)
     if kept:
         return {answer: placed(steps) for answer, steps in by.items()}, placed(ys)
     return placed(by), placed(ys)
@@ -370,49 +386,54 @@ def _run_steps(run: tuple, k: int, used: int, measured: bool, plain: tuple, kept
 
 @functools.lru_cache(maxsize=1024)
 def _ways(run: tuple, k: int, used: int, measured: bool, answers: tuple, kept: bool,
-          live: bool) -> tuple:
+          live: bool, kinds: tuple) -> tuple:
     """``_run_steps`` with each step as (read, bits, spread): ``read`` is
     None where the path keeps its assignment, else the index in
     ``answers`` of the plain read whose assignment it takes. Without
     ``live`` the reprogrammed value reads 1. It depends on the run's
     shape alone, so walks share it.
 
-    ``run`` is (fire, timings, tail, must): slots may fire at the first
-    ``fire`` reads with a timing of ``timings``, ``tail`` says the last
-    read is one of them, and with ``must`` one slot fires. Only the last
-    read is kept. A set S of unused slots fires in perm(fire, |S|) ·
-    |timings|**|S| ways. If a slot ``measured`` the point before the
-    run, every read answers the reprogrammed value. Otherwise the first
-    read is plain and takes the plain read's assignment, except in the
-    |S| · perm(fire - 1, |S| - 1) · |timings|**(|S| - 1) ways a slot
+    ``run`` is (fire, tail): slots may fire at the first ``fire`` reads,
+    each with timing 0 or 1, and ``tail`` says the last read is one of
+    them. Only the last read is kept. A set S of unused slots fires in
+    perm(fire, |S|) · 2**|S| ways. If a slot ``measured`` the point
+    before the run, every read answers the reprogrammed value. Otherwise
+    the first read is plain and takes the plain read's assignment,
+    except in the |S| · perm(fire - 1, |S| - 1) · 2**(|S| - 1) ways a slot
     fires there with timing 0; and the last read answers the plain read
     when no slot fires, or the one slot of S fires there with timing 1.
+
+    Those are the three kinds of the slots firing in the run: 0 where a
+    slot fires at the first read with timing 0, 2 where the one slot
+    fires at the last with timing 1, and 1 otherwise. ``bits`` writes
+    ``kinds[kind]`` into each firing slot's class field, so steps of
+    kinds that ``kinds`` tells apart stay apart.
     """
-    fire, timings, tail, must = run
+    fire, tail = run
     unused = [i for i in range(k) if not used >> i & 1]
     by: dict = {}
     ys: dict = {}
-    for s in range(1 if must else 0, min(len(unused), fire) + 1):
-        every = math.perm(fire, s) * len(timings) ** s
-        first = (s * math.perm(fire - 1, s - 1) * len(timings) ** (s - 1)
-                 if s and 0 in timings else 0)
-        last = 1 if tail and s == 1 and 1 in timings else 0
+    for s in range(min(len(unused), fire) + 1):
+        every = math.perm(fire, s) * 2**s
+        first = s * math.perm(fire - 1, s - 1) * 2 ** (s - 1) if s else 0
+        last = 1 if tail and s == 1 else 0
         for chosen in combinations(unused, s):
             bits = sum(1 << i for i in chosen) << _FIELD
             spread = sum(1 << (k + i * _FIELD) for i in chosen) << _FIELD
-            # (answer, read, count); the answer None reads the reprogrammed value
-            if measured:
-                counts = [(None, None, every)]
+            # (answer, read, count, kind); the answer None reads the reprogrammed value
+            if measured:  # every kind reads the reprogrammed value alike
+                counts = [(None, None, every, 0)]
             elif s:
-                counts = [(None, None, first)]
-                counts += [(None, j, every - first - last) for j in range(len(answers))]
-                counts += [(a, j, last) for j, a in enumerate(answers)]
+                counts = [(None, None, first, 0)]
+                counts += [(None, j, every - first - last, 1) for j in range(len(answers))]
+                counts += [(a, j, last, 2) for j, a in enumerate(answers)]
             else:
-                counts = [(a, j, 1) for j, a in enumerate(answers)]
-            for answer, read, count in counts:
+                counts = [(a, j, 1, 0) for j, a in enumerate(answers)]
+            for answer, read, count, kind in counts:
+                key = (read, bits | kinds[kind] * (spread << k * _FIELD), spread)
                 if count and answer is None and live:
-                    ys[read, bits, spread] = ys.get((read, bits, spread), 0) + count
+                    ys[key] = ys.get(key, 0) + count
                 elif count:
                     into = by.setdefault(1 if answer is None else answer, {}) if kept else by
-                    into[read, bits, spread] = into.get((read, bits, spread), 0) + count
+                    into[key] = into.get(key, 0) + count
     return by, ys

@@ -301,7 +301,7 @@ def leaf_counts(walked, runs) -> Counter:
     """A walk's mass per (r, slots, assignment, output), summed over
     its merged paths."""
     counts: Counter = Counter()
-    for weight, group, slots, out, asg, _ in masses(walked, runs):
+    for weight, group, slots, out, asg, *_ in masses(walked, runs):
         for r in group:
             counts[r, frozenset(slots), asg, out] += weight
     return counts

@@ -33,7 +33,7 @@ def quantum_query(
         raise ValueError("encoding overflow")
     u = np.zeros((d_in * d_out, d_in * d_out))
     for ix in range(d_in):
-        shift = oracle.value_index(oracle.domain[ix]) if ix < n_dom else 0
+        shift = oracle.range_values.index(oracle.values[ix]) if ix < n_dom else 0
         for iy in range(d_out):
             jy = (iy + shift) % n_rng if iy < n_rng else iy
             u[ix + d_in * jy, ix + d_in * iy] = 1.0

@@ -30,7 +30,7 @@ def sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple[Fraction
     k = spec.rounds
     totals = [Fraction(0)] * len(densities)
     walked = _walk(spec, x, trace, values=(1, 0))
-    for weight, group, _, out, asg, _ in masses(walked, len(spec.randomness)):
+    for weight, group, _, out, asg, *_ in masses(walked, len(spec.randomness)):
         flags = dict(asg)
         if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
             continue
@@ -49,7 +49,7 @@ def leafwise_sparse_hypothesis(spec: ProtocolSpec, x, trace, densities) -> tuple
     count = _acceptor(spec, x)
     totals = [Fraction(0)] * len(ratios)
     total, leaves = _walk(spec, x, trace, values=(1, 0))
-    for weight, group, _, out, asg, _ in leaves:
+    for weight, group, _, out, asg, *_ in leaves:
         flags = dict(asg)
         if not all(flags.get(tuple(out[:i]), 0) == 1 for i in range(1, k + 1)):
             continue
@@ -65,7 +65,7 @@ def extraction_prover_value(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fract
     k = spec.rounds
     extracted = decided = 0
     total = len(spec.randomness) * _schedule_count(k, q)
-    for weight, group, slots, out, _, made in masses(_walk(spec, x, trace, k, q), total):
+    for weight, group, slots, out, _, made, _ in masses(_walk(spec, x, trace, k, q), total):
         if made != q:
             raise ConfigError(f"trace makes {made} flag queries, scheduled for {q}")
         measured = dict(slots)
@@ -84,20 +84,20 @@ def fs_game_value(spec: ProtocolSpec, x, trace) -> tuple[Fraction, int]:
     """``pipeline._fs_game_value``, per-r."""
     total = Fraction(0)
     leaves = masses(_label_walk(spec, x, trace), len(spec.randomness))
-    for weight, group, _, out, asg, _ in leaves:
+    for weight, group, _, out, asg, *_ in leaves:
         label = dict(asg).get(out[:1])
         named = spec.randomness if label is None else (label,)
         hits = sum(1 for r in named if spec.decide(x, r, out))
         if hits:
             total += weight * Fraction(hits * len(group), len(named))
-    return total / len(spec.randomness), max(made for *_, made in leaves)
+    return total / len(spec.randomness), max(made for *_, made, _ in leaves)
 
 
 def single_slot_extraction(spec: ProtocolSpec, x, trace, q: int) -> tuple[Fraction, Fraction]:
     """``pipeline._single_slot_extraction``, per-r."""
     forwarded = extracted = Fraction(0)
     total = len(spec.randomness) * _schedule_count(1, q)
-    for weight, group, slots, out, _, _ in masses(_label_walk(spec, x, trace, 1, q), total):
+    for weight, group, slots, out, *_ in masses(_label_walk(spec, x, trace, 1, q), total):
         measured = slots[0][1] if slots else None
         claim = out[:1] if measured is None else measured
         if len(claim) == 1:

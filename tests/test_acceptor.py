@@ -2,11 +2,11 @@
 the four decision scorers, against the per-r scorers it replaced
 (``score_reference``) and against brute force.
 
-A folded spec's full group is counted per coordinate; every other group,
-and every spec without a fold record, sums over r. The differential
-tests run the stock simulators of toy-qr at 1 to 5 repetitions and the
-adaptive traces of ``test_extraction`` at 1 and 2, so both routes are
-taken. The work counts pin what the per-coordinate route saves, and the
+It sums over each group's r. The experiments score a folded spec on its
+base (``pipeline._mixture``), so they never count a folded transcript.
+The differential tests run the stock simulators of toy-qr at 1 to 5
+repetitions and the adaptive traces of ``test_extraction`` at 1 and 2.
+The work counts pin that the folded ``decide`` goes unread, and the
 grinding trace pins values where the challenge game is not trivial.
 """
 
@@ -37,7 +37,7 @@ from qromlab.pipeline import (
     run_experiment,
     simulator_trace,
 )
-from qromlab.protocol import fold, soundness_exact, toy_qr, toy_table
+from qromlab.protocol import ProductSpace, fold, soundness_exact, toy_qr, toy_table
 from test_extraction import flag_trace, response_trace
 
 STATEMENTS = (4, 16, 5, 20, 0, 7)
@@ -142,23 +142,20 @@ def counted(spec):
 
 
 class TestRoutes:
-    def test_a_folded_full_group_reads_only_the_base(self):
-        base, calls = counted(toy_qr(1))
-        spec = fold(base, 3, "toy-qr-t3")
-        count = _acceptor(spec, 4)
-        full = frozenset(spec.randomness)
-        assert count(full, ((1, 4, 0), (1, 2, 1))) == 1 * 1 * 0
-        assert calls[0] == 3 * len(base.randomness)
-        # a column no r accepts ends the count: the next is not read
-        assert count(full, ((5, 2, 4), (1, 4, 2))) == 0
-        assert calls[0] == 4 * len(base.randomness)
-        # each distinct column is read once
-        assert count(full, ((1, 1, 4), (1, 2, 2))) == 1 * 1 * 1
-        assert calls[0] == 5 * len(base.randomness)
-        assert spec.decide.cache_info().misses == 0
-        # a singleton group sums over its r
-        assert count(frozenset({(0, 0, 1)}), ((1, 4, 1), (1, 2, 2))) == 1
-        assert spec.decide.cache_info().misses == 1
+    def test_a_folded_spec_is_counted_on_its_base(self, monkeypatch):
+        # no per-column route for a full folded group: every decision
+        # experiment builds its acceptor on the fold's base
+        built = []
+        acceptor = pipeline._acceptor
+
+        def recorded(spec, x):
+            built.append(spec.name)
+            return acceptor(spec, x)
+
+        monkeypatch.setattr(pipeline, "_acceptor", recorded)
+        for theorem in ("constant-round", "public-coin", "three-round"):
+            run_experiment(theorem, replace(default_config(theorem), reps=3))
+        assert len(built) == 16 and set(built) == {"toy-qr-t1"}
 
     def test_an_unfolded_spec_sums_over_r(self):
         spec, calls = counted(toy_table())
@@ -170,14 +167,13 @@ class TestRoutes:
         assert calls[0] == 2 * 4 * len(group)
 
     def test_a_copy_sums_over_r(self):
-        # the copy keeps the fold's callables but drops the record, so a
+        # the copy keeps the fold's callables but drops the record; a
         # full group is read by its own decide, once per r
         copy, calls = counted(toy_qr(3))
         assert copy.fold_base is None
         out = ((1, 1, 1), (1, 1, 1))
         assert _acceptor(copy, 4)(frozenset(copy.randomness), out) == 1
         assert calls[0] == len(copy.randomness)
-        # the per-coordinate route would read the base: 0 for a bottom message
         first = copy.randomness[0]
         other = replace(toy_qr(3), decide=lambda x, r, ms: r == first)
         bottom = ((0, 0, 0), (0, 0, 0))
@@ -187,20 +183,16 @@ class TestRoutes:
 
 def test_three_round_at_seven_repetitions_pins_its_decide_calls(monkeypatch):
     # at the per-r scorers: 65,536 distinct folded decide calls and
-    # 109,388 base ones
+    # 109,388 base ones; counting a full group per column, at most 512
+    # and 4,000. Scored on the base, the run makes 584 base calls and
+    # none of the folded callables', which would split their randomness
     base, calls = counted(toy_qr(1))
-    built = []
-
-    def build(cfg):
-        built.append(fold(base, cfg.reps, f"toy-qr-t{cfg.reps}"))
-        return built[-1]
-
-    monkeypatch.setattr(pipeline, "build_protocol", build)
+    monkeypatch.setattr(pipeline, "build_protocol",
+                        lambda cfg: fold(base, cfg.reps, f"toy-qr-t{cfg.reps}"))
+    monkeypatch.setattr(ProductSpace, "split", None)
     report = run_experiment("three-round", replace(default_config("three-round"), reps=7))
     assert all(c.passed for c in report.checks)
-    (spec,) = built
-    assert spec.decide.cache_info().misses <= 512
-    assert calls[0] <= 4000
+    assert calls[0] == 584
 
 
 def grinding_trace(spec, x, probes=4):

@@ -95,8 +95,8 @@ class TestRun:
              "expected-geometric: expected invocations 31/8 exceed half the budget 4"),
             (["public-coin", "--q", "1"], "the budget q must be 2, not 1"),
             (["public-coin", "--q", "3"], "the budget q must be 2, not 3"),
-            # constant-round's flags are not per coordinate: it keeps the index cap
-            (["constant-round", "--reps", "18"], "a product of 13**18 elements"),
+            (["constant-round", "--reps", str(MAX_REPS + 1)],
+             f"at most {MAX_REPS} repetitions are supported, not {MAX_REPS + 1}"),
             (["expected-time", "--reps", "7"],
              "protocol 'toy-table' has no repetitions to set"),
             (["three-round", "--protocol", "toy-table", "--reps", "2"],
@@ -132,6 +132,13 @@ class TestRun:
         assert main(["run", theorem, "--reps", "18"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"{theorem}  protocol=toy-qr-t18")
+        assert "[FAIL]" not in out
+
+    def test_constant_round_reports_at_the_most_repetitions(self, capsys):
+        # so does constant-round, up to the repetition cap
+        assert main(["run", "constant-round", "--reps", str(MAX_REPS)]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(f"constant-round  protocol=toy-qr-t{MAX_REPS}")
         assert "[FAIL]" not in out
 
     @pytest.mark.parametrize("theorem", ["constant-round", "public-coin", "three-round"])

@@ -21,6 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fold_reference as ref
+import live_reference as live
 from prover_reference import acceptance_set
 from qromlab import pipeline
 from qromlab.pipeline import (
@@ -38,6 +39,7 @@ from qromlab.protocol import (
     soundness_exact,
     toy_qr,
 )
+from qromlab.transforms import enumerate_schedules
 
 STATEMENTS = (0, 4, 5, 16, 20)
 REPS = (1, 2, 3)
@@ -376,42 +378,66 @@ def test_folded_label_games_are_powers_of_the_base_game(sim, x):
 
 
 # ---------------------------------------------------------------------------
-# Fold traces: a trace built from a folded spec's move is scored from one
-# base walk per schedule class. Each test below compares that route with
-# the folded walk, which a move without the fold record still takes.
+# Fold traces: every decision experiment walks its trace on the fold's
+# base and scores the repetitions as a mixture of the base walk's classes
+# (``pipeline._mixture``). Each test below compares that route with the
+# plain walk of the folded spec under the folded moves, which a scorer
+# takes at one repetition.
+
+DENSITIES = (Fraction(1, 4), Fraction(1, 3))
 
 
-def unrecorded(move):
-    """The same move without its fold record, so that traces built from
-    it take the folded walk."""
-    return lambda got: move(got)
+def scorer_values(spec, x, move, qs, reps=1, flags=True):
+    """Every decision scorer's value on the traces of ``move``: the
+    response and hash traces, and with ``flags`` the constant-round flag
+    trace."""
+    response = pipeline._response_trace(spec, move)
+    values = (
+        pipeline._fs_game_value(spec, x, response, reps),
+        pipeline._fs_game_value(spec, x, pipeline._hash_trace(spec, move), reps),
+        *(pipeline._single_slot_extraction(spec, x, response, q, reps) for q in qs),
+    )
+    if flags:
+        k = spec.rounds
+        trace = pipeline.simulator_trace(spec, move)
+        values += (pipeline.extraction_prover_value(spec, x, trace, 2 * k * k, reps),
+                   pipeline._sparse_hypothesis(spec, x, trace, DENSITIES, reps))
+    return values
 
 
-def both_routes(spec, x, move, qs):
-    """Every label-walk score of the response and hash traces of a move,
-    on the fold-trace route and on the folded walk."""
-    def scores(mv):
-        response = pipeline._response_trace(spec, mv)
-        hashed = pipeline._hash_trace(spec, mv)
-        return (
-            pipeline._fs_game_value(spec, x, response),
-            pipeline._fs_game_value(spec, x, hashed),
-            *(pipeline._single_slot_extraction(spec, x, response, q) for q in qs),
-        )
+def both_routes(spec, x, base_move, qs, flags=True):
+    """The scorers on the fold base at the spec's reps, and on the folded
+    spec at one repetition under ``base_move`` made in every coordinate."""
+    base, reps = pipeline._fold_parts(spec)
 
-    return scores(move), scores(unrecorded(move))
+    def folded(got):
+        cols = zip(*map(spec.alphabet.split, got)) if got else [()] * reps
+        return sum((base_move(col) for col in cols), ())
+
+    move = base_move if spec is base else folded
+    return (scorer_values(base, x, base_move, qs, reps, flags),
+            scorer_values(spec, x, move, qs, flags=flags))
 
 
 @pytest.mark.parametrize("sim", sorted(pipeline.SIMULATORS))
 @pytest.mark.parametrize("reps", range(1, 11))
 def test_fold_traces_score_as_the_folded_walk(reps, sim):
-    # q = 1 is three-round's stock budget, q = 3 its --q 3
+    # q = 1 is three-round's stock budget, q = 3 its --q 3; the folded
+    # row's own moves are the base moves in every coordinate. Past 8
+    # repetitions only the slot-free games are walked folded: the slot
+    # and flag walks of a fold read every r of it per distinct transcript
+    # and are left to the closed forms
     cfg = pipeline.ExperimentConfig(reps=reps, simulator=sim)
     spec = pipeline.build_protocol(cfg)
+    base, _ = pipeline._fold_parts(spec)
+    flags = reps <= 8
+    qs = (1, 3) if flags else ()
     for x in (4, 16, 5, 20):
-        based, folded = both_routes(spec, x, pipeline._moves(cfg, spec, x), (1, 3))
+        based, folded = both_routes(spec, x, pipeline._moves(cfg, base, x), qs, flags)
         assert based == folded, x
-        for value in (based[0][0], based[1][0], *based[2], *based[3]):
+        own = pipeline._moves(cfg, spec, x)
+        assert folded == scorer_values(spec, x, own, qs, flags=flags)
+        for value in (based[0][0], based[1][0], *itertools.chain(*based[2:])):
             assert type(value) is Fraction
 
 
@@ -426,10 +452,96 @@ def test_drawn_fold_traces_score_as_the_folded_walk(letters, reps, x):
     # a drawn base move, a first message and a final message per
     # challenge, made in every coordinate of a fold
     table = dict(zip([(), ((0,),), ((1,),)], letters))
-    spec = toy_qr(reps)
-    move = pipeline._fold_move(spec, lambda got: table[got])
-    based, folded = both_routes(spec, x, move, (1, 2))
+    based, folded = both_routes(toy_qr(reps), x, lambda got: table[got], (1, 2))
     assert based == folded
+
+
+@pytest.mark.parametrize("sim", sorted(pipeline.SIMULATORS))
+@pytest.mark.parametrize("x", [4, 16, 5, 20])
+def test_constant_round_mixes_the_single_schedule_values(sim, x):
+    # each of the 257 schedules replayed on its own: the reps value is
+    # (1/S)·Σ_s v_sⁿ, which the class mixture must give exactly
+    cfg = pipeline.ExperimentConfig(reps=1, simulator=sim)
+    base = pipeline.build_protocol(cfg)
+    trace = pipeline.simulator_trace(base, pipeline._moves(cfg, base, x))
+    scheds = enumerate_schedules(2, 8)
+    single = [live.extraction_prover_value(base, x, trace, [s]) for s in scheds]
+    for reps in (1, 2, 3, 5, 12, 64):
+        want = tuple(sum(v[i] ** reps for v in single) / len(scheds) for i in (0, 1))
+        assert pipeline.extraction_prover_value(base, x, trace, 8, reps) == want, reps
+
+
+@pytest.mark.parametrize("reps", [12, 17, 32, 64])
+def test_constant_round_closed_forms(reps):
+    # over the 257 schedules of k = 2 slots in 8 queries: yes value
+    # (45 + 32·2⁻ⁿ)/257 and pstar (206 + 51·2⁻ⁿ)/257; no value
+    # 77·2⁻ⁿ/257 and pstar 2⁻ⁿ; the flag hypothesis is 1/16 at 1/4
+    half = Fraction(1, 2**reps)
+    yes = ((206 + 51 * half) / 257, (45 + 32 * half) / 257)
+    no = (half, 77 * half / 257)
+    cfg = replace(pipeline.default_config("constant-round"), reps=reps)
+    base, n = pipeline._fold_parts(pipeline.build_protocol(cfg))
+    assert n == reps
+    for x, want in ((4, yes), (16, yes), (5, no), (20, no)):
+        trace = pipeline.simulator_trace(base, pipeline._moves(cfg, base, x))
+        assert pipeline.extraction_prover_value(base, x, trace, 8, reps) == want
+        if want is yes:
+            hyp = pipeline._sparse_hypothesis(base, x, trace, (Fraction(1, 4),), reps)
+            assert hyp == (Fraction(1, 16),)
+    report = run_experiment("constant-round", cfg)
+    assert report.decision["yes"] == [float(yes[1])] * 2
+    assert report.decision["no"] == [float(no[1])] * 2
+    assert all(c.passed for c in report.checks)
+
+
+def test_a_class_must_weigh_alike_under_every_randomness():
+    # the response moves the second run's start: under r = (1,) the two
+    # reads of the full transcript are one run from ordinal 1, under
+    # r = (0,) the first is a run of its own, so no class is shared
+    spec = toy_qr(1)
+
+    def trace(ask_h, ask_f):
+        first = ((1,),)
+        c = ask_f(first) if ask_h(first) else (0,)
+        full = ((1,), (2,))  # accepted at r = (1,)
+        ask_h(full, drop=True)
+        if c == (0,):
+            ask_h(first, drop=True)
+        ask_h(full, drop=True)
+        if c != (0,):
+            ask_h(first, drop=True)
+        return full
+
+    want = live.extraction_prover_value(spec, 4, trace, enumerate_schedules(2, 4))
+    assert pipeline.extraction_prover_value(spec, 4, trace, 4) == want
+    with pytest.raises(RuntimeError, match="weighs unequally over the randomness"):
+        pipeline.extraction_prover_value(spec, 4, trace, 4, 2)
+
+
+@pytest.mark.parametrize("reps", [21, 40, 64])
+def test_the_walk_refuses_a_folded_randomness_before_building_it(reps, monkeypatch):
+    # a scorer called on the fold itself walks its randomness: over the
+    # cap, or too long to count, it is refused before any is listed
+    def unlisted(self):
+        raise AssertionError("a product space was enumerated")
+
+    monkeypatch.setattr(ProductSpace, "__iter__", unlisted)
+    spec = toy_qr(reps)
+    full = ((1,) * reps, (1,) * reps)
+
+    def plain(ask_h, ask_f):
+        return full
+
+    def labels(ask_c):
+        return full
+
+    message = "enumeration cap" if reps < 64 else "too long to index"
+    for score in (lambda: pipeline.extraction_prover_value(spec, 4, plain, 0),
+                  lambda: pipeline._sparse_hypothesis(spec, 4, plain, DENSITIES),
+                  lambda: pipeline._fs_game_value(spec, 4, labels),
+                  lambda: pipeline._single_slot_extraction(spec, 4, labels, 1)):
+        with pytest.raises(ConfigError, match=message):
+            score()
 
 
 @pytest.fixture
@@ -446,8 +558,9 @@ def walked(monkeypatch):
     return specs
 
 
-@pytest.mark.parametrize("theorem", ["public-coin", "three-round"])
+@pytest.mark.parametrize("theorem", ["public-coin", "three-round", "constant-round"])
 def test_stock_hashed_challenges_walk_only_base_specs(theorem, walked):
+    # so does constant-round: no stock run walks a folded spec
     for sim in sorted(pipeline.SIMULATORS):
         for reps in range(2, 11):
             cfg = replace(pipeline.default_config(theorem), reps=reps, simulator=sim)
@@ -456,10 +569,10 @@ def test_stock_hashed_challenges_walk_only_base_specs(theorem, walked):
 
 
 def test_a_grinding_trace_takes_the_folded_walk(walked):
-    # the grinder is written against the folded spec and carries no base
-    # trace; it probes several first messages, so its coordinates are
-    # not independent base runs, and its reps-2 value 781/1024 is not
-    # (31/32)**2
+    # the grinder is written against the folded spec, and a scorer at one
+    # repetition walks the spec it is given; the grinder probes several
+    # first messages, so its coordinates are not independent base runs,
+    # and its reps-2 value 781/1024 is not (31/32)**2
     from test_acceptor import grinding_trace
 
     spec = toy_qr(2)
@@ -477,19 +590,19 @@ def test_closed_forms_past_the_index_cap(reps):
     yes = (1 + Fraction(2) ** (1 - reps)) / 3
     no = yes / 2**reps
     cfg = replace(pipeline.default_config("three-round"), reps=reps)
-    spec = pipeline.build_protocol(cfg)
+    base, _ = pipeline._fold_parts(pipeline.build_protocol(cfg))
     for x, want in ((4, yes), (16, yes), (5, no), (20, no)):
-        trace = pipeline._response_trace(spec, pipeline._moves(cfg, spec, x))
-        assert pipeline._single_slot_extraction(spec, x, trace, 1) == (want, want)
+        trace = pipeline._response_trace(base, pipeline._moves(cfg, base, x))
+        assert pipeline._single_slot_extraction(base, x, trace, 1, reps) == (want, want)
     report = run_experiment("three-round", cfg)
     assert report.decision["yes"] == [float(yes)] * 2
     assert report.decision["no"] == [float(no)] * 2
 
     cfg = replace(pipeline.default_config("public-coin"), reps=reps)
-    spec = pipeline.build_protocol(cfg)
+    base, _ = pipeline._fold_parts(pipeline.build_protocol(cfg))
     for x, want in ((4, 1), (16, 1), (5, Fraction(1, 2**reps)), (20, Fraction(1, 2**reps))):
-        trace = pipeline._hash_trace(spec, pipeline._moves(cfg, spec, x))
-        assert pipeline._fs_game_value(spec, x, trace) == (want, 4)
+        trace = pipeline._hash_trace(base, pipeline._moves(cfg, base, x))
+        assert pipeline._fs_game_value(base, x, trace, reps) == (want, 4)
     report = run_experiment("public-coin", cfg)
     assert report.decision["yes"] == [1.0, 1.0]
     assert report.decision["no"] == [float(Fraction(1, 2**reps))] * 2

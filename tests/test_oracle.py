@@ -28,10 +28,13 @@ small_tables = st.builds(
 
 class TestClassicalOracle:
     def test_call_and_value_index(self):
-        h = ClassicalOracle(("x", "y"), ("a", "b"), ("b", "a"))
-        assert h("x") == "b"
-        assert h.value_index("x") == 1
-        assert h.value_index("y") == 0
+        # a point's value index, the range position of f(point), is what
+        # quantum_query adds: ``_shift`` holds it in domain order, then
+        # the 0 a surplus in-digit reads
+        h = ClassicalOracle(("x", "y", "z"), ("a", "b", "c"), ("b", "a", "c"))
+        assert (h("x"), h("y"), h("z")) == ("b", "a", "c")
+        assert h._shift.tolist() == [1, 0, 2, 0]
+        assert not h._shift.flags.writeable
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -7,15 +7,21 @@ Both return (total, leaves), and here the leaves must be the same
 mapping, each (group, slots, output, assignment, made) with the same
 weight, and so must their mass per (r, slots, output, assignment, made).
 
+The packed walk, its leaves' schedule classes dropped and merged
+(``walk_reference.unkeyed``), must be the tuple walk; and its classes,
+mixed at n repetitions (``pipeline._mixture``), must give (1/S)·Σ_s v_sⁿ
+over the tuple walk's single-slot schedules, or be refused.
+
 The traces: stock constant-round flag traces at 1 to 4 repetitions
 (slot walk and hypothesis walk), the label walks of both hashed
-experiments under both simulators at 1 to 6 repetitions with and without
-a fixed schedule, the hypothesis-drawn adaptive traces of
-``test_extraction``, traces drawn to read in runs, and the constant-round
-trace on a k = 3 and k = 4 spec. On traces that break the response
-contract the packed walk raises exactly where the tuple walk does.
+experiments under both simulators at 1 to 6 repetitions, the
+hypothesis-drawn adaptive traces of ``test_extraction``, traces drawn to
+read in runs, and the constant-round trace on a k = 3 and k = 4 spec. On
+traces that break the response contract the packed walk raises exactly
+where the tuple walk does.
 """
 
+import functools
 import itertools
 import random
 from collections import Counter
@@ -27,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walk_reference
+from walk_reference import unkeyed
 from qromlab import pipeline
 from qromlab.pipeline import (
     SIMULATORS,
@@ -113,10 +120,46 @@ def per_r(walked):
 
 
 def check(spec, x, trace, *args, **kwargs):
-    got = _walk(spec, x, trace, *args, **kwargs)
+    got = unkeyed(_walk(spec, x, trace, *args, **kwargs))
     want = walk_reference.tuple_walk(spec, x, trace, *args, **kwargs)
     assert mapping(got) == mapping(want)
     assert per_r(got) == per_r(want)
+
+
+def check_classes(spec, x, trace, q, label=False):
+    """The single-slot classes of a walk in q queries against the
+    tuple walk of each of the 2q + 1 schedules alone: mixed at n
+    repetitions, the share of runs whose output is accepted must be
+    (1/S)·Σ_s v_sⁿ, unless the mixture refuses classes that weigh
+    unequally over the randomness."""
+    def accepted(leaves):
+        return [(weight * sum(1 for r in group if spec.decide(x, r, out)), weight, group, rest)
+                for weight, group, _, out, *rest in leaves]
+
+    def walk(walker):
+        if not label:
+            return walker(spec, x, trace, 1, q)
+        with pytest.MonkeyPatch.context() as patched:
+            patched.setattr(pipeline, "_walk", walker)
+            return _label_walk(spec, x, trace, 1, q)
+
+    classes: dict = {}
+    labels = None
+    for hits, weight, group, (asg, _, key) in accepted(walk(_walk)[1]):
+        if label:  # each coordinate draws its own labels
+            labels = asg, len(spec.randomness)
+        pipeline._tally(classes, key, weight, group, hits, labels=labels)
+    values = []  # per schedule; (-1, 0) fires at no ordinal
+    for fixed in [(-1, 0), *itertools.product(range(q), (0, 1))]:
+        total, leaves = walk(functools.partial(walk_reference.tuple_walk, fixed=fixed))
+        values.append(Fraction(sum(hits for hits, *_ in accepted(leaves)), total))
+    for n in (1, 2, 3):
+        try:
+            mixed = pipeline._mixture(classes, len(spec.randomness), n)
+        except RuntimeError:
+            assert n > 1
+            continue
+        assert mixed == (sum(v**n for v in values) / len(values),), n
 
 
 @pytest.mark.parametrize("name", [f"toy-qr-t{reps}" for reps in (1, 2, 3, 4)] + ["toy-table"])
@@ -128,11 +171,9 @@ def test_stock_flag_walks_match_the_tuple_walk(name):
 
 def label_walks(spec, x, trace, q):
     """Every label walk the hashed experiments take of a response trace
-    in q queries: no slot, every single-slot schedule, and each fixed one."""
+    in q queries: no slot, and every single-slot schedule."""
     yield _label_walk(spec, x, trace)
     yield _label_walk(spec, x, trace, 1, q)
-    for fixed in itertools.product(range(q), (0, 1)):
-        yield _label_walk(spec, x, trace, 1, q, fixed)
 
 
 @pytest.mark.parametrize("reps", [1, 2, 3, 4, 5, 6])
@@ -146,7 +187,7 @@ def test_label_walks_match_the_tuple_walk(reps, sim, monkeypatch):
             with monkeypatch.context() as patched:
                 patched.setattr(pipeline, "_walk", walk_reference.tuple_walk)
                 want = [mapping(w) for w in label_walks(spec, x, trace, cfg.q)]
-            assert [mapping(w) for w in label_walks(spec, x, trace, cfg.q)] == want
+            assert [mapping(unkeyed(w)) for w in label_walks(spec, x, trace, cfg.q)] == want
 
 
 @settings(max_examples=40, deadline=None)
@@ -226,30 +267,24 @@ def label_run_trace(seed, letters, runs):
     q=st.integers(0, 9),
 )
 def test_runs_of_reads_match_the_tuple_walk(name, x, seed, runs, q):
-    # a run's slots fire only at its reads before the q-th query, and a
-    # fixed walk's run splits at its ordinal
+    # a run's slots fire only at its reads before the q-th query
     spec = SPECS[name]
     trace = run_trace(seed, LETTERS[name], spec.rounds, runs)
     check(spec, x, trace, spec.rounds, q)
     check(spec, x, trace, spec.rounds, q, (1, 0))
     check(spec, x, trace, values=(1, 0))
-    for fixed in itertools.product(range(q), (0, 1)):
-        check(spec, x, trace, 1, q, fixed=fixed)
+    check_classes(spec, x, trace, q)
     labels = label_run_trace(seed, LETTERS[name], runs)
     for k in (0, 1):
         check_label(spec, x, labels, k, q)
-    for fixed in itertools.product(range(q), (0, 1)):
-        check_label(spec, x, labels, 1, q, fixed)
+    check_classes(spec, x, labels, q, label=True)
 
 
-def check_label(spec, x, trace, k, q, fixed=None):
-    got = _label_walk(spec, x, trace, k, q, fixed)
-    patched = pipeline._walk
-    pipeline._walk = walk_reference.tuple_walk
-    try:
-        want = _label_walk(spec, x, trace, k, q, fixed)
-    finally:
-        pipeline._walk = patched
+def check_label(spec, x, trace, k, q):
+    got = unkeyed(_label_walk(spec, x, trace, k, q))
+    with pytest.MonkeyPatch.context() as patched:
+        patched.setattr(pipeline, "_walk", walk_reference.tuple_walk)
+        want = _label_walk(spec, x, trace, k, q)
     assert mapping(got) == mapping(want)
 
 

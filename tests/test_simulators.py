@@ -23,6 +23,7 @@ import pytest
 
 import trace_reference as ref
 from fold_reference import lifted_challenge_structure
+from walk_reference import unkeyed
 from qromlab.pipeline import (
     SIMULATORS,
     ExperimentConfig,
@@ -91,8 +92,9 @@ def weights(walked):
     """A walk's total and weight per leaf. The pipeline's traces drop the
     reads whose answers they ignore, so their walks merge those reads'
     children and meet the reference's leaves in another order; the order
-    is not part of the walk's result."""
-    total, leaves = walked
+    is not part of the walk's result, and neither are the schedule
+    classes, which the reads a trace drops regroup."""
+    total, leaves = unkeyed(walked)
     return total, {tuple(leaf): weight for weight, *leaf in leaves}
 
 

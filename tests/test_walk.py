@@ -147,7 +147,7 @@ def leaves(weighted):
 def check_reference(spec, x, trace, k=0, q=0, values=None):
     # the reference walk forks over (value, weight) pairs and weighs a
     # leaf by its mass; the walk forks uniformly, over one total
-    walked = _walk(spec, x, trace, k, q, values)
+    walked = walk_reference.unkeyed(_walk(spec, x, trace, k, q, values))
     runs = len(spec.randomness) * _schedule_count(k, q)
     got = leaves(live.masses(walked, runs))
     pairs = None if values is None else tuple((v, 1) for v in values)
@@ -263,7 +263,7 @@ def test_a_slot_reprograms_the_point_it_measures():
         return lambda ask_h, ask_f: tuple(ask_h((0,)) for _ in range(n))
 
     def walked(trace, **kwargs):
-        total, leaves = _walk(spec, 1, trace, **kwargs)
+        total, leaves = walk_reference.unkeyed(_walk(spec, 1, trace, **kwargs))
         return total, {tuple(leaf): weight for weight, *leaf in leaves}
 
     assert walked(reads(1), k=1, q=1) == (6, {
@@ -376,10 +376,12 @@ def test_each_trace_node_is_replayed_once(monkeypatch):
     assert len(replayed) == 17
 
 
-@pytest.mark.parametrize("reps, replays", [(None, 54), (4, 102)])
-def test_a_dropped_read_costs_no_replay(reps, replays, monkeypatch):
+@pytest.mark.parametrize("reps, folded", [(None, 54), (4, 102)])
+def test_a_dropped_read_costs_no_replay(reps, folded, monkeypatch):
     # the pad, full-transcript and release reads of every statement's
-    # walks fork nothing: only the live reads and the responses branch
+    # walks fork nothing: only the live reads and the responses branch.
+    # Every reps walks the fold's base, where walking the folded spec
+    # took ``folded`` replays
     replayed = []
     next_event = walk._next_event
 
@@ -390,16 +392,17 @@ def test_a_dropped_read_costs_no_replay(reps, replays, monkeypatch):
     monkeypatch.setattr(walk, "_next_event", counted)
     cfg = default_config("constant-round")
     decide_constant_round(cfg if reps is None else replace(cfg, reps=reps))
-    assert len(replayed) == replays
+    assert len(replayed) == 18 < folded
 
 
-@pytest.mark.parametrize("reps, calls",
+@pytest.mark.parametrize("reps, folded",
                          [(None, 72), (4, 88), (8, 568), (10, 2_104)])
-def test_each_run_step_is_computed_once(reps, calls, monkeypatch):
+def test_each_run_step_is_computed_once(reps, folded, monkeypatch):
     # a run of reads of one point is one step, and a walk computes each
     # step once for every core with the same used slots, measured point
-    # and plain read: stepping every path at every read took 660, 1,156,
-    # 16,036 and 63,652 calls
+    # and plain read. Every reps walks the fold's base, where walking the
+    # folded spec took ``folded`` calls, and stepping every path of it at
+    # every read 660, 1,156, 16,036 and 63,652
     counted = []
     run_steps = walk._run_steps
 
@@ -410,7 +413,7 @@ def test_each_run_step_is_computed_once(reps, calls, monkeypatch):
     monkeypatch.setattr(walk, "_run_steps", counting)
     cfg = default_config("constant-round")
     decide_constant_round(cfg if reps is None else replace(cfg, reps=reps))
-    assert len(counted) == calls
+    assert len(counted) == 60 < folded
 
 
 def test_the_never_fired_count_is_taken_once_per_argument(monkeypatch):

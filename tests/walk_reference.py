@@ -13,7 +13,9 @@ The tuple walk, ``tuple_walk``, keeps each path as a (slots,
 assignment, group) tuple, checks the contract on the replay, and steps
 every path once per read through ``_tuple_flag_steps``. ``walk._walk``
 packs that path into an int and steps a run of reads of one point at
-once; its leaves and refusals are tested against both walks here.
+once and keeps each fired slot's schedule class on its leaves, which
+``unkeyed`` drops; its leaves and refusals are tested against both
+walks here.
 """
 
 from __future__ import annotations
@@ -23,6 +25,17 @@ from typing import Callable
 
 from qromlab.protocol import ProtocolSpec
 from qromlab.transforms import _schedule_count
+
+
+def unkeyed(walked) -> tuple:
+    """``walk._walk``'s (total, leaves) with each leaf's schedule class
+    dropped and the leaves that differed only in it merged: the leaves
+    of the walks here, which keep no classes."""
+    total, leaves = walked
+    merged: dict = {}
+    for weight, *leaf, _ in leaves:
+        merged[tuple(leaf)] = merged.get(tuple(leaf), 0) + weight
+    return total, [(weight, *leaf) for leaf, weight in merged.items()]
 
 
 def _next_event(trace, answers: tuple, node, expand: Callable) -> tuple:
