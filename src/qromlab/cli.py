@@ -222,7 +222,7 @@ def _demo_adjuster_eff(rng: np.random.Generator) -> tuple[bool, str]:
 
 
 def _demo_final_state(rng: np.random.Generator) -> tuple[bool, str]:
-    spec = toy_qr(1)
+    spec = toy_qr()
     x = 4
     w = spec.witness_map(x)[0]
     u = spec.prover_randomness[0]

@@ -19,9 +19,10 @@ Both hashed-challenge experiments, public-coin and three-round, run
 response traces on ``_label_walk``, whose table holds randomness labels
 and answers each with its response: a public-coin challenge is fresh
 verifier randomness, so it is its label, and no challenge chart is
-kept. Every decision experiment walks its trace on the fold's base (an
-unfolded spec is its own base at one repetition) and scores the
-repetitions as the mixture of the base walk's values over the schedule
+kept. Repetitions are a count: ``build_protocol`` returns the
+one-repetition spec with the reps a config runs, every decision
+experiment walks its trace on that spec, and each scorer takes the reps
+and values them as the mixture of the walk's values over the schedule
 classes the walk keeps on its paths (``_mixture``). The extraction
 provers are predicates on those paths. The expected-time experiment
 instead drives the dense verifier machines from ``adversary`` and checks
@@ -83,19 +84,20 @@ def eps_star(k: int, q: int) -> Fraction:
 
 
 class Protocol(NamedTuple):
-    """A protocol: its builder of reps, whether reps is settable, its stand-ins."""
+    """A protocol: its one-repetition builder, whether it repeats, its stand-ins."""
 
-    build: Callable[[int], ProtocolSpec]
+    build: Callable[[], ProtocolSpec]
     repeats: bool
     yes: tuple
     no: tuple
 
 
 REPS = 3  # the repetitions a config that sets none runs and echoes
+MAX_REPS = 64  # the most repetitions a config runs
 PROTOCOLS = {
-    "toy-qr": Protocol(lambda reps: toy_qr(reps), True, (4, 16), (5, 20)),
-    "toy-table": Protocol(lambda reps: toy_table(), False, (1, 3), ()),
-    "toy-guess": Protocol(lambda reps: toy_guess(), False, (1,), (0,)),
+    "toy-qr": Protocol(lambda: toy_qr(), True, (4, 16), (5, 20)),
+    "toy-table": Protocol(lambda: toy_table(), False, (1, 3), ()),
+    "toy-guess": Protocol(lambda: toy_guess(), False, (1,), (0,)),
 }
 
 
@@ -134,16 +136,23 @@ class ExperimentConfig:
             raise ConfigError("yes and no statements overlap")
 
 
-def build_protocol(cfg: ExperimentConfig) -> ProtocolSpec:
-    """The protocol battery a configuration names."""
+def build_protocol(cfg: ExperimentConfig) -> tuple[ProtocolSpec, int]:
+    """(spec, reps): the one-repetition spec a configuration names and
+    the parallel repetitions it runs, 1 for a protocol that does not
+    repeat. The one place reps is defaulted and capped."""
     row = PROTOCOLS.get(cfg.protocol)
     if row is None:
         raise ConfigError(f"unknown protocol {cfg.protocol!r}")
-    if cfg.reps is None:
-        return row.build(REPS)
-    if not row.repeats:  # refused even at the default
-        raise ConfigError(f"protocol {cfg.protocol!r} has no repetitions to set")
-    return row.build(cfg.reps)
+    if not row.repeats:
+        if cfg.reps is not None:  # refused even at the default
+            raise ConfigError(f"protocol {cfg.protocol!r} has no repetitions to set")
+        return row.build(), 1
+    reps = REPS if cfg.reps is None else cfg.reps
+    if reps < 1:
+        raise ConfigError("need at least one repetition")
+    if reps > MAX_REPS:
+        raise ConfigError(f"at most {MAX_REPS} repetitions are supported, not {reps}")
+    return row.build(), reps
 
 
 # experiment name -> (verifier flavor echoed into its report, stock config, runner)
@@ -200,18 +209,19 @@ def _check(statement, name, anchor, lhs, rhs, relation, note="") -> Check:
     return Check(str(statement), name, anchor, lhs, rhs, relation, ok, note)
 
 
-def _report(theorem: str, cfg: ExperimentConfig, spec: ProtocolSpec,
+def _report(theorem: str, cfg: ExperimentConfig, spec: ProtocolSpec, reps: int,
             checks: list[Check], yes_vals: Sequence,
             no_vals: Sequence) -> ExperimentReport:
-    """The report of one run: its checks, then the decision gap's check
-    when both sides have values, the config echo and the decision."""
+    """The report of one run of ``reps`` repetitions of ``spec``: its
+    checks, then the decision gap's check when both sides have values,
+    the config echo and the decision."""
     yes = [float(v) for v in yes_vals]
     no = [float(v) for v in no_vals]
     gap = min(yes) - max(no) if yes and no else None
     if gap is not None:
         checks.append(_check("*", "decision-gap", "decision separation", gap, 0.1, ">="))
     echo = {
-        "protocol": spec.name,
+        "protocol": spec.name if reps == 1 else f"{cfg.protocol}-t{reps}",
         "k": spec.rounds,
         "reps": REPS if cfg.reps is None else cfg.reps,
         "q": cfg.q,
@@ -228,10 +238,11 @@ def _report(theorem: str, cfg: ExperimentConfig, spec: ProtocolSpec,
     return ExperimentReport(theorem, echo, tuple(checks), decision)
 
 
-def _extraction_checks(spec: ProtocolSpec, x, pstar, value) -> list[Check]:
+def _extraction_checks(spec: ProtocolSpec, x, reps: int, pstar, value) -> list[Check]:
     """A no-statement's extraction prover against its decision value and
-    exact soundness, and the decision value against soundness."""
-    cap = float(soundness_exact(spec, x)) + TOLERANCE
+    exact soundness over ``reps`` repetitions, and the decision value
+    against soundness."""
+    cap = float(soundness_exact(spec, x) ** reps) + TOLERANCE
     return [
         _check(x, "extraction-dominance", "inline extraction dominance",
                pstar, value, ">="),
@@ -458,12 +469,6 @@ def _mixture(classes: dict, nr: int, reps: int,
     return tuple(sum(column) / total for column in columns)
 
 
-def _fold_parts(spec: ProtocolSpec) -> tuple:
-    """(base, reps): the spec ``protocol.fold`` built ``spec`` from, and its
-    repetitions; an unfolded spec is its own base at one repetition."""
-    return (spec, 1) if spec.fold_base is None else (spec.fold_base, spec.fold_reps)
-
-
 # ---------------------------------------------------------------------------
 # Constant-round decision experiment.
 
@@ -558,11 +563,11 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     hypothesis holds at the calibrated density (the display density is
     audited alongside); on no-statements the extraction prover built
     from the same trace must dominate the decision value while staying
-    under exact soundness. Every value is scored on the protocol's fold
-    base and raised to its repetitions by schedule class (``_mixture``).
+    under exact soundness. Every value is scored on the one-repetition
+    spec and raised to the reps by schedule class (``_mixture``).
     """
     cfg = default_config("constant-round") if cfg is None else cfg
-    spec = build_protocol(cfg)
+    spec, reps = build_protocol(cfg)
     k = spec.rounds
     if k > 2:
         raise ConfigError("the trace layout covers one- and two-move specs")
@@ -571,7 +576,6 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
             f"the flag trace makes {k} verifier call{'s' * (k != 1)}, so the"
             f" budget q must be {k}, not {cfg.q}"
         )
-    base, reps = _fold_parts(spec)
     q_h = 2 * k * cfg.q
     factor = (2 * q_h + 1) ** (2 * k)
     bound = Fraction(1, 8 * factor)
@@ -580,11 +584,11 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        trace = simulator_trace(base, _moves(cfg, base, x))
-        pstar, value = extraction_prover_value(base, x, trace, q_h, reps)
+        trace = simulator_trace(spec, _moves(cfg, spec, x))
+        pstar, value = extraction_prover_value(spec, x, trace, q_h, reps)
         if x in cfg.yes_instances:
             met = True
-            hyps = _sparse_hypothesis(base, x, trace, (cfg.eps, es), reps)
+            hyps = _sparse_hypothesis(spec, x, trace, (cfg.eps, es), reps)
             for tag, eps, hyp in zip(("", "-calibrated"), (cfg.eps, es), hyps):
                 floor = eps ** k / 4
                 c = _check(
@@ -603,9 +607,9 @@ def decide_constant_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentR
             checks.append(c)
             yes_vals.append(value)
         else:
-            checks += _extraction_checks(spec, x, pstar, value)
+            checks += _extraction_checks(spec, x, reps, pstar, value)
             no_vals.append(value)
-    return _report("constant-round", cfg, spec, checks, yes_vals, no_vals)
+    return _report("constant-round", cfg, spec, reps, checks, yes_vals, no_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -638,16 +642,14 @@ def _check_public_coin(spec: ProtocolSpec, x) -> None:
     Verifies the public-coin structure directly rather than trusting
     the flag: the round-1 response may depend on the randomness only,
     and distinct randomness must yield distinct challenges in the
-    message alphabet. Only two-move specs are supported. A spec built
-    by ``protocol.fold`` is checked on its base: its next-message
-    function is the base's applied coordinate by coordinate, and a
+    message alphabet. Only two-move specs are supported. Parallel
+    repetitions of ``spec`` need no check of their own: their
+    next-message function is this one coordinate by coordinate, and a
     product of injective, message-blind maps is injective and
     message-blind.
     """
     if spec.rounds != 2:
         raise ValueError("challenge extraction needs exactly two prover moves")
-    if spec.fold_base is not None:
-        return _check_public_coin(spec.fold_base, x)
     a0 = spec.alphabet[0]
     alpha = set(spec.alphabet)
     by_r: dict = {}
@@ -690,47 +692,48 @@ def _top_products(masses: Sequence, reps: int, n: int) -> list:
     return out
 
 
-def _forgery_masses(spec: ProtocolSpec, x, n: int) -> list[Fraction]:
-    """The n largest answerable challenge masses over first messages,
-    largest first: the share of randomness, each naming one challenge
-    (``_check_public_coin``), at which some second message is accepted.
+def _forgery_masses(spec: ProtocolSpec, x, n: int, reps: int = 1) -> list[Fraction]:
+    """The n largest answerable challenge masses over first messages of
+    ``reps`` parallel repetitions, largest first: the share of
+    randomness, each naming one challenge (``_check_public_coin``), at
+    which some second message is accepted.
 
-    A spec built by ``protocol.fold`` answers a challenge iff every
-    coordinate does, and its challenge coordinates are independent, so
-    its masses are the products of base masses; the n largest come from
-    ``_top_products`` over the sorted base masses, counted in ints and
-    divided once, and the folded alphabet is never listed.
+    A repetition answers a challenge iff every coordinate does, and its
+    challenge coordinates are independent, so its masses are the
+    products of the spec's masses; the n largest come from
+    ``_top_products`` over the sorted masses, counted in ints and
+    divided once, and no repeated first message is listed.
     """
     _check_public_coin(spec, x)
-    base, reps = _fold_parts(spec)
     counts = []
-    for m1 in base.alphabet:
+    for m1 in spec.alphabet:
         good = 0
-        for r in base.randomness:
-            for m2 in base.alphabet:
-                if base.decide(x, r, (m1, m2)):
+        for r in spec.randomness:
+            for m2 in spec.alphabet:
+                if spec.decide(x, r, (m1, m2)):
                     good += 1
                     break
         counts.append(good)
-    total = len(base.randomness) ** reps
+    total = len(spec.randomness) ** reps
     return [Fraction(c, total)
             for c in _top_products(sorted(counts, reverse=True), reps, n)]
 
 
-def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
-    """Exact optimum of a q-query challenge-grinding forger.
+def fs_forgery_exact(spec: ProtocolSpec, x, q: int, reps: int = 1) -> Fraction:
+    """Exact optimum of a q-query challenge-grinding forger against
+    ``reps`` parallel repetitions of ``spec``.
 
     Hash values at distinct points are independent, so grinding the q
     points of largest answerable challenge mass and outputting on the
     first hit, or at one unqueried point when every probe misses, is
     optimal; the value is one minus the miss product over the q+1
-    largest masses, which ``_forgery_masses`` takes from the base of a
-    folded spec without building the folded one.
+    largest masses, which ``_forgery_masses`` takes from the
+    one-repetition spec.
     """
     if q < 0:
         raise ValueError("query count must be nonnegative")
     miss = Fraction(1)
-    for p in _forgery_masses(spec, x, q + 1):
+    for p in _forgery_masses(spec, x, q + 1, reps):
         miss *= 1 - p
     return 1 - miss
 
@@ -748,7 +751,7 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     by exact soundness.
     """
     cfg = default_config("public-coin") if cfg is None else cfg
-    spec = build_protocol(cfg)
+    spec, reps = build_protocol(cfg)
     if not spec.public_coin:
         raise ConfigError("the hash-challenge experiment needs a public-coin spec")
     if cfg.q != 2:
@@ -758,14 +761,13 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
         )
     k = spec.rounds
     budget = 2 * (k - 1) * cfg.q
-    base, reps = _fold_parts(spec)
     checks: list[Check] = []
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
         _check_public_coin(spec, x)
-        trace = _hash_trace(base, _moves(cfg, base, x))
-        total, counted = _fs_game_value(base, x, trace, reps)
+        trace = _hash_trace(spec, _moves(cfg, spec, x))
+        total, counted = _fs_game_value(spec, x, trace, reps)
         checks.append(_check(
             x, "hash-budget", "per-call hash budget", counted, budget, "==",
         ))
@@ -776,8 +778,8 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
             ))
             yes_vals.append(total)
         else:
-            forgery = fs_forgery_exact(spec, x, budget)
-            sound = soundness_exact(spec, x)
+            forgery = fs_forgery_exact(spec, x, budget, reps)
+            sound = soundness_exact(spec, x) ** reps
             checks.append(_check(
                 x, "forgery-cap", "hash-grinding forgery cap",
                 total, float(forgery) + TOLERANCE, "<=",
@@ -788,7 +790,7 @@ def decide_public_coin(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
                 total, float(sound) + TOLERANCE, "<=",
             ))
             no_vals.append(total)
-    return _report("public-coin", cfg, spec, checks, yes_vals, no_vals)
+    return _report("public-coin", cfg, spec, reps, checks, yes_vals, no_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -903,21 +905,20 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
     dominate every no-statement value without beating exact soundness.
     """
     cfg = default_config("three-round") if cfg is None else cfg
-    spec = build_protocol(cfg)
+    spec, reps = build_protocol(cfg)
     if spec.rounds != 2:
         raise ConfigError("the single-slot experiment covers two-move specs")
     q_dec = 1  # decision queries billed by the composed reduction
     puncture = 16 * (q_dec + 1)
     slot_factor = (2 * cfg.q + 1) ** 2
-    base, reps = _fold_parts(spec)
     checks: list[Check] = []
     yes_vals: list[Fraction] = []
     no_vals: list[Fraction] = []
     for x in cfg.yes_instances + cfg.no_instances:
-        trace = _response_trace(base, _moves(cfg, base, x))
-        pstar, value = _single_slot_extraction(base, x, trace, cfg.q, reps)
+        trace = _response_trace(spec, _moves(cfg, spec, x))
+        pstar, value = _single_slot_extraction(spec, x, trace, cfg.q, reps)
         if x in cfg.yes_instances:
-            game, _ = _fs_game_value(base, x, trace, reps)
+            game, _ = _fs_game_value(spec, x, trace, reps)
             hyp = _check(
                 x, "challenge-game", "challenge-game floor",
                 game, 1.0 - float(cfg.eps) - SLACK, ">=",
@@ -939,9 +940,9 @@ def decide_three_round(cfg: Optional[ExperimentConfig] = None) -> ExperimentRepo
             checks.append(c)
             yes_vals.append(value)
         else:
-            checks += _extraction_checks(spec, x, pstar, value)
+            checks += _extraction_checks(spec, x, reps, pstar, value)
             no_vals.append(value)
-    return _report("three-round", cfg, spec, checks, yes_vals, no_vals)
+    return _report("three-round", cfg, spec, reps, checks, yes_vals, no_vals)
 
 
 # ---------------------------------------------------------------------------
@@ -968,7 +969,10 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None) -> Experiment
     machines keep the stock configuration on the small echo argument.
     """
     cfg = default_config("expected-time") if cfg is None else cfg
-    spec = build_protocol(cfg)
+    spec, reps = build_protocol(cfg)
+    if reps != 1:
+        raise ConfigError(
+            f"the expected-time experiment runs one repetition, not {reps}")
     k = spec.rounds
     if k != 2:
         raise ConfigError("the expected-time experiment covers two-move specs")
@@ -1029,7 +1033,7 @@ def expected_time_pipeline(cfg: Optional[ExperimentConfig] = None) -> Experiment
             ))
             if not tag:
                 yes_vals.append(joint)
-    return _report("expected-time", cfg, spec, checks, yes_vals, [])
+    return _report("expected-time", cfg, spec, reps, checks, yes_vals, [])
 
 
 def run_experiment(theorem: str,

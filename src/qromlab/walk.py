@@ -13,8 +13,8 @@ one point with the kept read that may end them are one step
 randomness: ``pipeline._label_walk`` runs both hashed-challenge
 experiments' response traces over a table of randomness labels that
 way, a challenge being its label's response. Paths keep each fired
-slot's schedule class, from which the pipeline's scorers value parallel
-repetitions of the walked game.
+slot's schedule class, from which the pipeline's scorers value any count
+of parallel repetitions of the walked one-repetition game.
 """
 
 from __future__ import annotations
@@ -137,7 +137,7 @@ def _walk(spec: ProtocolSpec, x, trace, k: int = 0, q: int = 0, values=None,
 
     Raises:
         ConfigError: the randomness has more than ``MAX_STRATEGY_WORK``
-            elements, or too many to count; nothing is built first.
+            elements; nothing is built first.
         ValueError: the trace reads the response of a clear flag.
 
     Returns:

@@ -16,7 +16,7 @@ before the extraction prover's pass scored it too.
 
 from fractions import Fraction
 
-from fold_reference import lifted_challenge_structure
+from fold_reference import challenge_structure
 from live_reference import NeedValue, live_runs, replay
 from qromlab.transforms import _ordered_outcome, enumerate_schedules
 
@@ -221,7 +221,7 @@ def sparse_hypothesis(spec, x, trace, eps) -> Fraction:
 
 def hash_total(spec, x, trace) -> Fraction:
     """The public-coin experiment's per-statement value."""
-    challenges, chart = lifted_challenge_structure(spec, x)
+    challenges, chart = challenge_structure(spec, x)
     values = [(c, Fraction(1, len(challenges))) for c in challenges]
     total = Fraction(0)
     for weight, asg, _, out in fork_runs(trace, None, values):

@@ -1,36 +1,127 @@
-"""The materialised classical route, as it was before specs were folded.
+"""Parallel repetition as a spec: the folded route the library replaced
+by a count.
 
-``toy_qr`` builds every repetition count's alphabet, randomness and
-prover randomness as full tuples and writes its callables over whole
-tuples; ``challenge_structure`` checks a spec over all |A|·|R| pairs,
-folded or not; ``fs_forgery_exact`` scores every first message of a
-folded spec and sorts the products of its base masses. They are the
-reference the lazy product spaces, the base-only public-coin check and
-the k-best forgery masses are tested against, for small repetition
-counts. ``forgery_masses`` is ``fs_forgery_exact``'s sorted mass list,
-split out so the masses themselves can be compared.
+The library keeps repetitions as a count: ``pipeline.build_protocol``
+returns the one-repetition spec with its reps, and every scorer takes
+the reps. This module keeps the spec of t repetitions, the reference that
+count route is tested against:
 
-``lifted_challenge_structure`` is the challenge chart the library once
-kept, lifted from a folded spec's base: the hash-table routes of
-``live_reference`` and ``extraction_reference`` read a folded spec's
-chart from it without the |A|·|R| walk.
+- ``fold(base, reps, name)`` builds the spec whose messages, randomness
+  and prover randomness are concatenations of ``reps`` base elements
+  (lazy ``ProductSpace`` sequences) and whose callables apply the base's
+  coordinate by coordinate, each base call memoized per column;
+  ``folded(cfg)`` is the fold a config runs, named as its report echoes;
+- ``toy_qr(reps)`` writes the same spec out in full, over materialised
+  tuples and callables over whole tuples;
+- ``challenge_structure`` checks a spec's public-coin structure over all
+  |A|·|R| pairs, and ``forgery_masses`` scores every first message of a
+  spec's ``reps``-fold.
 """
 
+import functools
 import itertools
+import math
+from collections.abc import Sequence
 from fractions import Fraction
 from typing import Hashable
 
-from qromlab.protocol import (
-    RESIDUES_21,
-    UNITS_21,
-    ConfigError,
-    ProductSpace,
-    ProtocolSpec,
-)
+from qromlab.pipeline import build_protocol
+from qromlab.protocol import UNITS_21, ConfigError, ProtocolSpec
 
 
-def _toy_qr_elements() -> tuple[int, ...]:
-    return (0,) + UNITS_21
+class ProductSpace(Sequence):
+    """The ``reps``-fold product of a base space of equal-width tuples,
+    in ``itertools.product(base, repeat=reps)`` order, each element the
+    concatenation of its ``reps`` base elements; never materialised."""
+
+    def __init__(self, base: Sequence, reps: int) -> None:
+        self.base = tuple(base)
+        self.reps = reps
+        width = len(self.base[0])
+        self._slices = [slice(i, i + width) for i in range(0, width * reps, width)]
+
+    def __len__(self) -> int:
+        return len(self.base) ** self.reps
+
+    def __getitem__(self, i: int) -> tuple:
+        if not 0 <= i < len(self):
+            raise IndexError("product space index out of range")
+        parts = []
+        for _ in range(self.reps):
+            i, d = divmod(i, len(self.base))
+            parts.append(self.base[d])
+        return sum(reversed(parts), ())
+
+    def __iter__(self):
+        for parts in itertools.product(self.base, repeat=self.reps):
+            yield sum(parts, ())
+
+    def split(self, elem: tuple) -> tuple:
+        """The base coordinates of a product element, unchecked."""
+        return tuple([elem[s] for s in self._slices])
+
+
+def fold(base: ProtocolSpec, reps: int, name: str) -> ProtocolSpec:
+    """``reps`` parallel repetitions of ``base`` as one spec.
+
+    A verifier message is split by the alphabet's width like a prover
+    message. The verifier's next message and the honest prover's move
+    concatenate the base's per coordinate, and the verifier accepts iff
+    it accepts every coordinate. Both read each (r, column) of the base
+    once: ``decide`` looks r up in the randomness that accepts every
+    column of the transcript, built once per transcript, so a walk that
+    counts a transcript's whole group of r reads no column twice. The
+    statements and witnesses are the base's: one witness serves every
+    repetition.
+    """
+    alphabet = ProductSpace(base.alphabet, reps)
+    randomness = ProductSpace(base.randomness, reps)
+    prover_rand = ProductSpace(base.prover_randomness, reps)
+    base_next = functools.cache(base.next_message)
+    base_decide = functools.cache(base.decide)
+
+    def columns(msgs: tuple):
+        if not msgs:
+            return itertools.repeat((), reps)
+        return zip(*map(alphabet.split, msgs))
+
+    @functools.cache
+    def next_message(x, r, ms):
+        return sum((base_next(x, rj, col)
+                    for rj, col in zip(randomness.split(r), columns(ms))), ())
+
+    @functools.cache
+    def accepting(x, ms) -> frozenset:
+        per_column = [[rj for rj in base.randomness if base_decide(x, rj, col)]
+                      for col in columns(ms)]
+        return frozenset(sum(rs, ()) for rs in itertools.product(*per_column))
+
+    def decide(x, r, ms):
+        return r in accepting(x, ms)
+
+    def honest_prover(x, w, u, received):
+        return sum((base.honest_prover(x, w, uj, col)
+                    for uj, col in zip(prover_rand.split(u), columns(received))), ())
+
+    return ProtocolSpec(
+        name=name,
+        alphabet=alphabet,
+        rounds=base.rounds,
+        randomness=randomness,
+        prover_randomness=prover_rand,
+        witness_map=base.witness_map,
+        next_message=next_message,
+        decide=decide,
+        honest_prover=honest_prover,
+        public_coin=base.public_coin,
+    )
+
+
+def folded(cfg) -> ProtocolSpec:
+    """The spec a config's repetitions form: ``build_protocol``'s spec
+    at one repetition, else its fold, named as the report echoes it."""
+    spec, reps = build_protocol(cfg)
+    return spec if reps == 1 else fold(spec, reps, f"{cfg.protocol}-t{reps}")
 
 
 def toy_qr(reps: int = 3) -> ProtocolSpec:
@@ -43,15 +134,9 @@ def toy_qr(reps: int = 3) -> ProtocolSpec:
     """
     if reps < 1:
         raise ConfigError("need at least one repetition")
-    elems = _toy_qr_elements()
-    alphabet = tuple(itertools.product(elems, repeat=reps))
+    alphabet = tuple(itertools.product((0,) + UNITS_21, repeat=reps))
     randomness = tuple(itertools.product((0, 1), repeat=reps))
     prover_rand = tuple(itertools.product(UNITS_21, repeat=reps))
-    residues = set(RESIDUES_21)
-
-    def language(x: int) -> bool:
-        return x in residues
-
     def witness_map(x: int) -> tuple[int, ...]:
         return tuple(w for w in UNITS_21 if (w * w) % 21 == x % 21)
 
@@ -73,24 +158,18 @@ def toy_qr(reps: int = 3) -> ProtocolSpec:
         c = received[0]
         return tuple((uj * pow(w, cj, 21)) % 21 for uj, cj in zip(u, c))
 
-    spec = ProtocolSpec(
+    return ProtocolSpec(
         name=f"toy-qr-t{reps}",
         alphabet=alphabet,
         rounds=2,
         randomness=randomness,
         prover_randomness=prover_rand,
-        language=language,
         witness_map=witness_map,
         next_message=next_message,
         decide=decide,
         honest_prover=honest_prover,
         public_coin=True,
     )
-    if reps > 1:
-        # set as the library set them then, as constructor arguments
-        object.__setattr__(spec, "fold_base", toy_qr(1))
-        object.__setattr__(spec, "fold_reps", reps)
-    return spec
 
 
 def challenge_structure(spec: ProtocolSpec, x: Hashable):
@@ -128,77 +207,19 @@ def challenge_structure(spec: ProtocolSpec, x: Hashable):
     return tuple(order), chart
 
 
-def lifted_challenge_structure(spec: ProtocolSpec, x: Hashable):
-    """Challenge alphabet and challenge-to-randomness chart of a spec.
-
-    Verifies the public-coin structure directly rather than trusting
-    the flag: the round-1 response may depend on the randomness only,
-    and distinct randomness must yield distinct challenges. Only
-    two-move specs are supported.
-
-    A spec built by ``protocol.fold`` is checked exhaustively on its base
-    and then lifted, without enumerating its own |A|·|R| pairs. Its
-    next-message function is the base's applied coordinate by coordinate
-    by construction, so the lift proves what the exhaustive check would:
-    a product of injective charts is injective, and a product of
-    message-blind responses is message-blind. Challenges come in the
-    folded randomness order, as the exhaustive walk lists them.
-
-    Returns:
-        (challenges, chart) with challenges in first-appearance order
-        and chart mapping each challenge tuple to its randomness label.
-    """
-    if spec.rounds != 2:
-        raise ValueError("challenge extraction needs exactly two prover moves")
-    if spec.fold_base is not None:
-        # the base lists its i-th challenge for its i-th randomness, so the
-        # i-th product challenge belongs to the i-th folded randomness
-        base_cs, _ = challenge_structure(spec.fold_base, x)
-        order = tuple(ProductSpace(base_cs, spec.fold_reps))
-        return order, {(c,): r for c, r in zip(order, spec.randomness)}
-    return challenge_structure(spec, x)
-
-
-def forgery_masses(spec: ProtocolSpec, x) -> list[Fraction]:
-    """Every first message's answerable challenge mass, largest first.
-    Folded specs score per repetition and multiply."""
-    challenge_structure(spec, x)
-
-    def mass_table(sp):
-        cs, ch = challenge_structure(sp, x)
-        table = {}
-        for m1 in sp.alphabet:
-            good = sum(
-                1 for c in cs
-                if any(sp.decide(x, ch[(c,)], (m1, m2)) for m2 in sp.alphabet)
-            )
-            table[m1] = Fraction(good, len(cs))
-        return table
-
-    if spec.fold_base is not None:
-        base_mass = mass_table(spec.fold_base)
-        masses = []
-        for m1 in spec.alphabet:
-            p = Fraction(1)
-            for a in m1:
-                p *= base_mass[(a,)]
-            masses.append(p)
-    else:
-        masses = list(mass_table(spec).values())
+def forgery_masses(spec: ProtocolSpec, x, reps: int = 1) -> list[Fraction]:
+    """Every first message's answerable challenge mass over ``reps``
+    parallel repetitions of ``spec``, largest first: each of the spec's
+    first messages scored over its whole chart, and every reps-tuple of
+    them listed with the product of its masses."""
+    cs, ch = challenge_structure(spec, x)
+    mass = {
+        m1: Fraction(sum(1 for c in cs if any(
+            spec.decide(x, ch[(c,)], (m1, m2)) for m2 in spec.alphabet)), len(cs))
+        for m1 in spec.alphabet
+    }
+    masses = [math.prod(mass[m1] for m1 in firsts)
+              for firsts in itertools.product(spec.alphabet, repeat=reps)]
     masses.sort(reverse=True)
     return masses
 
-
-def fs_forgery_exact(spec: ProtocolSpec, x, q: int) -> Fraction:
-    """Exact optimum of a q-query challenge-grinding forger.
-
-    Hash values at distinct points are independent, so grinding the q
-    points of largest answerable challenge mass and outputting on the
-    first hit, or at one unqueried point when every probe misses, is
-    optimal; the value is one minus the miss product over the q+1
-    largest masses.
-    """
-    miss = Fraction(1)
-    for p in forgery_masses(spec, x)[: q + 1]:
-        miss *= 1 - p
-    return 1 - miss

@@ -23,7 +23,7 @@ from dataclasses import replace
 from fractions import Fraction
 from typing import Optional
 
-from fold_reference import lifted_challenge_structure
+from fold_reference import challenge_structure
 from qromlab.protocol import ConfigError
 from qromlab.transforms import MarSchedule, _ordered_outcome, _schedule_count
 from qromlab.walk import _walk
@@ -222,7 +222,7 @@ def hash_value(spec, x, trace) -> tuple[Fraction, int]:
     """(Pr over the lazy hash table that the output is accepted at the
     randomness its own hashed challenge names, hash queries billed on
     one replay that answers every query with the first challenge)."""
-    challenges, chart = lifted_challenge_structure(spec, x)
+    challenges, chart = challenge_structure(spec, x)
     _, _, counted = replay(trace, None, {}, default=challenges[0])
     values = [(c, Fraction(1, len(challenges))) for c in challenges]
     runs = fork(lambda a: replay(trace, None, a), values)

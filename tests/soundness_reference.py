@@ -14,11 +14,8 @@ from qromlab.protocol import MAX_STRATEGY_WORK, ConfigError, ProtocolSpec
 
 
 def soundness_exact(spec: ProtocolSpec, x: Hashable) -> Fraction:
-    """Max over deterministic adaptive prover strategies of Pr_r[accept];
-    a folded spec's value is its base's to the reps."""
-    if spec.fold_base is not None:
-        return soundness_exact(spec.fold_base, x) ** spec.fold_reps
-
+    """Max over deterministic adaptive prover strategies of Pr_r[accept],
+    over the whole tree of the spec it is given."""
     n_m, n_r, k = len(spec.alphabet), len(spec.randomness), spec.rounds
     if n_m**k * n_r > MAX_STRATEGY_WORK:
         raise ConfigError("strategy space exceeds the enumeration cap")

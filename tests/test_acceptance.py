@@ -221,7 +221,7 @@ def test_criterion_05_adjusters_unitary_and_on_target():
 
 def test_criterion_06_accepting_cont_state_is_phi():
     start = time.perf_counter()
-    spec = toy_qr(1)
+    spec = toy_qr()
     quarter = Fraction(1, 4)
 
     def phi(eps: Fraction) -> DensityOnRegister:

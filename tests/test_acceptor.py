@@ -2,12 +2,13 @@
 the four decision scorers, against the per-r scorers it replaced
 (``score_reference``) and against brute force.
 
-It sums over each group's r. The experiments score a folded spec on its
-base (``pipeline._mixture``), so they never count a folded transcript.
-The differential tests run the stock simulators of toy-qr at 1 to 5
-repetitions and the adaptive traces of ``test_extraction`` at 1 and 2.
-The work counts pin that the folded ``decide`` goes unread, and the
-grinding trace pins values where the challenge game is not trivial.
+It sums over each group's r. The experiments score repetitions as a
+count on the one-repetition spec (``pipeline._mixture``), so they never
+count a repeated transcript. The differential tests run the stock
+simulators of toy-qr folded by ``fold_reference`` at 1 to 5 repetitions
+and the adaptive traces of ``test_extraction`` at 1 and 2. The work
+counts pin the ``decide`` calls a run makes, and the grinding trace pins
+values where the challenge game is not trivial.
 """
 
 from dataclasses import replace
@@ -17,7 +18,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fold_reference
 import score_reference as ref
+from fold_reference import folded
 from qromlab import pipeline
 from qromlab.pipeline import (
     SIMULATORS,
@@ -29,7 +32,6 @@ from qromlab.pipeline import (
     _response_trace,
     _single_slot_extraction,
     _sparse_hypothesis,
-    build_protocol,
     default_config,
     eps_star,
     extraction_prover_value,
@@ -37,7 +39,7 @@ from qromlab.pipeline import (
     run_experiment,
     simulator_trace,
 )
-from qromlab.protocol import ProductSpace, fold, soundness_exact, toy_qr, toy_table
+from qromlab.protocol import soundness_exact, toy_qr, toy_table
 from test_extraction import flag_trace, response_trace
 
 STATEMENTS = (4, 16, 5, 20, 0, 7)
@@ -67,12 +69,12 @@ def scores(scorers, spec, x, cfg):
 @pytest.mark.parametrize("reps", [1, 2, 3, 4, 5])
 def test_stock_scores_match_the_per_r_scorers(reps, sim):
     cfg = ExperimentConfig(reps=reps, simulator=sim)
-    spec = build_protocol(cfg)
+    spec = folded(cfg)
     for x in STATEMENTS:
         assert scores(NEW, spec, x, cfg) == scores(OLD, spec, x, cfg), x
 
 
-SPECS = {1: toy_qr(1), 2: toy_qr(2)}
+SPECS = {1: toy_qr(), 2: fold_reference.fold(toy_qr(), 2, "toy-qr-t2")}
 LETTERS = {1: [(0,), (1,), (2,), (4,)]}  # honest messages of x = 4 and 16 plus bottom
 LETTERS[2] = [a + b for a in LETTERS[1] for b in LETTERS[1]]
 
@@ -114,14 +116,17 @@ class TestAdaptiveTraces:
         assert _fs_game_value(spec, x, trace) == ref.fs_game_value(spec, x, trace)
 
 
-BASE = toy_qr(1).alphabet
+BASE = toy_qr().alphabet
 COORDINATE = st.one_of(st.sampled_from(LETTERS[1]), st.sampled_from(BASE))
+
+
+FOLDS = {reps: fold_reference.fold(toy_qr(), reps, f"toy-qr-t{reps}") for reps in (1, 2, 3, 4)}
 
 
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), reps=st.integers(1, 4), x=st.sampled_from(STATEMENTS))
 def test_a_full_group_counts_its_accepting_randomness(data, reps, x):
-    spec = toy_qr(reps)
+    spec = FOLDS[reps]
     out = tuple(sum(data.draw(st.lists(COORDINATE, min_size=reps, max_size=reps)), ())
                 for _ in range(spec.rounds))
     brute = sum(1 for r in spec.randomness if spec.decide(x, r, out))
@@ -143,8 +148,8 @@ def counted(spec):
 
 class TestRoutes:
     def test_a_folded_spec_is_counted_on_its_base(self, monkeypatch):
-        # no per-column route for a full folded group: every decision
-        # experiment builds its acceptor on the fold's base
+        # every decision experiment builds its acceptor on the
+        # one-repetition spec, whatever the reps
         built = []
         acceptor = pipeline._acceptor
 
@@ -167,31 +172,29 @@ class TestRoutes:
         assert calls[0] == 2 * 4 * len(group)
 
     def test_a_copy_sums_over_r(self):
-        # the copy keeps the fold's callables but drops the record; a
-        # full group is read by its own decide, once per r
-        copy, calls = counted(toy_qr(3))
-        assert copy.fold_base is None
+        # a fold is a spec like any other: a full group is read by its own
+        # decide, once per r, and a copy with another decide reads that
+        copy, calls = counted(FOLDS[3])
         out = ((1, 1, 1), (1, 1, 1))
         assert _acceptor(copy, 4)(frozenset(copy.randomness), out) == 1
         assert calls[0] == len(copy.randomness)
         first = copy.randomness[0]
-        other = replace(toy_qr(3), decide=lambda x, r, ms: r == first)
+        other = replace(FOLDS[3], decide=lambda x, r, ms: r == first)
         bottom = ((0, 0, 0), (0, 0, 0))
         assert _acceptor(other, 4)(frozenset(other.randomness), bottom) == 1
-        assert _acceptor(toy_qr(3), 4)(frozenset(other.randomness), bottom) == 0
+        assert _acceptor(FOLDS[3], 4)(frozenset(other.randomness), bottom) == 0
 
 
 def test_three_round_at_seven_repetitions_pins_its_decide_calls(monkeypatch):
-    # at the per-r scorers: 65,536 distinct folded decide calls and
-    # 109,388 base ones; counting a full group per column, at most 512
-    # and 4,000. Scored on the base, the run makes 584 base calls and
-    # none of the folded callables', which would split their randomness
-    base, calls = counted(toy_qr(1))
-    monkeypatch.setattr(pipeline, "build_protocol",
-                        lambda cfg: fold(base, cfg.reps, f"toy-qr-t{cfg.reps}"))
-    monkeypatch.setattr(ProductSpace, "split", None)
+    # at the per-r scorers on the fold: 65,536 distinct folded decide
+    # calls and 109,388 one-repetition ones; counting a full group per
+    # column, at most 512 and 4,000. Seven repetitions as a count make
+    # 584 calls of the one-repetition decide
+    base, calls = counted(toy_qr())
+    monkeypatch.setattr(pipeline, "build_protocol", lambda cfg: (base, cfg.reps))
     report = run_experiment("three-round", replace(default_config("three-round"), reps=7))
     assert all(c.passed for c in report.checks)
+    assert report.config["protocol"] == "toy-qr-t7"
     assert calls[0] == 584
 
 

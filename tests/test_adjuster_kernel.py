@@ -19,7 +19,7 @@ from qromlab.adversary import VerifierMachine, build_verifier
 from qromlab.pipeline import build_protocol, default_config, eps_star
 
 CFG = default_config("expected-time")
-SPEC = build_protocol(CFG)
+SPEC, _ = build_protocol(CFG)
 DENSITIES = (CFG.eps, eps_star(SPEC.rounds, CFG.q), Fraction(1, 3), Fraction(1))
 
 

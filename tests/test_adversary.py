@@ -58,8 +58,8 @@ class TestChallengeStructure:
     (``pipeline._check_public_coin``): each challenge is its randomness."""
 
     def test_toy_qr(self):
-        assert _check_public_coin(toy_qr(1), 4) is None
-        challenges, chart = fold_reference.challenge_structure(toy_qr(1), 4)
+        assert _check_public_coin(toy_qr(), 4) is None
+        challenges, chart = fold_reference.challenge_structure(toy_qr(), 4)
         assert challenges == ((0,), (1,))
         assert chart == {((0,),): (0,), ((1,),): (1,)}
 
@@ -96,7 +96,7 @@ class TestBuildVerifier:
 
     @pytest.mark.parametrize("kind", ["random_aborting", "superposition"])
     def test_table_cap_checked_in_log_space(self, kind):
-        spec = toy_qr(3)
+        spec = fold_reference.fold(toy_qr(), 3, "toy-qr-t3")
         with pytest.raises(ValueError, match="exceeds the dense cap") as info:
             build_verifier(kind, spec, 4, eps=EPS4)
         assert "**" in str(info.value)
@@ -553,7 +553,7 @@ def test_aborting_acceptance_is_twice_the_coherent_joint(sim):
     is 2·Pr[Cont = 1, B = 1] of the coherent kind under the same truncated
     simulator, read from ``cont_density``: two routes to one number."""
     cfg = default_config("expected-time")
-    spec = build_protocol(cfg)
+    spec, _ = build_protocol(cfg)
     densities = (Fraction(1, 4), eps_star(spec.rounds, cfg.q), Fraction(1, 3),
                  Fraction(3, 4), Fraction(1))
     for x in (1, 3):

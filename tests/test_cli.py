@@ -11,9 +11,9 @@ import pytest
 import pinned_reference
 from qromlab import adversary, cli, pipeline
 from qromlab.adversary import EXPECTED_MEMBERS, build_verifier, expected_wrapper
-from qromlab.protocol import MAX_REPS, toy_table
+from qromlab.protocol import toy_table
 from qromlab.cli import LEMMAS, main
-from qromlab.pipeline import THEOREMS
+from qromlab.pipeline import MAX_REPS, THEOREMS
 
 
 class TestVerifyLemma:
@@ -74,11 +74,12 @@ class TestRun:
         assert "decision: yes=[0.5] no=[0.5]" in out
 
     def test_oversized_table_stops_with_the_cap_error(self, capsys):
-        assert main(["run", "expected-time", "--protocol", "toy-qr"]) == 2
+        # one repetition of toy-qr is built, and its control table refused
+        assert main(["run", "expected-time", "--protocol", "toy-qr", "--reps", "1"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("qromlab: error: ")
-        assert "exceeds the dense cap" in captured.err
+        assert "control table of 2**182 basis states exceeds the dense cap" in captured.err
         assert captured.err.count("\n") == 1 and captured.err.endswith("\n")
 
     @pytest.mark.parametrize(
@@ -116,6 +117,9 @@ class TestRun:
              f"at most {MAX_REPS} repetitions are supported, not {MAX_REPS + 1}"),
             (["public-coin", "--reps", str(MAX_REPS + 1)],
              f"at most {MAX_REPS} repetitions are supported, not {MAX_REPS + 1}"),
+            # refused before any machine is built
+            (["expected-time", "--protocol", "toy-qr"],
+             "the expected-time experiment runs one repetition, not 3"),
         ],
     )
     def test_config_errors_exit_2(self, argv, message, capsys):
@@ -127,8 +131,8 @@ class TestRun:
 
     @pytest.mark.parametrize("theorem", ["public-coin", "three-round"])
     def test_hashed_challenges_report_past_the_index_cap(self, theorem, capsys):
-        # a fold of 13**18 messages cannot be indexed; these experiments
-        # score it from its base and never index it
+        # 18 repetitions of 13 messages are 13**18 > sys.maxsize; every
+        # experiment scores them from the one-repetition spec
         assert main(["run", theorem, "--reps", "18"]) == 0
         out = capsys.readouterr().out
         assert out.startswith(f"{theorem}  protocol=toy-qr-t18")

@@ -48,7 +48,7 @@ def check(sim, machine):
 
 
 CFG = default_config("expected-time")
-SPEC = build_protocol(CFG)
+SPEC, _ = build_protocol(CFG)
 
 
 @pytest.mark.parametrize(
@@ -117,7 +117,7 @@ def _roundtrip(n):
 def test_other_machines(machine):
     spec, x = machine.spec, machine.x
     sims = [give_up(machine), _roundtrip(3)]
-    if spec.language(x):
+    if spec.witness_map(x):
         honest = honest_wrapper(machine, spec.witness_map(x)[0])
         sims.append(honest)
         sims.append(

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 import extraction_reference as ref
 import live_reference as live
 import trace_reference
-from fold_reference import lifted_challenge_structure
+from fold_reference import challenge_structure, folded
 from qromlab import pipeline
 from qromlab.pipeline import (
     SIMULATORS,
@@ -61,7 +61,7 @@ def stock(name):
     """(spec, statement, cfg) for every statement of a stock config, per simulator."""
     for sim in SIMULATORS:
         cfg = replace(CONFIGS[name], simulator=sim)
-        spec = build_protocol(cfg)
+        spec = folded(cfg)
         for x in cfg.yes_instances + cfg.no_instances:
             yield spec, x, cfg
 
@@ -192,7 +192,7 @@ class TestStockTraces:
         # which asks the hash table and never drops a read
         for sim in SIMULATORS:
             cfg = ExperimentConfig(reps=reps, eps=Fraction(1, 2), simulator=sim)
-            spec = build_protocol(cfg)
+            spec = folded(cfg)
             for x in (4, 16, 5, 20, 0, 7):
                 total, counted = _fs_game_value(
                     spec, x, _hash_trace(spec, _moves(cfg, spec, x)))
@@ -204,7 +204,7 @@ class TestStockTraces:
     def test_public_coin_makes_each_honest_move_once(self):
         # the first move once per trace, the final one once per challenge
         cfg = ExperimentConfig(reps=2, eps=Fraction(1, 2))
-        spec = build_protocol(cfg)
+        spec = folded(cfg)
         calls = []
 
         def counted(*args):
@@ -269,7 +269,7 @@ def response_trace(seed, letters, queries, repeat=False):
     return trace
 
 
-SPECS = {"toy-qr-t1": toy_qr(1), "toy-table": toy_table()}
+SPECS = {"toy-qr-t1": toy_qr(), "toy-table": toy_table()}
 LETTERS = {
     "toy-qr-t1": [(0,), (1,), (2,), (4,)],  # honest messages of x = 4 and 16 plus bottom
     "toy-table": [0, 1],
@@ -337,7 +337,7 @@ def test_a_requeried_slot_point_answers_the_live_randomness():
     # under both timings, so the honest final move is made for r; the
     # hand-written reference forgets the reprogrammed value here
     cfg = ExperimentConfig(reps=1, q=2, eps=Fraction(1, 2))
-    spec = build_protocol(cfg)
+    spec, _ = build_protocol(cfg)
     move = _moves(cfg, spec, 4)
     honest = _response_trace(spec, move)
     m1 = move(())
@@ -461,7 +461,7 @@ def adaptive_hash_trace(when_first):
 
     def build(spec, move):
         honest = stock_trace(spec, move)
-        first = lifted_challenge_structure(spec, 4)[0][0]
+        first = challenge_structure(spec, 4)[0][0]
 
         def trace(ask_c):
             got = []
@@ -486,7 +486,7 @@ def test_an_adaptive_hash_query_is_billed(when_first, monkeypatch):
     # 4 queries for the trace that asks its fifth on any other challenge
     adaptive = adaptive_hash_trace(when_first)
     cfg = ExperimentConfig(reps=1, eps=Fraction(1, 2))
-    spec = build_protocol(cfg)
+    spec, _ = build_protocol(cfg)
     trace = adaptive(spec, _moves(cfg, spec, 4))
     assert live.hash_value(spec, 4, on_table(trace))[1] == (5 if when_first else 4)
     assert check_public_coin(spec, 4, trace) == 5

@@ -33,6 +33,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import walk_reference
+from fold_reference import fold, folded
 from walk_reference import unkeyed
 from qromlab import pipeline
 from qromlab.pipeline import (
@@ -42,15 +43,12 @@ from qromlab.pipeline import (
     _label_walk,
     _moves,
     _response_trace,
-    build_protocol,
     default_config,
     simulator_trace,
 )
 from qromlab.protocol import (
-    RESIDUES_21,
     UNITS_21,
     ProtocolSpec,
-    fold,
     soundness_exact,
     toy_table,
 )
@@ -88,7 +86,6 @@ def challenges_spec(n: int) -> ProtocolSpec:
         rounds=n + 1,
         randomness=tuple(itertools.product((0, 1), repeat=n)),
         prover_randomness=tuple((u,) for u in UNITS_21),
-        language=lambda x: x in RESIDUES_21,
         witness_map=lambda x: tuple(w for w in UNITS_21 if (w * w) % 21 == x % 21),
         next_message=next_message,
         decide=decide,
@@ -180,7 +177,7 @@ def label_walks(spec, x, trace, q):
 @pytest.mark.parametrize("sim", sorted(SIMULATORS))
 def test_label_walks_match_the_tuple_walk(reps, sim, monkeypatch):
     cfg = replace(default_config("three-round"), reps=reps, simulator=sim)
-    spec = build_protocol(cfg)
+    spec = folded(cfg)
     for x in cfg.yes_instances + cfg.no_instances:
         move = _moves(cfg, spec, x)
         for trace in (_response_trace(spec, move), _hash_trace(spec, move)):

@@ -28,7 +28,7 @@ from qromlab.pipeline import (
     simulator_trace,
     write_report,
 )
-from qromlab.protocol import ConfigError, fold, toy_qr, toy_table
+from qromlab.protocol import ConfigError, toy_qr, toy_table
 
 
 def grind_forgery(spec, x, q: int) -> Fraction:
@@ -118,7 +118,10 @@ class TestConfig:
         cfg = ExperimentConfig(protocol="toy-table", q=1, yes_instances=(1, 3),
                                no_instances=())
         assert run_experiment("three-round", cfg).config["reps"] == 3
-        assert build_protocol(ExperimentConfig()).name == "toy-qr-t3"
+        spec, reps = build_protocol(cfg)
+        assert (spec.name, reps) == ("toy-table", 1)
+        spec, reps = build_protocol(ExperimentConfig())
+        assert (spec.name, reps) == ("toy-qr-t1", 3)
 
     def test_tables_reach_rebound_module_names(self, monkeypatch):
         # perfbench's tracer rebinds module attributes to counting wrappers;
@@ -141,7 +144,7 @@ class TestConfig:
         assert run_experiment("three-round").theorem == "three-round"
         assert calls["decide_three_round"] == 1
         built = calls["toy_qr"]
-        assert build_protocol(ExperimentConfig(reps=2)).name == "toy-qr-t2"
+        assert build_protocol(ExperimentConfig(reps=2))[1] == 2
         assert calls["toy_qr"] == built + 1
         # the honest-wrapper row makes one set of moves per statement
         for theorem in DECISIONS:
@@ -157,23 +160,55 @@ def honest_moves(spec, x, witness, u):
     return lambda got: spec.honest_prover(x, witness, u, got)
 
 
+# (protocol, reps set) -> ((spec name, reps run), (echoed protocol, k,
+# echoed reps)), or None where the reps is refused
+BUILDS = {
+    ("toy-qr", None): (("toy-qr-t1", 3), ("toy-qr-t3", 2, 3)),
+    ("toy-qr", 1): (("toy-qr-t1", 1), ("toy-qr-t1", 2, 1)),
+    ("toy-qr", 2): (("toy-qr-t1", 2), ("toy-qr-t2", 2, 2)),
+    ("toy-qr", 64): (("toy-qr-t1", 64), ("toy-qr-t64", 2, 64)),
+    ("toy-table", None): (("toy-table", 1), ("toy-table", 2, 3)),
+    ("toy-guess", None): (("toy-guess", 1), ("toy-guess", 1, 3)),
+}
+
+
+@pytest.mark.parametrize("reps", [None, 1, 2, 64], ids=lambda reps: f"reps-{reps}")
+@pytest.mark.parametrize("name", sorted(pipeline.PROTOCOLS))
+def test_build_protocol_pairs_the_spec_with_its_reps(name, reps):
+    # the one-repetition spec with the reps it runs, and the report's
+    # echo of the repetitions; a protocol that does not repeat runs one
+    # repetition, echoes the default, and refuses any set reps
+    row = pipeline.PROTOCOLS[name]
+    cfg = ExperimentConfig(protocol=name, reps=reps, yes_instances=row.yes,
+                           no_instances=row.no)
+    want = BUILDS.get((name, reps))
+    if want is None:
+        with pytest.raises(ConfigError, match=f"^protocol '{name}' has no repetitions to set$"):
+            build_protocol(cfg)
+        return
+    spec, n = build_protocol(cfg)
+    assert (spec.name, n) == want[0]
+    echo = run_experiment("constant-round", replace(cfg, q=spec.rounds)).config
+    assert (echo["protocol"], echo["k"], echo["reps"]) == want[1]
+
+
 class TestSimulatorTrace:
     def test_query_bill(self):
         # 2k flag queries per verifier call: k=2 bills 8, k=1 bills 2
-        spec = toy_qr(1)
+        spec = toy_qr()
         trace = simulator_trace(spec, honest_moves(spec, 4, 2, (1,)))
         calls = []
         out = trace(lambda p, drop=False: calls.append(tuple(p)) or 1, lambda p: (1,))
         assert len(calls) == 8
         assert out == ((1,), (2,))  # honest m1 = u^2, m2 = u * w^c at c=(1,)
-        guess = build_protocol(ExperimentConfig(protocol="toy-guess", q=1))
+        guess, _ = build_protocol(ExperimentConfig(protocol="toy-guess", q=1))
         tg = simulator_trace(guess, honest_moves(guess, 1, (1,), 0))
         short = []
         tg(lambda p, drop=False: short.append(p) or 1, lambda p: 0)
         assert len(short) == 2
 
     def test_give_up_ignores_responses(self):
-        spec = toy_qr(1)
+        spec = toy_qr()
         fixed = (spec.alphabet[0],) * 2
         cfg = ExperimentConfig(reps=1, simulator="give-up")
         trace = simulator_trace(spec, pipeline._moves(cfg, spec, 5))
@@ -182,7 +217,7 @@ class TestSimulatorTrace:
         assert outs == {fixed}
 
     def test_cleared_flag_yields_bottom_response(self):
-        spec = toy_qr(1)
+        spec = toy_qr()
         trace = simulator_trace(spec, honest_moves(spec, 4, 2, (1,)))
         seen = []
         trace(lambda p, drop=False: 0, lambda p: seen.append(p))
@@ -274,7 +309,7 @@ class TestPublicCoin:
             decide_public_coin(cfg)
 
 
-# a copy of toy_qr(1)'s next message per refusal, and the refusal's message
+# a copy of toy_qr()'s next message per refusal, and the refusal's message
 BAD_CHALLENGES = {
     "leaves the message alphabet": lambda x, r, ms: (99,) if r == (1,) else r,
     "does not map injectively": lambda x, r, ms: (0,),
@@ -285,34 +320,34 @@ BAD_CHALLENGES = {
 class TestPublicCoinCheck:
     @pytest.mark.parametrize("message", sorted(BAD_CHALLENGES))
     def test_each_refusal(self, message):
-        # a fold of a bad base raises the base's error
-        bad = replace(toy_qr(1), next_message=BAD_CHALLENGES[message])
+        # every reps of a bad spec raises the spec's error
+        bad = replace(toy_qr(), next_message=BAD_CHALLENGES[message])
         assert bad.public_coin
-        for spec in (bad, fold(bad, 2, "bad-t2"), fold(bad, 3, "bad-t3")):
+        with pytest.raises(ValueError, match=message):
+            _check_public_coin(bad, 5)
+        for reps in (1, 2, 3):
             with pytest.raises(ValueError, match=message):
-                _check_public_coin(spec, 5)
-            with pytest.raises(ValueError, match=message):
-                fs_forgery_exact(spec, 5, 4)
+                fs_forgery_exact(bad, 5, 4, reps)
 
     def test_refusal_order(self):
         # the alphabet before injectivity, injectivity before the message
         for respond, message in ((lambda x, r, ms: (99,), "leaves the message alphabet"),
                                  (lambda x, r, ms: ms[0], "does not map injectively")):
             with pytest.raises(ValueError, match=message):
-                _check_public_coin(replace(toy_qr(1), next_message=respond), 5)
+                _check_public_coin(replace(toy_qr(), next_message=respond), 5)
         with pytest.raises(ValueError, match="exactly two prover moves"):
-            fs_forgery_exact(replace(toy_qr(1), rounds=3), 5, 4)
+            fs_forgery_exact(replace(toy_qr(), rounds=3), 5, 4)
         with pytest.raises(ValueError, match="depends on the prover message"):
             fs_forgery_exact(toy_table(), 0, 4)
 
     def test_decide_public_coin_checks_before_any_walk(self, monkeypatch):
-        flat = replace(toy_qr(1), next_message=BAD_CHALLENGES["does not map injectively"])
+        flat = replace(toy_qr(), next_message=BAD_CHALLENGES["does not map injectively"])
 
         def unreachable(*args, **kwargs):
             raise AssertionError("a walk ran before the public-coin check")
 
         monkeypatch.setattr(pipeline, "_walk", unreachable)
-        monkeypatch.setattr(pipeline, "build_protocol", lambda cfg: flat)
+        monkeypatch.setattr(pipeline, "build_protocol", lambda cfg: (flat, 1))
         with pytest.raises(ValueError, match="does not map injectively"):
             decide_public_coin(ExperimentConfig(reps=1, eps=Fraction(1, 2)))
 
@@ -324,15 +359,15 @@ class TestForgeryOptimum:
          (4, Fraction(31, 32))],
     )
     def test_single_rep_matches_subset_search(self, q, value):
-        spec = toy_qr(1)
+        spec = toy_qr()
         assert fs_forgery_exact(spec, 5, q) == value
         assert grind_forgery(spec, 5, q) == value
 
     def test_folded_matches_direct(self):
-        spec = toy_qr(2)
-        folded = fs_forgery_exact(spec, 5, 2)
-        object.__setattr__(spec, "fold_base", None)
-        assert folded == fs_forgery_exact(spec, 5, 2) == Fraction(37, 64)
+        # two repetitions as a count, and every first message of the fold
+        whole = fold_reference.fold(toy_qr(), 2, "toy-qr-t2")
+        assert fs_forgery_exact(toy_qr(), 5, 2, 2) == fs_forgery_exact(whole, 5, 2) == (
+            Fraction(37, 64))
 
 
 class TestThreeRound:

@@ -8,9 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fold_reference
 import soundness_reference as ref
+from qromlab.pipeline import ExperimentConfig, build_protocol
 from qromlab.protocol import (
-    RESIDUES_21,
     UNITS_21,
     ConfigError,
     ProtocolSpec,
@@ -21,6 +22,8 @@ from qromlab.protocol import (
 )
 from prover_reference import Transcript, acceptance_set, honest_execution
 from test_packed_walk import challenges_spec
+
+RESIDUES_21 = (1, 4, 16)  # toy-qr's statements: the squares of the units mod 21
 
 
 def brute_two_move(spec: ProtocolSpec, x) -> Fraction:
@@ -58,23 +61,23 @@ def brute_one_move(spec: ProtocolSpec, x) -> Fraction:
 
 class TestToyQrStructure:
     def test_spaces(self):
-        spec = toy_qr(1)
+        spec = toy_qr()
         assert spec.rounds == 2
         assert spec.public_coin
         assert len(spec.alphabet) == 13  # {0} + units mod 21
         assert spec.randomness == ((0,), (1,))
         assert len(spec.prover_randomness) == 12
-        assert spec.fold_base is None
+        assert spec.name == "toy-qr-t1"
 
     def test_folding_metadata(self):
-        spec = toy_qr(3)
-        assert len(spec.alphabet) == 13**3
-        assert spec.fold_reps == 3
-        assert spec.fold_base.name == "toy-qr-t1"
+        # repetitions are a count on the one-repetition spec
+        spec, reps = build_protocol(ExperimentConfig())
+        assert (spec.name, len(spec.alphabet), reps) == ("toy-qr-t1", 13, 3)
+        assert len(fold_reference.fold(spec, reps, "toy-qr-t3").alphabet) == 13**3
 
     def test_language_and_witnesses(self):
-        spec = toy_qr(1)
-        assert {x for x in range(21) if spec.language(x)} == set(RESIDUES_21)
+        spec = toy_qr()
+        assert {x for x in range(21) if spec.witness_map(x)} == set(RESIDUES_21)
         for x in RESIDUES_21:
             ws = spec.witness_map(x)
             assert len(ws) == 4
@@ -82,13 +85,13 @@ class TestToyQrStructure:
         assert spec.witness_map(5) == ()
 
     def test_rep_count_checked(self):
-        with pytest.raises(ValueError):
-            toy_qr(0)
+        with pytest.raises(ValueError, match="need at least one repetition"):
+            build_protocol(ExperimentConfig(reps=0))
 
 
 class TestCompleteness:
     def test_toy_qr_all_coins(self):
-        spec = toy_qr(1)
+        spec = toy_qr()
         for x in RESIDUES_21:
             for w in spec.witness_map(x):
                 for r in spec.randomness:
@@ -99,7 +102,7 @@ class TestCompleteness:
 
     def test_toy_qr_folded(self):
         # one scalar witness serves every repetition
-        spec = toy_qr(2)
+        spec = fold_reference.fold(toy_qr(), 2, "toy-qr-t2")
         x, w, u = 4, 2, (8, 10)
         for r in spec.randomness:
             _, ok = honest_execution(spec, x, w, r, u)
@@ -124,14 +127,14 @@ class TestCompleteness:
 
 class TestSoundness:
     def test_toy_qr_frozen_values(self):
-        spec = toy_qr(1)
+        spec = toy_qr()
         assert soundness_exact(spec, 5) == Fraction(1, 2)
         assert soundness_exact(spec, 0) == Fraction(1, 2)
         for x in RESIDUES_21:
             assert soundness_exact(spec, x) == 1
 
     def test_folded_power(self):
-        assert soundness_exact(toy_qr(3), 5) == Fraction(1, 8)
+        assert soundness_exact(toy_qr(), 5) ** 3 == Fraction(1, 8)
 
     def test_toy_table_trivially_sound(self):
         assert soundness_exact(toy_table(), 0) == 1
@@ -140,7 +143,7 @@ class TestSoundness:
         assert soundness_exact(toy_guess(), 0) == Fraction(1, 2)
 
     def test_against_strategy_enumeration(self):
-        qr = toy_qr(1)
+        qr = toy_qr()
         for x in (0, 2, 5, 4, 16):
             assert soundness_exact(qr, x) == brute_two_move(qr, x)
         tab = toy_table()
@@ -151,15 +154,14 @@ class TestSoundness:
             assert soundness_exact(guess, x) == brute_one_move(guess, x)
 
     def test_enumeration_cap(self):
-        spec = toy_qr(3)
-        object.__setattr__(spec, "fold_base", None)
+        spec = fold_reference.fold(toy_qr(), 3, "toy-qr-t3")
         with pytest.raises(ValueError):
             soundness_exact(spec, 5)
 
 
 def counting(spec: ProtocolSpec):
-    """A ``replace`` copy of ``spec`` (so with no fold record) that
-    counts its ``decide`` and ``next_message`` calls."""
+    """A ``replace`` copy of ``spec`` that counts its ``decide`` and
+    ``next_message`` calls."""
     calls = {"decide": 0, "next_message": 0}
 
     def decide(x, r, ms):
@@ -173,14 +175,21 @@ def counting(spec: ProtocolSpec):
     return replace(spec, decide=decide, next_message=next_message), calls
 
 
+# (id, spec, statement, reps): the one-repetition spec and the
+# materialised two-repetition one are walked whole; three repetitions of
+# 13 messages are a 13**6 * 8 tree, over the enumeration cap, so those
+# rows score the one-repetition tree to the reps, as the library does
 REFERENCE_CASES = (
-    [(f"toy-qr-t{t}-{x}", toy_qr(t), x)
-     for t in (1, 2, 3) for x in (0, 1, 2, 4, 5, 16, 20)]
-    + [(f"toy-table-{x}", toy_table(), x) for x in range(4)]
-    + [(f"toy-guess-{x}", toy_guess(), x) for x in range(2)]
-    + [(f"toy-qr-t2-copy-{x}", replace(toy_qr(2)), x) for x in (4, 5)]
-    + [(f"toy-qr-2c-{x}", challenges_spec(2), x) for x in (4, 5, 16, 20)]
-    + [(f"toy-qr-3c-{x}", challenges_spec(3), x) for x in (4, 5)]
+    [(f"toy-qr-t{t}-{x}", spec, x, reps)
+     for t, spec, reps in ((1, toy_qr(), 1), (2, fold_reference.toy_qr(2), 1),
+                           (3, toy_qr(), 3))
+     for x in (0, 1, 2, 4, 5, 16, 20)]
+    + [(f"toy-table-{x}", toy_table(), x, 1) for x in range(4)]
+    + [(f"toy-guess-{x}", toy_guess(), x, 1) for x in range(2)]
+    + [(f"toy-qr-t2-copy-{x}", replace(fold_reference.fold(toy_qr(), 2, "toy-qr-t2")), x, 1)
+       for x in (4, 5)]
+    + [(f"toy-qr-2c-{x}", challenges_spec(2), x, 1) for x in (4, 5, 16, 20)]
+    + [(f"toy-qr-3c-{x}", challenges_spec(3), x, 1) for x in (4, 5)]
 )
 
 
@@ -201,7 +210,7 @@ def table_specs(draw):
            for r in randomness for ms in itertools.product(alphabet, repeat=k)}
     return ProtocolSpec(
         name="table", alphabet=alphabet, rounds=k, randomness=randomness,
-        prover_randomness=(0,), language=lambda x: False,
+        prover_randomness=(0,),
         witness_map=lambda x: (),
         next_message=lambda x, r, ms: nm[(r, ms)],
         decide=lambda x, r, ms: dec[(r, ms)],
@@ -213,17 +222,16 @@ class TestPrunedTree:
     """The tree that stops at a message accepting its whole randomness
     set, against ``soundness_reference``, which scans every message."""
 
-    @pytest.mark.parametrize("spec, x", [c[1:] for c in REFERENCE_CASES],
+    @pytest.mark.parametrize("spec, x, reps", [c[1:] for c in REFERENCE_CASES],
                              ids=[c[0] for c in REFERENCE_CASES])
-    def test_against_reference(self, spec, x):
+    def test_against_reference(self, spec, x, reps):
         got = soundness_exact(spec, x)
         assert type(got) is Fraction
-        assert got == ref.soundness_exact(spec, x)
-        if spec.fold_base is None:
-            new, new_calls = counting(spec)
-            old, old_calls = counting(spec)
-            assert soundness_exact(new, x) == ref.soundness_exact(old, x) == got
-            assert new_calls["decide"] <= old_calls["decide"]
+        assert got**reps == ref.soundness_exact(spec, x) ** reps
+        new, new_calls = counting(spec)
+        old, old_calls = counting(spec)
+        assert soundness_exact(new, x) == ref.soundness_exact(old, x) == got
+        assert new_calls["decide"] <= old_calls["decide"]
 
     @settings(max_examples=200, deadline=None)
     @given(table_specs())
@@ -237,15 +245,14 @@ class TestPrunedTree:
     def test_decide_calls_at_the_stock_statements(self, x, calls):
         # a yes statement's first accepting message ends the scan of the
         # 13 first messages; the reference makes all 13 * 13 * 2 calls
-        new, new_calls = counting(toy_qr(1))
-        old, old_calls = counting(toy_qr(1))
+        new, new_calls = counting(toy_qr())
+        old, old_calls = counting(toy_qr())
         soundness_exact(new, x)
         ref.soundness_exact(old, x)
         assert (new_calls["decide"], old_calls["decide"]) == (calls, 338)
 
     def test_cap_refuses_before_any_call(self):
-        spec, calls = counting(toy_qr(3))
-        assert spec.fold_base is None
+        spec, calls = counting(fold_reference.fold(toy_qr(), 3, "toy-qr-t3"))
         with pytest.raises(ConfigError):
             soundness_exact(spec, 5)
         assert calls == {"decide": 0, "next_message": 0}
@@ -253,7 +260,7 @@ class TestPrunedTree:
 
 class TestAcceptanceSet:
     def test_toy_qr_one_per_final_answer(self):
-        spec = toy_qr(1)
+        spec = toy_qr()
         acc = acceptance_set(spec, 4, (1,))
         assert len(acc) == 12
         for m1, m2 in acc:
@@ -263,7 +270,7 @@ class TestAcceptanceSet:
 
     def test_materialization_cap(self):
         with pytest.raises(ValueError):
-            acceptance_set(toy_qr(3), 4, (1, 1, 1))
+            acceptance_set(fold_reference.fold(toy_qr(), 3, "toy-qr-t3"), 4, (1, 1, 1))
 
 
 class TestTranscript:

@@ -37,7 +37,7 @@ import result_reference as ref
 from executor_reference import assert_same_value, result_branches
 
 CFG = pipeline.default_config("expected-time")
-SPEC = pipeline.build_protocol(CFG)
+SPEC, _ = pipeline.build_protocol(CFG)
 LAYOUT = RegisterLayout((("W", 3), ("B", 2), ("Cont", 2)))
 BUDGETS = range(7)
 

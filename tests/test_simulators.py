@@ -22,7 +22,7 @@ from dataclasses import replace
 import pytest
 
 import trace_reference as ref
-from fold_reference import lifted_challenge_structure
+from fold_reference import challenge_structure, folded
 from walk_reference import unkeyed
 from qromlab.pipeline import (
     SIMULATORS,
@@ -51,7 +51,7 @@ def stock(name):
     every simulator."""
     for sim in SIMULATORS:
         cfg = replace(CONFIGS[name], simulator=sim)
-        spec = build_protocol(cfg)
+        spec = folded(cfg)
         for x in cfg.yes_instances + cfg.no_instances:
             yield cfg, spec, x
 
@@ -132,7 +132,7 @@ def test_hash_traces_match_the_reference(name):
             return asker(ask_h)
 
         old = ref.hash_trace(cfg, spec, x)
-        challenges, _ = lifted_challenge_structure(spec, x)
+        challenges, _ = challenge_structure(spec, x)
         same_runs(new, old, challenges, [lambda p: None])
         values = tuple(challenges)
         assert weights(_walk(spec, x, new, values=values)) == (
@@ -169,11 +169,11 @@ def test_give_up_response_trace_asks_the_bottom_challenge():
     # the one plan that changed: the new trace asks one challenge at
     # (bottom,), whose answer the output ignores; the reference asks none
     cfg = ExperimentConfig(reps=1, simulator="give-up")
-    spec = build_protocol(cfg)
+    spec, _ = build_protocol(cfg)
     bottom = spec.alphabet[0]
     new = _response_trace(spec, _moves(cfg, spec, 4))
     old = ref.response_trace(cfg, spec, 4)
-    for c in lifted_challenge_structure(spec, 4)[0]:
+    for c in challenge_structure(spec, 4)[0]:
         new_log, old_log = [], []
         assert new(lambda p: new_log.append(p) or c) == (bottom, bottom)
         assert old(lambda p: old_log.append(p) or c) == (bottom, bottom)

@@ -50,7 +50,7 @@ from executor_reference import (
 from prover_reference import give_up
 
 CFG = default_config("expected-time")
-SPEC = build_protocol(CFG)
+SPEC, _ = build_protocol(CFG)
 KINDS = ("random_aborting", "superposition")
 DENSITIES = [Fraction(1, 4), Fraction(1, 3), Fraction(3, 4), Fraction(1),
              eps_star(2, 8), eps_star(2, 16)]

@@ -135,7 +135,6 @@ def small_specs(draw):
         rounds=k,
         randomness=rs,
         prover_randomness=alphabet,
-        language=lambda x: True,
         witness_map=lambda x: (x,),
         next_message=lambda x, r, ms: nm_tab[(r, tuple(ms))],
         decide=lambda x, r, ms: dec_tab[(r, tuple(ms))],
@@ -188,7 +187,7 @@ def _assert_slices_match_direct_builds(machine):
 
 def test_expected_time_slices_match_direct_builds():
     cfg = default_config("expected-time")
-    spec = build_protocol(cfg)
+    spec, _ = build_protocol(cfg)
     for x in cfg.yes_instances:
         for eps in (cfg.eps, eps_star(spec.rounds, cfg.q)):
             machine = build_verifier("random_aborting", spec, x, eps=eps)

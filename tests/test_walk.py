@@ -35,13 +35,13 @@ from qromlab.pipeline import (
     _moves,
     _response_trace,
     _sparse_hypothesis,
-    build_protocol,
     decide_constant_round,
     default_config,
     eps_star,
     extraction_prover_value,
     simulator_trace,
 )
+from fold_reference import folded
 from qromlab.protocol import ConfigError, toy_table
 from qromlab.transforms import MarSchedule, _schedule_count, enumerate_schedules
 from qromlab.walk import _walk
@@ -60,7 +60,7 @@ def stock(name):
     under every simulator; q is the trace's flag-query count."""
     for sim in SIMULATORS:
         cfg = replace(STOCK[name], simulator=sim)
-        spec = build_protocol(cfg)
+        spec = folded(cfg)
         for x in cfg.yes_instances + cfg.no_instances:
             trace = simulator_trace(spec, _moves(cfg, spec, x))
             yield spec, x, trace, 2 * spec.rounds * cfg.q
@@ -177,7 +177,7 @@ def test_stock_walks_count_in_integers_over_their_total(name):
         check_integers(_walk(spec, x, trace, values=(1, 0)))
     for sim in SIMULATORS:
         cfg = replace(STOCK[name], simulator=sim)
-        spec = build_protocol(cfg)
+        spec = folded(cfg)
         for x in cfg.yes_instances + cfg.no_instances:
             move = _moves(cfg, spec, x)
             response = _response_trace(spec, move)
@@ -380,8 +380,8 @@ def test_each_trace_node_is_replayed_once(monkeypatch):
 def test_a_dropped_read_costs_no_replay(reps, folded, monkeypatch):
     # the pad, full-transcript and release reads of every statement's
     # walks fork nothing: only the live reads and the responses branch.
-    # Every reps walks the fold's base, where walking the folded spec
-    # took ``folded`` replays
+    # Every reps walks the one-repetition spec, where walking the folded
+    # spec took ``folded`` replays
     replayed = []
     next_event = walk._next_event
 
@@ -400,9 +400,9 @@ def test_a_dropped_read_costs_no_replay(reps, folded, monkeypatch):
 def test_each_run_step_is_computed_once(reps, folded, monkeypatch):
     # a run of reads of one point is one step, and a walk computes each
     # step once for every core with the same used slots, measured point
-    # and plain read. Every reps walks the fold's base, where walking the
-    # folded spec took ``folded`` calls, and stepping every path of it at
-    # every read 660, 1,156, 16,036 and 63,652
+    # and plain read. Every reps walks the one-repetition spec, where
+    # walking the folded spec took ``folded`` calls, and stepping every
+    # path of it at every read 660, 1,156, 16,036 and 63,652
     counted = []
     run_steps = walk._run_steps
 
